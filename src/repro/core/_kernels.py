@@ -25,15 +25,21 @@ When numba is importable the kernels are additionally offered as
 :class:`~repro.core.gossip.GossipConfig`); when it is not, the "numba"
 spelling degrades to the pure-Python/NumPy path with a single
 :class:`RuntimeWarning` per feature (:func:`warn_numba_missing`). The
-transfer kernels run the exact float operations of
-:class:`repro.core.cmf.IncrementalCMF` in the same order, so results
-are bit-identical across all three of {inline loop, Python kernel,
-jitted kernel}.
+transfer kernel runs the exact float operations of
+:class:`repro.core.cmf.IncrementalCMF` in the same order, so decisions
+are bit-identical across all three of {``IncrementalCMF.propose_pass``
+(the default fused pass), Python kernel, jitted kernel}.
 
-The kernel never owns the RNG: the driver pre-draws one uniform per
-potential proposal and rewinds/advances the bit generator by the number
-actually consumed (see ``_transfer_from_rank_soa``), so the consumed
-stream is exactly the sequence of scalar draws the reference loop makes.
+The kernel never owns the RNG: the driver
+(``repro.core.transfer._kernel_pass``) pre-draws one uniform per
+potential proposal, then rewinds the PCG64 bit generator, advances it
+by the number actually consumed and puts back the cached 32-bit
+half-word that ``advance`` clears. Only with all three steps is the
+generator left exactly where the per-proposal ``rng.random()`` calls of
+the other paths leave it — which matters from the second iteration of
+an episode on, when the inform stage's bounded-integer draws have
+populated that half-word
+(``tests/core/test_transfer_soa.py::TestEpisodeIdentity``).
 
 Kernel statuses (returned, never raised):
 

@@ -29,9 +29,15 @@ only when the scaling factor ``l_s`` itself changes. Its contract with
 :func:`build_cmf` is exact: the mass vector, the ``None``/exhausted
 condition and the materialized prefix sums are identical
 (``tests/core/test_cmf_incremental.py`` proves this property-style).
+:meth:`IncrementalCMF.propose_pass` is the transfer stage's whole
+sample → criterion → update loop over that state, fused into one scalar
+pass for a sender that consults nothing but its own CMF.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -110,27 +116,39 @@ def sample_cmf(cmf: np.ndarray, rng: np.random.Generator) -> int:
 # -- incremental maintenance (the Alg. 2 l.7 fast path) --------------------
 
 
-def _fenwick_build(values: np.ndarray) -> list[float]:
+@lru_cache(maxsize=32)
+def _fenwick_parents(n: int) -> np.ndarray:
+    """``i - lowbit(i)`` for ``i`` in ``0..n`` (read-only, cached per ``n``).
+
+    A transfer stage rebuilds trees of a handful of sizes thousands of
+    times; the index arithmetic depends on ``n`` alone.
+    """
+    idx = np.arange(n + 1)
+    low = idx - (idx & -idx)
+    low.flags.writeable = False
+    return low
+
+
+def _fenwick_build(values: np.ndarray) -> np.ndarray:
     """Fenwick tree over ``values`` (1-indexed partial sums), built O(n).
 
     Node ``i`` holds ``sum(values[i - lowbit(i):i])``, computed as a
-    vectorized difference of cumulative sums. Kept as a Python list:
-    the point updates and descent are scalar-indexing hot paths, where
-    list access beats ndarray item access.
+    vectorized difference of cumulative sums (``prefix[0] = 0`` makes
+    node 0 the unused zero slot). :func:`_fenwick_add` and
+    :func:`_fenwick_search` index it one scalar at a time, which a
+    Python list serves about three times faster than an ndarray — but
+    ``tolist()`` is the dearest step of a build, so whoever is about to
+    make many such accesses converts, and a tree that is sampled a
+    handful of times before the next rebuild never pays for it.
     """
     n = values.size
-    if n == 0:
-        return [0.0]
-    prefix = np.cumsum(values)
-    idx = np.arange(1, n + 1)
-    low = idx - (idx & -idx)
-    nodes = prefix[idx - 1] - np.where(low > 0, prefix[low - 1], 0.0)
-    tree = nodes.tolist()
-    tree.insert(0, 0.0)
-    return tree
+    prefix = np.empty(n + 1, dtype=np.float64)
+    prefix[0] = 0.0
+    np.cumsum(values, out=prefix[1:])
+    return prefix - prefix[_fenwick_parents(n)]
 
 
-def _fenwick_add(tree: list[float], index: int, delta: float) -> None:
+def _fenwick_add(tree: list[float] | np.ndarray, index: int, delta: float) -> None:
     """Add ``delta`` to 0-based ``index``."""
     n = len(tree) - 1
     i = index + 1
@@ -139,7 +157,7 @@ def _fenwick_add(tree: list[float], index: int, delta: float) -> None:
         i += i & -i
 
 
-def _fenwick_search(tree: list[float], target: float) -> int:
+def _fenwick_search(tree: list[float] | np.ndarray, target: float) -> int:
     """Smallest 0-based ``i`` whose inclusive prefix sum exceeds ``target``.
 
     Mirrors ``searchsorted(cumsum, target, side="right")`` over the
@@ -241,6 +259,13 @@ class IncrementalCMF:
         self.n_positive = int(np.count_nonzero(self.masses))
         self._tree = _fenwick_build(self.masses)
 
+    def _list_tree(self) -> list[float]:
+        """The Fenwick tree as a list, converted on first scalar use."""
+        tree = self._tree
+        if type(tree) is not list:
+            tree = self._tree = tree.tolist()
+        return tree
+
     @property
     def exhausted(self) -> bool:
         """True exactly when :func:`build_cmf` would return ``None``."""
@@ -282,7 +307,7 @@ class IncrementalCMF:
             self.n_positive -= 1
         delta = new_mass - old_mass
         self.total += delta
-        _fenwick_add(self._tree, int(idx), delta)
+        _fenwick_add(self._list_tree(), int(idx), delta)
 
     def sample(self, rng: np.random.Generator) -> int:
         """Draw a candidate index; one uniform, like :func:`sample_cmf`."""
@@ -290,7 +315,7 @@ class IncrementalCMF:
             raise ValueError("cannot sample an exhausted CMF")
         u = rng.random()
         target = u * self.total
-        idx = _fenwick_search(self._tree, target)
+        idx = _fenwick_search(self._list_tree(), target)
         if idx >= self.masses.size or self.masses[idx] <= 0.0:
             # Accumulated float drift in the tree/total pushed the draw
             # past the last positive mass; resolve against exact sums.
@@ -298,6 +323,113 @@ class IncrementalCMF:
             idx = int(np.searchsorted(cmf, target, side="right"))
             idx = min(idx, self.masses.size - 1)
         return int(idx)
+
+    def propose_pass(
+        self,
+        o_loads: list[float],
+        p_load: float,
+        threshold_load: float,
+        relaxed: bool,
+        random: Callable[[], float],
+    ) -> tuple[list[int], list[int], float, int]:
+        """Walk a sender's ordered task loads, proposing each in turn.
+
+        The fused form of the transfer stage's inner loop (Alg. 2
+        l.4-18) for a sender whose view is this sampler alone: per task,
+        stop once ``p_load`` is at or below ``threshold_load`` or the
+        CMF is exhausted; otherwise ``sample`` a candidate with one
+        ``random()`` draw, apply the criterion (``relaxed``: l.37, else
+        l.35) to its known load, and on accept ``update`` that load by
+        the task's. ``sample`` and ``update`` are inlined over locals in
+        their exact float order, so every draw, decision and counter is
+        what the method calls would produce. Accepts are only recorded:
+        returns ``(accepted walk positions, their candidate indices,
+        the sender's final load, rejection count)``.
+        """
+        loads, l_ave = self.loads, self.l_ave
+        modified = self.variant == CMF_MODIFIED
+        size = loads.size
+        top = 1 << (size.bit_length() - 1) if size else 0
+        n_tasks = len(o_loads)
+        acc_pos: list[int] = []
+        acc_idx: list[int] = []
+        rejected = 0
+        pos = 0
+        while True:
+            # One segment per CMF build: the sampler's scalars live in
+            # locals until l_s moves, which is the only full rebuild.
+            # n_positive == 0 covers ``exhausted`` (no candidates and
+            # l_s <= 0 both pin it at zero).
+            l_s, masses = self.l_s, self.masses
+            total, n_positive, max_load = self.total, self.n_positive, self._max_load
+            # A walk that can only be short indexes the tree as built;
+            # list access pays for its conversion within size/64 draws.
+            long_walk = n_positive > 0 and n_tasks - pos > size >> 6
+            tree = self._list_tree() if long_walk else self._tree
+            rebuild = False
+            while pos < n_tasks and p_load > threshold_load and n_positive:
+                o_load = o_loads[pos]
+                target = random() * total
+                idx = 0
+                bit = top
+                remaining = target
+                while bit:
+                    nxt = idx + bit
+                    if nxt <= size:
+                        node = tree[nxt]
+                        if node <= remaining:
+                            idx = nxt
+                            remaining -= node
+                    bit >>= 1
+                mass = masses.item(idx) if idx < size else 0.0
+                if mass <= 0.0:
+                    # Float drift pushed the draw past the last positive
+                    # mass; resolve against exact sums, as sample() does.
+                    idx = int(np.searchsorted(np.cumsum(masses), target, side="right"))
+                    idx = min(idx, size - 1)
+                    mass = masses.item(idx)
+                l_x = loads.item(idx)
+                if (o_load < p_load - l_x) if relaxed else (l_x + o_load < l_ave):
+                    acc_pos.append(pos)
+                    acc_idx.append(idx)
+                    pos += 1
+                    p_load -= o_load
+                    new_load = l_x + o_load
+                    loads[idx] = new_load
+                    if modified:
+                        if new_load > max_load:
+                            max_load = new_load
+                            if new_load > l_s:
+                                rebuild = True
+                                break
+                        elif new_load < l_x and l_x == max_load:
+                            max_load = float(loads.max())
+                            if max(l_ave, max_load) != l_s:
+                                rebuild = True
+                                break
+                    headroom = 1.0 - new_load / l_s
+                    new_mass = headroom if headroom > 0.0 else 0.0
+                    if new_mass != mass:
+                        masses[idx] = new_mass
+                        if mass == 0.0:
+                            n_positive += 1
+                        elif new_mass == 0.0:
+                            n_positive -= 1
+                        delta = new_mass - mass
+                        total += delta
+                        i = idx + 1
+                        while i <= size:
+                            tree[i] += delta
+                            i += i & -i
+                else:
+                    rejected += 1
+                    pos += 1
+            self.total, self.n_positive, self._max_load = total, n_positive, max_load
+            if not rebuild:
+                break
+            self._rebuild()
+        self.updates += len(acc_pos)
+        return acc_pos, acc_idx, p_load, rejected
 
     def materialize(self) -> np.ndarray | None:
         """The prefix array :func:`build_cmf` would return right now."""

@@ -12,7 +12,7 @@ over the assignment:
 - ``bounds[r]:bounds[r+1]`` delimits rank ``r``'s slice, so ``tasks(r)``
   is an O(1) array view until rank ``r`` is first mutated;
 - mutations are sparse: only ranks that actually send or receive tasks
-  ever allocate (an override array for senders, an arrival list promoted
+  ever allocate (an override array for senders, arrival chunks promoted
   on first read for receivers). Untouched ranks — the vast majority at
   scale — never leave the shared buffer.
 
@@ -34,13 +34,21 @@ class RankTaskState:
     Semantically equivalent to the ``list[list[int]]`` the reference
     engine builds: ``tasks(r)`` returns rank ``r``'s task ids in the
     same order (ascending construction order plus arrivals in arrival
-    order), ``append`` models a task arriving at a recipient, and
-    ``set_tasks`` replaces a sender's list after a pass.
+    order), ``extend`` models a pass's tasks arriving at their
+    recipients, and ``set_tasks`` replaces a sender's list after a pass.
+
+    ``readers`` (a boolean mask over ranks, or ``None`` for all) names
+    the ranks whose lists will still be read: arrivals anywhere else
+    are dropped on the floor, which is most of them — a stage without
+    cascading only ever reads its initially overloaded ranks, and those
+    are rarely anyone's recipient.
     """
 
-    __slots__ = ("n_ranks", "_by_rank", "_bounds", "_override", "_arrivals")
+    __slots__ = ("n_ranks", "_by_rank", "_bounds", "_override", "_arrivals", "_readers")
 
-    def __init__(self, assignment: np.ndarray, n_ranks: int) -> None:
+    def __init__(
+        self, assignment: np.ndarray, n_ranks: int, readers: np.ndarray | None = None
+    ) -> None:
         assignment = np.asarray(assignment)
         order = np.argsort(assignment, kind="stable")
         #: int32 halves the buffer vs int64 task ids; 2^31 tasks is far
@@ -50,22 +58,23 @@ class RankTaskState:
             assignment[order], np.arange(n_ranks + 1)
         )
         self.n_ranks = int(n_ranks)
+        self._readers = readers
         self._override: dict[int, np.ndarray] = {}
-        self._arrivals: dict[int, list[int]] = {}
+        self._arrivals: dict[int, list[np.ndarray]] = {}
 
     def tasks(self, rank: int) -> np.ndarray:
         """Rank's current task ids (a shared view until first mutation).
 
         Pending arrivals are promoted into an override array here — on
-        read, not on append — so a recipient that is never re-processed
-        costs only list appends.
+        read, not on arrival — so a recipient that is never re-processed
+        costs only the chunk bookkeeping.
         """
         arr = self._override.get(rank)
         if arr is None:
             arr = self._by_rank[self._bounds[rank] : self._bounds[rank + 1]]
         pend = self._arrivals.pop(rank, None)
         if pend:
-            arr = np.concatenate([arr, np.asarray(pend, dtype=arr.dtype)])
+            arr = np.concatenate([arr, *pend])
             self._override[rank] = arr
         return arr
 
@@ -73,9 +82,27 @@ class RankTaskState:
         """Replace a rank's task array (after a pass removes accepted)."""
         self._override[rank] = tasks
 
-    def append(self, rank: int, task: int) -> None:
-        """Record one task arriving at ``rank`` (O(1) amortized)."""
-        self._arrivals.setdefault(rank, []).append(int(task))
+    def extend(self, ranks: np.ndarray, tasks: np.ndarray) -> None:
+        """Record ``tasks[i]`` arriving at ``ranks[i]``, in order.
+
+        One pass's accepts at once, grouped by recipient: a stable sort
+        keeps each rank's arrivals in arrival order, and each run of
+        equal ranks is kept as one array chunk (a view — no per-task
+        Python object outlives the call).
+        """
+        if self._readers is not None:
+            read = self._readers[ranks]
+            if not read.any():
+                return
+            ranks, tasks = ranks[read], tasks[read]
+        by_rank = np.argsort(ranks, kind="stable")
+        grouped = ranks[by_rank]
+        arrived = tasks[by_rank].astype(self._by_rank.dtype)
+        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        for start, stop in zip([0, *cuts], [*cuts, grouped.size]):
+            if stop > start:  # only false for an empty call
+                chunks = self._arrivals.setdefault(int(grouped[start]), [])
+                chunks.append(arrived[start:stop])
 
     def to_lists(self) -> list[list[int]]:
         """Materialize as the reference ``list[list[int]]`` (tests)."""

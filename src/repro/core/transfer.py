@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -65,9 +66,10 @@ VIEW_SHARED = "shared"
 ENGINE_SOA = "soa"
 ENGINE_LISTS = "lists"
 
-#: Inner-loop kernels for the SoA engine: "python" (default) runs the
-#: pure-Python kernel, "numba" the jitted build when numba is
-#: installed (silently identical to "python" when it is not).
+#: Inner loops for the SoA engine's fused configurations: "python"
+#: (default) is ``IncrementalCMF.propose_pass``; "numba" the flat-array
+#: kernel of ``repro.core._kernels`` — jitted when numba is installed,
+#: the same function uncompiled (bit-identical, slower) when it is not.
 KERNEL_PYTHON = "python"
 KERNEL_NUMBA = "numba"
 
@@ -93,7 +95,7 @@ class TransferConfig:
     cascade: bool = False  #: process ranks overloaded mid-stage
     nacks: bool = False  #: Menon-style negative acknowledgements (§ V-A)
     engine: str = ENGINE_SOA  #: "soa" (CSR rank state) or "lists" (reference)
-    kernel: str = KERNEL_PYTHON  #: SoA inner loop: "python" or "numba"
+    kernel: str = KERNEL_PYTHON  #: SoA inner loop: "python" (fused) or "numba"
 
     def __post_init__(self) -> None:
         check_in("criterion", self.criterion, CRITERIA)
@@ -258,7 +260,8 @@ def transfer_stage(
     threshold_load = config.threshold * l_ave
     stats = TransferStats()
 
-    overloaded = np.flatnonzero(loads > threshold_load)
+    is_overloaded = loads > threshold_load
+    overloaded = np.flatnonzero(is_overloaded)
     stats.overloaded_ranks = overloaded.size
     if overloaded.size == 0:
         if registry is not None and registry.enabled:
@@ -269,7 +272,9 @@ def transfer_stage(
     # recipient arrivals are maintained so cascaded processing sees them.
     soa = config.engine == ENGINE_SOA
     if soa:
-        state = RankTaskState(assignment, n_ranks)
+        # Without cascading only the ranks queued now are ever read.
+        readers = None if config.cascade else is_overloaded
+        state = RankTaskState(assignment, n_ranks, readers)
     else:
         rank_tasks = _rank_task_lists(assignment, n_ranks)
 
@@ -289,7 +294,8 @@ def transfer_stage(
         stats.rank_processings += 1
         if soa:
             recipients = _transfer_from_rank_soa(
-                p, state, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
+                p, state.tasks(p), state, assignment, task_loads, loads, l_ave,
+                gossip, config, rng, stats,
             )
         else:
             recipients = _transfer_from_rank(
@@ -319,41 +325,29 @@ def transfer_from_rank(
     with ``p``'s accepted proposals and returns ``p``'s own stats."""
     config = config or TransferConfig()
     rng = coerce_rng(rng)
+    p = int(p)
     n_ranks = gossip.knowledge.n_ranks
-    loads = np.bincount(assignment, weights=task_loads, minlength=n_ranks).astype(
-        np.float64
-    )
+    l_ave = gossip.average_load
+    # ``p``'s tasks in ascending id order — what the CSR slice and the
+    # per-rank lists hold. A snapshot sender without nacks reads no
+    # true load but its own, so only its tasks are summed (in the full
+    # bincount's order: the bits of ``loads[p]`` are the same).
+    tasks = np.flatnonzero(assignment == p)
+    own = slice(None) if config.view == VIEW_SHARED or config.nacks else tasks
+    loads = np.bincount(assignment[own], weights=task_loads[own], minlength=n_ranks)
     stats = TransferStats()
-    if loads[p] <= config.threshold * gossip.average_load:
+    if loads[p] <= config.threshold * l_ave:
         return stats
     stats.overloaded_ranks = 1
     stats.rank_processings = 1
     if config.engine == ENGINE_SOA:
         _transfer_from_rank_soa(
-            int(p),
-            RankTaskState(assignment, n_ranks),
-            assignment,
-            task_loads,
-            loads,
-            gossip.average_load,
-            gossip,
-            config,
-            rng,
-            stats,
+            p, tasks, None, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
         )
     else:
         rank_tasks = _rank_task_lists(assignment, n_ranks)
         _transfer_from_rank(
-            int(p),
-            rank_tasks,
-            assignment,
-            task_loads,
-            loads,
-            gossip.average_load,
-            gossip,
-            config,
-            rng,
-            stats,
+            p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
         )
     if registry is not None and registry.enabled:
         stats.record(registry)
@@ -469,7 +463,8 @@ def _transfer_from_rank(
 
 def _transfer_from_rank_soa(
     p: int,
-    state: RankTaskState,
+    tasks: np.ndarray,
+    state: RankTaskState | None,
     assignment: np.ndarray,
     task_loads: np.ndarray,
     loads: np.ndarray,
@@ -482,16 +477,21 @@ def _transfer_from_rank_soa(
     """Algorithm 2 TRANSFER for one rank, structure-of-arrays engine.
 
     Bit-identical to :func:`_transfer_from_rank` — same float operations
-    in the same order, same RNG consumption — with the per-rank Python
-    lists replaced by :class:`RankTaskState` arrays. On the common
-    configuration (snapshot view, incremental CMF recomputation, no
-    nacks, PCG64 generator) each pass runs through the
-    :mod:`repro.core._kernels` transfer kernel: the pass's uniforms are
-    drawn as one block, the kernel consumes them scalar-for-scalar, and
-    the bit generator is rewound and advanced by the count actually
-    consumed, which replays exactly the reference loop's per-task
-    draws. Other configurations fall back to the scalar loop over the
-    same array state.
+    in the same order, same RNG consumption — over array state: ``tasks``
+    is ``p``'s task-id array and ``state`` (``None`` for a lone sender,
+    whose arrivals nobody reads) records where tasks go.
+
+    A sender whose view is its own CMF — snapshot view, incremental
+    recomputation, no nacks: the default — runs each pass *fused*:
+    :meth:`IncrementalCMF.propose_pass` walks the tasks over local
+    scalars and only records ``(position, candidate)`` per accept, and
+    the accepts are applied afterwards in bulk. ``np.add.at`` is
+    unbuffered and sequential, so each recipient's additions keep their
+    order and bits; the sender's load is the walk's running value.
+    Under ``kernel="numba"`` with a PCG64 generator the walk is the
+    :mod:`repro.core._kernels` kernel instead. Every other configuration
+    walks :func:`_scalar_pass`; all three share the bulk tail. Per-pass
+    work is O(tasks of ``p``), never O(candidates) beyond the CMF build.
     """
     candidates = gossip.knowledge.known(p)
     candidates = candidates[candidates != p]
@@ -500,39 +500,28 @@ def _transfer_from_rank_soa(
         return set()
 
     shared = config.view == VIEW_SHARED
-    if shared:
-        known_loads = loads[candidates]
-    else:
-        known_loads = gossip.load_snapshot[candidates].copy()
-
+    # A gather is already a private copy: the sender's own bookkeeping.
+    known_loads = (loads if shared else gossip.load_snapshot)[candidates]
     incremental = config.recompute_cmf and config.cmf_update == CMF_UPDATE_INCREMENTAL
     if incremental:
         sampler = IncrementalCMF(known_loads, l_ave, config.cmf, copy=False)
     else:
         sampler = _RebuildCMF(known_loads, l_ave, config.cmf)
-    known_loads = sampler.loads
 
-    criterion = CRITERIA[config.criterion]
-    threshold_load = config.threshold * l_ave
-    tasks = state.tasks(p)
-    touched: set[int] = set()
-
-    # The blocked-uniform kernel protocol pays per-pass overhead (bit
-    # generator state capture, Fenwick list<->array conversion) that only
-    # a compiled kernel amortizes, so it engages on kernel="numba" only;
-    # without numba installed it degrades to the pure-Python build of
-    # the same kernel — slower, but bit-identical and exercising the
-    # identical protocol.
-    use_kernel = (
-        config.kernel == KERNEL_NUMBA
-        and incremental
-        and not shared
-        and not config.nacks
+    fused = incremental and not shared and not config.nacks
+    kern = None
+    if (
+        fused
+        and config.kernel == KERNEL_NUMBA
         and isinstance(rng.bit_generator, np.random.PCG64)
-    )
-    if use_kernel:
+    ):
+        # The block-draw/rewind protocol needs PCG64's ``advance``; any
+        # other generator takes the fused pass, which draws per proposal.
         warn_numba_missing("the transfer-pass kernel")
-    kern = get_transfer_pass(True) if use_kernel else None
+        kern = get_transfer_pass(True)
+    relaxed = config.criterion == CRITERION_RELAXED
+    threshold_load = config.threshold * l_ave
+    touched: set[int] = set()
 
     max_passes = config.max_passes if config.max_passes is not None else _PASS_CAP
     for _ in range(max_passes):
@@ -546,61 +535,38 @@ def _transfer_from_rank_soa(
             float(loads[p]),
         )
         o_loads = task_loads[order]
-        accepted: list[int] = []
         if kern is not None:
-            _run_kernel_pass(
-                kern, p, order, o_loads, candidates, sampler, assignment,
-                state, loads, l_ave, threshold_load, config, rng, stats,
-                touched, accepted,
+            walk = _kernel_pass(
+                kern, o_loads, sampler, float(loads[p]), threshold_load, relaxed, rng
+            )
+        elif fused:
+            walk = sampler.propose_pass(
+                o_loads.tolist(), float(loads[p]), threshold_load, relaxed, rng.random
             )
         else:
-            for task, o_load in zip(order.tolist(), o_loads.tolist()):
-                if loads[p] <= threshold_load:
-                    break
-                if sampler.exhausted:
-                    break
-                o_load = float(o_load)
-                idx = sampler.sample(rng)
-                if shared:
-                    l_x = float(loads[candidates[idx]])
-                else:
-                    l_x = float(known_loads[idx])
-                if criterion(l_x, o_load, l_ave, float(loads[p])):
-                    recipient = int(candidates[idx])
-                    if config.nacks and loads[recipient] + o_load > threshold_load:
-                        stats.nacked += 1
-                        if not shared:
-                            if config.recompute_cmf:
-                                sampler.update(idx, float(loads[recipient]))
-                            else:
-                                sampler.poke(idx, float(loads[recipient]))
-                        continue
-                    loads[p] -= o_load
-                    loads[recipient] += o_load
-                    assignment[task] = recipient
-                    state.append(recipient, task)
-                    accepted.append(task)
-                    touched.add(recipient)
-                    stats.transfers += 1
-                    stats.moves.append((task, p, recipient))
-                    if config.recompute_cmf:
-                        new_known = float(loads[recipient]) if shared else l_x + o_load
-                        sampler.update(idx, new_known)
-                    elif not shared:
-                        sampler.poke(idx, l_x + o_load)
-                else:
-                    stats.rejections += 1
-        if accepted:
-            # Set-filter beats np.isin here: task lists are short and
-            # np.isin's per-call dispatch dominates at this grain.
-            remaining = set(accepted)
-            tasks = np.asarray(
-                [t for t in tasks.tolist() if t not in remaining],
-                dtype=tasks.dtype,
+            walk = _scalar_pass(
+                p, o_loads, candidates, sampler, loads, l_ave, threshold_load,
+                config, rng, stats,
             )
-            state.set_tasks(p, tasks)
-        else:
+        acc_pos, acc_idx, p_load, rejected = walk
+        stats.rejections += rejected
+        if len(acc_pos) == 0:
             break
+        acc_pos = np.asarray(acc_pos, dtype=np.intp)
+        recipients = candidates[np.asarray(acc_idx, dtype=np.intp)]
+        if fused:  # the walk only recorded its accepts; _scalar_pass applied them
+            loads[p] = p_load
+            np.add.at(loads, recipients, o_loads[acc_pos])
+        moved = order[acc_pos]
+        assignment[moved] = recipients
+        stats.transfers += moved.size
+        arrived_at = recipients.tolist()
+        stats.moves.extend(zip(moved.tolist(), repeat(p), arrived_at))
+        touched.update(arrived_at)
+        tasks = tasks[assignment[tasks] == p]
+        if state is not None:
+            state.extend(recipients, moved)
+            state.set_tasks(p, tasks)
         if sampler.exhausted:
             break
     stats.cmf_builds += sampler.builds
@@ -610,85 +576,117 @@ def _transfer_from_rank_soa(
     return touched
 
 
-def _run_kernel_pass(
-    kern,
+def _scalar_pass(
     p: int,
-    order: np.ndarray,
     o_loads: np.ndarray,
     candidates: np.ndarray,
-    sampler: IncrementalCMF,
-    assignment: np.ndarray,
-    state: RankTaskState,
+    sampler: IncrementalCMF | _RebuildCMF,
     loads: np.ndarray,
     l_ave: float,
     threshold_load: float,
     config: TransferConfig,
     rng: np.random.Generator,
     stats: TransferStats,
-    touched: set[int],
-    accepted: list[int],
-) -> None:
-    """One full pass of ``order`` through the transfer kernel.
+) -> tuple[list[int], list[int], float, int]:
+    """One pass of the general per-proposal loop: shared view, nacks or
+    a non-incremental CMF, where each proposal reads state the previous
+    accept wrote outside the sampler. Updates ``loads`` as it goes;
+    returns what :meth:`IncrementalCMF.propose_pass` does."""
+    shared = config.view == VIEW_SHARED
+    criterion = CRITERIA[config.criterion]
+    known_loads = sampler.loads
+    acc_pos: list[int] = []
+    acc_idx: list[int] = []
+    rejected = 0
+    for pos, o_load in enumerate(o_loads.tolist()):
+        if loads[p] <= threshold_load or sampler.exhausted:
+            break
+        idx = sampler.sample(rng)
+        l_x = float(loads[candidates[idx]]) if shared else float(known_loads[idx])
+        if not criterion(l_x, o_load, l_ave, float(loads[p])):
+            rejected += 1
+            continue
+        recipient = int(candidates[idx])
+        if config.nacks and loads[recipient] + o_load > threshold_load:
+            # Menon-style veto against the recipient's *true* load; the
+            # sender corrects its knowledge and keeps the task.
+            stats.nacked += 1
+            if not shared:
+                if config.recompute_cmf:
+                    sampler.update(idx, float(loads[recipient]))
+                else:
+                    sampler.poke(idx, float(loads[recipient]))
+            continue
+        loads[p] -= o_load
+        loads[recipient] += o_load
+        acc_pos.append(pos)
+        acc_idx.append(idx)
+        if config.recompute_cmf:
+            sampler.update(idx, float(loads[recipient]) if shared else l_x + o_load)
+        elif not shared:
+            sampler.poke(idx, l_x + o_load)
+    return acc_pos, acc_idx, float(loads[p]), rejected
+
+
+def _kernel_pass(
+    kern,
+    o_loads: np.ndarray,
+    sampler: IncrementalCMF,
+    p_load: float,
+    threshold_load: float,
+    relaxed: bool,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """One pass through the flat-array transfer kernel; returns what
+    :meth:`IncrementalCMF.propose_pass` yields, as arrays.
 
     Blocked-uniform RNG protocol: capture the bit-generator state, draw
     one uniform per task (the most a pass can consume), run the kernel,
     then rewind and ``advance`` by the count actually consumed — the
     stream the kernel saw is exactly the sequence of ``rng.random()``
-    calls the scalar loop would have made. A kernel ``PASS_REBUILD``
-    return is the mid-pass ``l_s`` change that :class:`IncrementalCMF`
-    answers with a full rebuild; the driver rebuilds and re-enters at
-    the returned position.
+    calls the scalar loop would have made. ``PCG64.advance`` also drops
+    the half-word an earlier 32-bit draw (the inform stage's bounded
+    integers) left cached; double draws never touch it, so it is put
+    back. A kernel ``PASS_REBUILD`` return is the mid-pass ``l_s``
+    change that :class:`IncrementalCMF` answers with a full rebuild;
+    the driver rebuilds and re-enters at the returned position.
     """
     bg = rng.bit_generator
     start_state = bg.state
-    uniforms = rng.random(order.size)
-    acc_pos = np.empty(order.size, dtype=np.int64)
-    acc_idx = np.empty(order.size, dtype=np.int64)
-    pos = 0
-    u_pos = 0
-    p_load = float(loads[p])
-    variant_modified = sampler.variant == CMF_MODIFIED
-    criterion_relaxed = config.criterion == CRITERION_RELAXED
+    uniforms = rng.random(o_loads.size)
+    acc_pos = np.empty(o_loads.size, dtype=np.int64)
+    acc_idx = np.empty(o_loads.size, dtype=np.int64)
+    pos = u_pos = n_acc = rejected = 0
+    modified = sampler.variant == CMF_MODIFIED
     while True:
         tree = sampler._tree
         tree_arr = np.asarray(tree if tree is not None else [0.0], dtype=np.float64)
-        (
-            status, pos, u_pos, n_acc, n_rej, n_upd,
-            total, n_positive, max_load, p_load,
-        ) = kern(
+        status, pos, u_pos, seg_acc, seg_rej, _, total, n_positive, max_load, p_load = kern(
             o_loads, pos, uniforms, u_pos,
             sampler.loads, sampler.masses, tree_arr,
             sampler.total, sampler.n_positive, sampler._max_load,
-            sampler.l_s, l_ave, p_load, threshold_load,
-            variant_modified, criterion_relaxed,
-            acc_pos, acc_idx,
+            sampler.l_s, sampler.l_ave, p_load, threshold_load,
+            modified, relaxed,
+            acc_pos[n_acc:], acc_idx[n_acc:],
         )
         sampler.total = float(total)
         sampler.n_positive = int(n_positive)
         sampler._max_load = float(max_load)
-        sampler.updates += int(n_upd)
-        stats.rejections += int(n_rej)
-        for j in range(int(n_acc)):
-            pj = int(acc_pos[j])
-            task = int(order[pj])
-            recipient = int(candidates[acc_idx[j]])
-            o_load = float(o_loads[pj])
-            loads[p] -= o_load
-            loads[recipient] += o_load
-            assignment[task] = recipient
-            state.append(recipient, task)
-            accepted.append(task)
-            touched.add(recipient)
-            stats.transfers += 1
-            stats.moves.append((task, p, recipient))
-        if status == PASS_REBUILD:
-            # The kernel already wrote the triggering load; rebuilding
-            # from it reproduces IncrementalCMF.update's rebuild branch.
-            sampler._rebuild()
-            continue
-        if tree is not None:
-            sampler._tree = tree_arr.tolist()
-        break
+        n_acc += int(seg_acc)
+        rejected += int(seg_rej)
+        if status != PASS_REBUILD:
+            break
+        # The kernel already wrote the triggering load; rebuilding
+        # from it reproduces IncrementalCMF.update's rebuild branch.
+        sampler._rebuild()
+    if tree is not None:
+        sampler._tree = tree_arr
+    sampler.updates += n_acc
     bg.state = start_state
     if u_pos:
         bg.advance(u_pos)
+        advanced = bg.state
+        advanced["has_uint32"] = start_state["has_uint32"]
+        advanced["uinteger"] = start_state["uinteger"]
+        bg.state = advanced
+    return acc_pos[:n_acc], acc_idx[:n_acc], float(p_load), rejected

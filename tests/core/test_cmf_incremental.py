@@ -179,3 +179,204 @@ class TestFenwick:
         assert _fenwick_search(tree, 2.5) == 1
         assert _fenwick_search(tree, 0.5) == 0
         assert _fenwick_search(tree, 6.5) == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 255, 4095, 4097])
+    def test_cached_index_build_matches_where_insert_build(self, n):
+        """The cached-parent build is the pre-cache build, bit for bit."""
+
+        def reference(values):
+            prefix = np.cumsum(values)
+            idx = np.arange(1, values.size + 1)
+            low = idx - (idx & -idx)
+            nodes = prefix[idx - 1] - np.where(low > 0, prefix[low - 1], 0.0)
+            tree = nodes.tolist()
+            tree.insert(0, 0.0)
+            return tree
+
+        values = np.random.default_rng(n).gamma(2.0, 0.7, size=n)
+        for _ in range(2):  # second call reads the cached index array
+            assert _fenwick_build(values).tolist() == reference(values)
+
+    def test_empty_build_is_the_zero_slot(self):
+        assert _fenwick_build(np.zeros(0)).tolist() == [0.0]
+
+
+class _Scripted:
+    """A stand-in generator: ``random()`` replays scripted uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+        self.drawn = 0
+
+    def random(self):
+        u = self.uniforms[self.drawn]
+        self.drawn += 1
+        return u
+
+
+def _reference_pass(sampler, o_loads, p_load, threshold_load, relaxed, rng):
+    """The transfer stage's per-proposal loop through sample()/update()."""
+    acc_pos, acc_idx, rejected = [], [], 0
+    for pos, o_load in enumerate(o_loads):
+        if p_load <= threshold_load or sampler.exhausted:
+            break
+        idx = sampler.sample(rng)
+        l_x = float(sampler.loads[idx])
+        accept = o_load < p_load - l_x if relaxed else l_x + o_load < sampler.l_ave
+        if accept:
+            acc_pos.append(pos)
+            acc_idx.append(idx)
+            p_load -= o_load
+            sampler.update(idx, l_x + o_load)
+        else:
+            rejected += 1
+    return acc_pos, acc_idx, p_load, rejected
+
+
+def _assert_pass_matches_reference(
+    known, l_ave, variant, o_loads, p_load, threshold_load, relaxed, uniforms,
+    tamper=None,
+):
+    """Run propose_pass and the reference loop on twin samplers; every
+    observable — accepts, counters, sampler state, draws — must agree."""
+    fused = IncrementalCMF(np.asarray(known, dtype=float), l_ave, variant)
+    ref = IncrementalCMF(np.asarray(known, dtype=float), l_ave, variant)
+    if tamper is not None:
+        tamper(fused)
+        tamper(ref)
+    rng_fused, rng_ref = _Scripted(uniforms), _Scripted(uniforms)
+    acc_pos, acc_idx, out_load, rejected = fused.propose_pass(
+        list(o_loads), p_load, threshold_load, relaxed, rng_fused.random
+    )
+    expected = _reference_pass(ref, o_loads, p_load, threshold_load, relaxed, rng_ref)
+    assert (acc_pos, acc_idx, out_load, rejected) == expected
+    assert rng_fused.drawn == rng_ref.drawn
+    assert (fused.builds, fused.updates) == (ref.builds, ref.updates)
+    assert (fused.total, fused.n_positive, fused.l_s, fused._max_load) == (
+        ref.total, ref.n_positive, ref.l_s, ref._max_load,
+    )
+    assert np.array_equal(fused.loads, ref.loads)
+    assert np.array_equal(fused.masses, ref.masses)
+    assert np.array_equal(fused._tree, ref._tree)
+    assert fused.exhausted == ref.exhausted
+    return fused, acc_pos, rng_fused.drawn
+
+
+class TestProposePass:
+    """Each exit of the fused pass, against the sample()/update() loop."""
+
+    def test_walks_every_task_with_accepts_and_rejections(self):
+        sampler, acc_pos, drawn = _assert_pass_matches_reference(
+            known=[0.1, 0.2, 0.3, 0.4], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.2, 5.0, 0.1, 0.3], p_load=4.0, threshold_load=1.0,
+            relaxed=True, uniforms=[0.1, 0.5, 0.9, 0.3],
+        )
+        assert drawn == 4 and acc_pos == [0, 2, 3]  # the 5.0 task is rejected
+        assert sampler.builds == 1
+
+    def test_original_criterion_and_cmf(self):
+        _, acc_pos, _ = _assert_pass_matches_reference(
+            known=[0.1, 0.6, 0.9], l_ave=1.0, variant=CMF_ORIGINAL,
+            o_loads=[0.3, 0.3, 0.3, 0.3], p_load=9.0, threshold_load=1.0,
+            relaxed=False, uniforms=[0.0, 0.0, 0.0, 0.99],
+        )
+        assert acc_pos == [0, 1]  # candidate 0 fills up to 0.7, then 1.0 >= l_ave
+
+    def test_threshold_reached_mid_pass(self):
+        _, acc_pos, drawn = _assert_pass_matches_reference(
+            known=[0.0, 0.0, 0.0], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.4, 0.4, 0.4, 0.4], p_load=1.7, threshold_load=1.0,
+            relaxed=True, uniforms=[0.2, 0.6, 0.9, 0.5],
+        )
+        assert acc_pos == [0, 1] and drawn == 2  # 1.7 -> 0.9 <= h * l_ave
+
+    def test_cmf_exhausted_mid_pass(self):
+        sampler, acc_pos, drawn = _assert_pass_matches_reference(
+            known=[0.5], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.5, 0.1, 0.1], p_load=9.0, threshold_load=1.0,
+            relaxed=True, uniforms=[0.5, 0.5, 0.5],
+        )
+        # The only candidate lands exactly on l_s: zero mass, nothing to draw.
+        assert acc_pos == [0] and drawn == 1 and sampler.exhausted
+
+    def test_l_s_rebuild_mid_pass_re_enters(self):
+        sampler, acc_pos, drawn = _assert_pass_matches_reference(
+            known=[0.5, 0.2, 0.8], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.9, 0.3, 0.3, 0.2], p_load=9.0, threshold_load=1.0,
+            relaxed=True, uniforms=[0.1, 0.1, 0.6, 0.95],
+        )
+        # The first accept lifts candidate 0 to 1.4 > l_s = 1.0: full
+        # rebuild at the new scale, then the walk carries on.
+        assert sampler.builds == 2 and sampler.l_s == 1.4
+        assert drawn == 4 and acc_pos[0] == 0 and len(acc_pos) > 1
+
+    def test_rebuild_on_last_task_is_still_counted(self):
+        sampler, _, _ = _assert_pass_matches_reference(
+            known=[0.5, 0.2], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.9], p_load=9.0, threshold_load=1.0,
+            relaxed=True, uniforms=[0.1],
+        )
+        assert sampler.builds == 2
+
+    def test_shrinking_maximum_is_tracked(self):
+        # A negative task load lowers the running maximum — the other
+        # max-tracking branch of update().
+        sampler, acc_pos, _ = _assert_pass_matches_reference(
+            known=[0.8, 0.5], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[-0.3, 0.1], p_load=9.0, threshold_load=1.0,
+            relaxed=True, uniforms=[0.0, 0.9],
+        )
+        assert acc_pos == [0, 1] and sampler._max_load == 0.6
+
+    def test_drift_fallback_when_descent_lands_on_zero_mass(self):
+        # Accumulated float drift, exaggerated: an inner node reads high,
+        # so a draw just past candidate 0's mass stops on candidate 1
+        # (zero mass); and ``total`` reads high, so a draw near 1 runs
+        # off the end of the tree. Both resolve against exact prefix
+        # sums, as sample() does, and land on candidate 2.
+        def drift(sampler):
+            sampler._tree[2] += 0.01
+            sampler.total += 0.25
+
+        sampler, acc_pos, drawn = _assert_pass_matches_reference(
+            known=[0.25, 1.0, 0.5], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.05, 0.05], p_load=9.0, threshold_load=1.0,
+            relaxed=True, uniforms=[0.755 / 1.5, 0.999], tamper=drift,
+        )
+        assert drawn == 2 and acc_pos == [0, 1]
+        assert sampler.loads.tolist() == [0.25, 1.0, 0.5 + 0.05 + 0.05]
+
+    def test_short_walk_on_a_large_cmf_indexes_the_tree_as_built(self):
+        # Two tasks against 200 candidates: converting the tree to a
+        # list would cost more than the walk, so it stays an ndarray —
+        # through a point update and an l_s rebuild alike.
+        known = np.random.default_rng(7).uniform(0.0, 0.9, size=199).tolist() + [0.8]
+        sampler, acc_pos, _ = _assert_pass_matches_reference(
+            known, l_ave=1.0, variant=CMF_MODIFIED, o_loads=[0.05, 0.6],
+            p_load=9.0, threshold_load=1.0, relaxed=True, uniforms=[0.3, 0.9999],
+        )
+        assert acc_pos == [0, 1] and sampler.builds == 2
+        assert isinstance(sampler._tree, np.ndarray)
+        # A long walk over the same CMF converts once and keeps the list.
+        sampler.propose_pass([0.01] * 50, 9.0, 1.0, True, _Scripted([0.5] * 50).random)
+        assert isinstance(sampler._tree, list)
+
+    @given(
+        known=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12),
+        padding=st.sampled_from([0, 150]),  # past 64 candidates short walks skip tolist
+        o_loads=st.lists(st.floats(0.0, 1.5), max_size=25),
+        p_load=st.floats(0.0, 20.0),
+        variant=st.sampled_from([CMF_ORIGINAL, CMF_MODIFIED]),
+        relaxed=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_passes_match_reference(
+        self, known, padding, o_loads, p_load, variant, relaxed, seed
+    ):
+        rng = np.random.default_rng(seed)
+        known = known + rng.uniform(0.0, 1.2, size=padding).tolist()
+        uniforms = rng.random(len(o_loads)).tolist()
+        _assert_pass_matches_reference(
+            known, 1.0, variant, o_loads, p_load, 1.0, relaxed, uniforms
+        )

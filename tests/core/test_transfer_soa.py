@@ -1,23 +1,31 @@
 """The SoA transfer engine is bit-identical to the list-based reference.
 
 ``engine="soa"`` replaces the per-stage ``list[list[int]]`` rank/task
-materialization with a CSR view plus sparse overrides, and
-``kernel="numba"`` additionally routes the inner proposal loop through
-the flat-array kernel (jitted where numba exists, the same Python
-function here). Neither may change a single decision: every config
-variant must produce the identical assignment, stats and final RNG
-state as the reference engine under the same seed.
+materialization with a CSR view plus sparse overrides and runs the
+default configuration's passes fused (accepts recorded during the walk,
+applied in bulk after it); ``kernel="numba"`` routes the walk through
+the flat-array kernel instead (jitted where numba exists, the same
+Python function here). None of it may change a single decision: every
+config variant must produce the identical assignment, stats and final
+RNG state as the reference engine under the same seed — per stage and
+over whole multi-iteration episodes, where the inform stage's draws
+interleave with the transfer stage's on one generator.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.refinement as refinement
 from repro.core._kernels import HAVE_NUMBA, PASS_REBUILD, get_transfer_pass
 from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.core.soa import RankTaskState
 from repro.core.transfer import TransferConfig, transfer_stage
+from repro.obs import StatsRegistry
+from repro.workloads import paper_analysis_scenario
 
 VARIANTS = {
     "default": TransferConfig(),
@@ -77,37 +85,154 @@ class TestEngineEquivalence:
         # interchangeable mid-trial.
         assert new[2] == ref[2]
 
-    def test_kernel_with_non_pcg64_generator(self):
-        # The blocked-uniform rewind protocol is PCG64-only; any other
-        # bit generator must silently take the scalar path and still
-        # match the reference.
+    @pytest.mark.parametrize("kernel", ["python", "numba"])
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_fused_pass_under_non_pcg64_generators(self, bit_generator, kernel):
+        # The fused pass draws rng.random() once per proposal, so it
+        # works for every generator; the kernel's block-draw/rewind
+        # protocol is PCG64-only and must hand these to the fused pass.
         seed = 5
         assignment, task_loads, gossip = _episode(seed)
         results = {}
         for engine in ("lists", "soa"):
             moved = np.array(assignment, copy=True)
-            rng = np.random.Generator(np.random.MT19937(seed))
+            rng = np.random.Generator(bit_generator(seed))
             stats = transfer_stage(
                 moved,
                 task_loads,
                 gossip,
-                TransferConfig(engine=engine, kernel="numba"),
+                TransferConfig(engine=engine, kernel=kernel),
                 rng,
             )
             results[engine] = (moved, stats, rng.bit_generator.state)
         np.testing.assert_array_equal(results["soa"][0], results["lists"][0])
-        soa_state, ref_state = results["soa"][2], results["lists"][2]
-        # MT19937's state dict embeds an ndarray; compare piecewise.
-        assert soa_state["state"]["pos"] == ref_state["state"]["pos"]
-        np.testing.assert_array_equal(
-            soa_state["state"]["key"], ref_state["state"]["key"]
+        assert dataclasses.asdict(results["soa"][1]) == dataclasses.asdict(
+            results["lists"][1]
         )
+        assert results["soa"][1].transfers > 0
+        # State dicts may embed ndarrays (MT19937): compare recursively.
+        np.testing.assert_equal(results["soa"][2], results["lists"][2])
 
     def test_engine_knob_validated(self):
         with pytest.raises(ValueError):
             TransferConfig(engine="csr")
         with pytest.raises(ValueError):
             TransferConfig(kernel="cython")
+
+
+def _refinement_episode(seed, shape, engine, kernel, monkeypatch):
+    """One 4-iteration Algorithm 3 episode; everything observable."""
+    stages = []
+
+    def spy(*args, **kwargs):
+        stats = transfer_stage(*args, **kwargs)
+        stages.append((list(stats.moves), stats.cmf_builds, stats.cmf_updates))
+        return stats
+
+    monkeypatch.setattr(refinement, "transfer_stage", spy)
+    dist = paper_analysis_scenario(*shape, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    registry = StatsRegistry()
+    result = refinement.iterative_refinement(
+        dist,
+        n_trials=1,
+        n_iters=4,
+        transfer=TransferConfig(engine=engine, kernel=kernel),
+        rng=rng,
+        registry=registry,
+    )
+    return {
+        "records": [dataclasses.asdict(r) for r in result.records],
+        "assignment": result.best_assignment.tolist(),
+        "stages": stages,
+        "series": registry.to_dict()["series"]["lb.iteration"],
+        "counters": registry.to_dict()["counters"],
+        "rng": rng.bit_generator.state,
+    }
+
+
+class TestEpisodeIdentity:
+    """Multi-iteration episodes: the generator carries state between
+    stages (the inform stage's bounded-integer draws leave a cached
+    32-bit half-word in PCG64), so single-stage parity is not enough —
+    the kernel's rewind once dropped that half-word and every episode
+    diverged from its second iteration on."""
+
+    # (tasks, loaded ranks, ranks): long walks over small CMFs, and the
+    # § V shape in miniature — from iteration 2 on, many senders with a
+    # handful of tasks against hundreds of candidates.
+    SHAPES = {"dense": (20_000, 4, 64), "wide": (2_000, 4, 512)}
+
+    @pytest.mark.filterwarnings("ignore:kernel='numba' requested:RuntimeWarning")
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_engines_and_kernels_agree_over_four_iterations(
+        self, seed, shape, monkeypatch
+    ):
+        shape = self.SHAPES[shape]
+        reference = _refinement_episode(seed, shape, "lists", "python", monkeypatch)
+        assert len(reference["stages"]) == 4
+        assert reference["records"][1]["transfers"] > 0  # later stages do work
+        for engine, kernel in [("soa", "python"), ("soa", "numba"), ("lists", "numba")]:
+            episode = _refinement_episode(seed, shape, engine, kernel, monkeypatch)
+            for key in reference:
+                assert episode[key] == reference[key], (engine, kernel, key)
+
+
+class TestConservationProperty:
+    @given(
+        n_ranks=st.integers(2, 12),
+        n_tasks=st.integers(1, 60),
+        n_loaded=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        criterion=st.sampled_from(["relaxed", "original"]),
+        cmf=st.sampled_from(["modified", "original"]),
+        ordering=st.sampled_from(["arbitrary", "fewest_migrations", "lightest"]),
+        max_passes=st.sampled_from([1, 3, None]),
+        cascade=st.booleans(),
+        # h < 1 makes queued senders recipients of earlier ones.
+        threshold=st.sampled_from([1.0, 0.7]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_small_instances_conserve_and_match_lists(
+        self, n_ranks, n_tasks, n_loaded, seed, criterion, cmf, ordering,
+        max_passes, cascade, threshold,
+    ):
+        rng = np.random.default_rng(seed)
+        task_loads = rng.gamma(2.0, 0.5, size=n_tasks)
+        assignment = rng.integers(0, min(n_loaded, n_ranks), size=n_tasks)
+        loads = np.bincount(assignment, weights=task_loads, minlength=n_ranks)
+        gossip = run_inform_stage(
+            loads, GossipConfig(fanout=2, rounds=3), np.random.default_rng(seed + 1)
+        )
+        config = TransferConfig(
+            criterion=criterion, cmf=cmf, ordering=ordering,
+            max_passes=max_passes, cascade=cascade, threshold=threshold,
+        )
+        soa = _run(config, assignment, task_loads, gossip, seed)
+        ref = _run(
+            dataclasses.replace(config, engine="lists"), assignment, task_loads,
+            gossip, seed,
+        )
+        np.testing.assert_array_equal(soa[0], ref[0])
+        assert dataclasses.asdict(soa[1]) == dataclasses.asdict(ref[1])
+        assert soa[2] == ref[2]
+        moved, stats = soa[0], soa[1]
+        # Tasks: every task still has exactly one rank, and the moves
+        # replayed on the input give the output.
+        assert moved.shape == assignment.shape
+        assert moved.min() >= 0 and moved.max() < n_ranks
+        replay = assignment.copy()
+        for task, src, dst in stats.moves:
+            assert replay[task] == src
+            replay[task] = dst
+        np.testing.assert_array_equal(replay, moved)
+        assert len(stats.moves) == stats.transfers
+        # Load: what the ranks hold still sums to what the tasks weigh.
+        after = np.bincount(moved, weights=task_loads, minlength=n_ranks)
+        assert after.sum() == pytest.approx(task_loads.sum(), rel=1e-12)
 
 
 class TestKernelFunction:
@@ -149,14 +274,28 @@ class TestRankTaskState:
             naive[rank].append(task)
         assert state.to_lists() == naive
 
-    def test_append_and_set_tasks(self):
-        assignment = np.array([0, 0, 1, 2])
+    def test_extend_and_set_tasks(self):
+        assignment = np.array([0, 0, 0, 1, 2])
         state = RankTaskState(assignment, 3)
-        state.append(1, 0)  # task 0 arrives at rank 1
-        state.set_tasks(0, np.array([1], dtype=np.int32))
-        assert list(state.tasks(0)) == [1]
-        assert list(state.tasks(1)) == [2, 0]  # arrivals after originals
-        assert list(state.tasks(2)) == [3]
+        # Tasks 0, 1, 2 leave rank 0 for ranks 1, 2, 1 — one pass's
+        # accepts, interleaved across recipients.
+        state.extend(np.array([1, 2, 1]), np.array([0, 1, 2]))
+        state.extend(np.array([2]), np.array([7]))
+        state.extend(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        state.set_tasks(0, np.array([], dtype=np.int32))
+        assert list(state.tasks(0)) == []
+        assert list(state.tasks(1)) == [3, 0, 2]  # arrivals after originals,
+        assert list(state.tasks(2)) == [4, 1, 7]  # each in arrival order
+        assert state.tasks(1).dtype == np.int32
+
+    def test_arrivals_outside_readers_are_dropped(self):
+        assignment = np.array([0, 0, 0, 1, 2])
+        readers = np.array([True, False, True])
+        state = RankTaskState(assignment, 3, readers)
+        state.extend(np.array([1, 2, 1]), np.array([0, 1, 2]))
+        state.extend(np.array([1]), np.array([9]))
+        assert list(state.tasks(1)) == [3]  # nobody will read rank 1 again
+        assert list(state.tasks(2)) == [4, 1]
 
     def test_untouched_rank_returns_shared_view(self):
         assignment = np.array([0, 1, 1, 2])
