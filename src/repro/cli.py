@@ -37,30 +37,21 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
-def _add_executor_flags(
-    p: argparse.ArgumentParser, executor_default: str | None = None
-) -> None:
-    """``--workers`` / ``--executor``: trial-parallelism knobs.
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
+    """``--workers``: the trial-parallelism knob.
 
     Exposed on every subcommand that runs TemperedLB refinement trials
-    (and on ``bench``, where they parameterize the refinement case).
-    The backend never changes results — per-trial RNG streams make the
-    output bit-identical for any worker count — only wall time.
+    (and on ``bench``, where it parameterizes the refinement case).
+    The worker count never changes results — per-trial RNG streams make
+    the output bit-identical for any count — only wall time: a process
+    pool runs the trials where a second core and fork exist, the serial
+    loop elsewhere.
     """
     p.add_argument(
         "--workers",
         type=int,
         default=None,
         help="parallel refinement-trial workers (default: serial trial loop)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=["auto", "serial", "thread", "process"],
-        default=executor_default,
-        help=(
-            "trial executor backend (default: auto — process where a "
-            "second core and fork exist, else serial)"
-        ),
     )
 
 
@@ -130,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int, default=10_000)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--iters", type=int, default=6)
-    _add_executor_flags(p)
+    _add_workers_flag(p)
     _add_fault_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", type=str, default=None)
@@ -178,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", type=int, default=4)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--iters", type=int, default=4)
-    _add_executor_flags(p)
+    _add_workers_flag(p)
     _add_fault_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", type=str, default=None)
@@ -214,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top-20 cumulative hotspots per case to benchmarks/results/ "
         "(perf suite only)",
     )
-    _add_executor_flags(p, executor_default="auto")
+    _add_workers_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fault-seed", type=int, default=0)
     p.add_argument(
@@ -350,7 +341,6 @@ def _cmd_empire(args: argparse.Namespace) -> int:
         n_trials=args.trials,
         n_iters=args.iters,
         n_workers=args.workers,
-        executor=args.executor,
         loss_rate=args.loss_rate,
         fault_seed=args.fault_seed,
         seed=args.seed,
@@ -499,7 +489,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             n_trials=args.trials,
             n_iters=args.iters,
             n_workers=args.workers,
-            executor=args.executor,
             faults=_parse_fault_config(args),
         )
     lb.instrument(registry)
@@ -545,7 +534,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             seed=args.seed,
             workers=args.workers,
-            executor=args.executor or "auto",
             scale=args.scale,
             profile=args.profile,
         )

@@ -20,11 +20,7 @@ from repro.core.gossip import GossipConfig, GossipResult, run_inform_stage
 from repro.core.grapevine import GrapevineLB
 from repro.core.greedy import GreedyLB
 from repro.core.hier import HierLB
-from repro.core.knowledge import (
-    KnowledgeBitmap,
-    PackedKnowledgeBitmap,
-    SparseKnowledge,
-)
+from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
 from repro.core.metrics import (
     LoadStatistics,
     imbalance,
@@ -57,7 +53,6 @@ __all__ = [
     "GreedyLB",
     "HierLB",
     "IterationRecord",
-    "KnowledgeBitmap",
     "LBResult",
     "LoadBalancer",
     "LoadStatistics",

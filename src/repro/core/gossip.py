@@ -4,36 +4,33 @@ Underloaded ranks seed knowledge of their own load and gossip it for
 ``k`` rounds with fanout ``f``. Receivers merge the incoming knowledge
 into ``S^p`` and forward it to ranks sampled from ``P \\ S^p``.
 
-Two propagation modes are provided:
+Forwarding is *coalesced*: a rank that received one or more messages in
+round ``r`` forwards its merged knowledge once (``f`` messages) in
+round ``r+1``. This is what practical implementations (Charm++
+GrapevineLB, DARMA/vt) do and bounds traffic at ``O(P f k)`` messages.
+The literal pseudocode — every received message with ``r < k`` triggers
+``f`` forwards, up to ``f^k`` messages — is not implemented (see
+DESIGN.md § 5).
 
-``coalesced`` (default)
-    A rank that received one or more messages in round ``r`` forwards
-    its *merged* knowledge once (``f`` messages) in round ``r+1``. This
-    is what practical implementations (Charm++ GrapevineLB, DARMA/vt)
-    do and bounds traffic at ``O(P f k)`` messages.
+There is one round driver per knowledge store, all barrier-synchronous
+(payloads and candidate sets are a round-start snapshot):
 
-``per_message``
-    The literal pseudocode: every received message with ``r < k``
-    triggers ``f`` forwards, i.e. up to ``f^k`` messages. Provided for
-    fidelity experiments at small scale; guarded by ``max_messages``.
+packed (:class:`PackedKnowledgeBitmap`)
+    :func:`_run_coalesced_batched` — a round's fan-out targets are
+    sampled in one pass (rejection sampling in rank-id space while
+    candidate sets are dense, a segment-sorted exact sampler once they
+    thin out) and its merges run as layered scatter-ORs over the packed
+    rows. The only driver that handles fault fates and topology bias.
 
-The coalesced mode additionally selects between two *engines*:
+sparse (:class:`SparseKnowledge`)
+    :func:`_run_coalesced_sparse_fast` (shard interning, priority-space
+    trim, optional numba kernels) and its per-receiver reference
+    :func:`_run_coalesced_sparse` (``kernel="python"``). Both share the
+    packed driver's sampler and consume its exact RNG stream, so all
+    three produce bit-identical knowledge.
 
-``batched`` (default)
-    Round-level vectorization on a :class:`PackedKnowledgeBitmap`: all
-    of a round's fan-out targets are sampled in one pass (rejection
-    sampling in rank-id space while candidate sets are dense, a
-    segment-sorted exact sampler once they thin out), and all of a
-    round's merges execute as one scatter-OR over the packed round
-    matrix. Because the batch reorders RNG draws, results are
-    *statistically* equivalent to the loop engine (identical message
-    counts under the ``f x |senders|`` model, matched coverage
-    distributions) rather than bit-identical.
-
-``loop``
-    The per-sender reference loop on a boolean
-    :class:`KnowledgeBitmap`, kept as the behavioural oracle.
-
+``tests/core/oracles.py`` holds the set-based transcription of
+Algorithm 1 that the equivalence suites compare these drivers against.
 The event-level asynchronous version (messages with latencies, no round
 barrier, termination detection) lives in
 :mod:`repro.runtime.distributed_gossip`.
@@ -46,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core._kernels import get_gossip_kernels, warn_numba_missing
-from repro.core.knowledge import KnowledgeBitmap, PackedKnowledgeBitmap, SparseKnowledge
+from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
 from repro.obs import StatsRegistry
 from repro.sim.faults import FaultConfig, PhaseFaultModel
 from repro.util.validation import check_in, check_positive, coerce_rng
@@ -54,7 +51,6 @@ from repro.util.validation import check_in, check_positive, coerce_rng
 __all__ = [
     "GossipConfig",
     "GossipResult",
-    "GossipExplosionError",
     "run_inform_stage",
     "resolve_auto_threshold",
     "SPARSE_AUTO_MIN_RANKS",
@@ -77,11 +73,7 @@ else:  # pragma: no cover - NumPy < 2.0 fallback
         return _POPCOUNT_TABLE[x]
 
 
-class GossipExplosionError(RuntimeError):
-    """Raised when ``per_message`` mode exceeds its message budget."""
-
-
-#: Rank count at which ``knowledge="auto"`` switches the batched engine
+#: Rank count at which ``knowledge="auto"`` switches
 #: from the packed bitmap (O(P^2) bits — 128 MiB at 2^15, 2 GiB at
 #: 2^17) to sparse per-rank id shards (O(cap * P) bytes), when the
 #: sparse side runs the *reference* driver (``kernel="python"``).
@@ -130,13 +122,7 @@ class GossipConfig:
 
     fanout: int = 6  #: f — gossip fanout factor
     rounds: int = 10  #: k — number of gossip rounds
-    mode: str = "coalesced"  #: "coalesced" or "per_message"
-    #: Coalesced-mode execution engine: "batched" (vectorized rounds on
-    #: packed knowledge, the fast path) or "loop" (per-sender reference).
-    #: Ignored by per_message mode, which is inherently sequential.
-    engine: str = "batched"
     avoid_known: bool = True  #: sample forward targets from P \ S^p (l.20)
-    max_messages: int = 2_000_000  #: safety cap for per_message mode
     #: Cap on |S^p| — the limited-information variant of the paper's
     #: § IV-B footnote (O(P) knowledge lists are a scalability pitfall).
     #: None = unlimited.
@@ -150,24 +136,23 @@ class GossipConfig:
     #: Topology awareness (§ I's NUMA/hierarchical networks): ranks are
     #: blocked onto nodes of this size; each gossip message targets a
     #: same-node candidate with probability ``intra_node_bias``. 1 rank
-    #: per node = flat topology (the paper's algorithm).
+    #: per node = flat topology (the paper's algorithm); a bias there
+    #: has no node to prefer and is rejected.
     ranks_per_node: int = 1
     intra_node_bias: float = 0.0
     #: Fault injection (:mod:`repro.sim.faults`): per-message loss,
     #: round-unit delay spikes, duplication and optional retransmission
     #: applied to every gossip message. None — or a config with no
-    #: active fault source — leaves both engines on their original code
+    #: active fault source — leaves the driver on its fault-free code
     #: path, bit for bit (zero-fault invisibility). The fault fates
-    #: draw from their own seeded generator, never from the engine's
+    #: draw from their own seeded generator, never from the driver's
     #: sampling RNG.
     faults: FaultConfig | None = None
-    #: Knowledge backend for the batched engine: "packed" (the dense
-    #: bit matrix, O(P^2) bits), "sparse" (per-rank sorted id shards,
-    #: O(sum |S^p|) — the high-rank-count backend, bit-identical to
-    #: packed), or "auto" (sparse once the rank count crosses the
-    #: kernel-dependent threshold *and* ``max_known`` caps the shards;
-    #: packed otherwise). The loop engine always uses the boolean
-    #: reference bitmap.
+    #: Knowledge store: "packed" (the dense bit matrix, O(P^2) bits),
+    #: "sparse" (per-rank sorted id shards, O(sum |S^p|) — the
+    #: high-rank-count backend, bit-identical to packed), or "auto"
+    #: (sparse once the rank count crosses the kernel-dependent
+    #: threshold *and* ``max_known`` caps the shards; packed otherwise).
     knowledge: str = "auto"
     #: Sparse-backend driver: "auto" (the fused driver — shard
     #: interning, equality-skipped merges, jitted scalar kernels where
@@ -176,30 +161,24 @@ class GossipConfig:
     #: missing — use it to *assert* the compiled build), or "python"
     #: (the per-receiver reference driver, kept as the behavioural
     #: oracle). All three are bit-identical — same targets, same
-    #: knowledge, same RNG stream. Packed/dense backends ignore this
-    #: knob; their round loop is already fully vectorized.
+    #: knowledge, same RNG stream. The packed store ignores this knob;
+    #: its round loop is already fully vectorized.
     kernel: str = "auto"
 
     def __post_init__(self) -> None:
         check_positive("fanout", self.fanout)
         check_positive("rounds", self.rounds)
-        check_in("mode", self.mode, ("coalesced", "per_message"))
-        check_in("engine", self.engine, ("batched", "loop"))
-        check_positive("max_messages", self.max_messages)
         if self.max_known is not None:
             check_positive("max_known", self.max_known)
         check_in("trim_policy", self.trim_policy, ("random", "lowest"))
         check_positive("ranks_per_node", self.ranks_per_node)
         if not 0.0 <= self.intra_node_bias <= 1.0:
             raise ValueError("intra_node_bias must be in [0, 1]")
+        if self.intra_node_bias > 0.0 and self.ranks_per_node == 1:
+            raise ValueError("intra_node_bias needs ranks_per_node > 1")
         check_in("knowledge", self.knowledge, ("auto", "packed", "sparse"))
         check_in("kernel", self.kernel, ("auto", "python", "numba"))
         if self.knowledge == "sparse":
-            if self.mode != "coalesced" or self.engine != "batched":
-                raise ValueError(
-                    "knowledge='sparse' requires mode='coalesced' and "
-                    "engine='batched'"
-                )
             if self.intra_node_bias > 0.0:
                 raise ValueError(
                     "knowledge='sparse' does not support intra_node_bias"
@@ -210,7 +189,7 @@ class GossipConfig:
                 )
 
     def resolve_knowledge(self, n_ranks: int) -> str:
-        """The batched engine's backend for a given rank count.
+        """The knowledge store used at a given rank count.
 
         Auto selects sparse only where it is both applicable (no fault
         model or topology bias — those paths are packed-only) and a
@@ -224,9 +203,7 @@ class GossipConfig:
             return self.knowledge
         threshold = resolve_auto_threshold(self.kernel)
         if (
-            self.mode == "coalesced"
-            and self.engine == "batched"
-            and self.max_known is not None
+            self.max_known is not None
             and self.faults is None
             and self.intra_node_bias == 0.0
             and n_ranks >= threshold
@@ -239,7 +216,7 @@ class GossipConfig:
 class GossipResult:
     """Outcome of one inform stage."""
 
-    knowledge: KnowledgeBitmap | PackedKnowledgeBitmap | SparseKnowledge
+    knowledge: PackedKnowledgeBitmap | SparseKnowledge
     underloaded: np.ndarray  #: boolean mask, True where l^p < l_ave
     load_snapshot: np.ndarray  #: rank loads at inform time
     average_load: float
@@ -249,8 +226,7 @@ class GossipResult:
     rounds_run: int = 0
     per_round_messages: list[int] = field(default_factory=list)
     #: Ranks that sent in each round (round 1 = the underloaded seeds);
-    #: the f*|senders| message model checks against this. Filled by
-    #: both coalesced engines; per_message counts distinct forwarders.
+    #: the f*|senders| message model checks against this.
     per_round_senders: list[int] = field(default_factory=list)
     #: Fault-injection accounting (all zero when no fault model ran):
     #: messages lost, delivered late, duplicated, the retransmission
@@ -261,7 +237,7 @@ class GossipResult:
     duplicated: int = 0
     retransmits: int = 0
     expired: int = 0
-    #: Backend the stage actually ran ("packed"/"sparse"/"reference")
+    #: Backend the stage actually ran ("packed"/"sparse")
     #: and the auto crossover that applied — so callers (bench meta,
     #: CLI reports) never re-derive the selection and drift from it.
     knowledge_backend: str = ""
@@ -270,45 +246,6 @@ class GossipResult:
     def coverage(self) -> float:
         """Mean fraction of underloaded ranks known per rank."""
         return self.knowledge.coverage(self.underloaded)
-
-
-def _sample_targets(
-    rng: np.random.Generator,
-    candidates: np.ndarray,
-    fanout: int,
-    sender: int | None = None,
-    config: "GossipConfig | None" = None,
-) -> np.ndarray:
-    """Pick up to ``fanout`` distinct targets from ``candidates``.
-
-    With topology bias configured, each slot draws from the sender's
-    same-node candidates with probability ``intra_node_bias`` first,
-    falling back to the global pool.
-    """
-    if candidates.size == 0:
-        return candidates
-    if candidates.size <= fanout:
-        return candidates
-    if (
-        config is None
-        or sender is None
-        or config.intra_node_bias == 0.0
-        or config.ranks_per_node <= 1
-    ):
-        return rng.choice(candidates, size=fanout, replace=False)
-    node = sender // config.ranks_per_node
-    local = candidates[candidates // config.ranks_per_node == node]
-    picked: list[int] = []
-    for _ in range(fanout):
-        use_local = local.size > 0 and rng.random() < config.intra_node_bias
-        source = local if use_local else candidates
-        available = source[~np.isin(source, picked)] if picked else source
-        if available.size == 0:
-            available = candidates[~np.isin(candidates, picked)]
-            if available.size == 0:
-                break
-        picked.append(int(rng.choice(available)))
-    return np.asarray(picked, dtype=np.int64)
 
 
 def run_inform_stage(
@@ -348,23 +285,15 @@ def run_inform_stage(
     l_ave = float(loads.mean()) if average_load is None else float(average_load)
 
     underloaded = loads < l_ave
-    batched = config.mode == "coalesced" and config.engine == "batched"
-    sparse = batched and config.resolve_knowledge(n_ranks) == "sparse"
-    know: KnowledgeBitmap | PackedKnowledgeBitmap | SparseKnowledge
-    if sparse:
-        know = SparseKnowledge(n_ranks)
-    elif batched:
-        know = PackedKnowledgeBitmap(n_ranks)
-    else:
-        know = KnowledgeBitmap(n_ranks)
+    sparse = config.resolve_knowledge(n_ranks) == "sparse"
+    know: PackedKnowledgeBitmap | SparseKnowledge
+    know = SparseKnowledge(n_ranks) if sparse else PackedKnowledgeBitmap(n_ranks)
     result = GossipResult(
         knowledge=know,
         underloaded=underloaded,
         load_snapshot=loads.copy(),
         average_load=l_ave,
-        knowledge_backend=(
-            "sparse" if sparse else "packed" if batched else "reference"
-        ),
+        knowledge_backend="sparse" if sparse else "packed",
         auto_threshold=resolve_auto_threshold(config.kernel),
     )
     seeds = np.flatnonzero(underloaded)
@@ -374,24 +303,18 @@ def run_inform_stage(
         return result
     know.add_self(seeds)
 
-    #: None when config.faults has no active fault source — the engines
-    #: then never branch on it and run their original code path.
+    #: None when config.faults has no active fault source — the driver
+    #: then never branches on it and runs its fault-free code path.
     model = PhaseFaultModel.create(config.faults)
-    if config.mode == "per_message":
-        if model is not None:
-            raise ValueError("fault injection requires mode='coalesced'")
-        _run_per_message(know, seeds, config, rng, result)  # type: ignore[arg-type]
-    elif sparse:
+    if sparse:
         if config.kernel == "python":
             _run_coalesced_sparse(know, seeds, config, rng, result)  # type: ignore[arg-type]
         else:
             if config.kernel == "numba":
                 warn_numba_missing("the sparse inform kernel")
             _run_coalesced_sparse_fast(know, seeds, config, rng, result)  # type: ignore[arg-type]
-    elif batched:
-        _run_coalesced_batched(know, seeds, config, rng, result, model)  # type: ignore[arg-type]
     else:
-        _run_coalesced(know, seeds, config, rng, result, model)  # type: ignore[arg-type]
+        _run_coalesced_batched(know, seeds, config, rng, result, model)  # type: ignore[arg-type]
     _finalize_rounds(result)
     if model is not None:
         result.dropped = model.drops
@@ -411,14 +334,10 @@ def run_inform_stage(
 
 
 def _finalize_rounds(result: GossipResult) -> None:
-    """Unify trailing-round semantics across modes and engines.
-
-    A round in which nobody sent anything did not happen: trailing
-    zero-message entries are dropped (``per_message`` always ended its
-    wave loop with one; ``coalesced`` left one behind whenever the last
-    senders had empty candidate sets) and ``rounds_run`` is the number
-    of rounds that actually carried messages.
-    """
+    """A round in which nobody sent anything did not happen: trailing
+    zero-message entries (left behind whenever the last senders had
+    empty candidate sets) are dropped and ``rounds_run`` is the number
+    of rounds that actually carried messages."""
     while result.per_round_messages and result.per_round_messages[-1] == 0:
         result.per_round_messages.pop()
         if result.per_round_senders:
@@ -445,155 +364,8 @@ def _record_inform_stage(registry: StatsRegistry, result: GossipResult) -> None:
     )
 
 
-def _record_send(
-    result: GossipResult,
-    payload_entries: int,
-    sender: int | None = None,
-    target: int | None = None,
-    config: GossipConfig | None = None,
-) -> None:
-    result.n_messages += 1
-    result.bytes_sent += HEADER_BYTES + ENTRY_BYTES * payload_entries
-    result.per_round_messages[-1] += 1
-    if sender is not None and target is not None and config is not None:
-        if sender // config.ranks_per_node != target // config.ranks_per_node:
-            result.inter_node_messages += 1
-
-
-def _record_sends(
-    result: GossipResult,
-    payload_entries: int,
-    sender: int,
-    targets: np.ndarray,
-    config: GossipConfig,
-) -> None:
-    """Account one sender's whole fan-out (same payload to each target)."""
-    n = int(targets.size)
-    result.n_messages += n
-    result.bytes_sent += n * (HEADER_BYTES + ENTRY_BYTES * payload_entries)
-    result.per_round_messages[-1] += n
-    result.inter_node_messages += int(
-        np.count_nonzero(
-            targets // config.ranks_per_node != sender // config.ranks_per_node
-        )
-    )
-
-
-def _trim_knowledge(
-    row: np.ndarray,
-    loads: np.ndarray,
-    config: GossipConfig,
-    rng: np.random.Generator,
-) -> None:
-    """Enforce the ``max_known`` cap on one knowledge row in place."""
-    if config.max_known is None:
-        return
-    known = np.flatnonzero(row)
-    if known.size <= config.max_known:
-        return
-    if config.trim_policy == "lowest":
-        keep = known[np.argsort(loads[known], kind="stable")[: config.max_known]]
-    else:
-        keep = rng.choice(known, size=config.max_known, replace=False)
-    row[:] = False
-    row[keep] = True
-
-
-def _run_coalesced(
-    know: KnowledgeBitmap,
-    seeds: np.ndarray,
-    config: GossipConfig,
-    rng: np.random.Generator,
-    result: GossipResult,
-    model: PhaseFaultModel | None = None,
-) -> None:
-    """Per-sender reference loop (``engine="loop"``).
-
-    With a fault model, a message sent in round ``r`` whose fate is an
-    offset ``d`` matures in round ``r+d``: it merges *after* that
-    round's payload snapshot (a late message cannot ride the same
-    round's sends) and its receiver forwards in round ``r+d+1``.
-    Deliveries maturing past round ``k`` are discarded at the stage's
-    closing barrier and counted as expired.
-    """
-    n_ranks = know.n_ranks
-    all_ranks = np.arange(n_ranks)
-    senders = seeds
-    initiating = True
-    #: round -> [(target, payload_row)] deliveries still in flight.
-    pending: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for _round in range(1, config.rounds + 1):
-        result.per_round_messages.append(0)
-        result.per_round_senders.append(int(senders.size))
-        # Snapshot sender rows: in a barrier-synchronized round every
-        # rank sends before anything is delivered, so both the payload
-        # *and* the P \ S^p candidate set reflect knowledge as of round
-        # start, never merges from the same round.
-        snapshot = know.rows[senders].copy()
-        received = np.zeros(n_ranks, dtype=bool)
-        # Mature this round's late deliveries (after the snapshot, so
-        # they cannot leak into payloads sent this same round).
-        for target, payload in pending.pop(_round, ()):
-            know.merge(target, payload)
-            _trim_knowledge(know.rows[target], result.load_snapshot, config, rng)
-            received[target] = True
-        for row, sender in zip(snapshot, senders):
-            if initiating:
-                # Alg. 1 l.10: the seeding round samples from all of P
-                # (minus self) regardless of avoid_known — a seed's
-                # knowledge is exactly itself, so P \ S^p and P \ {p}
-                # coincide and the two intents collapse to one branch.
-                candidates = all_ranks[all_ranks != sender]
-            elif config.avoid_known:
-                unknown = ~row
-                unknown[sender] = False
-                candidates = np.flatnonzero(unknown)
-            else:
-                candidates = all_ranks[all_ranks != sender]
-            targets = _sample_targets(rng, candidates, config.fanout, int(sender), config)
-            entries = int(row.sum())
-            if model is not None:
-                # Logical sends are accounted in full; the fault fates
-                # then decide which copies reach their target and when.
-                _record_sends(result, entries, int(sender), targets, config)
-                offsets, copies = model.fates(int(targets.size))
-                for t, off, cp in zip(targets, offsets, copies):
-                    for copy_index in range(int(cp)):
-                        arrive = _round + int(off) + copy_index
-                        if arrive == _round:
-                            know.merge(int(t), row)
-                            _trim_knowledge(
-                                know.rows[int(t)], result.load_snapshot, config, rng
-                            )
-                            received[int(t)] = True
-                        elif arrive <= config.rounds:
-                            pending.setdefault(arrive, []).append((int(t), row))
-                        else:
-                            model.expired += 1
-            elif config.max_known is None:
-                # Whole fan-out at once: the payload row is fixed, the
-                # targets are distinct and no trim draws RNG, so this is
-                # exactly the sequential per-target merge.
-                if targets.size:
-                    know.merge_many(targets, row)
-                    received[targets] = True
-                    _record_sends(result, entries, int(sender), targets, config)
-            else:
-                # Trimming consumes RNG per merge and must interleave
-                # with the merges in message order — stay sequential.
-                for target in targets:
-                    know.merge(int(target), row)
-                    _trim_knowledge(know.rows[target], result.load_snapshot, config, rng)
-                    received[target] = True
-                    _record_send(result, entries, int(sender), int(target), config)
-        initiating = False
-        senders = np.flatnonzero(received)
-        if senders.size == 0 and not pending:
-            break
-
-
 # ---------------------------------------------------------------------------
-# Batched engine (``engine="batched"``): round-level vectorization.
+# Packed-store driver: round-level vectorization.
 # ---------------------------------------------------------------------------
 
 #: Rejection-sampling wave cap before the exact sampler takes over.
@@ -885,10 +657,9 @@ def _trim_rows_packed(
 ) -> None:
     """Vectorized ``max_known`` cap for a batch of packed rows.
 
-    The loop engine trims after every merge; here the cap is enforced
-    once per round after all of the round's merges — the same cap, a
-    statistically equivalent survivor set. Rows are unpacked in
-    ``_TRIM_CHUNK_ROWS`` chunks so trim memory stays O(chunk x P).
+    The cap is enforced once per round, after all of the round's
+    merges. Rows are unpacked in ``_TRIM_CHUNK_ROWS`` chunks so trim
+    memory stays O(chunk x P).
     """
     cap = config.max_known
     if cap is None or ranks.size == 0:
@@ -975,15 +746,13 @@ def _run_coalesced_batched(
     result: GossipResult,
     model: PhaseFaultModel | None = None,
 ) -> None:
-    """Round-level vectorized engine (``engine="batched"``).
+    """Round-level vectorized driver over the packed store.
 
     Per round: build every sender's packed candidate mask, sample the
     whole round's fan-out in one pass, account all messages with array
-    reductions, and apply all merges as one sorted scatter-OR
-    (``bitwise_or.reduceat`` over the gathered round matrix). The
-    gathered sender rows double as the round's send buffer, replacing
-    the loop engine's full boolean snapshot copy — at 4096 ranks that
-    is 2 MB of packed rows per round instead of 16 MB.
+    reductions, and apply all merges as layered scatter-ORs. The
+    gathered sender rows double as the round's send buffer (2 MB of
+    packed rows per round at 4096 ranks).
     """
     n_ranks = know.n_ranks
     fanout = config.fanout
@@ -991,7 +760,7 @@ def _run_coalesced_batched(
     #: All-ones candidate template with the padding bits already clear.
     template = np.packbits(np.ones(n_ranks, dtype=bool))
     pad_mask = template[-1]
-    biased = config.intra_node_bias > 0.0 and rpn > 1
+    biased = config.intra_node_bias > 0.0  # implies rpn > 1 (validated)
     if biased:
         node_of = np.arange(n_ranks) // rpn
         n_nodes = int(node_of[-1]) + 1
@@ -1724,56 +1493,3 @@ def _run_coalesced_sparse_fast(
             d.sort()
             decoded[id(s)] = (s, d)
             shards[r] = d
-
-
-def _run_per_message(
-    know: KnowledgeBitmap,
-    seeds: np.ndarray,
-    config: GossipConfig,
-    rng: np.random.Generator,
-    result: GossipResult,
-) -> None:
-    n_ranks = know.n_ranks
-    all_ranks = np.arange(n_ranks)
-    # Wave of in-flight messages: (target, payload_row, round_index).
-    wave: list[tuple[int, np.ndarray, int]] = []
-    result.per_round_messages.append(0)
-    result.per_round_senders.append(int(seeds.size))
-    for sender in seeds:
-        candidates = all_ranks[all_ranks != sender]
-        for target in _sample_targets(rng, candidates, config.fanout, int(sender), config):
-            payload = know.rows[sender].copy()
-            wave.append((int(target), payload, 1))
-            _record_send(result, int(payload.sum()), int(sender), int(target), config)
-            if result.n_messages > config.max_messages:
-                raise GossipExplosionError(
-                    f"per_message gossip exceeded {config.max_messages} messages; "
-                    "use mode='coalesced' or reduce fanout/rounds"
-                )
-    while wave:
-        next_wave: list[tuple[int, np.ndarray, int]] = []
-        result.per_round_messages.append(0)
-        forwarders: set[int] = set()
-        for target, payload, round_index in wave:
-            know.merge(target, payload)
-            _trim_knowledge(know.rows[target], result.load_snapshot, config, rng)
-            if round_index < config.rounds:
-                candidates = (
-                    know.unknown_targets(target)
-                    if config.avoid_known
-                    else all_ranks[all_ranks != target]
-                )
-                sampled = _sample_targets(rng, candidates, config.fanout, int(target), config)
-                if sampled.size:
-                    forwarders.add(int(target))
-                forwarded = know.rows[target].copy()
-                for nxt in sampled:
-                    next_wave.append((int(nxt), forwarded, round_index + 1))
-                    _record_send(result, int(forwarded.sum()), int(target), int(nxt), config)
-                    if result.n_messages > config.max_messages:
-                        raise GossipExplosionError(
-                            f"per_message gossip exceeded {config.max_messages} "
-                            "messages; use mode='coalesced' or reduce fanout/rounds"
-                        )
-        result.per_round_senders.append(len(forwarders))
-        wave = next_wave

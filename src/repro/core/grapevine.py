@@ -33,7 +33,6 @@ class GrapevineLB(LoadBalancer):
         fanout: int = 6,
         rounds: int = 10,
         threshold: float = 1.0,
-        gossip_mode: str = "coalesced",
     ) -> None:
         self.config = TemperedConfig(
             n_trials=1,
@@ -45,7 +44,6 @@ class GrapevineLB(LoadBalancer):
             cmf=CMF_ORIGINAL,
             recompute_cmf=False,
             ordering=ORDER_ARBITRARY,
-            gossip_mode=gossip_mode,
         )
         self._impl = TemperedLB(self.config)
         self._impl.name = self.name  # results and events report the preset's name

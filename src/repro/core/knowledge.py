@@ -3,31 +3,27 @@
 During the inform stage, every rank accumulates a set of underloaded
 ranks it has heard about, together with those ranks' (snapshot) loads.
 At 2^12 ranks a Python ``set`` per rank makes the knowledge merge the
-bottleneck, so two dense representations are provided:
-
-:class:`KnowledgeBitmap`
-    One boolean row per rank (``P x P`` bytes); a merge is a vectorized
-    OR. The historical default and the reference representation.
+bottleneck, so the sets are stored in one of two array forms with the
+same API (``add`` / ``add_self`` / ``merge`` / ``merge_many`` / ``known``
+/ ``knows`` / ``counts`` / ``unknown_targets`` / ``discard_members`` /
+``coverage`` / ``rows`` / ``memory_bytes``):
 
 :class:`PackedKnowledgeBitmap`
-    The same matrix bit-packed into ``P x ceil(P/8)`` uint8 bytes
-    (``np.packbits`` layout, big bit order). Merges are byte-wise ORs,
-    set sizes are ``np.bitwise_count`` popcounts, and memory drops 8x
-    (4096 ranks: 16.7 MB -> 2.1 MB), opening 2^15-rank experiments.
-    This is what the batched gossip engine uses.
-
-Both dense forms still cost O(P^2) bits — 2 GiB packed at 2^17 ranks —
-so a third, sparse representation covers the high-rank-count regime:
+    A ``P x P`` membership matrix bit-packed into ``P x ceil(P/8)``
+    uint8 bytes (``np.packbits`` layout, big bit order). Merges are
+    byte-wise ORs, set sizes are ``np.bitwise_count`` popcounts
+    (4096 ranks: 2.1 MB). Still O(P^2) bits — 2 GiB at 2^17 ranks.
 
 :class:`SparseKnowledge`
     One sorted ``int32`` id shard per rank. Memory is O(sum |S^p|), so
     under a ``max_known`` cap of c it is ~``4cP`` bytes (131072 ranks,
     c=512: 268 MB vs 2 GiB packed). Rows exchanged by merges are id
-    arrays rather than bit rows; the batched gossip engine selects this
-    backend automatically at high rank counts (see ``GossipConfig``).
+    arrays rather than bit rows; ``GossipConfig(knowledge="auto")``
+    selects this store at high rank counts.
 
-Loads do not change during an inform stage, so ``LOAD^p`` is simply the
-global load snapshot restricted to ``S^p`` (see DESIGN.md § 5).
+The tests check both against a plain list of Python ``set``s. Loads do
+not change during an inform stage, so ``LOAD^p`` is simply the global
+load snapshot restricted to ``S^p`` (see DESIGN.md § 5).
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ import numpy as np
 from repro.core._kernels import get_gossip_kernels
 from repro.util.validation import check_positive
 
-__all__ = ["KnowledgeBitmap", "PackedKnowledgeBitmap", "SparseKnowledge"]
+__all__ = ["PackedKnowledgeBitmap", "SparseKnowledge"]
 
 
 def _coverage_denominator(underloaded: np.ndarray) -> int:
@@ -47,104 +43,19 @@ def _coverage_denominator(underloaded: np.ndarray) -> int:
     return len(underloaded)
 
 
-class KnowledgeBitmap:
-    """Knowledge sets ``S^p`` for all ranks as a ``P x P`` boolean matrix.
-
-    ``rows[p, q]`` is True iff rank ``p`` knows rank ``q`` is underloaded.
-    """
-
-    __slots__ = ("n_ranks", "rows")
-
-    def __init__(self, n_ranks: int) -> None:
-        check_positive("n_ranks", n_ranks)
-        self.n_ranks = int(n_ranks)
-        self.rows = np.zeros((self.n_ranks, self.n_ranks), dtype=bool)
-
-    def add(self, rank: int, members: np.ndarray | list[int]) -> None:
-        """Add ``members`` to ``S^rank``."""
-        self.rows[rank, members] = True
-
-    def add_self(self, ranks: np.ndarray) -> None:
-        """Seed each rank in ``ranks`` with knowledge of itself (Alg. 1 l.7)."""
-        self.rows[ranks, ranks] = True
-
-    def clear(self) -> None:
-        """Empty every ``S^p``."""
-        self.rows[:] = False
-
-    def merge(self, dst: int, src_row: np.ndarray) -> None:
-        """Merge a received knowledge row into ``S^dst`` (Alg. 1 l.16-17)."""
-        np.logical_or(self.rows[dst], src_row, out=self.rows[dst])
-
-    def merge_many(self, dsts: np.ndarray, src_row: np.ndarray) -> None:
-        """Merge one row into several destinations — a whole fan-out at
-        once. OR is idempotent and the row is fixed, so this equals
-        :meth:`merge` applied to each destination in turn."""
-        self.rows[dsts] |= src_row
-
-    def known(self, rank: int) -> np.ndarray:
-        """``S^rank`` as a sorted array of rank ids."""
-        return np.flatnonzero(self.rows[rank])
-
-    def knows(self, rank: int, other: int) -> bool:
-        """Whether ``rank`` knows ``other`` is underloaded."""
-        return bool(self.rows[rank, other])
-
-    def counts(self) -> np.ndarray:
-        """``|S^p|`` for every rank ``p``."""
-        return self.rows.sum(axis=1)
-
-    def unknown_targets(self, rank: int) -> np.ndarray:
-        """``P \\ S^p`` — candidate gossip targets avoiding known ranks
-        (Alg. 1 l.20). The sender itself is also excluded."""
-        mask = ~self.rows[rank]
-        mask[rank] = False
-        return np.flatnonzero(mask)
-
-    def discard_members(self, ranks: np.ndarray) -> None:
-        """Remove ``ranks`` from every ``S^p`` (column clear).
-
-        Used when membership changes: a crashed or suspected rank must
-        stop being a transfer candidate everywhere, even if gossip
-        already spread knowledge of it.
-        """
-        ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.size:
-            self.rows[:, ranks] = False
-
-    def coverage(self, underloaded: np.ndarray) -> float:
-        """Mean fraction of the underloaded set each rank knows.
-
-        Used by the gossip-convergence analysis: with ``k >= log_f P``
-        rounds this approaches 1 with high probability. ``underloaded``
-        may be a boolean mask or an array of rank ids; both index the
-        same columns.
-        """
-        n_under = _coverage_denominator(underloaded)
-        if n_under == 0:
-            return 1.0
-        per_rank = self.rows[:, underloaded].sum(axis=1)
-        return float(per_rank.mean() / n_under)
-
-    def memory_bytes(self) -> int:
-        """Bytes held by the boolean matrix (the ``P^2`` bound)."""
-        return int(self.rows.nbytes)
-
-
 class PackedKnowledgeBitmap:
     """Knowledge sets ``S^p`` bit-packed: ``P x ceil(P/8)`` uint8 bytes.
 
-    Same API and semantics as :class:`KnowledgeBitmap`, but rows are
-    ``np.packbits`` bit rows (big bit order: rank ``q`` lives in byte
-    ``q >> 3``, bit value ``128 >> (q & 7)``). Methods that exchange
-    rows (:meth:`merge`, :meth:`merge_many`) take/return *packed* rows;
-    mixing packed and boolean rows is a bug. The :attr:`rows` property
-    unpacks the full boolean matrix for analysis/test code — it is a
-    read-only copy, never a view.
+    Rank ``p`` knows rank ``q`` is underloaded iff bit ``q`` of row
+    ``p`` is set; rows are ``np.packbits`` bit rows (big bit order: rank
+    ``q`` lives in byte ``q >> 3``, bit value ``128 >> (q & 7)``).
+    Methods that exchange rows (:meth:`merge`, :meth:`merge_many`)
+    take/return *packed* rows. The :attr:`rows` property unpacks the
+    full boolean matrix for analysis/test code — it is a read-only
+    copy, never a view.
 
-    Memory is ``P * ceil(P/8)`` bytes plus O(P) object overhead — the
-    8x saving that makes 2^15-rank inform stages practical (32768
-    ranks: 1 GiB boolean -> 128 MiB packed).
+    Memory is ``P * ceil(P/8)`` bytes plus O(P) object overhead
+    (32768 ranks: 128 MiB).
     """
 
     __slots__ = ("n_ranks", "n_bytes", "packed")
@@ -166,7 +77,7 @@ class PackedKnowledgeBitmap:
     def _unpack_row(self, rank: int) -> np.ndarray:
         return np.unpackbits(self.packed[rank], count=self.n_ranks).view(bool)
 
-    # -- KnowledgeBitmap API ------------------------------------------------
+    # -- knowledge-store API ------------------------------------------------
 
     def add(self, rank: int, members: np.ndarray | list[int]) -> None:
         """Add ``members`` to ``S^rank``."""
@@ -220,8 +131,11 @@ class PackedKnowledgeBitmap:
     def discard_members(self, ranks: np.ndarray) -> None:
         """Remove ``ranks`` from every ``S^p`` (bit-column clear).
 
-        Several discarded ranks can share a byte, so the clear mask is
-        accumulated with a ufunc scatter before the single AND pass.
+        Used when membership changes: a crashed or suspected rank must
+        stop being a transfer candidate everywhere, even if gossip
+        already spread knowledge of it. Several discarded ranks can
+        share a byte, so the clear mask is accumulated with a ufunc
+        scatter before the single AND pass.
         """
         ranks = np.asarray(ranks, dtype=np.int64)
         if ranks.size == 0:
@@ -234,8 +148,11 @@ class PackedKnowledgeBitmap:
     def coverage(self, underloaded: np.ndarray) -> float:
         """Mean fraction of the underloaded set each rank knows.
 
-        Computed without unpacking: AND every row with the packed
-        underloaded mask and popcount the intersection.
+        Used by the gossip-convergence analysis: with ``k >= log_f P``
+        rounds this approaches 1 with high probability. ``underloaded``
+        may be a boolean mask or an array of rank ids. Computed without
+        unpacking: AND every row with the packed underloaded mask and
+        popcount the intersection.
         """
         n_under = _coverage_denominator(underloaded)
         if n_under == 0:
@@ -255,9 +172,8 @@ class PackedKnowledgeBitmap:
     def rows(self) -> np.ndarray:
         """The full boolean matrix, unpacked on demand (read-only copy).
 
-        Provided so analysis and test code written against
-        :class:`KnowledgeBitmap` keeps working; mutations must go
-        through the methods, so the copy is marked non-writeable.
+        For analysis and test code; mutations must go through the
+        methods, so the copy is marked non-writeable.
         """
         out = np.unpackbits(self.packed, axis=1, count=self.n_ranks).view(bool)
         out.flags.writeable = False
@@ -271,12 +187,13 @@ class PackedKnowledgeBitmap:
 class SparseKnowledge:
     """Knowledge sets ``S^p`` as per-rank sorted ``int32`` id shards.
 
-    Same API and semantics as :class:`KnowledgeBitmap`, but each rank's
-    set is a sorted, duplicate-free array of member rank ids instead of
-    a row of P bits. Methods that exchange rows (:meth:`merge`,
-    :meth:`merge_many`) take sorted id arrays; the :attr:`rows` property
-    materializes the boolean matrix for analysis/test code (read-only
-    copy — only sensible at small rank counts).
+    Same API and semantics as :class:`PackedKnowledgeBitmap`, but each
+    rank's set is a sorted, duplicate-free array of member rank ids
+    instead of a row of P bits. Methods that exchange rows
+    (:meth:`merge`, :meth:`merge_many`) take sorted id arrays; the
+    :attr:`rows` property materializes the boolean matrix for
+    analysis/test code (read-only copy — only sensible at small rank
+    counts).
 
     Shard arrays are treated as immutable: every mutation *replaces* a
     rank's shard, so references handed out earlier (e.g. a gossip
@@ -300,7 +217,7 @@ class SparseKnowledge:
         ids = np.asarray(members, dtype=self._ID_DTYPE)
         return ids
 
-    # -- KnowledgeBitmap API ------------------------------------------------
+    # -- knowledge-store API ------------------------------------------------
 
     def add(self, rank: int, members: np.ndarray | list[int]) -> None:
         """Add ``members`` to ``S^rank``."""

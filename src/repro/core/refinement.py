@@ -15,12 +15,11 @@ sub-registry; streams are derived from the parent generator before any
 work starts, results merge in trial order, and ties on the best
 imbalance resolve to the lowest trial index — so the refined assignment
 and all recorded statistics are bit-identical for any worker count >= 1
-under **any** backend. The ``executor`` knob selects that backend
-(``serial`` / ``thread`` / ``process``; see
-:class:`repro.util.parallel.TrialExecutor`). The trial loop is
-GIL-bound Python/NumPy, so only the process backend — the ``auto``
-default where ``fork`` is available — turns extra cores into wall-clock
-speedup; the shared read-only inputs (task loads, the original
+under **either** backend (``serial`` / ``process``; see
+:class:`repro.util.parallel.TrialExecutor`, which picks one from the
+worker count, the trial count and the usable cores). The trial loop is
+GIL-bound Python/NumPy, so only a process pool turns extra cores into
+wall-clock speedup; the shared read-only inputs (task loads, the original
 assignment, the stage configs) ship to each worker once via the pool
 initializer, and only the per-trial RNG payloads and
 :class:`_TrialOutcome` results cross the IPC boundary.
@@ -249,9 +248,9 @@ def iterative_refinement(
     - ``n_workers=None, executor=None`` — the historical serial
       semantics: one RNG stream shared across trials.
     - ``n_workers >= 1`` — per-trial spawned streams, dispatched by a
-      :class:`~repro.util.parallel.TrialExecutor`. ``executor`` picks
-      the backend (``"serial"``, ``"thread"``, ``"process"``, or
-      ``None``/``"auto"`` which prefers the process backend); results
+      :class:`~repro.util.parallel.TrialExecutor`. ``executor`` pins
+      the backend (``"serial"`` or ``"process"``; ``None``/``"auto"``
+      lets :func:`~repro.util.parallel.resolve_backend` choose); results
       are bit-identical for every backend and worker count, but differ
       from the shared-stream serial walk. Passing ``executor`` alone
       implies ``n_workers=1``.

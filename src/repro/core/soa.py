@@ -1,10 +1,10 @@
 """Structure-of-arrays rank/task state for the transfer stage.
 
-The reference transfer engine materializes ``rank_tasks`` as a Python
-``list[list[int]]`` — one boxed int per task, built and garbage-collected
-every stage. At 2^17 ranks / millions of tasks that construction alone
-dominates the stage. :class:`RankTaskState` replaces it with a CSR view
-over the assignment:
+The direct transcription of Algorithm 2 (kept as the test-side oracle)
+materializes ``rank_tasks`` as a Python ``list[list[int]]`` — one boxed
+int per task, built and garbage-collected every stage. At 2^17 ranks /
+millions of tasks that construction alone dominates the stage.
+:class:`RankTaskState` replaces it with a CSR view over the assignment:
 
 - one stable ``argsort`` of the assignment gives a contiguous int32
   task-id buffer grouped by rank (ascending task id within each rank,
@@ -31,11 +31,11 @@ __all__ = ["RankTaskState"]
 class RankTaskState:
     """CSR rank->task mapping with sparse copy-on-write overrides.
 
-    Semantically equivalent to the ``list[list[int]]`` the reference
-    engine builds: ``tasks(r)`` returns rank ``r``'s task ids in the
-    same order (ascending construction order plus arrivals in arrival
-    order), ``extend`` models a pass's tasks arriving at their
-    recipients, and ``set_tasks`` replaces a sender's list after a pass.
+    Semantically equivalent to a naive ``list[list[int]]``: ``tasks(r)``
+    returns rank ``r``'s task ids in the same order (ascending
+    construction order plus arrivals in arrival order), ``extend``
+    models a pass's tasks arriving at their recipients, and
+    ``set_tasks`` replaces a sender's list after a pass.
 
     ``readers`` (a boolean mask over ranks, or ``None`` for all) names
     the ranks whose lists will still be read: arrivals anywhere else

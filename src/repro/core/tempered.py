@@ -31,7 +31,6 @@ from repro.core.ordering import ORDER_FEWEST_MIGRATIONS
 from repro.core.refinement import iterative_refinement
 from repro.core.transfer import TransferConfig
 from repro.sim.faults import FaultConfig
-from repro.util.parallel import EXECUTORS
 from repro.util.validation import check_positive, coerce_rng
 
 __all__ = ["TemperedConfig", "TemperedLB"]
@@ -57,39 +56,29 @@ class TemperedConfig:
     recompute_cmf: bool = True
     cmf_update: str = CMF_UPDATE_INCREMENTAL  #: l.7 maintenance (see cmf.py)
     ordering: str = ORDER_FEWEST_MIGRATIONS
-    gossip_mode: str = "coalesced"
-    #: Inform-stage engine: "batched" (vectorized rounds on packed
-    #: knowledge, the fast path) or "loop" (per-sender reference).
-    gossip_engine: str = "batched"
     view: str = "snapshot"  #: transfer-stage load visibility (see transfer.py)
     max_passes: int | None = 1  #: task-list passes per rank per stage
     cascade: bool = False  #: re-process ranks overloaded mid-stage
     nacks: bool = False  #: recipient-side vetoes (Menon's mechanism, § V-A)
     max_known: int | None = None  #: knowledge cap (limited-info gossip)
     trim_policy: str = "random"  #: what the cap keeps (see GossipConfig)
-    #: Knowledge backend for the batched inform engine: "auto" /
-    #: "packed" / "sparse" (see :class:`~repro.core.gossip.GossipConfig`).
+    #: Inform-stage knowledge store: "auto" / "packed" / "sparse" (see
+    #: :class:`~repro.core.gossip.GossipConfig`).
     knowledge: str = "auto"
     #: Sparse inform driver: "auto" (fused fast path), "numba" (fused +
     #: jitted kernels, warns once without numba) or "python" (reference
     #: oracle); bit-identical results either way.
     gossip_kernel: str = "auto"
-    #: Transfer-stage engine: "soa" (structure-of-arrays rank state,
-    #: default) or "lists" (reference); see TransferConfig.
-    transfer_engine: str = "soa"
-    #: SoA inner-loop kernel: "python" or "numba" (jitted when numba is
-    #: installed, bit-identical fallback otherwise).
+    #: Transfer inner-loop kernel: "python" or "numba" (jitted when
+    #: numba is installed, bit-identical fallback otherwise).
     transfer_kernel: str = "python"
     #: Trial-level parallelism: None = historical serial semantics (one
     #: shared RNG stream); >= 1 = that many workers with spawned
-    #: per-trial streams (bit-identical for any worker count >= 1).
+    #: per-trial streams (bit-identical for any worker count >= 1). A
+    #: process pool runs them wherever a second core, a second trial
+    #: and ``fork`` exist, the serial loop elsewhere (see
+    #: :func:`repro.util.parallel.resolve_backend`).
     n_workers: int | None = None
-    #: Trial executor backend: "serial" / "thread" / "process", or
-    #: None / "auto" to prefer the process backend (the one that beats
-    #: serial on multi-core hosts — threads are GIL-bound here),
-    #: degrading to the serial loop where only one core is usable. The
-    #: backend never changes results, only wall time.
-    executor: str | None = None
     #: Optional fault injection for the inform stage (message loss,
     #: delay spikes, duplication); None or an all-zero config leaves
     #: every result bit-identical to the fault-free balancer.
@@ -98,10 +87,8 @@ class TemperedConfig:
     def __post_init__(self) -> None:
         check_positive("n_trials", self.n_trials)
         check_positive("n_iters", self.n_iters)
-        if self.executor is not None and self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS} or None, got {self.executor!r}"
-            )
+        if self.n_workers is not None and self.n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1 or None, got {self.n_workers!r}")
         # fanout/rounds/threshold and the categorical knobs are validated
         # by the GossipConfig / TransferConfig they parameterize.
         self.gossip_config()
@@ -112,8 +99,6 @@ class TemperedConfig:
         return GossipConfig(
             fanout=self.fanout,
             rounds=self.rounds,
-            mode=self.gossip_mode,
-            engine=self.gossip_engine,
             max_known=self.max_known,
             trim_policy=self.trim_policy,
             knowledge=self.knowledge,
@@ -134,7 +119,6 @@ class TemperedConfig:
             max_passes=self.max_passes,
             cascade=self.cascade,
             nacks=self.nacks,
-            engine=self.transfer_engine,
             kernel=self.transfer_kernel,
         )
 
@@ -180,7 +164,6 @@ class TemperedLB(LoadBalancer):
             rng=rng,
             registry=self.registry,
             n_workers=self.config.n_workers,
-            executor=self.config.executor,
         )
         return self._make_result(
             dist,

@@ -26,6 +26,14 @@ that *become* overloaded during the stage.
 
 The stage mutates a *proposed* assignment; actual migrations happen only
 once at the end of Algorithm 3 (see :mod:`repro.core.refinement`).
+
+There is one implementation: structure-of-arrays rank state
+(:mod:`repro.core.soa`) walked by one loop family — the fused
+:meth:`IncrementalCMF.propose_pass` for the default configuration,
+:func:`_scalar_pass` for shared view / nacks / rebuilt CMFs, and the
+optional flat-array kernel — all sharing one bulk apply. The
+list-of-lists transcription it is tested against, bit for bit, lives
+in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -59,14 +67,7 @@ __all__ = ["TransferConfig", "TransferStats", "transfer_stage", "transfer_from_r
 VIEW_SNAPSHOT = "snapshot"
 VIEW_SHARED = "shared"
 
-#: Transfer-stage execution engines: "soa" walks structure-of-arrays
-#: rank state (CSR task buffer, copy-on-write overrides — the scalable
-#: path, bit-identical) and is the default; "lists" is the
-#: list-of-Python-lists reference.
-ENGINE_SOA = "soa"
-ENGINE_LISTS = "lists"
-
-#: Inner loops for the SoA engine's fused configurations: "python"
+#: Inner loops for the fused configurations: "python"
 #: (default) is ``IncrementalCMF.propose_pass``; "numba" the flat-array
 #: kernel of ``repro.core._kernels`` — jitted when numba is installed,
 #: the same function uncompiled (bit-identical, slower) when it is not.
@@ -94,8 +95,7 @@ class TransferConfig:
     max_passes: int | None = 1  #: passes over the task list; None = no-progress
     cascade: bool = False  #: process ranks overloaded mid-stage
     nacks: bool = False  #: Menon-style negative acknowledgements (§ V-A)
-    engine: str = ENGINE_SOA  #: "soa" (CSR rank state) or "lists" (reference)
-    kernel: str = KERNEL_PYTHON  #: SoA inner loop: "python" (fused) or "numba"
+    kernel: str = KERNEL_PYTHON  #: fused inner loop: "python" or "numba"
 
     def __post_init__(self) -> None:
         check_in("criterion", self.criterion, CRITERIA)
@@ -106,7 +106,6 @@ class TransferConfig:
         check_in("view", self.view, (VIEW_SNAPSHOT, VIEW_SHARED))
         if self.max_passes is not None:
             check_positive("max_passes", self.max_passes)
-        check_in("engine", self.engine, (ENGINE_SOA, ENGINE_LISTS))
         check_in("kernel", self.kernel, (KERNEL_PYTHON, KERNEL_NUMBA))
 
 
@@ -166,20 +165,6 @@ class TransferStats:
         registry.inc(f"{prefix}.cmf_updates", self.cmf_updates)
         registry.inc(f"{prefix}.overloaded_ranks", self.overloaded_ranks)
         registry.inc(f"{prefix}.stalled_ranks", self.stalled_ranks)
-
-
-def _rank_task_lists(assignment: np.ndarray, n_ranks: int) -> list[list[int]]:
-    """Per-rank task lists (ascending task id) from an assignment.
-
-    One stable argsort + boundary search instead of a Python loop over
-    every task; the stable sort preserves ascending task ids within each
-    rank, so the lists are identical to the naive construction.
-    """
-    assignment = np.asarray(assignment)
-    by_rank = np.argsort(assignment, kind="stable")
-    bounds = np.searchsorted(assignment[by_rank], np.arange(n_ranks + 1))
-    ordered = by_rank.tolist()
-    return [ordered[bounds[r] : bounds[r + 1]] for r in range(n_ranks)]
 
 
 class _RebuildCMF:
@@ -270,13 +255,9 @@ def transfer_stage(
 
     # Mutable per-rank task state. Senders only consult their own tasks;
     # recipient arrivals are maintained so cascaded processing sees them.
-    soa = config.engine == ENGINE_SOA
-    if soa:
-        # Without cascading only the ranks queued now are ever read.
-        readers = None if config.cascade else is_overloaded
-        state = RankTaskState(assignment, n_ranks, readers)
-    else:
-        rank_tasks = _rank_task_lists(assignment, n_ranks)
+    # Without cascading only the ranks queued now are ever read.
+    readers = None if config.cascade else is_overloaded
+    state = RankTaskState(assignment, n_ranks, readers)
 
     queue: deque[int] = deque(int(p) for p in overloaded)
     queued = set(queue)
@@ -292,15 +273,10 @@ def transfer_stage(
             stats.budget_exhausted = True
             break
         stats.rank_processings += 1
-        if soa:
-            recipients = _transfer_from_rank_soa(
-                p, state.tasks(p), state, assignment, task_loads, loads, l_ave,
-                gossip, config, rng, stats,
-            )
-        else:
-            recipients = _transfer_from_rank(
-                p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
-            )
+        recipients = _transfer_from_rank_soa(
+            p, state.tasks(p), state, assignment, task_loads, loads, l_ave,
+            gossip, config, rng, stats,
+        )
         if config.cascade:
             for r in recipients:
                 if loads[r] > threshold_load and r not in queued:
@@ -328,10 +304,10 @@ def transfer_from_rank(
     p = int(p)
     n_ranks = gossip.knowledge.n_ranks
     l_ave = gossip.average_load
-    # ``p``'s tasks in ascending id order — what the CSR slice and the
-    # per-rank lists hold. A snapshot sender without nacks reads no
-    # true load but its own, so only its tasks are summed (in the full
-    # bincount's order: the bits of ``loads[p]`` are the same).
+    # ``p``'s tasks in ascending id order — what the CSR slice holds.
+    # A snapshot sender without nacks reads no true load but its own,
+    # so only its tasks are summed (in the full bincount's order: the
+    # bits of ``loads[p]`` are the same).
     tasks = np.flatnonzero(assignment == p)
     own = slice(None) if config.view == VIEW_SHARED or config.nacks else tasks
     loads = np.bincount(assignment[own], weights=task_loads[own], minlength=n_ranks)
@@ -340,125 +316,12 @@ def transfer_from_rank(
         return stats
     stats.overloaded_ranks = 1
     stats.rank_processings = 1
-    if config.engine == ENGINE_SOA:
-        _transfer_from_rank_soa(
-            p, tasks, None, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
-        )
-    else:
-        rank_tasks = _rank_task_lists(assignment, n_ranks)
-        _transfer_from_rank(
-            p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
-        )
+    _transfer_from_rank_soa(
+        p, tasks, None, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
+    )
     if registry is not None and registry.enabled:
         stats.record(registry)
     return stats
-
-
-def _transfer_from_rank(
-    p: int,
-    rank_tasks: list[list[int]],
-    assignment: np.ndarray,
-    task_loads: np.ndarray,
-    loads: np.ndarray,
-    l_ave: float,
-    gossip: GossipResult,
-    config: TransferConfig,
-    rng: np.random.Generator,
-    stats: TransferStats,
-) -> set[int]:
-    """Algorithm 2 TRANSFER for one overloaded rank ``p``.
-
-    Returns the set of ranks that received tasks (for cascading).
-    """
-    candidates = gossip.knowledge.known(p)
-    candidates = candidates[candidates != p]
-    if candidates.size == 0:
-        stats.stalled_ranks += 1
-        return set()
-
-    shared = config.view == VIEW_SHARED
-    if shared:
-        # Live view: per-use loads are re-read from the global proposed
-        # loads; the sampler's gather is point-updated on each accept
-        # (only the recipient's entry can change between refreshes).
-        known_loads = loads[candidates]
-    else:
-        # Local view: inform-time snapshot + this sender's own transfers.
-        known_loads = gossip.load_snapshot[candidates].copy()
-
-    if config.recompute_cmf and config.cmf_update == CMF_UPDATE_INCREMENTAL:
-        sampler = IncrementalCMF(known_loads, l_ave, config.cmf, copy=False)
-    else:
-        sampler = _RebuildCMF(known_loads, l_ave, config.cmf)
-    known_loads = sampler.loads  # single source of truth for l_x reads
-
-    criterion = CRITERIA[config.criterion]
-    threshold_load = config.threshold * l_ave
-    tasks = rank_tasks[p]
-    touched: set[int] = set()
-
-    max_passes = config.max_passes if config.max_passes is not None else _PASS_CAP
-    for _ in range(max_passes):
-        if loads[p] <= threshold_load or not tasks:
-            break
-        order = order_tasks(
-            config.ordering, np.asarray(tasks, dtype=np.int64), task_loads, l_ave, float(loads[p])
-        )
-        o_loads = task_loads[order]  # one gather instead of per-task lookups
-        accepted: list[int] = []
-        for task, o_load in zip(order, o_loads):
-            if loads[p] <= threshold_load:
-                break
-            if sampler.exhausted:
-                break
-            o_load = float(o_load)
-            idx = sampler.sample(rng)
-            if shared:
-                l_x = float(loads[candidates[idx]])
-            else:
-                l_x = float(known_loads[idx])
-            if criterion(l_x, o_load, l_ave, float(loads[p])):
-                recipient = int(candidates[idx])
-                if config.nacks and loads[recipient] + o_load > threshold_load:
-                    # Menon-style negative acknowledgement: the recipient
-                    # vetoes a transfer that would overload it (checked
-                    # against its *true* load). The sender corrects its
-                    # knowledge and keeps the task.
-                    stats.nacked += 1
-                    if not shared:
-                        if config.recompute_cmf:
-                            sampler.update(idx, float(loads[recipient]))
-                        else:
-                            sampler.poke(idx, float(loads[recipient]))
-                    continue
-                loads[p] -= o_load
-                loads[recipient] += o_load
-                assignment[task] = recipient
-                rank_tasks[recipient].append(int(task))
-                accepted.append(int(task))
-                touched.add(recipient)
-                stats.transfers += 1
-                stats.moves.append((int(task), p, recipient))
-                if config.recompute_cmf:
-                    new_known = float(loads[recipient]) if shared else l_x + o_load
-                    sampler.update(idx, new_known)
-                elif not shared:
-                    sampler.poke(idx, l_x + o_load)
-            else:
-                stats.rejections += 1
-        if accepted:
-            remaining = set(accepted)
-            rank_tasks[p] = [t for t in tasks if t not in remaining]
-            tasks = rank_tasks[p]
-        else:
-            break
-        if sampler.exhausted:
-            break
-    stats.cmf_builds += sampler.builds
-    stats.cmf_updates += sampler.updates
-    if sampler.exhausted and loads[p] > threshold_load:
-        stats.stalled_ranks += 1
-    return touched
 
 
 def _transfer_from_rank_soa(
@@ -474,12 +337,14 @@ def _transfer_from_rank_soa(
     rng: np.random.Generator,
     stats: TransferStats,
 ) -> set[int]:
-    """Algorithm 2 TRANSFER for one rank, structure-of-arrays engine.
+    """Algorithm 2 TRANSFER for one overloaded rank ``p``, over
+    structure-of-arrays state; returns the ranks that received tasks
+    (for cascading).
 
-    Bit-identical to :func:`_transfer_from_rank` — same float operations
-    in the same order, same RNG consumption — over array state: ``tasks``
-    is ``p``'s task-id array and ``state`` (``None`` for a lone sender,
-    whose arrivals nobody reads) records where tasks go.
+    ``tasks`` is ``p``'s task-id array and ``state`` (``None`` for a
+    lone sender, whose arrivals nobody reads) records where tasks go.
+    Same float operations in the same order and the same RNG
+    consumption as the list-of-lists loop in ``tests/core/oracles.py``.
 
     A sender whose view is its own CMF — snapshot view, incremental
     recomputation, no nacks: the default — runs each pass *fused*:

@@ -72,11 +72,9 @@ class EmpireConfig:
     #: "structured" (the calibrated benchmark mesh) or "unstructured"
     #: (Delaunay triangulation, § VI-A's real mesh type).
     mesh_type: str = "structured"
-    #: TemperedLB trial parallelism (None = serial trial loop) and the
-    #: executor backend ("serial"/"thread"/"process"/"auto"/None); the
-    #: backend changes wall time only, never the refined assignment.
+    #: TemperedLB trial parallelism (None = serial trial loop); the
+    #: worker count changes wall time only, never the refined assignment.
     n_workers: int | None = None
-    executor: str | None = None
     #: Gossip fault injection: per-message loss probability on the
     #: inform stage (0 = the historical lossless behavior, bit for
     #: bit) and the fault RNG seed.
@@ -91,6 +89,8 @@ class EmpireConfig:
         check_positive("n_steps", self.n_steps)
         check_positive("lb_period", self.lb_period)
         check_in("mesh_type", self.mesh_type, ("structured", "unstructured"))
+        if self.n_workers is not None and self.n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1 or None, got {self.n_workers!r}")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
 
@@ -174,7 +174,6 @@ def _make_balancer(config: EmpireConfig) -> LoadBalancer | None:
             rounds=config.rounds,
             ordering=config.ordering,
             n_workers=config.n_workers,
-            executor=config.executor,
             faults=faults,
         )
     )

@@ -2,13 +2,9 @@
 
 Four timed paths, mirroring where an LB episode actually spends time:
 
-``inform/loop`` vs ``inform/batched``
-    One full inform stage (Alg. 1, coalesced) under both engines: the
-    per-sender reference loop on boolean knowledge and the
-    round-vectorized fast path on packed knowledge. Their ratio is the
-    headline speedup of this optimization; both must obey the
-    ``f x |senders|`` message model and land statistically equivalent
-    coverage.
+``inform/batched``
+    One full inform stage (Alg. 1) on packed knowledge; must obey the
+    ``f x |senders|`` message model (``message_model_exact``).
 ``transfer/rebuild`` vs ``transfer/incremental``
     One transfer stage (Alg. 2) with CMF recomputation per accepted
     transfer, under both maintenance strategies. Their ratio is the
@@ -17,12 +13,11 @@ Four timed paths, mirroring where an LB episode actually spends time:
     work-for-work.
 ``refinement/serial`` vs ``refinement/parallel``
     Algorithm 3 with the trial loop serial (spawned streams, one
-    worker) vs. parallel on the selected executor backend (the
-    ``auto`` resolution rule by default: a process pool wherever a
-    second core and ``fork`` exist) — same streams, bit-identical
-    output, so the
-    ratio is work-for-work. The per-stage ``wall.*`` timers from both
-    instrumented runs ride along, and the parallel run's cumulative
+    worker) vs. parallel under the shipping resolution rule (a process
+    pool wherever a second core and ``fork`` exist) — same streams,
+    bit-identical output, so the ratio is work-for-work. The per-stage
+    ``wall.*`` timers from both instrumented runs ride along, and the
+    parallel run's cumulative
     stage walls over its true ``wall.refinement`` span give the
     utilization figure (> 1 means trials overlapped *in time*; whether
     that overlap was real cores or time-slicing shows in the speedup,
@@ -75,7 +70,7 @@ from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.core.refinement import iterative_refinement
 from repro.core.transfer import TransferConfig, transfer_stage
 from repro.obs import StatsRegistry
-from repro.util.parallel import EXECUTOR_AUTO, effective_cpu_count, resolve_backend
+from repro.util.parallel import effective_cpu_count, resolve_backend
 from repro.workloads.synthetic import paper_analysis_scenario
 
 __all__ = [
@@ -114,10 +109,9 @@ LADDER_MAX_KNOWN = 512
 #: 131,072-rank / 2M-task episode).
 SCALE_RSS_BUDGET_MB = {"4k": 2_048, "32k": 4_096, "131k": 8_192}
 
-#: Rungs where the dense packed-bitmap backend / list-based transfer
-#: engine are still run as references. At 131k the dense knowledge
-#: matrix alone is ~2 GiB and each batched round copies it, so the rung
-#: runs the sparse/SoA stack only.
+#: Rungs where the dense packed-bitmap backend is still run as a
+#: reference. At 131k the dense knowledge matrix alone is ~2 GiB and
+#: each round copies it, so the rung runs the sparse store only.
 _RUNG_REFERENCE = {"4k": True, "32k": True, "131k": False}
 
 #: Rungs where the pure-Python sparse inform driver is raced against
@@ -206,8 +200,8 @@ def _run_scale_rung(
 ) -> dict[str, Any]:
     """Time one ladder rung (in-process): stages, kernel race, episode.
 
-    Reference implementations (packed knowledge, list-based transfer,
-    the pure-Python sparse inform driver) run alongside the scaling
+    Reference implementations (packed knowledge, the pure-Python
+    sparse inform driver) run alongside the scaling
     stack where they are tractable (``_RUNG_REFERENCE`` /
     ``_RUNG_KERNEL_RACE``), so the rung reports both the cost of the
     stack that ships at that rank count and the ratio against each
@@ -277,27 +271,19 @@ def _run_scale_rung(
         inform_kernel_secs["python"] = secs
         kernel_equivalent = stage.n_messages == inform_messages["sparse"]
 
-    engines = ("lists", "soa") if _RUNG_REFERENCE[name] else ("soa",)
-    transfer_secs: dict[str, float] = {}
-    transfer_counts: dict[str, int] = {}
-    for engine in engines:
-        config = TransferConfig(engine=engine)
+    def bench_transfer():
+        assignment = np.array(dist.assignment, copy=True)
+        return transfer_stage(
+            assignment,
+            dist.task_loads,
+            gossip,
+            TransferConfig(),
+            np.random.default_rng(seed + 2),
+        )
 
-        def bench_transfer(config=config):
-            assignment = np.array(dist.assignment, copy=True)
-            return transfer_stage(
-                assignment,
-                dist.task_loads,
-                gossip,
-                config,
-                np.random.default_rng(seed + 2),
-            )
-
-        secs, stats = _time_best(bench_transfer, reps)
-        transfer_secs[engine] = secs
-        transfer_counts[engine] = stats.transfers
-        if profile and engine == "soa":
-            profiles[f"transfer_soa_{name}"] = _profile_text(bench_transfer)
+    transfer_secs, stats = _time_best(bench_transfer, reps)
+    if profile:
+        profiles[f"transfer_soa_{name}"] = _profile_text(bench_transfer)
 
     # Full-episode case: Algorithm 3 end to end at this rank count —
     # inform + CMF + transfer + trial selection — under the shipping
@@ -341,9 +327,8 @@ def _run_scale_rung(
         "kernel_equivalent": kernel_equivalent,
         "inform_messages": inform_messages,
         "knowledge_memory_mb": inform_mem,
-        "transfer_seconds": transfer_secs,
-        "transfers": transfer_counts,
-        "equivalent_transfers": len(set(transfer_counts.values())) <= 1,
+        "transfer_seconds": {"soa": transfer_secs},
+        "transfers": {"soa": stats.transfers},
         "refinement": {
             "seconds": episode_secs,
             "n_trials": ep_trials,
@@ -433,18 +418,16 @@ def run_benchmarks(
     repeats: int = 3,
     seed: int = 0,
     workers: int | None = None,
-    executor: str = EXECUTOR_AUTO,
     scale: str | None = None,
     profile: bool = False,
 ) -> dict[str, Any]:
     """Run every benchmark case and return the ``BENCH_perf.json`` payload.
 
     ``workers`` overrides the refinement case's parallel worker count
-    (default: 2 at quick scale, 4 at full scale); ``executor`` selects
-    its backend. The default ``"auto"`` measures the shipping
-    resolution rule — the process backend wherever a second core and
-    ``fork`` exist, the serial loop where a pool cannot win — and the
-    payload records both the requested and the resolved backend.
+    (default: 2 at quick scale, 4 at full scale). The parallel case
+    measures the shipping resolution rule — the process backend
+    wherever a second core and ``fork`` exist, the serial loop where a
+    pool cannot win — and the payload records the resolved backend.
 
     ``scale`` additionally runs the rank-count ladder (a rung name or
     ``"all"``; see :func:`run_scale_ladder`): the payload gains a
@@ -475,52 +458,42 @@ def run_benchmarks(
     results: list[BenchResult] = []
     profiles: dict[str, str] = {}
 
-    # -- inform stage: per-sender loop reference vs batched fast path -------
-    inform_secs: dict[str, float] = {}
-    inform = None
-    for engine in ("loop", "batched"):
-
-        def bench_inform(engine=engine):
-            return run_inform_stage(
-                loads,
-                GossipConfig(engine=engine),
-                np.random.default_rng(seed + 1),
-                average_load=dist.average_load,
-            )
-
-        secs, stage = _time_best(bench_inform, repeats)
-        inform_secs[engine] = secs
-        if engine == "batched":
-            inform = stage  # feeds the transfer benchmarks below
-            if profile:
-                profiles["inform_batched"] = _profile_text(bench_inform)
-        results.append(
-            BenchResult(
-                f"inform/{engine}",
-                secs,
-                repeats,
-                {
-                    "messages": stage.n_messages,
-                    "coverage": float(stage.coverage()),
-                    # The stage reports what it actually ran — no
-                    # re-derivation that could drift from the selector.
-                    "knowledge": stage.knowledge_backend,
-                    "auto_threshold": stage.auto_threshold,
-                    # f * |senders| messages every round (candidate sets
-                    # never run dry at bench scale) — the model both
-                    # engines must satisfy for the comparison to be
-                    # work-for-work.
-                    "message_model_exact": all(
-                        m == stage.per_round_senders[i] * GossipConfig().fanout
-                        for i, m in enumerate(stage.per_round_messages)
-                    ),
-                },
-            )
+    # -- inform stage (its result feeds the transfer benchmarks below) ------
+    def bench_inform():
+        return run_inform_stage(
+            loads,
+            GossipConfig(),
+            np.random.default_rng(seed + 1),
+            average_load=dist.average_load,
         )
+
+    secs, inform = _time_best(bench_inform, repeats)
+    if profile:
+        profiles["inform_batched"] = _profile_text(bench_inform)
+    results.append(
+        BenchResult(
+            "inform/batched",
+            secs,
+            repeats,
+            {
+                "messages": inform.n_messages,
+                "coverage": float(inform.coverage()),
+                # The stage reports what it actually ran — no
+                # re-derivation that could drift from the selector.
+                "knowledge": inform.knowledge_backend,
+                "auto_threshold": inform.auto_threshold,
+                # f * |senders| messages every round (candidate sets
+                # never run dry at bench scale).
+                "message_model_exact": all(
+                    m == inform.per_round_senders[i] * GossipConfig().fanout
+                    for i, m in enumerate(inform.per_round_messages)
+                ),
+            },
+        )
+    )
 
     # -- transfer stage: full-rebuild reference vs incremental fast path ----
     transfer_secs: dict[str, float] = {}
-    transfer_counts: dict[str, int] = {}
     for mode in (CMF_UPDATE_REBUILD, CMF_UPDATE_INCREMENTAL):
         config = TransferConfig(cmf_update=mode)
 
@@ -536,7 +509,6 @@ def run_benchmarks(
 
         secs, stats = _time_best(bench_transfer, repeats)
         transfer_secs[mode] = secs
-        transfer_counts[mode] = stats.transfers
         if profile and mode == CMF_UPDATE_INCREMENTAL:
             profiles["transfer_incremental"] = _profile_text(bench_transfer)
         results.append(
@@ -559,11 +531,10 @@ def run_benchmarks(
     refine_secs: dict[str, float] = {}
     wall_timers: dict[str, float] = {}
     parallel_timers: dict[str, float] = {}
-    parallel_backend = resolve_backend(executor, n_workers, n_trials)
-    cases = (("serial", 1, "serial"), ("parallel", n_workers, executor))
-    for label, case_workers, case_executor in cases:
+    parallel_backend = resolve_backend(None, n_workers, n_trials)
+    for label, case_workers in (("serial", 1), ("parallel", n_workers)):
 
-        def bench_refinement(case_workers=case_workers, case_executor=case_executor):
+        def bench_refinement(case_workers=case_workers):
             registry = StatsRegistry()
             iterative_refinement(
                 dist,
@@ -572,7 +543,6 @@ def run_benchmarks(
                 rng=np.random.default_rng(seed + 3),
                 registry=registry,
                 n_workers=case_workers,
-                executor=case_executor,
             )
             return registry
 
@@ -594,7 +564,7 @@ def run_benchmarks(
                     "n_trials": n_trials,
                     "n_iters": n_iters,
                     "n_workers": case_workers,
-                    "executor": resolve_backend(case_executor, case_workers, n_trials),
+                    "executor": resolve_backend(None, case_workers, n_trials),
                 },
             )
         )
@@ -625,7 +595,6 @@ def run_benchmarks(
     )
 
     speedups = {
-        "inform_batched_vs_loop": inform_secs["loop"] / inform_secs["batched"],
         "transfer_incremental_vs_rebuild": (
             transfer_secs[CMF_UPDATE_REBUILD] / transfer_secs[CMF_UPDATE_INCREMENTAL]
         ),
@@ -761,15 +730,11 @@ def run_benchmarks(
         "wall_timers": wall_timers,
         "refinement_parallel": {
             "executor": parallel_backend,
-            "executor_requested": executor,
             "n_workers": n_workers,
             "stage_wall_seconds": stage_wall,
             "wall_seconds": refinement_wall,
             "utilization": (stage_wall / refinement_wall) if refinement_wall else 0.0,
         },
-        "equivalent_transfers": (
-            transfer_counts[CMF_UPDATE_REBUILD] == transfer_counts[CMF_UPDATE_INCREMENTAL]
-        ),
     }
 
 

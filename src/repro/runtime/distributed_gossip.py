@@ -27,11 +27,7 @@ from repro.core.gossip import (
     GossipResult,
     resolve_auto_threshold,
 )
-from repro.core.knowledge import (
-    KnowledgeBitmap,
-    PackedKnowledgeBitmap,
-    SparseKnowledge,
-)
+from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
 from repro.sim.process import Process, System
 from repro.sim.rng import RankStreams
 from repro.sim.termination import SafraDetector
@@ -46,7 +42,7 @@ _gossip_counter = 0
 class GossipOutcome:
     """Result of one event-level inform stage."""
 
-    knowledge: KnowledgeBitmap | PackedKnowledgeBitmap | SparseKnowledge
+    knowledge: PackedKnowledgeBitmap | SparseKnowledge
     underloaded: np.ndarray
     load_snapshot: np.ndarray
     average_load: float
@@ -84,7 +80,6 @@ class DistributedGossip:
         fanout: int = 6,
         rounds: int = 10,
         streams: RankStreams | None = None,
-        packed: bool = True,
         detector: "object | None" = None,
         knowledge: str | None = None,
     ) -> None:
@@ -105,21 +100,16 @@ class DistributedGossip:
         self.fanout = int(fanout)
         self.rounds = int(rounds)
         self.streams = streams or RankStreams(system.n_ranks, seed=0)
-        #: Knowledge representation: bit-packed rows (P^2/8 bytes, the
-        #: default) or the boolean reference matrix. The message-level
-        #: protocol exchanges rank-id arrays either way, so the choice
-        #: never affects traffic or RNG consumption.
-        self.packed = bool(packed)
-        #: Explicit backend selection overriding ``packed``: "packed",
-        #: "sparse" (per-rank sorted id shards — the O(sum |S^p|)
-        #: representation for high rank counts) or "auto" (sparse from
+        #: Knowledge store: "packed" (bit-packed rows, P^2/8 bytes —
+        #: also what ``None`` means), "sparse" (per-rank sorted id
+        #: shards — the O(sum |S^p|) representation for high rank
+        #: counts) or "auto" (sparse from
         #: ``resolve_auto_threshold("python")`` ranks, packed below).
-        #: ``None``
-        #: keeps the legacy ``packed`` bool semantics. All backends
-        #: exchange identical id arrays and consume identical RNG, so
-        #: zero-fault outcomes are bit-identical across the choice —
-        #: fault buffers (maturing/expired/duplicate deliveries) behave
-        #: the same way on every backend too.
+        #: The message-level protocol exchanges rank-id arrays either
+        #: way, so the choice never affects traffic or RNG consumption:
+        #: zero-fault outcomes are bit-identical across it, and fault
+        #: buffers (maturing/expired/duplicate deliveries) behave the
+        #: same way on both stores too.
         self.knowledge = knowledge
         #: Optional failure detector
         #: (:class:`repro.sim.faults.HeartbeatFailureDetector`); when
@@ -151,14 +141,8 @@ class DistributedGossip:
         auto_threshold = resolve_auto_threshold("python")
         if backend == "auto":
             backend = "sparse" if n >= auto_threshold else "packed"
-        if backend == "sparse":
-            know: KnowledgeBitmap | PackedKnowledgeBitmap | SparseKnowledge = (
-                SparseKnowledge(n)
-            )
-        elif backend == "packed" or (backend is None and self.packed):
-            know = PackedKnowledgeBitmap(n)
-        else:
-            know = KnowledgeBitmap(n)
+        know: PackedKnowledgeBitmap | SparseKnowledge
+        know = SparseKnowledge(n) if backend == "sparse" else PackedKnowledgeBitmap(n)
         seeds = np.flatnonzero(underloaded)
         if faults is not None:
             # Crashed ranks cannot initiate gossip about themselves.
@@ -253,10 +237,6 @@ class DistributedGossip:
             n_messages=counters["messages"],
             bytes_sent=counters["bytes"],
             elapsed=elapsed,
-            knowledge_backend=(
-                "sparse" if isinstance(know, SparseKnowledge)
-                else "packed" if isinstance(know, PackedKnowledgeBitmap)
-                else "reference"
-            ),
+            knowledge_backend="sparse" if backend == "sparse" else "packed",
             auto_threshold=auto_threshold,
         )

@@ -10,35 +10,28 @@ per-trial streams — and therefore bit-identical results — whether the
 trials then run on one worker or many.
 
 :class:`TrialExecutor` is the execution layer on top of that pattern.
-It maps a pure function over per-trial payloads under one of three
+It maps a pure function over per-trial payloads under one of two
 backends:
 
 ``serial``
     A plain loop in the calling thread. Zero overhead; the baseline.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`. The trial loop
-    is GIL-bound Python/NumPy, so threads only help when the work
-    releases the GIL in large kernels — at the paper's § V scale they
-    measured *slower* than serial (0.93x). Kept for GIL-releasing
-    workloads and as a low-overhead fallback where processes are
-    unavailable.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`. Sidesteps the
     GIL entirely: read-only shared state is shipped to each worker
     **once** via the pool initializer (inherited copy-on-write under
     the ``fork`` start method, pickled once per worker under
     ``spawn``), only the small per-trial payloads and outcomes cross
-    the IPC boundary, and results return in submission order. This is
-    the backend that actually scales with cores.
+    the IPC boundary, and results return in submission order.
 
-``auto`` resolves to ``serial`` when there is nothing to run
-concurrently — one worker, one payload, or one usable core (a pool on
-a single core can only add fork/IPC and time-slicing overhead; the
-threaded executor this layer replaced measured 0.93x, and an
-oversubscribed process pool measures worse) — else ``process`` where a
-process pool can be built cheaply (POSIX ``fork``), else ``thread``.
-Every backend calls the same function on the same payloads, so the
-choice affects wall time only — never results.
+:func:`resolve_backend` picks between them from what it can observe:
+``serial`` when there is nothing to run concurrently — one worker, one
+payload, or one usable core (a pool on a single core can only add
+fork/IPC and time-slicing overhead) — or when a process pool cannot be
+built cheaply (no POSIX ``fork``); ``process`` otherwise. The trial
+loop is GIL-bound Python/NumPy, so a thread pool never beat the serial
+loop (0.93x measured at the § V scale) and there is none. Both backends
+call the same function on the same payloads, so the choice affects
+wall time only — never results.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -55,7 +48,6 @@ __all__ = [
     "EXECUTOR_AUTO",
     "EXECUTOR_PROCESS",
     "EXECUTOR_SERIAL",
-    "EXECUTOR_THREAD",
     "EXECUTORS",
     "TrialExecutor",
     "effective_cpu_count",
@@ -64,11 +56,10 @@ __all__ = [
 ]
 
 EXECUTOR_SERIAL = "serial"
-EXECUTOR_THREAD = "thread"
 EXECUTOR_PROCESS = "process"
 EXECUTOR_AUTO = "auto"
 #: Valid ``executor=`` values (``auto`` resolves before execution).
-EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_THREAD, EXECUTOR_PROCESS, EXECUTOR_AUTO)
+EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_PROCESS, EXECUTOR_AUTO)
 
 
 def spawn_streams(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
@@ -115,11 +106,10 @@ def resolve_backend(
 
     ``None`` and ``"auto"`` pick ``serial`` when ``n_workers``, the
     payload count, or :func:`effective_cpu_count` leaves nothing to
-    overlap, ``process`` where fork is available, and ``thread``
-    otherwise. Explicit backend names pass through unchanged (still
-    degrading to ``serial`` when only one payload or worker is in
-    play, where a pool could only add overhead — results are identical
-    either way).
+    overlap or fork is unavailable, and ``process`` otherwise. Explicit
+    backend names pass through unchanged (still degrading to ``serial``
+    when only one payload or worker is in play, where a pool could only
+    add overhead — results are identical either way).
     """
     if executor is not None and executor not in EXECUTORS:
         raise ValueError(
@@ -129,11 +119,12 @@ def resolve_backend(
     if effective <= 1:
         return EXECUTOR_SERIAL
     if executor is None or executor == EXECUTOR_AUTO:
-        if effective_cpu_count() < 2:
-            # A pool of GIL-bound or time-sliced workers on one core is
-            # strictly overhead; the serial loop is the fast path.
+        # A pool of time-sliced workers on one core, or one that must
+        # re-import the world per worker (spawn), is strictly overhead;
+        # the serial loop is the fast path.
+        if effective_cpu_count() < 2 or not _fork_available():
             return EXECUTOR_SERIAL
-        return EXECUTOR_PROCESS if _fork_available() else EXECUTOR_THREAD
+        return EXECUTOR_PROCESS
     return executor
 
 
@@ -170,8 +161,8 @@ class TrialExecutor:
     Parameters
     ----------
     executor:
-        Backend request (``None``/``"auto"``/``"serial"``/``"thread"``/
-        ``"process"``); resolved via :func:`resolve_backend`.
+        Backend request (``None``/``"auto"``/``"serial"``/``"process"``);
+        resolved via :func:`resolve_backend`.
     n_workers:
         Worker cap; the pool never exceeds the payload count.
 
@@ -212,10 +203,6 @@ class TrialExecutor:
         workers = min(self.n_workers, len(payloads))
         if backend == EXECUTOR_SERIAL:
             return [fn(shared, payload) for payload in payloads]
-        if backend == EXECUTOR_THREAD:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(fn, shared, p) for p in payloads]
-                return [f.result() for f in futures]
         return self._map_process(fn, payloads, shared, workers)
 
     def _map_process(
@@ -239,16 +226,14 @@ class TrialExecutor:
             )
         except (OSError, PermissionError) as exc:  # pragma: no cover - sandboxes
             # Environments without working semaphores/pipes cannot host
-            # a process pool; degrade to threads. Results are identical
-            # by construction, only the wall time differs.
+            # a process pool; degrade to the serial loop. Results are
+            # identical by construction, only the wall time differs.
             warnings.warn(
-                f"process executor unavailable ({exc}); falling back to threads",
+                f"process executor unavailable ({exc}); running serially",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            with ThreadPoolExecutor(max_workers=workers) as tpool:
-                futures = [tpool.submit(fn, shared, p) for p in payloads]
-                return [f.result() for f in futures]
+            return [fn(shared, payload) for payload in payloads]
         with pool:
             futures = [pool.submit(_invoke_shared, fn, p) for p in payloads]
             return [f.result() for f in futures]

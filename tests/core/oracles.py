@@ -1,0 +1,231 @@
+"""Test-side reference implementations, one per stage.
+
+Production keeps one path per stage; these are the small, slow, direct
+transcriptions the equivalence suites compare it against. Nothing under
+``src/`` imports this module.
+
+:func:`inform_oracle`
+    Algorithm 1 with barrier rounds over plain Python ``set``s. It draws
+    targets per sender, so it is *statistically* equivalent to the
+    batched drivers (same ``f x |senders|`` message model, matched
+    coverage distributions), not bit-identical. A plain
+    ``list[set[int]]`` is also the API reference of the knowledge-store
+    tests (:func:`member_sets`, :func:`set_coverage`).
+:func:`transfer_stage_lists`
+    Algorithm 2 over ``list[list[int]]`` rank/task state, behind
+    :func:`repro.core.transfer.transfer_stage`'s signature. It shares
+    the CMF samplers with production, so it is bit-identical to it:
+    same assignment, same stats, same final RNG state.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.core.cmf import CMF_UPDATE_INCREMENTAL, IncrementalCMF
+from repro.core.criteria import CRITERIA
+from repro.core.gossip import GossipConfig
+from repro.core.ordering import order_tasks
+from repro.core.transfer import (
+    _PASS_CAP,
+    VIEW_SHARED,
+    TransferConfig,
+    TransferStats,
+    _RebuildCMF,
+)
+from repro.util.validation import coerce_rng
+
+
+def member_sets(knowledge) -> list[set[int]]:
+    """``S^p`` of every rank as Python sets, whatever the store."""
+    if isinstance(knowledge, list):
+        return knowledge
+    return [set(np.flatnonzero(row).tolist()) for row in knowledge.rows]
+
+
+def set_coverage(knowledge: list[set[int]], underloaded: np.ndarray) -> float:
+    """Mean fraction of the underloaded set (mask or ids) each rank knows."""
+    under = np.asarray(underloaded)
+    under = set((np.flatnonzero(under) if under.dtype == bool else under).tolist())
+    if not under:
+        return 1.0
+    return float(np.mean([len(s & under) for s in knowledge])) / len(under)
+
+
+@dataclass
+class OracleInform:
+    knowledge: list[set[int]]  #: S^p for every rank p
+    underloaded: np.ndarray
+    per_round_messages: list[int] = field(default_factory=list)
+    per_round_senders: list[int] = field(default_factory=list)
+
+    @property
+    def n_messages(self) -> int:
+        return sum(self.per_round_messages)
+
+    def coverage(self) -> float:
+        return set_coverage(self.knowledge, self.underloaded)
+
+
+def inform_oracle(rank_loads, config=None, rng=None, average_load=None) -> OracleInform:
+    """Algorithm 1, coalesced forwarding, barrier-synchronous rounds."""
+    config = config or GossipConfig()
+    assert config.max_known is None and config.faults is None
+    assert config.intra_node_bias == 0.0
+    rng = coerce_rng(rng)
+    loads = np.asarray(rank_loads, dtype=np.float64)
+    n_ranks = loads.size
+    l_ave = float(loads.mean()) if average_load is None else float(average_load)
+    underloaded = loads < l_ave
+    know: list[set[int]] = [set() for _ in range(n_ranks)]
+    senders = np.flatnonzero(underloaded).tolist()
+    for p in senders:  # l.6-8: underloaded ranks seed themselves
+        know[p].add(p)
+    result = OracleInform(know, underloaded)
+    for _ in range(config.rounds):
+        # Barrier: every rank sends before anything is delivered, so
+        # payloads and P \ S^p are both the round-start knowledge.
+        snapshot = {p: frozenset(know[p]) for p in senders}
+        received: set[int] = set()
+        n_sent = 0
+        for p in senders:
+            avoid = snapshot[p] if config.avoid_known else ()
+            candidates = [q for q in range(n_ranks) if q != p and q not in avoid]
+            if len(candidates) > config.fanout:  # l.20-21
+                candidates = rng.choice(candidates, size=config.fanout, replace=False)
+            for q in map(int, candidates):
+                know[q] |= snapshot[p]  # l.16-17
+                received.add(q)
+                n_sent += 1
+        if n_sent == 0:
+            break
+        result.per_round_messages.append(n_sent)
+        result.per_round_senders.append(len(senders))
+        senders = sorted(received)
+    return result
+
+
+def transfer_stage_lists(
+    assignment, task_loads, gossip, config=None, rng=None, registry=None
+) -> TransferStats:
+    """Algorithm 2 on every overloaded rank, list-of-lists rank state."""
+    config = config or TransferConfig()
+    rng = coerce_rng(rng)
+    n_ranks = gossip.knowledge.n_ranks
+    loads = np.bincount(assignment, weights=task_loads, minlength=n_ranks).astype(
+        np.float64
+    )
+    l_ave = gossip.average_load
+    threshold_load = config.threshold * l_ave
+    stats = TransferStats()
+    overloaded = np.flatnonzero(loads > threshold_load)
+    stats.overloaded_ranks = overloaded.size
+    rank_tasks: list[list[int]] = [[] for _ in range(n_ranks)]
+    for task, rank in enumerate(np.asarray(assignment).tolist()):
+        rank_tasks[rank].append(task)
+
+    queue: deque[int] = deque(int(p) for p in overloaded)
+    queued = set(queue)
+    budget = 20 * n_ranks + 100
+    while queue:
+        p = queue.popleft()
+        queued.discard(p)
+        if loads[p] <= threshold_load:
+            continue
+        if stats.rank_processings >= budget:
+            stats.budget_exhausted = True
+            break
+        stats.rank_processings += 1
+        recipients = _transfer_from_rank(
+            p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
+        )
+        if config.cascade:
+            for r in recipients:
+                if loads[r] > threshold_load and r not in queued:
+                    queue.append(r)
+                    queued.add(r)
+    if registry is not None and registry.enabled:
+        stats.record(registry)
+    return stats
+
+
+def _transfer_from_rank(
+    p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
+) -> set[int]:
+    """Algorithm 2 TRANSFER for one overloaded rank ``p``; returns the
+    ranks that received tasks (for cascading)."""
+    candidates = gossip.knowledge.known(p)
+    candidates = candidates[candidates != p]
+    if candidates.size == 0:
+        stats.stalled_ranks += 1
+        return set()
+
+    shared = config.view == VIEW_SHARED
+    if shared:  # live view: per-use loads re-read from the proposed loads
+        known_loads = loads[candidates]
+    else:  # local view: inform-time snapshot + this sender's own transfers
+        known_loads = gossip.load_snapshot[candidates].copy()
+    if config.recompute_cmf and config.cmf_update == CMF_UPDATE_INCREMENTAL:
+        sampler = IncrementalCMF(known_loads, l_ave, config.cmf, copy=False)
+    else:
+        sampler = _RebuildCMF(known_loads, l_ave, config.cmf)
+    known_loads = sampler.loads  # single source of truth for l_x reads
+
+    criterion = CRITERIA[config.criterion]
+    threshold_load = config.threshold * l_ave
+    tasks = rank_tasks[p]
+    touched: set[int] = set()
+    max_passes = config.max_passes if config.max_passes is not None else _PASS_CAP
+    for _ in range(max_passes):
+        if loads[p] <= threshold_load or not tasks:
+            break
+        order = order_tasks(
+            config.ordering, np.asarray(tasks, dtype=np.int64), task_loads, l_ave, float(loads[p])
+        )
+        accepted: list[int] = []
+        for task, o_load in zip(order, task_loads[order]):
+            if loads[p] <= threshold_load or sampler.exhausted:
+                break
+            o_load = float(o_load)
+            idx = sampler.sample(rng)
+            l_x = float(loads[candidates[idx]]) if shared else float(known_loads[idx])
+            if not criterion(l_x, o_load, l_ave, float(loads[p])):
+                stats.rejections += 1
+                continue
+            recipient = int(candidates[idx])
+            if config.nacks and loads[recipient] + o_load > threshold_load:
+                # Menon-style veto against the recipient's *true* load;
+                # the sender corrects its knowledge and keeps the task.
+                stats.nacked += 1
+                if not shared:
+                    if config.recompute_cmf:
+                        sampler.update(idx, float(loads[recipient]))
+                    else:
+                        sampler.poke(idx, float(loads[recipient]))
+                continue
+            loads[p] -= o_load
+            loads[recipient] += o_load
+            assignment[task] = recipient
+            rank_tasks[recipient].append(int(task))
+            accepted.append(int(task))
+            touched.add(recipient)
+            stats.transfers += 1
+            stats.moves.append((int(task), p, recipient))
+            if config.recompute_cmf:
+                sampler.update(idx, float(loads[recipient]) if shared else l_x + o_load)
+            elif not shared:
+                sampler.poke(idx, l_x + o_load)
+        if not accepted:
+            break
+        remaining = set(accepted)
+        rank_tasks[p] = tasks = [t for t in tasks if t not in remaining]
+        if sampler.exhausted:
+            break
+    stats.cmf_builds += sampler.builds
+    stats.cmf_updates += sampler.updates
+    if sampler.exhausted and loads[p] > threshold_load:
+        stats.stalled_ranks += 1
+    return touched

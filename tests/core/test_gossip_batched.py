@@ -1,10 +1,12 @@
-"""The batched inform engine vs the per-sender loop reference.
+"""The batched inform driver vs the set-based oracle of Algorithm 1.
 
-The batched engine reorders RNG draws, so it cannot be bit-identical to
-the loop; equivalence is contractual instead:
+The batched driver draws a whole round's targets at once, so it cannot
+be bit-identical to a per-sender transcription
+(:func:`tests.core.oracles.inform_oracle`); equivalence is contractual
+instead:
 
-* both engines obey the ``f x |senders|`` message model exactly
-  whenever candidate sets suffice;
+* both obey the ``f x |senders|`` message model exactly whenever
+  candidate sets suffice;
 * coverage distributions over many seeds are statistically
   indistinguishable;
 * every structural invariant of the inform stage (self-seeding,
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.gossip import GossipConfig, run_inform_stage
-from repro.core.knowledge import KnowledgeBitmap, PackedKnowledgeBitmap
+from repro.core.knowledge import PackedKnowledgeBitmap
+from tests.core.oracles import inform_oracle, member_sets
 
-ENGINES = ("loop", "batched")
+IMPLS = {"oracle": inform_oracle, "batched": run_inform_stage}
 
 
 def loads_mixed(n, n_over=2, seed=0):
@@ -28,28 +31,22 @@ def loads_mixed(n, n_over=2, seed=0):
     return loads
 
 
-def run(loads, seed=0, **kw):
-    return run_inform_stage(
-        loads, GossipConfig(**kw), np.random.default_rng(seed)
-    )
+def run(loads, seed=0, impl="batched", **kw):
+    return IMPLS[impl](loads, GossipConfig(**kw), np.random.default_rng(seed))
 
 
 class TestEngineSelection:
     def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            GossipConfig(engine="vectorised")
+        # One driver per store: the selectors are gone, not defaulted.
+        for retired in ({"engine": "batched"}, {"mode": "coalesced"}, {"max_messages": 10}):
+            with pytest.raises(TypeError):
+                GossipConfig(**retired)
 
     def test_batched_is_default_and_packed(self):
         result = run(loads_mixed(32))
         assert isinstance(result.knowledge, PackedKnowledgeBitmap)
 
-    def test_loop_engine_uses_boolean_reference(self):
-        result = run(loads_mixed(32), engine="loop")
-        assert isinstance(result.knowledge, KnowledgeBitmap)
-
-    def test_per_message_mode_ignores_engine(self):
-        result = run(loads_mixed(8), mode="per_message", fanout=2, rounds=2)
-        assert isinstance(result.knowledge, KnowledgeBitmap)
+        assert result.knowledge_backend == "packed"
 
 
 class TestBatchedInvariants:
@@ -107,16 +104,16 @@ class TestBatchedInvariants:
 
 
 class TestMessageModel:
-    """Both engines emit exactly ``f * |senders|`` messages per round
-    whenever every sender has at least ``f`` candidates."""
+    """Driver and oracle emit exactly ``f * |senders|`` messages per
+    round whenever every sender has at least ``f`` candidates."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_saturating_regime_is_exact(self, engine):
+    @pytest.mark.parametrize("impl", IMPLS)
+    def test_saturating_regime_is_exact(self, impl):
         # avoid_known off keeps candidate sets at P-1 >= f forever.
         f = 4
         result = run(
             loads_mixed(32), fanout=f, rounds=5, avoid_known=False,
-            engine=engine,
+            impl=impl,
         )
         assert len(result.per_round_messages) == len(result.per_round_senders)
         for msgs, senders in zip(
@@ -124,12 +121,12 @@ class TestMessageModel:
         ):
             assert msgs == f * senders
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_general_regime_is_bounded(self, engine):
+    @pytest.mark.parametrize("impl", IMPLS)
+    def test_general_regime_is_bounded(self, impl):
         # With avoid_known, late-round candidate sets can drop below f:
         # the model becomes an upper bound per round.
         f = 6
-        result = run(loads_mixed(24), fanout=f, rounds=8, engine=engine)
+        result = run(loads_mixed(24), fanout=f, rounds=8, impl=impl)
         for msgs, senders in zip(
             result.per_round_messages, result.per_round_senders
         ):
@@ -137,17 +134,16 @@ class TestMessageModel:
 
     def test_first_round_counts_agree_exactly(self):
         # Round 1 is deterministic in size: every seed sends f messages
-        # under both engines, before any RNG-dependent receiver sets
-        # can diverge.
+        # in both, before any RNG-dependent receiver sets can diverge.
         kw = dict(fanout=3, rounds=4)
-        loop = run(loads_mixed(40), seed=1, engine="loop", **kw)
-        batched = run(loads_mixed(40), seed=1, engine="batched", **kw)
-        assert loop.per_round_messages[0] == batched.per_round_messages[0]
-        assert loop.per_round_senders[0] == batched.per_round_senders[0]
+        oracle = run(loads_mixed(40), seed=1, impl="oracle", **kw)
+        batched = run(loads_mixed(40), seed=1, impl="batched", **kw)
+        assert oracle.per_round_messages[0] == batched.per_round_messages[0]
+        assert oracle.per_round_senders[0] == batched.per_round_senders[0]
 
 
 class TestCoverageEquivalence:
-    """Coverage distributions over >= 20 seeds match across engines."""
+    """Coverage distributions over >= 20 seeds match the oracle's."""
 
     @pytest.mark.parametrize(
         "n_ranks,fanout,rounds",
@@ -156,60 +152,60 @@ class TestCoverageEquivalence:
     )
     def test_distributions_match(self, n_ranks, fanout, rounds):
         loads = loads_mixed(n_ranks, n_over=max(2, n_ranks // 16))
-        cov = {engine: [] for engine in ENGINES}
+        cov = {impl: [] for impl in IMPLS}
         for seed in range(20):
-            for engine in ENGINES:
+            for impl in IMPLS:
                 result = run(
                     loads, seed=seed, fanout=fanout, rounds=rounds,
-                    engine=engine,
+                    impl=impl,
                 )
-                cov[engine].append(result.coverage())
+                cov[impl].append(result.coverage())
         means = {e: np.mean(c) for e, c in cov.items()}
         stds = {e: np.std(c) for e, c in cov.items()}
         # Same regime: high coverage, means within a combined standard
         # error's reach, spreads of the same order.
-        assert means["loop"] > 0.9 and means["batched"] > 0.9
-        sem = np.hypot(*(stds[e] / np.sqrt(20) for e in ENGINES))
-        assert abs(means["loop"] - means["batched"]) < max(3 * sem, 0.01)
+        assert means["oracle"] > 0.9 and means["batched"] > 0.9
+        sem = np.hypot(*(stds[e] / np.sqrt(20) for e in IMPLS))
+        assert abs(means["oracle"] - means["batched"]) < max(3 * sem, 0.01)
 
     def test_message_totals_match_statistically_over_seeds(self):
         # |senders| per round is itself stochastic (the set of distinct
         # receivers), so totals agree in distribution, not seed by
         # seed: compare means over 20 seeds.
         loads = loads_mixed(64)
-        totals = {e: [] for e in ENGINES}
+        totals = {e: [] for e in IMPLS}
         for seed in range(20):
-            for e in ENGINES:
+            for e in IMPLS:
                 totals[e].append(
                     run(
                         loads, seed=seed, fanout=4, rounds=5,
-                        avoid_known=False, engine=e,
+                        avoid_known=False, impl=e,
                     ).n_messages
                 )
         means = {e: np.mean(t) for e, t in totals.items()}
-        assert abs(means["loop"] - means["batched"]) / means["loop"] < 0.02
+        assert abs(means["oracle"] - means["batched"]) / means["oracle"] < 0.02
 
 
 class TestRoundSemantics:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_seeding_round_ignores_avoid_known(self, engine):
+    @pytest.mark.parametrize("impl", IMPLS)
+    def test_seeding_round_ignores_avoid_known(self, impl):
         # Alg. 1 l.10: a seed's knowledge is exactly itself, so P \ S^p
         # and P \ {p} coincide — with rounds=1 the avoid_known knob must
         # not change anything, draw for draw.
         loads = loads_mixed(32)
-        on = run(loads, seed=9, rounds=1, avoid_known=True, engine=engine)
-        off = run(loads, seed=9, rounds=1, avoid_known=False, engine=engine)
-        np.testing.assert_array_equal(on.knowledge.rows, off.knowledge.rows)
+        on = run(loads, seed=9, rounds=1, avoid_known=True, impl=impl)
+        off = run(loads, seed=9, rounds=1, avoid_known=False, impl=impl)
+        assert member_sets(on.knowledge) == member_sets(off.knowledge)
         assert on.n_messages == off.n_messages
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("mode", ["coalesced", "per_message"])
-    def test_no_trailing_empty_rounds(self, engine, mode):
+    @pytest.mark.parametrize("impl", IMPLS)
+    def test_no_trailing_empty_rounds(self, impl):
         # P=2: the single underloaded rank saturates knowledge in one
         # round; later rounds carry nothing and must not be recorded.
         loads = np.array([10.0, 1.0])
-        result = run(loads, fanout=2, rounds=6, mode=mode, engine=engine)
+        result = run(loads, fanout=2, rounds=6, impl=impl)
         assert result.per_round_messages, "the seeding round must remain"
         assert result.per_round_messages[-1] > 0
-        assert result.rounds_run == len(result.per_round_messages)
+        if impl == "batched":
+            assert result.rounds_run == len(result.per_round_messages)
         assert len(result.per_round_senders) == len(result.per_round_messages)

@@ -1,9 +1,10 @@
-"""Unit tests for repro.core.knowledge."""
+"""Unit tests for the knowledge-store API of repro.core.knowledge
+(run on the packed bitmap; test_knowledge_sparse.py covers the shards)."""
 
 import numpy as np
 import pytest
 
-from repro.core.knowledge import KnowledgeBitmap
+from repro.core.knowledge import PackedKnowledgeBitmap as KnowledgeBitmap
 
 
 class TestKnowledgeBitmap:
@@ -29,13 +30,13 @@ class TestKnowledgeBitmap:
         k = KnowledgeBitmap(4)
         k.add(0, [1])
         k.add(1, [2, 3])
-        k.merge(0, k.rows[1])
+        k.merge(0, k.packed[1])
         assert list(k.known(0)) == [1, 2, 3]
 
     def test_merge_idempotent(self):
         k = KnowledgeBitmap(3)
         k.add(0, [1])
-        row = k.rows[0].copy()
+        row = k.packed[0].copy()
         k.merge(0, row)
         assert list(k.known(0)) == [1]
 

@@ -1,7 +1,7 @@
-"""Unit tests for PackedKnowledgeBitmap — parity with KnowledgeBitmap.
+"""Unit tests for PackedKnowledgeBitmap — parity with plain sets.
 
-The packed representation must be observationally identical to the
-boolean reference through the whole KnowledgeBitmap API, while holding
+The packed representation must be observationally identical to a list
+of Python ``set``s through the whole knowledge-store API, while holding
 only ``P x ceil(P/8)`` bytes.
 """
 
@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.knowledge import KnowledgeBitmap, PackedKnowledgeBitmap
+from repro.core.knowledge import PackedKnowledgeBitmap
+from tests.core.oracles import member_sets, set_coverage
 
 
 def _pair(n):
-    return KnowledgeBitmap(n), PackedKnowledgeBitmap(n)
+    return [set() for _ in range(n)], PackedKnowledgeBitmap(n)
 
 
 class TestPackedBasics:
@@ -83,16 +84,16 @@ class TestPackedBasics:
         under = rng.random(37) < 0.4
         for rank in range(37):
             members = np.flatnonzero(rng.random(37) < 0.3)
-            ref.add(rank, members)
+            ref[rank] |= set(members.tolist())
             packed.add(rank, members)
         ids = np.flatnonzero(under)
         for u in (under, ids):
-            assert packed.coverage(u) == pytest.approx(ref.coverage(u))
+            assert packed.coverage(u) == pytest.approx(set_coverage(ref, u))
         assert packed.coverage(np.zeros(37, dtype=bool)) == 1.0
 
 
 class TestPackedParity:
-    """Randomized API-level equivalence against the boolean reference."""
+    """Randomized API-level equivalence against the set reference."""
 
     def test_randomized_operations_match(self):
         rng = np.random.default_rng(42)
@@ -103,28 +104,30 @@ class TestPackedParity:
             if op == 0:
                 rank = int(rng.integers(n))
                 members = rng.choice(n, size=int(rng.integers(1, 6)), replace=False)
-                ref.add(rank, members)
+                ref[rank] |= set(members.tolist())
                 packed.add(rank, members)
             elif op == 1:
                 ranks = rng.choice(n, size=3, replace=False)
-                ref.add_self(ranks)
+                for r in ranks.tolist():
+                    ref[r].add(r)
                 packed.add_self(ranks)
             elif op == 2:
                 src, dst = rng.choice(n, size=2, replace=False)
-                ref.merge(int(dst), ref.rows[int(src)])
+                ref[int(dst)] |= ref[int(src)]
                 packed.merge(int(dst), packed.packed[int(src)])
             else:
                 src = int(rng.integers(n))
                 dsts = rng.choice(n, size=2, replace=False)
-                ref.merge_many(dsts, ref.rows[src])
+                for d in dsts.tolist():
+                    ref[d] = ref[d] | ref[src]
                 packed.merge_many(dsts, packed.packed[src])
-        np.testing.assert_array_equal(packed.rows, ref.rows)
-        np.testing.assert_array_equal(packed.counts(), ref.counts())
+        assert member_sets(packed) == ref
+        assert packed.counts().tolist() == [len(members) for members in ref]
         for rank in range(n):
-            np.testing.assert_array_equal(packed.known(rank), ref.known(rank))
-            np.testing.assert_array_equal(
-                packed.unknown_targets(rank), ref.unknown_targets(rank)
-            )
+            assert packed.known(rank).tolist() == sorted(ref[rank])
+            assert packed.unknown_targets(rank).tolist() == [
+                q for q in range(n) if q != rank and q not in ref[rank]
+            ]
 
 
 class TestPackedMemory:
@@ -136,8 +139,7 @@ class TestPackedMemory:
 
     def test_eight_fold_saving_vs_boolean(self):
         n = 512
-        ref, packed = _pair(n)
-        assert packed.memory_bytes() * 8 == ref.rows.nbytes
+        assert PackedKnowledgeBitmap(n).memory_bytes() * 8 == n * n
 
 
 class TestPackedRowsProperty:

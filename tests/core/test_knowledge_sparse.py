@@ -1,7 +1,7 @@
-"""Unit tests for SparseKnowledge — parity with the boolean reference.
+"""Unit tests for SparseKnowledge — parity with plain sets.
 
-The sparse shard representation must be observationally identical to
-``KnowledgeBitmap`` through the whole API while holding only
+The sparse shard representation must be observationally identical to a
+list of Python ``set``s through the whole API while holding only
 ``O(sum |S^p|)`` bytes. A second battery runs both compact backends
 (packed bits and sparse shards) through awkward rank counts — 1, 7 and
 4097 — where byte padding, single-row matrices and partial last bytes
@@ -11,15 +11,12 @@ are most likely to leak.
 import numpy as np
 import pytest
 
-from repro.core.knowledge import (
-    KnowledgeBitmap,
-    PackedKnowledgeBitmap,
-    SparseKnowledge,
-)
+from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
+from tests.core.oracles import member_sets, set_coverage
 
 
 def _pair(n):
-    return KnowledgeBitmap(n), SparseKnowledge(n)
+    return [set() for _ in range(n)], SparseKnowledge(n)
 
 
 class TestSparseBasics:
@@ -72,11 +69,11 @@ class TestSparseBasics:
 
     def test_discard_members(self):
         ref, sparse = _pair(16)
-        for k in (ref, sparse):
-            k.add(0, [1, 2, 3])
-            k.add(5, [2, 8])
-            k.discard_members(np.array([2, 3]))
-        np.testing.assert_array_equal(sparse.rows, ref.rows)
+        ref[0], ref[5] = {1}, {8}
+        sparse.add(0, [1, 2, 3])
+        sparse.add(5, [2, 8])
+        sparse.discard_members(np.array([2, 3]))
+        assert member_sets(sparse) == ref
 
     def test_coverage_matches_reference(self):
         rng = np.random.default_rng(7)
@@ -84,11 +81,11 @@ class TestSparseBasics:
         under = rng.random(37) < 0.4
         for rank in range(37):
             members = np.flatnonzero(rng.random(37) < 0.3)
-            ref.add(rank, members)
+            ref[rank] |= set(members.tolist())
             sparse.add(rank, members)
         ids = np.flatnonzero(under)
         for u in (under, ids):
-            assert sparse.coverage(u) == pytest.approx(ref.coverage(u))
+            assert sparse.coverage(u) == pytest.approx(set_coverage(ref, u))
         assert sparse.coverage(np.zeros(37, dtype=bool)) == 1.0
 
     def test_memory_is_sum_of_shards(self):
@@ -100,7 +97,7 @@ class TestSparseBasics:
 
 
 class TestSparseParity:
-    """Randomized API-level equivalence against the boolean reference."""
+    """Randomized API-level equivalence against the set reference."""
 
     def test_randomized_operations_match(self):
         rng = np.random.default_rng(42)
@@ -111,28 +108,30 @@ class TestSparseParity:
             if op == 0:
                 rank = int(rng.integers(n))
                 members = rng.choice(n, size=int(rng.integers(1, 6)), replace=False)
-                ref.add(rank, members)
+                ref[rank] |= set(members.tolist())
                 sparse.add(rank, members)
             elif op == 1:
                 ranks = rng.choice(n, size=3, replace=False)
-                ref.add_self(ranks)
+                for r in ranks.tolist():
+                    ref[r].add(r)
                 sparse.add_self(ranks)
             elif op == 2:
                 src, dst = rng.choice(n, size=2, replace=False)
-                ref.merge(int(dst), ref.rows[int(src)])
+                ref[int(dst)] |= ref[int(src)]
                 sparse.merge(int(dst), sparse.shards[int(src)])
             else:
                 src = int(rng.integers(n))
                 dsts = rng.choice(n, size=2, replace=False)
-                ref.merge_many(dsts, ref.rows[src])
+                for d in dsts.tolist():
+                    ref[d] = ref[d] | ref[src]
                 sparse.merge_many(dsts, sparse.shards[src])
-        np.testing.assert_array_equal(sparse.rows, ref.rows)
-        np.testing.assert_array_equal(sparse.counts(), ref.counts())
+        assert member_sets(sparse) == ref
+        assert sparse.counts().tolist() == [len(members) for members in ref]
         for rank in range(n):
-            np.testing.assert_array_equal(sparse.known(rank), ref.known(rank))
-            np.testing.assert_array_equal(
-                sparse.unknown_targets(rank), ref.unknown_targets(rank)
-            )
+            assert sparse.known(rank).tolist() == sorted(ref[rank])
+            assert sparse.unknown_targets(rank).tolist() == [
+                q for q in range(n) if q != rank and q not in ref[rank]
+            ]
 
 
 def _payload(k, rank):

@@ -102,6 +102,16 @@ class TestParallelEquivalence:
         with pytest.raises(ValueError):
             run(dist, n_workers=0)
 
+    def test_config_rejects_nonpositive_workers_at_construction(self):
+        # Used to construct fine and only fail inside rebalance().
+        from repro.core.tempered import TemperedConfig
+
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="n_workers"):
+                TemperedConfig(n_workers=bad)
+        assert TemperedConfig(n_workers=None).n_workers is None
+        assert TemperedConfig(n_workers=1).n_workers == 1
+
 
 class TestSpawnStreams:
     def test_streams_deterministic_and_independent(self):

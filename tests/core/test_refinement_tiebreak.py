@@ -18,7 +18,7 @@ from repro.core.refinement import (
 )
 from repro.workloads.synthetic import paper_analysis_scenario
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def fresh_result(initial=5.0):

@@ -1,8 +1,8 @@
 """The scaling stack is bit-identical to the reference stack.
 
-``knowledge="sparse"`` gossip + ``engine="soa"`` transfer exist purely
+``knowledge="sparse"`` gossip + the SoA ``transfer_stage`` exist purely
 for memory and wall-time at high rank counts — every decision they make
-must be the one the packed-bitmap + list-based stack makes. These tests
+must be the one the packed-bitmap + list-oracle stack makes. These tests
 drive both stacks through full inform+transfer episodes over 20 seeds
 at 512 and 4,096 ranks and require exact equality of the knowledge
 matrix, the per-round sender/message accounting, the transferred
@@ -24,6 +24,7 @@ from repro.core.gossip import (
 )
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferConfig, transfer_stage
+from tests.core.oracles import transfer_stage_lists
 
 SEEDS = range(20)
 
@@ -38,7 +39,7 @@ def _scenario(n_ranks, n_tasks, seed):
     return assignment, task_loads, loads
 
 
-def _run_stack(knowledge, engine, loads, assignment, task_loads, gossip_cfg, seed):
+def _run_stack(knowledge, stage, loads, assignment, task_loads, gossip_cfg, seed):
     gossip = run_inform_stage(
         loads,
         dataclasses.replace(gossip_cfg, knowledge=knowledge),
@@ -46,9 +47,7 @@ def _run_stack(knowledge, engine, loads, assignment, task_loads, gossip_cfg, see
     )
     moved = np.array(assignment, copy=True)
     rng = np.random.default_rng(seed + 2)
-    stats = transfer_stage(
-        moved, task_loads, gossip, TransferConfig(engine=engine), rng
-    )
+    stats = stage(moved, task_loads, gossip, TransferConfig(), rng)
     return gossip, moved, stats, rng.bit_generator.state
 
 
@@ -96,20 +95,24 @@ class TestStackEquivalence:
         for seed in SEEDS:
             assignment, task_loads, loads = _scenario(n_ranks, n_tasks, seed)
             ref = _run_stack(
-                "packed", "lists", loads, assignment, task_loads, gossip_cfg, seed
+                "packed", transfer_stage_lists, loads, assignment, task_loads,
+                gossip_cfg, seed,
             )
             new = _run_stack(
-                "sparse", "soa", loads, assignment, task_loads, gossip_cfg, seed
+                "sparse", transfer_stage, loads, assignment, task_loads,
+                gossip_cfg, seed,
             )
             _assert_episodes_equal(ref, new)
 
 
 class TestKnowledgeKnob:
     def test_sparse_requires_batched_coalesced(self):
-        with pytest.raises(ValueError):
-            GossipConfig(knowledge="sparse", engine="loop")
-        with pytest.raises(ValueError):
-            GossipConfig(knowledge="sparse", mode="per_message")
+        # Batched and coalesced is all there is: the selectors that
+        # could contradict a sparse store no longer exist.
+        with pytest.raises(TypeError):
+            GossipConfig(knowledge="sparse", engine="batched")
+        with pytest.raises(TypeError):
+            GossipConfig(knowledge="sparse", mode="coalesced")
 
     def test_sparse_rejects_bias_and_faults(self):
         from repro.sim.faults import FaultConfig
@@ -169,22 +172,20 @@ class TestTemperedPassthrough:
         config = TemperedConfig(
             knowledge="sparse",
             max_known=128,
-            transfer_engine="lists",
             transfer_kernel="numba",
         )
         assert config.gossip_config().knowledge == "sparse"
         assert config.gossip_config().max_known == 128
-        assert config.transfer_config().engine == "lists"
         assert config.transfer_config().kernel == "numba"
 
     def test_defaults_are_auto_soa_python(self):
         config = TemperedConfig()
         assert config.gossip_config().knowledge == "auto"
-        assert config.transfer_config().engine == "soa"
         assert config.transfer_config().kernel == "python"
 
     def test_invalid_knowledge_rejected_at_construction(self):
         with pytest.raises(ValueError):
             TemperedConfig(knowledge="bitset")
-        with pytest.raises(ValueError):
-            TemperedConfig(transfer_engine="dataframe")
+        for retired in ("transfer_engine", "gossip_engine", "gossip_mode", "executor"):
+            with pytest.raises(TypeError):
+                TemperedConfig(**{retired: "auto"})

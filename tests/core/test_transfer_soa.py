@@ -1,15 +1,16 @@
-"""The SoA transfer engine is bit-identical to the list-based reference.
+"""The SoA transfer stage is bit-identical to the list-based oracle.
 
-``engine="soa"`` replaces the per-stage ``list[list[int]]`` rank/task
+``transfer_stage`` replaces the per-stage ``list[list[int]]`` rank/task
 materialization with a CSR view plus sparse overrides and runs the
 default configuration's passes fused (accepts recorded during the walk,
 applied in bulk after it); ``kernel="numba"`` routes the walk through
 the flat-array kernel instead (jitted where numba exists, the same
 Python function here). None of it may change a single decision: every
 config variant must produce the identical assignment, stats and final
-RNG state as the reference engine under the same seed — per stage and
-over whole multi-iteration episodes, where the inform stage's draws
-interleave with the transfer stage's on one generator.
+RNG state as :func:`tests.core.oracles.transfer_stage_lists` under the
+same seed — per stage and over whole multi-iteration episodes, where the
+inform stage's draws interleave with the transfer stage's on one
+generator.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ from repro.core.soa import RankTaskState
 from repro.core.transfer import TransferConfig, transfer_stage
 from repro.obs import StatsRegistry
 from repro.workloads import paper_analysis_scenario
+from tests.core.oracles import transfer_stage_lists
 
 VARIANTS = {
     "default": TransferConfig(),
@@ -52,10 +54,10 @@ def _episode(seed, n_ranks=24, tasks_per_rank=20):
     return assignment, task_loads, gossip
 
 
-def _run(config, assignment, task_loads, gossip, seed):
+def _run(config, assignment, task_loads, gossip, seed, stage=transfer_stage):
     moved = np.array(assignment, copy=True)
     rng = np.random.default_rng(seed + 2)
-    stats = transfer_stage(moved, task_loads, gossip, config, rng)
+    stats = stage(moved, task_loads, gossip, config, rng)
     return moved, stats, rng.bit_generator.state
 
 
@@ -65,24 +67,12 @@ class TestEngineEquivalence:
     def test_soa_matches_lists(self, name, seed):
         config = VARIANTS[name]
         assignment, task_loads, gossip = _episode(seed)
-        ref = _run(
-            dataclasses.replace(config, engine="lists", kernel="python"),
-            assignment,
-            task_loads,
-            gossip,
-            seed,
-        )
-        new = _run(
-            dataclasses.replace(config, engine="soa"),
-            assignment,
-            task_loads,
-            gossip,
-            seed,
-        )
+        ref = _run(config, assignment, task_loads, gossip, seed, transfer_stage_lists)
+        new = _run(config, assignment, task_loads, gossip, seed)
         np.testing.assert_array_equal(new[0], ref[0])
         assert dataclasses.asdict(new[1]) == dataclasses.asdict(ref[1])
-        # The engines consume the identical RNG stream — they stay
-        # interchangeable mid-trial.
+        # Both consume the identical RNG stream — the oracle stays
+        # substitutable mid-trial.
         assert new[2] == ref[2]
 
     @pytest.mark.parametrize("kernel", ["python", "numba"])
@@ -96,15 +86,11 @@ class TestEngineEquivalence:
         seed = 5
         assignment, task_loads, gossip = _episode(seed)
         results = {}
-        for engine in ("lists", "soa"):
+        for engine, stage in (("lists", transfer_stage_lists), ("soa", transfer_stage)):
             moved = np.array(assignment, copy=True)
             rng = np.random.Generator(bit_generator(seed))
-            stats = transfer_stage(
-                moved,
-                task_loads,
-                gossip,
-                TransferConfig(engine=engine, kernel=kernel),
-                rng,
+            stats = stage(
+                moved, task_loads, gossip, TransferConfig(kernel=kernel), rng
             )
             results[engine] = (moved, stats, rng.bit_generator.state)
         np.testing.assert_array_equal(results["soa"][0], results["lists"][0])
@@ -116,18 +102,18 @@ class TestEngineEquivalence:
         np.testing.assert_equal(results["soa"][2], results["lists"][2])
 
     def test_engine_knob_validated(self):
-        with pytest.raises(ValueError):
-            TransferConfig(engine="csr")
+        with pytest.raises(TypeError):  # one transfer loop family, no selector
+            TransferConfig(engine="soa")
         with pytest.raises(ValueError):
             TransferConfig(kernel="cython")
 
 
-def _refinement_episode(seed, shape, engine, kernel, monkeypatch):
+def _refinement_episode(seed, shape, stage, kernel, monkeypatch):
     """One 4-iteration Algorithm 3 episode; everything observable."""
     stages = []
 
     def spy(*args, **kwargs):
-        stats = transfer_stage(*args, **kwargs)
+        stats = stage(*args, **kwargs)
         stages.append((list(stats.moves), stats.cmf_builds, stats.cmf_updates))
         return stats
 
@@ -139,7 +125,7 @@ def _refinement_episode(seed, shape, engine, kernel, monkeypatch):
         dist,
         n_trials=1,
         n_iters=4,
-        transfer=TransferConfig(engine=engine, kernel=kernel),
+        transfer=TransferConfig(kernel=kernel),
         rng=rng,
         registry=registry,
     )
@@ -172,13 +158,15 @@ class TestEpisodeIdentity:
         self, seed, shape, monkeypatch
     ):
         shape = self.SHAPES[shape]
-        reference = _refinement_episode(seed, shape, "lists", "python", monkeypatch)
+        reference = _refinement_episode(
+            seed, shape, transfer_stage_lists, "python", monkeypatch
+        )
         assert len(reference["stages"]) == 4
         assert reference["records"][1]["transfers"] > 0  # later stages do work
-        for engine, kernel in [("soa", "python"), ("soa", "numba"), ("lists", "numba")]:
-            episode = _refinement_episode(seed, shape, engine, kernel, monkeypatch)
+        for kernel in ("python", "numba"):
+            episode = _refinement_episode(seed, shape, transfer_stage, kernel, monkeypatch)
             for key in reference:
-                assert episode[key] == reference[key], (engine, kernel, key)
+                assert episode[key] == reference[key], (kernel, key)
 
 
 class TestConservationProperty:
@@ -212,10 +200,7 @@ class TestConservationProperty:
             max_passes=max_passes, cascade=cascade, threshold=threshold,
         )
         soa = _run(config, assignment, task_loads, gossip, seed)
-        ref = _run(
-            dataclasses.replace(config, engine="lists"), assignment, task_loads,
-            gossip, seed,
-        )
+        ref = _run(config, assignment, task_loads, gossip, seed, transfer_stage_lists)
         np.testing.assert_array_equal(soa[0], ref[0])
         assert dataclasses.asdict(soa[1]) == dataclasses.asdict(ref[1])
         assert soa[2] == ref[2]

@@ -3,9 +3,9 @@
 The contract under test: a ``TrialExecutor`` maps a pure function over
 payloads and returns results in payload order under every backend, so
 ``iterative_refinement`` produces bit-identical results — assignment,
-records, and registry — whether trials run serially, on threads, or on
-worker processes. Timer semantics ride along: stage walls are
-cumulative per trial, ``wall.refinement`` is the true span.
+records, and registry — whether trials run serially or on worker
+processes. Timer semantics ride along: stage walls are cumulative per
+trial, ``wall.refinement`` is the true span.
 """
 
 import multiprocessing
@@ -19,13 +19,12 @@ from repro.obs import StatsRegistry
 from repro.util.parallel import (
     EXECUTOR_PROCESS,
     EXECUTOR_SERIAL,
-    EXECUTOR_THREAD,
     TrialExecutor,
     resolve_backend,
 )
 from repro.workloads.synthetic import paper_analysis_scenario
 
-BACKENDS = (EXECUTOR_SERIAL, EXECUTOR_THREAD, EXECUTOR_PROCESS)
+BACKENDS = (EXECUTOR_SERIAL, EXECUTOR_PROCESS)
 
 
 def scaled_square(shared, payload):
@@ -39,14 +38,14 @@ def failing(shared, payload):
 
 class TestResolveBackend:
     def test_one_worker_degrades_to_serial(self):
-        for requested in (None, "auto", "thread", "process"):
+        for requested in (None, "auto", "serial", "process"):
             assert resolve_backend(requested, 1, 8) == EXECUTOR_SERIAL
 
     def test_one_payload_degrades_to_serial(self):
         assert resolve_backend("process", 4, 1) == EXECUTOR_SERIAL
 
     def test_explicit_backends_pass_through(self):
-        assert resolve_backend("thread", 4, 8) == EXECUTOR_THREAD
+        assert resolve_backend("serial", 4, 8) == EXECUTOR_SERIAL
         assert resolve_backend("process", 4, 8) == EXECUTOR_PROCESS
 
     def test_auto_prefers_process_where_fork_exists(self, monkeypatch):
@@ -57,7 +56,10 @@ class TestResolveBackend:
         if "fork" in multiprocessing.get_all_start_methods():
             assert resolved == EXECUTOR_PROCESS
         else:  # pragma: no cover - non-POSIX
-            assert resolved == EXECUTOR_THREAD
+            assert resolved == EXECUTOR_SERIAL
+        # No fork, no cheap pool: the serial loop (which beat threads).
+        monkeypatch.setattr(parallel, "_fork_available", lambda: False)
+        assert resolve_backend("auto", 4, 8) == EXECUTOR_SERIAL
 
     def test_auto_declines_pool_on_single_core(self, monkeypatch):
         # Oversubscribing one core with a pool is strictly overhead (the
@@ -77,6 +79,11 @@ class TestResolveBackend:
             resolve_backend("gpu", 4, 8)
         with pytest.raises(ValueError):
             TrialExecutor("gpu", 2)
+        # The thread backend lost its race (0.93x vs serial) and is gone.
+        with pytest.raises(ValueError):
+            resolve_backend("thread", 4, 8)
+        with pytest.raises(ValueError):
+            TrialExecutor("thread", 2)
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):

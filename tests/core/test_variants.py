@@ -86,33 +86,31 @@ class TestLimitedInformationGossip:
         res = run_inform_stage(loads, GossipConfig(fanout=4, rounds=6, max_known=8), rng=0)
         assert res.knowledge.counts().max() <= 8
 
-    def test_trim_lowest_policy(self):
-        from repro.core.gossip import _trim_knowledge
+    @staticmethod
+    def _trim(members, loads, cfg, seed):
+        """One rank's S^p after the driver's per-round max_known trim."""
+        from repro.core.gossip import _trim_rows_packed
+        from repro.core.knowledge import PackedKnowledgeBitmap
 
+        know = PackedKnowledgeBitmap(len(loads))
+        know.add(0, members)
+        _trim_rows_packed(know, np.array([0]), loads, cfg, np.random.default_rng(seed))
+        return know.known(0)
+
+    def test_trim_lowest_policy(self):
         loads = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
-        row = np.array([True, True, True, True, True])
         cfg = GossipConfig(max_known=3, trim_policy="lowest")
-        _trim_knowledge(row, loads, cfg, np.random.default_rng(0))
         # Keeps the three lowest-loaded ranks: 1, 3, 2.
-        np.testing.assert_array_equal(np.flatnonzero(row), [1, 2, 3])
+        np.testing.assert_array_equal(self._trim(range(5), loads, cfg, 0), [1, 2, 3])
 
     def test_trim_random_policy_keeps_subset(self):
-        from repro.core.gossip import _trim_knowledge
-
-        loads = np.arange(10.0)
-        row = np.ones(10, dtype=bool)
         cfg = GossipConfig(max_known=4, trim_policy="random")
-        _trim_knowledge(row, loads, cfg, np.random.default_rng(1))
-        assert row.sum() == 4
+        assert self._trim(range(10), np.arange(10.0), cfg, 1).size == 4
 
     def test_trim_noop_under_cap(self):
-        from repro.core.gossip import _trim_knowledge
-
         loads = np.array([5.0, 1.0, 3.0])
-        row = np.array([True, False, True])
         cfg = GossipConfig(max_known=3)
-        _trim_knowledge(row, loads, cfg, np.random.default_rng(0))
-        np.testing.assert_array_equal(np.flatnonzero(row), [0, 2])
+        np.testing.assert_array_equal(self._trim([0, 2], loads, cfg, 0), [0, 2])
 
     def test_trim_policy_validation(self):
         with pytest.raises(ValueError, match="trim_policy"):
@@ -132,16 +130,6 @@ class TestLimitedInformationGossip:
         lb = TemperedLB(n_trials=1, n_iters=6, max_known=8)
         result = lb.rebalance(dist, rng=4)
         assert result.final_imbalance < 0.3 * result.initial_imbalance
-
-    def test_per_message_mode_respects_cap(self):
-        loads = np.ones(16)
-        loads[:2] = 10.0
-        res = run_inform_stage(
-            loads,
-            GossipConfig(fanout=2, rounds=3, mode="per_message", max_known=3),
-            rng=5,
-        )
-        assert res.knowledge.counts().max() <= 3
 
     def test_invalid_cap(self):
         with pytest.raises(ValueError):
@@ -187,3 +175,11 @@ class TestNodeAwareGossip:
             GossipConfig(intra_node_bias=1.5)
         with pytest.raises(ValueError):
             GossipConfig(ranks_per_node=0)
+
+    def test_bias_without_nodes_rejected(self):
+        # One rank per node has no same-node candidate to prefer: the
+        # bias used to be ignored in silence (616 of 616 messages
+        # inter-node at bias 0.5).
+        with pytest.raises(ValueError, match="needs ranks_per_node > 1"):
+            GossipConfig(intra_node_bias=0.5)
+        assert GossipConfig(ranks_per_node=4, intra_node_bias=0.5).intra_node_bias == 0.5

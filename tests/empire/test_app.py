@@ -26,6 +26,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="configuration"):
             EmpireConfig(configuration="magic")
 
+    def test_nonpositive_workers_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="n_workers"):
+            EmpireConfig(n_workers=0)
+        assert EmpireConfig(n_workers=2).n_workers == 2
+        with pytest.raises(TypeError):  # the backend is resolved, not chosen
+            EmpireConfig(executor="process")
+
     def test_labels_cover_paper_configs(self):
         assert CONFIGURATION_LABELS["spmd"] == "SPMD (no AMT)"
         assert "TemperedLB" in CONFIGURATION_LABELS["tempered"]

@@ -2,8 +2,20 @@
 
 import importlib
 import inspect
+import re
+from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.cli
+from repro.core.gossip import GossipConfig, run_inform_stage
+from repro.core.tempered import TemperedConfig
+from repro.core.transfer import TransferConfig, transfer_stage
+from repro.sim.faults import FaultConfig
 
 PUBLIC_MODULES = [
     "repro",
@@ -124,3 +136,140 @@ def test_strategies_share_the_interface():
     for cls in (GrapevineLB, GreedyLB, HierLB, TemperedLB):
         assert issubclass(cls, LoadBalancer)
         assert cls.name != LoadBalancer.name
+
+
+# -- surface ratchet -----------------------------------------------------------
+
+RATCHET = "this bound is lowered by deletions and never raised"
+
+
+def test_config_and_cli_surface_only_shrinks():
+    for config, bound in ((GossipConfig, 10), (TransferConfig, 11), (TemperedConfig, 21)):
+        names = [f.name for f in fields(config)]
+        assert len(names) <= bound, f"{config.__name__} has {len(names)} fields {names}; {RATCHET}"
+    flags = len(re.findall(r"\.add_argument\(", Path(repro.cli.__file__).read_text()))
+    assert flags <= 67, f"cli.py has {flags} add_argument calls; {RATCHET}"
+
+
+# -- config walk: every combination is a clean ValueError or a clean run -------
+
+
+def _build(factory, kwargs):
+    """The config, or None when construction rejects the combination."""
+    try:
+        return factory(**kwargs)
+    except ValueError:
+        return None
+
+
+_FAULTS = st.one_of(
+    st.none(),
+    st.fixed_dictionaries(
+        {
+            "loss_rate": st.sampled_from([0.0, 0.2, 1.0]),
+            "delay_rate": st.sampled_from([0.0, 0.3]),
+            "delay_scale": st.sampled_from([1.0, 2.5]),
+            "duplicate_rate": st.sampled_from([0.0, 0.25]),
+            "retransmit": st.booleans(),
+            "retry_rounds": st.sampled_from([1, 2]),
+            "seed": st.integers(0, 3),
+        }
+    ),
+)
+_GOSSIP = st.fixed_dictionaries(
+    {
+        "fanout": st.sampled_from([1, 2, 6]),
+        "rounds": st.sampled_from([1, 3, 10]),
+        "avoid_known": st.booleans(),
+        "max_known": st.sampled_from([None, 1, 4, 64]),
+        "trim_policy": st.sampled_from(["random", "lowest"]),
+        "ranks_per_node": st.sampled_from([1, 4]),
+        "intra_node_bias": st.sampled_from([0.0, 0.5, 1.0]),
+        "knowledge": st.sampled_from(["auto", "packed", "sparse"]),
+        "kernel": st.sampled_from(["auto", "python", "numba"]),
+    }
+)
+_TRANSFER = st.fixed_dictionaries(
+    {
+        "criterion": st.sampled_from(["original", "relaxed"]),
+        "cmf": st.sampled_from(["original", "modified"]),
+        "recompute_cmf": st.booleans(),
+        "cmf_update": st.sampled_from(["incremental", "rebuild"]),
+        "ordering": st.sampled_from(
+            ["arbitrary", "load_intensive", "fewest_migrations", "lightest"]
+        ),
+        "threshold": st.sampled_from([1.0, 0.7, 1.3]),
+        "view": st.sampled_from(["snapshot", "shared"]),
+        "max_passes": st.sampled_from([None, 1, 3]),
+        "cascade": st.booleans(),
+        "nacks": st.booleans(),
+        "kernel": st.sampled_from(["python", "numba"]),
+    }
+)
+#: One out-of-range value to plant (or none): the dictionaries above hold
+#: valid values only, so what else gets rejected is a *combination*
+#: (sparse x faults, sparse x bias, bias x one rank per node).
+_POISON = st.sampled_from(
+    [
+        None,
+        ("gossip", "fanout", 0),
+        ("gossip", "max_known", 0),
+        ("gossip", "trim_policy", "newest"),
+        ("gossip", "intra_node_bias", 1.5),
+        ("transfer", "threshold", 0.0),
+        ("transfer", "ordering", "heaviest"),
+        ("faults", "loss_rate", 1.5),
+        ("faults", "delay_scale", 0.0),
+    ]
+)
+
+
+@pytest.mark.filterwarnings("ignore:kernel='numba' requested:RuntimeWarning")
+@given(
+    gossip=_GOSSIP,
+    transfer=_TRANSFER,
+    faults=_FAULTS,
+    poison=_POISON,
+    n_ranks=st.integers(2, 32),
+    n_tasks=st.integers(1, 120),
+    seed=st.integers(0, 1_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_config_walk_rejects_or_runs_deterministically(
+    gossip, transfer, faults, poison, n_ranks, n_tasks, seed
+):
+    if poison is not None:
+        target = {"gossip": gossip, "transfer": transfer, "faults": faults}[poison[0]]
+        if target is not None:
+            target[poison[1]] = poison[2]
+    fault_cfg = None if faults is None else _build(FaultConfig, faults)
+    if faults is not None and fault_cfg is None:
+        return
+    gossip_cfg = _build(GossipConfig, {**gossip, "faults": fault_cfg})
+    transfer_cfg = _build(TransferConfig, transfer)
+    if gossip_cfg is None or transfer_cfg is None:
+        return
+
+    rng = np.random.default_rng(seed)
+    task_loads = rng.gamma(2.0, 0.5, size=n_tasks)
+    assignment = rng.integers(0, max(1, n_ranks // 4), size=n_tasks)
+    loads = np.bincount(assignment, weights=task_loads, minlength=n_ranks)
+
+    def episode():
+        stream = np.random.default_rng(seed + 1)
+        inform = run_inform_stage(loads, gossip_cfg, stream)
+        moved = assignment.copy()
+        stats = transfer_stage(moved, task_loads, inform, transfer_cfg, stream)
+        return inform, moved, stats, stream.bit_generator.state
+
+    inform, moved, stats, state = episode()
+    assert moved.shape == assignment.shape
+    assert moved.min() >= 0 and moved.max() < n_ranks
+    after = np.bincount(moved, weights=task_loads, minlength=n_ranks)
+    assert after.sum() == pytest.approx(task_loads.sum(), rel=1e-12)
+    again = episode()
+    np.testing.assert_array_equal(again[0].knowledge.rows, inform.knowledge.rows)
+    assert again[0].per_round_messages == inform.per_round_messages
+    np.testing.assert_array_equal(again[1], moved)
+    assert again[2] == stats
+    assert again[3] == state
