@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "packed", "sparse"],
         default=None,
         help="event-level knowledge backend (default: packed bitmap; "
-        "'auto' switches to sparse at the shared reference-driver "
-        "crossover of 32768 ranks — resolve_auto_threshold('python'))",
+        "'auto' switches to sparse at the event-level crossover of "
+        "32768 ranks)",
     )
     _add_fault_flags(p, churn=True)
     p.add_argument("--json", type=str, default=None)

@@ -7,8 +7,8 @@ incremental mass update. This module provides that loop as a single
 kernel function over flat arrays — the Fenwick tree, the mass vector
 and the sender's task walk — written in numba-compatible scalar style.
 
-Inform (Alg. 1, sparse backend): the hot core of the fused sparse
-gossip driver (:func:`repro.core.gossip._run_coalesced_sparse_fast`)
+Inform (Alg. 1, sparse store): the hot core of the round loop's
+sparse adapter (:class:`repro.core.gossip._SparseStore`)
 is three scalar loops over sorted ``int32`` id shards — the two-way
 merge/dedup of a receiver's shard with a payload
 (:func:`merge_shards`), per-draw shard membership for the rejection
@@ -372,8 +372,8 @@ def get_gossip_kernels():
     triple when numba is installed, else ``None``.
 
     ``None`` (rather than the Python builds) because the scalar loops
-    are only competitive compiled; without numba the fused gossip
-    driver uses its vectorized NumPy formulations instead — same
+    are only competitive compiled; without numba the sparse gossip
+    store uses its vectorized NumPy formulations instead — same
     values either way.
     """
     if not HAVE_NUMBA:

@@ -46,9 +46,6 @@ from repro.util.validation import check_in
 __all__ = [
     "CMF_ORIGINAL",
     "CMF_MODIFIED",
-    "CMF_UPDATE_INCREMENTAL",
-    "CMF_UPDATE_REBUILD",
-    "CMF_UPDATES",
     "IncrementalCMF",
     "build_cmf",
     "sample_cmf",
@@ -56,13 +53,6 @@ __all__ = [
 
 CMF_ORIGINAL = "original"
 CMF_MODIFIED = "modified"
-
-#: CMF maintenance strategies for the transfer stage's recomputation
-#: (Alg. 2 l.7): ``incremental`` is the O(log n) fast path, ``rebuild``
-#: the pre-optimization full :func:`build_cmf` per accepted transfer.
-CMF_UPDATE_INCREMENTAL = "incremental"
-CMF_UPDATE_REBUILD = "rebuild"
-CMF_UPDATES = (CMF_UPDATE_INCREMENTAL, CMF_UPDATE_REBUILD)
 
 
 def build_cmf(

@@ -12,25 +12,32 @@ The literal pseudocode — every received message with ``r < k`` triggers
 ``f`` forwards, up to ``f^k`` messages — is not implemented (see
 DESIGN.md § 5).
 
-There is one round driver per knowledge store, all barrier-synchronous
-(payloads and candidate sets are a round-start snapshot):
+One round loop, two stores. :func:`_run_rounds` is the listing's
+``for round in 1..k``, barrier-synchronous (payloads and candidate sets
+are a round-start snapshot), and owns everything that does not depend
+on how ``S^p`` is stored: sender bookkeeping, the one call into the
+batch sampler (rejection sampling in rank-id space while candidate sets
+are dense, a segment-sorted exact sampler once they thin out), message
+and byte accounting, the fault fates with their late-delivery table,
+the group-by-receiver and early exit. It reaches the knowledge through
+a five-method adapter (``snapshot`` / ``candidates`` / ``merge`` /
+``trim`` / ``finish``):
 
-packed (:class:`PackedKnowledgeBitmap`)
-    :func:`_run_coalesced_batched` — a round's fan-out targets are
-    sampled in one pass (rejection sampling in rank-id space while
-    candidate sets are dense, a segment-sorted exact sampler once they
-    thin out) and its merges run as layered scatter-ORs over the packed
-    rows. The only driver that handles fault fates and topology bias.
+:class:`_PackedStore` (:class:`PackedKnowledgeBitmap`)
+    Payloads are gathered bit rows, merges layered scatter-ORs.
 
-sparse (:class:`SparseKnowledge`)
-    :func:`_run_coalesced_sparse_fast` (shard interning, priority-space
-    trim, optional numba kernels) and its per-receiver reference
-    :func:`_run_coalesced_sparse` (``kernel="python"``). Both share the
-    packed driver's sampler and consume its exact RNG stream, so all
-    three produce bit-identical knowledge.
+:class:`_SparseStore` (:class:`SparseKnowledge`)
+    Payloads are shard references (shards are immutable by
+    replacement), merges skip on identity/completeness and truncate in
+    priority space, with optional numba kernels.
+
+The sampler's control flow depends only on candidate *counts*, so both
+stores consume the same RNG stream and produce bit-identical knowledge
+— with or without fault injection, which acts on payload handles in
+the shared loop. Only ``intra_node_bias`` is packed-only.
 
 ``tests/core/oracles.py`` holds the set-based transcription of
-Algorithm 1 that the equivalence suites compare these drivers against.
+Algorithm 1 that the equivalence suites compare the loop against.
 The event-level asynchronous version (messages with latencies, no round
 barrier, termination detection) lives in
 :mod:`repro.runtime.distributed_gossip`.
@@ -53,7 +60,6 @@ __all__ = [
     "GossipResult",
     "run_inform_stage",
     "resolve_auto_threshold",
-    "SPARSE_AUTO_MIN_RANKS",
     "SPARSE_AUTO_MIN_RANKS_FAST",
 ]
 
@@ -73,47 +79,23 @@ else:  # pragma: no cover - NumPy < 2.0 fallback
         return _POPCOUNT_TABLE[x]
 
 
-#: Rank count at which ``knowledge="auto"`` switches
-#: from the packed bitmap (O(P^2) bits — 128 MiB at 2^15, 2 GiB at
-#: 2^17) to sparse per-rank id shards (O(cap * P) bytes), when the
-#: sparse side runs the *reference* driver (``kernel="python"``).
-#: Below the threshold the bit matrix is small enough that packed's
-#: vectorized row-OR dominates (measured: ~2.7x over reference sparse
-#: at 4k ranks); at 2^15 and beyond the matrix gathers outweigh the
-#: shard merges (reference sparse ~1.8x faster at 32k over a full
-#: 10-round episode, and the only backend that fits a sane budget at
-#: 2^17, where packed would need a 2 GiB matrix plus a same-sized row
-#: gather per round). Sparse only pays off once knowledge is capped,
-#: so auto additionally requires ``max_known``.
-SPARSE_AUTO_MIN_RANKS = 32_768
-
-#: The same crossover under the fused sparse driver (``kernel="auto"``
-#: / ``"numba"``): priority-space shards, completeness skips and shard
-#: interning collapse the converged rounds to near nothing, which
-#: moves the measured packed/sparse crossover (fanout 6, 10 rounds,
-#: cap 512, "lowest" trim, 1 CPU) down to the 8k rung — packed/fused
-#: wall ratio 0.71x at 4096 ranks, 1.02x at 8192, 1.53x at 16384,
-#: 3.55x at 32768. Auto therefore switches at 8192 ranks when the
-#: fused driver is selected.
+#: Rank count at which ``knowledge="auto"`` switches from the packed
+#: bitmap (O(P^2) bits — 128 MiB at 2^15, 2 GiB at 2^17, plus a
+#: same-sized row gather per round) to sparse per-rank id shards
+#: (O(cap * P) bytes). Measured packed/sparse wall ratio (fanout 6, 10
+#: rounds, cap 512, "lowest" trim, 1 CPU): 0.71x at 4096 ranks, 1.02x
+#: at 8192, 1.53x at 16384, 3.55x at 32768. Sparse only pays off once
+#: knowledge is capped, so auto additionally requires ``max_known``.
 SPARSE_AUTO_MIN_RANKS_FAST = 8_192
 
 
 def resolve_auto_threshold(kernel: str) -> int:
     """The ``knowledge="auto"`` packed→sparse crossover rank count.
 
-    Single source of truth for every driver that auto-selects a
-    backend: the fused sparse driver (``kernel="auto"``/``"numba"``)
-    crosses over at :data:`SPARSE_AUTO_MIN_RANKS_FAST`; the per-receiver
-    Python reference (``kernel="python"`` — and the event-level
-    :class:`repro.runtime.distributed_gossip.DistributedGossip`, whose
-    scalar merge path has reference-driver economics) at
-    :data:`SPARSE_AUTO_MIN_RANKS`.
+    One crossover for every ``kernel`` value (the argument is kept for
+    callers that pass ``GossipConfig.kernel``).
     """
-    return (
-        SPARSE_AUTO_MIN_RANKS
-        if kernel == "python"
-        else SPARSE_AUTO_MIN_RANKS_FAST
-    )
+    return SPARSE_AUTO_MIN_RANKS_FAST
 
 
 @dataclass(frozen=True)
@@ -142,27 +124,26 @@ class GossipConfig:
     intra_node_bias: float = 0.0
     #: Fault injection (:mod:`repro.sim.faults`): per-message loss,
     #: round-unit delay spikes, duplication and optional retransmission
-    #: applied to every gossip message. None — or a config with no
-    #: active fault source — leaves the driver on its fault-free code
-    #: path, bit for bit (zero-fault invisibility). The fault fates
-    #: draw from their own seeded generator, never from the driver's
-    #: sampling RNG.
+    #: applied to every gossip message, on either knowledge store (the
+    #: fates act on payload handles in the shared round loop). None —
+    #: or a config with no active fault source — leaves the loop on its
+    #: fault-free path, bit for bit (zero-fault invisibility). The
+    #: fault fates draw from their own seeded generator, never from the
+    #: loop's sampling RNG.
     faults: FaultConfig | None = None
     #: Knowledge store: "packed" (the dense bit matrix, O(P^2) bits),
     #: "sparse" (per-rank sorted id shards, O(sum |S^p|) — the
-    #: high-rank-count backend, bit-identical to packed), or "auto"
-    #: (sparse once the rank count crosses the kernel-dependent
-    #: threshold *and* ``max_known`` caps the shards; packed otherwise).
+    #: high-rank-count store, bit-identical to packed), or "auto"
+    #: (sparse once the rank count reaches
+    #: :data:`SPARSE_AUTO_MIN_RANKS_FAST` *and* ``max_known`` caps the
+    #: shards; packed otherwise, and always under ``intra_node_bias``).
     knowledge: str = "auto"
-    #: Sparse-backend driver: "auto" (the fused driver — shard
-    #: interning, equality-skipped merges, jitted scalar kernels where
-    #: numba is installed, vectorized NumPy fallbacks where not),
-    #: "numba" (the fused driver too, but warns once when numba is
-    #: missing — use it to *assert* the compiled build), or "python"
-    #: (the per-receiver reference driver, kept as the behavioural
-    #: oracle). All three are bit-identical — same targets, same
-    #: knowledge, same RNG stream. The packed store ignores this knob;
-    #: its round loop is already fully vectorized.
+    #: Sparse-store kernels: "auto" (jitted scalar kernels where numba
+    #: is installed, vectorized NumPy formulations where not) or
+    #: "numba" (the same, but warns once when numba is missing — use it
+    #: to *assert* the compiled build). Bit-identical — same targets,
+    #: same knowledge, same RNG stream. The packed store ignores this
+    #: knob; its round is already fully vectorized.
     kernel: str = "auto"
 
     def __post_init__(self) -> None:
@@ -177,36 +158,28 @@ class GossipConfig:
         if self.intra_node_bias > 0.0 and self.ranks_per_node == 1:
             raise ValueError("intra_node_bias needs ranks_per_node > 1")
         check_in("knowledge", self.knowledge, ("auto", "packed", "sparse"))
-        check_in("kernel", self.kernel, ("auto", "python", "numba"))
-        if self.knowledge == "sparse":
-            if self.intra_node_bias > 0.0:
-                raise ValueError(
-                    "knowledge='sparse' does not support intra_node_bias"
-                )
-            if self.faults is not None:
-                raise ValueError(
-                    "knowledge='sparse' does not support fault injection"
-                )
+        check_in("kernel", self.kernel, ("auto", "numba"))
+        if self.knowledge == "sparse" and self.intra_node_bias > 0.0:
+            raise ValueError(
+                "knowledge='sparse' does not support intra_node_bias: the "
+                "same-node candidate pass materialises a P-wide row per "
+                "sender, the O(P^2) cost the sparse store exists to avoid"
+            )
 
     def resolve_knowledge(self, n_ranks: int) -> str:
         """The knowledge store used at a given rank count.
 
-        Auto selects sparse only where it is both applicable (no fault
-        model or topology bias — those paths are packed-only) and a
-        win: a ``max_known`` cap bounds the shards, and the rank count
-        is at or past the measured packed/sparse crossover — which
-        depends on the sparse driver the ``kernel`` knob selects
-        (``SPARSE_AUTO_MIN_RANKS_FAST`` for the fused driver,
-        ``SPARSE_AUTO_MIN_RANKS`` for the Python reference).
+        Auto selects sparse only where it is both applicable (no
+        topology bias — that pass is packed-only) and a win: a
+        ``max_known`` cap bounds the shards, and the rank count is at
+        or past the measured packed/sparse crossover.
         """
         if self.knowledge != "auto":
             return self.knowledge
-        threshold = resolve_auto_threshold(self.kernel)
         if (
             self.max_known is not None
-            and self.faults is None
             and self.intra_node_bias == 0.0
-            and n_ranks >= threshold
+            and n_ranks >= resolve_auto_threshold(self.kernel)
         ):
             return "sparse"
         return "packed"
@@ -303,18 +276,13 @@ def run_inform_stage(
         return result
     know.add_self(seeds)
 
-    #: None when config.faults has no active fault source — the driver
-    #: then never branches on it and runs its fault-free code path.
+    #: None when config.faults has no active fault source — the loop
+    #: then never branches on it and runs its fault-free path.
     model = PhaseFaultModel.create(config.faults)
-    if sparse:
-        if config.kernel == "python":
-            _run_coalesced_sparse(know, seeds, config, rng, result)  # type: ignore[arg-type]
-        else:
-            if config.kernel == "numba":
-                warn_numba_missing("the sparse inform kernel")
-            _run_coalesced_sparse_fast(know, seeds, config, rng, result)  # type: ignore[arg-type]
-    else:
-        _run_coalesced_batched(know, seeds, config, rng, result, model)  # type: ignore[arg-type]
+    if sparse and config.kernel == "numba":
+        warn_numba_missing("the sparse inform kernel")
+    store = (_SparseStore if sparse else _PackedStore)(know, config, loads, rng)
+    _run_rounds(store, seeds, config, rng, result, model)
     _finalize_rounds(result)
     if model is not None:
         result.dropped = model.drops
@@ -365,7 +333,7 @@ def _record_inform_stage(registry: StatsRegistry, result: GossipResult) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Packed-store driver: round-level vectorization.
+# The batch sampler (shared by both stores).
 # ---------------------------------------------------------------------------
 
 #: Rejection-sampling wave cap before the exact sampler takes over.
@@ -384,9 +352,10 @@ class _PackedCandidates:
     The view interface the batch sampler works against: ``test`` checks
     a matrix of drawn rank ids against each row's candidate set, and
     ``extract`` materializes selected rows as packed bytes for the
-    exact sampler. The packed engine's candidate matrix satisfies it
-    directly; the sparse engine substitutes a complement view so the
-    O(P^2)-bit matrix never exists.
+    exact sampler. The packed store's candidate matrix satisfies it
+    directly; the sparse store substitutes a complement view
+    (:class:`_FastSparseCandidates`) so the O(P^2)-bit matrix never
+    exists.
     """
 
     __slots__ = ("packed",)
@@ -400,60 +369,6 @@ class _PackedCandidates:
 
     def extract(self, rows: np.ndarray) -> np.ndarray:
         return self.packed[rows].copy()
-
-
-class _SparseComplementCandidates:
-    """Candidate view ``P \\ (S^p u {p})`` over sparse knowledge shards.
-
-    A draw is a candidate iff it is not the sender and not in the
-    sender's shard. Shard membership resolves against one flat key
-    array ``row * P + id``: the row-major concatenation of sorted
-    shards is globally sorted, so a whole wave of (row, draw) pairs is
-    one ``searchsorted``. ``extract`` (the exact-sampler path, rare
-    and only for thin rows) packs the complement from an all-ones
-    template with the shard and self bits cleared.
-    """
-
-    __slots__ = ("n_ranks", "senders", "shards", "lens", "flat_keys", "template")
-
-    def __init__(
-        self,
-        n_ranks: int,
-        senders: np.ndarray,
-        shards: list[np.ndarray] | None,
-        lens: np.ndarray | None,
-        flat_keys: np.ndarray | None,
-        template: np.ndarray,
-    ) -> None:
-        self.n_ranks = n_ranks
-        self.senders = senders
-        self.shards = shards  # None => candidates are all of P minus self
-        self.lens = lens
-        self.flat_keys = flat_keys
-        self.template = template
-
-    def test(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        ok = draws != self.senders[rows][:, None]
-        flat = self.flat_keys
-        if flat is not None and flat.size:
-            keys = (rows[:, None] * np.int64(self.n_ranks) + draws).ravel()
-            pos = np.searchsorted(flat, keys)
-            hit = flat[np.minimum(pos, flat.size - 1)] == keys
-            ok &= ~hit.reshape(draws.shape)
-        return ok
-
-    def extract(self, rows: np.ndarray) -> np.ndarray:
-        out = np.repeat(self.template[None, :], rows.size, axis=0)
-        idx = np.arange(rows.size)
-        if self.shards is not None:
-            row_lens = self.lens[rows]
-            if int(row_lens.sum()):
-                members = np.concatenate(
-                    [self.shards[r] for r in rows.tolist()]
-                ).astype(np.int64)
-                _clear_bits(out, np.repeat(idx, row_lens), members)
-        _clear_bits(out, idx, self.senders[rows])
-        return out
 
 
 def _sample_sparse_rows(
@@ -521,7 +436,7 @@ def _mark_wave_duplicates(draws: np.ndarray) -> np.ndarray:
 
 def _sample_packed_rows(
     rng: np.random.Generator,
-    cand: "np.ndarray | _PackedCandidates | _SparseComplementCandidates",
+    cand: "np.ndarray | _PackedCandidates | _FastSparseCandidates",
     counts: np.ndarray,
     want: np.ndarray,
     n_ranks: int,
@@ -530,10 +445,10 @@ def _sample_packed_rows(
     candidate row ``cand[i]``; returns flat ``(row index, rank id)``.
 
     ``cand`` is a packed uint8 matrix or a candidate view (``test`` /
-    ``extract``); the sparse engine passes a complement view so its
+    ``extract``); the sparse store passes a complement view so its
     candidates are never materialized, and because the control flow —
     wave widths, draw shapes, the dense/sparse row split — depends only
-    on ``counts``/``want``, both backends consume the identical RNG
+    on ``counts``/``want``, both stores consume the identical RNG
     stream and pick identical targets.
 
     Hybrid fast path: rows with enough candidates draw uniform rank
@@ -625,6 +540,141 @@ def _clear_bits(matrix: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> None:
     np.bitwise_and.at(matrix, (rows, ids >> 3), inv)
 
 
+# ---------------------------------------------------------------------------
+# The round loop (Algorithm 1's ``for round in 1..k``).
+# ---------------------------------------------------------------------------
+
+
+def _run_rounds(
+    store: "_PackedStore | _SparseStore",
+    seeds: np.ndarray,
+    config: GossipConfig,
+    rng: np.random.Generator,
+    result: GossipResult,
+    model: PhaseFaultModel | None,
+) -> None:
+    """Algorithm 1's round loop, over either knowledge store.
+
+    Per round: snapshot every sender's payload, sample the whole
+    round's fan-out in one pass, account all messages with array
+    reductions, split them by fault fate, group the deliveries by
+    receiver and hand the groups to the store to merge and trim.
+
+    ``snap`` is the round's double buffer and its payload *handles*: a
+    gathered row matrix (packed) or an object array of shard references
+    (sparse). Both support fancy indexing and ``np.concatenate``, which
+    is all the fate split needs to carry payloads across rounds.
+    """
+    n_ranks = result.load_snapshot.size
+    rpn = config.ranks_per_node
+    biased = config.intra_node_bias > 0.0  # implies rpn > 1, packed store
+    if biased:
+        node_of = np.arange(n_ranks) // rpn
+        node_masks = np.stack(
+            [np.packbits(node_of == node) for node in range(int(node_of[-1]) + 1)]
+        )
+    empty = np.empty(0, dtype=np.int64)
+    senders = seeds.astype(np.int64)
+    initiating = True
+    #: round -> [(targets, payload handles)] late deliveries.
+    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for _round in range(1, config.rounds + 1):
+        result.per_round_messages.append(0)
+        result.per_round_senders.append(int(senders.size))
+        # Payloads come from `snap`, merges land in the store, so
+        # same-round merges never leak into payloads.
+        snap, entries = store.snapshot(senders)
+        # Alg. 1 l.10: the seeding round samples from all of P (minus
+        # self); without avoid_known every round does.
+        counts, cand = store.candidates(
+            senders, snap, entries, initiating or not config.avoid_known
+        )
+        want = np.minimum(config.fanout, counts)
+        if biased:
+            local_cand = cand & node_masks[node_of[senders]]
+            local_counts = _popcount(local_cand).sum(axis=1, dtype=np.int64)
+            n_local = np.minimum(
+                rng.binomial(want, config.intra_node_bias), local_counts
+            )
+            row_l, tgt_l = _sample_packed_rows(
+                rng, local_cand, local_counts, n_local, n_ranks
+            )
+            # Remove the local picks from the global pool, then fill the
+            # remaining slots from it.
+            _clear_bits(cand, row_l, tgt_l)
+            picked = np.bincount(row_l, minlength=senders.size)
+            row_g, tgt_g = _sample_packed_rows(
+                rng, cand, counts - picked, want - picked, n_ranks
+            )
+            row_idx = np.concatenate((row_l, row_g))
+            targets = np.concatenate((tgt_l, tgt_g))
+        else:
+            row_idx, targets = _sample_packed_rows(rng, cand, counts, want, n_ranks)
+
+        if targets.size:
+            # Accounting for the whole round in one pass.
+            n = int(targets.size)
+            result.n_messages += n
+            result.bytes_sent += n * HEADER_BYTES + ENTRY_BYTES * int(
+                entries[row_idx].sum()
+            )
+            result.per_round_messages[-1] = n
+            result.inter_node_messages += int(
+                np.count_nonzero(targets // rpn != senders[row_idx] // rpn)
+            )
+        payloads, src = snap, row_idx
+        if model is not None:
+            # Fault fates split the round's messages into immediate
+            # deliveries, future-round deliveries (delay/retransmit)
+            # and losses; deliveries maturing this round join the
+            # payloads that matured from earlier rounds (popped after
+            # the snapshot, so they cannot ride this round's sends) in
+            # one combined merge pass.
+            parts = pending.pop(_round, [])
+            if targets.size:
+                offsets, copies = model.fates(int(targets.size))
+                arrive = _round + offsets
+                ok = copies > 0
+                dup = copies == 2
+                all_arrive = np.concatenate((arrive[ok], arrive[dup] + 1))
+                all_t = np.concatenate((targets[ok], targets[dup]))
+                all_src = np.concatenate((row_idx[ok], row_idx[dup]))
+                now_mask = all_arrive == _round
+                if now_mask.any():
+                    parts.append((all_t[now_mask], snap[all_src[now_mask]]))
+                future = (all_arrive > _round) & (all_arrive <= config.rounds)
+                model.expired += int(np.count_nonzero(all_arrive > config.rounds))
+                for r in np.unique(all_arrive[future]):
+                    sel = future & (all_arrive == r)
+                    pending.setdefault(int(r), []).append(
+                        (all_t[sel], snap[all_src[sel]])
+                    )
+            targets = empty
+            if parts:
+                targets = np.concatenate([t for t, _ in parts])
+                payloads = np.concatenate([p for _, p in parts])
+            src = np.arange(targets.size)
+        receivers = empty
+        if targets.size:
+            # Group the deliveries by receiver (stable, so a receiver's
+            # payloads keep their send order); the store merges group
+            # `i` = payloads[src[bounds[i]:bounds[i + 1]]] into
+            # receivers[i], then caps the receivers once per round.
+            order = np.argsort(targets, kind="stable")
+            receivers, starts = np.unique(targets[order], return_index=True)
+            bounds = np.append(starts, targets.size)
+            store.merge(receivers, bounds, payloads, src[order])
+            store.trim(receivers)
+        initiating = False
+        senders = receivers  # l.18: whoever received forwards next round
+        if senders.size == 0 and not pending:
+            break
+    store.finish()
+
+# ---------------------------------------------------------------------------
+# Packed store.
+# ---------------------------------------------------------------------------
+
 #: Rows unpacked per trim pass. Trimming used to materialize *every*
 #: over-cap row as booleans at once — O(|over| x P) bytes, which at
 #: 2^17 ranks is a 16 GiB allocation per round. Fixed-size chunks keep
@@ -689,105 +739,46 @@ def _trim_rows_packed(
         np.put_along_axis(trimmed, keep, 1, axis=1)
         know.packed[rows] = np.packbits(trimmed, axis=1)
 
+class _PackedStore:
+    """Round-loop adapter over :class:`PackedKnowledgeBitmap`.
 
-def _trim_rows_sparse(
-    know: SparseKnowledge,
-    ranks: np.ndarray,
-    loads: np.ndarray,
-    config: GossipConfig,
-    rng: np.random.Generator,
-    interner: "_ShardInterner | None" = None,
-) -> None:
-    """``max_known`` cap over sparse shards, bit-identical to the packed
-    trim: the same survivor sets, and for the "random" policy the same
-    RNG consumption (full-width key rows drawn in the same chunks —
-    only the member positions are ever *read*, but the stream must
-    match the packed engine draw for draw).
-
-    With an ``interner`` (the fused driver), each trimmed shard is
-    canonicalized so ranks that converge onto the same survivor set
-    share one array object — the identity the driver's equality-skip
-    keys on. Interning never changes a shard's *values*.
+    Everything is a whole-round array pass: the gathered sender rows
+    double as the round's send buffer (2 MB of packed rows per round at
+    4096 ranks), candidates are their complement, merges are layered
+    scatter-ORs.
     """
-    cap = config.max_known
-    if cap is None or ranks.size == 0:
-        return
-    shards = know.shards
-    rank_list = ranks.tolist()
-    lens = np.fromiter((shards[r].size for r in rank_list), np.int64, ranks.size)
-    over = ranks[lens > cap]
-    if over.size == 0:
-        return
-    if config.trim_policy == "lowest":
-        prio = _load_priority(loads)
-        for r in over.tolist():
-            shard = shards[r]
-            keep = shard[np.argpartition(prio[shard], cap - 1)[:cap]]
-            keep.sort()
-            shards[r] = keep if interner is None else interner.canon(keep)
-        return
-    n = know.n_ranks
-    for start in range(0, over.size, _TRIM_CHUNK_ROWS):
-        chunk = over[start : start + _TRIM_CHUNK_ROWS]
-        keys = rng.random((chunk.size, n))
-        for i, r in enumerate(chunk.tolist()):
-            shard = shards[r]
-            member_keys = keys[i, shard]
-            keep = shard[np.argpartition(member_keys, cap - 1)[:cap]]
-            keep.sort()
-            shards[r] = keep if interner is None else interner.canon(keep)
 
+    def __init__(
+        self,
+        know: PackedKnowledgeBitmap,
+        config: GossipConfig,
+        loads: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        self.know = know
+        self.config = config
+        self.loads = loads
+        self.rng = rng
+        #: All-ones candidate row with the padding bits already clear.
+        self.template = np.packbits(np.ones(know.n_ranks, dtype=bool))
 
-def _run_coalesced_batched(
-    know: PackedKnowledgeBitmap,
-    seeds: np.ndarray,
-    config: GossipConfig,
-    rng: np.random.Generator,
-    result: GossipResult,
-    model: PhaseFaultModel | None = None,
-) -> None:
-    """Round-level vectorized driver over the packed store.
+    def snapshot(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Payload rows (a gather, hence a copy) and their ``|S^p|``."""
+        snap = self.know.packed[senders]
+        return snap, _popcount(snap).sum(axis=1, dtype=np.int64)
 
-    Per round: build every sender's packed candidate mask, sample the
-    whole round's fan-out in one pass, account all messages with array
-    reductions, and apply all merges as layered scatter-ORs. The
-    gathered sender rows double as the round's send buffer (2 MB of
-    packed rows per round at 4096 ranks).
-    """
-    n_ranks = know.n_ranks
-    fanout = config.fanout
-    rpn = config.ranks_per_node
-    #: All-ones candidate template with the padding bits already clear.
-    template = np.packbits(np.ones(n_ranks, dtype=bool))
-    pad_mask = template[-1]
-    biased = config.intra_node_bias > 0.0  # implies rpn > 1 (validated)
-    if biased:
-        node_of = np.arange(n_ranks) // rpn
-        n_nodes = int(node_of[-1]) + 1
-        node_masks = np.zeros((n_nodes, know.n_bytes), dtype=np.uint8)
-        for node in range(n_nodes):
-            node_masks[node] = np.packbits(node_of == node)
-
-    senders = seeds.astype(np.int64)
-    initiating = True
-    #: round -> [(targets array, payload-row matrix)] late deliveries.
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for _round in range(1, config.rounds + 1):
-        result.per_round_messages.append(0)
-        result.per_round_senders.append(int(senders.size))
-        # Gathering the sender rows copies them: this is the round's
-        # double buffer — payloads come from `snap`, merges land in
-        # `know.packed`, so same-round merges never leak into payloads.
-        snap = know.packed[senders]
-        entries = _popcount(snap).sum(axis=1, dtype=np.int64)
-        if initiating or not config.avoid_known:
-            # Alg. 1 l.10: the seeding round samples from all of P
-            # (minus self); without avoid_known every round does.
-            cand = np.repeat(template[None, :], senders.size, axis=0)
+    def candidates(
+        self, senders: np.ndarray, snap: np.ndarray, entries: np.ndarray, full: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, packed candidate rows)``: all of P when ``full``,
+        else ``P \\ S^p``; never the sender itself."""
+        n_ranks = self.know.n_ranks
+        if full:
+            cand = np.repeat(self.template[None, :], senders.size, axis=0)
             counts = np.full(senders.size, n_ranks - 1, dtype=np.int64)
         else:
             cand = ~snap
-            cand[:, -1] &= pad_mask
+            cand[:, -1] &= self.template[-1]
             # |P \ S^p \ {p}| without a second popcount: subtract |S^p|
             # (= `entries`, needed for accounting anyway) and the self
             # bit when it is not already a member of S^p.
@@ -797,224 +788,35 @@ def _run_coalesced_batched(
             ) != 0
             counts = n_ranks - entries - (~knows_self)
         _clear_bits(cand, np.arange(senders.size), senders)
+        return counts, cand
 
-        want = np.minimum(fanout, counts)
-        if biased:
-            local_cand = cand & node_masks[node_of[senders]]
-            local_counts = _popcount(local_cand).sum(axis=1, dtype=np.int64)
-            n_local = np.minimum(
-                rng.binomial(want, config.intra_node_bias), local_counts
-            )
-            row_l, tgt_l = _sample_packed_rows(
-                rng, local_cand, local_counts, n_local, n_ranks
-            )
-            # Remove the local picks from the global pool, then fill the
-            # remaining slots from it.
-            _clear_bits(cand, row_l, tgt_l)
-            picked = np.bincount(row_l, minlength=senders.size)
-            row_g, tgt_g = _sample_packed_rows(
-                rng, cand, counts - picked, want - picked, n_ranks
-            )
-            row_idx = np.concatenate((row_l, row_g))
-            targets = np.concatenate((tgt_l, tgt_g))
-        else:
-            row_idx, targets = _sample_packed_rows(rng, cand, counts, want, n_ranks)
-
-        if targets.size == 0 and model is None:
-            break
-        if targets.size:
-            # Accounting for the whole round in one pass.
-            n = int(targets.size)
-            result.n_messages += n
-            result.bytes_sent += n * HEADER_BYTES + ENTRY_BYTES * int(
-                entries[row_idx].sum()
-            )
-            result.per_round_messages[-1] = n
-            result.inter_node_messages += int(
-                np.count_nonzero(targets // rpn != senders[row_idx] // rpn)
-            )
-        if model is not None:
-            # Fault fates split the round's messages into immediate
-            # deliveries, future-round deliveries (delay/retransmit)
-            # and losses; deliveries maturing this round join the
-            # payloads that matured from earlier rounds (popped after
-            # the snapshot gather, so they cannot ride this round's
-            # sends) in one combined merge pass.
-            merge_parts = pending.pop(_round, [])
-            if targets.size:
-                offsets, copies = model.fates(int(targets.size))
-                arrive = _round + offsets
-                ok = copies > 0
-                dup = copies == 2
-                all_arrive = np.concatenate((arrive[ok], arrive[dup] + 1))
-                all_t = np.concatenate((targets[ok], targets[dup]))
-                all_src = np.concatenate((row_idx[ok], row_idx[dup]))
-                now_mask = all_arrive == _round
-                if now_mask.any():
-                    merge_parts.append((all_t[now_mask], snap[all_src[now_mask]]))
-                future = (all_arrive > _round) & (all_arrive <= config.rounds)
-                model.expired += int(np.count_nonzero(all_arrive > config.rounds))
-                for r in np.unique(all_arrive[future]):
-                    sel = future & (all_arrive == r)
-                    pending.setdefault(int(r), []).append(
-                        (all_t[sel], snap[all_src[sel]])
-                    )
-            if merge_parts:
-                merge_t = np.concatenate([t for t, _ in merge_parts])
-                merge_p = np.concatenate([p for _, p in merge_parts])
-                order = np.argsort(merge_t, kind="stable")
-                t_sorted = merge_t[order]
-                p_sorted = merge_p[order]
-                receivers, starts = np.unique(t_sorted, return_index=True)
-                group_sizes = np.diff(np.append(starts, t_sorted.size))
-                for j in range(int(group_sizes.max())):
-                    layer = group_sizes > j
-                    idx = starts[layer] + j
-                    know.packed[t_sorted[idx]] |= p_sorted[idx]
-                _trim_rows_packed(know, receivers, result.load_snapshot, config, rng)
-            else:
-                receivers = np.empty(0, dtype=np.int64)
-            initiating = False
-            senders = receivers
-            if senders.size == 0 and not pending:
-                break
-            continue
-        # All merges at once: group messages by target, then scatter-OR
-        # one "j-th message per receiver" layer at a time — each layer
-        # touches every receiver at most once, so a plain fancy-indexed
-        # |= applies a whole layer in one vectorized pass (grouped-OR
-        # via reduceat walks bytes one at a time and is ~10x slower).
-        order = np.argsort(targets, kind="stable")
-        targets_sorted = targets[order]
-        sources_sorted = row_idx[order]
-        receivers, starts = np.unique(targets_sorted, return_index=True)
-        group_sizes = np.diff(np.append(starts, targets_sorted.size))
+    def merge(
+        self,
+        receivers: np.ndarray,
+        bounds: np.ndarray,
+        payloads: np.ndarray,
+        src: np.ndarray,
+    ) -> None:
+        # Scatter-OR one "j-th message per receiver" layer at a time —
+        # each layer touches every receiver at most once, so a plain
+        # fancy-indexed |= applies a whole layer in one vectorized pass
+        # (grouped-OR via reduceat walks bytes one at a time and is
+        # ~10x slower).
+        starts = bounds[:-1]
+        group_sizes = np.diff(bounds)
+        packed = self.know.packed
         for j in range(int(group_sizes.max())):
             layer = group_sizes > j
-            idx = starts[layer] + j
-            know.packed[targets_sorted[idx]] |= snap[sources_sorted[idx]]
-        _trim_rows_packed(know, receivers, result.load_snapshot, config, rng)
-        initiating = False
-        senders = receivers
-        if senders.size == 0:  # pragma: no cover - targets imply receivers
-            break
+            packed[receivers[layer]] |= payloads[src[starts[layer] + j]]
 
+    def trim(self, receivers: np.ndarray) -> None:
+        _trim_rows_packed(self.know, receivers, self.loads, self.config, self.rng)
 
-def _run_coalesced_sparse(
-    know: SparseKnowledge,
-    seeds: np.ndarray,
-    config: GossipConfig,
-    rng: np.random.Generator,
-    result: GossipResult,
-) -> None:
-    """Round engine over :class:`SparseKnowledge` shards.
-
-    Structurally the batched engine with the packed candidate matrix
-    replaced by a :class:`_SparseComplementCandidates` view: nothing
-    O(P) per sender is ever materialized, so round cost scales with
-    shard sizes (bounded by ``max_known``) instead of ``P``. Because
-    the shared sampler's control flow depends only on ``counts`` /
-    ``want`` — identical here by construction — this engine consumes
-    the same RNG stream and picks the same targets as the packed
-    engine, draw for draw.
-
-    ``config.__post_init__`` guarantees no faults and no intra-node
-    bias on this path, so neither is handled here.
-    """
-    n_ranks = know.n_ranks
-    fanout = config.fanout
-    rpn = config.ranks_per_node
-    template = np.packbits(np.ones(n_ranks, dtype=bool))
-
-    senders = seeds.astype(np.int64)
-    initiating = True
-    for _round in range(1, config.rounds + 1):
-        result.per_round_messages.append(0)
-        result.per_round_senders.append(int(senders.size))
-        sender_list = senders.tolist()
-        # Shard references are the round's payload snapshot: every
-        # mutation in SparseKnowledge replaces a shard array rather
-        # than writing into it, so same-round merges cannot leak into
-        # these payloads (the packed engine copies rows for the same
-        # reason).
-        snap = [know.shards[s] for s in sender_list]
-        lens = np.fromiter((s.size for s in snap), np.int64, senders.size)
-        entries = lens
-        if initiating or not config.avoid_known:
-            counts = np.full(senders.size, n_ranks - 1, dtype=np.int64)
-            cand = _SparseComplementCandidates(
-                n_ranks, senders, None, None, None, template
-            )
-        else:
-            # Flat keys `row * P + id` over the row-major shard concat
-            # are globally sorted (shards are sorted, rows ascend), so
-            # membership for a whole wave is one searchsorted.
-            if int(lens.sum()):
-                flat_keys = np.repeat(
-                    np.arange(senders.size, dtype=np.int64) * n_ranks, lens
-                ) + np.concatenate(snap).astype(np.int64)
-            else:
-                flat_keys = np.empty(0, dtype=np.int64)
-            self_keys = np.arange(senders.size, dtype=np.int64) * n_ranks + senders
-            if flat_keys.size:
-                pos = np.searchsorted(flat_keys, self_keys)
-                knows_self = (
-                    flat_keys[np.minimum(pos, flat_keys.size - 1)] == self_keys
-                )
-            else:
-                knows_self = np.zeros(senders.size, dtype=bool)
-            counts = n_ranks - lens - (~knows_self)
-            cand = _SparseComplementCandidates(
-                n_ranks, senders, snap, lens, flat_keys, template
-            )
-
-        want = np.minimum(fanout, counts)
-        row_idx, targets = _sample_packed_rows(rng, cand, counts, want, n_ranks)
-        if targets.size == 0:
-            break
-        n = int(targets.size)
-        result.n_messages += n
-        result.bytes_sent += n * HEADER_BYTES + ENTRY_BYTES * int(
-            entries[row_idx].sum()
-        )
-        result.per_round_messages[-1] = n
-        result.inter_node_messages += int(
-            np.count_nonzero(targets // rpn != senders[row_idx] // rpn)
-        )
-        # Merge: group messages by receiver, union each receiver's
-        # current shard with all payload shards addressed to it.
-        order = np.argsort(targets, kind="stable")
-        targets_sorted = targets[order]
-        sources_sorted = row_idx[order]
-        receivers, starts = np.unique(targets_sorted, return_index=True)
-        bounds = np.append(starts, targets_sorted.size)
-        src_list = sources_sorted.tolist()
-        shards = know.shards
-        for i, r in enumerate(receivers.tolist()):
-            parts = [shards[r]]
-            for j in range(bounds[i], bounds[i + 1]):
-                parts.append(snap[src_list[j]])
-            merged = np.concatenate(parts)
-            if merged.size == 0:
-                shards[r] = merged
-                continue
-            # In-place sort + adjacency dedup == np.unique, minus the
-            # ~100us/call overhead that dominates saturated rounds
-            # (every rank is a receiver, so this loop runs P times).
-            merged.sort()
-            keep = np.empty(merged.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            shards[r] = merged[keep]
-        _trim_rows_sparse(know, receivers, result.load_snapshot, config, rng)
-        initiating = False
-        senders = receivers
-        if senders.size == 0:  # pragma: no cover - targets imply receivers
-            break
-
+    def finish(self) -> None:
+        """Rows are stored as they are read; nothing to convert."""
 
 # ---------------------------------------------------------------------------
-# Fused sparse driver (``kernel="auto"``/``"numba"``): shard interning.
+# Sparse store: shard interning, priority-space trim.
 # ---------------------------------------------------------------------------
 
 #: Minimum rows sharing one payload object before the round builds a
@@ -1029,8 +831,8 @@ class _ShardInterner:
     ``canon`` returns one canonical array per distinct content, so
     ranks whose knowledge sets converge — the steady state of capped
     "lowest"-trim gossip, where every rank settles on the same
-    lowest-load members — share a single array object. The fused
-    driver then skips whole merges on object identity alone (a payload
+    lowest-load members — share a single array object. The sparse
+    store then skips whole merges on object identity alone (a payload
     that *is* the receiver's shard cannot add members). A lookup never
     changes values: the canonical is value-equal to the query by
     construction, so interning is invisible to results.
@@ -1067,56 +869,36 @@ class _ShardInterner:
 
 
 class _FastSparseCandidates:
-    """Membership view for the fused sparse driver.
+    """Candidate view ``P \\ (S^p u {p})`` over sparse knowledge shards.
 
-    Identical answers to :class:`_SparseComplementCandidates`, cheaper
-    cost model: rows whose payload is the round's dominant (interned)
-    shard object test draws against one shared boolean bitmap of that
-    shard, and only the remaining rows pay per-row membership — the
-    jitted binary-search kernel when numba is installed, the flat-key
-    ``searchsorted`` otherwise.
+    A draw is a candidate iff it is not the sender and not in the
+    sender's shard. Sender rows are grouped by payload *object* —
+    interning makes equal shards identical objects, so converged rounds
+    collapse to one dominant group — and that group tests draws against
+    one shared boolean bitmap of its shard; only the remaining rows pay
+    per-row membership — the jitted binary-search kernel when numba is
+    installed, else one ``searchsorted`` against the flat key array
+    ``row * P + id`` (the row-major concatenation of sorted shards is
+    globally sorted). ``counts`` is ``P - |S^p| - (p not in S^p)``,
+    exactly the packed store's, so the shared sampler sees the same
+    inputs and consumes the same RNG stream.
 
-    When the driver stores shards in priority space (capped "lowest"
-    trim; see :func:`_run_coalesced_sparse_fast`), ``enc``/``dec``
-    carry the rank->priority permutation and its inverse: draws are
-    rank ids, so membership encodes the draw (``enc``) against the
-    priority-valued segments, while the dominant bitmap and the exact
-    ``extract`` path decode members (``dec``) back to rank ids once.
-    Both are ``None`` in id space.
+    When the store keeps shards in priority space (capped "lowest"
+    trim; see :class:`_SparseStore`), ``enc``/``dec`` carry the
+    rank->priority permutation and its inverse: draws are rank ids, so
+    membership encodes the draw (``enc``) against the priority-valued
+    segments, while the dominant bitmap and the exact ``extract`` path
+    decode members (``dec``) back to rank ids once. Both are ``None``
+    in id space.
     """
-
-    __slots__ = (
-        "n_ranks",
-        "senders",
-        "snap",
-        "lens",
-        "template",
-        "dom_mask",
-        "bitmap",
-        "nd_pos",
-        "nd_flat",
-        "nd_starts",
-        "nd_lens",
-        "nd_flat_keys",
-        "member_kernel",
-        "enc",
-        "dec",
-    )
 
     def __init__(
         self,
         n_ranks: int,
         senders: np.ndarray,
-        snap: list[np.ndarray],
+        snap: "np.ndarray | list[np.ndarray]",
         lens: np.ndarray,
         template: np.ndarray,
-        dom_mask: np.ndarray | None,
-        bitmap: np.ndarray | None,
-        nd_pos: np.ndarray,
-        nd_flat: np.ndarray,
-        nd_starts: np.ndarray,
-        nd_lens: np.ndarray,
-        nd_flat_keys: np.ndarray | None,
         member_kernel,
         enc: np.ndarray | None,
         dec: np.ndarray | None,
@@ -1126,16 +908,56 @@ class _FastSparseCandidates:
         self.snap = snap
         self.lens = lens
         self.template = template
-        self.dom_mask = dom_mask
-        self.bitmap = bitmap
-        self.nd_pos = nd_pos
-        self.nd_flat = nd_flat
-        self.nd_starts = nd_starts
-        self.nd_lens = nd_lens
-        self.nd_flat_keys = nd_flat_keys
         self.member_kernel = member_kernel
         self.enc = enc
         self.dec = dec
+        n_rows = int(senders.size)
+        groups: dict[int, list[int]] = {}
+        for i, s in enumerate(snap):
+            groups.setdefault(id(s), []).append(i)
+        dom_rows: list[int] | None = None
+        if groups:
+            best = max(groups.values(), key=len)
+            if len(best) >= _DOMINANT_MIN_ROWS and lens[best[0]]:
+                dom_rows = best
+        knows_self = np.zeros(n_rows, dtype=bool)
+        self.dom_mask = None
+        self.bitmap = None
+        if dom_rows is not None:
+            dom_shard = snap[dom_rows[0]]
+            if dec is not None:
+                dom_shard = dec[dom_shard]
+            # Always rank-indexed (decoded here), so dominant rows never
+            # pay a per-wave mapping.
+            self.bitmap = np.zeros(n_ranks, dtype=bool)
+            self.bitmap[dom_shard] = True
+            self.dom_mask = np.zeros(n_rows, dtype=bool)
+            self.dom_mask[dom_rows] = True
+            knows_self[self.dom_mask] = self.bitmap[senders[self.dom_mask]]
+            nd_rows = np.flatnonzero(~self.dom_mask)
+        else:
+            nd_rows = np.arange(n_rows)
+        self.nd_pos = np.full(n_rows, -1, dtype=np.int64)
+        self.nd_pos[nd_rows] = np.arange(nd_rows.size)
+        self.nd_lens = lens[nd_rows]
+        if int(self.nd_lens.sum()):
+            self.nd_flat = np.concatenate([snap[i] for i in nd_rows.tolist()])
+        else:
+            self.nd_flat = np.empty(0, dtype=SparseKnowledge._ID_DTYPE)
+        if nd_rows.size:
+            self.nd_starts = np.concatenate(([0], np.cumsum(self.nd_lens)[:-1]))
+        else:
+            self.nd_starts = np.empty(0, dtype=np.int64)
+        self.nd_flat_keys = None
+        if member_kernel is None:
+            self.nd_flat_keys = np.repeat(
+                np.arange(nd_rows.size, dtype=np.int64) * n_ranks, self.nd_lens
+            ) + self.nd_flat.astype(np.int64)
+        if nd_rows.size:
+            knows_self[nd_rows] = self._hits(
+                np.arange(nd_rows.size), senders[nd_rows][:, None]
+            )[:, 0]
+        self.counts = n_ranks - lens - (~knows_self)
 
     def _hits(self, sub_rows: np.ndarray, sub_draws: np.ndarray) -> np.ndarray:
         """Shard membership for non-dominant rows (compact indices).
@@ -1145,6 +967,8 @@ class _FastSparseCandidates:
         ``enc[draw]`` in the encoded shard equals membership of
         ``draw`` in the original, since ``enc`` is a bijection.
         """
+        if not self.nd_flat.size:  # all-empty shards: the seeding round
+            return np.zeros(sub_draws.shape, dtype=bool)
         if self.enc is not None:
             sub_draws = self.enc[sub_draws]
         if self.member_kernel is not None:
@@ -1159,8 +983,6 @@ class _FastSparseCandidates:
             )
             return hit
         flat = self.nd_flat_keys
-        if flat is None or not flat.size:
-            return np.zeros(sub_draws.shape, dtype=bool)
         keys = (sub_rows[:, None] * np.int64(self.n_ranks) + sub_draws).ravel()
         pos = np.searchsorted(flat, keys)
         return (flat[np.minimum(pos, flat.size - 1)] == keys).reshape(sub_draws.shape)
@@ -1168,8 +990,6 @@ class _FastSparseCandidates:
     def test(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
         ok = draws != self.senders[rows][:, None]
         if self.bitmap is not None:
-            # The bitmap is always rank-indexed (decoded at build time),
-            # so dominant rows never pay a per-wave mapping.
             dm = self.dom_mask[rows]
             if dm.any():
                 ok[dm] &= ~self.bitmap[draws[dm]]
@@ -1183,9 +1003,10 @@ class _FastSparseCandidates:
         return ok
 
     def extract(self, rows: np.ndarray) -> np.ndarray:
-        # The rare exact-sampler path; identical to the reference view,
-        # with encoded members decoded back to rank ids for the bit
-        # clears (order does not matter to ``_clear_bits``).
+        # The rare exact-sampler path (thin rows only): the packed
+        # complement from an all-ones template with the shard and self
+        # bits cleared; encoded members are decoded back to rank ids
+        # first (order does not matter to ``_clear_bits``).
         out = np.repeat(self.template[None, :], rows.size, axis=0)
         idx = np.arange(rows.size)
         row_lens = self.lens[rows]
@@ -1200,111 +1021,53 @@ class _FastSparseCandidates:
         return out
 
 
-def _fast_candidates(
-    n_ranks: int,
-    senders: np.ndarray,
-    snap: list[np.ndarray],
-    lens: np.ndarray,
-    template: np.ndarray,
-    member_kernel,
-    enc: np.ndarray | None = None,
-    dec: np.ndarray | None = None,
-) -> tuple[np.ndarray, _FastSparseCandidates]:
-    """Candidate counts and membership view for one fused round.
-
-    Groups sender rows by payload *object* — interning makes equal
-    shards identical objects, so converged rounds collapse to one
-    dominant group — and gives that group a single shared bitmap.
-    ``counts`` is computed exactly as the reference driver does
-    (``P - |S^p| - (p not in S^p)``), so the shared sampler sees the
-    same inputs and consumes the same RNG stream. ``enc``/``dec``
-    flag priority-space shards (see :class:`_FastSparseCandidates`).
-    """
-    n_rows = int(senders.size)
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(snap):
-        groups.setdefault(id(s), []).append(i)
-    dom_rows: list[int] | None = None
-    if groups:
-        best = max(groups.values(), key=len)
-        if len(best) >= _DOMINANT_MIN_ROWS:
-            dom_rows = best
-    knows_self = np.zeros(n_rows, dtype=bool)
-    dom_mask = None
-    bitmap = None
-    if dom_rows is not None:
-        dom_shard = snap[dom_rows[0]]
-        if dec is not None:
-            dom_shard = dec[dom_shard]
-        bitmap = np.zeros(n_ranks, dtype=bool)
-        bitmap[dom_shard] = True
-        dom_mask = np.zeros(n_rows, dtype=bool)
-        dom_mask[dom_rows] = True
-        knows_self[dom_mask] = bitmap[senders[dom_mask]]
-        nd_rows = np.flatnonzero(~dom_mask)
-    else:
-        nd_rows = np.arange(n_rows)
-    nd_pos = np.full(n_rows, -1, dtype=np.int64)
-    nd_pos[nd_rows] = np.arange(nd_rows.size)
-    nd_lens = lens[nd_rows]
-    if int(nd_lens.sum()):
-        nd_flat = np.concatenate([snap[i] for i in nd_rows.tolist()])
-    else:
-        nd_flat = np.empty(0, dtype=SparseKnowledge._ID_DTYPE)
-    if nd_rows.size:
-        nd_starts = np.concatenate(([0], np.cumsum(nd_lens)[:-1]))
-    else:
-        nd_starts = np.empty(0, dtype=np.int64)
-    nd_flat_keys = None
-    if member_kernel is None:
-        if nd_flat.size:
-            nd_flat_keys = np.repeat(
-                np.arange(nd_rows.size, dtype=np.int64) * n_ranks, nd_lens
-            ) + nd_flat.astype(np.int64)
-        else:
-            nd_flat_keys = np.empty(0, dtype=np.int64)
-    cand = _FastSparseCandidates(
-        n_ranks,
-        senders,
-        snap,
-        lens,
-        template,
-        dom_mask,
-        bitmap,
-        nd_pos,
-        nd_flat,
-        nd_starts,
-        nd_lens,
-        nd_flat_keys,
-        member_kernel,
-        enc,
-        dec,
-    )
-    if nd_rows.size:
-        knows_self[nd_rows] = cand._hits(
-            np.arange(nd_rows.size), senders[nd_rows][:, None]
-        )[:, 0]
-    counts = n_ranks - lens - (~knows_self)
-    return counts, cand
-
-
-def _run_coalesced_sparse_fast(
+def _trim_rows_sparse(
     know: SparseKnowledge,
-    seeds: np.ndarray,
+    ranks: np.ndarray,
     config: GossipConfig,
     rng: np.random.Generator,
-    result: GossipResult,
+    interner: _ShardInterner,
 ) -> None:
-    """Fused sparse round engine (``kernel="auto"``/``"numba"``).
+    """The "random" ``max_known`` cap over sparse shards, bit-identical
+    to the packed trim: the same survivor sets and the same RNG
+    consumption (full-width key rows drawn in the same chunks — only
+    the member positions are ever *read*, but the stream must match
+    the packed store draw for draw). The "lowest" cap never gets here:
+    :class:`_SparseStore` fuses it into the merge as a truncation.
 
-    Bit-identical to :func:`_run_coalesced_sparse` — same targets,
-    same shard values, same RNG stream — but built around one
-    observation: capped "lowest"-trim gossip *converges*. After a few
-    rounds most ranks hold the identical knowledge set (the globally
-    lowest-priority members), so most of the reference driver's
-    per-receiver concat/sort/dedup/argpartition work rebuilds a set
-    the receiver already has. Three value-preserving layers exploit
-    that:
+    Each trimmed shard is canonicalized so ranks that converge onto the
+    same survivor set share one array object — the identity the merge's
+    equality-skip keys on. Interning never changes a shard's *values*.
+    """
+    cap = config.max_known
+    if cap is None or ranks.size == 0:
+        return
+    shards = know.shards
+    rank_list = ranks.tolist()
+    lens = np.fromiter((shards[r].size for r in rank_list), np.int64, ranks.size)
+    over = ranks[lens > cap]
+    n = know.n_ranks
+    for start in range(0, over.size, _TRIM_CHUNK_ROWS):
+        chunk = over[start : start + _TRIM_CHUNK_ROWS]
+        keys = rng.random((chunk.size, n))
+        for i, r in enumerate(chunk.tolist()):
+            shard = shards[r]
+            member_keys = keys[i, shard]
+            keep = shard[np.argpartition(member_keys, cap - 1)[:cap]]
+            keep.sort()
+            shards[r] = interner.canon(keep)
+
+
+class _SparseStore:
+    """Round-loop adapter over :class:`SparseKnowledge` shards.
+
+    Nothing O(P) per sender is ever materialized, so round cost scales
+    with shard sizes (bounded by ``max_known``) instead of ``P`` — and
+    capped "lowest"-trim gossip *converges*: after a few rounds most
+    ranks hold the identical knowledge set (the globally
+    lowest-priority members), so most per-receiver
+    concat/sort/dedup/argpartition work would rebuild a set the
+    receiver already has. Three value-preserving layers exploit that:
 
     - **Priority space** (capped "lowest" trim only): shards are
       stored as sorted *priority* values (``prio[member]``) for the
@@ -1314,7 +1077,7 @@ def _run_coalesced_sparse_fast(
       is *complete*: no payload can ever displace a member, so its
       merges skip without touching the payloads. Priorities are a
       bijection of rank ids, so sizes, unions and membership answers
-      are unchanged; shards decode back to rank ids on exit.
+      are unchanged; :meth:`finish` decodes shards back to rank ids.
     - **Interning + identity skips**: equal shard contents share one
       array object (:class:`_ShardInterner`), so messages whose
       payload *is* the receiver's shard are no-ops — detected for the
@@ -1329,111 +1092,119 @@ def _run_coalesced_sparse_fast(
     The "random" trim draws RNG keys per over-cap row, so it cannot be
     fused or skipped; that path keeps id-space shards and the separate
     :func:`_trim_rows_sparse` pass (identical stream consumption).
-
-    ``config.__post_init__`` guarantees no faults and no intra-node
-    bias on this path, so neither is handled here.
+    Payload handles are shard references: every mutation *replaces* a
+    shard array (interning included), so a reference taken at round
+    start — or held in the fault layer's late-delivery table — never
+    sees a later merge.
     """
-    n_ranks = know.n_ranks
-    fanout = config.fanout
-    rpn = config.ranks_per_node
-    template = np.packbits(np.ones(n_ranks, dtype=bool))
-    kernels = get_gossip_kernels()
-    merge_kernel = kernels[0] if kernels is not None else None
-    member_kernel = kernels[1] if kernels is not None else None
-    interner = _ShardInterner(max_buckets=max(1024, n_ranks // 4))
-    shards = know.shards
-    id_dtype = SparseKnowledge._ID_DTYPE
-    merge_buf = np.empty(0, dtype=id_dtype)
-    cap = config.max_known
-    fused_trim = cap is not None and config.trim_policy == "lowest"
-    enc: np.ndarray | None = None
-    dec: np.ndarray | None = None
-    complete: np.ndarray | None = None
-    if fused_trim:
-        # prio/dec are the permutation pair of _load_priority: loads
-        # are fixed for the stage, so both are hoisted out of the
-        # rounds, and every shard is re-encoded once on entry.
-        dec = np.argsort(result.load_snapshot, kind="stable")
-        enc = np.empty(n_ranks, dtype=np.int64)
-        enc[dec] = np.arange(n_ranks)
-        enc32 = enc.astype(id_dtype)
-        complete = np.zeros(n_ranks, dtype=bool)
-        for r in range(n_ranks):
-            s = shards[r]
-            if s.size:
-                e = enc32[s]
-                e.sort()
-                shards[r] = e
-                if e.size == cap and e[-1] == cap - 1:
-                    complete[r] = True
 
-    senders = seeds.astype(np.int64)
-    initiating = True
-    for _round in range(1, config.rounds + 1):
-        result.per_round_messages.append(0)
-        result.per_round_senders.append(int(senders.size))
-        sender_list = senders.tolist()
-        # Shard references are the round's payload snapshot: every
-        # mutation replaces a shard array (interning included), so
-        # same-round merges cannot leak into these payloads.
-        snap = [shards[s] for s in sender_list]
-        lens = np.fromiter((s.size for s in snap), np.int64, senders.size)
-        entries = lens
-        if initiating or not config.avoid_known:
-            counts = np.full(senders.size, n_ranks - 1, dtype=np.int64)
-            cand: object = _SparseComplementCandidates(
-                n_ranks, senders, None, None, None, template
-            )
-        else:
-            counts, cand = _fast_candidates(
-                n_ranks, senders, snap, lens, template, member_kernel, enc, dec
-            )
+    def __init__(
+        self,
+        know: SparseKnowledge,
+        config: GossipConfig,
+        loads: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        n_ranks = know.n_ranks
+        self.know = know
+        self.config = config
+        self.rng = rng
+        self.template = np.packbits(np.ones(n_ranks, dtype=bool))
+        kernels = get_gossip_kernels()
+        self.merge_kernel = kernels[0] if kernels is not None else None
+        self.member_kernel = kernels[1] if kernels is not None else None
+        self.interner = _ShardInterner(max_buckets=max(1024, n_ranks // 4))
+        self.merge_buf = np.empty(0, dtype=SparseKnowledge._ID_DTYPE)
+        cap = config.max_known
+        self.fused_trim = cap is not None and config.trim_policy == "lowest"
+        self.enc: np.ndarray | None = None
+        self.dec: np.ndarray | None = None
+        self.complete: np.ndarray | None = None
+        if self.fused_trim:
+            # enc/dec are the permutation pair of _load_priority: loads
+            # are fixed for the stage, so both are built once, and every
+            # shard is re-encoded once on entry.
+            self.dec = np.argsort(loads, kind="stable")
+            self.enc = np.empty(n_ranks, dtype=np.int64)
+            self.enc[self.dec] = np.arange(n_ranks)
+            enc32 = self.enc.astype(SparseKnowledge._ID_DTYPE)
+            self.complete = np.zeros(n_ranks, dtype=bool)
+            shards = know.shards
+            for r in range(n_ranks):
+                s = shards[r]
+                if s.size:
+                    e = enc32[s]
+                    e.sort()
+                    shards[r] = e
+                    if e.size == cap and e[-1] == cap - 1:
+                        self.complete[r] = True
 
-        want = np.minimum(fanout, counts)
-        row_idx, targets = _sample_packed_rows(rng, cand, counts, want, n_ranks)
-        if targets.size == 0:
-            break
-        n = int(targets.size)
-        result.n_messages += n
-        result.bytes_sent += n * HEADER_BYTES + ENTRY_BYTES * int(
-            entries[row_idx].sum()
+    def snapshot(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Payload shard references and their sizes."""
+        shards = self.know.shards
+        n = senders.size
+        snap = np.fromiter((shards[s] for s in senders.tolist()), object, n)
+        return snap, np.fromiter((s.size for s in snap), np.int64, n)
+
+    def candidates(
+        self, senders: np.ndarray, snap: np.ndarray, lens: np.ndarray, full: bool
+    ) -> tuple[np.ndarray, _FastSparseCandidates]:
+        """``(counts, membership view)``: ``P \\ S^p`` minus self, or —
+        when ``full`` — the same view over empty shards (all of P)."""
+        if full:
+            snap = [np.empty(0, dtype=SparseKnowledge._ID_DTYPE)] * senders.size
+            lens = np.zeros(senders.size, dtype=np.int64)
+        cand = _FastSparseCandidates(
+            self.know.n_ranks,
+            senders,
+            snap,
+            lens,
+            self.template,
+            self.member_kernel,
+            self.enc,
+            self.dec,
         )
-        result.per_round_messages[-1] = n
-        result.inter_node_messages += int(
-            np.count_nonzero(targets // rpn != senders[row_idx] // rpn)
-        )
-        # Merge. Complete receivers and receivers whose every payload
-        # *is* their own shard object are skipped wholesale (the union
+        return cand.counts, cand
+
+    def merge(
+        self,
+        receivers: np.ndarray,
+        bounds: np.ndarray,
+        payloads: np.ndarray,
+        src: np.ndarray,
+    ) -> None:
+        # Complete receivers and receivers whose every payload *is*
+        # their own shard object are skipped wholesale (the union
         # cannot change their set); only the rest run a real merge,
         # with the "lowest" trim fused in as a truncation.
-        order = np.argsort(targets, kind="stable")
-        targets_sorted = targets[order]
-        sources_sorted = row_idx[order]
-        receivers, starts = np.unique(targets_sorted, return_index=True)
-        bounds = np.append(starts, targets_sorted.size)
+        shards = self.know.shards
+        interner = self.interner
+        merge_kernel = self.merge_kernel
+        fused_trim = self.fused_trim
+        cap = self.config.max_known
+        complete = self.complete
+        payload_list = payloads.tolist()
         recv_list = receivers.tolist()
         own_ids = np.fromiter(
             (id(shards[r]) for r in recv_list), np.int64, receivers.size
         )
         payload_ids = np.fromiter(
-            (id(s) for s in snap), np.int64, senders.size
-        )[sources_sorted]
-        group_sizes = np.diff(bounds)
-        is_own = payload_ids == np.repeat(own_ids, group_sizes)
+            (id(s) for s in payload_list), np.int64, len(payload_list)
+        )[src]
+        is_own = payload_ids == np.repeat(own_ids, np.diff(bounds))
         open_recv = ~np.logical_and.reduceat(is_own, bounds[:-1])
         if complete is not None:
             open_recv &= ~complete[receivers]
-        active = np.flatnonzero(open_recv)
         bounds_list = bounds.tolist()
-        src_list = sources_sorted.tolist()
-        for i in active.tolist():
+        src_list = src.tolist()
+        for i in np.flatnonzero(open_recv).tolist():
             r = recv_list[i]
             own = shards[r]
             own_id = id(own)
             parts: list[np.ndarray] = []
             seen = [own_id]
             for j in range(bounds_list[i], bounds_list[i + 1]):
-                p = snap[src_list[j]]
+                p = payload_list[src_list[j]]
                 pid = id(p)
                 if pid != own_id and pid not in seen:
                     seen.append(pid)
@@ -1449,16 +1220,17 @@ def _run_coalesced_sparse_fast(
             elif merge_kernel is not None and len(parts) == 1:
                 b = parts[0]
                 need = own.size + b.size
-                if merge_buf.size < need:
-                    merge_buf = np.empty(need, dtype=merge_buf.dtype)
-                k = merge_kernel(own, b, merge_buf)
+                if self.merge_buf.size < need:
+                    self.merge_buf = np.empty(need, dtype=self.merge_buf.dtype)
+                k = merge_kernel(own, b, self.merge_buf)
                 if fused_trim and k > cap:
                     k = cap
-                merged = interner.canon(merge_buf[:k].copy())
+                merged = interner.canon(self.merge_buf[:k].copy())
             else:
                 merged = np.concatenate([own, *parts])
                 # In-place sort + adjacency dedup == np.unique, minus
-                # the per-call overhead (see the reference driver).
+                # the ~100us/call overhead that dominates saturated
+                # rounds (every rank is a receiver).
                 merged.sort()
                 keep = np.empty(merged.size, dtype=bool)
                 keep[0] = True
@@ -1470,26 +1242,28 @@ def _run_coalesced_sparse_fast(
             shards[r] = merged
             if fused_trim and merged.size == cap and merged[-1] == cap - 1:
                 complete[r] = True
-        if not fused_trim:
+
+    def trim(self, receivers: np.ndarray) -> None:
+        if not self.fused_trim:
             _trim_rows_sparse(
-                know, receivers, result.load_snapshot, config, rng, interner
+                self.know, receivers, self.config, self.rng, self.interner
             )
-        initiating = False
-        senders = receivers
-        if senders.size == 0:  # pragma: no cover - targets imply receivers
-            break
-    if fused_trim:
-        # Decode priority-space shards back to sorted rank ids, one
-        # conversion per distinct object. The dict pins the encoded
-        # key arrays so object ids cannot be recycled mid-decode.
+
+    def finish(self) -> None:
+        """Decode priority-space shards back to sorted rank ids, one
+        conversion per distinct object. The dict pins the encoded key
+        arrays so object ids cannot be recycled mid-decode."""
+        if not self.fused_trim:
+            return
+        shards = self.know.shards
         decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for r in range(n_ranks):
+        for r in range(self.know.n_ranks):
             s = shards[r]
             hit = decoded.get(id(s))
             if hit is not None and hit[0] is s:
                 shards[r] = hit[1]
                 continue
-            d = dec[s].astype(id_dtype)
+            d = self.dec[s].astype(SparseKnowledge._ID_DTYPE)
             d.sort()
             decoded[id(s)] = (s, d)
             shards[r] = d

@@ -19,7 +19,9 @@ same API (``add`` / ``add_self`` / ``merge`` / ``merge_many`` / ``known``
     under a ``max_known`` cap of c it is ~``4cP`` bytes (131072 ranks,
     c=512: 268 MB vs 2 GiB packed). Rows exchanged by merges are id
     arrays rather than bit rows; ``GossipConfig(knowledge="auto")``
-    selects this store at high rank counts.
+    selects this store at high rank counts. Shards are immutable by
+    replacement, which is what lets the inform round loop (one loop
+    over both stores, fault fates included) hold payload references.
 
 The tests check both against a plain list of Python ``set``s. Loads do
 not change during an inform stage, so ``LOAD^p`` is simply the global
@@ -335,8 +337,8 @@ class SparseKnowledge:
     def memory_bytes(self) -> int:
         """Bytes actually held by the shard arrays.
 
-        Counted per distinct array *object*, not per rank: the fused
-        gossip driver interns converged shards, so thousands of ranks
+        Counted per distinct array *object*, not per rank: the inform
+        stage interns converged shards, so thousands of ranks
         may reference one physical array. Summing ``nbytes`` per rank
         would report that storage once per referencing rank — at 4k
         ranks / cap 512 that inflated 8 MB of logical entries into the

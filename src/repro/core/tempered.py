@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.base import LBResult, LoadBalancer
-from repro.core.cmf import CMF_MODIFIED, CMF_UPDATE_INCREMENTAL
+from repro.core.cmf import CMF_MODIFIED
 from repro.core.criteria import CRITERION_RELAXED
 from repro.core.distribution import Distribution
 from repro.core.gossip import GossipConfig
@@ -54,7 +54,6 @@ class TemperedConfig:
     criterion: str = CRITERION_RELAXED
     cmf: str = CMF_MODIFIED
     recompute_cmf: bool = True
-    cmf_update: str = CMF_UPDATE_INCREMENTAL  #: l.7 maintenance (see cmf.py)
     ordering: str = ORDER_FEWEST_MIGRATIONS
     view: str = "snapshot"  #: transfer-stage load visibility (see transfer.py)
     max_passes: int | None = 1  #: task-list passes per rank per stage
@@ -65,9 +64,8 @@ class TemperedConfig:
     #: Inform-stage knowledge store: "auto" / "packed" / "sparse" (see
     #: :class:`~repro.core.gossip.GossipConfig`).
     knowledge: str = "auto"
-    #: Sparse inform driver: "auto" (fused fast path), "numba" (fused +
-    #: jitted kernels, warns once without numba) or "python" (reference
-    #: oracle); bit-identical results either way.
+    #: Sparse-store kernels: "auto" or "numba" (jitted where numba is
+    #: installed; "numba" warns once without it); bit-identical results.
     gossip_kernel: str = "auto"
     #: Transfer inner-loop kernel: "python" or "numba" (jitted when
     #: numba is installed, bit-identical fallback otherwise).
@@ -112,7 +110,6 @@ class TemperedConfig:
             criterion=self.criterion,
             cmf=self.cmf,
             recompute_cmf=self.recompute_cmf,
-            cmf_update=self.cmf_update,
             ordering=self.ordering,
             threshold=self.threshold,
             view=self.view,

@@ -48,9 +48,6 @@ from repro.core._kernels import PASS_REBUILD, get_transfer_pass, warn_numba_miss
 from repro.core.cmf import (
     CMF_MODIFIED,
     CMF_ORIGINAL,
-    CMF_UPDATE_INCREMENTAL,
-    CMF_UPDATE_REBUILD,
-    CMF_UPDATES,
     IncrementalCMF,
     build_cmf,
     sample_cmf,
@@ -84,11 +81,9 @@ class TransferConfig:
 
     criterion: str = CRITERION_RELAXED  #: "original" (l.35) or "relaxed" (l.37)
     cmf: str = CMF_MODIFIED  #: "original" (l.23) or "modified" (l.25)
-    recompute_cmf: bool = True  #: rebuild F per candidate (l.7) vs once (l.5)
-    #: How l.7's recomputation is maintained: "incremental" (O(log n)
-    #: Fenwick updates, the fast path) or "rebuild" (full BUILDCMF per
-    #: accepted transfer, the pre-optimization reference).
-    cmf_update: str = CMF_UPDATE_INCREMENTAL
+    #: Refresh F per accepted transfer (l.7, maintained incrementally:
+    #: O(log n) Fenwick updates) vs build it once (l.5).
+    recompute_cmf: bool = True
     ordering: str = ORDER_ARBITRARY  #: § V-E traversal order
     threshold: float = 1.0  #: h — relative imbalance threshold
     view: str = VIEW_SNAPSHOT  #: "snapshot" (distributed) or "shared" (LBAF)
@@ -100,7 +95,6 @@ class TransferConfig:
     def __post_init__(self) -> None:
         check_in("criterion", self.criterion, CRITERIA)
         check_in("cmf", self.cmf, (CMF_ORIGINAL, CMF_MODIFIED))
-        check_in("cmf_update", self.cmf_update, CMF_UPDATES)
         check_in("ordering", self.ordering, ORDERINGS)
         check_positive("threshold", self.threshold)
         check_in("view", self.view, (VIEW_SNAPSHOT, VIEW_SHARED))
@@ -168,13 +162,12 @@ class TransferStats:
 
 
 class _RebuildCMF:
-    """Pre-optimization recipient sampler: full BUILDCMF per refresh.
-
-    Shares a duck interface with :class:`IncrementalCMF` (``exhausted``,
-    ``sample``, ``update``, ``builds``/``updates`` counters) so the
-    transfer loop is agnostic to the maintenance strategy. ``poke`` sets
-    a known load *without* refreshing the distribution — the bookkeeping
-    path when ``recompute_cmf`` is off (Alg. 2 l.5 semantics).
+    """Build-once recipient sampler (``recompute_cmf=False``, Alg. 2
+    l.5): ``poke`` sets a known load *without* refreshing the
+    distribution. Shares a duck interface with :class:`IncrementalCMF`
+    (``exhausted``, ``sample``, ``update``, ``builds``/``updates``
+    counters); its ``update`` — a full BUILDCMF per refresh — is what
+    the test-side rebuild-per-accept reference runs.
     """
 
     __slots__ = ("loads", "l_ave", "variant", "cmf", "builds", "updates")
@@ -367,13 +360,12 @@ def _transfer_from_rank_soa(
     shared = config.view == VIEW_SHARED
     # A gather is already a private copy: the sender's own bookkeeping.
     known_loads = (loads if shared else gossip.load_snapshot)[candidates]
-    incremental = config.recompute_cmf and config.cmf_update == CMF_UPDATE_INCREMENTAL
-    if incremental:
+    if config.recompute_cmf:
         sampler = IncrementalCMF(known_loads, l_ave, config.cmf, copy=False)
     else:
         sampler = _RebuildCMF(known_loads, l_ave, config.cmf)
 
-    fused = incremental and not shared and not config.nacks
+    fused = config.recompute_cmf and not shared and not config.nacks
     kern = None
     if (
         fused

@@ -1,16 +1,16 @@
 """Microbenchmarks for the gossip-LB hot paths.
 
-Four timed paths, mirroring where an LB episode actually spends time:
+Four timed paths, mirroring where an LB episode actually spends time
+(one production path per stage — races whose outcome is decided are
+retired, their committed ratios recorded in ``docs/performance.md``):
 
 ``inform/batched``
     One full inform stage (Alg. 1) on packed knowledge; must obey the
     ``f x |senders|`` message model (``message_model_exact``).
-``transfer/rebuild`` vs ``transfer/incremental``
-    One transfer stage (Alg. 2) with CMF recomputation per accepted
-    transfer, under both maintenance strategies. Their ratio is the
-    headline speedup of the incremental-CMF fast path; both run the
-    same seed and propose the same assignment, so the comparison is
-    work-for-work.
+``transfer/incremental``
+    One transfer stage (Alg. 2) with the CMF refreshed per accepted
+    transfer (incremental Fenwick maintenance); ``cmf_builds`` /
+    ``cmf_updates`` ride along.
 ``refinement/serial`` vs ``refinement/parallel``
     Algorithm 3 with the trial loop serial (spawned streams, one
     worker) vs. parallel under the shipping resolution rule (a process
@@ -30,13 +30,12 @@ Four timed paths, mirroring where an LB episode actually spends time:
 
 The ``--scale`` ladder adds per-rung cases on top of these:
 
-``inform/sparse`` vs ``inform/sparse-python``
-    The fused sparse inform driver (priority-space trim, interned
-    shards, optional numba kernels) raced against the pure-Python
-    reference driver at the rungs where the reference is tractable.
-    Both consume identical RNG and produce bit-identical knowledge, so
-    the ratio — ``speedups.inform_sparse_kernel_vs_python`` — is
-    work-for-work.
+``inform/packed`` vs ``inform/sparse``
+    The same round loop over both knowledge stores at the rungs where
+    the packed matrix is tractable. Both consume identical RNG and
+    produce bit-identical knowledge, so the ratio —
+    ``speedups.inform_backend_auto_vs_alt_<rung>`` — is work-for-work
+    and proves ``knowledge="auto"`` picks the faster store.
 ``refinement/<rung>``
     One full Algorithm 3 episode at the rung's rank count: inform +
     CMF + transfer + trial selection, end to end, with the per-stage
@@ -65,7 +64,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.cmf import CMF_UPDATE_INCREMENTAL, CMF_UPDATE_REBUILD
 from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.core.refinement import iterative_refinement
 from repro.core.transfer import TransferConfig, transfer_stage
@@ -113,13 +111,6 @@ SCALE_RSS_BUDGET_MB = {"4k": 2_048, "32k": 4_096, "131k": 8_192}
 #: reference. At 131k the dense knowledge matrix alone is ~2 GiB and
 #: each round copies it, so the rung runs the sparse store only.
 _RUNG_REFERENCE = {"4k": True, "32k": True, "131k": False}
-
-#: Rungs where the pure-Python sparse inform driver is raced against
-#: the fused fast path (``GossipConfig.kernel``). The reference driver
-#: scales like the fast path times its constant factor, so at 131k it
-#: would dominate the whole ladder's wall time for a ratio the 32k rung
-#: already establishes; 131k times the fast path only.
-_RUNG_KERNEL_RACE = {"4k": True, "32k": True, "131k": False}
 
 #: Full-episode (Algorithm 3) shape per rung: (n_trials, n_iters).
 #: Small on purpose — the episode case measures per-iteration cost of
@@ -198,14 +189,12 @@ def _peak_rss_mb() -> float:
 def _run_scale_rung(
     name: str, quick: bool, repeats: int, seed: int, profile: bool = False
 ) -> dict[str, Any]:
-    """Time one ladder rung (in-process): stages, kernel race, episode.
+    """Time one ladder rung (in-process): stages and one episode.
 
-    Reference implementations (packed knowledge, the pure-Python
-    sparse inform driver) run alongside the scaling
-    stack where they are tractable (``_RUNG_REFERENCE`` /
-    ``_RUNG_KERNEL_RACE``), so the rung reports both the cost of the
-    stack that ships at that rank count and the ratio against each
-    alternative. On top of the per-stage timings, one full
+    The packed store runs alongside the sparse one where it is
+    tractable (``_RUNG_REFERENCE``), so the rung reports both the cost
+    of the store that ships at that rank count and the ratio against
+    the alternative. On top of the per-stage timings, one full
     ``iterative_refinement`` episode (``_RUNG_EPISODE`` shape) times
     the whole LB decision loop end to end with its ``wall.*`` stage
     timers.
@@ -257,19 +246,6 @@ def _run_scale_rung(
             gossip = stage
         if profile and backend == "sparse":
             profiles[f"inform_sparse_{name}"] = _profile_text(bench_inform)
-
-    # The sparse kernel race: fused fast driver (what "auto" ships) vs
-    # the pure-Python reference driver. Bit-identical by construction
-    # (the dedicated parity tests enforce it down to the RNG stream);
-    # the message count doubles as a cheap cross-check here.
-    inform_kernel_secs: dict[str, float] = {"fast": inform_secs["sparse"]}
-    kernel_equivalent = True
-    if _RUNG_KERNEL_RACE[name]:
-        secs, stage = _time_best(
-            make_inform(GossipConfig(knowledge="sparse", kernel="python", **base)), reps
-        )
-        inform_kernel_secs["python"] = secs
-        kernel_equivalent = stage.n_messages == inform_messages["sparse"]
 
     def bench_transfer():
         assignment = np.array(dist.assignment, copy=True)
@@ -323,8 +299,6 @@ def _run_scale_rung(
             gossip.auto_threshold if gossip is not None else 0
         ),
         "inform_seconds": inform_secs,
-        "inform_kernel_seconds": inform_kernel_secs,
-        "kernel_equivalent": kernel_equivalent,
         "inform_messages": inform_messages,
         "knowledge_memory_mb": inform_mem,
         "transfer_seconds": {"soa": transfer_secs},
@@ -432,16 +406,10 @@ def run_benchmarks(
     ``scale`` additionally runs the rank-count ladder (a rung name or
     ``"all"``; see :func:`run_scale_ladder`): the payload gains a
     ``scale_ladder`` section, per-rung benchmark rows tagged with their
-    rung (including one ``refinement/<rung>`` full-episode row and an
-    ``inform/sparse-python`` reference row where the race ran), and per
-    rung:
-
-    - ``inform_backend_auto_vs_alt_<rung>`` — the ratio that proves
-      ``knowledge="auto"`` picks the faster backend at that rank count;
-    - ``inform_sparse_kernel_vs_python_<rung>`` — the fused sparse
-      driver against the pure-Python reference, with the headline
-      ``inform_sparse_kernel_vs_python`` pinned to the 32k rung (the
-      largest raced scale).
+    rung (including one ``refinement/<rung>`` full-episode row), and
+    per rung ``inform_backend_auto_vs_alt_<rung>`` — the ratio that
+    proves ``knowledge="auto"`` picks the faster backend at that rank
+    count.
 
     ``profile=True`` runs each headline case once more under cProfile
     and returns the top-20 cumulative listings in ``payload["profiles"]``.
@@ -492,38 +460,33 @@ def run_benchmarks(
         )
     )
 
-    # -- transfer stage: full-rebuild reference vs incremental fast path ----
-    transfer_secs: dict[str, float] = {}
-    for mode in (CMF_UPDATE_REBUILD, CMF_UPDATE_INCREMENTAL):
-        config = TransferConfig(cmf_update=mode)
-
-        def bench_transfer(config=config):
-            assignment = np.array(dist.assignment, copy=True)
-            return transfer_stage(
-                assignment,
-                dist.task_loads,
-                inform,
-                config,
-                np.random.default_rng(seed + 2),
-            )
-
-        secs, stats = _time_best(bench_transfer, repeats)
-        transfer_secs[mode] = secs
-        if profile and mode == CMF_UPDATE_INCREMENTAL:
-            profiles["transfer_incremental"] = _profile_text(bench_transfer)
-        results.append(
-            BenchResult(
-                f"transfer/{mode}",
-                secs,
-                repeats,
-                {
-                    "transfers": stats.transfers,
-                    "rejections": stats.rejections,
-                    "cmf_builds": stats.cmf_builds,
-                    "cmf_updates": stats.cmf_updates,
-                },
-            )
+    # -- transfer stage ----------------------------------------------------
+    def bench_transfer():
+        assignment = np.array(dist.assignment, copy=True)
+        return transfer_stage(
+            assignment,
+            dist.task_loads,
+            inform,
+            TransferConfig(),
+            np.random.default_rng(seed + 2),
         )
+
+    secs, stats = _time_best(bench_transfer, repeats)
+    if profile:
+        profiles["transfer_incremental"] = _profile_text(bench_transfer)
+    results.append(
+        BenchResult(
+            "transfer/incremental",
+            secs,
+            repeats,
+            {
+                "transfers": stats.transfers,
+                "rejections": stats.rejections,
+                "cmf_builds": stats.cmf_builds,
+                "cmf_updates": stats.cmf_updates,
+            },
+        )
+    )
 
     # -- refinement: serial vs parallel (process-backed) trials -------------
     n_trials, n_iters, default_workers = (2, 2, 2) if quick else (4, 2, 4)
@@ -595,9 +558,6 @@ def run_benchmarks(
     )
 
     speedups = {
-        "transfer_incremental_vs_rebuild": (
-            transfer_secs[CMF_UPDATE_REBUILD] / transfer_secs[CMF_UPDATE_INCREMENTAL]
-        ),
         "refinement_parallel_vs_serial": (
             refine_secs["serial"] / refine_secs["parallel"]
         ),
@@ -609,7 +569,6 @@ def run_benchmarks(
         ladder = run_scale_ladder(
             scale, quick=quick, repeats=repeats, seed=seed, profile=profile
         )
-        kernel_ratios: dict[str, float] = {}
         for rung in ladder:
             profiles.update(rung.pop("profiles", {}))
             tag = {
@@ -630,27 +589,6 @@ def run_benchmarks(
                             "knowledge_memory_mb": rung["knowledge_memory_mb"][backend],
                         },
                     )
-                )
-            kernel_secs = rung.get("inform_kernel_seconds", {})
-            if "python" in kernel_secs:
-                results.append(
-                    BenchResult(
-                        "inform/sparse-python",
-                        kernel_secs["python"],
-                        rung["repeats"],
-                        {
-                            **tag,
-                            "knowledge": "sparse",
-                            "kernel": "python",
-                            "kernel_equivalent": rung.get("kernel_equivalent", True),
-                        },
-                    )
-                )
-                kernel_ratios[rung["scale"]] = (
-                    kernel_secs["python"] / kernel_secs["fast"]
-                )
-                speedups[f"inform_sparse_kernel_vs_python_{rung['scale']}"] = (
-                    kernel_ratios[rung["scale"]]
                 )
             for engine, secs in rung["transfer_seconds"].items():
                 results.append(
@@ -694,12 +632,6 @@ def run_benchmarks(
                     rung["inform_seconds"][alts[0]]
                     / rung["inform_seconds"][rung["auto_backend"]]
                 )
-        # The headline kernel ratio is the largest raced rung (32k when
-        # the full ladder runs) — the scale the fused driver exists for.
-        if kernel_ratios:
-            speedups["inform_sparse_kernel_vs_python"] = kernel_ratios.get(
-                "32k", max(kernel_ratios.values())
-            )
     # Stage timers are cumulative per trial and measure elapsed time
     # inside each worker (descheduled slices included); wall.refinement
     # is the true span. Their ratio is the utilization of the parallel

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.gossip import (
-    ENTRY_BYTES,
-    HEADER_BYTES,
-    GossipResult,
-    resolve_auto_threshold,
-)
+from repro.core.gossip import ENTRY_BYTES, HEADER_BYTES, GossipResult
 from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
 from repro.sim.process import Process, System
 from repro.sim.rng import RankStreams
@@ -36,6 +31,12 @@ from repro.util.validation import check_positive
 __all__ = ["DistributedGossip", "GossipOutcome"]
 
 _gossip_counter = 0
+
+#: Rank count at which ``knowledge="auto"`` goes sparse here. This
+#: driver merges per received message in scalar Python, so its
+#: packed/sparse crossover sits well above the phase-level round
+#: loop's (:data:`repro.core.gossip.SPARSE_AUTO_MIN_RANKS_FAST`).
+EVENT_SPARSE_AUTO_MIN_RANKS = 32_768
 
 
 @dataclass
@@ -104,7 +105,7 @@ class DistributedGossip:
         #: also what ``None`` means), "sparse" (per-rank sorted id
         #: shards — the O(sum |S^p|) representation for high rank
         #: counts) or "auto" (sparse from
-        #: ``resolve_auto_threshold("python")`` ranks, packed below).
+        #: :data:`EVENT_SPARSE_AUTO_MIN_RANKS` ranks, packed below).
         #: The message-level protocol exchanges rank-id arrays either
         #: way, so the choice never affects traffic or RNG consumption:
         #: zero-fault outcomes are bit-identical across it, and fault
@@ -134,13 +135,8 @@ class DistributedGossip:
 
         underloaded = self.loads < self.average_load
         backend = self.knowledge
-        # This driver merges per received message in scalar Python — the
-        # reference-driver cost profile — so auto uses the shared
-        # "python" crossover, not the fused-kernel one it used to
-        # hard-code (that drifted once the two thresholds diverged).
-        auto_threshold = resolve_auto_threshold("python")
         if backend == "auto":
-            backend = "sparse" if n >= auto_threshold else "packed"
+            backend = "sparse" if n >= EVENT_SPARSE_AUTO_MIN_RANKS else "packed"
         know: PackedKnowledgeBitmap | SparseKnowledge
         know = SparseKnowledge(n) if backend == "sparse" else PackedKnowledgeBitmap(n)
         seeds = np.flatnonzero(underloaded)
@@ -238,5 +234,5 @@ class DistributedGossip:
             bytes_sent=counters["bytes"],
             elapsed=elapsed,
             knowledge_backend="sparse" if backend == "sparse" else "packed",
-            auto_threshold=auto_threshold,
+            auto_threshold=EVENT_SPARSE_AUTO_MIN_RANKS,
         )

@@ -15,7 +15,12 @@ transcriptions the equivalence suites compare it against. Nothing under
     Algorithm 2 over ``list[list[int]]`` rank/task state, behind
     :func:`repro.core.transfer.transfer_stage`'s signature. It shares
     the CMF samplers with production, so it is bit-identical to it:
-    same assignment, same stats, same final RNG state.
+    same assignment, same stats, same final RNG state. With
+    ``rebuild_cmf=True`` it refreshes the CMF by a full BUILDCMF per
+    accepted transfer instead of incrementally — the reference that
+    :class:`repro.core.cmf.IncrementalCMF` is held to (same decisions
+    and RNG stream; only the ``cmf_builds``/``cmf_updates`` counters
+    differ).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cmf import CMF_UPDATE_INCREMENTAL, IncrementalCMF
+from repro.core.cmf import IncrementalCMF
 from repro.core.criteria import CRITERIA
 from repro.core.gossip import GossipConfig
 from repro.core.ordering import order_tasks
@@ -109,7 +114,8 @@ def inform_oracle(rank_loads, config=None, rng=None, average_load=None) -> Oracl
 
 
 def transfer_stage_lists(
-    assignment, task_loads, gossip, config=None, rng=None, registry=None
+    assignment, task_loads, gossip, config=None, rng=None, registry=None,
+    rebuild_cmf=False,
 ) -> TransferStats:
     """Algorithm 2 on every overloaded rank, list-of-lists rank state."""
     config = config or TransferConfig()
@@ -140,7 +146,8 @@ def transfer_stage_lists(
             break
         stats.rank_processings += 1
         recipients = _transfer_from_rank(
-            p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
+            p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng,
+            stats, rebuild_cmf,
         )
         if config.cascade:
             for r in recipients:
@@ -153,7 +160,8 @@ def transfer_stage_lists(
 
 
 def _transfer_from_rank(
-    p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
+    p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats,
+    rebuild_cmf,
 ) -> set[int]:
     """Algorithm 2 TRANSFER for one overloaded rank ``p``; returns the
     ranks that received tasks (for cascading)."""
@@ -168,7 +176,7 @@ def _transfer_from_rank(
         known_loads = loads[candidates]
     else:  # local view: inform-time snapshot + this sender's own transfers
         known_loads = gossip.load_snapshot[candidates].copy()
-    if config.recompute_cmf and config.cmf_update == CMF_UPDATE_INCREMENTAL:
+    if config.recompute_cmf and not rebuild_cmf:
         sampler = IncrementalCMF(known_loads, l_ave, config.cmf, copy=False)
     else:
         sampler = _RebuildCMF(known_loads, l_ave, config.cmf)

@@ -3,8 +3,9 @@
 Three invariants, mirroring the transfer-kernel contract
 (``tests/core/test_transfer_soa.py``):
 
-1. every ``GossipConfig.kernel`` setting produces bit-identical results
-   (same knowledge, same traffic, same RNG stream);
+1. every ``GossipConfig.kernel`` setting on the sparse store produces
+   results bit-identical to the packed store (same knowledge, same
+   traffic, same RNG stream);
 2. ``kernel="numba"`` without numba degrades to the pure-Python path
    with exactly one :class:`RuntimeWarning` per feature — never one per
    call, never an error;
@@ -41,13 +42,15 @@ def gamma_loads(n, seed):
     return loads
 
 
-def run_sparse(loads, kernel, seed, **overrides):
-    config = GossipConfig(
-        fanout=4, rounds=6, knowledge="sparse", kernel=kernel, **overrides
-    )
+def run_stage(loads, seed, **overrides):
+    config = GossipConfig(fanout=4, rounds=6, **overrides)
     rng = np.random.default_rng(seed)
     stage = run_inform_stage(loads, config, rng)
     return stage, rng.bit_generator.state
+
+
+def run_sparse(loads, kernel, seed, **overrides):
+    return run_stage(loads, seed, knowledge="sparse", kernel=kernel, **overrides)
 
 
 class TestKernelKnob:
@@ -55,17 +58,26 @@ class TestKernelKnob:
         with pytest.raises(ValueError, match="kernel"):
             GossipConfig(kernel="cython")
 
+    def test_reference_driver_value_retired(self):
+        # The per-receiver reference driver lost its race and is gone;
+        # its selector value is rejected, not silently remapped.
+        with pytest.raises(ValueError, match="kernel"):
+            GossipConfig(kernel="python")
+        with pytest.raises(ValueError, match="kernel"):
+            TemperedConfig(gossip_kernel="python")
+
     def test_tempered_passthrough(self):
-        cfg = TemperedConfig(gossip_kernel="python")
-        assert cfg.gossip_config().kernel == "python"
+        cfg = TemperedConfig(gossip_kernel="numba")
+        assert cfg.gossip_config().kernel == "numba"
         assert TemperedConfig().gossip_config().kernel == "auto"
         with pytest.raises(ValueError, match="kernel"):
             TemperedConfig(gossip_kernel="cython")
 
 
 class TestBitIdentity:
-    """The fused driver (and jitted kernels where present) against the
-    pure-Python reference, down to the RNG stream."""
+    """The sparse store (and jitted kernels where present) against the
+    packed store — the production path that needs no kernels — down to
+    the RNG stream."""
 
     CONFIGS = (
         {},  # uncapped
@@ -78,7 +90,9 @@ class TestBitIdentity:
         n = 256
         for seed in range(20):
             loads = gamma_loads(n, seed)
-            ref, ref_state = run_sparse(loads, "python", seed + 1, **overrides)
+            ref, ref_state = run_stage(
+                loads, seed + 1, knowledge="packed", **overrides
+            )
             for kernel in ("auto", "numba"):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)

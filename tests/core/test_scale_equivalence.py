@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from repro.core.gossip import (
-    SPARSE_AUTO_MIN_RANKS,
     SPARSE_AUTO_MIN_RANKS_FAST,
     GossipConfig,
+    resolve_auto_threshold,
     run_inform_stage,
 )
 from repro.core.tempered import TemperedConfig
@@ -114,39 +114,47 @@ class TestKnowledgeKnob:
         with pytest.raises(TypeError):
             GossipConfig(knowledge="sparse", mode="coalesced")
 
-    def test_sparse_rejects_bias_and_faults(self):
+    def test_sparse_rejects_bias(self):
+        # Bias is the one packed-only feature left (its same-node
+        # candidate pass materialises P-wide rows), and the error says
+        # so; faults ride the shared round loop on either store.
         from repro.sim.faults import FaultConfig
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="P-wide row"):
             GossipConfig(knowledge="sparse", ranks_per_node=8, intra_node_bias=0.5)
-        with pytest.raises(ValueError):
-            GossipConfig(knowledge="sparse", faults=FaultConfig(loss_rate=0.1))
+        GossipConfig(knowledge="sparse", faults=FaultConfig(loss_rate=0.1))
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             GossipConfig(knowledge="csr")
 
     def test_auto_resolution_rule(self):
-        # The threshold follows the measured packed/sparse crossover of
-        # the selected driver: the fused driver ("auto"/"numba") wins
-        # from the 8k rung, the Python reference only from 32k.
-        for kernel, threshold in (
-            ("auto", SPARSE_AUTO_MIN_RANKS_FAST),
-            ("numba", SPARSE_AUTO_MIN_RANKS_FAST),
-            ("python", SPARSE_AUTO_MIN_RANKS),
-        ):
+        from repro.sim.faults import FaultConfig
+
+        # One threshold — the measured packed/sparse crossover of the
+        # round loop — whatever the kernel knob says.
+        threshold = SPARSE_AUTO_MIN_RANKS_FAST
+        assert threshold == 8_192
+        for kernel in ("auto", "numba"):
+            assert resolve_auto_threshold(kernel) == threshold
             capped = GossipConfig(max_known=512, kernel=kernel)
             assert capped.resolve_knowledge(threshold) == "sparse"
             assert capped.resolve_knowledge(threshold - 1) == "packed"
         # No cap -> shards are O(P^2) too; auto stays packed.
-        assert GossipConfig().resolve_knowledge(SPARSE_AUTO_MIN_RANKS) == "packed"
-        # Packed-only features keep auto on packed at any rank count.
+        assert GossipConfig().resolve_knowledge(4 * threshold) == "packed"
+        # Faults compose with the sparse store, so a capped fault
+        # config goes sparse at scale like any other (active or not).
+        for faults in (FaultConfig(loss_rate=0.2, retransmit=True), FaultConfig()):
+            faulty = GossipConfig(max_known=512, faults=faults)
+            assert faulty.resolve_knowledge(threshold) == "sparse"
+            assert faulty.resolve_knowledge(threshold - 1) == "packed"
+        # The packed-only feature keeps auto on packed at any rank count.
         biased = GossipConfig(max_known=512, ranks_per_node=8, intra_node_bias=0.5)
-        assert biased.resolve_knowledge(SPARSE_AUTO_MIN_RANKS) == "packed"
+        assert biased.resolve_knowledge(4 * threshold) == "packed"
         # Explicit selection wins regardless of rank count.
         assert GossipConfig(knowledge="sparse").resolve_knowledge(8) == "sparse"
         assert (
-            GossipConfig(knowledge="packed").resolve_knowledge(SPARSE_AUTO_MIN_RANKS)
+            GossipConfig(knowledge="packed").resolve_knowledge(4 * threshold)
             == "packed"
         )
 

@@ -6,6 +6,8 @@ counts and gossip message totals as JSON; without a registry, LB
 outputs are byte-identical to pre-change behavior.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -91,9 +93,9 @@ class TestCoreStages:
 
     def test_incremental_cmf_counters_and_equivalence(self):
         """Incremental CMF maintenance replaces rebuilds with point
-        updates and proposes the same assignment as full rebuilds."""
-        from repro.core.cmf import CMF_UPDATE_INCREMENTAL, CMF_UPDATE_REBUILD
-        from repro.core.transfer import TransferConfig
+        updates and proposes the same assignment as full rebuilds (the
+        test-side rebuild-per-accept oracle)."""
+        from tests.core.oracles import transfer_stage_lists
 
         dist = paper_analysis_scenario(n_tasks=300, n_loaded_ranks=4, n_ranks=32, seed=1)
         loads = dist.rank_loads()
@@ -101,20 +103,22 @@ class TestCoreStages:
             loads, GossipConfig(fanout=4, rounds=6), np.random.default_rng(2)
         )
         outcomes = {}
-        for mode in (CMF_UPDATE_REBUILD, CMF_UPDATE_INCREMENTAL):
+        for mode, stage in (
+            ("rebuild", functools.partial(transfer_stage_lists, rebuild_cmf=True)),
+            ("incremental", transfer_stage),
+        ):
             assignment = dist.assignment.copy()
             reg = StatsRegistry()
-            stats = transfer_stage(
+            stats = stage(
                 assignment,
                 dist.task_loads,
                 gossip,
-                TransferConfig(cmf_update=mode),
                 rng=np.random.default_rng(3),
                 registry=reg,
             )
             outcomes[mode] = (assignment, stats, reg)
-        rebuild_asg, rebuild_stats, rebuild_reg = outcomes[CMF_UPDATE_REBUILD]
-        incr_asg, incr_stats, incr_reg = outcomes[CMF_UPDATE_INCREMENTAL]
+        rebuild_asg, rebuild_stats, rebuild_reg = outcomes["rebuild"]
+        incr_asg, incr_stats, incr_reg = outcomes["incremental"]
         assert np.array_equal(rebuild_asg, incr_asg)
         assert rebuild_stats.transfers == incr_stats.transfers
         assert rebuild_stats.rejections == incr_stats.rejections

@@ -5,9 +5,15 @@ This is the contract that lets the fault subsystem ride along in the
 default build: every decision, migration count and telemetry counter
 must match the undecorated pipeline exactly — same RNG draws, same
 message timestamps, same registry keys — across seeds, at phase level
-(the batched driver, the only one with a fault branch) and event level.
+(the one round loop, over both knowledge stores) and event level.
+
+The fates act on payload handles in that shared loop, so *active*
+faults must also be store-independent: sparse ≡ packed bit for bit —
+knowledge, per-round accounting, fault counters and the sampler's final
+RNG state.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -24,9 +30,10 @@ from repro.workloads import paper_analysis_scenario
 
 SEEDS = list(range(20))
 
-#: The phase-level drivers with a fault branch (one; the id is kept in
-#: the test names so the zero-fault suites stay addressable as before).
-ENGINES = ["batched"]
+#: Test id -> knowledge store the phase-level round loop runs over
+#: ("batched" is the packed store's historical id, kept so the
+#: zero-fault suites stay addressable as before).
+ENGINES = {"batched": "packed", "sparse": "sparse"}
 
 INACTIVE = FaultConfig()  # every knob at zero
 
@@ -54,14 +61,12 @@ def test_inactive_config_is_inactive():
 def test_phase_gossip_bit_identical(engine, seed):
     rng = np.random.default_rng(seed)
     loads = rng.gamma(2.0, 1.0, size=96)
-    bare = run_inform_stage(
-        loads, GossipConfig(fanout=3, rounds=4), rng=seed
-    )
+    base = GossipConfig(fanout=3, rounds=4, knowledge=ENGINES[engine])
+    bare = run_inform_stage(loads, base, rng=seed)
     wrapped = run_inform_stage(
-        loads,
-        GossipConfig(fanout=3, rounds=4, faults=INACTIVE),
-        rng=seed,
+        loads, dataclasses.replace(base, faults=INACTIVE), rng=seed
     )
+    assert bare.knowledge_backend == wrapped.knowledge_backend == ENGINES[engine]
     assert np.array_equal(bare.knowledge.rows, wrapped.knowledge.rows)
     assert bare.n_messages == wrapped.n_messages
     assert bare.bytes_sent == wrapped.bytes_sent
@@ -81,7 +86,7 @@ def test_phase_rebalance_bit_identical(engine, seed):
         lb = TemperedLB(
             TemperedConfig(
                 n_trials=1, n_iters=2, fanout=3, rounds=4,
-                faults=faults,
+                knowledge=ENGINES[engine], faults=faults,
             )
         )
         lb.instrument(registry)
@@ -135,7 +140,8 @@ def test_active_faults_are_deterministic(engine):
     rng = np.random.default_rng(3)
     loads = rng.gamma(2.0, 1.0, size=96)
     faulty_cfg = GossipConfig(
-        fanout=3, rounds=4, faults=FaultConfig(loss_rate=0.3, seed=5),
+        fanout=3, rounds=4, knowledge=ENGINES[engine],
+        faults=FaultConfig(loss_rate=0.3, seed=5),
     )
     first = run_inform_stage(loads, faulty_cfg, rng=11)
     second = run_inform_stage(loads, faulty_cfg, rng=11)
@@ -143,3 +149,48 @@ def test_active_faults_are_deterministic(engine):
     assert first.dropped == second.dropped
     assert np.array_equal(first.knowledge.rows, second.knowledge.rows)
     assert first.n_messages == second.n_messages
+
+
+@pytest.mark.parametrize("retransmit", [True, False], ids=["retransmit", "lossy"])
+@pytest.mark.parametrize(
+    "cap",
+    [
+        {},
+        {"max_known": 24, "trim_policy": "random"},
+        {"max_known": 24, "trim_policy": "lowest"},
+    ],
+    ids=["uncapped", "random", "lowest"],
+)
+def test_active_faults_sparse_equals_packed_20_seeds(cap, retransmit):
+    """Loss, delay, duplication and retransmission all active: the
+    sparse store takes every decision the packed store takes."""
+    for seed in SEEDS:
+        loads = np.random.default_rng(seed).gamma(2.0, 1.0, size=192)
+        faults = FaultConfig(
+            loss_rate=0.2, delay_rate=0.3, duplicate_rate=0.25,
+            retransmit=retransmit, seed=seed,
+        )
+        runs = {}
+        for knowledge in ("packed", "sparse"):
+            rng = np.random.default_rng(seed + 1)
+            stage = run_inform_stage(
+                loads,
+                GossipConfig(
+                    fanout=3, rounds=6, knowledge=knowledge, faults=faults, **cap
+                ),
+                rng,
+            )
+            assert stage.knowledge_backend == knowledge
+            runs[knowledge] = (stage, rng.bit_generator.state)
+        (ref, ref_state), (new, new_state) = runs["packed"], runs["sparse"]
+        np.testing.assert_array_equal(new.knowledge.rows, ref.knowledge.rows)
+        for name in (
+            "n_messages", "bytes_sent", "inter_node_messages", "rounds_run",
+            "per_round_messages", "per_round_senders",
+            "dropped", "delayed", "duplicated", "retransmits", "expired",
+        ):
+            assert getattr(new, name) == getattr(ref, name), (seed, name)
+        assert new_state == ref_state
+        # The faults really fired (retransmission turns losses into delays).
+        assert ref.delayed > 0 and ref.duplicated > 0
+        assert (ref.retransmits > 0) if retransmit else (ref.dropped > 0)
