@@ -21,20 +21,28 @@ are dense, a segment-sorted exact sampler once they thin out), message
 and byte accounting, the fault fates with their late-delivery table,
 the group-by-receiver and early exit. It reaches the knowledge through
 a five-method adapter (``snapshot`` / ``candidates`` / ``merge`` /
-``trim`` / ``finish``):
+``trim`` / ``finish``). The adapter is the rounds' *working
+representation*; ``finish()`` writes the *container* the caller asked
+for (``resolve_knowledge``), so the two are chosen separately:
 
-:class:`_PackedStore` (:class:`PackedKnowledgeBitmap`)
-    Payloads are gathered bit rows, merges layered scatter-ORs.
+:class:`_PackedStore` — bit rows, optionally in priority order
+    Payloads are gathered bit rows, merges layered scatter-ORs. Under
+    a ``max_known`` cap with the "lowest" trim, bit ``j`` stands for
+    the rank at position ``j`` of the (load, id) order, so the trim is
+    a prefix cut and converged receivers skip.
 
-:class:`_SparseStore` (:class:`SparseKnowledge`)
+:class:`_SparseStore` — sorted id arrays
     Payloads are shard references (shards are immutable by
     replacement), merges skip on identity/completeness and truncate in
     priority space, with optional numba kernels.
 
-The sampler's control flow depends only on candidate *counts*, so both
+A packed container always runs on bit rows; a sparse one does when the
+stage is capped-"lowest" and a bit row is no larger than a full shard
+(``n_ranks <= 32 * max_known``), and on sorted arrays otherwise. The
+sampler's control flow depends only on candidate *counts*, so both
 stores consume the same RNG stream and produce bit-identical knowledge
 — with or without fault injection, which acts on payload handles in
-the shared loop. Only ``intra_node_bias`` is packed-only.
+the shared loop. Only ``intra_node_bias`` needs a packed container.
 
 ``tests/core/oracles.py`` holds the set-based transcription of
 Algorithm 1 that the equivalence suites compare the loop against.
@@ -46,11 +54,16 @@ barrier, termination detection) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
 from repro.core._kernels import get_gossip_kernels, warn_numba_missing
-from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
+from repro.core.knowledge import (
+    PackedKnowledgeBitmap,
+    SparseKnowledge,
+    keep_first_bits,
+)
 from repro.obs import StatsRegistry
 from repro.sim.faults import FaultConfig, PhaseFaultModel
 from repro.util.validation import check_in, check_positive, coerce_rng
@@ -67,6 +80,8 @@ __all__ = [
 ENTRY_BYTES = 16
 #: Fixed per-message envelope bytes (header, round counter).
 HEADER_BYTES = 32
+#: The layers a timed round is split into (``per_round_seconds`` keys).
+_ROUND_LAYERS = ("sample", "merge", "trim")
 
 if hasattr(np, "bitwise_count"):
     _popcount = np.bitwise_count
@@ -82,10 +97,17 @@ else:  # pragma: no cover - NumPy < 2.0 fallback
 #: Rank count at which ``knowledge="auto"`` switches from the packed
 #: bitmap (O(P^2) bits — 128 MiB at 2^15, 2 GiB at 2^17, plus a
 #: same-sized row gather per round) to sparse per-rank id shards
-#: (O(cap * P) bytes). Measured packed/sparse wall ratio (fanout 6, 10
-#: rounds, cap 512, "lowest" trim, 1 CPU): 0.71x at 4096 ranks, 1.02x
-#: at 8192, 1.53x at 16384, 3.55x at 32768. Sparse only pays off once
-#: knowledge is capped, so auto additionally requires ``max_known``.
+#: (O(cap * P) bytes). Sparse only pays off once knowledge is capped,
+#: so auto additionally requires ``max_known``. The constant was set
+#: at PR 8 from packed/sparse wall ratios (fanout 6, 10 rounds, cap
+#: 512, "lowest" trim, 1 CPU) of 0.71x at 4096 ranks, 1.02x at 8192,
+#: 1.53x at 16384 and 3.55x at 32768 — measured against the packed
+#: store's rank-order unpack + argpartition trim, which no longer
+#: exists. It now chooses the *container* only: up to 32 * cap ranks
+#: both containers run the same priority-ordered bit rows (0.84x /
+#: 0.92x / 0.99x at 4096 / 8192 / 16384, the difference being
+#: ``finish()``), and at 32768 the packed leg's bit rows take 1.6x
+#: the sparse leg's sorted arrays (docs/performance.md has the race).
 SPARSE_AUTO_MIN_RANKS_FAST = 8_192
 
 
@@ -215,6 +237,11 @@ class GossipResult:
     #: CLI reports) never re-derive the selection and drift from it.
     knowledge_backend: str = ""
     auto_threshold: int = 0
+    #: Wall seconds per layer and round — ``"sample"`` (everything up
+    #: to the group-by-receiver), ``"merge"``, ``"trim"`` — and of the
+    #: store's ``finish()``; taken only under an enabled registry.
+    per_round_seconds: dict[str, list[float]] = field(default_factory=dict)
+    finish_seconds: float = 0.0
 
     def coverage(self) -> float:
         """Mean fraction of underloaded ranks known per rank."""
@@ -269,9 +296,10 @@ def run_inform_stage(
         knowledge_backend="sparse" if sparse else "packed",
         auto_threshold=resolve_auto_threshold(config.kernel),
     )
+    instrumented = registry is not None and registry.enabled
     seeds = np.flatnonzero(underloaded)
     if seeds.size == 0:
-        if registry is not None and registry.enabled:
+        if instrumented:
             _record_inform_stage(registry, result)
         return result
     know.add_self(seeds)
@@ -281,8 +309,13 @@ def run_inform_stage(
     model = PhaseFaultModel.create(config.faults)
     if sparse and config.kernel == "numba":
         warn_numba_missing("the sparse inform kernel")
-    store = (_SparseStore if sparse else _PackedStore)(know, config, loads, rng)
-    _run_rounds(store, seeds, config, rng, result, model)
+    # The working representation, stated once: bit rows for a packed
+    # container, and for a sparse one whose capped-"lowest" bit row
+    # (P/8 bytes) is no larger than a full int32 shard (4 * cap).
+    lowest = config.max_known is not None and config.trim_policy == "lowest"
+    bit_rows = not sparse or (lowest and n_ranks <= 32 * config.max_known)
+    store = (_PackedStore if bit_rows else _SparseStore)(know, config, loads, rng)
+    _run_rounds(store, seeds, config, rng, result, model, timed=instrumented)
     _finalize_rounds(result)
     if model is not None:
         result.dropped = model.drops
@@ -290,13 +323,13 @@ def run_inform_stage(
         result.duplicated = model.duplicates
         result.retransmits = model.retransmits
         result.expired = model.expired
-        if registry is not None and registry.enabled:
+        if instrumented:
             registry.inc("faults.gossip.dropped", model.drops)
             registry.inc("faults.gossip.delayed", model.delayed)
             registry.inc("faults.gossip.duplicated", model.duplicates)
             registry.inc("faults.gossip.retransmits", model.retransmits)
             registry.inc("faults.gossip.expired", model.expired)
-    if registry is not None and registry.enabled:
+    if instrumented:
         _record_inform_stage(registry, result)
     return result
 
@@ -310,6 +343,8 @@ def _finalize_rounds(result: GossipResult) -> None:
         result.per_round_messages.pop()
         if result.per_round_senders:
             result.per_round_senders.pop()
+        for layer in result.per_round_seconds.values():
+            layer.pop()
     result.rounds_run = len(result.per_round_messages)
 
 
@@ -329,6 +364,11 @@ def _record_inform_stage(registry: StatsRegistry, result: GossipResult) -> None:
         coverage=float(result.coverage()),
         mean_known=float(known_counts.mean()),
         max_known=int(known_counts.max()),
+        **{
+            f"{layer}_s": sum(result.per_round_seconds.get(layer, ()))
+            for layer in _ROUND_LAYERS
+        },
+        finish_s=result.finish_seconds,
     )
 
 
@@ -351,24 +391,46 @@ class _PackedCandidates:
 
     The view interface the batch sampler works against: ``test`` checks
     a matrix of drawn rank ids against each row's candidate set, and
-    ``extract`` materializes selected rows as packed bytes for the
-    exact sampler. The packed store's candidate matrix satisfies it
-    directly; the sparse store substitutes a complement view
-    (:class:`_FastSparseCandidates`) so the O(P^2)-bit matrix never
-    exists.
+    ``extract`` materializes selected rows as rank-ordered packed bytes
+    for the exact sampler. With ``enc`` (the rank -> bit position map
+    of priority-ordered rows; see :class:`_PackedStore`) rank ids are
+    looked up at bit ``enc[id]`` and ``extract`` gathers the columns
+    back, so the exact sampler keys the same candidates in the same
+    order either way. The sorted-array store substitutes a complement
+    view (:class:`_FastSparseCandidates`) so no bit matrix exists.
     """
 
-    __slots__ = ("packed",)
+    __slots__ = ("packed", "enc")
 
-    def __init__(self, packed: np.ndarray) -> None:
+    def __init__(self, packed: np.ndarray, enc: np.ndarray | None = None) -> None:
         self.packed = packed
+        self.enc = enc
 
     def test(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        if self.enc is not None:
+            draws = self.enc[draws]
         bit = np.uint8(128) >> (draws & 7).astype(np.uint8)
         return (self.packed[rows[:, None], draws >> 3] & bit) != 0
 
+    def clear(self, rows: np.ndarray, ids: np.ndarray) -> None:
+        """Drop rank ``ids[i]`` from candidate row ``rows[i]``."""
+        _clear_bits(self.packed, rows, ids if self.enc is None else self.enc[ids])
+
     def extract(self, rows: np.ndarray) -> np.ndarray:
-        return self.packed[rows].copy()
+        sel = self.packed[rows]
+        if self.enc is None:
+            return sel
+        bools = np.unpackbits(sel, axis=1, count=self.enc.size)
+        return np.packbits(bools[:, self.enc], axis=1)
+
+
+def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of every set bit of a packed matrix, row-major
+    (rows ascending, columns sorted in-row), expanded from the nonzero
+    bytes only — cheap once rows are sparse."""
+    nz_r, nz_b = np.nonzero(packed)
+    br, bc = np.nonzero(np.unpackbits(packed[nz_r, nz_b, None], axis=1))
+    return nz_r[br], nz_b[br] * 8 + bc
 
 
 def _sample_sparse_rows(
@@ -381,7 +443,7 @@ def _sample_sparse_rows(
 
     ``sel`` holds the already-extracted packed candidate rows (aligned
     with ``want``). Candidate ids are expanded straight from the
-    nonzero bytes — cheap once sets are sparse — keyed with an
+    nonzero bytes (:func:`_set_bits`), keyed with an
     independent uniform each, and each row takes its ``want`` smallest
     keys: a uniform without-replacement sample per row, via one
     argpartition over a padded id matrix. Returns flat ``(local row
@@ -391,13 +453,9 @@ def _sample_sparse_rows(
     n_rows = sel.shape[0]
     if n_rows == 0:
         return empty, empty
-    nz_r, nz_b = np.nonzero(sel)
-    if nz_r.size == 0:
+    rid, cid = _set_bits(sel)
+    if rid.size == 0:
         return empty, empty
-    bits = np.unpackbits(sel[nz_r, nz_b, None], axis=1)
-    br, bc = np.nonzero(bits)
-    rid = nz_r[br]  # row-major nonzero => rid ascending, cid sorted in-row
-    cid = nz_b[br] * 8 + bc
     seg_counts = np.bincount(rid, minlength=n_rows)
     take = np.minimum(want, seg_counts)
     take_max = int(take.max())
@@ -436,20 +494,19 @@ def _mark_wave_duplicates(draws: np.ndarray) -> np.ndarray:
 
 def _sample_packed_rows(
     rng: np.random.Generator,
-    cand: "np.ndarray | _PackedCandidates | _FastSparseCandidates",
+    cand: "_PackedCandidates | _FastSparseCandidates",
     counts: np.ndarray,
     want: np.ndarray,
     n_ranks: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``want[i]`` distinct set bits uniformly from each packed
-    candidate row ``cand[i]``; returns flat ``(row index, rank id)``.
+    """Sample ``want[i]`` distinct candidates uniformly from each row
+    of ``cand``; returns flat ``(row index, rank id)``.
 
-    ``cand`` is a packed uint8 matrix or a candidate view (``test`` /
-    ``extract``); the sparse store passes a complement view so its
-    candidates are never materialized, and because the control flow —
-    wave widths, draw shapes, the dense/sparse row split — depends only
-    on ``counts``/``want``, both stores consume the identical RNG
-    stream and pick identical targets.
+    ``cand`` is a candidate view (``test`` / ``extract``) over bit rows
+    or over shards; because the control flow — wave widths, draw
+    shapes, the dense/sparse row split — depends only on
+    ``counts``/``want``, both stores consume the identical RNG stream
+    and pick identical targets.
 
     Hybrid fast path: rows with enough candidates draw uniform rank
     ids in vectorized waves and reject misses/duplicates — expected
@@ -459,8 +516,6 @@ def _sample_packed_rows(
     rows a capped wave budget could not fill) use the exact
     packed-byte sampler instead.
     """
-    if isinstance(cand, np.ndarray):
-        cand = _PackedCandidates(cand)
     empty = np.empty(0, dtype=np.int64)
     want = np.minimum(want, counts)
     # Rejection pays off while a couple of waves are expected to fill a
@@ -552,6 +607,7 @@ def _run_rounds(
     rng: np.random.Generator,
     result: GossipResult,
     model: PhaseFaultModel | None,
+    timed: bool = False,
 ) -> None:
     """Algorithm 1's round loop, over either knowledge store.
 
@@ -561,24 +617,47 @@ def _run_rounds(
     receiver and hand the groups to the store to merge and trim.
 
     ``snap`` is the round's double buffer and its payload *handles*: a
-    gathered row matrix (packed) or an object array of shard references
-    (sparse). Both support fancy indexing and ``np.concatenate``, which
-    is all the fate split needs to carry payloads across rounds.
+    gathered row matrix (bit rows) or an object array of shard
+    references (sorted arrays). Both support fancy indexing and
+    ``np.concatenate``, which is all the fate split needs to carry
+    payloads across rounds.
+
+    ``timed`` fills ``result.per_round_seconds`` / ``finish_seconds``
+    from a few clock reads per round; it draws nothing and changes no
+    result.
     """
     n_ranks = result.load_snapshot.size
     rpn = config.ranks_per_node
     biased = config.intra_node_bias > 0.0  # implies rpn > 1, packed store
     if biased:
         node_of = np.arange(n_ranks) // rpn
+        # Bit j of a row stands for rank j, or for rank dec[j] when the
+        # store keeps its rows in priority order.
+        bit_node = node_of if store.dec is None else node_of[store.dec]
         node_masks = np.stack(
-            [np.packbits(node_of == node) for node in range(int(node_of[-1]) + 1)]
+            [np.packbits(bit_node == node) for node in range(int(node_of[-1]) + 1)]
         )
+    seconds = result.per_round_seconds
+    if timed:
+        seconds.update((layer, []) for layer in _ROUND_LAYERS)
+    mark = perf_counter() if timed else 0.0
+
+    def lap(layer: str) -> None:
+        """Charge the time since the last lap to this round's ``layer``."""
+        nonlocal mark
+        if timed:
+            now = perf_counter()
+            seconds[layer][-1] += now - mark
+            mark = now
+
     empty = np.empty(0, dtype=np.int64)
     senders = seeds.astype(np.int64)
     initiating = True
     #: round -> [(targets, payload handles)] late deliveries.
     pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for _round in range(1, config.rounds + 1):
+        for layer in seconds.values():  # no layers unless timed
+            layer.append(0.0)
         result.per_round_messages.append(0)
         result.per_round_senders.append(int(senders.size))
         # Payloads come from `snap`, merges land in the store, so
@@ -591,17 +670,19 @@ def _run_rounds(
         )
         want = np.minimum(config.fanout, counts)
         if biased:
-            local_cand = cand & node_masks[node_of[senders]]
-            local_counts = _popcount(local_cand).sum(axis=1, dtype=np.int64)
+            local = _PackedCandidates(
+                cand.packed & node_masks[node_of[senders]], cand.enc
+            )
+            local_counts = _popcount(local.packed).sum(axis=1, dtype=np.int64)
             n_local = np.minimum(
                 rng.binomial(want, config.intra_node_bias), local_counts
             )
             row_l, tgt_l = _sample_packed_rows(
-                rng, local_cand, local_counts, n_local, n_ranks
+                rng, local, local_counts, n_local, n_ranks
             )
             # Remove the local picks from the global pool, then fill the
             # remaining slots from it.
-            _clear_bits(cand, row_l, tgt_l)
+            cand.clear(row_l, tgt_l)
             picked = np.bincount(row_l, minlength=senders.size)
             row_g, tgt_g = _sample_packed_rows(
                 rng, cand, counts - picked, want - picked, n_ranks
@@ -663,116 +744,116 @@ def _run_rounds(
             order = np.argsort(targets, kind="stable")
             receivers, starts = np.unique(targets[order], return_index=True)
             bounds = np.append(starts, targets.size)
+            lap("sample")
             store.merge(receivers, bounds, payloads, src[order])
+            lap("merge")
             store.trim(receivers)
+            lap("trim")
+        lap("sample")
         initiating = False
         senders = receivers  # l.18: whoever received forwards next round
         if senders.size == 0 and not pending:
             break
     store.finish()
+    if timed:
+        result.finish_seconds = perf_counter() - mark
 
 # ---------------------------------------------------------------------------
-# Packed store.
+# Bit-row store.
 # ---------------------------------------------------------------------------
 
-#: Rows unpacked per trim pass. Trimming used to materialize *every*
-#: over-cap row as booleans at once — O(|over| x P) bytes, which at
-#: 2^17 ranks is a 16 GiB allocation per round. Fixed-size chunks keep
-#: trim memory O(chunk x P) regardless of how many rows are over cap;
-#: the "random" policy's key draws split along the same chunk
-#: boundaries, and row-chunked ``rng.random`` fills the identical
+#: Rows unpacked per pass of the "random" trim and of ``finish()``'s
+#: decode. Unpacking *every* row at once is O(rows x P) bytes — a
+#: 16 GiB allocation at 2^17 ranks; fixed-size chunks keep it
+#: O(chunk x P). The "random" policy's key draws split along the same
+#: chunk boundaries, and row-chunked ``rng.random`` fills the identical
 #: stream as one full-matrix draw, so results are unchanged.
 _TRIM_CHUNK_ROWS = 64
 
 
-def _load_priority(loads: np.ndarray) -> np.ndarray:
-    """Rank of each rank under the (load, id) order the "lowest" trim
-    keeps: ``priority[q] = position of q in a stable sort by load``.
+def _priority_order(loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(enc, dec)``: each rank's position in the stable (load, id)
+    sort — the order whose first ``cap`` members the "lowest" trim
+    keeps — and the inverse map, position -> rank."""
+    dec = np.argsort(loads, kind="stable")
+    enc = np.empty(loads.size, dtype=np.int64)
+    enc[dec] = np.arange(loads.size)
+    return enc, dec
 
-    A permutation, so per-row selection can use ``argpartition`` on
-    integer keys (no ties) instead of a full-width stable argsort,
-    while keeping exactly the same survivor set.
-    """
-    prio = np.empty(loads.size, dtype=np.int64)
-    prio[np.argsort(loads, kind="stable")] = np.arange(loads.size)
-    return prio
-
-
-def _trim_rows_packed(
-    know: PackedKnowledgeBitmap,
-    ranks: np.ndarray,
-    loads: np.ndarray,
-    config: GossipConfig,
-    rng: np.random.Generator,
-) -> None:
-    """Vectorized ``max_known`` cap for a batch of packed rows.
-
-    The cap is enforced once per round, after all of the round's
-    merges. Rows are unpacked in ``_TRIM_CHUNK_ROWS`` chunks so trim
-    memory stays O(chunk x P).
-    """
-    cap = config.max_known
-    if cap is None or ranks.size == 0:
-        return
-    counts = _popcount(know.packed[ranks]).sum(axis=1, dtype=np.int64)
-    over = ranks[counts > cap]
-    if over.size == 0:
-        return
-    n = know.n_ranks
-    lowest = config.trim_policy == "lowest"
-    if lowest:
-        prio = _load_priority(loads)
-    for start in range(0, over.size, _TRIM_CHUNK_ROWS):
-        rows = over[start : start + _TRIM_CHUNK_ROWS]
-        bools = np.unpackbits(know.packed[rows], axis=1, count=n).view(bool)
-        if lowest:
-            # Non-members get priority n — worse than any member — so
-            # the cap smallest keys are exactly the members lowest in
-            # the (load, id) order.
-            keys = np.where(bools, prio[None, :], np.int64(n))
-            keep = np.argpartition(keys, cap, axis=1)[:, :cap]
-        else:
-            keys = rng.random(bools.shape)
-            keys[~bools] = np.inf
-            keep = np.argpartition(keys, cap, axis=1)[:, :cap]
-        trimmed = np.zeros(bools.shape, dtype=np.uint8)
-        np.put_along_axis(trimmed, keep, 1, axis=1)
-        know.packed[rows] = np.packbits(trimmed, axis=1)
 
 class _PackedStore:
-    """Round-loop adapter over :class:`PackedKnowledgeBitmap`.
+    """Round-loop adapter over bit rows — the working representation
+    of every packed container, and of a sparse one whose capped
+    "lowest" row is no larger than a shard (see the module docstring).
 
     Everything is a whole-round array pass: the gathered sender rows
-    double as the round's send buffer (2 MB of packed rows per round at
-    4096 ranks), candidates are their complement, merges are layered
-    scatter-ORs.
+    double as the round's send buffer, candidates are their
+    complement, merges are layered scatter-ORs. :meth:`finish` writes
+    the container.
+
+    **Rank order** (uncapped, or the "random" trim, whose RNG keys are
+    drawn per rank-ordered column): bit ``q`` is rank ``q``; the rows
+    are the packed container's own matrix and ``finish`` is a no-op.
+
+    **Priority order** (capped "lowest" trim): bit ``j`` is the rank at
+    position ``j`` of the stable (load, id) sort (``dec[j]``; ``enc``
+    is the inverse). The cap lowest members are a row's first ``cap``
+    set bits, so the trim is a prefix cut (:func:`keep_first_bits`), and a
+    row equal to ``{0..cap-1}`` is *complete*: no payload can displace
+    a member, so its receiver skips merge and trim for the rest of the
+    stage. Self bits, candidate views and the ``intra_node_bias`` node
+    masks go through ``enc``; ``finish`` decodes rows to rank order.
     """
 
     def __init__(
         self,
-        know: PackedKnowledgeBitmap,
+        know: PackedKnowledgeBitmap | SparseKnowledge,
         config: GossipConfig,
         loads: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
+        n_ranks = know.n_ranks
         self.know = know
         self.config = config
-        self.loads = loads
         self.rng = rng
         #: All-ones candidate row with the padding bits already clear.
-        self.template = np.packbits(np.ones(know.n_ranks, dtype=bool))
+        self.template = np.packbits(np.ones(n_ranks, dtype=bool))
+        self.enc: np.ndarray | None = None
+        self.dec: np.ndarray | None = None
+        cap = config.max_known
+        if cap is None or config.trim_policy != "lowest":
+            self.rows = know.packed
+            return
+        self.enc, self.dec = _priority_order(loads)
+        #: |complete row| and its leading bytes: {0..cap-1}, or all of P.
+        self.full = min(cap, n_ranks)
+        self.head = np.packbits(np.arange(-(-self.full // 8) * 8) < self.full)
+        self.complete = np.zeros(n_ranks, dtype=bool)
+        if isinstance(know, SparseKnowledge):
+            holders = np.repeat(np.arange(n_ranks), know.counts())
+            members = np.concatenate(know.shards).astype(np.int64)
+            self.rows = np.zeros((n_ranks, self.template.size), dtype=np.uint8)
+        else:
+            holders, members = _set_bits(know.packed)
+            self.rows = know.packed
+            self.rows[:] = 0
+        byte, bit = PackedKnowledgeBitmap._bits(self.enc[members])
+        np.bitwise_or.at(self.rows, (holders, byte), bit)
+        self.trim(np.unique(holders))  # marks rows that start complete
 
     def snapshot(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Payload rows (a gather, hence a copy) and their ``|S^p|``."""
-        snap = self.know.packed[senders]
+        snap = self.rows[senders]
         return snap, _popcount(snap).sum(axis=1, dtype=np.int64)
 
     def candidates(
         self, senders: np.ndarray, snap: np.ndarray, entries: np.ndarray, full: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(counts, packed candidate rows)``: all of P when ``full``,
-        else ``P \\ S^p``; never the sender itself."""
+    ) -> tuple[np.ndarray, _PackedCandidates]:
+        """``(counts, candidate rows)``: all of P when ``full``, else
+        ``P \\ S^p``; never the sender itself."""
         n_ranks = self.know.n_ranks
+        idx = np.arange(senders.size)
+        pos = senders if self.enc is None else self.enc[senders]
         if full:
             cand = np.repeat(self.template[None, :], senders.size, axis=0)
             counts = np.full(senders.size, n_ranks - 1, dtype=np.int64)
@@ -783,12 +864,11 @@ class _PackedStore:
             # (= `entries`, needed for accounting anyway) and the self
             # bit when it is not already a member of S^p.
             knows_self = (
-                snap[np.arange(senders.size), senders >> 3]
-                & (np.uint8(128) >> (senders & 7).astype(np.uint8))
+                snap[idx, pos >> 3] & (np.uint8(128) >> (pos & 7).astype(np.uint8))
             ) != 0
             counts = n_ranks - entries - (~knows_self)
-        _clear_bits(cand, np.arange(senders.size), senders)
-        return counts, cand
+        _clear_bits(cand, idx, pos)
+        return counts, _PackedCandidates(cand, self.enc)
 
     def merge(
         self,
@@ -801,19 +881,87 @@ class _PackedStore:
         # each layer touches every receiver at most once, so a plain
         # fancy-indexed |= applies a whole layer in one vectorized pass
         # (grouped-OR via reduceat walks bytes one at a time and is
-        # ~10x slower).
+        # ~10x slower). Complete receivers take no part.
         starts = bounds[:-1]
         group_sizes = np.diff(bounds)
-        packed = self.know.packed
-        for j in range(int(group_sizes.max())):
+        if self.enc is not None:
+            todo = ~self.complete[receivers]
+            receivers, starts = receivers[todo], starts[todo]
+            group_sizes = group_sizes[todo]
+        rows = self.rows
+        for j in range(int(group_sizes.max(initial=0))):
             layer = group_sizes > j
-            packed[receivers[layer]] |= payloads[src[starts[layer] + j]]
+            rows[receivers[layer]] |= payloads[src[starts[layer] + j]]
 
     def trim(self, receivers: np.ndarray) -> None:
-        _trim_rows_packed(self.know, receivers, self.loads, self.config, self.rng)
+        cap = self.config.max_known
+        if cap is None or receivers.size == 0:
+            return
+        rows = self.rows
+        if self.enc is not None:
+            receivers = receivers[~self.complete[receivers]]
+            sub = rows[receivers]
+            width = sub.shape[1]
+            if width % 8:  # keep_first_bits reads whole 64-bit words
+                sub = np.pad(sub, ((0, 0), (0, -width % 8)))
+            counts, over = keep_first_bits(sub, cap)
+            rows[receivers[over]] = sub[over, :width]
+            full = np.flatnonzero(counts >= self.full)
+            at_head = sub[full, : self.head.size] == self.head
+            self.complete[receivers[full]] = at_head.all(axis=1)
+            return
+        # "random": a uniform cap-subset of each over-cap row, keyed per
+        # rank-ordered column.
+        n = self.know.n_ranks
+        counts = _popcount(rows[receivers]).sum(axis=1, dtype=np.int64)
+        over = receivers[counts > cap]
+        for start in range(0, over.size, _TRIM_CHUNK_ROWS):
+            chunk = over[start : start + _TRIM_CHUNK_ROWS]
+            bools = np.unpackbits(rows[chunk], axis=1, count=n).view(bool)
+            keys = self.rng.random(bools.shape)
+            keys[~bools] = np.inf
+            keep = np.argpartition(keys, cap, axis=1)[:, :cap]
+            trimmed = np.zeros(bools.shape, dtype=np.uint8)
+            np.put_along_axis(trimmed, keep, 1, axis=1)
+            rows[chunk] = np.packbits(trimmed, axis=1)
 
     def finish(self) -> None:
-        """Rows are stored as they are read; nothing to convert."""
+        """Write the container: priority rows are unpacked and their
+        columns gathered back to rank order, then re-packed in place
+        (packed) or read off as sorted ids through a boolean mask
+        (sparse: only positions somebody holds are gathered; shards are
+        views of one id array per chunk, no per-row sort or copy). All
+        complete rows share one decode — as shards, one array object."""
+        if self.enc is None:
+            return
+        know, rows, n = self.know, self.rows, self.know.n_ranks
+        sparse = isinstance(know, SparseKnowledge)
+        shards = know.shards if sparse else None
+        done = np.flatnonzero(self.complete)
+        todo = np.append(np.flatnonzero(~self.complete), done[:1])
+        if sparse:
+            held = np.flatnonzero(
+                np.unpackbits(np.bitwise_or.reduce(rows, axis=0), count=n)
+            )
+            ids = self.dec[held]
+            order = np.argsort(ids)
+            cols, ids = held[order], ids[order].astype(SparseKnowledge._ID_DTYPE)
+        for start in range(0, todo.size, _TRIM_CHUNK_ROWS):
+            chunk = todo[start : start + _TRIM_CHUNK_ROWS]
+            bools = np.unpackbits(rows[chunk], axis=1, count=n)
+            if not sparse:
+                rows[chunk] = np.packbits(np.take(bools, self.enc, axis=1), axis=1)
+                continue
+            member = np.take(bools, cols, axis=1).view(bool)
+            flat = np.broadcast_to(ids, member.shape)[member]
+            ends = np.cumsum(np.count_nonzero(member, axis=1)).tolist()
+            for r, lo, hi in zip(chunk.tolist(), [0] + ends, ends):
+                shards[r] = flat[lo:hi]
+        if sparse:
+            for r in done[1:].tolist():
+                shards[r] = shards[done[0]]
+        else:
+            rows[done] = rows[done[:1]]
 
 # ---------------------------------------------------------------------------
 # Sparse store: shard interning, priority-space trim.
@@ -1059,25 +1207,21 @@ def _trim_rows_sparse(
 
 
 class _SparseStore:
-    """Round-loop adapter over :class:`SparseKnowledge` shards.
+    """Round-loop adapter over sorted id arrays — the working
+    representation of a :class:`SparseKnowledge` container whenever bit
+    rows would be larger than the shards (``n_ranks > 32 * max_known``)
+    or must stay in rank order ("random" trim, uncapped).
 
     Nothing O(P) per sender is ever materialized, so round cost scales
-    with shard sizes (bounded by ``max_known``) instead of ``P`` — and
-    capped "lowest"-trim gossip *converges*: after a few rounds most
-    ranks hold the identical knowledge set (the globally
-    lowest-priority members), so most per-receiver
-    concat/sort/dedup/argpartition work would rebuild a set the
-    receiver already has. Three value-preserving layers exploit that:
+    with shard sizes (bounded by ``max_known``) instead of ``P``. Three
+    value-preserving layers keep converged rounds cheap:
 
-    - **Priority space** (capped "lowest" trim only): shards are
-      stored as sorted *priority* values (``prio[member]``) for the
-      stage. The trim's survivor set — the cap lowest members in
-      (load, id) order — becomes a plain ``[:cap]`` truncation of the
-      sorted union, and a rank whose shard is exactly ``{0..cap-1}``
-      is *complete*: no payload can ever displace a member, so its
-      merges skip without touching the payloads. Priorities are a
-      bijection of rank ids, so sizes, unions and membership answers
-      are unchanged; :meth:`finish` decodes shards back to rank ids.
+    - **Priority space** (capped "lowest" trim only): shards hold
+      sorted *priority* values (``enc[member]``, as the bit rows'
+      positions), so the trim is a ``[:cap]`` truncation of the sorted
+      union and a shard equal to ``{0..cap-1}`` is *complete* — its
+      merges skip without touching the payloads. :meth:`finish`
+      decodes shards back to rank ids.
     - **Interning + identity skips**: equal shard contents share one
       array object (:class:`_ShardInterner`), so messages whose
       payload *is* the receiver's shard are no-ops — detected for the
@@ -1121,12 +1265,9 @@ class _SparseStore:
         self.dec: np.ndarray | None = None
         self.complete: np.ndarray | None = None
         if self.fused_trim:
-            # enc/dec are the permutation pair of _load_priority: loads
-            # are fixed for the stage, so both are built once, and every
-            # shard is re-encoded once on entry.
-            self.dec = np.argsort(loads, kind="stable")
-            self.enc = np.empty(n_ranks, dtype=np.int64)
-            self.enc[self.dec] = np.arange(n_ranks)
+            # Loads are fixed for the stage, so the permutation pair is
+            # built once, and every shard is re-encoded once on entry.
+            self.enc, self.dec = _priority_order(loads)
             enc32 = self.enc.astype(SparseKnowledge._ID_DTYPE)
             self.complete = np.zeros(n_ranks, dtype=bool)
             shards = know.shards

@@ -23,6 +23,11 @@ same API (``add`` / ``add_self`` / ``merge`` / ``merge_many`` / ``known``
     replacement, which is what lets the inform round loop (one loop
     over both stores, fault fates included) hold payload references.
 
+The inform stage's bit-row store may keep its rows in (load, id)
+*priority* order while it runs — :func:`keep_first_bits` is the prefix
+cut that makes the "lowest" trim of such a row O(P/64) — and decodes
+them into one of the two containers above when it finishes.
+
 The tests check both against a plain list of Python ``set``s. Loads do
 not change during an inform stage, so ``LOAD^p`` is simply the global
 load snapshot restricted to ``S^p`` (see DESIGN.md § 5).
@@ -35,7 +40,7 @@ import numpy as np
 from repro.core._kernels import get_gossip_kernels
 from repro.util.validation import check_positive
 
-__all__ = ["PackedKnowledgeBitmap", "SparseKnowledge"]
+__all__ = ["PackedKnowledgeBitmap", "SparseKnowledge", "keep_first_bits"]
 
 
 def _coverage_denominator(underloaded: np.ndarray) -> int:
@@ -43,6 +48,50 @@ def _coverage_denominator(underloaded: np.ndarray) -> int:
     if underloaded.dtype == bool:
         return int(np.count_nonzero(underloaded))
     return len(underloaded)
+
+
+#: ``_KEEP_FIRST[v, k]``: byte ``v`` with only its first ``k`` set bits
+#: (big bit order, as ``np.packbits`` lays them out) kept.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_KEEP_FIRST = np.packbits(
+    _BYTE_BITS[:, None, :]
+    & (np.cumsum(_BYTE_BITS, axis=1)[:, None, :] <= np.arange(9)[None, :, None]),
+    axis=2,
+)[:, :, 0]
+
+
+def keep_first_bits(rows: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut each bit row to its first ``cap`` set bits, in place — on
+    priority-ordered rows, the "lowest" trim.
+
+    One popcount per 64-bit word and a cumulative sum locate the word
+    in which the ``cap``-th bit falls; later words are zeroed, and the
+    same search over that word's 8 bytes finds the crossing byte, which
+    is masked through :data:`_KEEP_FIRST`: O(P/64) per row. ``rows`` is
+    C-contiguous, its width a multiple of 8 bytes. Returns ``(set bits
+    per row before the cut, indices of the rows cut)``.
+    """
+    words = rows.view(np.uint64)
+    per_word = np.bitwise_count(words)
+    cum = np.cumsum(per_word, axis=1, dtype=np.int32)
+    over = np.flatnonzero(cum[:, -1] > cap)
+    if over.size:
+        idx = np.arange(over.size)
+        word = (cum[over] < cap).sum(axis=1)  # where the cap-th bit falls
+        need = cap - (cum[over, word] - per_word[over, word])  # 1..64 kept in it
+        tail = words[over]
+        tail[np.arange(words.shape[1])[None, :] > word[:, None]] = 0
+        words[over] = tail
+        cols = 8 * word[:, None] + np.arange(8)
+        octet = rows[over[:, None], cols]
+        per_byte = np.bitwise_count(octet)
+        bcum = np.cumsum(per_byte, axis=1, dtype=np.int64)
+        byte = (bcum < need[:, None]).sum(axis=1)
+        keep = need - (bcum[idx, byte] - per_byte[idx, byte])  # 1..8
+        octet[np.arange(8)[None, :] > byte[:, None]] = 0
+        octet[idx, byte] = _KEEP_FIRST[octet[idx, byte], keep]
+        rows[over[:, None], cols] = octet
+    return cum[:, -1], over
 
 
 class PackedKnowledgeBitmap:
@@ -294,11 +343,12 @@ class SparseKnowledge:
     def coverage(self, underloaded: np.ndarray) -> float:
         """Mean fraction of the underloaded set each rank knows.
 
-        One flat pass: concatenate every shard, test membership against
-        the underloaded mask, and segment-sum the hits per rank — via
-        the jitted :func:`repro.core._kernels.coverage_hits` kernel
-        when numba is installed, the cumulative-sum formulation
-        otherwise (identical integer counts either way).
+        One flat pass over the *distinct* shard objects: concatenate
+        them, test membership against the underloaded mask, segment-sum
+        the hits per shard — via the jitted
+        :func:`repro.core._kernels.coverage_hits` kernel when numba is
+        installed, the cumulative-sum formulation otherwise — and expand
+        to ranks (identical integer counts whichever way).
         """
         n_under = _coverage_denominator(underloaded)
         if n_under == 0:
@@ -308,19 +358,24 @@ class SparseKnowledge:
         else:
             mask = np.zeros(self.n_ranks, dtype=bool)
             mask[underloaded] = True
-        lens = self.counts()
+        # Converged ranks share one array object (the inform stage hands
+        # every complete rank the same one): count once per object.
+        ids = np.fromiter(map(id, self.shards), dtype=np.int64, count=self.n_ranks)
+        _, first, holder = np.unique(ids, return_index=True, return_inverse=True)
+        distinct = [self.shards[i] for i in first.tolist()]
+        lens = np.fromiter((s.size for s in distinct), np.int64, len(distinct))
         if int(lens.sum()) == 0:
             return 0.0
-        flat = np.concatenate(self.shards)
+        flat = np.concatenate(distinct)
         kernels = get_gossip_kernels()
         if kernels is not None:
-            per_rank = np.empty(self.n_ranks, dtype=np.int64)
-            kernels[2](flat, lens, np.ascontiguousarray(mask), per_rank)
+            per_shard = np.empty(lens.size, dtype=np.int64)
+            kernels[2](flat, lens, np.ascontiguousarray(mask), per_shard)
         else:
             hits = np.concatenate(([0], np.cumsum(mask[flat], dtype=np.int64)))
             ends = np.cumsum(lens)
-            per_rank = hits[ends] - hits[ends - lens]
-        return float(per_rank.mean() / n_under)
+            per_shard = hits[ends] - hits[ends - lens]
+        return float(per_shard[holder].mean() / n_under)
 
     @property
     def rows(self) -> np.ndarray:

@@ -11,6 +11,15 @@ transcriptions the equivalence suites compare it against. Nothing under
     coverage distributions), not bit-identical. A plain
     ``list[set[int]]`` is also the API reference of the knowledge-store
     tests (:func:`member_sets`, :func:`set_coverage`).
+:func:`inform_set_model`
+    The production round loop (``_run_rounds``: sampler, accounting,
+    fault fates) over :class:`SetStore`, a ``list[set[int]]``
+    implementation of the five-method store adapter. The sampler's
+    control flow depends only on candidate counts, so this one *is*
+    bit-identical to both production stores — member sets, per-round
+    accounting, fault counters, final RNG state — for uncapped and
+    capped-"lowest" stages. It shares no storage code with them: the
+    "lowest" trim is ``sorted(members, key=(load, id))[:cap]``.
 :func:`transfer_stage_lists`
     Algorithm 2 over ``list[list[int]]`` rank/task state, behind
     :func:`repro.core.transfer.transfer_stage`'s signature. It shares
@@ -32,7 +41,12 @@ import numpy as np
 
 from repro.core.cmf import IncrementalCMF
 from repro.core.criteria import CRITERIA
-from repro.core.gossip import GossipConfig
+from repro.core.gossip import (
+    GossipConfig,
+    GossipResult,
+    _finalize_rounds,
+    _run_rounds,
+)
 from repro.core.ordering import order_tasks
 from repro.core.transfer import (
     _PASS_CAP,
@@ -41,6 +55,7 @@ from repro.core.transfer import (
     TransferStats,
     _RebuildCMF,
 )
+from repro.sim.faults import PhaseFaultModel
 from repro.util.validation import coerce_rng
 
 
@@ -111,6 +126,85 @@ def inform_oracle(rank_loads, config=None, rng=None, average_load=None) -> Oracl
         result.per_round_senders.append(len(senders))
         senders = sorted(received)
     return result
+
+
+class _SetCandidates:
+    """Candidate view over ``P \\ excluded[i]`` (the sampler's
+    ``test`` / ``extract`` interface), answered from Python sets."""
+
+    def __init__(self, n_ranks: int, excluded: list[frozenset[int]]) -> None:
+        self.n_ranks, self.excluded = n_ranks, excluded
+        self.counts = np.array([n_ranks - len(e) for e in excluded], dtype=np.int64)
+
+    def test(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        out = [
+            [d not in self.excluded[r] for d in row]
+            for r, row in zip(rows.tolist(), draws.tolist())
+        ]
+        return np.array(out, dtype=bool).reshape(draws.shape)
+
+    def extract(self, rows: np.ndarray) -> np.ndarray:
+        out = np.ones((rows.size, self.n_ranks), dtype=bool)
+        for i, r in enumerate(rows.tolist()):
+            out[i, list(self.excluded[r])] = False
+        return np.packbits(out, axis=1)
+
+
+class SetStore:
+    """The round loop's store adapter over ``list[set[int]]``."""
+
+    def __init__(self, n_ranks: int, seeds, config: GossipConfig, loads) -> None:
+        assert config.max_known is None or config.trim_policy == "lowest"
+        self.know: list[set[int]] = [set() for _ in range(n_ranks)]
+        for p in seeds.tolist():
+            self.know[p].add(p)
+        self.cap = config.max_known
+        self.priority = lambda q: (loads[q], q)
+
+    def snapshot(self, senders):
+        snap = np.empty(senders.size, dtype=object)
+        snap[:] = [frozenset(self.know[p]) for p in senders.tolist()]
+        return snap, np.array([len(s) for s in snap], dtype=np.int64)
+
+    def candidates(self, senders, snap, entries, full):
+        excluded = [
+            frozenset((p,)) if full else known | {p}
+            for p, known in zip(senders.tolist(), snap)
+        ]
+        view = _SetCandidates(len(self.know), excluded)
+        return view.counts, view
+
+    def merge(self, receivers, bounds, payloads, src):
+        for i, r in enumerate(receivers.tolist()):
+            for j in src[bounds[i] : bounds[i + 1]].tolist():
+                self.know[r] |= payloads[j]
+
+    def trim(self, receivers):
+        for r in receivers.tolist():
+            if self.cap is not None and len(self.know[r]) > self.cap:
+                self.know[r] = set(sorted(self.know[r], key=self.priority)[: self.cap])
+
+    def finish(self):
+        """Sets are read as they are."""
+
+
+def inform_set_model(rank_loads, config, rng) -> tuple[list[set[int]], GossipResult]:
+    """``run_inform_stage``'s result over :class:`SetStore`: the member
+    sets and a ``GossipResult`` carrying the accounting."""
+    assert config.intra_node_bias == 0.0
+    loads = np.asarray(rank_loads, dtype=np.float64)
+    underloaded = loads < float(loads.mean())
+    result = GossipResult(None, underloaded, loads.copy(), float(loads.mean()))
+    seeds = np.flatnonzero(underloaded)
+    store = SetStore(loads.size, seeds, config, loads)
+    model = PhaseFaultModel.create(config.faults)
+    _run_rounds(store, seeds, config, coerce_rng(rng), result, model)
+    _finalize_rounds(result)
+    if model is not None:
+        result.dropped, result.delayed = model.drops, model.delayed
+        result.duplicated, result.retransmits = model.duplicates, model.retransmits
+        result.expired = model.expired
+    return store.know, result
 
 
 def transfer_stage_lists(

@@ -88,6 +88,34 @@ class TestSparseBasics:
             assert sparse.coverage(u) == pytest.approx(set_coverage(ref, u))
         assert sparse.coverage(np.zeros(37, dtype=bool)) == 1.0
 
+    def test_coverage_counts_shared_shard_objects_once_per_rank(self):
+        # The inform stage hands converged ranks one array object (and
+        # views of one buffer to the rest); coverage() groups by object
+        # and expands to ranks, which must read exactly as the per-rank
+        # count — equal-valued but distinct arrays, views and empty
+        # shards included.
+        rng = np.random.default_rng(3)
+        ref, sparse = _pair(41)
+        shared = np.array([1, 4, 9, 30], dtype=np.int32)
+        buffer = np.arange(41, dtype=np.int32)
+        for rank in range(41):
+            kind = rank % 4
+            if kind == 0:
+                shard = shared
+            elif kind == 1:
+                shard = shared.copy()  # equal values, another object
+            elif kind == 2:
+                lo = int(rng.integers(0, 30))
+                shard = buffer[lo : lo + int(rng.integers(0, 10))]  # a view
+            else:
+                continue  # stays empty
+            sparse.shards[rank] = shard
+            ref[rank] = set(shard.tolist())
+        under = rng.random(41) < 0.5
+        for u in (under, np.flatnonzero(under)):
+            assert sparse.coverage(u) == set_coverage(ref, u)
+        np.testing.assert_array_equal(sparse.counts(), [len(s) for s in ref])
+
     def test_memory_is_sum_of_shards(self):
         k = SparseKnowledge(1000)
         assert k.memory_bytes() == 0

@@ -4,8 +4,9 @@
 for memory and wall-time at high rank counts — every decision they make
 must be the one the packed-bitmap + list-oracle stack makes. These tests
 drive both stacks through full inform+transfer episodes over 20 seeds
-at 512 and 4,096 ranks and require exact equality of the knowledge
-matrix, the per-round sender/message accounting, the transferred
+at 512 and 4,096 ranks — capped-"lowest" on both sides of the
+bit-rows / sorted-arrays rule — and require exact equality of the
+knowledge matrix, the per-round sender/message accounting, the transferred
 assignment and the stats counters — plus the final RNG state, so the
 stacks consume the identical stream and stay interchangeable
 mid-episode.
@@ -86,8 +87,26 @@ class TestStackEquivalence:
                 ),
             ),
             (4_096, 6_000, GossipConfig(fanout=3, rounds=3, max_known=64)),
+            # The other side of ``n_ranks <= 32 * max_known`` at each
+            # scale: 512/48 and 4,096/256 run a sparse container on bit
+            # rows, 512/8 and 4,096/64 on sorted arrays.
+            (
+                512,
+                1_500,
+                GossipConfig(fanout=3, rounds=4, max_known=8, trim_policy="lowest"),
+            ),
+            (
+                4_096,
+                6_000,
+                GossipConfig(
+                    fanout=3, rounds=3, max_known=256, trim_policy="lowest"
+                ),
+            ),
         ],
-        ids=["512-uncapped", "512-random", "512-lowest", "4k-lowest", "4k-random"],
+        ids=[
+            "512-uncapped", "512-random", "512-lowest", "4k-lowest", "4k-random",
+            "512-lowest-arrays", "4k-lowest-bitrows",
+        ],
     )
     def test_sparse_soa_equals_packed_lists_20_seeds(
         self, n_ranks, n_tasks, gossip_cfg

@@ -88,13 +88,19 @@ class TestLimitedInformationGossip:
 
     @staticmethod
     def _trim(members, loads, cfg, seed):
-        """One rank's S^p after the driver's per-round max_known trim."""
-        from repro.core.gossip import _trim_rows_packed
+        """One rank's S^p after the driver's per-round max_known trim:
+        the bit-row store's ``trim`` (a prefix cut under "lowest", keyed
+        under "random"), read back from the container it writes."""
+        from repro.core.gossip import _PackedStore
         from repro.core.knowledge import PackedKnowledgeBitmap
 
         know = PackedKnowledgeBitmap(len(loads))
         know.add(0, members)
-        _trim_rows_packed(know, np.array([0]), loads, cfg, np.random.default_rng(seed))
+        store = _PackedStore(
+            know, cfg, np.asarray(loads, dtype=np.float64), np.random.default_rng(seed)
+        )
+        store.trim(np.array([0]))
+        store.finish()
         return know.known(0)
 
     def test_trim_lowest_policy(self):

@@ -44,6 +44,62 @@ class TestCoreStages:
         assert reg.counter("gossip.stages") == 1
         assert reg.counter("gossip.messages") == 0
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GossipConfig(fanout=3, rounds=6),
+            GossipConfig(fanout=3, rounds=6, max_known=8, trim_policy="lowest"),
+            GossipConfig(
+                fanout=3, rounds=6, max_known=2, trim_policy="lowest",
+                knowledge="sparse",
+            ),
+        ],
+        ids=["rank-order-rows", "priority-rows", "sorted-arrays"],
+    )
+    def test_round_timing_only_under_a_registry(self, config, monkeypatch):
+        from repro.core import gossip as gossip_module
+
+        loads = np.ones(96)
+        loads[:6] = 12.0
+        rng = np.random.default_rng(4)
+        timed = run_inform_stage(loads, config, rng, registry=StatsRegistry())
+        timed_state = rng.bit_generator.state
+        assert set(timed.per_round_seconds) == {"sample", "merge", "trim"}
+        for layer in timed.per_round_seconds.values():
+            assert len(layer) == timed.rounds_run == len(timed.per_round_messages)
+            assert all(seconds >= 0.0 for seconds in layer)
+        assert sum(timed.per_round_seconds["sample"]) > 0.0
+        assert timed.finish_seconds >= 0.0
+
+        # Off (no registry, or a disabled one) the loop never reads the
+        # clock, and either way it draws and decides the same.
+        def no_clock():
+            raise AssertionError("perf_counter read with timing off")
+
+        monkeypatch.setattr(gossip_module, "perf_counter", no_clock)
+        for registry in (None, NullRegistry()):
+            rng = np.random.default_rng(4)
+            plain = run_inform_stage(loads, config, rng, registry=registry)
+            assert plain.per_round_seconds == {} and plain.finish_seconds == 0.0
+            assert rng.bit_generator.state == timed_state
+            np.testing.assert_array_equal(plain.knowledge.rows, timed.knowledge.rows)
+            assert plain.per_round_messages == timed.per_round_messages
+            assert (plain.n_messages, plain.bytes_sent) == (
+                timed.n_messages, timed.bytes_sent,
+            )
+
+    def test_round_timing_lands_in_the_stage_series(self):
+        loads = np.ones(32)
+        loads[:4] = 10.0
+        reg = StatsRegistry()
+        result = run_inform_stage(
+            loads, GossipConfig(fanout=3, rounds=4), rng=0, registry=reg
+        )
+        (row,) = reg.series_rows("gossip.stage")
+        for layer, seconds in result.per_round_seconds.items():
+            assert row[f"{layer}_s"] == pytest.approx(sum(seconds))
+        assert row["finish_s"] == result.finish_seconds
+
     def test_transfer_stage_counters_match_stats(self):
         dist = paper_analysis_scenario(n_tasks=300, n_loaded_ranks=4, n_ranks=32, seed=1)
         loads = dist.rank_loads()
