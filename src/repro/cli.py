@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--iters", type=int, default=1,
                     help="inform+transfer iterations per episode")
     pr.add_argument("--workers", type=int, default=1,
-                    help="in-process worker shards hosting the rank nodes")
+                    help="in-process workers (one socket endpoint each) "
+                    "hosting the rank nodes")
     pr.add_argument("--processes", type=int, default=0,
                     help="shard ranks across N real worker OS processes "
                     "(0 = in-process coroutine workers; sockets are real "
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", type=str, default="net_episode",
                     help="artifact directory (result.json + logs/)")
     pr.add_argument("--no-logs", action="store_true",
-                    help="skip per-node JSONL wire logs")
+                    help="skip per-rank JSONL message logs")
     pr.add_argument("--timeout", type=float, default=300.0,
                     help="wall-clock budget for the episode (seconds)")
     pr.add_argument("--check", action="store_true",
@@ -584,6 +585,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
     from repro.net import (
         EpisodeSpec,
         NetOptions,
+        WorkerFailed,
         run_episode_net,
         run_episode_sim,
         save_result,
@@ -618,18 +620,30 @@ def _cmd_net(args: argparse.Namespace) -> int:
         log_dir=log_dir,
         timeout=args.timeout,
     )
-    result = run_episode_net(spec, options)
+    transport: list[dict] = []
+    try:
+        result = run_episode_net(spec, options, transport)
+    except WorkerFailed as exc:
+        print(f"net episode failed: {exc}", file=sys.stderr)
+        return 1
     save_result(outdir / "result.json", spec, result, options)
     mode = (
         f"{args.processes} OS processes" if options.processes
         else f"{options.workers} in-process workers"
     )
+    wire = {
+        key: sum(row[key] for row in transport)
+        for key in ("frames", "wire_bytes", "envelope_bytes", "retries", "deduped")
+    }
     print(
         f"net episode: {spec.n_ranks} ranks over loopback TCP ({mode})\n"
         f"  gossip: {result.n_messages} messages in "
         f"{len(result.per_round_messages)} rounds, "
         f"coverage {result.coverage:.4f}\n"
         f"  transfers: {len(result.moves)} moves\n"
+        f"  wire: {wire['frames']} batch frames, {wire['wire_bytes']} bytes "
+        f"({wire['envelope_bytes']} envelope), retries={wire['retries']} "
+        f"deduped={wire['deduped']}\n"
         f"  imbalance: {result.initial_imbalance:.4f} -> "
         f"{result.final_imbalance:.4f}\n"
         f"  artifacts: {outdir / 'result.json'}"

@@ -2,8 +2,9 @@
 
 Everything else in the repository runs the gossip/transfer protocol
 inside one discrete-event simulator. This package runs the *same*
-protocol between live nodes exchanging length-prefixed frames over
-loopback TCP — and holds it to a bit-identity contract: on the same
+protocol between live workers — one socket per worker pair, one batch
+frame per barrier step — over loopback TCP, and holds it to a
+bit-identity contract: on the same
 :class:`~repro.net.episode.EpisodeSpec`, the socket runtime and the
 simulator-driven reference (:func:`~repro.net.simref.run_episode_sim`)
 must produce field-for-field equal
@@ -17,6 +18,7 @@ Entry points: ``repro net run`` / ``repro net analyze`` on the CLI,
 
 from repro.net.coordinator import (
     NetOptions,
+    WorkerFailed,
     run_episode_net,
     run_episode_net_async,
     save_result,
@@ -38,6 +40,7 @@ __all__ = [
     "NetOptions",
     "NodeCore",
     "RetryPolicy",
+    "WorkerFailed",
     "episode_streams",
     "run_episode_net",
     "run_episode_net_async",

@@ -1,9 +1,9 @@
 """Offline analysis of a ``repro net run`` artifact directory.
 
-Consumes the ``result.json`` the coordinator saves plus the per-node
-JSONL wire logs, and cross-checks them against each other: the logs are
-written by the transport as bytes actually move, the result by the
-protocol accounting — when both exist, their per-round message counts
+Consumes the ``result.json`` the coordinator saves plus the per-rank
+JSONL message logs, and cross-checks them against each other: the logs
+are written by the transport as messages actually move, the result by
+the protocol accounting — when both exist, their per-round message counts
 must agree, and :func:`analyze_episode` reports any divergence instead
 of averaging it away.
 """
@@ -23,7 +23,7 @@ def analyze_logs(log_dir: Path | str) -> dict[str, Any]:
     """Aggregate every ``wire_rank*.jsonl`` under ``log_dir``.
 
     Returns per-round tx/rx message counts, per-tag totals, model vs
-    physical byte totals, retry counts, and the per-node tx spread.
+    encoded message bytes, retry counts, and the per-rank tx spread.
     """
     log_dir = Path(log_dir)
     files = sorted(log_dir.glob("wire_rank*.jsonl"))
@@ -129,7 +129,7 @@ def format_report(report: dict[str, Any]) -> str:
             f"  wire logs: {logs['nodes']} nodes, "
             f"tx per tag {logs['per_tag_tx']}, retries={logs['retries']}",
             f"  bytes: model={logs['model_bytes']} "
-            f"frames={logs['frame_bytes']} "
+            f"encoded={logs['frame_bytes']} "
             f"(overhead x{logs['frame_bytes'] / logs['model_bytes']:.2f})"
             if logs["model_bytes"]
             else "  bytes: none recorded",

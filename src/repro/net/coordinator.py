@@ -1,19 +1,22 @@
 """Episode coordinator: spawn workers, run the barrier protocol, collect.
 
 The coordinator is pure *control plane*. Gossip and transfer messages
-never pass through it — they flow rank-to-rank over the dispatcher
-sockets — but every round barrier does: workers report per-destination
-send counts, the coordinator aggregates them into per-rank expected
-arrival counts and broadcasts the commit, and no rank advances a round
-before its arrivals match its commit. That turns TCP's "eventually, in
-some order" into the deterministic round structure
-:class:`~repro.net.episode.NodeCore` needs, without ever looking at
-message *content*.
+never pass through it — they flow worker-to-worker as rank-addressed
+batch frames over the dispatcher sockets — but every round barrier
+does: workers report per-destination send counts, the coordinator
+aggregates them into per-rank expected arrival counts and broadcasts
+the commit, and no rank advances a round before its arrivals match its
+commit. That turns TCP's "eventually, in some order" into the
+deterministic round structure :class:`~repro.net.episode.NodeCore`
+needs, without ever looking at message *content*.
 
-Workers are either coroutines in this process (``processes=0``, the
-default — still real loopback TCP between every node) or real OS
-processes started as ``python -m repro.net.node`` (``processes=N``).
-The control protocol is identical; workers cannot tell the difference.
+Workers are either coroutines in this process (``processes=False``, the
+default — still real loopback TCP between every pair of workers) or
+real OS processes started as ``python -m repro.net.worker``
+(``processes=True``). The control protocol is identical; workers cannot
+tell the difference. Either way the coordinator races its own protocol
+against the workers' ends: the first worker to raise or exit non-zero
+aborts the episode with one :class:`WorkerFailed`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import asyncio
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -35,10 +39,20 @@ from repro.net.episode import (
     episode_coverage,
 )
 from repro.net.node import run_worker
-from repro.net.wire import FrameError, read_frame, write_frame
+from repro.net.wire import FrameError, expect_frame, write_frame
 from repro.obs import StatsRegistry
 
-__all__ = ["NetOptions", "run_episode_net", "run_episode_net_async", "save_result"]
+__all__ = [
+    "NetOptions",
+    "WorkerFailed",
+    "run_episode_net",
+    "run_episode_net_async",
+    "save_result",
+]
+
+#: How long a coordinator whose control connection hit EOF waits for the
+#: worker behind it to finish dying, so that the error can name it.
+_FAILURE_GRACE_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -52,121 +66,147 @@ class NetOptions:
     policy: RetryPolicy = RetryPolicy()  #: dispatcher retry/backoff
 
 
-class _WorkerConn:
-    """One worker's control connection."""
+class WorkerFailed(ConnectionError):
+    """A worker raised, or its process exited non-zero, mid-episode."""
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.ranks: list[int] = []
+    def __init__(self, worker: int, ranks: tuple[int, int], cause: BaseException):
+        self.worker = worker
+        self.ranks = ranks  #: the half-open rank slice ``[lo, hi)`` it hosted
+        self.cause = cause
+        super().__init__(
+            f"worker {worker} (ranks {ranks[0]}..{ranks[1] - 1}) failed: "
+            f"{type(cause).__name__}: {cause}"
+        )
 
-    async def send(self, frame: dict[str, Any]) -> None:
-        await write_frame(self.writer, frame)
 
-    async def expect(self, *types: str) -> dict[str, Any]:
-        frame = await read_frame(self.reader)
-        if frame is None:
-            raise FrameError(f"worker closed while coordinator expected {types}")
-        if frame.get("t") not in types:
-            raise FrameError(
-                f"expected worker frame {types}, got {frame.get('t')!r}"
-            )
-        return frame
+#: One worker's control connection.
+_Conn = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+async def _broadcast(conns: list[_Conn], frame: dict[str, Any]) -> None:
+    for _, writer in conns:
+        await write_frame(writer, frame)
 
 
 async def run_episode_net_async(
-    spec: EpisodeSpec, options: NetOptions | None = None
+    spec: EpisodeSpec, options: NetOptions | None = None, transport: list | None = None
 ) -> EpisodeResult:
-    """Run one episode over real sockets; returns the canonical result."""
+    """Run one episode over real sockets; returns the canonical result.
+
+    ``transport``, if given, receives one row per worker: its rank
+    slice and the physical counters of its ``stats`` frame (frames and
+    bytes written, envelope bytes, retries, deduped batches).
+    """
     options = options or NetOptions()
     return await asyncio.wait_for(
-        _run_episode(spec, options), timeout=options.timeout
+        _run_episode(spec, options, transport), timeout=options.timeout
     )
 
 
 def run_episode_net(
-    spec: EpisodeSpec, options: NetOptions | None = None
+    spec: EpisodeSpec, options: NetOptions | None = None, transport: list | None = None
 ) -> EpisodeResult:
     """Synchronous wrapper around :func:`run_episode_net_async`."""
-    return asyncio.run(run_episode_net_async(spec, options))
+    return asyncio.run(run_episode_net_async(spec, options, transport))
 
 
-async def _run_episode(spec: EpisodeSpec, options: NetOptions) -> EpisodeResult:
+async def _watch(proc: asyncio.subprocess.Process) -> None:
+    """A worker process's end, as a task that fails iff the worker did."""
+    code = await proc.wait()
+    if code:
+        raise ChildProcessError(f"worker process exited with code {code}")
+
+
+async def _run_episode(
+    spec: EpisodeSpec, options: NetOptions, transport: list | None
+) -> EpisodeResult:
     n_workers = max(1, min(int(options.workers), spec.n_ranks))
-    pending: asyncio.Queue[_WorkerConn] = asyncio.Queue()
+    # Contiguous rank slices, remainder spread over the first workers.
+    base, extra = divmod(spec.n_ranks, n_workers)
+    bounds = [i * base + min(i, extra) for i in range(n_workers + 1)]
+    slices = list(zip(bounds, bounds[1:]))
+    conns: list[_Conn] = []
+    pending: asyncio.Queue[_Conn] = asyncio.Queue()
 
-    async def accept(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        pending.put_nowait(_WorkerConn(reader, writer))
+    async def accept(r: asyncio.StreamReader, w: asyncio.StreamWriter) -> None:
+        conns.append((r, w))
+        pending.put_nowait((r, w))
+
+    def check_workers() -> None:
+        for i, end in enumerate(ends):
+            cause = end.exception() if end.done() and not end.cancelled() else None
+            if cause is not None:
+                raise WorkerFailed(i, slices[i], cause) from cause
 
     server = await asyncio.start_server(accept, "127.0.0.1", 0)
     host, port = server.sockets[0].getsockname()[:2]
-    worker_tasks: list[asyncio.Task] = []
     procs: list[asyncio.subprocess.Process] = []
+    ends: list[asyncio.Task] = []  #: one per worker; fails iff the worker did
+    drive: asyncio.Task | None = None
     try:
         if options.processes:
-            env = dict(os.environ)
-            src_root = str(Path(__file__).resolve().parents[2])
-            existing = env.get("PYTHONPATH", "")
-            env["PYTHONPATH"] = (
-                src_root + (os.pathsep + existing if existing else "")
-            )
-            for _ in range(n_workers):
+            path = [str(Path(__file__).resolve().parents[2])]
+            path += filter(None, [os.environ.get("PYTHONPATH")])
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+            argv = [sys.executable, "-m", "repro.net.worker", str(host), str(port)]
+            for i in range(n_workers):
                 procs.append(
-                    await asyncio.create_subprocess_exec(
-                        sys.executable,
-                        "-m",
-                        "repro.net.worker",
-                        str(host),
-                        str(port),
-                        env=env,
-                    )
+                    await asyncio.create_subprocess_exec(*argv, str(i), env=env)
                 )
+                ends.append(asyncio.create_task(_watch(procs[-1])))
         else:
-            worker_tasks = [
-                asyncio.create_task(run_worker(host, port))
-                for _ in range(n_workers)
+            ends = [
+                asyncio.create_task(run_worker(host, port, i))
+                for i in range(n_workers)
             ]
-
-        conns: list[_WorkerConn] = []
-        for _ in range(n_workers):
-            conn = await pending.get()
-            await conn.expect("hello")
-            conns.append(conn)
-
-        result = await _drive(spec, options, conns)
-
-        for task in worker_tasks:
-            await task
-        for proc in procs:
-            await proc.wait()
+        drive = asyncio.create_task(_drive(spec, options, pending, slices, transport))
+        waiting = {drive, *ends}
+        while not drive.done():
+            _, waiting = await asyncio.wait(
+                waiting, return_when=asyncio.FIRST_COMPLETED
+            )
+            check_workers()
+        if isinstance(drive.exception(), (FrameError, OSError)):
+            # A worker that vanished shows first as EOF on its control
+            # connection; give its end a moment to say why.
+            await asyncio.wait(
+                ends, timeout=_FAILURE_GRACE_S, return_when=asyncio.FIRST_COMPLETED
+            )
+            check_workers()
+        result = drive.result()
+        await asyncio.wait(ends)  # workers wind down on ``shutdown``
+        check_workers()
         return result
     finally:
-        for task in worker_tasks:
-            if not task.done():
-                task.cancel()
         for proc in procs:
             if proc.returncode is None:
                 proc.kill()
+        tasks = [task for task in (drive, *ends) if task is not None]
+        for task in tasks:
+            if task is drive or not procs:  # a killed process ends its own watch
+                task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        for _, writer in conns:
+            writer.close()
         server.close()
         await server.wait_closed()
 
 
 async def _drive(
-    spec: EpisodeSpec, options: NetOptions, conns: list[_WorkerConn]
+    spec: EpisodeSpec,
+    options: NetOptions,
+    pending: asyncio.Queue[_Conn],
+    slices: list[tuple[int, int]],
+    transport: list | None,
 ) -> EpisodeResult:
     """The coordinator's half of the worker protocol."""
     n = spec.n_ranks
-    # Contiguous rank slices, remainder spread over the first workers.
-    base, extra = divmod(n, len(conns))
-    start = 0
-    for i, conn in enumerate(conns):
-        width = base + (1 if i < extra else 0)
-        conn.ranks = list(range(start, start + width))
-        start += width
+    by_index: dict[int, _Conn] = {}
+    for _ in slices:
+        conn = await pending.get()
+        by_index[int((await expect_frame(conn[0], "hello"))["worker"])] = conn
+    conns = [by_index[i] for i in range(len(slices))]
+    readers = [reader for reader, _ in conns]
 
     assign_base = {
         "t": "assign",
@@ -176,29 +216,22 @@ async def _drive(
     }
     if options.log_dir is not None:
         Path(options.log_dir).mkdir(parents=True, exist_ok=True)
-    for conn in conns:
-        await conn.send({**assign_base, "ranks": conn.ranks})
-
-    ports: dict[int, int] = {}
-    for conn in conns:
-        frame = await conn.expect("ports")
-        ports.update({int(r): int(p) for r, p in frame["ports"].items()})
-    for conn in conns:
-        await conn.send(
-            {"t": "peers", "ports": {str(r): p for r, p in ports.items()}}
-        )
+    for (_, writer), (lo, hi) in zip(conns, slices):
+        await write_frame(writer, {**assign_base, "ranks": list(range(lo, hi))})
+    ports = [int((await expect_frame(r, "ports"))["port"]) for r in readers]
+    await _broadcast(conns, {"t": "peers", "ports": ports, "slices": slices})
 
     tally = EpisodeTally()
     all_moves: list[tuple[int, int, int]] = []
     coverage = 1.0
-    for iteration in range(spec.n_iters):
+    for _iteration in range(spec.n_iters):
         round_index = 1
         while True:
             counts: dict[int, int] = {}
-            dst_counts: dict[int, int] = {}
+            arrivals: Counter[int] = Counter()
             nbytes = 0
-            for conn in conns:
-                report = await conn.expect("sent")
+            for reader in readers:
+                report = await expect_frame(reader, "sent")
                 if int(report["round"]) != round_index:
                     raise FrameError(
                         f"worker reported round {report['round']}, "
@@ -207,67 +240,55 @@ async def _drive(
                 counts.update(
                     {int(r): int(c) for r, c in report["rank_counts"].items()}
                 )
-                for d, c in report["dst_counts"].items():
-                    dst_counts[int(d)] = dst_counts.get(int(d), 0) + int(c)
+                arrivals.update(
+                    {int(d): int(c) for d, c in report["dst_counts"].items()}
+                )
                 nbytes += int(report["bytes"])
             if tally.record_round_counts(counts, nbytes) == 0:
-                for conn in conns:
-                    await conn.send({"t": "gossip_done"})
+                await _broadcast(conns, {"t": "gossip_done"})
                 break
             commit = {
                 "t": "commit",
                 "round": round_index,
-                "expect": {str(r): dst_counts.get(r, 0) for r in range(n)},
+                "expect": {str(r): arrivals[r] for r in range(n)},
             }
-            for conn in conns:
-                await conn.send(commit)
+            await _broadcast(conns, commit)
             round_index += 1
 
         moves_by_rank: dict[int, list[tuple[int, int, int]]] = {}
-        hits: dict[int, int] = {}
-        under: dict[int, bool] = {}
-        xfer_counts: dict[int, int] = {}
-        for conn in conns:
-            report = await conn.expect("decide")
-            for r, mv in report["moves"].items():
-                moves_by_rank[int(r)] = [
-                    (int(a), int(b), int(c)) for a, b, c in mv
-                ]
-            hits.update({int(r): int(h) for r, h in report["hits"].items()})
-            under.update({int(r): bool(u) for r, u in report["under"].items()})
-            for d, c in report["xfer_counts"].items():
-                xfer_counts[int(d)] = xfer_counts.get(int(d), 0) + int(c)
-        coverage = episode_coverage(
-            [hits[r] for r in range(n)], sum(under.values())
-        )
-        iteration_moves = [
-            mv for r in range(n) for mv in moves_by_rank.get(r, [])
-        ]
+        hits: list[int] = []  # a mean's operands: any order
+        under = 0
+        arrivals = Counter()
+        for reader in readers:
+            report = await expect_frame(reader, "decide")
+            for r, moves in report["moves"].items():
+                moves_by_rank[int(r)] = [(int(a), int(b), int(c)) for a, b, c in moves]
+            hits += report["hits"].values()
+            under += sum(report["under"].values())
+            arrivals.update(
+                {int(d): int(c) for d, c in report["xfer_counts"].items()}
+            )
+        coverage = episode_coverage(hits, under)
+        iteration_moves = [mv for r in range(n) for mv in moves_by_rank[r]]
         tally.record_xfers(len(iteration_moves))
         xfer_commit = {
             "t": "xfer_commit",
-            "expect": {str(r): xfer_counts.get(r, 0) for r in range(n)},
+            "expect": {str(r): arrivals[r] for r in range(n)},
         }
-        for conn in conns:
-            await conn.send(xfer_commit)
-        for conn in conns:
-            await conn.expect("xfer_done")
-        apply_frame = {
-            "t": "apply",
-            "moves": [[a, b, c] for a, b, c in iteration_moves],
-            "last": iteration == spec.n_iters - 1,
-        }
-        for conn in conns:
-            await conn.send(apply_frame)
+        await _broadcast(conns, xfer_commit)
+        for reader in readers:
+            await expect_frame(reader, "xfer_done")
+        await _broadcast(conns, {"t": "apply", "moves": iteration_moves})
         all_moves.extend(iteration_moves)
 
     merged = StatsRegistry()
-    for conn in conns:
-        frame = await conn.expect("stats")
+    for reader, ranks in zip(readers, slices):
+        frame = await expect_frame(reader, "stats")
         for reg in frame["registries"].values():
             merged.merge(StatsRegistry.from_dict(reg))
-    for conn in conns:
-        await conn.send({"t": "shutdown"})
+        if transport is not None:
+            transport.append({"ranks": list(ranks), **frame["transport"]})
+    await _broadcast(conns, {"t": "shutdown"})
     return build_result(spec, all_moves, tally, merged.counters, coverage)
 
 

@@ -1,8 +1,11 @@
 """Outbound connection pool with stubborn-link retry semantics.
 
-One :class:`Dispatcher` per node owns a lazily-built TCP connection per
-peer and a per-peer FIFO send queue drained by a dedicated worker task
-— so a slow or unreachable peer never blocks traffic to the others.
+One :class:`Dispatcher` per *worker* owns a lazily-built TCP connection
+per peer worker (itself included) and a per-peer FIFO send queue
+drained by a dedicated task — so a slow or unreachable peer never
+blocks traffic to the others. A worker enqueues at most one batch frame
+(or its few cuts) per peer between two :meth:`Dispatcher.drain` calls,
+so the queues are bounded by construction.
 
 Failure handling mirrors :class:`repro.sim.faults.StubbornLink`, the
 simulator's exactly-once layer: a failed connect or write is retried on
@@ -11,7 +14,7 @@ an exponential backoff schedule (``rto``, ``backoff``, ``max_retries``
 enqueued frame is retransmitted until it is written to a live
 connection, and each frame carries a per-peer sequence number so the
 receiver can drop the duplicates retransmission can create
-(:meth:`repro.net.node.NetNode` keeps the ``(src, seq)`` seen-set).
+(:class:`repro.net.node.NetWorker` keeps the ``(src, seq)`` seen-set).
 Past ``max_retries`` the dispatcher records a terminal
 :class:`DispatchError` that :meth:`drain` re-raises — giving up is
 loud, never silent.
@@ -23,11 +26,10 @@ import asyncio
 from dataclasses import dataclass
 
 from repro.net.logging_jsonl import WireLog
+from repro.net.wire import pack_frame
 from repro.sim.faults import FaultConfig
 
 __all__ = ["DispatchError", "RetryPolicy", "Dispatcher"]
-
-_SHUTDOWN = object()
 
 
 class DispatchError(ConnectionError):
@@ -66,7 +68,7 @@ class RetryPolicy:
 
 
 class _PeerChannel:
-    """One peer's send queue + worker task + connection."""
+    """One peer's send queue + delivery task + connection."""
 
     __slots__ = ("queue", "task", "writer")
 
@@ -77,7 +79,7 @@ class _PeerChannel:
 
 
 class Dispatcher:
-    """Per-node outbound side: ``send`` enqueues, workers deliver."""
+    """A worker's outbound side: ``send`` enqueues, channel tasks deliver."""
 
     def __init__(
         self,
@@ -86,43 +88,44 @@ class Dispatcher:
         policy: RetryPolicy | None = None,
         log: WireLog | None = None,
     ) -> None:
-        self.rank = int(rank)
+        self.rank = int(rank)  #: the owner's index among ``peers``' keys
         self.peers = dict(peers)
         self.policy = policy or RetryPolicy()
-        self.log = log
+        self.log = log  #: receives one ``retry`` row per failed attempt
         self.sent = 0  #: frames written to a live connection
+        self.bytes = 0  #: bytes of those frames, length prefixes included
         self.retries = 0  #: connect/write attempts that failed and were retried
         self._channels: dict[int, _PeerChannel] = {}
         self._seq: dict[int, int] = {}
         self._failure: DispatchError | None = None
 
     def send(
-        self,
-        dst: int,
-        frame: dict,
-        tag: str = "",
-        size: int = 0,
-        round_index: int | None = None,
-        iteration: int = 0,
+        self, dst: int, frame: dict, tag: str = "", msgs: list[bytes] | None = None
     ) -> None:
         """Enqueue one frame for ``dst``; returns immediately.
 
         The frame is stamped with a per-peer ``seq`` for receiver-side
-        dedup. ``tag``/``size``/``round_index`` feed the wire log only.
+        dedup and packed here (``msgs`` as in
+        :func:`~repro.net.wire.pack_frame`); ``tag`` labels the
+        ``retry`` log rows only.
         """
         if self._failure is not None:
             raise self._failure
         if dst not in self.peers:
-            raise KeyError(f"rank {dst} is not a known peer")
+            raise KeyError(f"{dst} is not a known peer")
         seq = self._seq.get(dst, 0)
         self._seq[dst] = seq + 1
-        frame = dict(frame)
-        frame["seq"] = seq
+        payload = pack_frame({**frame, "seq": seq}, msgs)
         channel = self._channels.get(dst)
         if channel is None:
             channel = self._channels[dst] = _PeerChannel()
             channel.task = asyncio.ensure_future(self._worker(dst, channel))
-        channel.queue.put_nowait((frame, tag, size, round_index, iteration))
+        channel.queue.put_nowait((payload, tag))
+
+    def queued(self, dst: int) -> int:
+        """Frames enqueued for ``dst`` that no write has picked up yet."""
+        channel = self._channels.get(dst)
+        return 0 if channel is None else channel.queue.qsize()
 
     async def drain(self) -> None:
         """Wait until every enqueued frame has been written out.
@@ -136,38 +139,28 @@ class Dispatcher:
                 raise self._failure
 
     async def close(self) -> None:
-        """Stop workers and close connections (pending frames dropped)."""
-        for channel in self._channels.values():
-            channel.queue.put_nowait((_SHUTDOWN, "", 0, None, 0))
-        for channel in self._channels.values():
-            if channel.task is not None:
-                try:
-                    await channel.task
-                except DispatchError:
-                    pass
+        """Stop the channel tasks and close connections (pending frames
+        — and a delivery parked in a retry back-off — are dropped).
+        Everything is torn down before the first await, so a close that
+        is itself cancelled leaks nothing."""
+        channels = list(self._channels.values())
+        self._channels.clear()
+        waits = [c.task for c in channels if c.task is not None]
+        for task in waits:
+            task.cancel()
+        for channel in channels:
             if channel.writer is not None:
                 channel.writer.close()
-                try:
-                    await channel.writer.wait_closed()
-                except (OSError, asyncio.CancelledError):
-                    pass
-                channel.writer = None
-        self._channels.clear()
+                waits.append(channel.writer.wait_closed())
+        await asyncio.gather(*waits, return_exceptions=True)
 
-    # -- worker side ---------------------------------------------------------
+    # -- channel side --------------------------------------------------------
 
     async def _worker(self, dst: int, channel: _PeerChannel) -> None:
-        from repro.net.wire import pack_frame
-
         while True:
-            item = await channel.queue.get()
-            frame, tag, size, round_index, iteration = item
-            if frame is _SHUTDOWN:
-                channel.queue.task_done()
-                return
+            payload, tag = await channel.queue.get()
             try:
-                payload = pack_frame(frame)
-                await self._deliver(dst, channel, payload, tag, round_index, iteration)
+                await self._deliver(dst, channel, payload, tag)
             except DispatchError as exc:
                 self._failure = exc
                 channel.queue.task_done()
@@ -177,21 +170,12 @@ class Dispatcher:
                     channel.queue.get_nowait()
                     channel.queue.task_done()
                 return
-            if self.log is not None:
-                self.log.record(
-                    "tx", tag, dst, size, len(payload), round_index, iteration
-                )
             self.sent += 1
+            self.bytes += len(payload)
             channel.queue.task_done()
 
     async def _deliver(
-        self,
-        dst: int,
-        channel: _PeerChannel,
-        payload: bytes,
-        tag: str,
-        round_index: int | None,
-        iteration: int,
+        self, dst: int, channel: _PeerChannel, payload: bytes, tag: str
     ) -> None:
         """Stubbornly write ``payload``: reconnect + retransmit on any
         socket error, backing off per the policy."""
@@ -211,13 +195,11 @@ class Dispatcher:
                 attempt += 1
                 self.retries += 1
                 if self.log is not None:
-                    self.log.record(
-                        "retry", tag, dst, 0, 0, round_index, iteration
-                    )
+                    self.log.record("retry", tag, dst, 0, 0)
                 budget = self.policy.max_retries
                 if budget is not None and attempt > budget:
                     raise DispatchError(
-                        f"rank {self.rank} -> {dst}: gave up after "
+                        f"{self.rank} -> {dst}: gave up after "
                         f"{attempt} attempts: {exc}"
                     ) from exc
                 await asyncio.sleep(self.policy.delay(attempt))

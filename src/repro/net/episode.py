@@ -66,6 +66,7 @@ __all__ = [
     "episode_streams",
     "episode_coverage",
     "assemble_assignment",
+    "build_result",
 ]
 
 #: Model wire size of one transfer message (header + one task entry);
@@ -147,19 +148,10 @@ class EpisodeSpec:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_ranks": self.n_ranks,
-            "task_loads": list(self.task_loads),
-            "assignment": list(self.assignment),
-            "seed": self.seed,
-            "fanout": self.fanout,
-            "rounds": self.rounds,
-            "n_iters": self.n_iters,
-            "criterion": self.criterion,
-            "cmf": self.cmf,
-            "ordering": self.ordering,
-            "threshold": self.threshold,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["task_loads"] = list(self.task_loads)
+        data["assignment"] = list(self.assignment)
+        return data
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "EpisodeSpec":
@@ -175,15 +167,19 @@ def episode_streams(
 ) -> tuple[np.random.Generator, np.random.Generator]:
     """Rank ``rank``'s (gossip, transfer) generators for an episode.
 
-    One root ``SeedSequence(seed)`` spawns a gossip family and a
-    transfer family, each spawning one child per rank — the standard
-    parallel-stochastic recipe (:mod:`repro.sim.rng`). Every rank can
-    derive its own pair locally, with no generator state ever crossing
-    the wire.
+    One root ``SeedSequence(seed)`` spawns a gossip family (child 0) and
+    a transfer family (child 1), each with one child per rank — the
+    standard parallel-stochastic recipe (:mod:`repro.sim.rng`). A child
+    *is* its ``spawn_key`` path, so a rank names its own pair directly,
+    ``(0, rank)`` and ``(1, rank)``, in O(1) and with no generator state
+    ever crossing the wire.
     """
-    gossip_seq, transfer_seq = np.random.SeedSequence(seed).spawn(2)
-    gossip = np.random.default_rng(gossip_seq.spawn(n_ranks)[rank])
-    transfer = np.random.default_rng(transfer_seq.spawn(n_ranks)[rank])
+    if not 0 <= rank < n_ranks:
+        raise IndexError(f"rank {rank} out of range for {n_ranks} ranks")
+    gossip, transfer = (
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(family, rank)))
+        for family in (0, 1)
+    )
     return gossip, transfer
 
 
@@ -366,7 +362,7 @@ class NodeCore:
 
     def decide_transfers(self) -> TransferStats:
         """Algorithm 2 for this rank alone, on its snapshot view."""
-        stats = transfer_from_rank(
+        return transfer_from_rank(
             self.rank,
             self.assignment,
             self.task_loads,
@@ -375,7 +371,6 @@ class NodeCore:
             rng=self.transfer_rng,
             registry=self.registry,
         )
-        return stats
 
     def xfer_sends(self, stats: TransferStats) -> list[tuple[int, int]]:
         """The ``(dst, task)`` transfer messages this rank's decisions
@@ -391,8 +386,14 @@ class NodeCore:
         """Record one arriving transfer message (the task lands here)."""
         self.registry.inc("xfer.received")
 
-    def apply_moves(self, moves: list[tuple[int, int, int]]) -> None:
-        """Apply the episode-wide accepted moves (epoch boundary)."""
+    def apply_moves(self, moves: list[tuple[int, int, int]] | np.ndarray) -> None:
+        """Apply the episode-wide accepted moves (epoch boundary). A driver
+        applying one list to many ranks passes an ``(n, 3)`` array built once
+        (one fancy assignment per rank; no task moves twice in an iteration);
+        a list is walked — turning it into an array costs three such walks."""
+        if isinstance(moves, np.ndarray):
+            self.assignment[moves[:, 0]] = moves[:, 2]
+            return
         for task, _src, dst in moves:
             self.assignment[task] = dst
 
@@ -493,5 +494,3 @@ def build_result(
         counters=dict(counters),
     )
 
-
-__all__.append("build_result")

@@ -1,8 +1,10 @@
-"""Per-node JSONL wire logs.
+"""Per-rank JSONL *message* logs.
 
-Every node appends one JSON object per wire event — message sent,
-message received, connection retry — to its own
-``wire_rank<NNNNN>.jsonl`` file. Records carry both clocks:
+Every hosted rank gets one JSON object per logical message it sends
+(``tx``) or receives (``rx``) in its own ``wire_rank<NNNNN>.jsonl`` —
+whatever batch frame carried the message — and a worker's failed
+connection attempts land as ``retry`` rows (``peer`` = the worker
+dialled) in its first rank's file. Records carry both clocks:
 
 ``t_mono``
     ``time.monotonic()`` — orders events *within* one node; never goes
@@ -19,8 +21,10 @@ The schema is flat and closed (see :data:`RECORD_FIELDS`) so
   "frame_bytes": .., "iter": ..}``
 
 ``size`` is the *model* wire size (the simulator's cost model);
-``frame_bytes`` is the physical JSON frame length actually written to
-the socket — keeping both makes the "model vs reality" gap measurable.
+``frame_bytes`` is the bytes the message occupies inside its batch
+frame, so Σ ``frame_bytes`` + the batch envelopes (reported per worker
+in the ``stats`` frame) = bytes written — keeping both makes the "model
+vs reality" gap measurable.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ def log_path(log_dir: Path | str, rank: int) -> Path:
 
 
 class WireLog:
-    """Append-only JSONL log for one node.
+    """Append-only JSONL log for one rank.
 
     Writes are line-buffered through a single file handle; each record
     is one ``json.dumps`` line, so a crash can truncate at most the

@@ -1,395 +1,359 @@
-"""Live rank nodes: TCP servers around :class:`~repro.net.episode.NodeCore`.
+"""Live workers: one TCP endpoint hosting a slice of rank nodes.
 
-A :class:`NetNode` is one rank made real — a loopback TCP server
-receiving gossip/transfer message frames from peers, a
-:class:`~repro.net.dispatcher.Dispatcher` sending them, and the shared
-:class:`~repro.net.episode.NodeCore` state machine making every
-protocol decision. Nothing in this module decides *anything* about the
-episode; it only moves the state machine's messages over sockets and
-implements the waits the round barrier needs.
+The transport's unit is the **worker**, as a DARMA/vt process owns one
+MPI endpoint for all the rank-addressed traffic it hosts. A
+:class:`NetWorker` binds one loopback server, owns one
+:class:`~repro.net.dispatcher.Dispatcher` whose peers are the workers
+(itself included: same-worker traffic takes the same encode -> socket
+-> decode path, so there is one delivery path), and hosts a contiguous
+slice of :class:`NetNode` s — what is left of a rank is its
+:class:`~repro.net.episode.NodeCore`, its arrival counters and its
+:class:`~repro.net.logging_jsonl.WireLog`. Nothing in this module
+decides *anything* about the episode; it only moves the state
+machines' messages over sockets and implements the waits the round
+barrier needs.
 
-:func:`run_worker` hosts a set of nodes inside one process and speaks
-the coordinator's control protocol (see
-:mod:`repro.net.coordinator` for the frame sequence). Run as a module
-(``python -m repro.net.node HOST PORT``) it becomes a standalone worker
-process that dials a coordinator — that is how
-``repro net run --processes N`` turns ranks into real OS processes.
+Each barrier step (a gossip round, the transfer step) leaves a worker
+as **one batch frame per destination worker**::
+
+    {"t": "batch", "src": <worker>, "iter": <iteration>, "seq": <n>,
+     "msgs": [<to_wire(Message)>, ...]}
+
+cut into several frames only once its messages pass
+:data:`BATCH_CUT_BYTES`. The receiver drops a repeated ``(src, seq)``
+batch whole, hands each message to the node it addresses and wakes one
+per-worker condition once per batch.
+
+:func:`run_worker` speaks the coordinator's control protocol (see
+:mod:`repro.net.coordinator` for the frame sequence). Run as
+``python -m repro.net.worker HOST PORT INDEX`` it is a standalone
+worker process that dials a coordinator — that is how
+``repro net run --processes N`` turns workers into real OS processes.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any
+import sys
+from collections import Counter
+from typing import Any, Iterable
+
+import numpy as np
 
 from repro.net.dispatcher import Dispatcher, RetryPolicy
 from repro.net.episode import XFER_BYTES, EpisodeSpec, GossipSend, NodeCore
 from repro.net.logging_jsonl import WireLog
-from repro.net.wire import FrameError, pack_frame, read_frame, write_frame
+from repro.net.wire import FrameError, encode_json, expect_frame, read_frame, write_frame
 from repro.sim.messages import Message, from_wire, to_wire
 
-__all__ = ["NetNode", "run_worker", "main"]
+__all__ = ["BATCH_CUT_BYTES", "NetNode", "NetWorker", "run_worker", "main"]
+
+#: A step's batch for one peer is cut once its encoded messages pass
+#: this size, so a frame stays well under ``MAX_FRAME_BYTES`` (and
+#: exceeds the constant by at most one message) at any rank count.
+BATCH_CUT_BYTES = 1 << 20
 
 
 class NetNode:
-    """One rank: server socket + dispatcher + protocol state machine."""
+    """One hosted rank: protocol state machine, arrival counters, log."""
+
+    __slots__ = ("core", "log", "arrivals")
+
+    def __init__(self, spec: EpisodeSpec, rank: int, log: WireLog | None = None):
+        self.core = NodeCore(spec, rank)
+        self.log = log
+        #: messages in per barrier step — a gossip round, None = transfers
+        self.arrivals: Counter[int | None] = Counter()
+
+
+class NetWorker:
+    """One worker: a server, a dispatcher and the nodes they carry."""
 
     def __init__(
-        self,
-        spec: EpisodeSpec,
-        rank: int,
-        log: WireLog | None = None,
-        policy: RetryPolicy | None = None,
+        self, index: int, spec: EpisodeSpec, ranks: Iterable[int],
+        policy: RetryPolicy | None = None, log_dir: str | None = None,
     ) -> None:
-        self.core = NodeCore(spec, rank)
-        self.rank = int(rank)
-        self.log = log
+        self.index = int(index)
+        self.nodes = {
+            int(r): NetNode(spec, r, WireLog(log_dir, r) if log_dir else None)
+            for r in ranks
+        }
         self.policy = policy or RetryPolicy()
-        self.iteration = 0
-        self.port: int | None = None
+        self.iteration = -1  #: none begun: whatever arrives now is early
         self.dispatcher: Dispatcher | None = None
-        self.deduped = 0
+        self.deduped = 0  #: retransmitted batches dropped whole
+        self.message_bytes = 0  #: encoded messages sent, envelopes excluded
+        self._owner: list[int] = []  #: rank -> hosting worker
         self._server: asyncio.AbstractServer | None = None
         self._seen: set[tuple[int, int]] = set()
-        self._gossip_counts: dict[int, int] = {}
-        self._xfer_count = 0
+        self._early: list[dict[str, Any]] = []  #: batches of a later iteration
+        self._failure: Exception | None = None
         self._cond = asyncio.Condition()
         self._conn_tasks: set[asyncio.Task] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> int:
-        """Bind the loopback server; returns the assigned port."""
+        """Bind the worker's loopback server; returns the assigned port."""
         self._server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
+        return self._server.sockets[0].getsockname()[1]
 
-    def connect_peers(self, ports: dict[int, int]) -> None:
-        """Wire the dispatcher once every rank's port is known."""
-        peers = {
-            r: ("127.0.0.1", p) for r, p in ports.items() if r != self.rank
-        }
-        self.dispatcher = Dispatcher(self.rank, peers, self.policy, self.log)
+    def connect(self, ports: list[int], slices: list[list[int]]) -> None:
+        """Wire the dispatcher once every worker's port and slice is known."""
+        self._owner = [w for w, (lo, hi) in enumerate(slices) for _ in range(lo, hi)]
+        peers = {w: ("127.0.0.1", int(p)) for w, p in enumerate(ports)}
+        log = next(iter(self.nodes.values())).log  # retry rows: the first rank's
+        self.dispatcher = Dispatcher(self.index, peers, self.policy, log)
 
     async def close(self) -> None:
-        if self.dispatcher is not None:
-            await self.dispatcher.close()
+        """Torn down before the first await: a cancelled close leaks nothing."""
         # Inbound handlers from peers whose dispatchers are still open
-        # would otherwise sit in read_frame forever (and get noisily
-        # cancelled at loop teardown).
-        for task in list(self._conn_tasks):
+        # would otherwise sit in read_frame forever.
+        waits: list[Any] = list(self._conn_tasks)
+        for task in waits:
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self.log is not None:
-            self.log.close()
+            waits.append(self._server.wait_closed())
+        for node in self.nodes.values():
+            if node.log is not None:
+                node.log.close()
+        if self.dispatcher is not None:
+            waits.append(self.dispatcher.close())
+        await asyncio.gather(*waits, return_exceptions=True)
+
+    def transport_stats(self) -> dict[str, int]:
+        """The worker's physical counters (its share of the ``stats`` frame)."""
+        out = self.dispatcher
+        return {
+            "worker": self.index, "frames": out.sent, "wire_bytes": out.bytes,
+            "envelope_bytes": out.bytes - self.message_bytes,
+            "retries": out.retries, "deduped": self.deduped,
+        }
 
     # -- inbound -------------------------------------------------------------
 
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+        self._conn_tasks.add(task)
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                await self._on_frame(frame)
-        except FrameError:
-            # A peer that died mid-frame; the barrier protocol will
-            # surface the loss as a commit-count shortfall upstream.
-            pass
+            while (frame := await read_frame(reader)) is not None:
+                self.on_batch(frame)
+                await self._wake()
+        except (ValueError, KeyError, TypeError) as exc:
+            # A peer that died mid-frame (FrameError) or sent garbage:
+            # recorded, and re-raised from this worker's next barrier wait.
+            self._failure = exc
+            await self._wake()
         except asyncio.CancelledError:
-            pass  # node shutting down
+            pass  # only close() cancels; < 3.12 streams choke on a cancelled handler
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
+            self._conn_tasks.discard(task)
             writer.close()
 
-    async def _on_frame(self, frame: dict[str, Any]) -> None:
-        seq = int(frame.get("seq", -1))
-        msg = from_wire(frame)
-        key = (msg.src, seq)
+    async def _wake(self) -> None:
+        async with self._cond:
+            self._cond.notify_all()
+
+    def on_batch(self, frame: dict[str, Any]) -> None:
+        """Deliver one batch frame to the nodes it addresses, once."""
+        if frame.get("t") != "batch":
+            raise FrameError(f"unexpected worker-to-worker frame {frame.get('t')!r}")
+        key = (int(frame["src"]), int(frame["seq"]))
         if key in self._seen:
             # Retransmitted duplicate (stubborn-link dedup, the
             # receiver half of Dispatcher's retry semantics).
             self.deduped += 1
             return
         self._seen.add(key)
-        if self.log is not None:
-            round_index = (
-                int(msg.payload["round"]) if msg.tag == "gossip" else None
-            )
-            self.log.record(
-                "rx",
-                msg.tag,
-                msg.src,
-                msg.size,
-                len(pack_frame(frame)),
-                round_index,
-                self.iteration,
-            )
-        if msg.tag == "gossip":
-            round_index = int(msg.payload["round"])
-            self.core.receive(round_index, msg.payload["members"])
-            async with self._cond:
-                self._gossip_counts[round_index] = (
-                    self._gossip_counts.get(round_index, 0) + 1
-                )
-                self._cond.notify_all()
-        elif msg.tag == "xfer":
-            self.core.receive_xfer(int(msg.payload["task"]))
-            async with self._cond:
-                self._xfer_count += 1
-                self._cond.notify_all()
+        if int(frame["iter"]) > self.iteration:
+            # A peer already past the epoch boundary this worker has
+            # yet to cross; begin_iteration delivers it.
+            self._early.append(frame)
         else:
-            raise FrameError(f"unexpected node-to-node tag {msg.tag!r}")
+            self._deliver(frame)
+
+    def _deliver(self, frame: dict[str, Any]) -> None:
+        for wire in frame["msgs"]:
+            msg = from_wire(wire)
+            node = self.nodes.get(msg.dst)
+            if node is None:
+                raise FrameError(f"worker {self.index} does not host rank {msg.dst}")
+            if msg.tag == "gossip":
+                step = int(msg.payload["round"])
+                node.core.receive(step, msg.payload["members"])
+            elif msg.tag == "xfer":
+                step = None
+                node.core.receive_xfer(int(msg.payload["task"]))
+            else:
+                raise FrameError(f"unexpected node-to-node tag {msg.tag!r}")
+            node.arrivals[step] += 1
+            if node.log is not None:
+                node.log.record(
+                    "rx", msg.tag, msg.src, msg.size, len(encode_json(wire)),
+                    step, self.iteration,
+                )
 
     # -- outbound ------------------------------------------------------------
 
-    def send_gossip(self, sends: list[GossipSend]) -> None:
-        """Dispatch one round's gossip messages (non-blocking)."""
-        assert self.dispatcher is not None
-        for s in sends:
-            frame = to_wire(
-                Message(
-                    src=self.rank,
-                    dst=s.dst,
-                    tag="gossip",
-                    payload={"round": s.round, "members": s.members},
-                    size=s.size,
+    async def post(self, messages: Iterable[Message]) -> None:
+        """Send one barrier step's messages: one batch frame per
+        destination worker (more only past :data:`BATCH_CUT_BYTES`),
+        then wait until every frame is written."""
+        batches: dict[int, list[list[bytes]]] = {}
+        room: dict[int, int] = {}
+        for msg in messages:
+            body = encode_json(to_wire(msg))
+            dst = self._owner[msg.dst]
+            if room.get(dst, 0) <= 0:
+                batches.setdefault(dst, []).append([])
+                room[dst] = BATCH_CUT_BYTES
+            batches[dst][-1].append(body)
+            room[dst] -= len(body) + 1
+            self.message_bytes += len(body)
+            log = self.nodes[msg.src].log
+            if log is not None:
+                log.record(
+                    "tx", msg.tag, msg.dst, msg.size, len(body),
+                    msg.payload.get("round"), self.iteration,
                 )
-            )
-            self.dispatcher.send(
-                s.dst, frame, tag="gossip", size=s.size,
-                round_index=s.round, iteration=self.iteration,
-            )
-
-    def send_xfers(self, sends: list[tuple[int, int]]) -> None:
-        """Dispatch this rank's transfer messages (non-blocking)."""
-        assert self.dispatcher is not None
-        for dst, task in sends:
-            frame = to_wire(
-                Message(
-                    src=self.rank,
-                    dst=dst,
-                    tag="xfer",
-                    payload={"task": task},
-                    size=XFER_BYTES,
-                )
-            )
-            self.dispatcher.send(
-                dst, frame, tag="xfer", size=XFER_BYTES,
-                iteration=self.iteration,
-            )
+        envelope = {"t": "batch", "src": self.index, "iter": self.iteration}
+        for dst, cuts in batches.items():
+            for bodies in cuts:
+                self.dispatcher.send(dst, envelope, "batch", msgs=bodies)
+            # Bounded by construction: drained after every step.
+            assert self.dispatcher.queued(dst) <= len(cuts)
+        await self.dispatcher.drain()
 
     # -- barriers ------------------------------------------------------------
 
-    def reset_iteration(self, iteration: int) -> None:
-        """Clear per-iteration receive counters (safe: the coordinator's
-        barriers guarantee no cross-iteration traffic is in flight)."""
+    def begin_iteration(self, iteration: int) -> dict[int, list[GossipSend]]:
+        """Cross the epoch boundary: clear the arrival counters (barriers
+        guarantee no earlier traffic is in flight), start every core, take in
+        the batches of peers that crossed first; returns the round-1 sends."""
         self.iteration = int(iteration)
-        self._gossip_counts = {}
-        self._xfer_count = 0
+        for node in self.nodes.values():
+            node.arrivals.clear()
+        sends = {r: n.core.begin_iteration() for r, n in self.nodes.items()}
+        early, self._early = self._early, []
+        for frame in early:
+            self._deliver(frame)
+        return sends
 
-    async def wait_gossip(self, round_index: int, expect: int) -> None:
-        """Block until ``expect`` round-``round_index`` messages arrived."""
+    async def wait_arrivals(self, expect: dict[str, int], step: int | None) -> None:
+        """The count-exact barrier: block until every hosted rank has
+        its ``expect[rank]`` messages of ``step`` (a gossip round, None =
+        the transfer step), evaluated once per arriving batch."""
+        want = [(n.arrivals, int(expect.get(str(r), 0))) for r, n in self.nodes.items()]
         async with self._cond:
             await self._cond.wait_for(
-                lambda: self._gossip_counts.get(round_index, 0) >= expect
+                lambda: self._failure is not None
+                or all(arrivals[step] >= count for arrivals, count in want)
             )
-
-    async def wait_xfer(self, expect: int) -> None:
-        """Block until ``expect`` transfer messages arrived this iteration."""
-        async with self._cond:
-            await self._cond.wait_for(lambda: self._xfer_count >= expect)
+        if self._failure is not None:
+            raise self._failure
 
 
-async def run_worker(host: str, port: int) -> None:
+async def run_worker(host: str, port: int, index: int = 0) -> None:
     """Host a slice of ranks and follow the coordinator's protocol.
 
     Control-frame sequence (worker perspective; all frames are typed by
     the ``"t"`` key, rank keys are strings because JSON):
 
-    1. connect, send ``hello``; receive ``assign`` (spec, rank slice,
-       log dir, retry policy) and start one :class:`NetNode` per rank;
-    2. send ``ports``; receive ``peers`` and connect dispatchers;
-    3. per iteration: per round — dispatch gossip, send ``sent``
+    1. connect, send ``hello`` (this worker's index); receive ``assign``
+       (spec, rank slice, log dir, retry policy) and build one
+       :class:`NetWorker` hosting a :class:`NetNode` per rank;
+    2. send ``ports`` (the worker's one data port); receive ``peers``
+       (every worker's port and rank slice) and connect the dispatcher;
+    3. per iteration: per round — post the gossip batches, send ``sent``
        (per-rank and per-destination counts), receive ``commit`` (wait
        for the expected arrivals, advance) or ``gossip_done`` (break);
-       then decide transfers, dispatch them, send ``decide``, receive
+       then decide transfers, post them, send ``decide``, receive
        ``xfer_commit``, wait for arrivals, send ``xfer_done``, receive
        ``apply`` and apply the global move list;
-    4. send ``stats`` (per-rank registries), receive ``shutdown``.
+    4. send ``stats`` (per-rank registries, per-worker transport
+       counters), receive ``shutdown``.
     """
     reader, writer = await asyncio.open_connection(host, port)
-    nodes: dict[int, NetNode] = {}
+    worker: NetWorker | None = None
     try:
-        await write_frame(writer, {"t": "hello"})
-        assign = await _expect(reader, "assign")
+        await write_frame(writer, {"t": "hello", "worker": index})
+        assign = await expect_frame(reader, "assign")
         spec = EpisodeSpec.from_dict(assign["spec"])
-        ranks = [int(r) for r in assign["ranks"]]
         policy = RetryPolicy(**assign["policy"])
-        log_dir = assign.get("log_dir")
-        for r in ranks:
-            log = WireLog(log_dir, r) if log_dir else None
-            node = NetNode(spec, r, log=log, policy=policy)
-            await node.start()
-            nodes[r] = node
-        await write_frame(
-            writer,
-            {"t": "ports", "ports": {str(r): n.port for r, n in nodes.items()}},
-        )
-        peers = await _expect(reader, "peers")
-        ports = {int(r): int(p) for r, p in peers["ports"].items()}
-        for node in nodes.values():
-            node.connect_peers(ports)
+        worker = NetWorker(index, spec, assign["ranks"], policy, assign.get("log_dir"))
+        nodes = worker.nodes
+        await write_frame(writer, {"t": "ports", "port": await worker.start()})
+        peers = await expect_frame(reader, "peers")
+        worker.connect(peers["ports"], peers["slices"])
 
         for iteration in range(spec.n_iters):
-            for node in nodes.values():
-                node.reset_iteration(iteration)
-            sends = {r: nodes[r].core.begin_iteration() for r in ranks}
+            sends = worker.begin_iteration(iteration)
             round_index = 1
             while True:
-                dst_counts: dict[int, int] = {}
-                rank_bytes = 0
-                for r in ranks:
-                    nodes[r].send_gossip(sends[r])
-                    for s in sends[r]:
-                        dst_counts[s.dst] = dst_counts.get(s.dst, 0) + 1
-                        rank_bytes += s.size
-                for r in ranks:
-                    if nodes[r].dispatcher is not None:
-                        await nodes[r].dispatcher.drain()
-                await write_frame(
-                    writer,
-                    {
-                        "t": "sent",
-                        "round": round_index,
-                        "rank_counts": {str(r): len(sends[r]) for r in ranks},
-                        "bytes": rank_bytes,
-                        "dst_counts": {
-                            str(d): c for d, c in dst_counts.items()
-                        },
-                    },
-                )
-                reply = await _expect(reader, "commit", "gossip_done")
+                step = [s for batch in sends.values() for s in batch]
+                await worker.post(_gossip_message(s) for s in step)
+                sent = {
+                    "t": "sent",
+                    "round": round_index,
+                    "rank_counts": {str(r): len(b) for r, b in sends.items()},
+                    "bytes": sum(s.size for s in step),
+                    "dst_counts": Counter(str(s.dst) for s in step),
+                }
+                await write_frame(writer, sent)
+                reply = await expect_frame(reader, "commit", "gossip_done")
                 if reply["t"] == "gossip_done":
                     break
-                expect = {int(r): int(c) for r, c in reply["expect"].items()}
-                await asyncio.gather(
-                    *(
-                        nodes[r].wait_gossip(round_index, expect.get(r, 0))
-                        for r in ranks
-                    )
-                )
-                sends = {r: nodes[r].core.advance(round_index) for r in ranks}
+                await worker.wait_arrivals(reply["expect"], round_index)
+                sends = {r: n.core.advance(round_index) for r, n in nodes.items()}
                 round_index += 1
 
-            moves: dict[str, list[list[int]]] = {}
-            hits: dict[str, int] = {}
-            under: dict[str, bool] = {}
-            xfer_counts: dict[int, int] = {}
-            for r in ranks:
-                node = nodes[r]
-                hits[str(r)] = node.core.coverage_hits()
-                under[str(r)] = bool(
-                    node.core._underloaded is not None
-                    and node.core._underloaded[r]
-                )
+            decide: dict = {"t": "decide", "moves": {}, "hits": {}, "under": {}}
+            xfers: list[Message] = []
+            for r, node in nodes.items():
+                decide["hits"][str(r)] = node.core.coverage_hits()
+                decide["under"][str(r)] = bool(node.core._underloaded[r])
                 stats = node.core.decide_transfers()
-                xfers = node.core.xfer_sends(stats)
-                node.send_xfers(xfers)
-                for dst, _task in xfers:
-                    xfer_counts[dst] = xfer_counts.get(dst, 0) + 1
-                moves[str(r)] = [
-                    [int(a), int(b), int(c)] for a, b, c in stats.moves
+                xfers += [
+                    Message(r, dst, "xfer", {"task": task}, XFER_BYTES)
+                    for dst, task in node.core.xfer_sends(stats)
                 ]
-            for r in ranks:
-                if nodes[r].dispatcher is not None:
-                    await nodes[r].dispatcher.drain()
-            await write_frame(
-                writer,
-                {
-                    "t": "decide",
-                    "moves": moves,
-                    "hits": hits,
-                    "under": under,
-                    "xfer_counts": {str(d): c for d, c in xfer_counts.items()},
-                },
-            )
-            commit = await _expect(reader, "xfer_commit")
-            expect = {int(r): int(c) for r, c in commit["expect"].items()}
-            await asyncio.gather(
-                *(nodes[r].wait_xfer(expect.get(r, 0)) for r in ranks)
-            )
+                decide["moves"][str(r)] = [[int(x) for x in mv] for mv in stats.moves]
+            decide["xfer_counts"] = Counter(str(m.dst) for m in xfers)
+            await worker.post(xfers)
+            await write_frame(writer, decide)
+            commit = await expect_frame(reader, "xfer_commit")
+            await worker.wait_arrivals(commit["expect"], None)
             await write_frame(writer, {"t": "xfer_done"})
-            apply = await _expect(reader, "apply")
-            applied = [
-                (int(a), int(b), int(c)) for a, b, c in apply["moves"]
-            ]
+            apply = await expect_frame(reader, "apply")
+            applied = np.asarray(apply["moves"], dtype=np.int64).reshape(-1, 3)
             for node in nodes.values():
                 node.core.apply_moves(applied)
 
-        await write_frame(
-            writer,
-            {
-                "t": "stats",
-                "registries": {
-                    str(r): nodes[r].core.registry.to_dict() for r in ranks
-                },
-                "deduped": {str(r): nodes[r].deduped for r in ranks},
-                "retries": {
-                    str(r): (
-                        nodes[r].dispatcher.retries
-                        if nodes[r].dispatcher is not None
-                        else 0
-                    )
-                    for r in ranks
-                },
-            },
-        )
-        await _expect(reader, "shutdown")
+        stats_frame = {
+            "t": "stats",
+            "registries": {str(r): n.core.registry.to_dict() for r, n in nodes.items()},
+            "transport": worker.transport_stats(),
+        }
+        await write_frame(writer, stats_frame)
+        await expect_frame(reader, "shutdown")
     finally:
-        for node in nodes.values():
-            await node.close()
         writer.close()
-        try:
-            await writer.wait_closed()
-        except (OSError, asyncio.CancelledError):
-            pass
+        if worker is not None:
+            await worker.close()
 
 
-async def _expect(reader: asyncio.StreamReader, *types: str) -> dict[str, Any]:
-    """Read one control frame and require its type to be in ``types``."""
-    frame = await read_frame(reader)
-    if frame is None:
-        raise FrameError(f"coordinator closed while expecting {types}")
-    if frame.get("t") not in types:
-        raise FrameError(f"expected control frame {types}, got {frame.get('t')!r}")
-    return frame
+def _gossip_message(s: GossipSend) -> Message:
+    payload = {"round": s.round, "members": s.members}
+    return Message(s.src, s.dst, "gossip", payload, s.size)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Standalone worker process entry: dial a coordinator and serve.
 
-    Invoked as ``python -m repro.net.worker`` (see that module for why
-    the entry shim lives apart from this import target).
+    Invoked as ``python -m repro.net.worker HOST PORT INDEX`` (see that
+    module for why the entry shim lives apart from this import target).
     """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.net.worker",
-        description="Worker process for a repro.net episode.",
-    )
-    parser.add_argument("host", help="coordinator host")
-    parser.add_argument("port", type=int, help="coordinator port")
-    args = parser.parse_args(argv)
-    asyncio.run(run_worker(args.host, args.port))
+    host, port, index = sys.argv[1:] if argv is None else argv
+    asyncio.run(run_worker(host, int(port), int(index)))
     return 0

@@ -15,6 +15,8 @@ field-for-field equal :class:`~repro.net.episode.EpisodeResult` out.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.net.episode import (
     XFER_BYTES,
     EpisodeResult,
@@ -91,8 +93,9 @@ def run_episode_sim(
             iteration_moves.extend(stats.moves)
         tally.record_xfers(len(iteration_moves))
         system.run()
+        applied = np.asarray(iteration_moves, dtype=np.int64).reshape(-1, 3)
         for core in cores:
-            core.apply_moves(iteration_moves)
+            core.apply_moves(applied)
         all_moves.extend(iteration_moves)
 
     merged = StatsRegistry()

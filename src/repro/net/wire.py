@@ -2,10 +2,11 @@
 
 A frame is a 4-byte big-endian unsigned length followed by that many
 bytes of UTF-8 JSON. The JSON object is either a control frame (a plain
-dict with a ``"t"`` type key, used on node↔coordinator links) or a
-message frame (the :func:`repro.sim.messages.to_wire` dict, used on
-node↔node links) — both share the same byte-level framing, so one
-reader serves every connection.
+dict with a ``"t"`` type key, used on worker↔coordinator links) or a
+batch frame (``"t": "batch"``, an envelope around a list of
+:func:`repro.sim.messages.to_wire` dicts, used on worker↔worker links)
+— both share the same byte-level framing, so one reader serves every
+connection.
 
 msgpack would be denser, but it is not in the environment and the
 determinism contract only cares about the *logical* message content;
@@ -26,17 +27,19 @@ from repro.sim.messages import WireFormatError
 __all__ = [
     "MAX_FRAME_BYTES",
     "FrameError",
+    "encode_json",
     "pack_frame",
     "unpack_frame",
     "read_frame",
+    "expect_frame",
     "write_frame",
 ]
 
 _LEN = struct.Struct(">I")
 
-#: Upper bound on one frame's payload. A 256-rank episode's largest
-#: frame (a full move list) is well under a megabyte; anything bigger
-#: is a corrupted length prefix, and failing fast beats a 4 GiB alloc.
+#: Upper bound on one frame's payload. Batch frames are cut near 1 MiB
+#: and a 1,024-rank move list is a few megabytes; anything bigger is a
+#: corrupted length prefix, and failing fast beats a 4 GiB alloc.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -44,9 +47,22 @@ class FrameError(WireFormatError):
     """A byte stream that does not follow the framing protocol."""
 
 
-def pack_frame(obj: dict[str, Any]) -> bytes:
-    """Serialize one frame: length prefix + compact JSON."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+def encode_json(obj: Any) -> bytes:
+    """Compact UTF-8 JSON — the one encoding every frame body uses."""
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+def pack_frame(obj: dict[str, Any], msgs: list[bytes] | None = None) -> bytes:
+    """Serialize one frame: length prefix + compact JSON.
+
+    ``msgs`` — JSON values already encoded by :func:`encode_json`, so
+    that the sender could measure them — become the frame's ``"msgs"``
+    array without being encoded a second time (a batch frame).
+    """
+    body = encode_json(obj)
+    if msgs is not None:
+        sep = b"," if obj else b""
+        body = body[:-1] + sep + b'"msgs":[' + b",".join(msgs) + b"]}"
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LEN.pack(len(body)) + body
@@ -67,13 +83,17 @@ def unpack_frame(data: bytes) -> tuple[dict[str, Any], bytes]:
     end = _LEN.size + length
     if len(data) < end:
         raise FrameError(f"truncated frame: need {end} bytes, have {len(data)}")
+    return _decode_body(data[_LEN.size : end]), data[end:]
+
+
+def _decode_body(body: bytes) -> dict[str, Any]:
     try:
-        obj = json.loads(data[_LEN.size : end].decode("utf-8"))
+        obj = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"undecodable frame body: {exc}") from exc
     if not isinstance(obj, dict):
         raise FrameError(f"frame body must be an object, got {type(obj).__name__}")
-    return obj, data[end:]
+    return obj
 
 
 async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
@@ -95,13 +115,17 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed inside a frame body") from exc
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"undecodable frame body: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FrameError(f"frame body must be an object, got {type(obj).__name__}")
-    return obj
+    return _decode_body(body)
+
+
+async def expect_frame(reader: asyncio.StreamReader, *types: str) -> dict[str, Any]:
+    """Read one control frame and require its ``"t"`` to be in ``types``."""
+    frame = await read_frame(reader)
+    if frame is None:
+        raise FrameError(f"peer closed while a {types} frame was expected")
+    if frame.get("t") not in types:
+        raise FrameError(f"expected control frame {types}, got {frame.get('t')!r}")
+    return frame
 
 
 async def write_frame(writer: asyncio.StreamWriter, obj: dict[str, Any]) -> None:

@@ -86,3 +86,86 @@ class TestStreams:
         g0 = episode_streams(3, 8, 0)[0]
         g5 = episode_streams(3, 8, 5)[0]
         assert g0.random() != g5.random()
+
+
+class TestWorkerShapes:
+    """The same identity for every way of slicing ranks over workers
+    (new in the worker-level transport; the suites above are unedited)."""
+
+    _sims: dict = {}
+
+    @classmethod
+    def _pair(cls, n_ranks, seed, workers, **kwargs):
+        spec = EpisodeSpec.synthetic(n_ranks, seed=seed, **kwargs)
+        key = (n_ranks, seed, tuple(sorted(kwargs.items())))
+        if key not in cls._sims:
+            cls._sims[key] = run_episode_sim(spec).to_dict()
+        net = run_episode_net(spec, NetOptions(workers=workers))
+        return net.to_dict(), cls._sims[key]
+
+    @pytest.mark.parametrize("seed", range(N_SEEDS))
+    def test_two_workers_per_seed(self, seed):
+        net, sim = self._pair(N_RANKS, seed, workers=2)
+        assert net == sim
+
+    @pytest.mark.parametrize("workers", [3, 5, 8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_uneven_rank_slices(self, seed, workers):
+        net, sim = self._pair(N_RANKS, seed, workers=workers)
+        assert net == sim
+
+    def test_one_rank_per_worker(self):
+        net, sim = self._pair(4, 3, workers=4)
+        assert net == sim
+
+    def test_more_workers_than_ranks_is_clamped(self):
+        net, sim = self._pair(4, 3, workers=9)
+        assert net == sim
+
+    def test_multi_iteration_sharded(self):
+        net, sim = self._pair(32, 11, workers=3, n_iters=3)
+        assert net == sim
+
+
+class TestEpisodeHelpers:
+    @pytest.mark.parametrize("seed", [0, 7, 5046])
+    @pytest.mark.parametrize("n_ranks", [1, 8, 64])
+    def test_streams_equal_the_double_spawn(self, seed, n_ranks):
+        """``spawn_key=(family, rank)`` names the very child the literal
+        spawn-everything form picks out."""
+        for rank in sorted({0, n_ranks // 2, n_ranks - 1}):
+            gossip_seq, transfer_seq = np.random.SeedSequence(seed).spawn(2)
+            literal = (
+                np.random.default_rng(gossip_seq.spawn(n_ranks)[rank]),
+                np.random.default_rng(transfer_seq.spawn(n_ranks)[rank]),
+            )
+            for new, old in zip(episode_streams(seed, n_ranks, rank), literal):
+                assert new.bit_generator.state == old.bit_generator.state
+
+    def test_streams_reject_out_of_range_rank(self):
+        with pytest.raises(IndexError):
+            episode_streams(0, 8, 8)
+
+    @pytest.mark.parametrize(
+        "moves",
+        [
+            [],
+            [(3, 0, 2)],
+            [(3, 0, 2), (5, 1, 0), (3, 2, 1), (0, 0, 3)],  # task 3 moves twice
+        ],
+    )
+    def test_apply_moves_equals_the_loop(self, moves):
+        from repro.net.episode import NodeCore, assemble_assignment
+
+        spec = EpisodeSpec.synthetic(4, n_tasks=8, seed=1)
+        expected = np.asarray(spec.assignment, dtype=np.int64).copy()
+        for task, _src, dst in moves:
+            expected[task] = dst  # last write wins
+        core = NodeCore(spec, 0)
+        core.apply_moves(moves)
+        assert core.assignment.tolist() == expected.tolist()
+        assert assemble_assignment(spec, moves).tolist() == expected.tolist()
+        assert list(spec.assignment) != expected.tolist() or not moves
+        as_array = NodeCore(spec, 1)
+        as_array.apply_moves(np.asarray(moves, dtype=np.int64).reshape(-1, 3))
+        assert as_array.assignment.tolist() == expected.tolist()

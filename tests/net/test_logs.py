@@ -2,11 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.net import EpisodeSpec, NetOptions, run_episode_net, save_result
 from repro.net.analyze import analyze_episode, analyze_logs, format_report
 from repro.net.logging_jsonl import RECORD_FIELDS, WireLog, iter_records, log_path
+from repro.net.node import NetWorker
+from repro.net.wire import encode_json, pack_frame, unpack_frame
+from repro.sim.messages import Message, to_wire
 
 
 class TestWireLog:
@@ -99,3 +103,82 @@ class TestAnalyzer:
         iters = {i for i, _ in (tuple(r) for r in logs["rounds"])}
         assert iters == {0, 1}
         assert len(logs["per_round_tx"]) == len(result.per_round_messages)
+
+
+class TestBatchedTransport:
+    """The log stays one row per logical message, whatever batch frame
+    carried it, and a retransmitted batch counts once."""
+
+    def test_batch_delivered_twice_counts_once(self):
+        worker = NetWorker(0, EpisodeSpec.synthetic(8, seed=0), range(8))
+        worker.begin_iteration(0)
+        members = np.array([1, 5], dtype=np.int64)
+        messages = [
+            Message(5, 2, "gossip", {"round": 1, "members": members}, 96),
+            Message(1, 2, "gossip", {"round": 1, "members": members}, 96),
+            Message(5, 7, "gossip", {"round": 1, "members": members}, 96),
+            Message(3, 4, "xfer", {"task": 11}, 48),
+        ]
+        envelope = {"t": "batch", "src": 1, "iter": 0, "seq": 0}
+        packed = pack_frame(envelope, [encode_json(to_wire(m)) for m in messages])
+        frame, rest = unpack_frame(packed)
+        assert rest == b"" and len(frame["msgs"]) == 4
+        worker.on_batch(frame)
+        worker.on_batch(frame)  # the stubborn link's retransmission
+        assert worker.deduped == 1
+        arrivals = {r: dict(n.arrivals) for r, n in worker.nodes.items() if n.arrivals}
+        assert arrivals == {2: {1: 2}, 7: {1: 1}, 4: {None: 1}}
+        assert worker.nodes[2].core.registry.counters["gossip.received"] == 2
+        assert worker.nodes[4].core.registry.counters["xfer.received"] == 1
+        # Same seq from another worker is another batch.
+        worker.on_batch({**frame, "src": 2})
+        assert worker.deduped == 1 and worker.nodes[2].arrivals[1] == 4
+
+    def test_batch_ahead_of_the_epoch_waits_for_begin_iteration(self):
+        """A peer may cross an epoch boundary first; what it sends then
+        must survive this worker's per-iteration reset."""
+        worker = NetWorker(0, EpisodeSpec.synthetic(4, seed=0), range(4))
+        payload = {"round": 1, "members": np.array([3], dtype=np.int64)}
+        wire = to_wire(Message(3, 1, "gossip", payload, 64))
+
+        def batch(iteration, seq):
+            return {"t": "batch", "src": 1, "iter": iteration, "seq": seq, "msgs": [wire]}
+
+        worker.on_batch(batch(0, 0))  # before the first begin_iteration
+        assert not worker.nodes[1].arrivals
+        worker.begin_iteration(0)
+        assert worker.nodes[1].arrivals[1] == 1
+        worker.on_batch(batch(1, 1))  # the peer is already in iteration 1
+        assert worker.nodes[1].arrivals[1] == 1
+        worker.begin_iteration(1)
+        assert worker.nodes[1].arrivals[1] == 1  # reset, then the parked one
+        worker.nodes[1].core.advance(1)  # the payload reached the core's inbox
+        assert 3 in worker.nodes[1].core.shard
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_consistent_for_any_worker_count(self, workers, tmp_path):
+        spec = EpisodeSpec.synthetic(16, seed=9, n_iters=2)
+        options = NetOptions(workers=workers, log_dir=str(tmp_path / "logs"))
+        transport: list[dict] = []
+        result = run_episode_net(spec, options, transport)
+        save_result(tmp_path / "result.json", spec, result, options)
+        report = analyze_episode(tmp_path)
+        assert report["consistent"] is True
+        logs = report["logs"]
+        assert logs["nodes"] == spec.n_ranks
+        assert logs["per_round_rx"] == logs["per_round_tx"] == result.per_round_messages
+        assert logs["model_bytes"] == result.bytes_sent
+        # One row per message; the physical frames are far fewer, and
+        # sum(frame_bytes) + batch envelopes = bytes written.
+        assert [row["worker"] for row in transport] == list(range(workers))
+        messages = sum(logs["per_tag_tx"].values())
+        assert 0 < sum(row["frames"] for row in transport) < messages / 4
+        assert logs["frame_bytes"] + sum(r["envelope_bytes"] for r in transport) == (
+            sum(r["wire_bytes"] for r in transport)
+        )
+        assert all(r["retries"] == r["deduped"] == 0 for r in transport)
+
+    def test_log_off_writes_no_rows(self, tmp_path):
+        spec = EpisodeSpec.synthetic(8, seed=1)
+        run_episode_net(spec, NetOptions(workers=2))
+        assert not list(tmp_path.iterdir())
