@@ -34,7 +34,7 @@ for (``resolve_knowledge``), so the two are chosen separately:
 :class:`_SparseStore` — sorted id arrays
     Payloads are shard references (shards are immutable by
     replacement), merges skip on identity/completeness and truncate in
-    priority space, with optional numba kernels.
+    priority space.
 
 A packed container always runs on bit rows; a sparse one does when the
 stage is capped-"lowest" and a bit row is no larger than a full shard
@@ -55,10 +55,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import ClassVar
 
 import numpy as np
 
-from repro.core._kernels import get_gossip_kernels, warn_numba_missing
 from repro.core.knowledge import (
     PackedKnowledgeBitmap,
     SparseKnowledge,
@@ -66,7 +66,7 @@ from repro.core.knowledge import (
 )
 from repro.obs import StatsRegistry
 from repro.sim.faults import FaultConfig, PhaseFaultModel
-from repro.util.validation import check_in, check_positive, coerce_rng
+from repro.util.validation import check_in, check_positive_int, coerce_rng
 
 __all__ = [
     "GossipConfig",
@@ -111,12 +111,9 @@ else:  # pragma: no cover - NumPy < 2.0 fallback
 SPARSE_AUTO_MIN_RANKS_FAST = 8_192
 
 
+# Shim for benchmarks/e2e/wl_phase.py:65; the follow-up [benchmark] PR removes it.
 def resolve_auto_threshold(kernel: str) -> int:
-    """The ``knowledge="auto"`` packed→sparse crossover rank count.
-
-    One crossover for every ``kernel`` value (the argument is kept for
-    callers that pass ``GossipConfig.kernel``).
-    """
+    """The ``knowledge="auto"`` packed→sparse crossover rank count."""
     return SPARSE_AUTO_MIN_RANKS_FAST
 
 
@@ -160,27 +157,21 @@ class GossipConfig:
     #: :data:`SPARSE_AUTO_MIN_RANKS_FAST` *and* ``max_known`` caps the
     #: shards; packed otherwise, and always under ``intra_node_bias``).
     knowledge: str = "auto"
-    #: Sparse-store kernels: "auto" (jitted scalar kernels where numba
-    #: is installed, vectorized NumPy formulations where not) or
-    #: "numba" (the same, but warns once when numba is missing — use it
-    #: to *assert* the compiled build). Bit-identical — same targets,
-    #: same knowledge, same RNG stream. The packed store ignores this
-    #: knob; its round is already fully vectorized.
-    kernel: str = "auto"
+    # Shim for benchmarks/e2e/wl_phase.py:65; the follow-up [benchmark] PR removes it.
+    kernel: ClassVar[str] = "auto"
 
     def __post_init__(self) -> None:
-        check_positive("fanout", self.fanout)
-        check_positive("rounds", self.rounds)
+        check_positive_int("fanout", self.fanout)
+        check_positive_int("rounds", self.rounds)
         if self.max_known is not None:
-            check_positive("max_known", self.max_known)
+            check_positive_int("max_known", self.max_known)
         check_in("trim_policy", self.trim_policy, ("random", "lowest"))
-        check_positive("ranks_per_node", self.ranks_per_node)
+        check_positive_int("ranks_per_node", self.ranks_per_node)
         if not 0.0 <= self.intra_node_bias <= 1.0:
             raise ValueError("intra_node_bias must be in [0, 1]")
         if self.intra_node_bias > 0.0 and self.ranks_per_node == 1:
             raise ValueError("intra_node_bias needs ranks_per_node > 1")
         check_in("knowledge", self.knowledge, ("auto", "packed", "sparse"))
-        check_in("kernel", self.kernel, ("auto", "numba"))
         if self.knowledge == "sparse" and self.intra_node_bias > 0.0:
             raise ValueError(
                 "knowledge='sparse' does not support intra_node_bias: the "
@@ -201,7 +192,7 @@ class GossipConfig:
         if (
             self.max_known is not None
             and self.intra_node_bias == 0.0
-            and n_ranks >= resolve_auto_threshold(self.kernel)
+            and n_ranks >= SPARSE_AUTO_MIN_RANKS_FAST
         ):
             return "sparse"
         return "packed"
@@ -294,7 +285,7 @@ def run_inform_stage(
         load_snapshot=loads.copy(),
         average_load=l_ave,
         knowledge_backend="sparse" if sparse else "packed",
-        auto_threshold=resolve_auto_threshold(config.kernel),
+        auto_threshold=SPARSE_AUTO_MIN_RANKS_FAST,
     )
     instrumented = registry is not None and registry.enabled
     seeds = np.flatnonzero(underloaded)
@@ -307,8 +298,6 @@ def run_inform_stage(
     #: None when config.faults has no active fault source — the loop
     #: then never branches on it and runs its fault-free path.
     model = PhaseFaultModel.create(config.faults)
-    if sparse and config.kernel == "numba":
-        warn_numba_missing("the sparse inform kernel")
     # The working representation, stated once: bit rows for a packed
     # container, and for a sparse one whose capped-"lowest" bit row
     # (P/8 bytes) is no larger than a full int32 shard (4 * cap).
@@ -1024,8 +1013,7 @@ class _FastSparseCandidates:
     interning makes equal shards identical objects, so converged rounds
     collapse to one dominant group — and that group tests draws against
     one shared boolean bitmap of its shard; only the remaining rows pay
-    per-row membership — the jitted binary-search kernel when numba is
-    installed, else one ``searchsorted`` against the flat key array
+    per-row membership: one ``searchsorted`` against the flat key array
     ``row * P + id`` (the row-major concatenation of sorted shards is
     globally sorted). ``counts`` is ``P - |S^p| - (p not in S^p)``,
     exactly the packed store's, so the shared sampler sees the same
@@ -1047,7 +1035,6 @@ class _FastSparseCandidates:
         snap: "np.ndarray | list[np.ndarray]",
         lens: np.ndarray,
         template: np.ndarray,
-        member_kernel,
         enc: np.ndarray | None,
         dec: np.ndarray | None,
     ) -> None:
@@ -1056,7 +1043,6 @@ class _FastSparseCandidates:
         self.snap = snap
         self.lens = lens
         self.template = template
-        self.member_kernel = member_kernel
         self.enc = enc
         self.dec = dec
         n_rows = int(senders.size)
@@ -1087,20 +1073,14 @@ class _FastSparseCandidates:
             nd_rows = np.arange(n_rows)
         self.nd_pos = np.full(n_rows, -1, dtype=np.int64)
         self.nd_pos[nd_rows] = np.arange(nd_rows.size)
-        self.nd_lens = lens[nd_rows]
-        if int(self.nd_lens.sum()):
-            self.nd_flat = np.concatenate([snap[i] for i in nd_rows.tolist()])
+        nd_lens = lens[nd_rows]
+        if int(nd_lens.sum()):
+            nd_flat = np.concatenate([snap[i] for i in nd_rows.tolist()])
         else:
-            self.nd_flat = np.empty(0, dtype=SparseKnowledge._ID_DTYPE)
-        if nd_rows.size:
-            self.nd_starts = np.concatenate(([0], np.cumsum(self.nd_lens)[:-1]))
-        else:
-            self.nd_starts = np.empty(0, dtype=np.int64)
-        self.nd_flat_keys = None
-        if member_kernel is None:
-            self.nd_flat_keys = np.repeat(
-                np.arange(nd_rows.size, dtype=np.int64) * n_ranks, self.nd_lens
-            ) + self.nd_flat.astype(np.int64)
+            nd_flat = np.empty(0, dtype=SparseKnowledge._ID_DTYPE)
+        self.nd_flat_keys = np.repeat(
+            np.arange(nd_rows.size, dtype=np.int64) * n_ranks, nd_lens
+        ) + nd_flat.astype(np.int64)
         if nd_rows.size:
             knows_self[nd_rows] = self._hits(
                 np.arange(nd_rows.size), senders[nd_rows][:, None]
@@ -1115,22 +1095,11 @@ class _FastSparseCandidates:
         ``enc[draw]`` in the encoded shard equals membership of
         ``draw`` in the original, since ``enc`` is a bijection.
         """
-        if not self.nd_flat.size:  # all-empty shards: the seeding round
+        flat = self.nd_flat_keys
+        if not flat.size:  # all-empty shards: the seeding round
             return np.zeros(sub_draws.shape, dtype=bool)
         if self.enc is not None:
             sub_draws = self.enc[sub_draws]
-        if self.member_kernel is not None:
-            hit = np.empty(sub_draws.shape, dtype=np.bool_)
-            self.member_kernel(
-                self.nd_flat,
-                self.nd_starts,
-                self.nd_lens,
-                sub_rows,
-                np.ascontiguousarray(sub_draws),
-                hit,
-            )
-            return hit
-        flat = self.nd_flat_keys
         keys = (sub_rows[:, None] * np.int64(self.n_ranks) + sub_draws).ravel()
         pos = np.searchsorted(flat, keys)
         return (flat[np.minimum(pos, flat.size - 1)] == keys).reshape(sub_draws.shape)
@@ -1213,7 +1182,7 @@ class _SparseStore:
     or must stay in rank order ("random" trim, uncapped).
 
     Nothing O(P) per sender is ever materialized, so round cost scales
-    with shard sizes (bounded by ``max_known``) instead of ``P``. Three
+    with shard sizes (bounded by ``max_known``) instead of ``P``. Two
     value-preserving layers keep converged rounds cheap:
 
     - **Priority space** (capped "lowest" trim only): shards hold
@@ -1228,10 +1197,6 @@ class _SparseStore:
       whole round with one ``reduceat`` — and sender rows sharing the
       round's dominant payload object test sampler draws against one
       shared bitmap (:class:`_FastSparseCandidates`).
-    - **Merge kernels**: the remaining real merges run through the
-      jitted two-way merge kernel where numba is installed
-      (:func:`repro.core._kernels.merge_shards`) and the NumPy
-      sort/dedup otherwise.
 
     The "random" trim draws RNG keys per over-cap row, so it cannot be
     fused or skipped; that path keeps id-space shards and the separate
@@ -1254,11 +1219,7 @@ class _SparseStore:
         self.config = config
         self.rng = rng
         self.template = np.packbits(np.ones(n_ranks, dtype=bool))
-        kernels = get_gossip_kernels()
-        self.merge_kernel = kernels[0] if kernels is not None else None
-        self.member_kernel = kernels[1] if kernels is not None else None
         self.interner = _ShardInterner(max_buckets=max(1024, n_ranks // 4))
-        self.merge_buf = np.empty(0, dtype=SparseKnowledge._ID_DTYPE)
         cap = config.max_known
         self.fused_trim = cap is not None and config.trim_policy == "lowest"
         self.enc: np.ndarray | None = None
@@ -1301,7 +1262,6 @@ class _SparseStore:
             snap,
             lens,
             self.template,
-            self.member_kernel,
             self.enc,
             self.dec,
         )
@@ -1320,7 +1280,6 @@ class _SparseStore:
         # with the "lowest" trim fused in as a truncation.
         shards = self.know.shards
         interner = self.interner
-        merge_kernel = self.merge_kernel
         fused_trim = self.fused_trim
         cap = self.config.max_known
         complete = self.complete
@@ -1358,15 +1317,6 @@ class _SparseStore:
                 # Adopting the payload object shares it; shard arrays
                 # are immutable-by-replacement, so sharing is safe.
                 merged = parts[0]
-            elif merge_kernel is not None and len(parts) == 1:
-                b = parts[0]
-                need = own.size + b.size
-                if self.merge_buf.size < need:
-                    self.merge_buf = np.empty(need, dtype=self.merge_buf.dtype)
-                k = merge_kernel(own, b, self.merge_buf)
-                if fused_trim and k > cap:
-                    k = cap
-                merged = interner.canon(self.merge_buf[:k].copy())
             else:
                 merged = np.concatenate([own, *parts])
                 # In-place sort + adjacency dedup == np.unique, minus

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._kernels import get_gossip_kernels
 from repro.util.validation import check_positive
 
 __all__ = ["PackedKnowledgeBitmap", "SparseKnowledge", "keep_first_bits"]
@@ -345,10 +344,8 @@ class SparseKnowledge:
 
         One flat pass over the *distinct* shard objects: concatenate
         them, test membership against the underloaded mask, segment-sum
-        the hits per shard — via the jitted
-        :func:`repro.core._kernels.coverage_hits` kernel when numba is
-        installed, the cumulative-sum formulation otherwise — and expand
-        to ranks (identical integer counts whichever way).
+        the hits per shard (differences of one cumulative sum) and
+        expand to ranks.
         """
         n_under = _coverage_denominator(underloaded)
         if n_under == 0:
@@ -367,14 +364,9 @@ class SparseKnowledge:
         if int(lens.sum()) == 0:
             return 0.0
         flat = np.concatenate(distinct)
-        kernels = get_gossip_kernels()
-        if kernels is not None:
-            per_shard = np.empty(lens.size, dtype=np.int64)
-            kernels[2](flat, lens, np.ascontiguousarray(mask), per_shard)
-        else:
-            hits = np.concatenate(([0], np.cumsum(mask[flat], dtype=np.int64)))
-            ends = np.cumsum(lens)
-            per_shard = hits[ends] - hits[ends - lens]
+        hits = np.concatenate(([0], np.cumsum(mask[flat], dtype=np.int64)))
+        ends = np.cumsum(lens)
+        per_shard = hits[ends] - hits[ends - lens]
         return float(per_shard[holder].mean() / n_under)
 
     @property

@@ -31,7 +31,7 @@ from repro.core.ordering import ORDER_FEWEST_MIGRATIONS
 from repro.core.refinement import iterative_refinement
 from repro.core.transfer import TransferConfig
 from repro.sim.faults import FaultConfig
-from repro.util.validation import check_positive, coerce_rng
+from repro.util.validation import check_positive_int, coerce_rng
 
 __all__ = ["TemperedConfig", "TemperedLB"]
 
@@ -64,12 +64,6 @@ class TemperedConfig:
     #: Inform-stage knowledge store: "auto" / "packed" / "sparse" (see
     #: :class:`~repro.core.gossip.GossipConfig`).
     knowledge: str = "auto"
-    #: Sparse-store kernels: "auto" or "numba" (jitted where numba is
-    #: installed; "numba" warns once without it); bit-identical results.
-    gossip_kernel: str = "auto"
-    #: Transfer inner-loop kernel: "python" or "numba" (jitted when
-    #: numba is installed, bit-identical fallback otherwise).
-    transfer_kernel: str = "python"
     #: Trial-level parallelism: None = historical serial semantics (one
     #: shared RNG stream); >= 1 = that many workers with spawned
     #: per-trial streams (bit-identical for any worker count >= 1). A
@@ -83,10 +77,10 @@ class TemperedConfig:
     faults: "FaultConfig | None" = None
 
     def __post_init__(self) -> None:
-        check_positive("n_trials", self.n_trials)
-        check_positive("n_iters", self.n_iters)
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1 or None, got {self.n_workers!r}")
+        check_positive_int("n_trials", self.n_trials)
+        check_positive_int("n_iters", self.n_iters)
+        if self.n_workers is not None:
+            check_positive_int("n_workers", self.n_workers)
         # fanout/rounds/threshold and the categorical knobs are validated
         # by the GossipConfig / TransferConfig they parameterize.
         self.gossip_config()
@@ -100,7 +94,6 @@ class TemperedConfig:
             max_known=self.max_known,
             trim_policy=self.trim_policy,
             knowledge=self.knowledge,
-            kernel=self.gossip_kernel,
             faults=self.faults,
         )
 
@@ -116,7 +109,6 @@ class TemperedConfig:
             max_passes=self.max_passes,
             cascade=self.cascade,
             nacks=self.nacks,
-            kernel=self.transfer_kernel,
         )
 
     def lbaf_variant(self) -> "TemperedConfig":

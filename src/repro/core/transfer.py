@@ -29,11 +29,10 @@ once at the end of Algorithm 3 (see :mod:`repro.core.refinement`).
 
 There is one implementation: structure-of-arrays rank state
 (:mod:`repro.core.soa`) walked by one loop family — the fused
-:meth:`IncrementalCMF.propose_pass` for the default configuration,
-:func:`_scalar_pass` for shared view / nacks / rebuilt CMFs, and the
-optional flat-array kernel — all sharing one bulk apply. The
-list-of-lists transcription it is tested against, bit for bit, lives
-in ``tests/core/oracles.py``.
+:meth:`IncrementalCMF.propose_pass` for the default configuration and
+:func:`_scalar_pass` for shared view / nacks / rebuilt CMFs — sharing
+one bulk apply. The list-of-lists transcription it is tested against,
+bit for bit, lives in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.core._kernels import PASS_REBUILD, get_transfer_pass, warn_numba_missing
 from repro.core.cmf import (
     CMF_MODIFIED,
     CMF_ORIGINAL,
@@ -57,19 +55,17 @@ from repro.core.gossip import GossipResult
 from repro.core.ordering import ORDER_ARBITRARY, ORDERINGS, order_tasks
 from repro.core.soa import RankTaskState
 from repro.obs import StatsRegistry
-from repro.util.validation import check_in, check_positive, coerce_rng
+from repro.util.validation import (
+    check_in,
+    check_positive,
+    check_positive_int,
+    coerce_rng,
+)
 
 __all__ = ["TransferConfig", "TransferStats", "transfer_stage", "transfer_from_rank"]
 
 VIEW_SNAPSHOT = "snapshot"
 VIEW_SHARED = "shared"
-
-#: Inner loops for the fused configurations: "python"
-#: (default) is ``IncrementalCMF.propose_pass``; "numba" the flat-array
-#: kernel of ``repro.core._kernels`` — jitted when numba is installed,
-#: the same function uncompiled (bit-identical, slower) when it is not.
-KERNEL_PYTHON = "python"
-KERNEL_NUMBA = "numba"
 
 #: Hard cap on full passes when ``max_passes`` is None ("until no progress").
 _PASS_CAP = 1000
@@ -90,7 +86,6 @@ class TransferConfig:
     max_passes: int | None = 1  #: passes over the task list; None = no-progress
     cascade: bool = False  #: process ranks overloaded mid-stage
     nacks: bool = False  #: Menon-style negative acknowledgements (§ V-A)
-    kernel: str = KERNEL_PYTHON  #: fused inner loop: "python" or "numba"
 
     def __post_init__(self) -> None:
         check_in("criterion", self.criterion, CRITERIA)
@@ -99,8 +94,7 @@ class TransferConfig:
         check_positive("threshold", self.threshold)
         check_in("view", self.view, (VIEW_SNAPSHOT, VIEW_SHARED))
         if self.max_passes is not None:
-            check_positive("max_passes", self.max_passes)
-        check_in("kernel", self.kernel, (KERNEL_PYTHON, KERNEL_NUMBA))
+            check_positive_int("max_passes", self.max_passes)
 
 
 @dataclass
@@ -346,10 +340,9 @@ def _transfer_from_rank_soa(
     the accepts are applied afterwards in bulk. ``np.add.at`` is
     unbuffered and sequential, so each recipient's additions keep their
     order and bits; the sender's load is the walk's running value.
-    Under ``kernel="numba"`` with a PCG64 generator the walk is the
-    :mod:`repro.core._kernels` kernel instead. Every other configuration
-    walks :func:`_scalar_pass`; all three share the bulk tail. Per-pass
-    work is O(tasks of ``p``), never O(candidates) beyond the CMF build.
+    Every other configuration walks :func:`_scalar_pass`; both share
+    the bulk tail. Per-pass work is O(tasks of ``p``), never
+    O(candidates) beyond the CMF build.
     """
     candidates = gossip.knowledge.known(p)
     candidates = candidates[candidates != p]
@@ -366,16 +359,6 @@ def _transfer_from_rank_soa(
         sampler = _RebuildCMF(known_loads, l_ave, config.cmf)
 
     fused = config.recompute_cmf and not shared and not config.nacks
-    kern = None
-    if (
-        fused
-        and config.kernel == KERNEL_NUMBA
-        and isinstance(rng.bit_generator, np.random.PCG64)
-    ):
-        # The block-draw/rewind protocol needs PCG64's ``advance``; any
-        # other generator takes the fused pass, which draws per proposal.
-        warn_numba_missing("the transfer-pass kernel")
-        kern = get_transfer_pass(True)
     relaxed = config.criterion == CRITERION_RELAXED
     threshold_load = config.threshold * l_ave
     touched: set[int] = set()
@@ -392,11 +375,7 @@ def _transfer_from_rank_soa(
             float(loads[p]),
         )
         o_loads = task_loads[order]
-        if kern is not None:
-            walk = _kernel_pass(
-                kern, o_loads, sampler, float(loads[p]), threshold_load, relaxed, rng
-            )
-        elif fused:
+        if fused:
             walk = sampler.propose_pass(
                 o_loads.tolist(), float(loads[p]), threshold_load, relaxed, rng.random
             )
@@ -484,66 +463,3 @@ def _scalar_pass(
             sampler.poke(idx, l_x + o_load)
     return acc_pos, acc_idx, float(loads[p]), rejected
 
-
-def _kernel_pass(
-    kern,
-    o_loads: np.ndarray,
-    sampler: IncrementalCMF,
-    p_load: float,
-    threshold_load: float,
-    relaxed: bool,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """One pass through the flat-array transfer kernel; returns what
-    :meth:`IncrementalCMF.propose_pass` yields, as arrays.
-
-    Blocked-uniform RNG protocol: capture the bit-generator state, draw
-    one uniform per task (the most a pass can consume), run the kernel,
-    then rewind and ``advance`` by the count actually consumed — the
-    stream the kernel saw is exactly the sequence of ``rng.random()``
-    calls the scalar loop would have made. ``PCG64.advance`` also drops
-    the half-word an earlier 32-bit draw (the inform stage's bounded
-    integers) left cached; double draws never touch it, so it is put
-    back. A kernel ``PASS_REBUILD`` return is the mid-pass ``l_s``
-    change that :class:`IncrementalCMF` answers with a full rebuild;
-    the driver rebuilds and re-enters at the returned position.
-    """
-    bg = rng.bit_generator
-    start_state = bg.state
-    uniforms = rng.random(o_loads.size)
-    acc_pos = np.empty(o_loads.size, dtype=np.int64)
-    acc_idx = np.empty(o_loads.size, dtype=np.int64)
-    pos = u_pos = n_acc = rejected = 0
-    modified = sampler.variant == CMF_MODIFIED
-    while True:
-        tree = sampler._tree
-        tree_arr = np.asarray(tree if tree is not None else [0.0], dtype=np.float64)
-        status, pos, u_pos, seg_acc, seg_rej, _, total, n_positive, max_load, p_load = kern(
-            o_loads, pos, uniforms, u_pos,
-            sampler.loads, sampler.masses, tree_arr,
-            sampler.total, sampler.n_positive, sampler._max_load,
-            sampler.l_s, sampler.l_ave, p_load, threshold_load,
-            modified, relaxed,
-            acc_pos[n_acc:], acc_idx[n_acc:],
-        )
-        sampler.total = float(total)
-        sampler.n_positive = int(n_positive)
-        sampler._max_load = float(max_load)
-        n_acc += int(seg_acc)
-        rejected += int(seg_rej)
-        if status != PASS_REBUILD:
-            break
-        # The kernel already wrote the triggering load; rebuilding
-        # from it reproduces IncrementalCMF.update's rebuild branch.
-        sampler._rebuild()
-    if tree is not None:
-        sampler._tree = tree_arr
-    sampler.updates += n_acc
-    bg.state = start_state
-    if u_pos:
-        bg.advance(u_pos)
-        advanced = bg.state
-        advanced["has_uint32"] = start_state["has_uint32"]
-        advanced["uinteger"] = start_state["uinteger"]
-        bg.state = advanced
-    return acc_pos[:n_acc], acc_idx[:n_acc], float(p_load), rejected

@@ -263,7 +263,7 @@ def _run_scale_rung(
 
     # Full-episode case: Algorithm 3 end to end at this rank count —
     # inform + CMF + transfer + trial selection — under the shipping
-    # configuration ("auto" backend and kernel). One repeat: episodes
+    # configuration (the "auto" backend). One repeat: episodes
     # are the most expensive cases on the ladder and the per-stage
     # wall timers expose where the time went anyway.
     ep_trials, ep_iters = _RUNG_EPISODE[name]

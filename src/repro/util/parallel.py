@@ -142,12 +142,6 @@ def _init_worker(shared: Any) -> None:
     """Pool initializer: stash the read-only shared state per worker."""
     global _WORKER_SHARED
     _WORKER_SHARED = shared
-    # Under fork the worker inherits a COW copy of the parent's
-    # warn-once set; without this reset a kernel degradation that the
-    # parent already warned about would be silent in every worker.
-    from repro.core._kernels import reset_numba_warnings
-
-    reset_numba_warnings()
 
 
 def _invoke_shared(fn: Callable[[Any, Any], Any], payload: Any) -> Any:

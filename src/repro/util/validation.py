@@ -7,17 +7,31 @@ surfacing as a numpy broadcasting error deep inside a strategy.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Any, Collection
 
 import numpy as np
 
-__all__ = ["check_positive", "check_nonnegative", "check_in", "coerce_rng"]
+__all__ = [
+    "check_positive",
+    "check_positive_int",
+    "check_nonnegative",
+    "check_in",
+    "coerce_rng",
+]
 
 
 def check_positive(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` is a finite number > 0."""
     if not np.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def check_positive_int(name: str, value: Any) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1 (a
+    count: ``2.5``, ``2.0`` and ``True`` are all rejected)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def check_nonnegative(name: str, value: float) -> None:

@@ -56,6 +56,9 @@ def assert_matches_fresh_build(inc: IncrementalCMF, l_ave: float, variant: str):
 
 
 class TestIncrementalMatchesBuild:
+    # Some runs draw an l_ave near the smallest float: loads / l_s then
+    # overflows to inf, which clips to the right mass (0) with a warning.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @given(loads=loads_strategy, l_ave=st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=100, deadline=None)
     def test_initial_state_both_variants(self, loads, l_ave):

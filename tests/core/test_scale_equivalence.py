@@ -7,9 +7,9 @@ drive both stacks through full inform+transfer episodes over 20 seeds
 at 512 and 4,096 ranks — capped-"lowest" on both sides of the
 bit-rows / sorted-arrays rule — and require exact equality of the
 knowledge matrix, the per-round sender/message accounting, the transferred
-assignment and the stats counters — plus the final RNG state, so the
-stacks consume the identical stream and stay interchangeable
-mid-episode.
+assignment and the stats counters — plus the final state of both the
+inform and the transfer generator, so the stacks consume the identical
+streams and stay interchangeable mid-episode.
 """
 
 import dataclasses
@@ -20,7 +20,6 @@ import pytest
 from repro.core.gossip import (
     SPARSE_AUTO_MIN_RANKS_FAST,
     GossipConfig,
-    resolve_auto_threshold,
     run_inform_stage,
 )
 from repro.core.tempered import TemperedConfig
@@ -41,15 +40,15 @@ def _scenario(n_ranks, n_tasks, seed):
 
 
 def _run_stack(knowledge, stage, loads, assignment, task_loads, gossip_cfg, seed):
+    inform_rng = np.random.default_rng(seed + 1)
     gossip = run_inform_stage(
-        loads,
-        dataclasses.replace(gossip_cfg, knowledge=knowledge),
-        np.random.default_rng(seed + 1),
+        loads, dataclasses.replace(gossip_cfg, knowledge=knowledge), inform_rng
     )
     moved = np.array(assignment, copy=True)
     rng = np.random.default_rng(seed + 2)
     stats = stage(moved, task_loads, gossip, TransferConfig(), rng)
-    return gossip, moved, stats, rng.bit_generator.state
+    states = (inform_rng.bit_generator.state, rng.bit_generator.state)
+    return gossip, moved, stats, states
 
 
 def _assert_episodes_equal(ref, new):
@@ -151,14 +150,12 @@ class TestKnowledgeKnob:
         from repro.sim.faults import FaultConfig
 
         # One threshold — the measured packed/sparse crossover of the
-        # round loop — whatever the kernel knob says.
+        # round loop.
         threshold = SPARSE_AUTO_MIN_RANKS_FAST
         assert threshold == 8_192
-        for kernel in ("auto", "numba"):
-            assert resolve_auto_threshold(kernel) == threshold
-            capped = GossipConfig(max_known=512, kernel=kernel)
-            assert capped.resolve_knowledge(threshold) == "sparse"
-            assert capped.resolve_knowledge(threshold - 1) == "packed"
+        capped = GossipConfig(max_known=512)
+        assert capped.resolve_knowledge(threshold) == "sparse"
+        assert capped.resolve_knowledge(threshold - 1) == "packed"
         # No cap -> shards are O(P^2) too; auto stays packed.
         assert GossipConfig().resolve_knowledge(4 * threshold) == "packed"
         # Faults compose with the sparse store, so a capped fault
@@ -196,19 +193,13 @@ class TestKnowledgeKnob:
 
 class TestTemperedPassthrough:
     def test_knobs_reach_stage_configs(self):
-        config = TemperedConfig(
-            knowledge="sparse",
-            max_known=128,
-            transfer_kernel="numba",
-        )
+        config = TemperedConfig(knowledge="sparse", max_known=128)
         assert config.gossip_config().knowledge == "sparse"
         assert config.gossip_config().max_known == 128
-        assert config.transfer_config().kernel == "numba"
 
     def test_defaults_are_auto_soa_python(self):
         config = TemperedConfig()
         assert config.gossip_config().knowledge == "auto"
-        assert config.transfer_config().kernel == "python"
 
     def test_invalid_knowledge_rejected_at_construction(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,7 @@
 ``transfer_stage`` replaces the per-stage ``list[list[int]]`` rank/task
 materialization with a CSR view plus sparse overrides and runs the
 default configuration's passes fused (accepts recorded during the walk,
-applied in bulk after it); ``kernel="numba"`` routes the walk through
-the flat-array kernel instead (jitted where numba exists, the same
-Python function here). None of it may change a single decision: every
+applied in bulk after it). None of it may change a single decision: every
 config variant must produce the identical assignment, stats and final
 RNG state as :func:`tests.core.oracles.transfer_stage_lists` under the
 same seed — per stage and over whole multi-iteration episodes, where the
@@ -22,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.refinement as refinement
-from repro.core._kernels import HAVE_NUMBA, PASS_REBUILD, get_transfer_pass
 from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.core.soa import RankTaskState
 from repro.core.transfer import TransferConfig, transfer_stage
@@ -32,7 +29,6 @@ from tests.core.oracles import transfer_stage_lists
 
 VARIANTS = {
     "default": TransferConfig(),
-    "numba-kernel": TransferConfig(kernel="numba"),
     "lbaf-view": TransferConfig(view="shared", max_passes=None, cascade=True),
     "nacks": TransferConfig(nacks=True),
     # Production default vs the oracle's rebuild-per-accept CMF (the
@@ -85,23 +81,19 @@ class TestEngineEquivalence:
         # substitutable mid-trial.
         assert new[2] == ref[2]
 
-    @pytest.mark.parametrize("kernel", ["python", "numba"])
     @pytest.mark.parametrize(
         "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
     )
-    def test_fused_pass_under_non_pcg64_generators(self, bit_generator, kernel):
+    def test_fused_pass_under_non_pcg64_generators(self, bit_generator):
         # The fused pass draws rng.random() once per proposal, so it
-        # works for every generator; the kernel's block-draw/rewind
-        # protocol is PCG64-only and must hand these to the fused pass.
+        # works for every generator.
         seed = 5
         assignment, task_loads, gossip = _episode(seed)
         results = {}
         for engine, stage in (("lists", transfer_stage_lists), ("soa", transfer_stage)):
             moved = np.array(assignment, copy=True)
             rng = np.random.Generator(bit_generator(seed))
-            stats = stage(
-                moved, task_loads, gossip, TransferConfig(kernel=kernel), rng
-            )
+            stats = stage(moved, task_loads, gossip, TransferConfig(), rng)
             results[engine] = (moved, stats, rng.bit_generator.state)
         np.testing.assert_array_equal(results["soa"][0], results["lists"][0])
         assert dataclasses.asdict(results["soa"][1]) == dataclasses.asdict(
@@ -114,11 +106,9 @@ class TestEngineEquivalence:
     def test_engine_knob_validated(self):
         with pytest.raises(TypeError):  # one transfer loop family, no selector
             TransferConfig(engine="soa")
-        with pytest.raises(ValueError):
-            TransferConfig(kernel="cython")
 
 
-def _refinement_episode(seed, shape, stage, kernel, monkeypatch):
+def _refinement_episode(seed, shape, stage, monkeypatch):
     """One 4-iteration Algorithm 3 episode; everything observable."""
     stages = []
 
@@ -135,7 +125,7 @@ def _refinement_episode(seed, shape, stage, kernel, monkeypatch):
         dist,
         n_trials=1,
         n_iters=4,
-        transfer=TransferConfig(kernel=kernel),
+        transfer=TransferConfig(),
         rng=rng,
         registry=registry,
     )
@@ -153,30 +143,24 @@ class TestEpisodeIdentity:
     """Multi-iteration episodes: the generator carries state between
     stages (the inform stage's bounded-integer draws leave a cached
     32-bit half-word in PCG64), so single-stage parity is not enough —
-    the kernel's rewind once dropped that half-word and every episode
-    diverged from its second iteration on."""
+    a since-deleted block-draw driver (PR 15) once dropped that
+    half-word and every episode diverged from its second iteration on."""
 
     # (tasks, loaded ranks, ranks): long walks over small CMFs, and the
     # § V shape in miniature — from iteration 2 on, many senders with a
     # handful of tasks against hundreds of candidates.
     SHAPES = {"dense": (20_000, 4, 64), "wide": (2_000, 4, 512)}
 
-    @pytest.mark.filterwarnings("ignore:kernel='numba' requested:RuntimeWarning")
     @pytest.mark.parametrize("shape", list(SHAPES))
     @pytest.mark.parametrize("seed", range(6))
-    def test_engines_and_kernels_agree_over_four_iterations(
-        self, seed, shape, monkeypatch
-    ):
+    def test_engines_agree_over_four_iterations(self, seed, shape, monkeypatch):
         shape = self.SHAPES[shape]
-        reference = _refinement_episode(
-            seed, shape, transfer_stage_lists, "python", monkeypatch
-        )
+        reference = _refinement_episode(seed, shape, transfer_stage_lists, monkeypatch)
         assert len(reference["stages"]) == 4
         assert reference["records"][1]["transfers"] > 0  # later stages do work
-        for kernel in ("python", "numba"):
-            episode = _refinement_episode(seed, shape, transfer_stage, kernel, monkeypatch)
-            for key in reference:
-                assert episode[key] == reference[key], (kernel, key)
+        episode = _refinement_episode(seed, shape, transfer_stage, monkeypatch)
+        for key in reference:
+            assert episode[key] == reference[key], key
 
 
 class TestConservationProperty:
@@ -228,34 +212,6 @@ class TestConservationProperty:
         # Load: what the ranks hold still sums to what the tasks weigh.
         after = np.bincount(moved, weights=task_loads, minlength=n_ranks)
         assert after.sum() == pytest.approx(task_loads.sum(), rel=1e-12)
-
-
-class TestKernelFunction:
-    def test_get_transfer_pass_python_is_reference(self):
-        from repro.core import _kernels
-
-        assert get_transfer_pass(False) is _kernels.transfer_pass
-        if not HAVE_NUMBA:
-            assert get_transfer_pass(True) is _kernels.transfer_pass
-
-    def test_rebuild_status_counts_triggering_update(self):
-        # One candidate whose load crosses l_s on accept: the kernel
-        # must apply the load write, report PASS_REBUILD and advance
-        # past the accepted position.
-        o_loads = np.array([0.9])
-        loads_known = np.array([0.5])
-        masses = np.array([0.5])
-        tree = np.array([0.0, 0.5])
-        acc_pos = np.zeros(1, dtype=np.int64)
-        acc_idx = np.zeros(1, dtype=np.int64)
-        out = get_transfer_pass(False)(
-            o_loads, 0, np.array([0.1]), 0, loads_known, masses, tree,
-            0.5, 1, 0.5, 1.0, 1.0, 5.0, 0.0, True, True, acc_pos, acc_idx,
-        )
-        status, pos, u_pos, n_acc, n_rej, n_upd = out[:6]
-        assert status == PASS_REBUILD
-        assert (pos, u_pos, n_acc, n_rej, n_upd) == (1, 1, 1, 0, 1)
-        assert loads_known[0] == pytest.approx(1.4)  # write applied pre-bail
 
 
 class TestRankTaskState:

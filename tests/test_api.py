@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.cli
-from repro.core.gossip import GossipConfig, run_inform_stage
+from repro.core.gossip import GossipConfig, resolve_auto_threshold, run_inform_stage
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferConfig, transfer_stage
 from repro.sim.faults import FaultConfig
@@ -144,11 +144,32 @@ RATCHET = "this bound is lowered by deletions and never raised"
 
 
 def test_config_and_cli_surface_only_shrinks():
-    for config, bound in ((GossipConfig, 10), (TransferConfig, 10), (TemperedConfig, 20)):
+    for config, bound in ((GossipConfig, 9), (TransferConfig, 9), (TemperedConfig, 18)):
         names = [f.name for f in fields(config)]
         assert len(names) <= bound, f"{config.__name__} has {len(names)} fields {names}; {RATCHET}"
     flags = len(re.findall(r"\.add_argument\(", Path(repro.cli.__file__).read_text()))
     assert flags <= 67, f"cli.py has {flags} add_argument calls; {RATCHET}"
+
+
+def test_numba_leg_is_gone():
+    src = Path(repro.__file__).parent
+    shim = src / "core" / "_kernels.py"
+    mentions = [p for p in src.rglob("*.py") if p != shim and "numba" in p.read_text()]
+    assert mentions == [], f"'numba' outside the shim: {mentions}"
+    shim_text = shim.read_text()
+    assert len(shim_text.splitlines()) <= 15
+    assert "import numba" not in shim_text and "from numba" not in shim_text
+    # Retired, not remapped: the selectors are unknown keywords.
+    for config, knob in (
+        (GossipConfig, "kernel"),
+        (TransferConfig, "kernel"),
+        (TemperedConfig, "gossip_kernel"),
+        (TemperedConfig, "transfer_kernel"),
+    ):
+        with pytest.raises(TypeError):
+            config(**{knob: "numba"})
+    # What benchmarks/e2e/wl_phase.py still evaluates keeps its value.
+    assert resolve_auto_threshold(GossipConfig().kernel) == 8_192
 
 
 # -- config walk: every combination is a clean ValueError or a clean run -------
@@ -186,7 +207,6 @@ _GOSSIP = st.fixed_dictionaries(
         "ranks_per_node": st.sampled_from([1, 4]),
         "intra_node_bias": st.sampled_from([0.0, 0.5, 1.0]),
         "knowledge": st.sampled_from(["auto", "packed", "sparse"]),
-        "kernel": st.sampled_from(["auto", "numba"]),
     }
 )
 _TRANSFER = st.fixed_dictionaries(
@@ -202,7 +222,6 @@ _TRANSFER = st.fixed_dictionaries(
         "max_passes": st.sampled_from([None, 1, 3]),
         "cascade": st.booleans(),
         "nacks": st.booleans(),
-        "kernel": st.sampled_from(["python", "numba"]),
     }
 )
 #: One out-of-range value to plant (or none): the dictionaries above hold
@@ -212,18 +231,20 @@ _POISON = st.sampled_from(
     [
         None,
         ("gossip", "fanout", 0),
+        ("gossip", "fanout", 2.5),
         ("gossip", "max_known", 0),
+        ("gossip", "max_known", 2.0),
         ("gossip", "trim_policy", "newest"),
         ("gossip", "intra_node_bias", 1.5),
         ("transfer", "threshold", 0.0),
         ("transfer", "ordering", "heaviest"),
+        ("transfer", "max_passes", 1.5),
         ("faults", "loss_rate", 1.5),
         ("faults", "delay_scale", 0.0),
     ]
 )
 
 
-@pytest.mark.filterwarnings("ignore:kernel='numba' requested:RuntimeWarning")
 @given(
     gossip=_GOSSIP,
     transfer=_TRANSFER,
@@ -237,15 +258,20 @@ _POISON = st.sampled_from(
 def test_config_walk_rejects_or_runs_deterministically(
     gossip, transfer, faults, poison, n_ranks, n_tasks, seed
 ):
+    planted = None
     if poison is not None:
         target = {"gossip": gossip, "transfer": transfer, "faults": faults}[poison[0]]
         if target is not None:
             target[poison[1]] = poison[2]
+            planted = poison[0]
     fault_cfg = None if faults is None else _build(FaultConfig, faults)
-    if faults is not None and fault_cfg is None:
-        return
     gossip_cfg = _build(GossipConfig, {**gossip, "faults": fault_cfg})
     transfer_cfg = _build(TransferConfig, transfer)
+    if planted is not None:
+        built = {"gossip": gossip_cfg, "transfer": transfer_cfg, "faults": fault_cfg}
+        assert built[planted] is None, f"{poison} was accepted"
+    if faults is not None and fault_cfg is None:
+        return
     if gossip_cfg is None or transfer_cfg is None:
         return
 
