@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.empire.particles import ParticlePopulation
+from repro.empire.particles import ParticlePopulation, reflect_into_unit_square
 from repro.util.validation import check_nonnegative, check_positive, coerce_rng
 
 __all__ = ["BDotScenario"]
-
-_SUP = np.nextafter(1.0, 0.0)
 
 
 class BDotScenario:
@@ -73,11 +71,7 @@ class BDotScenario:
         n_core = int(round(n * self.core_fraction))
         sigma = np.where(np.arange(n) < n_core, self.core_sigma, self.emitter_sigma)
         pos = self.emitter_center + rng.normal(0.0, 1.0, size=(n, 2)) * sigma[:, None]
-        # Reflect into the unit square (same boundary as the mover).
-        pos = np.mod(pos, 2.0)
-        over = pos >= 1.0
-        pos[over] = 2.0 - pos[over]
-        np.clip(pos, 0.0, _SUP, out=pos)
+        reflect_into_unit_square(pos)  # same boundary as the mover
         vel = self.drift_velocity + rng.normal(0.0, self.thermal_speed, size=(n, 2))
         return pos, vel
 

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.empire.particles import ParticlePopulation
+from repro.empire.particles import ParticlePopulation, reflect_into_unit_square
 from repro.util.validation import check_nonnegative, check_positive, coerce_rng
 
 __all__ = ["PoissonSolver", "ElectrostaticStepper", "ElectrostaticScenario"]
-
-_SUP = np.nextafter(1.0, 0.0)
 
 
 class PoissonSolver:
@@ -90,30 +88,34 @@ class ElectrostaticStepper:
         self.mobility = float(mobility)
         self._phi: np.ndarray | None = None
 
-    def deposit(self, population: ParticlePopulation) -> np.ndarray:
-        """Nearest-grid-point charge deposition, shape ``(ny, nx)``."""
+    def _cell_of(self, population: ParticlePopulation) -> np.ndarray:
+        """Row-major grid cell holding each particle."""
         nx, ny = self.solver.nx, self.solver.ny
-        if population.count == 0:
-            return np.zeros((ny, nx))
         i = np.minimum((population.positions[:, 0] * nx).astype(np.int64), nx - 1)
         j = np.minimum((population.positions[:, 1] * ny).astype(np.int64), ny - 1)
+        return j * nx + i
+
+    def _density(self, cells: np.ndarray) -> np.ndarray:
+        """Charge density of particles sitting in ``cells``, shape ``(ny, nx)``."""
+        nx, ny = self.solver.nx, self.solver.ny
         cell_area = self.solver.hx * self.solver.hy
-        rho = np.bincount(j * nx + i, minlength=nx * ny).astype(np.float64)
-        return self.charge * rho.reshape(ny, nx) / cell_area / max(population.count, 1)
+        rho = np.bincount(cells, minlength=nx * ny).astype(np.float64)
+        return self.charge * rho.reshape(ny, nx) / cell_area / max(cells.size, 1)
+
+    def deposit(self, population: ParticlePopulation) -> np.ndarray:
+        """Nearest-grid-point charge deposition, shape ``(ny, nx)``."""
+        return self._density(self._cell_of(population))
 
     def step(self, population: ParticlePopulation) -> None:
         """Advance the plasma one step under its own space charge."""
         if population.count == 0:
             return
-        rho = self.deposit(population)
-        phi = self.solver.solve(rho, phi0=self._phi)
+        cells = self._cell_of(population)  # deposit and gather share them
+        phi = self.solver.solve(self._density(cells), phi0=self._phi)
         self._phi = phi  # warm-start the next solve
         ex, ey = self.solver.field(phi)
-        nx, ny = self.solver.nx, self.solver.ny
-        i = np.minimum((population.positions[:, 0] * nx).astype(np.int64), nx - 1)
-        j = np.minimum((population.positions[:, 1] * ny).astype(np.int64), ny - 1)
-        population.velocities[:, 0] += self.mobility * ex[j, i]
-        population.velocities[:, 1] += self.mobility * ey[j, i]
+        population.velocities[:, 0] += self.mobility * ex.reshape(-1)[cells]
+        population.velocities[:, 1] += self.mobility * ey.reshape(-1)[cells]
         population.advance(self.dt)
 
 
@@ -152,10 +154,7 @@ class ElectrostaticScenario:
     def _spawn(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         rng = self._rng
         pos = self.blob_center + rng.normal(0.0, self.blob_sigma, size=(n, 2))
-        pos = np.mod(pos, 2.0)
-        over = pos >= 1.0
-        pos[over] = 2.0 - pos[over]
-        np.clip(pos, 0.0, _SUP, out=pos)
+        reflect_into_unit_square(pos)
         vel = rng.normal(0.0, self.thermal_speed, size=(n, 2))
         return pos, vel
 

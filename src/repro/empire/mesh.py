@@ -16,7 +16,10 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["Mesh2D", "grid_dims"]
+__all__ = ["BinScratch", "Mesh2D", "grid_dims"]
+
+#: Largest double strictly below 1.0 — positions live in [0, 1).
+_SUP = np.nextafter(1.0, 0.0)
 
 
 def grid_dims(n: int) -> tuple[int, int]:
@@ -26,6 +29,43 @@ def grid_dims(n: int) -> tuple[int, int]:
     while a > 1 and n % a != 0:
         a -= 1
     return a, n // a
+
+
+def _block_and_cell(
+    coord: np.ndarray, blocks: int, cells: int, block: np.ndarray, cell: np.ndarray
+) -> None:
+    """One axis of the color lookup, written into ``block`` and ``cell``.
+
+    Scale the coordinate to the ``blocks`` rank blocks and truncate for
+    the block index; subtract for the block-local coordinate; scale that
+    to the block's ``cells`` color cells and truncate again. The
+    ``minimum`` after each truncation and the clamp below 1.0 keep a
+    product that rounds up to a block edge inside the block.
+    """
+    np.multiply(coord, blocks, out=cell)
+    np.floor(cell, out=block)
+    np.minimum(block, blocks - 1, out=block)
+    cell -= block
+    np.minimum(cell, _SUP, out=cell)
+    cell *= cells
+    np.floor(cell, out=cell)
+    np.minimum(cell, cells - 1, out=cell)
+
+
+class BinScratch:
+    """Work arrays that :meth:`Mesh2D.locate` fills instead of allocating.
+
+    Sized once for ``capacity`` positions and reused for every call on
+    that many or fewer; the colors a call returns are a view of
+    ``colors`` and are overwritten by the next call.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        #: Three float rows: block index, cell index, and the color id
+        #: being summed from them (all integers far below 2**53).
+        self.work = np.empty((3, capacity), dtype=np.float64)
+        #: ``intp``, so ``np.bincount`` reads it without converting.
+        self.colors = np.empty(capacity, dtype=np.intp)
 
 
 class Mesh2D:
@@ -80,18 +120,30 @@ class Mesh2D:
     def color_of_position(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Color containing each unit-square position (vectorized)."""
         x, y = self._check_positions(x, y)
-        xi = x * self.px
-        yj = y * self.py
-        i = np.minimum(xi.astype(np.int64), self.px - 1)
-        j = np.minimum(yj.astype(np.int64), self.py - 1)
-        rank = j * self.px + i
-        # Local coordinates within the rank block, in [0, 1).
-        lx = np.clip(xi - i, 0.0, np.nextafter(1.0, 0.0))
-        ly = np.clip(yj - j, 0.0, np.nextafter(1.0, 0.0))
-        ci = np.minimum((lx * self.cx).astype(np.int64), self.cx - 1)
-        cj = np.minimum((ly * self.cy).astype(np.int64), self.cy - 1)
-        local = cj * self.cx + ci
-        return rank * self.colors_per_rank + local
+        colors = self.locate(x.ravel(), y.ravel(), BinScratch(x.size))
+        return colors.reshape(x.shape)
+
+    def locate(self, x: np.ndarray, y: np.ndarray, scratch: BinScratch) -> np.ndarray:
+        """:meth:`color_of_position` for 1-D ``x``/``y`` the caller
+        guarantees lie in ``[0, 1)``, computed inside ``scratch``.
+
+        ``color = (j*px + i) * colors_per_rank + cj*cx + ci``, with the
+        indices kept in float64 — exact at these sizes, and every pass
+        vectorizes — until the one cast at the end.
+        """
+        n = x.size
+        block, cell, color = scratch.work[:, :n]
+        _block_and_cell(x, self.px, self.cx, block, cell)  # i, ci
+        np.multiply(block, self.colors_per_rank, out=color)
+        color += cell
+        _block_and_cell(y, self.py, self.cy, block, cell)  # j, cj
+        block *= self.px * self.colors_per_rank
+        color += block
+        cell *= self.cx
+        color += cell
+        out = scratch.colors[:n]
+        np.copyto(out, color, casting="unsafe")
+        return out
 
     def color_centers(self) -> np.ndarray:
         """Geometric center of every color, shape ``(n_colors, 2)``."""

@@ -10,9 +10,9 @@ the unstructured analogue of Fig. 1's coloring.
 The resulting object is interface-compatible with
 :class:`repro.empire.mesh.Mesh2D` where the PIC loop needs it
 (``n_ranks``, ``n_colors``, ``home_assignment``, ``cells_per_rank``,
-``cells_per_color`` — per-color *array* here — and
-``color_of_position``), so :class:`repro.empire.pic.PICSimulation` runs
-on it unchanged.
+``cells_per_color`` — per-color *array* here — ``color_of_position``
+and ``locate``), so :class:`repro.empire.pic.PICSimulation` runs on it
+unchanged.
 """
 
 from __future__ import annotations
@@ -129,6 +129,14 @@ class UnstructuredMesh2D:
                 d = (centroids[:, 0] - x[idx]) ** 2 + (centroids[:, 1] - y[idx]) ** 2
                 simplex[idx] = int(np.argmin(d))
         return self.cell_color[simplex]
+
+    def locate(self, x: np.ndarray, y: np.ndarray, scratch: object) -> np.ndarray:
+        """What :meth:`ParticlePopulation.count_per_color` calls on a mesh.
+
+        Point location allocates its own work arrays; ``scratch`` is
+        accepted for :meth:`Mesh2D.locate`'s signature and left alone.
+        """
+        return self.color_of_position(x, y)
 
     def cell_centroids(self) -> np.ndarray:
         """Triangle centroids, shape ``(n_cells, 2)``."""

@@ -36,11 +36,7 @@ class ColorWorkloadModel:
 
     def color_loads(self, mesh: Mesh2D, population: ParticlePopulation) -> np.ndarray:
         """Per-color particle-update load, length ``mesh.n_colors``."""
-        counts = population.count_per_color(mesh)
-        return (
-            self.seconds_per_cell * mesh.cells_per_color
-            + self.seconds_per_particle * counts
-        )
+        return self.loads_from_counts(mesh, population.count_per_color(mesh))
 
     def loads_from_counts(self, mesh: Mesh2D, counts: np.ndarray) -> np.ndarray:
         """Per-color load from precomputed particle counts."""

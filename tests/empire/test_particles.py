@@ -55,6 +55,49 @@ class TestParticlePopulation:
         with pytest.raises(ValueError):
             p.advance(-1.0)
 
+    def test_population_owns_its_rows(self):
+        """The mover works in place, so it must not be the caller's place."""
+        pos, vel = np.array([[0.95, 0.5]]), np.array([[0.1, 0.0]])
+        p = ParticlePopulation(pos, vel)
+        assert not np.shares_memory(pos, p.positions)
+        assert not np.shares_memory(vel, p.velocities)
+        p.advance(1.0)
+        assert p.velocities[0, 0] == -0.1  # reflected
+        np.testing.assert_array_equal(pos, [[0.95, 0.5]])
+        np.testing.assert_array_equal(vel, [[0.1, 0.0]])
+
+        p.inject(pos, vel)
+        assert not np.shares_memory(pos, p.positions)
+        assert not np.shares_memory(vel, p.velocities)
+        p.advance(1.0)
+        np.testing.assert_array_equal(p.velocities[:, 0], [-0.1, -0.1])
+        np.testing.assert_array_equal(pos, [[0.95, 0.5]])
+        np.testing.assert_array_equal(vel, [[0.1, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        ok = np.array([[0.5, 0.5]])
+        with pytest.raises(ValueError, match="positions must be finite"):
+            ParticlePopulation(np.array([[0.5, bad]]), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="velocities must be finite"):
+            ParticlePopulation(ok, np.array([[bad, 0.0]]))
+        p = ParticlePopulation(ok, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="positions must be finite"):
+            p.inject(np.array([[bad, 0.5]]), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="velocities must be finite"):
+            p.inject(ok, np.array([[0.0, bad]]))
+        assert p.count == 1  # a rejected injection adds nothing
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    def test_advance_names_a_non_finite_velocity(self, bad):
+        """A field push writes velocities through the view; one that
+        diverges must stop the run, not miscount a NaN's garbage cell."""
+        p = ParticlePopulation(np.full((50, 2), 0.5), np.zeros((50, 2)))
+        p.velocities[7, 1] = bad
+        with pytest.raises(ValueError, match="velocities must be finite"):
+            p.advance(50.0)
+
 
 class TestBDotScenario:
     def test_initial_population_size(self):
