@@ -87,8 +87,8 @@ def build_cmf(
     if l_s <= 0.0:
         return None
     # Negative masses can only arise in the original variant once a known
-    # load exceeds l_ave; clip so such ranks simply receive zero mass.
-    masses = np.clip(1.0 - loads / l_s, 0.0, None)
+    # load exceeds l_ave; clamp so such ranks simply receive zero mass.
+    masses = np.maximum(1.0 - loads / l_s, 0.0)
     z = masses.sum()
     if z <= 0.0:
         return None
@@ -164,6 +164,21 @@ def _fenwick_search(tree: list[float] | np.ndarray, target: float) -> int:
             remaining -= tree[nxt]
         bit >>= 1
     return idx
+
+
+def _resolve_drift(masses: np.ndarray, target: float) -> int:
+    """The candidate a draw of ``target`` lands on, from exact prefix sums.
+
+    The fallback for a Fenwick descent that float drift in the tree or
+    the running total pushed onto a zero mass or past the end. A
+    ``searchsorted`` hit inside the array always has positive mass (its
+    prefix sum rose there); a draw beyond every prefix sum resolves to
+    the last candidate with positive mass, never to a trailing zero.
+    """
+    idx = int(np.searchsorted(np.cumsum(masses), target, side="right"))
+    if idx < masses.size:
+        return idx
+    return int(np.flatnonzero(masses)[-1])
 
 
 class IncrementalCMF:
@@ -244,7 +259,7 @@ class IncrementalCMF:
             self._tree = None
             return
         # The exact expression build_cmf uses, so masses match bitwise.
-        self.masses = np.clip(1.0 - loads / self.l_s, 0.0, None)
+        self.masses = np.maximum(1.0 - loads / self.l_s, 0.0)
         self.total = float(self.masses.sum())
         self.n_positive = int(np.count_nonzero(self.masses))
         self._tree = _fenwick_build(self.masses)
@@ -307,11 +322,7 @@ class IncrementalCMF:
         target = u * self.total
         idx = _fenwick_search(self._list_tree(), target)
         if idx >= self.masses.size or self.masses[idx] <= 0.0:
-            # Accumulated float drift in the tree/total pushed the draw
-            # past the last positive mass; resolve against exact sums.
-            cmf = np.cumsum(self.masses)
-            idx = int(np.searchsorted(cmf, target, side="right"))
-            idx = min(idx, self.masses.size - 1)
+            idx = _resolve_drift(self.masses, target)
         return int(idx)
 
     def propose_pass(
@@ -373,10 +384,7 @@ class IncrementalCMF:
                     bit >>= 1
                 mass = masses.item(idx) if idx < size else 0.0
                 if mass <= 0.0:
-                    # Float drift pushed the draw past the last positive
-                    # mass; resolve against exact sums, as sample() does.
-                    idx = int(np.searchsorted(np.cumsum(masses), target, side="right"))
-                    idx = min(idx, size - 1)
+                    idx = _resolve_drift(masses, target)
                     mass = masses.item(idx)
                 l_x = loads.item(idx)
                 if (o_load < p_load - l_x) if relaxed else (l_x + o_load < l_ave):

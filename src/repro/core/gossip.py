@@ -64,6 +64,7 @@ from repro.core.knowledge import (
     SparseKnowledge,
     keep_first_bits,
 )
+from repro.core.soa import rank_order
 from repro.obs import StatsRegistry
 from repro.sim.faults import FaultConfig, PhaseFaultModel
 from repro.util.validation import check_in, check_positive_int, coerce_rng
@@ -398,8 +399,13 @@ class _PackedCandidates:
     def test(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
         if self.enc is not None:
             draws = self.enc[draws]
-        bit = np.uint8(128) >> (draws & 7).astype(np.uint8)
-        return (self.packed[rows[:, None], draws >> 3] & bit) != 0
+        # One flat gather of each draw's byte; shifting its bit up to
+        # the top of the uint8 leaves the rest to wrap away.
+        at = draws >> 3
+        at += (rows * self.packed.shape[1])[:, None]
+        byte = self.packed.ravel()[at]
+        byte <<= (draws & 7).astype(np.uint8)
+        return byte >= 128
 
     def clear(self, rows: np.ndarray, ids: np.ndarray) -> None:
         """Drop rank ``ids[i]`` from candidate row ``rows[i]``."""
@@ -470,17 +476,6 @@ def _sample_sparse_rows(
     return row_idx, targets
 
 
-def _mark_wave_duplicates(draws: np.ndarray) -> np.ndarray:
-    """True where ``draws[i, j]`` repeats an earlier draw of row ``i``."""
-    idx = np.argsort(draws, axis=1, kind="stable")
-    sorted_draws = np.take_along_axis(draws, idx, axis=1)
-    dup_sorted = np.zeros(draws.shape, dtype=bool)
-    dup_sorted[:, 1:] = sorted_draws[:, 1:] == sorted_draws[:, :-1]
-    dup = np.zeros(draws.shape, dtype=bool)
-    np.put_along_axis(dup, idx, dup_sorted, axis=1)
-    return dup
-
-
 def _sample_packed_rows(
     rng: np.random.Generator,
     cand: "_PackedCandidates | _FastSparseCandidates",
@@ -501,9 +496,17 @@ def _sample_packed_rows(
     ids in vectorized waves and reject misses/duplicates — expected
     ``O(f / density)`` draws per row and *no* candidate
     materialization, which is what keeps the round cost flat as ``P``
-    grows. Rows whose candidate sets have thinned out (and the rare
-    rows a capped wave budget could not fill) use the exact
-    packed-byte sampler instead.
+    grows. Rows whose candidate sets have thinned out (and the rows a
+    capped wave budget could not fill) use the exact packed-byte
+    sampler instead.
+
+    A wave dedups with one in-row sort: each row's picks so far and
+    its draws, keyed ``value * 2**shift + column`` (``2**shift >=``
+    the column count), sort so that equal values sit together in
+    column order, and every entry equal to its sorted predecessor
+    repeats an earlier draw or a pick. A row then accepts its first
+    ``remaining`` surviving draws in draw order (``cumsum`` rank),
+    which is exactly sequential rejection sampling.
     """
     empty = np.empty(0, dtype=np.int64)
     want = np.minimum(want, counts)
@@ -532,29 +535,37 @@ def _sample_packed_rows(
             width = int(np.ceil(1.5 * (remaining / density).max()))
             width = min(max(width, 8), _MAX_WAVE_WIDTH)
             draws = rng.integers(0, n_ranks, size=(active.size, width))
-            r = dense_rows[active]
-            ok = cand.test(r, draws)
-            ok &= ~(draws[:, :, None] == slots[active][:, None, :]).any(axis=2)
-            ok &= ~_mark_wave_duplicates(draws)
-            # Accept each row's first `remaining` valid draws, in draw
-            # order — exactly sequential rejection sampling.
-            pos = np.where(ok, np.arange(width), width)
-            pos.sort(axis=1)
-            take_max = int(remaining.max())
-            for j in range(take_max):
-                pj = pos[:, j]
-                acc = (pj < width) & (j < remaining)
-                if not acc.any():
-                    continue
-                rows_j = active[acc]
-                slots[rows_j, filled[rows_j]] = draws[acc, pj[acc]]
-                filled[rows_j] += 1
+            ok = cand.test(dense_rows[active], draws)
+            # Key = value << shift | column. Picks (-1 padded; no row
+            # has more than `picked`) lead the columns, so a draw equal
+            # to a pick sorts after it.
+            picked = int(filled[active].max())
+            ncol = picked + width
+            shift = (ncol - 1).bit_length()
+            key = np.concatenate((slots[active, :picked], draws), axis=1)
+            key <<= shift
+            key |= np.arange(ncol)
+            key.sort(axis=1)
+            key = key.ravel()
+            value = key >> shift
+            dup = np.flatnonzero(value[1:] == value[:-1]) + 1
+            dup = dup[dup % ncol != 0]  # a row's first entry repeats nothing
+            column = (key[dup] & ((1 << shift) - 1)) - picked
+            drawn = column >= 0
+            ok[dup[drawn] // ncol, column[drawn]] = False
+            rank = np.cumsum(ok, axis=1)
+            acc = ok & (rank <= remaining[:, None])
+            took = np.minimum(rank[:, -1], remaining)
+            rows = np.repeat(active, took)
+            slots[rows, filled[rows] + rank[acc] - 1] = draws[acc]
+            filled[active] += took
             active = active[filled[active] < need[active]]
         if filled.any():
             out_rows.append(np.repeat(dense_rows, filled))
             out_targets.append(slots[slots >= 0])
-        if active.size:  # pragma: no cover - probabilistic fallback
-            # Clear already-picked bits and finish exactly.
+        if active.size:
+            # The wave budget ran out (thin rows near the density
+            # threshold): clear the picks and finish exactly.
             leftover = dense_rows[active]
             residual = cand.extract(leftover)
             picked_rows = np.repeat(np.arange(active.size), filled[active])
@@ -730,9 +741,11 @@ def _run_rounds(
             # payloads keep their send order); the store merges group
             # `i` = payloads[src[bounds[i]:bounds[i + 1]]] into
             # receivers[i], then caps the receivers once per round.
-            order = np.argsort(targets, kind="stable")
-            receivers, starts = np.unique(targets[order], return_index=True)
-            bounds = np.append(starts, targets.size)
+            order = rank_order(targets, n_ranks)
+            targets = targets[order]
+            cuts = np.flatnonzero(targets[1:] != targets[:-1]) + 1
+            bounds = np.concatenate(([0], cuts, [targets.size]))
+            receivers = targets[bounds[:-1]]
             lap("sample")
             store.merge(receivers, bounds, payloads, src[order])
             lap("merge")

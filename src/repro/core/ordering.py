@@ -78,12 +78,11 @@ def _two_group_order(
     """Tasks with load <= cut by descending load, then the rest ascending.
 
     This is the comparator shared by Alg. 5 (l.7-11, cut = l_cut) and
-    Alg. 6 (l.7-11, cut = l_marg).
+    Alg. 6 (l.7-11, cut = l_marg): one stable sort keyed on the group
+    first and the signed load second, so equal keys keep input order.
     """
     light = loads <= cut
-    light_order = np.argsort(-loads[light], kind="stable")
-    heavy_order = np.argsort(loads[~light], kind="stable")
-    return np.concatenate([tasks[light][light_order], tasks[~light][heavy_order]])
+    return tasks[np.lexsort((np.where(light, -loads, loads), ~light))]
 
 
 def order_fewest_migrations(

@@ -30,6 +30,13 @@ transcriptions the equivalence suites compare it against. Nothing under
     :class:`repro.core.cmf.IncrementalCMF` is held to (same decisions
     and RNG stream; only the ``cmf_builds``/``cmf_updates`` counters
     differ).
+:func:`sample_packed_rows` / :func:`two_group_order`
+    The inform sampler and the Alg. 5/6 comparator as they stood before
+    the one-sort wave dedup and the one-``lexsort`` ordering: a stable
+    argsort dedup, a broadcast against the picked slots and a per-slot
+    acceptance loop; two stable argsorts and a concatenate. Production
+    must return the same rows, targets and order and leave the
+    generator in the same state.
 """
 
 from __future__ import annotations
@@ -42,10 +49,15 @@ import numpy as np
 from repro.core.cmf import IncrementalCMF
 from repro.core.criteria import CRITERIA
 from repro.core.gossip import (
+    _MAX_REJECTION_WAVES,
+    _MAX_WAVE_WIDTH,
+    _SPARSE_DIVISOR,
     GossipConfig,
     GossipResult,
+    _clear_bits,
     _finalize_rounds,
     _run_rounds,
+    _sample_sparse_rows,
 )
 from repro.core.ordering import order_tasks
 from repro.core.transfer import (
@@ -205,6 +217,101 @@ def inform_set_model(rank_loads, config, rng) -> tuple[list[set[int]], GossipRes
         result.duplicated, result.retransmits = model.duplicates, model.retransmits
         result.expired = model.expired
     return store.know, result
+
+
+def _mark_wave_duplicates(draws: np.ndarray) -> np.ndarray:
+    """True where ``draws[i, j]`` repeats an earlier draw of row ``i``."""
+    idx = np.argsort(draws, axis=1, kind="stable")
+    sorted_draws = np.take_along_axis(draws, idx, axis=1)
+    dup_sorted = np.zeros(draws.shape, dtype=bool)
+    dup_sorted[:, 1:] = sorted_draws[:, 1:] == sorted_draws[:, :-1]
+    dup = np.zeros(draws.shape, dtype=bool)
+    np.put_along_axis(dup, idx, dup_sorted, axis=1)
+    return dup
+
+
+def sample_packed_rows(rng, cand, counts, want, n_ranks):
+    """``want[i]`` distinct uniform candidates of each row of ``cand``,
+    by rejection waves (dense rows) and the exact sampler (thin rows)."""
+    empty = np.empty(0, dtype=np.int64)
+    want = np.minimum(want, counts)
+    # Rejection pays off while a couple of waves are expected to fill a
+    # row; below ~1/_SPARSE_DIVISOR density the exact sampler wins.
+    min_count = np.maximum(2 * want, counts.dtype.type(n_ranks // _SPARSE_DIVISOR))
+    dense = counts >= min_count
+    need_any = want > 0
+    dense_rows = np.flatnonzero(dense & need_any)
+    sparse_rows = np.flatnonzero(~dense & need_any)
+
+    out_rows: list[np.ndarray] = []
+    out_targets: list[np.ndarray] = []
+
+    if dense_rows.size:
+        fmax = int(want[dense_rows].max())
+        slots = np.full((dense_rows.size, fmax), -1, dtype=np.int64)
+        filled = np.zeros(dense_rows.size, dtype=np.int64)
+        need = want[dense_rows].copy()
+        active = np.arange(dense_rows.size)
+        for _ in range(_MAX_REJECTION_WAVES):
+            if active.size == 0:
+                break
+            remaining = need[active] - filled[active]
+            density = counts[dense_rows[active]] / n_ranks
+            width = int(np.ceil(1.5 * (remaining / density).max()))
+            width = min(max(width, 8), _MAX_WAVE_WIDTH)
+            draws = rng.integers(0, n_ranks, size=(active.size, width))
+            r = dense_rows[active]
+            ok = cand.test(r, draws)
+            ok &= ~(draws[:, :, None] == slots[active][:, None, :]).any(axis=2)
+            ok &= ~_mark_wave_duplicates(draws)
+            # Accept each row's first `remaining` valid draws, in draw
+            # order — exactly sequential rejection sampling.
+            pos = np.where(ok, np.arange(width), width)
+            pos.sort(axis=1)
+            take_max = int(remaining.max())
+            for j in range(take_max):
+                pj = pos[:, j]
+                acc = (pj < width) & (j < remaining)
+                if not acc.any():
+                    continue
+                rows_j = active[acc]
+                slots[rows_j, filled[rows_j]] = draws[acc, pj[acc]]
+                filled[rows_j] += 1
+            active = active[filled[active] < need[active]]
+        if filled.any():
+            out_rows.append(np.repeat(dense_rows, filled))
+            out_targets.append(slots[slots >= 0])
+        if active.size:
+            # Clear already-picked bits and finish exactly.
+            leftover = dense_rows[active]
+            residual = cand.extract(leftover)
+            picked_rows = np.repeat(np.arange(active.size), filled[active])
+            picked = slots[active][slots[active] >= 0]
+            _clear_bits(residual, picked_rows, picked)
+            extra_rows, extra_targets = _sample_sparse_rows(
+                rng, residual, need[active] - filled[active], n_ranks
+            )
+            out_rows.append(leftover[extra_rows])
+            out_targets.append(extra_targets)
+
+    if sparse_rows.size:
+        s_rows, s_targets = _sample_sparse_rows(
+            rng, cand.extract(sparse_rows), want[sparse_rows], n_ranks
+        )
+        out_rows.append(sparse_rows[s_rows])
+        out_targets.append(s_targets)
+
+    if not out_rows:
+        return empty, empty
+    return np.concatenate(out_rows), np.concatenate(out_targets)
+
+
+def two_group_order(tasks: np.ndarray, loads: np.ndarray, cut: float) -> np.ndarray:
+    """Tasks with load <= cut by descending load, then the rest ascending."""
+    light = loads <= cut
+    light_order = np.argsort(-loads[light], kind="stable")
+    heavy_order = np.argsort(loads[~light], kind="stable")
+    return np.concatenate([tasks[light][light_order], tasks[~light][heavy_order]])
 
 
 def transfer_stage_lists(

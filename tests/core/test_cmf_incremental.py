@@ -349,6 +349,29 @@ class TestProposePass:
         assert drawn == 2 and acc_pos == [0, 1]
         assert sampler.loads.tolist() == [0.25, 1.0, 0.5 + 0.05 + 0.05]
 
+    def test_drift_past_the_end_never_lands_on_a_zero_mass(self):
+        # Masses [0.8, 0.5, 0.0]: the last candidate sits at l_s. A total
+        # that drifted high by one part in 1e12 and the largest uniform
+        # below 1 aim past every prefix sum; the draw must resolve to the
+        # last candidate *with mass* (1), not the last index (2) — both
+        # in sample() and in the fused pass, which must not accept a
+        # transfer onto a rank at l_s.
+        u = 1.0 - 2.0**-53
+
+        def drift(sampler):
+            sampler.total *= 1.0 + 1e-12
+
+        sampler = IncrementalCMF([0.2, 0.5, 1.0], 1.0)
+        drift(sampler)
+        assert sampler.sample(_Scripted([u])) == 1
+        sampler, acc_pos, _ = _assert_pass_matches_reference(
+            known=[0.2, 0.5, 1.0], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.1], p_load=5.0, threshold_load=1.0,
+            relaxed=True, uniforms=[u], tamper=drift,
+        )
+        assert acc_pos == [0]
+        assert sampler.loads.tolist() == [0.2, 0.5 + 0.1, 1.0]
+
     def test_short_walk_on_a_large_cmf_indexes_the_tree_as_built(self):
         # Two tasks against 200 candidates: converting the tree to a
         # list would cost more than the walk, so it stays an ndarray —
