@@ -11,15 +11,15 @@ criteria on the same workload (the third § V-D table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.base import IterationRecord, LoadBalancer
-from repro.core.cmf import CMF_MODIFIED, CMF_ORIGINAL
 from repro.core.criteria import CRITERION_ORIGINAL, CRITERION_RELAXED
 from repro.core.distribution import Distribution
 from repro.core.gossip import GossipConfig
+from repro.core.grapevine import GRAPEVINE_TRANSFER
 from repro.core.ordering import ORDER_ARBITRARY
 from repro.core.refinement import iterative_refinement
 from repro.core.transfer import TransferConfig
@@ -51,33 +51,6 @@ class CriterionStudy:
         return [self.initial_imbalance] + [r.imbalance for r in self.records]
 
 
-def _study_transfer_config(criterion: str, threshold: float, ordering: str) -> TransferConfig:
-    """The LBAF semantics used for the § V tables (see transfer.py)."""
-    if criterion == CRITERION_ORIGINAL:
-        # GrapevineLB: strict criterion, original CMF built once (l.5).
-        return TransferConfig(
-            criterion=CRITERION_ORIGINAL,
-            cmf=CMF_ORIGINAL,
-            recompute_cmf=False,
-            ordering=ordering,
-            threshold=threshold,
-            view="shared",
-            max_passes=None,
-            cascade=True,
-        )
-    # TemperedLB: relaxed criterion, modified CMF recomputed (l.7, l.25).
-    return TransferConfig(
-        criterion=CRITERION_RELAXED,
-        cmf=CMF_MODIFIED,
-        recompute_cmf=True,
-        ordering=ordering,
-        threshold=threshold,
-        view="shared",
-        max_passes=None,
-        cascade=True,
-    )
-
-
 def criterion_study(
     dist: Distribution,
     criterion: str = CRITERION_RELAXED,
@@ -91,17 +64,20 @@ def criterion_study(
     """Iterate inform+transfer ``n_iters`` times, recording each iteration.
 
     Defaults reproduce the § V-B setup: ``k = 10`` gossip rounds,
-    ``h = 1.0``, ``f = 6``, ten iterations.
+    ``h = 1.0``, ``f = 6``, ten iterations. The original criterion runs
+    GrapevineLB's transfer stage and the relaxed one TemperedLB's
+    (modified CMF, recomputed), both under the LBAF semantics.
     """
     check_in("criterion", criterion, (CRITERION_ORIGINAL, CRITERION_RELAXED))
     check_positive("n_iters", n_iters)
     rng = coerce_rng(rng)
+    stage = GRAPEVINE_TRANSFER if criterion == CRITERION_ORIGINAL else TransferConfig()
     refinement = iterative_refinement(
         dist,
         n_trials=1,
         n_iters=n_iters,
         gossip=GossipConfig(fanout=fanout, rounds=rounds),
-        transfer=_study_transfer_config(criterion, threshold, ordering),
+        transfer=replace(stage, ordering=ordering, threshold=threshold).lbaf_variant(),
         rng=rng,
     )
     return CriterionStudy(

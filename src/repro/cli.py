@@ -342,8 +342,7 @@ def _cmd_empire(args: argparse.Namespace) -> int:
         n_trials=args.trials,
         n_iters=args.iters,
         n_workers=args.workers,
-        loss_rate=args.loss_rate,
-        fault_seed=args.fault_seed,
+        faults=_parse_fault_config(args),
         seed=args.seed,
     )
     run = run_empire(base)
@@ -483,14 +482,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.workloads import MovingHotspot
 
     registry = StatsRegistry()
+    faults = _parse_fault_config(args)
     if args.balancer == "grapevine":
-        lb = GrapevineLB(n_iters=args.iters)
+        lb = GrapevineLB(n_iters=args.iters, faults=faults)
     else:
         lb = TemperedLB(
-            n_trials=args.trials,
-            n_iters=args.iters,
-            n_workers=args.workers,
-            faults=_parse_fault_config(args),
+            n_trials=args.trials, n_iters=args.iters, n_workers=args.workers, faults=faults
         )
     lb.instrument(registry)
 

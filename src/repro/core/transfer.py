@@ -38,7 +38,7 @@ bit for bit, lives in ``tests/core/oracles.py``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -95,6 +95,11 @@ class TransferConfig:
         check_in("view", self.view, (VIEW_SNAPSHOT, VIEW_SHARED))
         if self.max_passes is not None:
             check_positive_int("max_passes", self.max_passes)
+
+    def lbaf_variant(self) -> "TransferConfig":
+        """This stage under the semantics of the authors' LBAF tool, which
+        produced the § V-B / § V-D tables (see the module docstring)."""
+        return replace(self, view=VIEW_SHARED, max_passes=None, cascade=True)
 
 
 @dataclass

@@ -23,16 +23,18 @@ from repro.empire.mesh import Mesh2D
 from repro.empire.pic import default_lb_schedule
 from repro.empire.workload import ColorWorkloadModel
 from repro.runtime.amt import AMTRuntime
-from repro.runtime.lbmanager import LBManager
-from repro.util.validation import check_positive
+from repro.runtime.lbmanager import LBManager, check_event_level
+from repro.util.validation import check_positive, route_knobs
 
 __all__ = ["VtEmpireConfig", "VtEmpireResult", "run_vt_empire"]
 
 
+@route_knobs("lb")
 @dataclass(frozen=True)
 class VtEmpireConfig:
     """Parameters for an event-level EMPIRE run (keep scales small:
-    every task execution and protocol message is a simulated event)."""
+    every task execution and protocol message is a simulated event).
+    Balancer knobs given flat route to ``lb``."""
 
     n_ranks: int = 16
     colors_per_rank: int = 8
@@ -42,10 +44,8 @@ class VtEmpireConfig:
     initial_particles: int = 4000
     injection_per_step: int = 40
     task_overhead: float = 1e-4
-    n_trials: int = 1
-    n_iters: int = 3
-    fanout: int = 4
-    rounds: int = 5
+    #: The balancer :class:`LBManager` runs (see :func:`check_event_level`).
+    lb: TemperedConfig = TemperedConfig(n_trials=1, n_iters=3, fanout=4, rounds=5)
     bytes_per_unit_load: float = 1e7
     balance: bool = True
     seed: int = 0
@@ -53,6 +53,7 @@ class VtEmpireConfig:
     def __post_init__(self) -> None:
         check_positive("n_ranks", self.n_ranks)
         check_positive("n_steps", self.n_steps)
+        check_event_level(self.lb)
 
 
 @dataclass
@@ -88,12 +89,7 @@ def run_vt_empire(config: VtEmpireConfig | None = None) -> VtEmpireResult:
     )
     manager = LBManager(
         runtime,
-        TemperedConfig(
-            n_trials=config.n_trials,
-            n_iters=config.n_iters,
-            fanout=config.fanout,
-            rounds=config.rounds,
-        ),
+        config.lb,
         seed=config.seed + 1,
         bytes_per_unit_load=config.bytes_per_unit_load,
     )

@@ -16,11 +16,12 @@ the whole episode — the ``t_lb`` column of Fig. 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.base import IterationRecord
+from repro.core.gossip import GossipConfig
 from repro.core.metrics import imbalance
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferStats, transfer_from_rank
@@ -31,11 +32,22 @@ from repro.runtime.migration import MigrationResult, migrate_tasks
 from repro.sim.faults import HeartbeatFailureDetector
 from repro.sim.reductions import allreduce
 from repro.sim.rng import RankStreams
+from repro.util.validation import refuse_changed
 
-__all__ = ["DistributedLBResult", "LBManager", "failover_assignment"]
+__all__ = ["DistributedLBResult", "LBManager", "check_event_level", "failover_assignment"]
 
 #: CPU seconds charged per transfer-loop attempt (criterion + CMF sample).
 _ATTEMPT_COST = 5e-7
+
+
+def check_event_level(config: TemperedConfig) -> None:
+    """Raise ``ValueError`` on a knob an episode cannot honour: any
+    gossip knob but ``fanout``, ``rounds`` and ``knowledge`` (faults
+    come from the ``System``), ``cascade`` (ranks decide one at a time)
+    and ``n_workers`` (trials run serially in simulated time)."""
+    refuse_changed("LBManager", config.gossip, GossipConfig(), ("fanout", "rounds", "knowledge"))
+    refuse_changed("LBManager", config.transfer, replace(config.transfer, cascade=False))
+    refuse_changed("LBManager", config, replace(config, n_workers=None))
 
 
 def failover_assignment(
@@ -86,7 +98,9 @@ class DistributedLBResult:
 
 
 class LBManager:
-    """Runs TemperedLB-family episodes inside a simulated AMT runtime."""
+    """Runs TemperedLB-family episodes inside a simulated AMT runtime.
+
+    ``config`` must pass :func:`check_event_level`."""
 
     def __init__(
         self,
@@ -99,6 +113,7 @@ class LBManager:
     ) -> None:
         self.runtime = runtime
         self.config = config or TemperedConfig()
+        check_event_level(self.config)
         self.streams = RankStreams(runtime.n_ranks, seed=seed)
         self.decision_rng = np.random.default_rng(seed)
         self.bytes_per_unit_load = float(bytes_per_unit_load)
@@ -121,6 +136,7 @@ class LBManager:
         runtime = self.runtime
         system = runtime.system
         cfg = self.config
+        gossip_cfg, transfer_cfg = cfg.gossip, cfg.transfer
         task_loads = (
             np.ascontiguousarray(predicted_loads, dtype=np.float64)
             if predicted_loads is not None
@@ -173,11 +189,11 @@ class LBManager:
                     system,
                     loads,
                     average_load=l_ave,
-                    fanout=cfg.fanout,
-                    rounds=cfg.rounds,
+                    fanout=gossip_cfg.fanout,
+                    rounds=gossip_cfg.rounds,
                     streams=self.streams,
                     detector=self.failure_detector,
-                    knowledge=cfg.knowledge,
+                    knowledge=gossip_cfg.knowledge,
                 ).run()
                 gossip_time += gossip.elapsed
                 gossip_messages += gossip.n_messages
@@ -186,7 +202,6 @@ class LBManager:
                 # rank's CPU is charged for its own attempts.
                 stats = TransferStats()
                 gossip_result = gossip.to_gossip_result()
-                transfer_cfg = cfg.transfer_config()
                 overloaded = np.flatnonzero(loads > transfer_cfg.threshold * l_ave)
                 if faults is not None:
                     # Dead and suspected ranks must neither receive work

@@ -181,7 +181,9 @@ EPISODES = {
 
 EMPIRE = {
     "empire-lightest": EmpireConfig("tempered", seed=3, **{**QUICK, "ordering": "lightest"}),
-    "empire-lossy": EmpireConfig("tempered", seed=7, loss_rate=0.1, fault_seed=2, **QUICK),
+    "empire-lossy": EmpireConfig(
+        "tempered", seed=7, faults=FaultConfig(loss_rate=0.1, seed=2), **QUICK
+    ),
 }
 
 

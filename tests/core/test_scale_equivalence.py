@@ -194,12 +194,12 @@ class TestKnowledgeKnob:
 class TestTemperedPassthrough:
     def test_knobs_reach_stage_configs(self):
         config = TemperedConfig(knowledge="sparse", max_known=128)
-        assert config.gossip_config().knowledge == "sparse"
-        assert config.gossip_config().max_known == 128
+        assert config.gossip.knowledge == "sparse"
+        assert config.gossip.max_known == 128
 
     def test_defaults_are_auto_soa_python(self):
         config = TemperedConfig()
-        assert config.gossip_config().knowledge == "auto"
+        assert config.gossip.knowledge == "auto"
 
     def test_invalid_knowledge_rejected_at_construction(self):
         with pytest.raises(ValueError):

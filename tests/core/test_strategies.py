@@ -75,9 +75,9 @@ class TestTemperedLB:
 
     def test_lbaf_variant_switches_semantics(self):
         cfg = TemperedConfig().lbaf_variant()
-        assert cfg.view == "shared"
-        assert cfg.max_passes is None
-        assert cfg.cascade is True
+        assert cfg.transfer.view == "shared"
+        assert cfg.transfer.max_passes is None
+        assert cfg.transfer.cascade is True
 
     def test_deterministic(self):
         lb = TemperedLB(n_trials=2, n_iters=2)

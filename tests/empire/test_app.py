@@ -29,7 +29,7 @@ class TestConfig:
     def test_nonpositive_workers_rejected_at_construction(self):
         with pytest.raises(ValueError, match="n_workers"):
             EmpireConfig(n_workers=0)
-        assert EmpireConfig(n_workers=2).n_workers == 2
+        assert EmpireConfig(n_workers=2).lb.n_workers == 2
         with pytest.raises(TypeError):  # the backend is resolved, not chosen
             EmpireConfig(executor="process")
 

@@ -15,6 +15,8 @@ import repro.cli
 from repro.core.gossip import GossipConfig, resolve_auto_threshold, run_inform_stage
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferConfig, transfer_stage
+from repro.empire.app import EmpireConfig
+from repro.empire.vt_mode import VtEmpireConfig
 from repro.sim.faults import FaultConfig
 
 PUBLIC_MODULES = [
@@ -144,11 +146,44 @@ RATCHET = "this bound is lowered by deletions and never raised"
 
 
 def test_config_and_cli_surface_only_shrinks():
-    for config, bound in ((GossipConfig, 9), (TransferConfig, 9), (TemperedConfig, 18)):
+    for config, bound in (
+        (GossipConfig, 9),
+        (TransferConfig, 9),
+        (TemperedConfig, 5),
+        (EmpireConfig, 12),
+        (VtEmpireConfig, 12),
+    ):
         names = [f.name for f in fields(config)]
         assert len(names) <= bound, f"{config.__name__} has {len(names)} fields {names}; {RATCHET}"
     flags = len(re.findall(r"\.add_argument\(", Path(repro.cli.__file__).read_text()))
     assert flags <= 67, f"cli.py has {flags} add_argument calls; {RATCHET}"
+
+
+# -- config routing: a flat knob goes to the one config that declares it ------
+
+
+def test_stage_field_names_are_disjoint():
+    """Routing by name is unambiguous only if no name has two owners."""
+    owners = [{f.name for f in fields(c)} for c in (GossipConfig, TransferConfig, TemperedConfig)]
+    for i, a in enumerate(owners):
+        for b in owners[i + 1 :]:
+            assert not a & b, f"shared field names {sorted(a & b)}"
+
+
+def test_flat_knobs_apply_on_top_of_passed_stages():
+    config = TemperedConfig(gossip=GossipConfig(fanout=2, rounds=3), rounds=5, ordering="lightest")
+    assert config.gossip == GossipConfig(fanout=2, rounds=5)
+    assert config.transfer == TransferConfig(ordering="lightest")
+    # Without transfer=, the default stage is TemperedLB's (Fewest Migrations).
+    assert TemperedConfig(nacks=True).transfer == TransferConfig(
+        ordering="fewest_migrations", nacks=True
+    )
+
+
+@pytest.mark.parametrize("config", [TemperedConfig, EmpireConfig, VtEmpireConfig])
+def test_misspelt_knob_is_a_type_error(config):
+    with pytest.raises(TypeError, match="max_knwon"):
+        config(max_knwon=4)
 
 
 def test_numba_leg_is_gone():
@@ -270,6 +305,19 @@ def test_config_walk_rejects_or_runs_deterministically(
     if planted is not None:
         built = {"gossip": gossip_cfg, "transfer": transfer_cfg, "faults": fault_cfg}
         assert built[planted] is None, f"{poison} was accepted"
+
+    # The flat form routes each knob to the stage declaring it: the same
+    # config as the nested form, or the same ValueError.
+    flat = {**gossip, "faults": fault_cfg, **transfer}
+    nested = None
+    if gossip_cfg is not None and transfer_cfg is not None:
+        nested = TemperedConfig(gossip=gossip_cfg, transfer=transfer_cfg)
+    assert _build(TemperedConfig, flat) == nested
+    loop = {"n_trials": 2, "n_iters": 3}
+    lb = _build(TemperedConfig, {**flat, **loop})
+    empire = None if lb is None else EmpireConfig(lb=lb)
+    assert _build(EmpireConfig, {**flat, **loop}) == empire
+
     if faults is not None and fault_cfg is None:
         return
     if gossip_cfg is None or transfer_cfg is None:
