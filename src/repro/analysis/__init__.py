@@ -1,6 +1,6 @@
 """Experiment harness — the role LBAF plays in the paper.
 
-:mod:`repro.analysis.experiment` runs strategy/criterion studies and
+:mod:`repro.analysis.experiment` runs criterion studies and
 returns per-iteration tables; :mod:`repro.analysis.tables` renders them
 in the paper's format; :mod:`repro.analysis.series` collects the
 per-timestep series behind Fig. 4.
@@ -10,21 +10,11 @@ from repro.analysis.experiment import (
     CriterionStudy,
     criterion_comparison,
     criterion_study,
-    strategy_comparison,
-)
-from repro.analysis.convergence import (
-    ConvergenceSummary,
-    analyze_convergence,
-    iterations_to_reach,
 )
 from repro.analysis.io import (
     load_json,
-    load_records,
-    load_series,
     load_stats,
     save_json,
-    save_records,
-    save_series,
     save_stats,
     stats_to_csv,
 )
@@ -39,11 +29,8 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
-    "ConvergenceSummary",
     "CriterionStudy",
     "PhaseSeries",
-    "analyze_convergence",
-    "iterations_to_reach",
     "criterion_comparison",
     "criterion_study",
     "format_comparison_table",
@@ -54,15 +41,10 @@ __all__ = [
     "sparkline",
     "strip_chart",
     "load_json",
-    "load_records",
-    "load_series",
     "load_stats",
     "save_json",
-    "save_records",
-    "save_series",
     "save_stats",
     "stats_to_csv",
-    "strategy_comparison",
     "SweepSpec",
     "run_sweep",
 ]

@@ -1,4 +1,4 @@
-"""Criterion and strategy studies (§ V-B, § V-D reproduction).
+"""Criterion studies (§ V-B, § V-D reproduction).
 
 The § V analysis tables were produced with the authors' LBAF tool: a
 sequential Python simulation applying the inform + transfer stages
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.base import IterationRecord, LoadBalancer
+from repro.core.base import IterationRecord
 from repro.core.criteria import CRITERION_ORIGINAL, CRITERION_RELAXED
 from repro.core.distribution import Distribution
 from repro.core.gossip import GossipConfig
@@ -29,7 +29,6 @@ __all__ = [
     "CriterionStudy",
     "criterion_study",
     "criterion_comparison",
-    "strategy_comparison",
 ]
 
 
@@ -105,24 +104,3 @@ def criterion_comparison(
             dist, CRITERION_RELAXED, n_iters=n_iters, rng=seed, **kwargs  # type: ignore[arg-type]
         ),
     }
-
-
-def strategy_comparison(
-    dist: Distribution,
-    strategies: dict[str, LoadBalancer],
-    seed: int = 0,
-) -> dict[str, dict[str, float]]:
-    """Apply several strategies to one distribution; summary metrics each.
-
-    Returns ``{name: {initial, final, migrations}}`` with identical input
-    state per strategy (the distribution is never mutated).
-    """
-    out: dict[str, dict[str, float]] = {}
-    for name, strategy in strategies.items():
-        result = strategy.rebalance(dist, rng=np.random.default_rng(seed))
-        out[name] = {
-            "initial_imbalance": result.initial_imbalance,
-            "final_imbalance": result.final_imbalance,
-            "migrations": float(result.n_migrations),
-        }
-    return out

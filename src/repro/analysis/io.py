@@ -1,93 +1,26 @@
 """Persistence of experiment results (JSON / CSV).
 
-Lets the benchmark harness and examples write machine-readable results
-alongside the human-readable tables: per-phase series, iteration
-records, EMPIRE run summaries and telemetry registries round-trip
-losslessly (NaN entries are encoded as ``null``).
+Lets the CLI, the benchmark harness and examples write machine-readable
+results alongside the human-readable tables: JSON payloads and
+telemetry registries round-trip losslessly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from repro.analysis.series import PhaseSeries
-from repro.core.base import IterationRecord
 from repro.obs import StatsRegistry
 
 __all__ = [
-    "save_series",
-    "load_series",
-    "save_records",
-    "load_records",
     "save_stats",
     "load_stats",
     "stats_to_csv",
     "save_json",
     "load_json",
 ]
-
-
-def _encode_value(value: float) -> float | None:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return None
-    return float(value)
-
-
-def save_series(series: PhaseSeries, path: str | Path) -> None:
-    """Write a :class:`PhaseSeries` to JSON."""
-    payload = {
-        "n_phases": series.n_phases,
-        "metrics": {
-            key: [_encode_value(v) for v in values]
-            for key, values in series.metrics.items()
-        },
-    }
-    save_json(payload, path)
-
-
-def load_series(path: str | Path) -> PhaseSeries:
-    """Read a :class:`PhaseSeries` written by :func:`save_series`."""
-    payload = load_json(path)
-    series = PhaseSeries()
-    series.n_phases = int(payload["n_phases"])
-    series.metrics = {
-        key: [np.nan if v is None else float(v) for v in values]
-        for key, values in payload["metrics"].items()
-    }
-    for key, values in series.metrics.items():
-        if len(values) != series.n_phases:
-            raise ValueError(f"metric {key!r} has {len(values)} entries, "
-                             f"expected {series.n_phases}")
-    return series
-
-
-def save_records(records: list[IterationRecord], path: str | Path) -> None:
-    """Write iteration records (the § V table rows) to JSON."""
-    payload = [
-        {
-            "trial": r.trial,
-            "iteration": r.iteration,
-            "transfers": r.transfers,
-            "rejections": r.rejections,
-            "imbalance": r.imbalance,
-            "gossip_messages": r.gossip_messages,
-            "gossip_bytes": r.gossip_bytes,
-        }
-        for r in records
-    ]
-    save_json(payload, path)
-
-
-def load_records(path: str | Path) -> list[IterationRecord]:
-    """Read iteration records written by :func:`save_records`."""
-    payload = load_json(path)
-    return [IterationRecord(**row) for row in payload]
 
 
 def save_stats(registry: StatsRegistry, path: str | Path) -> None:

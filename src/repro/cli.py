@@ -130,14 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=64)
     p.add_argument("--fanout", type=int, default=4)
     p.add_argument("--rounds", type=int, default=6)
-    p.add_argument(
-        "--knowledge",
-        choices=["auto", "packed", "sparse"],
-        default=None,
-        help="event-level knowledge backend (default: packed bitmap; "
-        "'auto' switches to sparse at the event-level crossover of "
-        "32768 ranks)",
-    )
     _add_fault_flags(p, churn=True)
     p.add_argument("--json", type=str, default=None)
 
@@ -393,7 +385,6 @@ def _cmd_protocols(args: argparse.Namespace) -> int:
         fanout=args.fanout,
         rounds=args.rounds,
         detector=detector,
-        knowledge=args.knowledge,
     ).run()
 
     rows = [

@@ -71,13 +71,6 @@ class CommGraph:
         crossing = assignment[self.src] != assignment[self.dst]
         return float(self.volume[crossing].sum())
 
-    def off_node_volume(self, assignment: np.ndarray, ranks_per_node: int) -> float:
-        """Volume crossing *node* boundaries (block rank->node mapping)."""
-        check_positive("ranks_per_node", ranks_per_node)
-        nodes = np.asarray(assignment) // ranks_per_node
-        crossing = nodes[self.src] != nodes[self.dst]
-        return float(self.volume[crossing].sum())
-
     def neighbors(self, task: int) -> list[tuple[int, float]]:
         """``(partner, volume)`` pairs for one task (built lazily)."""
         if self._adj is None:

@@ -89,10 +89,6 @@ class Distribution:
             self._rank_tasks = buckets
         return self._rank_tasks
 
-    def tasks_on(self, rank: int) -> np.ndarray:
-        """Task ids currently assigned to ``rank``."""
-        return np.asarray(self.rank_tasks()[rank], dtype=np.int64)
-
     @property
     def total_load(self) -> float:
         """Sum of all task loads (conserved by every balancer)."""

@@ -84,17 +84,6 @@ HEADER_BYTES = 32
 #: The layers a timed round is split into (``per_round_seconds`` keys).
 _ROUND_LAYERS = ("sample", "merge", "trim")
 
-if hasattr(np, "bitwise_count"):
-    _popcount = np.bitwise_count
-else:  # pragma: no cover - NumPy < 2.0 fallback
-    _POPCOUNT_TABLE = np.array(
-        [bin(i).count("1") for i in range(256)], dtype=np.uint8
-    )
-
-    def _popcount(x: np.ndarray) -> np.ndarray:
-        return _POPCOUNT_TABLE[x]
-
-
 #: Rank count at which ``knowledge="auto"`` switches from the packed
 #: bitmap (O(P^2) bits — 128 MiB at 2^15, 2 GiB at 2^17, plus a
 #: same-sized row gather per round) to sparse per-rank id shards
@@ -673,7 +662,7 @@ def _run_rounds(
             local = _PackedCandidates(
                 cand.packed & node_masks[node_of[senders]], cand.enc
             )
-            local_counts = _popcount(local.packed).sum(axis=1, dtype=np.int64)
+            local_counts = np.bitwise_count(local.packed).sum(axis=1, dtype=np.int64)
             n_local = np.minimum(
                 rng.binomial(want, config.intra_node_bias), local_counts
             )
@@ -846,7 +835,7 @@ class _PackedStore:
     def snapshot(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Payload rows (a gather, hence a copy) and their ``|S^p|``."""
         snap = self.rows[senders]
-        return snap, _popcount(snap).sum(axis=1, dtype=np.int64)
+        return snap, np.bitwise_count(snap).sum(axis=1, dtype=np.int64)
 
     def candidates(
         self, senders: np.ndarray, snap: np.ndarray, entries: np.ndarray, full: bool
@@ -915,7 +904,7 @@ class _PackedStore:
         # "random": a uniform cap-subset of each over-cap row, keyed per
         # rank-ordered column.
         n = self.know.n_ranks
-        counts = _popcount(rows[receivers]).sum(axis=1, dtype=np.int64)
+        counts = np.bitwise_count(rows[receivers]).sum(axis=1, dtype=np.int64)
         over = receivers[counts > cap]
         for start in range(0, over.size, _TRIM_CHUNK_ROWS):
             chunk = over[start : start + _TRIM_CHUNK_ROWS]

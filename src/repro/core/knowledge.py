@@ -3,16 +3,17 @@
 During the inform stage, every rank accumulates a set of underloaded
 ranks it has heard about, together with those ranks' (snapshot) loads.
 At 2^12 ranks a Python ``set`` per rank makes the knowledge merge the
-bottleneck, so the sets are stored in one of two array forms with the
-same API (``add`` / ``add_self`` / ``merge`` / ``merge_many`` / ``known``
-/ ``knows`` / ``counts`` / ``unknown_targets`` / ``discard_members`` /
-``coverage`` / ``rows`` / ``memory_bytes``):
+bottleneck, so the sets are stored in one of two array forms sharing
+``add`` / ``add_self`` / ``merge_many`` / ``known`` / ``counts`` /
+``coverage`` / ``rows`` / ``memory_bytes``:
 
 :class:`PackedKnowledgeBitmap`
     A ``P x P`` membership matrix bit-packed into ``P x ceil(P/8)``
     uint8 bytes (``np.packbits`` layout, big bit order). Merges are
     byte-wise ORs, set sizes are ``np.bitwise_count`` popcounts
     (4096 ranks: 2.1 MB). Still O(P^2) bits — 2 GiB at 2^17 ranks.
+    The event-level inform stage also reads ``unknown_targets`` and
+    clears failed ranks with ``discard_members``.
 
 :class:`SparseKnowledge`
     One sorted ``int32`` id shard per rank. Memory is O(sum |S^p|), so
@@ -99,10 +100,9 @@ class PackedKnowledgeBitmap:
     Rank ``p`` knows rank ``q`` is underloaded iff bit ``q`` of row
     ``p`` is set; rows are ``np.packbits`` bit rows (big bit order: rank
     ``q`` lives in byte ``q >> 3``, bit value ``128 >> (q & 7)``).
-    Methods that exchange rows (:meth:`merge`, :meth:`merge_many`)
-    take/return *packed* rows. The :attr:`rows` property unpacks the
-    full boolean matrix for analysis/test code — it is a read-only
-    copy, never a view.
+    :meth:`merge_many` takes a *packed* row. The :attr:`rows` property
+    unpacks the full boolean matrix for analysis/test code — it is a
+    read-only copy, never a view.
 
     Memory is ``P * ceil(P/8)`` bytes plus O(P) object overhead
     (32768 ranks: 128 MiB).
@@ -147,14 +147,6 @@ class PackedKnowledgeBitmap:
         byte, bit = self._bits(ranks)
         self.packed[ranks, byte] |= bit
 
-    def clear(self) -> None:
-        """Empty every ``S^p``."""
-        self.packed[:] = 0
-
-    def merge(self, dst: int, src_row: np.ndarray) -> None:
-        """Merge a received *packed* row into ``S^dst`` (Alg. 1 l.16-17)."""
-        self.packed[dst] |= src_row
-
     def merge_many(self, dsts: np.ndarray, src_row: np.ndarray) -> None:
         """Merge one packed row into several destinations at once."""
         self.packed[dsts] |= src_row
@@ -162,11 +154,6 @@ class PackedKnowledgeBitmap:
     def known(self, rank: int) -> np.ndarray:
         """``S^rank`` as a sorted array of rank ids."""
         return np.flatnonzero(self._unpack_row(rank))
-
-    def knows(self, rank: int, other: int) -> bool:
-        """Whether ``rank`` knows ``other`` is underloaded."""
-        other = int(other)
-        return bool(self.packed[rank, other >> 3] & (128 >> (other & 7)))
 
     def counts(self) -> np.ndarray:
         """``|S^p|`` for every rank ``p`` (vectorized popcount)."""
@@ -237,10 +224,9 @@ class PackedKnowledgeBitmap:
 class SparseKnowledge:
     """Knowledge sets ``S^p`` as per-rank sorted ``int32`` id shards.
 
-    Same API and semantics as :class:`PackedKnowledgeBitmap`, but each
-    rank's set is a sorted, duplicate-free array of member rank ids
-    instead of a row of P bits. Methods that exchange rows
-    (:meth:`merge`, :meth:`merge_many`) take sorted id arrays; the
+    Same semantics as :class:`PackedKnowledgeBitmap`, but each rank's
+    set is a sorted, duplicate-free array of member rank ids instead of
+    a row of P bits. :meth:`merge_many` takes a sorted id array; the
     :attr:`rows` property materializes the boolean matrix for
     analysis/test code (read-only copy — only sensible at small rank
     counts).
@@ -287,15 +273,6 @@ class SparseKnowledge:
             else:
                 shards[r] = np.union1d(shard, np.array([r], dtype=self._ID_DTYPE))
 
-    def clear(self) -> None:
-        """Empty every ``S^p``."""
-        empty = np.empty(0, dtype=self._ID_DTYPE)
-        self.shards = [empty] * self.n_ranks
-
-    def merge(self, dst: int, src_ids: np.ndarray) -> None:
-        """Merge a received id shard into ``S^dst`` (Alg. 1 l.16-17)."""
-        self.add(dst, src_ids)
-
     def merge_many(self, dsts: np.ndarray, src_ids: np.ndarray) -> None:
         """Merge one id shard into several destinations at once."""
         ids = self._as_ids(src_ids)
@@ -306,38 +283,11 @@ class SparseKnowledge:
         """``S^rank`` as a sorted array of rank ids."""
         return self.shards[rank].astype(np.int64)
 
-    def knows(self, rank: int, other: int) -> bool:
-        """Whether ``rank`` knows ``other`` is underloaded."""
-        shard = self.shards[rank]
-        pos = int(np.searchsorted(shard, other))
-        return pos < shard.size and int(shard[pos]) == int(other)
-
     def counts(self) -> np.ndarray:
         """``|S^p|`` for every rank ``p``."""
         return np.fromiter(
             (s.size for s in self.shards), dtype=np.int64, count=self.n_ranks
         )
-
-    def unknown_targets(self, rank: int) -> np.ndarray:
-        """``P \\ S^p`` minus self — candidate targets (Alg. 1 l.20)."""
-        mask = np.ones(self.n_ranks, dtype=bool)
-        mask[self.shards[rank]] = False
-        mask[rank] = False
-        return np.flatnonzero(mask)
-
-    def discard_members(self, ranks: np.ndarray) -> None:
-        """Remove ``ranks`` from every ``S^p``."""
-        ranks = np.asarray(ranks, dtype=self._ID_DTYPE)
-        if ranks.size == 0:
-            return
-        drop = np.unique(ranks)
-        shards = self.shards
-        for p, shard in enumerate(shards):
-            if shard.size == 0:
-                continue
-            keep = shard[~np.isin(shard, drop, assume_unique=True)]
-            if keep.size != shard.size:
-                shards[p] = keep
 
     def coverage(self, underloaded: np.ndarray) -> float:
         """Mean fraction of the underloaded set each rank knows.

@@ -23,8 +23,6 @@ __all__ = [
     "lower_bound_max_load",
     "sigma_imbalance",
     "gini",
-    "load_quartiles",
-    "migration_volume",
 ]
 
 
@@ -98,36 +96,6 @@ def gini(rank_loads: np.ndarray) -> float:
     # G = (2 * sum(i * x_i) / (n * sum(x)) ) - (n + 1) / n, i from 1.
     weighted = np.arange(1, n + 1) @ loads
     return float(2.0 * weighted / (n * total) - (n + 1.0) / n)
-
-
-def load_quartiles(rank_loads: np.ndarray) -> tuple[float, float, float]:
-    """(Q1, median, Q3) of per-rank loads — the box-plot summary."""
-    loads = np.asarray(rank_loads, dtype=np.float64)
-    if loads.size == 0:
-        return (0.0, 0.0, 0.0)
-    q1, q2, q3 = np.percentile(loads, [25, 50, 75])
-    return (float(q1), float(q2), float(q3))
-
-
-def migration_volume(
-    task_loads: np.ndarray,
-    before: np.ndarray,
-    after: np.ndarray,
-    bytes_per_unit_load: float = 1.0,
-    fixed_bytes: float = 0.0,
-) -> float:
-    """Bytes that a proposed remap ships, under the affine size model
-    used throughout (``fixed + bytes_per_unit_load * load`` per task)."""
-    task_loads = np.asarray(task_loads, dtype=np.float64)
-    before = np.asarray(before)
-    after = np.asarray(after)
-    if not (task_loads.shape == before.shape == after.shape):
-        raise ValueError("task_loads, before and after must align")
-    moved = before != after
-    return float(
-        np.count_nonzero(moved) * fixed_bytes
-        + bytes_per_unit_load * task_loads[moved].sum()
-    )
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ sub-registry; streams are derived from the parent generator before any
 work starts, results merge in trial order, and ties on the best
 imbalance resolve to the lowest trial index — so the refined assignment
 and all recorded statistics are bit-identical for any worker count >= 1
-under **either** backend (``serial`` / ``process``; see
-:class:`repro.util.parallel.TrialExecutor`, which picks one from the
-worker count, the trial count and the usable cores). The trial loop is
+under **either** backend (``serial`` / ``process``;
+:func:`repro.util.parallel.resolve_backend` picks one from the worker
+count, the trial count, the usable cores and ``fork``). The trial loop is
 GIL-bound Python/NumPy, so only a process pool turns extra cores into
 wall-clock speedup; the shared read-only inputs (task loads, the original
 assignment, the stage configs) ship to each worker once via the pool
@@ -58,10 +58,6 @@ class RefinementResult:
     total_gossip_messages: int = 0
     total_gossip_bytes: int = 0
 
-    def trial_records(self, trial: int) -> list[IterationRecord]:
-        """The iteration rows belonging to one trial."""
-        return [r for r in self.records if r.trial == trial]
-
 
 @dataclass
 class _TrialOutcome:
@@ -85,9 +81,8 @@ class _TrialShared:
 
     Under the process backend this object crosses into each worker a
     single time via the pool initializer (inherited copy-on-write with
-    the ``fork`` start method, pickled once per worker under
-    ``spawn``) — per-trial submissions carry only the trial number and
-    its RNG stream.
+    the ``fork`` start method) — per-trial submissions carry only the
+    trial number and its RNG stream.
     """
 
     dist: Distribution
@@ -175,9 +170,9 @@ def _trial_worker(
 ) -> tuple[_TrialOutcome, StatsRegistry | None]:
     """Executor entry point: run one trial against the shared inputs.
 
-    Module-level (and therefore picklable) so every
-    :class:`~repro.util.parallel.TrialExecutor` backend — including
-    process pools under the ``spawn`` start method — can dispatch it.
+    Module-level (and therefore picklable by name) so the process
+    backend of :class:`~repro.util.parallel.TrialExecutor` can dispatch
+    it.
     The sub-registry is created *here*, inside the worker, and returned
     with the outcome; the caller merges sub-registries in trial order.
     """
@@ -224,7 +219,6 @@ def iterative_refinement(
     rng: np.random.Generator | int | None = None,
     registry: StatsRegistry | None = None,
     n_workers: int | None = None,
-    executor: str | None = None,
 ) -> RefinementResult:
     """Run Algorithm 3 and return the best proposal.
 
@@ -243,17 +237,14 @@ def iterative_refinement(
     exceed it (see ``docs/observability.md``). Instrumentation draws no
     RNG, so the refined assignment is identical with or without it.
 
-    ``n_workers`` / ``executor`` select the execution model:
+    ``n_workers`` selects the execution model:
 
-    - ``n_workers=None, executor=None`` — the historical serial
-      semantics: one RNG stream shared across trials.
-    - ``n_workers >= 1`` — per-trial spawned streams, dispatched by a
-      :class:`~repro.util.parallel.TrialExecutor`. ``executor`` pins
-      the backend (``"serial"`` or ``"process"``; ``None``/``"auto"``
-      lets :func:`~repro.util.parallel.resolve_backend` choose); results
-      are bit-identical for every backend and worker count, but differ
-      from the shared-stream serial walk. Passing ``executor`` alone
-      implies ``n_workers=1``.
+    - ``None`` — the historical serial semantics: one RNG stream shared
+      across trials.
+    - ``>= 1`` — per-trial spawned streams, dispatched by a
+      :class:`~repro.util.parallel.TrialExecutor`; results are
+      bit-identical for every backend and worker count, but differ
+      from the shared-stream serial walk.
     """
     check_positive("n_trials", n_trials)
     check_positive("n_iters", n_iters)
@@ -273,7 +264,7 @@ def iterative_refinement(
 
     instrumented = registry is not None and registry.enabled
     wall_start = time.perf_counter()
-    if n_workers is None and executor is None:
+    if n_workers is None:
         outcomes = [
             _run_trial(
                 trial, dist, original, l_ave, n_iters, gossip, transfer, rng, registry
@@ -281,8 +272,6 @@ def iterative_refinement(
             for trial in range(1, int(n_trials) + 1)
         ]
     else:
-        if n_workers is None:
-            n_workers = 1
         check_positive("n_workers", n_workers)
         streams = spawn_streams(rng, int(n_trials))
         shared = _TrialShared(
@@ -294,7 +283,7 @@ def iterative_refinement(
             transfer=transfer,
             instrumented=instrumented,
         )
-        pool = TrialExecutor(executor, min(int(n_workers), int(n_trials)))
+        pool = TrialExecutor(min(int(n_workers), int(n_trials)))
         payloads = [(trial + 1, streams[trial]) for trial in range(int(n_trials))]
         pairs = pool.map(_trial_worker, payloads, shared)
         outcomes = [outcome for outcome, _ in pairs]

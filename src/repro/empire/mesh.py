@@ -95,11 +95,6 @@ class Mesh2D:
         """The SPMD rank whose block contains a color's sub-mesh."""
         return np.asarray(color) // self.colors_per_rank
 
-    def colors_of_rank(self, rank: int) -> np.ndarray:
-        """The colors carved from ``rank``'s block."""
-        base = rank * self.colors_per_rank
-        return np.arange(base, base + self.colors_per_rank)
-
     def home_assignment(self) -> np.ndarray:
         """Color -> home rank (the initial, unmigrated mapping)."""
         return np.repeat(np.arange(self.n_ranks), self.colors_per_rank)
@@ -109,13 +104,6 @@ class Mesh2D:
         return self.cells_per_color * self.colors_per_rank
 
     # -- geometric binning ----------------------------------------------------
-
-    def rank_of_position(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """SPMD rank containing each unit-square position."""
-        x, y = self._check_positions(x, y)
-        i = np.minimum((x * self.px).astype(np.int64), self.px - 1)
-        j = np.minimum((y * self.py).astype(np.int64), self.py - 1)
-        return j * self.px + i
 
     def color_of_position(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Color containing each unit-square position (vectorized)."""

@@ -163,10 +163,6 @@ class PICSimulation:
 
     # -- helpers ------------------------------------------------------------
 
-    def _balancer_rounds(self) -> int:
-        config = getattr(self.balancer, "config", None)
-        return getattr(config, "rounds", 10) if config is not None else 10
-
     def _particle_rank_times(self, loads: np.ndarray) -> np.ndarray:
         per_rank = np.bincount(self.assignment, weights=loads, minlength=self.mesh.n_ranks)
         if self.mode == "amt":
@@ -229,9 +225,10 @@ class PICSimulation:
         dist = Distribution(self._last_loads, self.assignment, self.mesh.n_ranks)
         result = self.balancer.rebalance(dist, rng=self.rng)
         moves_mask = result.assignment != self.assignment
-        decision = self.lb_cost.decision_seconds(
-            result, self.mesh.n_ranks, self._balancer_rounds()
-        )
+        # Only the gossip family reports inform stages, and it charges
+        # the rounds its config runs.
+        rounds = self.balancer.config.gossip.rounds if result.records else 0
+        decision = self.lb_cost.decision_seconds(result, self.mesh.n_ranks, rounds)
         migration = self.lb_cost.migration_seconds(
             moves_mask, self.assignment, result.assignment, counts, self.mesh.n_ranks
         )

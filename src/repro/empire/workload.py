@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.empire.mesh import Mesh2D
-from repro.empire.particles import ParticlePopulation
 from repro.util.validation import check_nonnegative
 
 __all__ = ["ColorWorkloadModel"]
@@ -33,10 +32,6 @@ class ColorWorkloadModel:
         check_nonnegative("seconds_per_cell", seconds_per_cell)
         self.seconds_per_particle = float(seconds_per_particle)
         self.seconds_per_cell = float(seconds_per_cell)
-
-    def color_loads(self, mesh: Mesh2D, population: ParticlePopulation) -> np.ndarray:
-        """Per-color particle-update load, length ``mesh.n_colors``."""
-        return self.loads_from_counts(mesh, population.count_per_color(mesh))
 
     def loads_from_counts(self, mesh: Mesh2D, counts: np.ndarray) -> np.ndarray:
         """Per-color load from precomputed particle counts."""

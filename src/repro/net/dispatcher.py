@@ -7,13 +7,12 @@ blocks traffic to the others. A worker enqueues at most one batch frame
 (or its few cuts) per peer between two :meth:`Dispatcher.drain` calls,
 so the queues are bounded by construction.
 
-Failure handling mirrors :class:`repro.sim.faults.StubbornLink`, the
-simulator's exactly-once layer: a failed connect or write is retried on
-an exponential backoff schedule (``rto``, ``backoff``, ``max_retries``
-— the same knobs as :class:`repro.sim.faults.FaultConfig`), every
-enqueued frame is retransmitted until it is written to a live
-connection, and each frame carries a per-peer sequence number so the
-receiver can drop the duplicates retransmission can create
+Failure handling is a stubborn link: a failed connect or write is
+retried on an exponential backoff schedule (:class:`RetryPolicy`:
+``rto``, ``backoff``, ``max_retries``), every enqueued frame is
+retransmitted until it is written to a live connection, and each frame
+carries a per-peer sequence number so the receiver can drop the
+duplicates retransmission can create
 (:class:`repro.net.node.NetWorker` keeps the ``(src, seq)`` seen-set).
 Past ``max_retries`` the dispatcher records a terminal
 :class:`DispatchError` that :meth:`drain` re-raises — giving up is
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.net.logging_jsonl import WireLog
 from repro.net.wire import pack_frame
-from repro.sim.faults import FaultConfig
 
 __all__ = ["DispatchError", "RetryPolicy", "Dispatcher"]
 
@@ -48,23 +46,6 @@ class RetryPolicy:
     def delay(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (1-based)."""
         return min(self.rto * self.backoff ** (attempt - 1), self.max_delay)
-
-    @classmethod
-    def from_fault_config(
-        cls, config: FaultConfig, scale: float = 2_500.0
-    ) -> "RetryPolicy":
-        """Lift the simulator's stubborn-link knobs to wall clock.
-
-        ``rto`` in :class:`FaultConfig` is simulated seconds (2e-5 by
-        default); ``scale`` stretches it to a socket-realistic timeout
-        (default: 2e-5 -> 50 ms) while keeping the backoff curve and
-        retry budget identical to the simulated layer.
-        """
-        return cls(
-            rto=config.rto * scale,
-            backoff=config.backoff,
-            max_retries=config.max_retries,
-        )
 
 
 class _PeerChannel:

@@ -494,7 +494,7 @@ def run_benchmarks(
     refine_secs: dict[str, float] = {}
     wall_timers: dict[str, float] = {}
     parallel_timers: dict[str, float] = {}
-    parallel_backend = resolve_backend(None, n_workers, n_trials)
+    parallel_backend = resolve_backend(n_workers, n_trials)
     for label, case_workers in (("serial", 1), ("parallel", n_workers)):
 
         def bench_refinement(case_workers=case_workers):
@@ -527,7 +527,7 @@ def run_benchmarks(
                     "n_trials": n_trials,
                     "n_iters": n_iters,
                     "n_workers": case_workers,
-                    "executor": resolve_backend(None, case_workers, n_trials),
+                    "executor": resolve_backend(case_workers, n_trials),
                 },
             )
         )

@@ -9,7 +9,6 @@ detection, and migrations ship task bytes across the network model.
 
 from repro.runtime.amt import AMTRuntime, PhaseResult
 from repro.runtime.distributed_gossip import DistributedGossip, GossipOutcome
-from repro.runtime.epochs import Epoch, EpochManager
 from repro.runtime.lbmanager import DistributedLBResult, LBManager
 from repro.runtime.migration import MigrationResult, migrate_tasks
 from repro.runtime.phase import PhaseBarrier, PhaseInstrumentation
@@ -23,8 +22,6 @@ __all__ = [
     "AMTRuntime",
     "DistributedGossip",
     "DistributedLBResult",
-    "Epoch",
-    "EpochManager",
     "GossipOutcome",
     "LBManager",
     "MigrationResult",

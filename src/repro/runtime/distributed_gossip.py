@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.gossip import ENTRY_BYTES, HEADER_BYTES, GossipResult
-from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
+from repro.core.knowledge import PackedKnowledgeBitmap
 from repro.sim.process import Process, System
 from repro.sim.rng import RankStreams
 from repro.sim.termination import SafraDetector
@@ -32,28 +32,18 @@ __all__ = ["DistributedGossip", "GossipOutcome"]
 
 _gossip_counter = 0
 
-#: Rank count at which ``knowledge="auto"`` goes sparse here. This
-#: driver merges per received message in scalar Python, so its
-#: packed/sparse crossover sits well above the phase-level round
-#: loop's (:data:`repro.core.gossip.SPARSE_AUTO_MIN_RANKS_FAST`).
-EVENT_SPARSE_AUTO_MIN_RANKS = 32_768
-
 
 @dataclass
 class GossipOutcome:
     """Result of one event-level inform stage."""
 
-    knowledge: PackedKnowledgeBitmap | SparseKnowledge
+    knowledge: PackedKnowledgeBitmap
     underloaded: np.ndarray
     load_snapshot: np.ndarray
     average_load: float
     n_messages: int
     bytes_sent: int
     elapsed: float  #: simulated seconds from start to detected quiescence
-    #: Backend the stage actually ran and the auto crossover applied
-    #: (mirrors :class:`~repro.core.gossip.GossipResult`).
-    knowledge_backend: str = ""
-    auto_threshold: int = 0
 
     def to_gossip_result(self) -> GossipResult:
         """Adapt to the phase-level result type consumed by the transfer
@@ -65,8 +55,6 @@ class GossipOutcome:
             average_load=self.average_load,
             n_messages=self.n_messages,
             bytes_sent=self.bytes_sent,
-            knowledge_backend=self.knowledge_backend,
-            auto_threshold=self.auto_threshold,
         )
 
 
@@ -82,15 +70,9 @@ class DistributedGossip:
         rounds: int = 10,
         streams: RankStreams | None = None,
         detector: "object | None" = None,
-        knowledge: str | None = None,
     ) -> None:
         check_positive("fanout", fanout)
         check_positive("rounds", rounds)
-        if knowledge is not None and knowledge not in ("auto", "packed", "sparse"):
-            raise ValueError(
-                'knowledge must be one of None, "auto", "packed", "sparse", '
-                f"got {knowledge!r}"
-            )
         self.system = system
         self.loads = np.ascontiguousarray(rank_loads, dtype=np.float64)
         if self.loads.size != system.n_ranks:
@@ -101,17 +83,6 @@ class DistributedGossip:
         self.fanout = int(fanout)
         self.rounds = int(rounds)
         self.streams = streams or RankStreams(system.n_ranks, seed=0)
-        #: Knowledge store: "packed" (bit-packed rows, P^2/8 bytes —
-        #: also what ``None`` means), "sparse" (per-rank sorted id
-        #: shards — the O(sum |S^p|) representation for high rank
-        #: counts) or "auto" (sparse from
-        #: :data:`EVENT_SPARSE_AUTO_MIN_RANKS` ranks, packed below).
-        #: The message-level protocol exchanges rank-id arrays either
-        #: way, so the choice never affects traffic or RNG consumption:
-        #: zero-fault outcomes are bit-identical across it, and fault
-        #: buffers (maturing/expired/duplicate deliveries) behave the
-        #: same way on both stores too.
-        self.knowledge = knowledge
         #: Optional failure detector
         #: (:class:`repro.sim.faults.HeartbeatFailureDetector`); when
         #: provided, suspected ranks are skipped as gossip targets and
@@ -134,11 +105,7 @@ class DistributedGossip:
             faults = None
 
         underloaded = self.loads < self.average_load
-        backend = self.knowledge
-        if backend == "auto":
-            backend = "sparse" if n >= EVENT_SPARSE_AUTO_MIN_RANKS else "packed"
-        know: PackedKnowledgeBitmap | SparseKnowledge
-        know = SparseKnowledge(n) if backend == "sparse" else PackedKnowledgeBitmap(n)
+        know = PackedKnowledgeBitmap(n)
         seeds = np.flatnonzero(underloaded)
         if faults is not None:
             # Crashed ranks cannot initiate gossip about themselves.
@@ -233,6 +200,4 @@ class DistributedGossip:
             n_messages=counters["messages"],
             bytes_sent=counters["bytes"],
             elapsed=elapsed,
-            knowledge_backend="sparse" if backend == "sparse" else "packed",
-            auto_threshold=EVENT_SPARSE_AUTO_MIN_RANKS,
         )

@@ -42,10 +42,14 @@ _ATTEMPT_COST = 5e-7
 
 def check_event_level(config: TemperedConfig) -> None:
     """Raise ``ValueError`` on a knob an episode cannot honour: any
-    gossip knob but ``fanout``, ``rounds`` and ``knowledge`` (faults
-    come from the ``System``), ``cascade`` (ranks decide one at a time)
-    and ``n_workers`` (trials run serially in simulated time)."""
-    refuse_changed("LBManager", config.gossip, GossipConfig(), ("fanout", "rounds", "knowledge"))
+    gossip knob but ``fanout``, ``rounds`` and ``knowledge="packed"``
+    (the store an episode always uses; faults come from the
+    ``System``), ``cascade`` (ranks decide one at a time) and
+    ``n_workers`` (trials run serially in simulated time)."""
+    gossip = config.gossip
+    if gossip.knowledge == "packed":  # the store an episode runs anyway
+        gossip = replace(gossip, knowledge=GossipConfig.knowledge)
+    refuse_changed("LBManager", gossip, GossipConfig(), ("fanout", "rounds"))
     refuse_changed("LBManager", config.transfer, replace(config.transfer, cascade=False))
     refuse_changed("LBManager", config, replace(config, n_workers=None))
 
@@ -193,7 +197,6 @@ class LBManager:
                     rounds=gossip_cfg.rounds,
                     streams=self.streams,
                     detector=self.failure_detector,
-                    knowledge=gossip_cfg.knowledge,
                 ).run()
                 gossip_time += gossip.elapsed
                 gossip_messages += gossip.n_messages

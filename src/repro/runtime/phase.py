@@ -106,13 +106,6 @@ class PhaseInstrumentation:
             raise RuntimeError("no phase has been instrumented yet")
         return self.history[-1]
 
-    def smoothed(self, window: int = 3) -> np.ndarray:
-        """Mean of the last ``window`` phases (noise-robust prediction)."""
-        if not self.history:
-            raise RuntimeError("no phase has been instrumented yet")
-        recent = self.history[-window:]
-        return np.mean(recent, axis=0)
-
     @property
     def n_phases(self) -> int:
         return len(self.history)

@@ -1,8 +1,8 @@
 """Fault injection under the simulated message path.
 
 TemperedLB's inform/transfer loop was built (like the paper's runs)
-on a lossless network with fixed membership. This module composes the
-classic reliable-link/failure-detector layering under the existing
+on a lossless network with fixed membership. This module puts a
+lossy link and a failure detector under the existing
 :class:`~repro.sim.process.System` so every protocol above it can be
 exercised — and regression-tested — against message loss, delay
 spikes, reordering, duplication and membership churn:
@@ -15,12 +15,6 @@ spikes, reordering, duplication and membership churn:
     message is un-counted at its sender — the simulator knows the
     message can never trigger work, so quiescence detection remains
     exact).
-:class:`StubbornLink`
-    Retransmit-with-backoff over the faulty link: every send is
-    repeated until acknowledged (acks ride the control plane), and the
-    receiver deduplicates by sequence id — together restoring
-    exactly-once delivery for any per-message loss probability < 1
-    when retries are unbounded.
 :class:`HeartbeatFailureDetector`
     An eventually-perfect (◇P-style) detector driven by periodic
     heartbeats: a rank unheard-from beyond its timeout becomes
@@ -45,24 +39,23 @@ it is bit-identical to not installing it. The equivalence suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.sim.messages import Message
 from repro.sim.termination import is_control_tag
-from repro.util.validation import check_nonnegative, check_positive
+from repro.util.validation import check_nonnegative, check_positive, refuse_changed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (process imports us)
-    from repro.sim.process import Process, System
+    from repro.sim.process import System
 
 __all__ = [
     "FaultConfig",
     "ChurnEvent",
     "parse_churn",
     "FaultyLink",
-    "StubbornLink",
     "HeartbeatFailureDetector",
     "PhaseFaultModel",
 ]
@@ -149,16 +142,12 @@ class FaultConfig:
     #: heartbeats) is also subject to loss/delay. Dead ranks never send
     #: or receive anything regardless.
     drop_control: bool = False
-    #: Stubborn-link layer: retransmit unacknowledged sends.
+    #: Phase level only (:class:`FaultyLink` refuses them): retransmit
+    #: lost sends, giving up after ``max_retries`` retries (None = retry
+    #: forever, eventual delivery for loss_rate < 1), each retry
+    #: arriving ``retry_rounds`` rounds after the previous one.
     retransmit: bool = False
-    #: Event level: initial retransmit timeout (seconds) and backoff.
-    rto: float = 2e-5
-    backoff: float = 2.0
-    #: Retries before giving up; None = retry forever (eventual
-    #: delivery guaranteed for loss_rate < 1).
     max_retries: int | None = 10
-    #: Phase level: rounds a retransmitted copy arrives after the
-    #: original send.
     retry_rounds: int = 1
     #: Failure detector: heartbeat period and initial suspect timeout
     #: (seconds); the timeout backs off on every false suspicion.
@@ -178,8 +167,6 @@ class FaultConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         check_nonnegative("reorder_window", self.reorder_window)
         check_positive("delay_scale", self.delay_scale)
-        check_positive("rto", self.rto)
-        check_positive("backoff", self.backoff)
         check_positive("retry_rounds", self.retry_rounds)
         check_positive("heartbeat_period", self.heartbeat_period)
         check_positive("suspect_timeout", self.suspect_timeout)
@@ -209,6 +196,10 @@ class FaultyLink:
     seeded from ``(seed, src, dst)``, so the fate sequence on a link
     depends only on that link's own message order — not on global
     interleaving.
+
+    The phase-level retransmission knobs (``retransmit``,
+    ``max_retries``, ``retry_rounds``) have no event-level meaning; a
+    config that changes any of them is refused.
     """
 
     def __init__(
@@ -217,6 +208,9 @@ class FaultyLink:
         config: FaultConfig,
         registry=None,
     ) -> None:
+        phase_only = ("retransmit", "max_retries", "retry_rounds")
+        defaults = {name: getattr(FaultConfig, name) for name in phase_only}
+        refuse_changed("FaultyLink", config, replace(config, **defaults))
         self.system = system
         self.config = config
         #: False when the config has no active fault source: the system
@@ -351,115 +345,6 @@ class FaultyLink:
             self.restart(event.rank)
 
 
-class StubbornLink:
-    """Exactly-once delivery over a lossy link via retransmit + dedup.
-
-    The sender repeats every message on a backoff schedule until the
-    receiver's acknowledgement arrives (acks are control traffic); the
-    receiver acknowledges every copy but hands only the first to the
-    application handler. With ``max_retries=None`` and per-message loss
-    probability < 1, delivery is guaranteed eventually (the retry count
-    to first success is geometric).
-    """
-
-    _instances = 0
-
-    def __init__(self, system: "System", config: FaultConfig, registry=None) -> None:
-        StubbornLink._instances += 1
-        self.system = system
-        self.config = config
-        self.registry = registry if registry is not None else system.registry
-        self._ack_tag = f"__stubborn_ack_{StubbornLink._instances}"
-        self._seq = 0
-        #: seq -> (src, dst, tag, wire_payload, size, retries)
-        self._pending: dict[int, tuple[int, int, str, object, int, int]] = {}
-        self._seen: set[tuple[int, int]] = set()  #: (dst, seq) delivered
-        self._closed = False
-        self.retransmits = 0
-        self.giveups = 0
-        self.deduped = 0
-        self._wrapped: dict[str, Callable[["Process", Message], None]] = {}
-        for proc in system.processes:
-            proc.register(self._ack_tag, self._on_ack)
-
-    def register(self, tag: str, handler: Callable[["Process", Message], None]) -> None:
-        """Install ``handler`` for ``tag`` on every process, behind the
-        ack/dedup wrapper."""
-        self._wrapped[tag] = handler
-        for proc in self.system.processes:
-            proc.register(tag, self._on_wire)
-
-    def send(
-        self, src: int, dst: int, tag: str, payload=None, size: int = 64
-    ) -> None:
-        """Send with retransmission until acknowledged."""
-        seq = self._seq
-        self._seq += 1
-        wire = (seq, payload)
-        self._pending[seq] = (src, dst, tag, wire, size, 0)
-        self.system.processes[src].send(dst, tag, payload=wire, size=size)
-        self.system.engine.schedule(self.config.rto, self._check, seq)
-
-    def close(self) -> None:
-        """Abandon all pending retransmissions (stage teardown)."""
-        self._closed = True
-        self._pending.clear()
-
-    # -- wire side -----------------------------------------------------------
-
-    def _on_wire(self, proc: "Process", msg: Message) -> None:
-        seq, payload = msg.payload
-        # Ack every copy: the sender may be retransmitting because the
-        # previous ack (not the message) was lost.
-        proc.send(msg.src, self._ack_tag, payload=seq, size=16)
-        key = (proc.rank, seq)
-        if key in self._seen:
-            self.deduped += 1
-            if self.registry is not None and self.registry.enabled:
-                self.registry.inc("faults.dedup_duplicates")
-            return
-        self._seen.add(key)
-        handler = self._wrapped[msg.tag]
-        handler(
-            proc,
-            Message(
-                src=msg.src,
-                dst=msg.dst,
-                tag=msg.tag,
-                payload=payload,
-                size=msg.size,
-                send_time=msg.send_time,
-            ),
-        )
-
-    def _on_ack(self, proc: "Process", msg: Message) -> None:
-        self._pending.pop(msg.payload, None)
-
-    def _check(self, seq: int) -> None:
-        entry = self._pending.get(seq)
-        if entry is None or self._closed:
-            return
-        src, dst, tag, wire, size, retries = entry
-        faults = self.system.faults
-        if faults is not None and faults.enabled and not faults.is_alive(src):
-            self._pending.pop(seq, None)
-            return
-        if self.config.max_retries is not None and retries >= self.config.max_retries:
-            self._pending.pop(seq, None)
-            self.giveups += 1
-            if self.registry is not None and self.registry.enabled:
-                self.registry.inc("faults.giveups")
-            return
-        self.retransmits += 1
-        if self.registry is not None and self.registry.enabled:
-            self.registry.inc("faults.retransmits")
-        self._pending[seq] = (src, dst, tag, wire, size, retries + 1)
-        self.system.processes[src].send(dst, tag, payload=wire, size=size)
-        self.system.engine.schedule(
-            self.config.rto * self.config.backoff ** (retries + 1), self._check, seq
-        )
-
-
 class HeartbeatFailureDetector:
     """Eventually-perfect failure detection from periodic heartbeats.
 
@@ -506,9 +391,6 @@ class HeartbeatFailureDetector:
     def stop(self) -> None:
         """Stop the loop; at most one stale tick event remains queued."""
         self._running = False
-
-    def is_suspected(self, rank: int) -> bool:
-        return rank in self.suspected
 
     def _on_deliver(self, msg: Message) -> None:
         src = msg.src
@@ -559,9 +441,9 @@ class PhaseFaultModel:
     The phase-level engines have no clock — only synchronized rounds —
     so fates are expressed as *delivery-round offsets*: 0 = delivered
     in the round it was sent, ``d`` > 0 = delivered ``d`` rounds late,
-    no copies = lost. Retransmission (the stubborn layer's phase-level
-    shadow) turns a loss into a delayed delivery after a geometric
-    number of retries, each ``retry_rounds`` apart.
+    no copies = lost. Retransmission (``FaultConfig.retransmit``) turns
+    a loss into a delayed delivery after a geometric number of retries,
+    each ``retry_rounds`` apart.
 
     One generator seeded from ``FaultConfig.seed`` drives all fates;
     it is distinct from the engine's sampling RNG, so fault injection

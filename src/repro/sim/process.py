@@ -305,7 +305,3 @@ class System:
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Drive the engine; returns the final simulated time."""
         return self.engine.run(until=until, max_events=max_events)
-
-    def max_busy(self) -> float:
-        """The latest CPU-busy time across ranks (phase makespan proxy)."""
-        return max(p.busy_until for p in self.processes)

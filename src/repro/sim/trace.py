@@ -60,12 +60,6 @@ class Tracer:
 
     # -- analysis --------------------------------------------------------------
 
-    def busy_time(self) -> np.ndarray:
-        """Total CPU-busy seconds per rank."""
-        return np.array(
-            [sum(end - start for start, end in iv) for iv in self.busy]
-        )
-
     def utilization(self, until: float | None = None) -> np.ndarray:
         """Busy fraction per rank over ``[0, until]`` (default: now)."""
         horizon = self.system.engine.now if until is None else float(until)
@@ -82,20 +76,6 @@ class Tracer:
     def messages_by_tag(self) -> dict[str, int]:
         """Send counts per message tag."""
         return dict(Counter(record.tag for record in self.sends))
-
-    def bytes_by_tag(self) -> dict[str, int]:
-        """Bytes sent per message tag."""
-        totals: Counter[str] = Counter()
-        for record in self.sends:
-            totals[record.tag] += record.size
-        return dict(totals)
-
-    def communication_matrix(self) -> np.ndarray:
-        """Bytes sent from each rank to each rank, shape ``(P, P)``."""
-        matrix = np.zeros((self.system.n_ranks, self.system.n_ranks))
-        for record in self.sends:
-            matrix[record.src, record.dst] += record.size
-        return matrix
 
     def gantt(self, width: int = 60, until: float | None = None) -> str:
         """A text Gantt chart: one row per rank, ``#`` = busy, ``.`` = idle."""

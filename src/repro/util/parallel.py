@@ -17,11 +17,11 @@ backends:
     A plain loop in the calling thread. Zero overhead; the baseline.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`. Sidesteps the
-    GIL entirely: read-only shared state is shipped to each worker
-    **once** via the pool initializer (inherited copy-on-write under
-    the ``fork`` start method, pickled once per worker under
-    ``spawn``), only the small per-trial payloads and outcomes cross
-    the IPC boundary, and results return in submission order.
+    GIL entirely: read-only shared state reaches each worker **once**
+    via the pool initializer (inherited copy-on-write under the
+    ``fork`` start method), only the small per-trial payloads and
+    outcomes cross the IPC boundary, and results return in submission
+    order.
 
 :func:`resolve_backend` picks between them from what it can observe:
 ``serial`` when there is nothing to run concurrently — one worker, one
@@ -45,37 +45,22 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "EXECUTOR_AUTO",
-    "EXECUTOR_PROCESS",
-    "EXECUTOR_SERIAL",
-    "EXECUTORS",
     "TrialExecutor",
     "effective_cpu_count",
     "resolve_backend",
     "spawn_streams",
 ]
 
-EXECUTOR_SERIAL = "serial"
-EXECUTOR_PROCESS = "process"
-EXECUTOR_AUTO = "auto"
-#: Valid ``executor=`` values (``auto`` resolves before execution).
-EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_PROCESS, EXECUTOR_AUTO)
-
 
 def spawn_streams(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """``n`` independent child generators spawned from ``rng``.
 
     Spawning advances the parent's spawn key but never consumes from its
-    random stream. Falls back to spawning the underlying seed sequence
-    on NumPy versions without ``Generator.spawn``.
+    random stream.
     """
     if n <= 0:
         return []
-    try:
-        return list(rng.spawn(n))
-    except AttributeError:  # pragma: no cover - numpy < 1.25
-        children = rng.bit_generator.seed_seq.spawn(n)  # type: ignore[attr-defined]
-        return [np.random.default_rng(child) for child in children]
+    return list(rng.spawn(n))
 
 
 def effective_cpu_count() -> int:
@@ -99,41 +84,27 @@ def _fork_available() -> bool:
         return False
 
 
-def resolve_backend(
-    executor: str | None, n_workers: int, n_payloads: int | None = None
-) -> str:
-    """Resolve an ``executor=`` knob to a concrete backend name.
+def resolve_backend(n_workers: int, n_payloads: int | None = None) -> str:
+    """The backend a map over ``n_payloads`` with ``n_workers`` uses.
 
-    ``None`` and ``"auto"`` pick ``serial`` when ``n_workers``, the
-    payload count, or :func:`effective_cpu_count` leaves nothing to
-    overlap or fork is unavailable, and ``process`` otherwise. Explicit
-    backend names pass through unchanged (still degrading to ``serial``
-    when only one payload or worker is in play, where a pool could only
-    add overhead — results are identical either way).
+    ``"serial"`` when the worker count, the payload count or
+    :func:`effective_cpu_count` leaves nothing to overlap — a pool of
+    time-sliced workers on one core is strictly overhead — or when fork
+    is unavailable (a pool that re-imports the world per worker is
+    too); ``"process"`` otherwise.
     """
-    if executor is not None and executor not in EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {EXECUTORS} or None, got {executor!r}"
-        )
     effective = min(n_workers, n_payloads) if n_payloads is not None else n_workers
-    if effective <= 1:
-        return EXECUTOR_SERIAL
-    if executor is None or executor == EXECUTOR_AUTO:
-        # A pool of time-sliced workers on one core, or one that must
-        # re-import the world per worker (spawn), is strictly overhead;
-        # the serial loop is the fast path.
-        if effective_cpu_count() < 2 or not _fork_available():
-            return EXECUTOR_SERIAL
-        return EXECUTOR_PROCESS
-    return executor
+    if effective <= 1 or effective_cpu_count() < 2 or not _fork_available():
+        return "serial"
+    return "process"
 
 
 # -- process-backend plumbing ----------------------------------------------
 #
 # The shared state travels through the pool initializer, so it crosses
 # into each worker exactly once (zero-copy under fork); per-trial
-# submissions then carry only (fn, payload). Both the mapped function
-# and the payloads must be picklable for the spawn start method.
+# submissions then carry only (fn, payload), so the mapped function
+# (pickled by name), the payloads and the outcomes must pickle.
 
 _WORKER_SHARED: Any = None
 
@@ -152,13 +123,8 @@ def _invoke_shared(fn: Callable[[Any, Any], Any], payload: Any) -> Any:
 class TrialExecutor:
     """Map a pure ``fn(shared, payload)`` over payloads, preserving order.
 
-    Parameters
-    ----------
-    executor:
-        Backend request (``None``/``"auto"``/``"serial"``/``"process"``);
-        resolved via :func:`resolve_backend`.
-    n_workers:
-        Worker cap; the pool never exceeds the payload count.
+    ``n_workers`` caps the pool, which never exceeds the payload count;
+    :func:`resolve_backend` picks the backend.
 
     The function must be deterministic given ``(shared, payload)`` and
     must not mutate ``shared`` — that is what makes every backend
@@ -167,19 +133,14 @@ class TrialExecutor:
     pickle; ``shared`` crosses the process boundary once per worker.
     """
 
-    def __init__(self, executor: str | None = None, n_workers: int = 1) -> None:
-        if executor is not None and executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS} or None, got {executor!r}"
-            )
+    def __init__(self, n_workers: int = 1) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.requested = executor
         self.n_workers = int(n_workers)
 
     def backend_for(self, n_payloads: int) -> str:
         """The concrete backend a ``map`` over ``n_payloads`` would use."""
-        return resolve_backend(self.requested, self.n_workers, n_payloads)
+        return resolve_backend(self.n_workers, n_payloads)
 
     def map(
         self,
@@ -195,7 +156,7 @@ class TrialExecutor:
         payloads = list(payloads)
         backend = self.backend_for(len(payloads))
         workers = min(self.n_workers, len(payloads))
-        if backend == EXECUTOR_SERIAL:
+        if backend == "serial":
             return [fn(shared, payload) for payload in payloads]
         return self._map_process(fn, payloads, shared, workers)
 
@@ -206,15 +167,10 @@ class TrialExecutor:
         shared: Any,
         workers: int,
     ) -> list[Any]:
-        context = (
-            multiprocessing.get_context("fork")
-            if _fork_available()
-            else multiprocessing.get_context()
-        )
         try:
             pool = ProcessPoolExecutor(
                 max_workers=workers,
-                mp_context=context,
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
                 initargs=(shared,),
             )
@@ -223,7 +179,7 @@ class TrialExecutor:
             # a process pool; degrade to the serial loop. Results are
             # identical by construction, only the wall time differs.
             warnings.warn(
-                f"process executor unavailable ({exc}); running serially",
+                f"process pool unavailable ({exc}); running serially",
                 RuntimeWarning,
                 stacklevel=3,
             )

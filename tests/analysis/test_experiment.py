@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro import GreedyLB, TemperedLB
-from repro.analysis import criterion_comparison, criterion_study, strategy_comparison
+from repro.analysis import criterion_comparison, criterion_study
 from repro.workloads import paper_analysis_scenario
 
 
@@ -60,16 +59,3 @@ class TestCriterionComparison:
         assert out["original"].initial_imbalance == pytest.approx(
             out["relaxed"].initial_imbalance
         )
-
-
-class TestStrategyComparison:
-    def test_summary_fields(self):
-        out = strategy_comparison(
-            scenario(),
-            {"greedy": GreedyLB(), "tempered": TemperedLB(n_trials=1, n_iters=2)},
-            seed=0,
-        )
-        assert set(out) == {"greedy", "tempered"}
-        for row in out.values():
-            assert {"initial_imbalance", "final_imbalance", "migrations"} <= set(row)
-            assert row["final_imbalance"] <= row["initial_imbalance"]

@@ -1,55 +1,6 @@
 """Unit tests for repro.analysis.io."""
 
-import numpy as np
-import pytest
-
-from repro.analysis import PhaseSeries
-from repro.analysis.io import (
-    load_json,
-    load_records,
-    load_series,
-    save_json,
-    save_records,
-    save_series,
-)
-from repro.core.base import IterationRecord
-
-
-class TestSeriesRoundTrip:
-    def test_basic(self, tmp_path):
-        s = PhaseSeries()
-        s.record(x=1.0, y=2.0)
-        s.record(x=3.0)
-        path = tmp_path / "series.json"
-        save_series(s, path)
-        loaded = load_series(path)
-        assert loaded.n_phases == 2
-        np.testing.assert_allclose(loaded.series("x"), [1.0, 3.0])
-        assert np.isnan(loaded.series("y")[1])
-
-    def test_empty(self, tmp_path):
-        path = tmp_path / "empty.json"
-        save_series(PhaseSeries(), path)
-        assert load_series(path).n_phases == 0
-
-    def test_corrupt_length_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        save_json({"n_phases": 3, "metrics": {"x": [1.0]}}, path)
-        with pytest.raises(ValueError, match="entries"):
-            load_series(path)
-
-
-class TestRecordsRoundTrip:
-    def test_roundtrip(self, tmp_path):
-        records = [
-            IterationRecord(1, 1, 10, 5, 2.5, gossip_messages=100, gossip_bytes=1600),
-            IterationRecord(1, 2, 0, 8, 2.5),
-        ]
-        path = tmp_path / "records.json"
-        save_records(records, path)
-        loaded = load_records(path)
-        assert loaded == records
-        assert loaded[0].rejection_rate == pytest.approx(100 * 5 / 15)
+from repro.analysis.io import load_json, save_json
 
 
 class TestJsonHelpers:

@@ -31,12 +31,6 @@ class TestCommGraph:
         # all separated: everything crosses
         assert g.off_rank_volume(np.array([0, 1, 2])) == 8.0
 
-    def test_off_node_volume(self):
-        g = CommGraph(np.array([0]), np.array([1]), np.array([7.0]), 2)
-        # ranks 0 and 1 share node 0 with 2 ranks/node: no node crossing.
-        assert g.off_node_volume(np.array([0, 1]), ranks_per_node=2) == 0.0
-        assert g.off_node_volume(np.array([0, 2]), ranks_per_node=2) == 7.0
-
     def test_neighbors_symmetric(self):
         g = CommGraph(np.array([0]), np.array([1]), np.array([2.0]), 3)
         assert g.neighbors(0) == [(1, 2.0)]

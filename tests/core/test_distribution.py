@@ -25,7 +25,7 @@ class TestConstruction:
 
     def test_empty_rank_allowed(self):
         d = make_dist()
-        assert d.tasks_on(3).size == 0
+        assert d.rank_tasks()[3] == []
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="same length"):

@@ -17,27 +17,24 @@ class TestKnowledgeBitmap:
         k = KnowledgeBitmap(4)
         k.add(0, [1, 3])
         assert list(k.known(0)) == [1, 3]
-        assert k.knows(0, 1) and k.knows(0, 3)
-        assert not k.knows(0, 2)
 
     def test_add_self_seeds_diagonal(self):
         k = KnowledgeBitmap(5)
         k.add_self(np.array([1, 4]))
-        assert k.knows(1, 1) and k.knows(4, 4)
-        assert not k.knows(2, 2)
+        assert [list(k.known(r)) for r in range(5)] == [[], [1], [], [], [4]]
 
     def test_merge_is_union(self):
         k = KnowledgeBitmap(4)
         k.add(0, [1])
         k.add(1, [2, 3])
-        k.merge(0, k.packed[1])
+        k.merge_many(np.array([0]), k.packed[1])
         assert list(k.known(0)) == [1, 2, 3]
 
     def test_merge_idempotent(self):
         k = KnowledgeBitmap(3)
         k.add(0, [1])
         row = k.packed[0].copy()
-        k.merge(0, row)
+        k.merge_many(np.array([0]), row)
         assert list(k.known(0)) == [1]
 
     def test_unknown_targets_excludes_known_and_self(self):

@@ -24,14 +24,11 @@ class TestSparseBasics:
         k = SparseKnowledge(10)
         assert k.counts().sum() == 0
         assert k.known(3).size == 0
-        assert not k.knows(0, 9)
 
     def test_add_and_query(self):
         k = SparseKnowledge(12)
         k.add(0, [7, 1, 11, 8])
         assert list(k.known(0)) == [1, 7, 8, 11]  # sorted, deduped
-        assert k.knows(0, 7) and k.knows(0, 11)
-        assert not k.knows(0, 6)
 
     def test_add_empty_is_noop(self):
         k = SparseKnowledge(8)
@@ -41,15 +38,14 @@ class TestSparseBasics:
     def test_add_self_seeds_diagonal(self):
         k = SparseKnowledge(20)
         k.add_self(np.array([1, 9, 17]))
-        assert k.knows(1, 1) and k.knows(9, 9) and k.knows(17, 17)
-        assert not k.knows(2, 2)
+        assert [r for r in range(20) if r in k.known(r)] == [1, 9, 17]
         assert k.counts().sum() == 3
 
     def test_merge_is_union_of_shards(self):
         k = SparseKnowledge(10)
         k.add(0, [1])
         k.add(1, [2, 9])
-        k.merge(0, k.shards[1])
+        k.merge_many(np.array([0]), k.shards[1])
         assert list(k.known(0)) == [1, 2, 9]
 
     def test_shards_are_replaced_not_mutated(self):
@@ -61,19 +57,6 @@ class TestSparseBasics:
         k.add(0, [5, 7])
         assert list(snapshot) == [3]
         assert list(k.known(0)) == [3, 5, 7]
-
-    def test_unknown_targets_excludes_known_and_self(self):
-        k = SparseKnowledge(10)
-        k.add(0, [1, 9])
-        assert list(k.unknown_targets(0)) == [2, 3, 4, 5, 6, 7, 8]
-
-    def test_discard_members(self):
-        ref, sparse = _pair(16)
-        ref[0], ref[5] = {1}, {8}
-        sparse.add(0, [1, 2, 3])
-        sparse.add(5, [2, 8])
-        sparse.discard_members(np.array([2, 3]))
-        assert member_sets(sparse) == ref
 
     def test_coverage_matches_reference(self):
         rng = np.random.default_rng(7)
@@ -146,7 +129,7 @@ class TestSparseParity:
             elif op == 2:
                 src, dst = rng.choice(n, size=2, replace=False)
                 ref[int(dst)] |= ref[int(src)]
-                sparse.merge(int(dst), sparse.shards[int(src)])
+                sparse.merge_many(np.array([dst]), sparse.shards[int(src)])
             else:
                 src = int(rng.integers(n))
                 dsts = rng.choice(n, size=2, replace=False)
@@ -157,9 +140,6 @@ class TestSparseParity:
         assert sparse.counts().tolist() == [len(members) for members in ref]
         for rank in range(n):
             assert sparse.known(rank).tolist() == sorted(ref[rank])
-            assert sparse.unknown_targets(rank).tolist() == [
-                q for q in range(n) if q != rank and q not in ref[rank]
-            ]
 
 
 def _payload(k, rank):
@@ -189,15 +169,6 @@ class TestCompactBackendEdgeCounts:
         for dst in dsts:
             assert list(k.known(int(dst))) == expect
 
-    def test_clear_empties_every_row(self, backend, n):
-        k = backend(n)
-        k.add_self(np.arange(n)[: min(n, 8)])
-        k.add(0, [n - 1])
-        k.clear()
-        assert k.counts().sum() == 0
-        assert k.known(0).size == 0
-        assert list(k.unknown_targets(0)) == list(range(1, n))
-
     def test_rows_shape_and_content(self, backend, n):
         k = backend(n)
         k.add(0, [n - 1])
@@ -220,7 +191,8 @@ class TestCompactBackendEdgeCounts:
             k.add(rank, everyone)
             assert k.counts()[rank] == n
             assert k.known(rank).max() == n - 1
-            assert k.unknown_targets(rank).size == 0
+            if backend is PackedKnowledgeBitmap:
+                assert k.unknown_targets(rank).size == 0
         # A merge of a full row must not overflow either.
         k.merge_many(np.arange(min(n, 3)), _payload(k, 0))
         assert k.counts().max() == n

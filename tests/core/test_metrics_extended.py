@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.core.metrics import (
     gini,
     imbalance,
-    load_quartiles,
-    migration_volume,
     sigma_imbalance,
 )
 
@@ -51,41 +49,6 @@ class TestGini:
 
     def test_empty(self):
         assert gini(np.array([])) == 0.0
-
-
-class TestQuartiles:
-    def test_ordering(self):
-        q1, q2, q3 = load_quartiles(np.arange(100.0))
-        assert q1 <= q2 <= q3
-
-    def test_constant(self):
-        assert load_quartiles(np.full(5, 4.0)) == (4.0, 4.0, 4.0)
-
-    def test_empty(self):
-        assert load_quartiles(np.array([])) == (0.0, 0.0, 0.0)
-
-
-class TestMigrationVolume:
-    def test_counts_only_moved(self):
-        loads = np.array([1.0, 2.0, 3.0])
-        before = np.array([0, 0, 0])
-        after = np.array([0, 1, 1])
-        assert migration_volume(loads, before, after) == 5.0
-
-    def test_fixed_bytes(self):
-        loads = np.array([1.0, 2.0])
-        vol = migration_volume(
-            loads, np.array([0, 0]), np.array([1, 1]), bytes_per_unit_load=10, fixed_bytes=100
-        )
-        assert vol == 200 + 30
-
-    def test_no_moves(self):
-        loads = np.array([1.0])
-        assert migration_volume(loads, np.array([0]), np.array([0])) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="align"):
-            migration_volume(np.ones(2), np.zeros(2), np.zeros(3))
 
 
 class TestCrossMetricConsistency:

@@ -49,8 +49,9 @@ class TestRefinement:
         dist = small_scenario()
         res = iterative_refinement(dist, n_trials=3, n_iters=5, rng=0)
         assert len(res.records) == 15
-        assert len(res.trial_records(2)) == 5
-        assert [r.iteration for r in res.trial_records(1)] == [1, 2, 3, 4, 5]
+        assert [(r.trial, r.iteration) for r in res.records] == [
+            (t, i) for t in (1, 2, 3) for i in (1, 2, 3, 4, 5)
+        ]
 
     def test_trials_reset_from_original(self):
         # Every trial's iteration-1 starts from the same state, so with
@@ -65,8 +66,7 @@ class TestRefinement:
             transfer=TransferConfig(max_passes=1),
             rng=4,
         )
-        first = res.trial_records(1)[0]
-        second = res.trial_records(2)[0]
+        first, second = res.records
         # Both trials shed a similar amount from the same initial state;
         # if trial 2 continued from trial 1's balanced state it would
         # transfer ~0 tasks.

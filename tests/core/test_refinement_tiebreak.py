@@ -2,7 +2,7 @@
 
 When two trials reach an equal best imbalance, the strict ``<`` in
 ``_select_best`` must keep the *lowest trial index* — under every
-executor backend and worker count, because outcomes always merge in
+backend and worker count, because outcomes always merge in
 trial order. A completion-order merge (the classic as-completed bug)
 would make the winner depend on scheduling.
 """
@@ -17,8 +17,7 @@ from repro.core.refinement import (
     iterative_refinement,
 )
 from repro.workloads.synthetic import paper_analysis_scenario
-
-BACKENDS = ("serial", "process")
+from tests.core.test_trial_executor import BACKENDS, force_backend
 
 
 def fresh_result(initial=5.0):
@@ -75,7 +74,7 @@ class TestSeededBackendSelection:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_selection_matches_serial_reference(self, backend, workers):
+    def test_selection_matches_serial_reference(self, backend, workers, monkeypatch):
         dist = paper_analysis_scenario(
             n_tasks=400, n_loaded_ranks=4, n_ranks=32, seed=1
         )
@@ -83,12 +82,9 @@ class TestSeededBackendSelection:
         reference = iterative_refinement(
             dist, rng=np.random.default_rng(13), n_workers=1, **kwargs
         )
+        force_backend(monkeypatch, backend)
         result = iterative_refinement(
-            dist,
-            rng=np.random.default_rng(13),
-            n_workers=workers,
-            executor=backend,
-            **kwargs,
+            dist, rng=np.random.default_rng(13), n_workers=workers, **kwargs
         )
         assert np.array_equal(result.best_assignment, reference.best_assignment)
         assert result.best_imbalance == reference.best_imbalance

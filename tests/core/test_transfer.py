@@ -219,7 +219,7 @@ class TestStats:
         assignment = np.zeros(4, dtype=np.int64)
         loads = np.bincount(assignment, weights=task_loads, minlength=2)
         gossip = run_inform_stage(loads, GossipConfig(fanout=1, rounds=1), rng=0)
-        gossip.knowledge.clear()  # wipe knowledge
+        gossip.knowledge = type(gossip.knowledge)(loads.size)  # wipe knowledge
         stats = transfer_stage(assignment, task_loads, gossip, rng=0)
         assert stats.stalled_ranks == 1
         assert stats.transfers == 0

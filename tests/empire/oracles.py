@@ -4,8 +4,9 @@ The bodies below are ``ParticlePopulation.advance`` and
 ``Mesh2D.color_of_position`` as they stood at commit ``760212c``, before
 the step stopped allocating: whole-array ``mod``, fresh temporaries,
 ``int64`` indices, both clamps. They are kept verbatim — only ``self``
-became an argument — and production is held to them exactly. Nothing
-under ``src/`` imports this module.
+became an argument — and production is held to them exactly.
+:func:`rank_of_position_oracle` is the SPMD block lookup the colour
+binning must agree with. Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ def color_of_position_oracle(mesh, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     cj = np.minimum((ly * mesh.cy).astype(np.int64), mesh.cy - 1)
     local = cj * mesh.cx + ci
     return rank * mesh.colors_per_rank + local
+
+
+def rank_of_position_oracle(mesh, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SPMD rank whose block contains each unit-square position."""
+    x, y = _check_positions(x, y)
+    i = np.minimum((x * mesh.px).astype(np.int64), mesh.px - 1)
+    j = np.minimum((y * mesh.py).astype(np.int64), mesh.py - 1)
+    return j * mesh.px + i
 
 
 def _check_positions(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

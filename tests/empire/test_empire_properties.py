@@ -8,6 +8,7 @@ from repro.empire.mesh import Mesh2D, grid_dims
 from repro.empire.particles import ParticlePopulation
 from repro.empire.repartition import rcb_partition
 from repro.empire.workload import ColorWorkloadModel
+from tests.empire.oracles import rank_of_position_oracle
 
 
 @given(n=st.integers(min_value=1, max_value=500))
@@ -30,7 +31,7 @@ def test_mesh_binning_partitions_positions(n_ranks, colors, seed):
     rng = np.random.default_rng(seed)
     x, y = rng.random(200), rng.random(200)
     c = mesh.color_of_position(x, y)
-    r = mesh.rank_of_position(x, y)
+    r = rank_of_position_oracle(mesh, x, y)
     assert (c >= 0).all() and (c < mesh.n_colors).all()
     np.testing.assert_array_equal(mesh.home_rank_of_color(c), r)
 

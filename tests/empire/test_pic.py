@@ -99,6 +99,26 @@ class TestPICSimulation:
         s = sim.run(30)
         assert s.series("imbalance")[25] < s.series("imbalance")[1]
 
+    def test_lb_step_charges_the_configured_gossip_rounds(self, monkeypatch):
+        balancer = TemperedLB(n_trials=1, n_iters=2, fanout=3, rounds=4)
+        results, migrations = [], []
+        rebalance, migration_seconds = balancer.rebalance, LBCostModel.migration_seconds
+
+        def record_result(dist, rng=None):
+            results.append(rebalance(dist, rng=rng))
+            return results[-1]
+
+        def record_migration(self, *args):
+            migrations.append(migration_seconds(self, *args))
+            return migrations[-1]
+
+        monkeypatch.setattr(balancer, "rebalance", record_result)
+        monkeypatch.setattr(LBCostModel, "migration_seconds", record_migration)
+        sim = make_sim(balancer=balancer, lb_schedule=lambda step: step == 2)
+        t_lb = sim.run(4).series("t_lb")
+        decision = LBCostModel().decision_seconds(results[0], sim.mesh.n_ranks, rounds=4)
+        assert t_lb[2] == decision + migrations[0]
+
 
 class TestHeterogeneousRanks:
     def test_speed_validation(self):

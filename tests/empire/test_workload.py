@@ -21,7 +21,7 @@ class TestColorWorkloadModel:
         mesh = Mesh2D(4, colors_per_rank=1)
         model = ColorWorkloadModel(seconds_per_particle=1.0, seconds_per_cell=0.0)
         pop = ParticlePopulation(np.array([[0.1, 0.1], [0.9, 0.9]]), np.zeros((2, 2)))
-        loads = model.color_loads(mesh, pop)
+        loads = model.loads_from_counts(mesh, pop.count_per_color(mesh))
         assert loads.sum() == pytest.approx(2.0)
 
     def test_count_shape_checked(self):

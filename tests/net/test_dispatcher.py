@@ -6,7 +6,6 @@ import pytest
 
 from repro.net.dispatcher import DispatchError, Dispatcher, RetryPolicy
 from repro.net.wire import read_frame
-from repro.sim.faults import FaultConfig
 
 
 def _run(coro):
@@ -27,13 +26,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(rto=0.1, backoff=2.0, max_retries=8, max_delay=0.5)
         delays = [policy.delay(a) for a in range(1, 6)]
         assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
-
-    def test_from_fault_config_lifts_simulated_knobs(self):
-        fc = FaultConfig(loss_rate=0.1)  # rto=2e-5, backoff=2, retries=10
-        policy = RetryPolicy.from_fault_config(fc)
-        assert policy.rto == pytest.approx(fc.rto * 2_500.0)
-        assert policy.backoff == fc.backoff
-        assert policy.max_retries == fc.max_retries
 
 
 class TestDispatcher:

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.gossip import SPARSE_AUTO_MIN_RANKS_FAST, GossipConfig, run_inform_stage
-from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
-from repro.core.tempered import TemperedConfig
-from repro.obs import StatsRegistry
-from repro.runtime.amt import AMTRuntime
+from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.runtime.distributed_gossip import DistributedGossip
-from repro.runtime.lbmanager import LBManager
 from repro.sim.process import System
 from repro.sim.rng import RankStreams
 
@@ -86,79 +81,3 @@ class TestDistributedGossip:
         sys_ = System(4)
         with pytest.raises(ValueError, match="one load per rank"):
             DistributedGossip(sys_, np.ones(3))
-
-
-class TestSparseEventLevel:
-    """The event-level pipeline on the sparse knowledge backend.
-
-    The message-level protocol exchanges sorted rank-id arrays and all
-    backends answer ``unknown_targets`` / ``known`` identically, so a
-    zero-fault stage must be bit-identical across packed and sparse —
-    down to the RNG stream and the registry counters of a full LB
-    episode.
-    """
-
-    def test_knowledge_knob_validated(self):
-        sys_ = System(8)
-        with pytest.raises(ValueError, match="knowledge"):
-            DistributedGossip(sys_, np.ones(8), knowledge="csr")
-
-    def test_backend_selection(self):
-        loads = loads_two_hot(16)
-        explicit = DistributedGossip(System(16), loads, knowledge="sparse").run()
-        assert isinstance(explicit.knowledge, SparseKnowledge)
-        # Auto mirrors the phase-level threshold; event-level rank
-        # counts sit far below it, so auto resolves to packed.
-        assert 16 < SPARSE_AUTO_MIN_RANKS_FAST
-        auto = DistributedGossip(System(16), loads, knowledge="auto").run()
-        assert isinstance(auto.knowledge, PackedKnowledgeBitmap)
-
-    def test_packed_sparse_bit_identity_20_seeds(self):
-        n = 24
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            loads = rng.gamma(3.0, 0.5, size=n)
-            loads[: n // 8] *= 20.0
-            outs = {}
-            for backend in ("packed", "sparse"):
-                out = DistributedGossip(
-                    System(n),
-                    loads,
-                    fanout=3,
-                    rounds=4,
-                    streams=RankStreams(n, seed=seed + 1),
-                    knowledge=backend,
-                ).run()
-                outs[backend] = out
-            ref, new = outs["packed"], outs["sparse"]
-            np.testing.assert_array_equal(new.knowledge.rows, ref.knowledge.rows)
-            np.testing.assert_array_equal(new.underloaded, ref.underloaded)
-            assert new.n_messages == ref.n_messages
-            assert new.bytes_sent == ref.bytes_sent
-            assert new.elapsed == ref.elapsed
-
-    def test_lb_episode_bit_identity_including_registry(self):
-        def episode(backend):
-            rng = np.random.default_rng(7)
-            n_ranks, n_tasks = 8, 48
-            task_loads = rng.gamma(4.0, 0.25, size=n_tasks)
-            rt = AMTRuntime(
-                n_ranks,
-                task_loads,
-                np.zeros(n_tasks, dtype=np.int64),
-                task_overhead=0.001,
-            )
-            rt.execute_phase()
-            registry = StatsRegistry()
-            cfg = TemperedConfig(
-                n_trials=2, n_iters=2, fanout=3, rounds=4, knowledge=backend
-            )
-            res = LBManager(rt, cfg, seed=3, registry=registry).run_episode()
-            return res, registry
-
-        res_p, reg_p = episode("packed")
-        res_s, reg_s = episode("sparse")
-        np.testing.assert_array_equal(res_s.assignment, res_p.assignment)
-        assert res_s.final_imbalance == res_p.final_imbalance
-        assert res_s.t_lb == res_p.t_lb
-        assert reg_s.counters == reg_p.counters

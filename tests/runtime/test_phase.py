@@ -62,12 +62,6 @@ class TestPhaseInstrumentation:
         loads[0] = 99.0
         assert inst.latest()[0] == 1.0
 
-    def test_smoothed(self):
-        inst = PhaseInstrumentation()
-        inst.observe(np.array([1.0]))
-        inst.observe(np.array([3.0]))
-        np.testing.assert_allclose(inst.smoothed(window=2), [2.0])
-
     def test_history_bounded(self):
         inst = PhaseInstrumentation(max_phases_kept=3)
         for i in range(10):
@@ -79,5 +73,3 @@ class TestPhaseInstrumentation:
         inst = PhaseInstrumentation()
         with pytest.raises(RuntimeError, match="no phase"):
             inst.latest()
-        with pytest.raises(RuntimeError, match="no phase"):
-            inst.smoothed()

@@ -16,7 +16,6 @@ from repro.core.gossip import GossipConfig, resolve_auto_threshold, run_inform_s
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferConfig, transfer_stage
 from repro.empire.app import EmpireConfig
-from repro.empire.vt_mode import VtEmpireConfig
 from repro.sim.faults import FaultConfig
 
 PUBLIC_MODULES = [
@@ -51,11 +50,9 @@ PUBLIC_MODULES = [
     "repro.sim.rng",
     "repro.sim.termination",
     "repro.sim.trace",
-    "repro.empire.vt_mode",
     "repro.runtime",
     "repro.runtime.amt",
     "repro.runtime.distributed_gossip",
-    "repro.runtime.epochs",
     "repro.runtime.lbmanager",
     "repro.runtime.migration",
     "repro.runtime.phase",
@@ -63,7 +60,6 @@ PUBLIC_MODULES = [
     "repro.empire",
     "repro.empire.app",
     "repro.empire.bdot",
-    "repro.empire.diagnostics",
     "repro.empire.electrostatic",
     "repro.empire.fields",
     "repro.empire.mesh",
@@ -86,7 +82,6 @@ PUBLIC_MODULES = [
     "repro.md.cells",
     "repro.md.scenario",
     "repro.analysis",
-    "repro.analysis.convergence",
     "repro.analysis.experiment",
     "repro.analysis.io",
     "repro.analysis.plot",
@@ -151,12 +146,36 @@ def test_config_and_cli_surface_only_shrinks():
         (TransferConfig, 9),
         (TemperedConfig, 5),
         (EmpireConfig, 12),
-        (VtEmpireConfig, 12),
+        (FaultConfig, 14),
     ):
         names = [f.name for f in fields(config)]
         assert len(names) <= bound, f"{config.__name__} has {len(names)} fields {names}; {RATCHET}"
     flags = len(re.findall(r"\.add_argument\(", Path(repro.cli.__file__).read_text()))
-    assert flags <= 67, f"cli.py has {flags} add_argument calls; {RATCHET}"
+    assert flags <= 66, f"cli.py has {flags} add_argument calls; {RATCHET}"
+
+
+# -- reachability: a module stays only if something outside tests/ reaches it --
+
+
+def test_every_module_is_reached_outside_tests():
+    """Each ``src/repro`` module, or a name in its ``__all__``, is named by
+    another module (package ``__init__`` files do not count), a
+    benchmark or an example."""
+    src = Path(repro.__file__).parent
+    root = src.parents[1]
+    corpus = {p: p.read_text() for p in src.rglob("*.py") if p.name != "__init__.py"}
+    for folder in ("benchmarks", "examples"):
+        corpus.update({p: p.read_text() for p in (root / folder).rglob("*.py")})
+    orphans = []
+    for path in sorted(src.rglob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        dotted = ".".join(path.relative_to(src.parent).with_suffix("").parts)
+        names = [dotted, *getattr(importlib.import_module(dotted), "__all__", [])]
+        named = re.compile(r"\b(?:" + "|".join(map(re.escape, names)) + r")\b")
+        if not any(named.search(text) for p, text in corpus.items() if p != path):
+            orphans.append(dotted)
+    assert orphans == [], f"reached only from tests/: {orphans}"
 
 
 # -- config routing: a flat knob goes to the one config that declares it ------
@@ -180,7 +199,7 @@ def test_flat_knobs_apply_on_top_of_passed_stages():
     )
 
 
-@pytest.mark.parametrize("config", [TemperedConfig, EmpireConfig, VtEmpireConfig])
+@pytest.mark.parametrize("config", [TemperedConfig, EmpireConfig])
 def test_misspelt_knob_is_a_type_error(config):
     with pytest.raises(TypeError, match="max_knwon"):
         config(max_knwon=4)

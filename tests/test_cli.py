@@ -243,7 +243,7 @@ class TestBench:
         assert payload["meta"]["cpu_count"] >= 1
         # The backend is resolved, never requested: 2 workers x 2 trials
         # get a process pool wherever a second core and fork exist.
-        resolved = resolve_backend(None, 2, 2)
+        resolved = resolve_backend(2, 2)
         refinement = payload["refinement_parallel"]
         assert refinement["executor"] == resolved
         assert "executor_requested" not in refinement

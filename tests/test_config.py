@@ -2,8 +2,7 @@
 and reaches, or is refused by, the code it is handed to.
 
 ``TemperedConfig`` nests ``GossipConfig`` and ``TransferConfig``;
-``EmpireConfig`` and ``VtEmpireConfig`` nest a ``TemperedConfig`` as
-``lb``. These tests pin what that shape guarantees:
+``EmpireConfig`` nests a ``TemperedConfig`` as ``lb``. These tests pin what that shape guarantees:
 
 - a bad balancer knob fails at construction, whichever configuration
   (even ``"spmd"``, which runs no balancer) it was given to;
@@ -11,9 +10,8 @@ and reaches, or is refused by, the code it is handed to.
   threshold it is given, faults included, is unchanged without them,
   and refuses every other transfer knob; ``GrapevineLB`` itself takes
   no transfer or loop knob but the threshold;
-- ``LBManager`` (and so ``VtEmpireConfig``) refuses knobs its
-  event-level episode does not implement instead of running without
-  them.
+- ``LBManager`` refuses knobs its event-level episode does not
+  implement instead of running without them.
 """
 
 from dataclasses import replace
@@ -26,7 +24,6 @@ from repro.core.gossip import GossipConfig
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferConfig
 from repro.empire.app import EmpireConfig, _make_balancer
-from repro.empire.vt_mode import VtEmpireConfig
 from repro.obs import StatsRegistry
 from repro.runtime.amt import AMTRuntime
 from repro.runtime.lbmanager import LBManager
@@ -51,11 +48,6 @@ class TestValidationAtConstruction:
     def test_empire_config_rejects_bad_balancer_knobs(self, configuration, knob):
         with pytest.raises(ValueError, match=next(iter(knob))):
             EmpireConfig(configuration, **knob)
-
-    @pytest.mark.parametrize("knob", BAD_KNOBS, ids=lambda k: next(iter(k)))
-    def test_vt_empire_config_rejects_bad_balancer_knobs(self, knob):
-        with pytest.raises(ValueError, match=next(iter(knob))):
-            VtEmpireConfig(**knob)
 
     def test_all_at_once(self):
         with pytest.raises(ValueError):
@@ -154,8 +146,9 @@ class TestLBManagerRefusesWhatItCannotHonour:
             ({"faults": FaultConfig(loss_rate=0.1)}, ["faults"]),
             ({"cascade": True}, ["cascade"]),
             ({"n_workers": 2}, ["n_workers"]),
+            ({"knowledge": "sparse"}, ["knowledge"]),
         ],
-        ids=["cap", "avoid_known", "topology", "faults", "cascade", "n_workers"],
+        ids=["cap", "avoid_known", "topology", "faults", "cascade", "n_workers", "knowledge"],
     )
     def test_unsupported_gossip_knobs_raise(self, knobs, named):
         with pytest.raises(ValueError) as info:
@@ -167,16 +160,9 @@ class TestLBManagerRefusesWhatItCannotHonour:
         with pytest.raises(ValueError, match="cascade"):
             LBManager(_runtime(), TemperedConfig().lbaf_variant())
 
-    @pytest.mark.parametrize(
-        "knob", [{"cascade": True}, {"max_known": 2}], ids=lambda k: next(iter(k))
-    )
-    def test_vt_empire_config_refuses_at_construction(self, knob):
-        with pytest.raises(ValueError, match=next(iter(knob))):
-            VtEmpireConfig(**knob)
-
     def test_implemented_knobs_are_accepted(self):
         config = TemperedConfig(
-            n_trials=1, n_iters=3, fanout=2, rounds=3, knowledge="sparse", ordering="lightest"
+            n_trials=1, n_iters=3, fanout=2, rounds=3, knowledge="packed", ordering="lightest"
         )
         assert LBManager(_runtime(), config).config is config
         LBManager(_runtime(), TemperedConfig(n_trials=1, n_iters=3))
