@@ -1,35 +1,33 @@
-"""Per-rank partial knowledge of underloaded ranks (the sets ``S^p``).
+"""Per-rank partial knowledge of underloaded ranks (the sets ``S^p``),
+at rest and while the inform stage runs.
 
-During the inform stage, every rank accumulates a set of underloaded
-ranks it has heard about, together with those ranks' (snapshot) loads.
-At 2^12 ranks a Python ``set`` per rank makes the knowledge merge the
-bottleneck, so the sets are stored in one of two array forms sharing
-``add`` / ``add_self`` / ``merge_many`` / ``known`` / ``counts`` /
-``coverage`` / ``rows`` / ``memory_bytes``:
+:mod:`repro.core.gossip` decides *what* Algorithm 1 does: who sends,
+to how many and to whom, what a message costs, which messages a fault
+loses. This module decides *how* ``S^p`` is laid out — the bit and
+shard formats, the per-round working representation, the trims and
+the candidate views — and nothing outside it touches a bit or a shard.
 
-:class:`PackedKnowledgeBitmap`
-    A ``P x P`` membership matrix bit-packed into ``P x ceil(P/8)``
-    uint8 bytes (``np.packbits`` layout, big bit order). Merges are
-    byte-wise ORs, set sizes are ``np.bitwise_count`` popcounts
-    (4096 ranks: 2.1 MB). Still O(P^2) bits — 2 GiB at 2^17 ranks.
-    The event-level inform stage also reads ``unknown_targets`` and
-    clears failed ranks with ``discard_members``.
+Two *containers* hold a finished stage, sharing ``add`` /
+``merge_many`` / ``known`` / ``counts`` / ``coverage`` / ``rows`` /
+``memory_bytes``: :class:`PackedKnowledgeBitmap` (``P x ceil(P/8)``
+bytes, ``np.packbits`` layout: O(P^2) bits, 2 GiB at 2^17 ranks) and
+:class:`SparseKnowledge` (a sorted ``int32`` shard per rank, immutable
+by replacement: ~``4cP`` bytes under a cap of c, 268 MB at 2^17 ranks
+and c=512).
 
-:class:`SparseKnowledge`
-    One sorted ``int32`` id shard per rank. Memory is O(sum |S^p|), so
-    under a ``max_known`` cap of c it is ~``4cP`` bytes (131072 ranks,
-    c=512: 268 MB vs 2 GiB packed). Rows exchanged by merges are id
-    arrays rather than bit rows; ``GossipConfig(knowledge="auto")``
-    selects this store at high rank counts. Shards are immutable by
-    replacement, which is what lets the inform round loop (one loop
-    over both stores, fault fates included) hold payload references.
+Two *stores* are the round loop's working representation, behind five
+methods (``snapshot`` / ``candidates`` / ``merge`` / ``trim`` /
+``finish``); :func:`inform_store` picks one, seeded (each seed knows
+itself, Alg. 1 l.7), and ``finish()`` leaves the requested container in
+``store.knowledge``. :class:`_PackedStore` runs bit rows — in (load,
+id) priority order under a capped "lowest" trim, which makes the trim
+a prefix cut (:func:`keep_first_bits`) — and :class:`_SparseStore`
+sorted id arrays. Their candidate views answer the sampler's only two
+queries, ``test(rows, draws)`` and ``extract(rows, exclude)`` (members
+as ``(row, rank id)`` pairs), for the same sets in the same order, so
+both stores consume the same RNG stream and finish bit-identical.
 
-The inform stage's bit-row store may keep its rows in (load, id)
-*priority* order while it runs — :func:`keep_first_bits` is the prefix
-cut that makes the "lowest" trim of such a row O(P/64) — and decodes
-them into one of the two containers above when it finishes.
-
-The tests check both against a plain list of Python ``set``s. Loads do
+The tests check everything here against plain Python ``set``s. Loads do
 not change during an inform stage, so ``LOAD^p`` is simply the global
 load snapshot restricted to ``S^p`` (see DESIGN.md § 5).
 """
@@ -40,7 +38,60 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["PackedKnowledgeBitmap", "SparseKnowledge", "keep_first_bits"]
+__all__ = ["PackedKnowledgeBitmap", "SparseKnowledge", "inform_store", "keep_first_bits"]
+
+#: Rank ids in a shard.
+_ID_DTYPE = np.int32
+#: Rows unpacked per pass of the "random" trim and of ``finish()``'s
+#: decode. Unpacking *every* row at once is O(rows x P) bytes — a
+#: 16 GiB allocation at 2^17 ranks; fixed-size chunks keep it
+#: O(chunk x P). The "random" policy's key draws split along the same
+#: chunk boundaries, and row-chunked ``rng.random`` fills the identical
+#: stream as one full-matrix draw, so results are unchanged.
+_TRIM_CHUNK_ROWS = 64
+#: Minimum rows sharing one payload object before the round builds a
+#: shared membership bitmap for them. Below this the flat per-row
+#: structures are cheaper than a P-sized bitmap.
+_DOMINANT_MIN_ROWS = 16
+
+
+# ---------------------------------------------------------------------------
+# The bit layout: rank q of a row lives in byte q >> 3, bit 128 >> (q & 7).
+# ---------------------------------------------------------------------------
+
+
+def _bits(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(byte index, bit value) for each rank id, big bit order."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return ids >> 3, (np.uint8(128) >> (ids & 7).astype(np.uint8))
+
+
+def _or_bits(matrix: np.ndarray, rows, ids: np.ndarray) -> None:
+    """Set bit ``ids[i]`` in ``matrix[rows[i]]`` (duplicate-safe: several
+    ids can share a byte, where a fancy ``|=`` would keep only one)."""
+    byte, bit = _bits(ids)
+    np.bitwise_or.at(matrix, (rows, byte), bit)
+
+
+def _clear_bits(matrix: np.ndarray, rows, ids: np.ndarray) -> None:
+    """Clear bit ``ids[i]`` in ``matrix[rows[i]]`` (duplicate-safe)."""
+    byte, bit = _bits(ids)
+    np.bitwise_and.at(matrix, (rows, byte), ~bit)
+
+
+def _leading_ones(n_bits: int) -> np.ndarray:
+    """A packed row of ``ceil(n_bits / 8)`` bytes whose first ``n_bits``
+    bits are set and whose padding bits are clear."""
+    return np.packbits(np.ones(n_bits, dtype=bool))
+
+
+def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of every set bit of a packed matrix, row-major
+    (rows ascending, columns sorted in-row), expanded from the nonzero
+    bytes only — cheap once rows are sparse."""
+    nz_r, nz_b = np.nonzero(packed)
+    br, bc = np.nonzero(np.unpackbits(packed[nz_r, nz_b, None], axis=1))
+    return nz_r[br], nz_b[br] * 8 + bc
 
 
 def _coverage_denominator(underloaded: np.ndarray) -> int:
@@ -94,6 +145,21 @@ def keep_first_bits(rows: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]
     return cum[:, -1], over
 
 
+def _priority_order(loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(enc, dec)``: each rank's position in the stable (load, id)
+    sort — the order whose first ``cap`` members the "lowest" trim
+    keeps — and the inverse map, position -> rank."""
+    dec = np.argsort(loads, kind="stable")
+    enc = np.empty(loads.size, dtype=np.int64)
+    enc[dec] = np.arange(loads.size)
+    return enc, dec
+
+
+# ---------------------------------------------------------------------------
+# Containers.
+# ---------------------------------------------------------------------------
+
+
 class PackedKnowledgeBitmap:
     """Knowledge sets ``S^p`` bit-packed: ``P x ceil(P/8)`` uint8 bytes.
 
@@ -116,14 +182,6 @@ class PackedKnowledgeBitmap:
         self.n_bytes = (self.n_ranks + 7) >> 3
         self.packed = np.zeros((self.n_ranks, self.n_bytes), dtype=np.uint8)
 
-    # -- bit helpers --------------------------------------------------------
-
-    @staticmethod
-    def _bits(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(byte index, bit value) for each rank id, big bit order."""
-        ids = np.asarray(ids, dtype=np.int64)
-        return ids >> 3, (np.uint8(128) >> (ids & 7).astype(np.uint8))
-
     def _unpack_row(self, rank: int) -> np.ndarray:
         return np.unpackbits(self.packed[rank], count=self.n_ranks).view(bool)
 
@@ -131,21 +189,11 @@ class PackedKnowledgeBitmap:
 
     def add(self, rank: int, members: np.ndarray | list[int]) -> None:
         """Add ``members`` to ``S^rank``."""
-        members = np.asarray(members, dtype=np.int64)
-        if members.size == 0:
-            return
-        byte, bit = self._bits(members)
-        # Several members can land in the same byte; fancy |= would drop
-        # all but one, so accumulate with a ufunc scatter.
-        np.bitwise_or.at(self.packed[rank], byte, bit)
+        _or_bits(self.packed, rank, members)
 
     def add_self(self, ranks: np.ndarray) -> None:
         """Seed each rank in ``ranks`` with knowledge of itself (Alg. 1 l.7)."""
-        ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.size == 0:
-            return
-        byte, bit = self._bits(ranks)
-        self.packed[ranks, byte] |= bit
+        _or_bits(self.packed, ranks, ranks)
 
     def merge_many(self, dsts: np.ndarray, src_row: np.ndarray) -> None:
         """Merge one packed row into several destinations at once."""
@@ -170,16 +218,10 @@ class PackedKnowledgeBitmap:
 
         Used when membership changes: a crashed or suspected rank must
         stop being a transfer candidate everywhere, even if gossip
-        already spread knowledge of it. Several discarded ranks can
-        share a byte, so the clear mask is accumulated with a ufunc
-        scatter before the single AND pass.
+        already spread knowledge of it.
         """
-        ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.size == 0:
-            return
-        byte, bit = self._bits(ranks)
-        mask = np.full(self.n_bytes, 0xFF, dtype=np.uint8)
-        np.bitwise_and.at(mask, byte, ~bit)
+        mask = np.full((1, self.n_bytes), 0xFF, dtype=np.uint8)
+        _clear_bits(mask, 0, ranks)
         self.packed &= mask
 
     def coverage(self, underloaded: np.ndarray) -> float:
@@ -241,41 +283,22 @@ class SparseKnowledge:
 
     __slots__ = ("n_ranks", "shards")
 
-    _ID_DTYPE = np.int32
-
     def __init__(self, n_ranks: int) -> None:
         check_positive("n_ranks", n_ranks)
         self.n_ranks = int(n_ranks)
-        empty = np.empty(0, dtype=self._ID_DTYPE)
-        self.shards: list[np.ndarray] = [empty] * self.n_ranks
-
-    def _as_ids(self, members: np.ndarray | list[int]) -> np.ndarray:
-        ids = np.asarray(members, dtype=self._ID_DTYPE)
-        return ids
+        self.shards: list[np.ndarray] = [np.empty(0, dtype=_ID_DTYPE)] * self.n_ranks
 
     # -- knowledge-store API ------------------------------------------------
 
     def add(self, rank: int, members: np.ndarray | list[int]) -> None:
         """Add ``members`` to ``S^rank``."""
-        ids = self._as_ids(members)
-        if ids.size == 0:
-            return
-        self.shards[rank] = np.union1d(self.shards[rank], ids)
-
-    def add_self(self, ranks: np.ndarray) -> None:
-        """Seed each rank in ``ranks`` with knowledge of itself (Alg. 1 l.7)."""
-        ranks = np.asarray(ranks, dtype=np.int64)
-        shards = self.shards
-        for r in ranks.tolist():
-            shard = shards[r]
-            if shard.size == 0:
-                shards[r] = np.array([r], dtype=self._ID_DTYPE)
-            else:
-                shards[r] = np.union1d(shard, np.array([r], dtype=self._ID_DTYPE))
+        ids = np.asarray(members, dtype=_ID_DTYPE)
+        if ids.size:
+            self.shards[rank] = np.union1d(self.shards[rank], ids)
 
     def merge_many(self, dsts: np.ndarray, src_ids: np.ndarray) -> None:
         """Merge one id shard into several destinations at once."""
-        ids = self._as_ids(src_ids)
+        ids = np.asarray(src_ids, dtype=_ID_DTYPE)
         for dst in np.asarray(dsts, dtype=np.int64).tolist():
             self.shards[dst] = np.union1d(self.shards[dst], ids)
 
@@ -350,3 +373,650 @@ class SparseKnowledge:
                 seen.add(key)
                 total += s.nbytes
         return int(total)
+
+
+# ---------------------------------------------------------------------------
+# The inform stage's stores.
+# ---------------------------------------------------------------------------
+
+
+def inform_store(
+    backend: str,
+    n_ranks: int,
+    seeds: np.ndarray,
+    cap: int | None,
+    trim_policy: str,
+    loads: np.ndarray,
+    rng: np.random.Generator,
+    ranks_per_node: int = 1,
+) -> "_PackedStore | _SparseStore":
+    """The working representation of one inform stage, seeded, whose
+    ``finish()`` writes a ``backend`` ("packed"/"sparse") container.
+
+    Bit rows for a packed container, and for a sparse one whose
+    capped-"lowest" bit row (P/8 bytes) is no larger than a full int32
+    shard (4 * cap); sorted id arrays otherwise.
+    """
+    sparse = backend == "sparse"
+    lowest = cap is not None and trim_policy == "lowest"
+    if not sparse or (lowest and n_ranks <= 32 * cap):
+        return _PackedStore(
+            n_ranks, seeds, cap, trim_policy, loads, rng, ranks_per_node, sparse
+        )
+    return _SparseStore(n_ranks, seeds, cap, trim_policy, loads, rng)
+
+
+class _PackedCandidates:
+    """Candidate membership over a packed uint8 bit matrix.
+
+    With ``enc`` (the rank -> bit position map of priority-ordered
+    rows; see :class:`_PackedStore`) rank ids are looked up at bit
+    ``enc[id]`` and ``extract`` gathers the columns back, so the exact
+    sampler keys the same candidates in the same order either way.
+    """
+
+    __slots__ = ("packed", "enc")
+
+    def __init__(self, packed: np.ndarray, enc: np.ndarray | None = None) -> None:
+        self.packed = packed
+        self.enc = enc
+
+    def test(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        if self.enc is not None:
+            draws = self.enc[draws]
+        # One flat gather of each draw's byte; shifting its bit up to
+        # the top of the uint8 leaves the rest to wrap away.
+        at = draws >> 3
+        at += (rows * self.packed.shape[1])[:, None]
+        byte = self.packed.ravel()[at]
+        byte <<= (draws & 7).astype(np.uint8)
+        return byte >= 128
+
+    def clear(self, rows: np.ndarray, ids: np.ndarray) -> None:
+        """Drop rank ``ids[i]`` from candidate row ``rows[i]``."""
+        _clear_bits(self.packed, rows, ids if self.enc is None else self.enc[ids])
+
+    def extract(
+        self, rows: np.ndarray, exclude: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(i, rank id)`` of every candidate of ``rows[i]``, rank ids
+        ascending within each row, minus the ``exclude`` pairs."""
+        sel = self.packed[rows]
+        if self.enc is not None:
+            bools = np.unpackbits(sel, axis=1, count=self.enc.size)
+            sel = np.packbits(bools[:, self.enc], axis=1)
+        if exclude is not None:
+            _clear_bits(sel, *exclude)
+        return _set_bits(sel)
+
+
+class _PackedStore:
+    """Round-loop adapter over bit rows — the working representation
+    of every packed container, and of a sparse one whose capped
+    "lowest" row is no larger than a shard (see :func:`inform_store`).
+
+    Everything is a whole-round array pass: the gathered sender rows
+    double as the round's send buffer, candidates are their
+    complement, merges are layered scatter-ORs. :meth:`finish` writes
+    the container, ``knowledge`` (sparse when ``sparse``).
+
+    **Rank order** (uncapped, or the "random" trim, whose RNG keys are
+    drawn per rank-ordered column): bit ``q`` is rank ``q``; the rows
+    are the packed container's own matrix and ``finish`` is a no-op.
+
+    **Priority order** (capped "lowest" trim): bit ``j`` is the rank at
+    position ``j`` of the stable (load, id) sort (``dec[j]``; ``enc``
+    is the inverse). The cap lowest members are a row's first ``cap``
+    set bits, so the trim is a prefix cut (:func:`keep_first_bits`), and a
+    row equal to ``{0..cap-1}`` is *complete*: no payload can displace
+    a member, so its receiver skips merge and trim for the rest of the
+    stage. Self bits, candidate views and the same-node views go
+    through ``enc``; ``finish`` decodes rows to rank order.
+    """
+
+    def __init__(
+        self,
+        n_ranks: int,
+        seeds: np.ndarray,
+        cap: int | None,
+        trim_policy: str,
+        loads: np.ndarray,
+        rng: np.random.Generator,
+        ranks_per_node: int = 1,
+        sparse: bool = False,
+    ) -> None:
+        self.n_ranks = n_ranks
+        self.cap = cap
+        self.rng = rng
+        self.ranks_per_node = ranks_per_node
+        self.node_masks: np.ndarray | None = None
+        self.knowledge = (SparseKnowledge if sparse else PackedKnowledgeBitmap)(n_ranks)
+        #: All-ones candidate row with the padding bits already clear.
+        self.template = _leading_ones(n_ranks)
+        self.enc: np.ndarray | None = None
+        self.dec: np.ndarray | None = None
+        if cap is None or trim_policy != "lowest":
+            self.rows = self.knowledge.packed
+            _or_bits(self.rows, seeds, seeds)
+            return
+        self.enc, self.dec = _priority_order(loads)
+        if sparse:
+            self.rows = np.zeros((n_ranks, self.template.size), dtype=np.uint8)
+        else:
+            self.rows = self.knowledge.packed
+        #: |complete row| and its leading bytes: {0..cap-1}, or all of P.
+        self.full = min(cap, n_ranks)
+        self.head = _leading_ones(self.full)
+        pos = self.enc[seeds]
+        _or_bits(self.rows, seeds, pos)
+        # A seed's row {p} is complete only if the cap keeps one member
+        # and p comes first.
+        self.complete = np.zeros(n_ranks, dtype=bool)
+        self.complete[seeds] = (pos == 0) & (self.full == 1)
+
+    def snapshot(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Payload rows (a gather, hence a copy) and their ``|S^p|``."""
+        snap = self.rows[senders]
+        return snap, np.bitwise_count(snap).sum(axis=1, dtype=np.int64)
+
+    def candidates(
+        self, senders: np.ndarray, snap: np.ndarray, entries: np.ndarray, full: bool
+    ) -> tuple[np.ndarray, _PackedCandidates]:
+        """``(counts, candidate rows)``: all of P when ``full``, else
+        ``P \\ S^p``; never the sender itself."""
+        idx = np.arange(senders.size)
+        pos = senders if self.enc is None else self.enc[senders]
+        if full:
+            cand = np.repeat(self.template[None, :], senders.size, axis=0)
+            counts = np.full(senders.size, self.n_ranks - 1, dtype=np.int64)
+        else:
+            cand = ~snap
+            cand[:, -1] &= self.template[-1]
+            # |P \ S^p \ {p}| without a second popcount: subtract |S^p|
+            # (= `entries`, needed for accounting anyway) and the self
+            # bit when it is not already a member of S^p.
+            byte, bit = _bits(pos)
+            counts = self.n_ranks - entries - ((snap[idx, byte] & bit) == 0)
+        _clear_bits(cand, idx, pos)
+        return counts, _PackedCandidates(cand, self.enc)
+
+    def same_node(
+        self, senders: np.ndarray, cand: _PackedCandidates
+    ) -> tuple[np.ndarray, _PackedCandidates]:
+        """``(counts, view)`` of the part of ``cand`` on each sender's
+        own node — the ``intra_node_bias`` pool."""
+        rpn = self.ranks_per_node
+        if self.node_masks is None:
+            # Bit j of a row stands for rank j, or for rank dec[j].
+            node_of = np.arange(self.n_ranks) // rpn
+            bit_node = node_of if self.dec is None else node_of[self.dec]
+            self.node_masks = np.stack(
+                [np.packbits(bit_node == node) for node in range(int(node_of[-1]) + 1)]
+            )
+        local = cand.packed & self.node_masks[senders // rpn]
+        counts = np.bitwise_count(local).sum(axis=1, dtype=np.int64)
+        return counts, _PackedCandidates(local, cand.enc)
+
+    def merge(
+        self,
+        receivers: np.ndarray,
+        bounds: np.ndarray,
+        payloads: np.ndarray,
+        src: np.ndarray,
+    ) -> None:
+        # Scatter-OR one "j-th message per receiver" layer at a time —
+        # each layer touches every receiver at most once, so a plain
+        # fancy-indexed |= applies a whole layer in one vectorized pass
+        # (grouped-OR via reduceat walks bytes one at a time and is
+        # ~10x slower). Complete receivers take no part.
+        starts = bounds[:-1]
+        group_sizes = np.diff(bounds)
+        if self.enc is not None:
+            todo = ~self.complete[receivers]
+            receivers, starts = receivers[todo], starts[todo]
+            group_sizes = group_sizes[todo]
+        rows = self.rows
+        for j in range(int(group_sizes.max(initial=0))):
+            layer = group_sizes > j
+            rows[receivers[layer]] |= payloads[src[starts[layer] + j]]
+
+    def trim(self, receivers: np.ndarray) -> None:
+        cap = self.cap
+        if cap is None or receivers.size == 0:
+            return
+        rows = self.rows
+        if self.enc is not None:
+            receivers = receivers[~self.complete[receivers]]
+            sub = rows[receivers]
+            width = sub.shape[1]
+            if width % 8:  # keep_first_bits reads whole 64-bit words
+                sub = np.pad(sub, ((0, 0), (0, -width % 8)))
+            counts, over = keep_first_bits(sub, cap)
+            rows[receivers[over]] = sub[over, :width]
+            full = np.flatnonzero(counts >= self.full)
+            at_head = sub[full, : self.head.size] == self.head
+            self.complete[receivers[full]] = at_head.all(axis=1)
+            return
+        # "random": a uniform cap-subset of each over-cap row, keyed per
+        # rank-ordered column.
+        n = self.n_ranks
+        counts = np.bitwise_count(rows[receivers]).sum(axis=1, dtype=np.int64)
+        over = receivers[counts > cap]
+        for start in range(0, over.size, _TRIM_CHUNK_ROWS):
+            chunk = over[start : start + _TRIM_CHUNK_ROWS]
+            bools = np.unpackbits(rows[chunk], axis=1, count=n).view(bool)
+            keys = self.rng.random(bools.shape)
+            keys[~bools] = np.inf
+            keep = np.argpartition(keys, cap, axis=1)[:, :cap]
+            trimmed = np.zeros(bools.shape, dtype=np.uint8)
+            np.put_along_axis(trimmed, keep, 1, axis=1)
+            rows[chunk] = np.packbits(trimmed, axis=1)
+
+    def finish(self) -> None:
+        """Write the container: priority rows are unpacked and their
+        columns gathered back to rank order, then re-packed in place
+        (packed) or read off as sorted ids through a boolean mask
+        (sparse: only positions somebody holds are gathered; shards are
+        views of one id array per chunk, no per-row sort or copy). All
+        complete rows share one decode — as shards, one array object."""
+        if self.enc is None:
+            return
+        know, rows, n = self.knowledge, self.rows, self.n_ranks
+        sparse = isinstance(know, SparseKnowledge)
+        shards = know.shards if sparse else None
+        done = np.flatnonzero(self.complete)
+        todo = np.append(np.flatnonzero(~self.complete), done[:1])
+        if sparse:
+            held = np.flatnonzero(
+                np.unpackbits(np.bitwise_or.reduce(rows, axis=0), count=n)
+            )
+            ids = self.dec[held]
+            order = np.argsort(ids)
+            cols, ids = held[order], ids[order].astype(_ID_DTYPE)
+        for start in range(0, todo.size, _TRIM_CHUNK_ROWS):
+            chunk = todo[start : start + _TRIM_CHUNK_ROWS]
+            bools = np.unpackbits(rows[chunk], axis=1, count=n)
+            if not sparse:
+                rows[chunk] = np.packbits(np.take(bools, self.enc, axis=1), axis=1)
+                continue
+            member = np.take(bools, cols, axis=1).view(bool)
+            flat = np.broadcast_to(ids, member.shape)[member]
+            ends = np.cumsum(np.count_nonzero(member, axis=1)).tolist()
+            for r, lo, hi in zip(chunk.tolist(), [0] + ends, ends):
+                shards[r] = flat[lo:hi]
+        if sparse:
+            for r in done[1:].tolist():
+                shards[r] = shards[done[0]]
+        else:
+            rows[done] = rows[done[:1]]
+
+
+class _ShardInterner:
+    """Content-addressed canonical store for shard arrays.
+
+    ``canon`` returns one canonical array per distinct content, so
+    ranks whose knowledge sets converge — the steady state of capped
+    "lowest"-trim gossip, where every rank settles on the same
+    lowest-load members — share a single array object. The sparse
+    store then skips whole merges on object identity alone (a payload
+    that *is* the receiver's shard cannot add members). A lookup never
+    changes values: the canonical is value-equal to the query by
+    construction, so interning is invisible to results.
+
+    Contents are bucketed by a cheap fingerprint (size, first, last,
+    sum); collisions fall back to an exact compare. The table is
+    dropped wholesale when it outgrows ``max_buckets`` — under the
+    non-converging "random" trim it would otherwise retain every
+    distinct set ever produced. Losing the table only costs future
+    skips, never correctness.
+    """
+
+    __slots__ = ("buckets", "max_buckets")
+
+    def __init__(self, max_buckets: int) -> None:
+        self.buckets: dict[tuple[int, int, int, int], list[np.ndarray]] = {}
+        self.max_buckets = max_buckets
+
+    def canon(self, arr: np.ndarray) -> np.ndarray:
+        if arr.size == 0:
+            return arr
+        fp = (arr.size, int(arr[0]), int(arr[-1]), int(arr.sum(dtype=np.int64)))
+        bucket = self.buckets.get(fp)
+        if bucket is None:
+            if len(self.buckets) >= self.max_buckets:
+                self.buckets.clear()
+            self.buckets[fp] = [arr]
+            return arr
+        for canonical in bucket:
+            if np.array_equal(arr, canonical):
+                return canonical
+        bucket.append(arr)
+        return arr
+
+
+class _FastSparseCandidates:
+    """Candidate view ``P \\ (S^p u {p})`` over sparse knowledge shards.
+
+    A draw is a candidate iff it is not the sender and not in the
+    sender's shard. Sender rows are grouped by payload *object* —
+    interning makes equal shards identical objects, so converged rounds
+    collapse to one dominant group — and that group tests draws against
+    one shared boolean bitmap of its shard; only the remaining rows pay
+    per-row membership: one ``searchsorted`` against the flat key array
+    ``row * P + id`` (the row-major concatenation of sorted shards is
+    globally sorted). ``counts`` is ``P - |S^p| - (p not in S^p)``,
+    exactly the packed store's, so the shared sampler sees the same
+    inputs and consumes the same RNG stream.
+
+    When the store keeps shards in priority space (capped "lowest"
+    trim; see :class:`_SparseStore`), ``enc``/``dec`` carry the
+    rank->priority permutation and its inverse: draws are rank ids, so
+    membership encodes the draw (``enc``) against the priority-valued
+    segments, while the dominant bitmap and the exact ``extract`` path
+    decode members (``dec``) back to rank ids once. Both are ``None``
+    in id space.
+    """
+
+    def __init__(
+        self,
+        n_ranks: int,
+        senders: np.ndarray,
+        snap: "np.ndarray | list[np.ndarray]",
+        lens: np.ndarray,
+        template: np.ndarray,
+        enc: np.ndarray | None,
+        dec: np.ndarray | None,
+    ) -> None:
+        self.n_ranks = n_ranks
+        self.senders = senders
+        self.snap = snap
+        self.lens = lens
+        self.template = template
+        self.enc = enc
+        self.dec = dec
+        n_rows = int(senders.size)
+        groups: dict[int, list[int]] = {}
+        for i, s in enumerate(snap):
+            groups.setdefault(id(s), []).append(i)
+        dom_rows: list[int] | None = None
+        if groups:
+            best = max(groups.values(), key=len)
+            if len(best) >= _DOMINANT_MIN_ROWS and lens[best[0]]:
+                dom_rows = best
+        knows_self = np.zeros(n_rows, dtype=bool)
+        self.dom_mask = None
+        self.bitmap = None
+        if dom_rows is not None:
+            dom_shard = snap[dom_rows[0]]
+            if dec is not None:
+                dom_shard = dec[dom_shard]
+            # Always rank-indexed (decoded here), so dominant rows never
+            # pay a per-wave mapping.
+            self.bitmap = np.zeros(n_ranks, dtype=bool)
+            self.bitmap[dom_shard] = True
+            self.dom_mask = np.zeros(n_rows, dtype=bool)
+            self.dom_mask[dom_rows] = True
+            knows_self[self.dom_mask] = self.bitmap[senders[self.dom_mask]]
+            nd_rows = np.flatnonzero(~self.dom_mask)
+        else:
+            nd_rows = np.arange(n_rows)
+        self.nd_pos = np.full(n_rows, -1, dtype=np.int64)
+        self.nd_pos[nd_rows] = np.arange(nd_rows.size)
+        nd_lens = lens[nd_rows]
+        if int(nd_lens.sum()):
+            nd_flat = np.concatenate([snap[i] for i in nd_rows.tolist()])
+        else:
+            nd_flat = np.empty(0, dtype=_ID_DTYPE)
+        self.nd_flat_keys = np.repeat(
+            np.arange(nd_rows.size, dtype=np.int64) * n_ranks, nd_lens
+        ) + nd_flat.astype(np.int64)
+        if nd_rows.size:
+            knows_self[nd_rows] = self._hits(
+                np.arange(nd_rows.size), senders[nd_rows][:, None]
+            )[:, 0]
+        self.counts = n_ranks - lens - (~knows_self)
+
+    def _hits(self, sub_rows: np.ndarray, sub_draws: np.ndarray) -> np.ndarray:
+        """Shard membership for non-dominant rows (compact indices).
+
+        ``sub_draws`` holds rank ids; with ``enc`` set they are mapped
+        into the priority-valued segments first — membership of
+        ``enc[draw]`` in the encoded shard equals membership of
+        ``draw`` in the original, since ``enc`` is a bijection.
+        """
+        flat = self.nd_flat_keys
+        if not flat.size:  # all-empty shards: the seeding round
+            return np.zeros(sub_draws.shape, dtype=bool)
+        if self.enc is not None:
+            sub_draws = self.enc[sub_draws]
+        keys = (sub_rows[:, None] * np.int64(self.n_ranks) + sub_draws).ravel()
+        pos = np.searchsorted(flat, keys)
+        return (flat[np.minimum(pos, flat.size - 1)] == keys).reshape(sub_draws.shape)
+
+    def test(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        ok = draws != self.senders[rows][:, None]
+        if self.bitmap is not None:
+            dm = self.dom_mask[rows]
+            if dm.any():
+                ok[dm] &= ~self.bitmap[draws[dm]]
+            ndm = ~dm
+        else:
+            ndm = np.ones(rows.size, dtype=bool)
+        if ndm.any():
+            sub = ndm if self.bitmap is not None else slice(None)
+            hit = self._hits(self.nd_pos[rows[sub]], draws[sub])
+            ok[sub] &= ~hit
+        return ok
+
+    def extract(
+        self, rows: np.ndarray, exclude: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """As :meth:`_PackedCandidates.extract`. The rare exact-sampler
+        path (thin rows only): the packed complement from an all-ones
+        template with the shard and self bits cleared; encoded members
+        are decoded back to rank ids first."""
+        out = np.repeat(self.template[None, :], rows.size, axis=0)
+        idx = np.arange(rows.size)
+        row_lens = self.lens[rows]
+        if int(row_lens.sum()):
+            members = np.concatenate(
+                [self.snap[r] for r in rows.tolist()]
+            ).astype(np.int64)
+            if self.dec is not None:
+                members = self.dec[members]
+            _clear_bits(out, np.repeat(idx, row_lens), members)
+        _clear_bits(out, idx, self.senders[rows])
+        if exclude is not None:
+            _clear_bits(out, *exclude)
+        return _set_bits(out)
+
+
+class _SparseStore:
+    """Round-loop adapter over sorted id arrays — the working
+    representation of a :class:`SparseKnowledge` container whenever bit
+    rows would be larger than the shards (``n_ranks > 32 * max_known``)
+    or must stay in rank order ("random" trim, uncapped).
+
+    Nothing O(P) per sender is ever materialized, so round cost scales
+    with shard sizes (bounded by ``max_known``) instead of ``P``. Two
+    value-preserving layers keep converged rounds cheap:
+
+    - **Priority space** (capped "lowest" trim only): shards hold
+      sorted *priority* values (``enc[member]``, as the bit rows'
+      positions), so the trim is a ``[:cap]`` truncation of the sorted
+      union and a shard equal to ``{0..cap-1}`` is *complete* — its
+      merges skip without touching the payloads. :meth:`finish`
+      decodes shards back to rank ids.
+    - **Interning + identity skips**: equal shard contents share one
+      array object (:class:`_ShardInterner`), so messages whose
+      payload *is* the receiver's shard are no-ops — detected for the
+      whole round with one ``reduceat`` — and sender rows sharing the
+      round's dominant payload object test sampler draws against one
+      shared bitmap (:class:`_FastSparseCandidates`).
+
+    The "random" trim draws RNG keys per over-cap row, so it cannot be
+    fused or skipped; that path keeps id-space shards and a separate
+    :meth:`trim` pass (identical stream consumption).
+    Payload handles are shard references: every mutation *replaces* a
+    shard array (interning included), so a reference taken at round
+    start — or held in the fault layer's late-delivery table — never
+    sees a later merge.
+    """
+
+    def __init__(
+        self,
+        n_ranks: int,
+        seeds: np.ndarray,
+        cap: int | None,
+        trim_policy: str,
+        loads: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        self.n_ranks = n_ranks
+        self.cap = cap
+        self.rng = rng
+        self.knowledge = SparseKnowledge(n_ranks)
+        self.template = _leading_ones(n_ranks)
+        self.interner = _ShardInterner(max_buckets=max(1024, n_ranks // 4))
+        self.fused_trim = cap is not None and trim_policy == "lowest"
+        self.enc: np.ndarray | None = None
+        self.dec: np.ndarray | None = None
+        self.complete: np.ndarray | None = None
+        members = seeds
+        if self.fused_trim:
+            # Loads are fixed for the stage, so the permutation pair is
+            # built once; a seed's shard {enc[p]} is complete only if
+            # the cap keeps one member and p comes first.
+            self.enc, self.dec = _priority_order(loads)
+            members = self.enc[seeds]
+            self.complete = np.zeros(n_ranks, dtype=bool)
+            self.complete[seeds] = (members == 0) & (cap == 1)
+        shards = self.knowledge.shards
+        for p, shard in zip(seeds.tolist(), members.astype(_ID_DTYPE).reshape(-1, 1)):
+            shards[p] = shard
+
+    def snapshot(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Payload shard references and their sizes."""
+        shards = self.knowledge.shards
+        n = senders.size
+        snap = np.fromiter((shards[s] for s in senders.tolist()), object, n)
+        return snap, np.fromiter((s.size for s in snap), np.int64, n)
+
+    def candidates(
+        self, senders: np.ndarray, snap: np.ndarray, lens: np.ndarray, full: bool
+    ) -> tuple[np.ndarray, _FastSparseCandidates]:
+        """``(counts, membership view)``: ``P \\ S^p`` minus self, or —
+        when ``full`` — the same view over empty shards (all of P)."""
+        if full:
+            snap = [np.empty(0, dtype=_ID_DTYPE)] * senders.size
+            lens = np.zeros(senders.size, dtype=np.int64)
+        cand = _FastSparseCandidates(
+            self.n_ranks, senders, snap, lens, self.template, self.enc, self.dec
+        )
+        return cand.counts, cand
+
+    def merge(
+        self,
+        receivers: np.ndarray,
+        bounds: np.ndarray,
+        payloads: np.ndarray,
+        src: np.ndarray,
+    ) -> None:
+        # Complete receivers and receivers whose every payload *is*
+        # their own shard object are skipped wholesale (the union
+        # cannot change their set); only the rest run a real merge,
+        # with the "lowest" trim fused in as a truncation.
+        shards = self.knowledge.shards
+        interner = self.interner
+        fused_trim = self.fused_trim
+        cap = self.cap
+        complete = self.complete
+        payload_list = payloads.tolist()
+        recv_list = receivers.tolist()
+        own_ids = np.fromiter(
+            (id(shards[r]) for r in recv_list), np.int64, receivers.size
+        )
+        payload_ids = np.fromiter(
+            (id(s) for s in payload_list), np.int64, len(payload_list)
+        )[src]
+        is_own = payload_ids == np.repeat(own_ids, np.diff(bounds))
+        open_recv = ~np.logical_and.reduceat(is_own, bounds[:-1])
+        if complete is not None:
+            open_recv &= ~complete[receivers]
+        bounds_list = bounds.tolist()
+        src_list = src.tolist()
+        for i in np.flatnonzero(open_recv).tolist():
+            r = recv_list[i]
+            own = shards[r]
+            own_id = id(own)
+            parts: list[np.ndarray] = []
+            seen = [own_id]
+            for j in range(bounds_list[i], bounds_list[i + 1]):
+                p = payload_list[src_list[j]]
+                pid = id(p)
+                if pid != own_id and pid not in seen:
+                    seen.append(pid)
+                    parts.append(p)
+            if own.size == 0 and len(parts) == 1 and (
+                not fused_trim or parts[0].size <= cap
+            ):
+                # Adopting the payload object shares it; shard arrays
+                # are immutable-by-replacement, so sharing is safe.
+                merged = parts[0]
+            else:
+                merged = np.concatenate([own, *parts])
+                # In-place sort + adjacency dedup == np.unique, minus
+                # the ~100us/call overhead that dominates saturated
+                # rounds (every rank is a receiver).
+                merged.sort()
+                keep = np.empty(merged.size, dtype=bool)
+                keep[0] = True
+                np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+                merged = merged[keep]
+                if fused_trim and merged.size > cap:
+                    merged = merged[:cap].copy()
+                merged = interner.canon(merged)
+            shards[r] = merged
+            if fused_trim and merged.size == cap and merged[-1] == cap - 1:
+                complete[r] = True
+
+    def trim(self, receivers: np.ndarray) -> None:
+        """The "random" ``max_known`` cap (the fused "lowest" one never
+        gets here), bit-identical to the bit-row trim: the same survivor
+        sets and the same RNG consumption (full-width key rows drawn in
+        the same chunks — only member positions are ever *read*, but
+        the stream must match draw for draw). Trimmed shards are
+        interned, so ranks that converge share one object."""
+        cap = self.cap
+        if self.fused_trim or cap is None or receivers.size == 0:
+            return
+        shards = self.knowledge.shards
+        lens = np.fromiter((shards[r].size for r in receivers.tolist()), np.int64)
+        over = receivers[lens > cap]
+        for start in range(0, over.size, _TRIM_CHUNK_ROWS):
+            chunk = over[start : start + _TRIM_CHUNK_ROWS]
+            keys = self.rng.random((chunk.size, self.n_ranks))
+            for i, r in enumerate(chunk.tolist()):
+                shard = shards[r]
+                keep = shard[np.argpartition(keys[i, shard], cap - 1)[:cap]]
+                keep.sort()
+                shards[r] = self.interner.canon(keep)
+
+    def finish(self) -> None:
+        """Decode priority-space shards back to sorted rank ids, one
+        conversion per distinct object. The dict pins the encoded key
+        arrays so object ids cannot be recycled mid-decode."""
+        if not self.fused_trim:
+            return
+        shards = self.knowledge.shards
+        decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for r in range(self.n_ranks):
+            s = shards[r]
+            hit = decoded.get(id(s))
+            if hit is not None and hit[0] is s:
+                shards[r] = hit[1]
+                continue
+            d = self.dec[s].astype(_ID_DTYPE)
+            d.sort()
+            decoded[id(s)] = (s, d)
+            shards[r] = d

@@ -54,7 +54,7 @@ from repro.core.metrics import imbalance
 from repro.core.knowledge import SparseKnowledge
 from repro.core.transfer import TransferConfig, TransferStats, transfer_from_rank
 from repro.obs import StatsRegistry
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive_int
 
 __all__ = [
     "EpisodeSpec",
@@ -96,10 +96,10 @@ class EpisodeSpec:
     threshold: float = 1.0  #: h — overload threshold multiplier
 
     def __post_init__(self) -> None:
-        check_positive("n_ranks", self.n_ranks)
-        check_positive("fanout", self.fanout)
-        check_positive("rounds", self.rounds)
-        check_positive("n_iters", self.n_iters)
+        check_positive_int("n_ranks", self.n_ranks)
+        check_positive_int("fanout", self.fanout)
+        check_positive_int("rounds", self.rounds)
+        check_positive_int("n_iters", self.n_iters)
         if len(self.task_loads) != len(self.assignment):
             raise ValueError("task_loads and assignment must have equal length")
         if len(self.assignment) and not (

@@ -26,7 +26,7 @@ from repro.core.knowledge import PackedKnowledgeBitmap
 from repro.sim.process import Process, System
 from repro.sim.rng import RankStreams
 from repro.sim.termination import SafraDetector
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive_int
 
 __all__ = ["DistributedGossip", "GossipOutcome"]
 
@@ -71,8 +71,8 @@ class DistributedGossip:
         streams: RankStreams | None = None,
         detector: "object | None" = None,
     ) -> None:
-        check_positive("fanout", fanout)
-        check_positive("rounds", rounds)
+        check_positive_int("fanout", fanout)
+        check_positive_int("rounds", rounds)
         self.system = system
         self.loads = np.ascontiguousarray(rank_loads, dtype=np.float64)
         if self.loads.size != system.n_ranks:

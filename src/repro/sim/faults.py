@@ -53,6 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (process imports us)
 
 __all__ = [
     "FaultConfig",
+    "EVENT_ONLY_FAULTS",
+    "PHASE_ONLY_FAULTS",
     "ChurnEvent",
     "parse_churn",
     "FaultyLink",
@@ -110,6 +112,16 @@ def parse_churn(spec: str) -> tuple[ChurnEvent, ...]:
     return tuple(events)
 
 
+#: Knobs only one level can honour, each refused by the other: the
+#: phase-level round loop has no clock, membership or control traffic,
+#: and the event-level link has no rounds to retry in.
+PHASE_ONLY_FAULTS = ("retransmit", "max_retries", "retry_rounds")
+EVENT_ONLY_FAULTS = (
+    "reorder_window", "churn", "drop_control",
+    "heartbeat_period", "suspect_timeout", "stage_timeout",
+)
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """Every fault-injection knob in one frozen config.
@@ -117,7 +129,9 @@ class FaultConfig:
     Probabilities are per message; ``seed`` drives the *fault* RNG
     streams, which are independent of the balancer's decision RNG — so
     turning faults on never changes which targets the gossip sampler
-    draws, only which messages survive the wire.
+    draws, only which messages survive the wire. Phase-level gossip
+    refuses the :data:`EVENT_ONLY_FAULTS`, :class:`FaultyLink` the
+    :data:`PHASE_ONLY_FAULTS`.
     """
 
     #: Per-message Bernoulli drop probability on every link.
@@ -174,6 +188,12 @@ class FaultConfig:
         if self.max_retries is not None:
             check_nonnegative("max_retries", self.max_retries)
 
+    def refuse(self, owner: str, knobs: tuple[str, ...]) -> None:
+        """Raise ``ValueError`` naming every one of ``knobs`` this config
+        sets away from its default: ``owner`` would run without it."""
+        defaults = {name: getattr(FaultConfig, name) for name in knobs}
+        refuse_changed(owner, self, replace(self, **defaults))
+
     @property
     def active(self) -> bool:
         """Whether any fault source is switched on. False means the
@@ -208,9 +228,7 @@ class FaultyLink:
         config: FaultConfig,
         registry=None,
     ) -> None:
-        phase_only = ("retransmit", "max_retries", "retry_rounds")
-        defaults = {name: getattr(FaultConfig, name) for name in phase_only}
-        refuse_changed("FaultyLink", config, replace(config, **defaults))
+        config.refuse("FaultyLink", PHASE_ONLY_FAULTS)
         self.system = system
         self.config = config
         #: False when the config has no active fault source: the system

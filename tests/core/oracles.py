@@ -54,7 +54,6 @@ from repro.core.gossip import (
     _SPARSE_DIVISOR,
     GossipConfig,
     GossipResult,
-    _clear_bits,
     _finalize_rounds,
     _run_rounds,
     _sample_sparse_rows,
@@ -155,11 +154,13 @@ class _SetCandidates:
         ]
         return np.array(out, dtype=bool).reshape(draws.shape)
 
-    def extract(self, rows: np.ndarray) -> np.ndarray:
+    def extract(self, rows: np.ndarray, exclude=None):
         out = np.ones((rows.size, self.n_ranks), dtype=bool)
         for i, r in enumerate(rows.tolist()):
             out[i, list(self.excluded[r])] = False
-        return np.packbits(out, axis=1)
+        if exclude is not None:
+            out[exclude] = False
+        return np.nonzero(out)
 
 
 class SetStore:
@@ -282,12 +283,11 @@ def sample_packed_rows(rng, cand, counts, want, n_ranks):
             out_rows.append(np.repeat(dense_rows, filled))
             out_targets.append(slots[slots >= 0])
         if active.size:
-            # Clear already-picked bits and finish exactly.
+            # Finish exactly, without the already-picked ranks.
             leftover = dense_rows[active]
-            residual = cand.extract(leftover)
             picked_rows = np.repeat(np.arange(active.size), filled[active])
             picked = slots[active][slots[active] >= 0]
-            _clear_bits(residual, picked_rows, picked)
+            residual = cand.extract(leftover, (picked_rows, picked))
             extra_rows, extra_targets = _sample_sparse_rows(
                 rng, residual, need[active] - filled[active], n_ranks
             )

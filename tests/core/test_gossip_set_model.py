@@ -18,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import gossip as gossip_module
+from repro.core import knowledge as knowledge_module
 from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.sim.faults import FaultConfig
 from tests.core.oracles import inform_set_model, member_sets
@@ -140,13 +140,13 @@ class TestLatePayloadAtCompleteReceiver:
         # time it lands and must ignore it, exactly as the set model's
         # union-then-trim does.
         hits = []
-        merge = gossip_module._PackedStore.merge
+        merge = knowledge_module._PackedStore.merge
 
         def spy(self, receivers, bounds, payloads, src):
             hits.append(int(self.complete[receivers].sum()))
             merge(self, receivers, bounds, payloads, src)
 
-        monkeypatch.setattr(gossip_module._PackedStore, "merge", spy)
+        monkeypatch.setattr(knowledge_module._PackedStore, "merge", spy)
         faults = FaultConfig(delay_rate=1.0, loss_rate=0.3, retransmit=True, seed=3)
         config = GossipConfig(
             fanout=4, rounds=10, max_known=4, trim_policy="lowest", faults=faults

@@ -35,12 +35,6 @@ class TestSparseBasics:
         k.add(1, [])
         assert k.counts().sum() == 0
 
-    def test_add_self_seeds_diagonal(self):
-        k = SparseKnowledge(20)
-        k.add_self(np.array([1, 9, 17]))
-        assert [r for r in range(20) if r in k.known(r)] == [1, 9, 17]
-        assert k.counts().sum() == 3
-
     def test_merge_is_union_of_shards(self):
         k = SparseKnowledge(10)
         k.add(0, [1])
@@ -125,7 +119,7 @@ class TestSparseParity:
                 ranks = rng.choice(n, size=3, replace=False)
                 for r in ranks.tolist():
                     ref[r].add(r)
-                sparse.add_self(ranks)
+                    sparse.add(r, [r])
             elif op == 2:
                 src, dst = rng.choice(n, size=2, replace=False)
                 ref[int(dst)] |= ref[int(src)]

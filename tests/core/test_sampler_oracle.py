@@ -27,10 +27,10 @@ from repro.core import gossip as gossip_module
 from repro.core.gossip import (
     _SPARSE_DIVISOR,
     GossipConfig,
-    _PackedCandidates,
     _sample_packed_rows,
     run_inform_stage,
 )
+from repro.core.knowledge import _PackedCandidates
 from repro.core.ordering import _two_group_order
 from tests.core import oracles
 from tests.core.test_gossip_set_model import ACCOUNTING, FAULTS, RETRANSMIT, _loads

@@ -90,18 +90,20 @@ class TestLimitedInformationGossip:
     def _trim(members, loads, cfg, seed):
         """One rank's S^p after the driver's per-round max_known trim:
         the bit-row store's ``trim`` (a prefix cut under "lowest", keyed
-        under "random"), read back from the container it writes."""
-        from repro.core.gossip import _PackedStore
-        from repro.core.knowledge import PackedKnowledgeBitmap
+        under "random"), read back from the container it writes. Rank 0
+        learns ``members`` by merging their self-seeded rows."""
+        from repro.core.knowledge import _PackedStore
 
-        know = PackedKnowledgeBitmap(len(loads))
-        know.add(0, members)
+        seeds = np.asarray(members, dtype=np.int64)
         store = _PackedStore(
-            know, cfg, np.asarray(loads, dtype=np.float64), np.random.default_rng(seed)
+            len(loads), seeds, cfg.max_known, cfg.trim_policy,
+            np.asarray(loads, dtype=np.float64), np.random.default_rng(seed),
         )
+        snap, _ = store.snapshot(seeds)
+        store.merge(np.array([0]), np.array([0, seeds.size]), snap, np.arange(seeds.size))
         store.trim(np.array([0]))
         store.finish()
-        return know.known(0)
+        return store.knowledge.known(0)
 
     def test_trim_lowest_policy(self):
         loads = np.array([5.0, 1.0, 3.0, 2.0, 4.0])

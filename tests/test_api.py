@@ -154,6 +154,17 @@ def test_config_and_cli_surface_only_shrinks():
     assert flags <= 66, f"cli.py has {flags} add_argument calls; {RATCHET}"
 
 
+def test_gossip_is_algorithm_one_and_nothing_else():
+    """``core/gossip.py`` holds the listing; how ``S^p`` is laid out is
+    ``core/knowledge.py``'s, so no bit or shard detail appears in it."""
+    text = (Path(repro.__file__).parent / "core" / "gossip.py").read_text()
+    lines = len(text.splitlines())
+    assert lines <= 750, f"core/gossip.py has {lines} lines; {RATCHET}"
+    layout = r"packbits|unpackbits|bitwise_count|_ID_DTYPE|\.packed\b|\.shards\b"
+    found = [line for line in text.splitlines() if re.search(layout, line)]
+    assert found == [], f"storage layout in core/gossip.py: {found}"
+
+
 # -- reachability: a module stays only if something outside tests/ reaches it --
 
 

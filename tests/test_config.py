@@ -11,7 +11,9 @@ and reaches, or is refused by, the code it is handed to.
   and refuses every other transfer knob; ``GrapevineLB`` itself takes
   no transfer or loop knob but the threshold;
 - ``LBManager`` refuses knobs its event-level episode does not
-  implement instead of running without them.
+  implement instead of running without them, and phase-level gossip
+  refuses the event-level fault knobs;
+- counts (``EpisodeSpec``'s, ``DistributedGossip``'s) are integers.
 """
 
 from dataclasses import replace
@@ -24,10 +26,13 @@ from repro.core.gossip import GossipConfig
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferConfig
 from repro.empire.app import EmpireConfig, _make_balancer
+from repro.net.episode import EpisodeSpec
 from repro.obs import StatsRegistry
 from repro.runtime.amt import AMTRuntime
+from repro.runtime.distributed_gossip import DistributedGossip
 from repro.runtime.lbmanager import LBManager
-from repro.sim.faults import FaultConfig
+from repro.sim.faults import EVENT_ONLY_FAULTS, FaultConfig
+from repro.sim.process import System
 from repro.workloads import paper_analysis_scenario
 from tests.empire.test_identity import QUICK, _app_digest
 
@@ -129,6 +134,68 @@ class TestGrapevinePreset:
     def test_transfer_and_loop_knobs_are_a_type_error(self, knob):
         with pytest.raises(TypeError):
             GrapevineLB(**knob)
+
+
+class TestPhaseGossipRefusesEventOnlyFaults:
+    """The round loop has no clock, membership or control traffic."""
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"churn": "crash:3@0"},
+            {"reorder_window": 1e-6},
+            {"drop_control": True},
+            {"heartbeat_period": 2e-4},
+            {"suspect_timeout": 1e-3},
+            {"stage_timeout": 1e-3},
+        ],
+        ids=lambda k: next(iter(k)),
+    )
+    def test_each_knob_raises(self, knob):
+        faults = FaultConfig(loss_rate=0.1, **knob)
+        with pytest.raises(ValueError, match=f"phase-level gossip cannot honour {next(iter(knob))}"):
+            GossipConfig(faults=faults)
+        with pytest.raises(ValueError, match=next(iter(knob))):
+            TemperedConfig(faults=faults)
+
+    def test_error_names_every_dropped_knob(self):
+        faults = FaultConfig(
+            churn="crash:3@0", reorder_window=1e-6, drop_control=True,
+            heartbeat_period=2e-4, suspect_timeout=1e-3, stage_timeout=1e-3,
+        )
+        with pytest.raises(ValueError) as info:
+            GossipConfig(faults=faults)
+        for name in EVENT_ONLY_FAULTS:
+            assert name in str(info.value)
+
+    def test_phase_knobs_are_accepted(self):
+        faults = FaultConfig(
+            loss_rate=0.2, delay_rate=0.3, delay_scale=2.0, duplicate_rate=0.1,
+            retransmit=True, max_retries=3, retry_rounds=2, seed=4,
+        )
+        assert GossipConfig(faults=faults).faults is faults
+
+
+class TestCountsMustBeIntegers:
+    """A fractional or boolean count is refused where it is declared,
+    instead of failing later inside numpy or being truncated."""
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"n_ranks": True}, {"fanout": 2.5}, {"rounds": 2.5}, {"n_iters": 1.5}],
+        ids=lambda k: next(iter(k)),
+    )
+    def test_episode_spec(self, knob):
+        base = dict(n_ranks=4, task_loads=(1.0, 2.0), assignment=(0, 0))
+        with pytest.raises(ValueError, match=f"{next(iter(knob))} must be a positive integer"):
+            EpisodeSpec(**{**base, **knob})
+
+    @pytest.mark.parametrize(
+        "knob", [{"fanout": 2.5}, {"rounds": 3.7}], ids=lambda k: next(iter(k))
+    )
+    def test_distributed_gossip(self, knob):
+        with pytest.raises(ValueError, match=f"{next(iter(knob))} must be a positive integer"):
+            DistributedGossip(System(4), np.ones(4), **knob)
 
 
 def _runtime() -> AMTRuntime:
