@@ -38,13 +38,15 @@ carried the bytes.
 Message sizes use the simulator's cost model
 (:data:`~repro.core.gossip.HEADER_BYTES` +
 :data:`~repro.core.gossip.ENTRY_BYTES` per knowledge entry) so byte
-counters agree across transports even though a JSON frame's physical
-length differs.
+counters agree across transports even though a message's physical
+length inside a batch frame (a 32-byte record plus 8 bytes per member
+id) differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -138,6 +140,18 @@ class EpisodeSpec:
             **kwargs,
         )
 
+    @cached_property
+    def task_loads_array(self) -> np.ndarray:
+        """``task_loads`` as one read-only float64 array, built once per
+        spec; every :class:`NodeCore` of the spec holds this same array."""
+        return _read_only(np.asarray(self.task_loads, dtype=np.float64))
+
+    @cached_property
+    def assignment_array(self) -> np.ndarray:
+        """The initial ``assignment`` as one read-only int64 array, built
+        once per spec (a core copies it: its assignment is private)."""
+        return _read_only(np.asarray(self.assignment, dtype=np.int64))
+
     def transfer_config(self) -> TransferConfig:
         """The Algorithm 2 configuration these decisions run under."""
         return TransferConfig(
@@ -160,6 +174,11 @@ class EpisodeSpec:
         data["task_loads"] = tuple(float(x) for x in data["task_loads"])
         data["assignment"] = tuple(int(x) for x in data["assignment"])
         return cls(**data)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def episode_streams(
@@ -260,8 +279,9 @@ class NodeCore:
         self.spec = spec
         self.rank = int(rank)
         self.n_ranks = spec.n_ranks
-        self.task_loads = np.asarray(spec.task_loads, dtype=np.float64)
-        self.assignment = np.asarray(spec.assignment, dtype=np.int64)
+        self.task_loads = spec.task_loads_array  # shared and read-only
+        #: private: transfer decisions and apply_moves write it
+        self.assignment = spec.assignment_array.copy()
         rank_loads = np.bincount(
             self.assignment, weights=self.task_loads, minlength=self.n_ranks
         )
@@ -402,7 +422,7 @@ def assemble_assignment(
     spec: EpisodeSpec, moves: list[tuple[int, int, int]]
 ) -> np.ndarray:
     """The final global assignment from the initial one plus all moves."""
-    assignment = np.asarray(spec.assignment, dtype=np.int64).copy()
+    assignment = spec.assignment_array.copy()
     for task, _src, dst in moves:
         assignment[task] = dst
     return assignment
@@ -473,8 +493,8 @@ def build_result(
     those inputs — never to the assembly arithmetic.
     """
     n_ranks = spec.n_ranks
-    task_loads = np.asarray(spec.task_loads, dtype=np.float64)
-    initial = np.asarray(spec.assignment, dtype=np.int64)
+    task_loads = spec.task_loads_array
+    initial = spec.assignment_array
     final = assemble_assignment(spec, moves)
     return EpisodeResult(
         assignment=final,

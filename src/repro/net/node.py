@@ -14,15 +14,18 @@ machines' messages over sockets and implements the waits the round
 barrier needs.
 
 Each barrier step (a gossip round, the transfer step) leaves a worker
-as **one batch frame per destination worker**::
-
-    {"t": "batch", "src": <worker>, "iter": <iteration>, "seq": <n>,
-     "msgs": [<to_wire(Message)>, ...]}
-
-cut into several frames only once its messages pass
-:data:`BATCH_CUT_BYTES`. The receiver drops a repeated ``(src, seq)``
-batch whole, hands each message to the node it addresses and wakes one
-per-worker condition once per batch.
+as **one batch frame per destination worker**: a small JSON envelope
+(``src`` worker, ``iter``, ``seq``, record count) and one binary
+section — a fixed-layout record per message and the members of every
+gossip message in one ``<i8`` array (:func:`repro.net.wire.pack_batch`),
+built straight from the step's :class:`~repro.net.episode.GossipSend` s
+and ``(src, dst, task)`` transfers. No message becomes an object or a
+JSON string on the way. A step is cut into several frames only once its
+records pass :data:`BATCH_CUT_BYTES`. The receiver drops a repeated
+``(src, seq)`` batch whole, refuses one from an earlier iteration,
+hands each record to the node it addresses — gossip members as a
+read-only view into the frame — and wakes one per-worker condition
+once per batch.
 
 :func:`run_worker` speaks the coordinator's control protocol (see
 :mod:`repro.net.coordinator` for the frame sequence). Run as
@@ -43,13 +46,22 @@ import numpy as np
 from repro.net.dispatcher import Dispatcher, RetryPolicy
 from repro.net.episode import XFER_BYTES, EpisodeSpec, GossipSend, NodeCore
 from repro.net.logging_jsonl import WireLog
-from repro.net.wire import FrameError, encode_json, expect_frame, read_frame, write_frame
-from repro.sim.messages import Message, from_wire, to_wire
+from repro.net.wire import (
+    GOSSIP,
+    KINDS,
+    MEMBER_ID,
+    RECORD,
+    XFER,
+    FrameError,
+    expect_frame,
+    read_frame,
+    write_frame,
+)
 
 __all__ = ["BATCH_CUT_BYTES", "NetNode", "NetWorker", "run_worker", "main"]
 
-#: A step's batch for one peer is cut once its encoded messages pass
-#: this size, so a frame stays well under ``MAX_FRAME_BYTES`` (and
+#: A step's batch for one peer is cut once its records and member ids
+#: pass this size, so a frame stays well under ``MAX_FRAME_BYTES`` (and
 #: exceeds the constant by at most one message) at any rank count.
 BATCH_CUT_BYTES = 1 << 20
 
@@ -82,7 +94,7 @@ class NetWorker:
         self.iteration = -1  #: none begun: whatever arrives now is early
         self.dispatcher: Dispatcher | None = None
         self.deduped = 0  #: retransmitted batches dropped whole
-        self.message_bytes = 0  #: encoded messages sent, envelopes excluded
+        self.message_bytes = 0  #: records + member ids sent, envelopes excluded
         self._owner: list[int] = []  #: rank -> hosting worker
         self._server: asyncio.AbstractServer | None = None
         self._seen: set[tuple[int, int]] = set()
@@ -159,70 +171,91 @@ class NetWorker:
         """Deliver one batch frame to the nodes it addresses, once."""
         if frame.get("t") != "batch":
             raise FrameError(f"unexpected worker-to-worker frame {frame.get('t')!r}")
-        key = (int(frame["src"]), int(frame["seq"]))
-        if key in self._seen:
+        src, seq, iteration = int(frame["src"]), int(frame["seq"]), int(frame["iter"])
+        if (src, seq) in self._seen:
             # Retransmitted duplicate (stubborn-link dedup, the
             # receiver half of Dispatcher's retry semantics).
             self.deduped += 1
             return
-        self._seen.add(key)
-        if int(frame["iter"]) > self.iteration:
+        self._seen.add((src, seq))
+        if iteration > self.iteration:
             # A peer already past the epoch boundary this worker has
             # yet to cross; begin_iteration delivers it.
             self._early.append(frame)
+        elif iteration < self.iteration:
+            # The barriers deliver every batch of an iteration before
+            # any worker leaves it: this one would count toward the
+            # wrong barrier.
+            raise FrameError(
+                f"stale batch from worker {src} (seq {seq}, iter {iteration}) "
+                f"at worker {self.index}'s iteration {self.iteration}"
+            )
         else:
             self._deliver(frame)
 
     def _deliver(self, frame: dict[str, Any]) -> None:
-        for wire in frame["msgs"]:
-            msg = from_wire(wire)
-            node = self.nodes.get(msg.dst)
+        records, ids = frame["records"], frame["ids"]
+        ends = np.cumsum(records["count"], dtype=np.int64).tolist()
+        for (kind, src, dst, count, step, size), end in zip(records.tolist(), ends):
+            node = self.nodes.get(dst)
             if node is None:
-                raise FrameError(f"worker {self.index} does not host rank {msg.dst}")
-            if msg.tag == "gossip":
-                step = int(msg.payload["round"])
-                node.core.receive(step, msg.payload["members"])
-            elif msg.tag == "xfer":
-                step = None
-                node.core.receive_xfer(int(msg.payload["task"]))
+                raise FrameError(f"worker {self.index} does not host rank {dst}")
+            if kind == GOSSIP:
+                node.core.receive(step, ids[end - count : end])
             else:
-                raise FrameError(f"unexpected node-to-node tag {msg.tag!r}")
+                node.core.receive_xfer(step)  # a transfer's step is its task id
+                step = None
             node.arrivals[step] += 1
             if node.log is not None:
                 node.log.record(
-                    "rx", msg.tag, msg.src, msg.size, len(encode_json(wire)),
-                    step, self.iteration,
+                    "rx", KINDS[kind], src, size,
+                    RECORD.itemsize + MEMBER_ID.itemsize * count, step, self.iteration,
                 )
 
     # -- outbound ------------------------------------------------------------
 
-    async def post(self, messages: Iterable[Message]) -> None:
-        """Send one barrier step's messages: one batch frame per
-        destination worker (more only past :data:`BATCH_CUT_BYTES`),
-        then wait until every frame is written."""
-        batches: dict[int, list[list[bytes]]] = {}
+    async def post(
+        self,
+        gossip: Iterable[GossipSend] = (),
+        xfers: Iterable[tuple[int, int, int]] = (),
+    ) -> None:
+        """Send one barrier step's messages — gossip sends and ``(src,
+        dst, task)`` transfers — as one batch frame per destination
+        worker (more only past :data:`BATCH_CUT_BYTES`), then wait
+        until every frame is written."""
+        cuts: dict[int, list[tuple[list[tuple], list[np.ndarray]]]] = {}
         room: dict[int, int] = {}
-        for msg in messages:
-            body = encode_json(to_wire(msg))
-            dst = self._owner[msg.dst]
+
+        def cut_for(rank: int, nbytes: int) -> tuple[list[tuple], list[np.ndarray]]:
+            dst = self._owner[rank]
             if room.get(dst, 0) <= 0:
-                batches.setdefault(dst, []).append([])
+                cuts.setdefault(dst, []).append(([], []))
                 room[dst] = BATCH_CUT_BYTES
-            batches[dst][-1].append(body)
-            room[dst] -= len(body) + 1
-            self.message_bytes += len(body)
-            log = self.nodes[msg.src].log
+            room[dst] -= nbytes
+            self.message_bytes += nbytes
+            return cuts[dst][-1]
+
+        for s in gossip:
+            count = s.members.size
+            nbytes = RECORD.itemsize + MEMBER_ID.itemsize * count
+            rows, ids = cut_for(s.dst, nbytes)
+            rows.append((GOSSIP, s.src, s.dst, count, s.round, s.size))
+            ids.append(s.members)
+            log = self.nodes[s.src].log
             if log is not None:
-                log.record(
-                    "tx", msg.tag, msg.dst, msg.size, len(body),
-                    msg.payload.get("round"), self.iteration,
-                )
+                log.record("tx", "gossip", s.dst, s.size, nbytes, s.round, self.iteration)
+        for src, dst, task in xfers:
+            rows, _ = cut_for(dst, RECORD.itemsize)
+            rows.append((XFER, src, dst, 0, task, XFER_BYTES))
+            log = self.nodes[src].log
+            if log is not None:
+                log.record("tx", "xfer", dst, XFER_BYTES, RECORD.itemsize, None, self.iteration)
         envelope = {"t": "batch", "src": self.index, "iter": self.iteration}
-        for dst, cuts in batches.items():
-            for bodies in cuts:
-                self.dispatcher.send(dst, envelope, "batch", msgs=bodies)
+        for dst, worker_cuts in cuts.items():
+            for section in worker_cuts:
+                self.dispatcher.send(dst, envelope, "batch", section)
             # Bounded by construction: drained after every step.
-            assert self.dispatcher.queued(dst) <= len(cuts)
+            assert self.dispatcher.queued(dst) <= len(worker_cuts)
         await self.dispatcher.drain()
 
     # -- barriers ------------------------------------------------------------
@@ -292,7 +325,7 @@ async def run_worker(host: str, port: int, index: int = 0) -> None:
             round_index = 1
             while True:
                 step = [s for batch in sends.values() for s in batch]
-                await worker.post(_gossip_message(s) for s in step)
+                await worker.post(gossip=step)
                 sent = {
                     "t": "sent",
                     "round": round_index,
@@ -309,18 +342,15 @@ async def run_worker(host: str, port: int, index: int = 0) -> None:
                 round_index += 1
 
             decide: dict = {"t": "decide", "moves": {}, "hits": {}, "under": {}}
-            xfers: list[Message] = []
+            xfers: list[tuple[int, int, int]] = []
             for r, node in nodes.items():
                 decide["hits"][str(r)] = node.core.coverage_hits()
                 decide["under"][str(r)] = bool(node.core._underloaded[r])
                 stats = node.core.decide_transfers()
-                xfers += [
-                    Message(r, dst, "xfer", {"task": task}, XFER_BYTES)
-                    for dst, task in node.core.xfer_sends(stats)
-                ]
+                xfers += [(r, dst, task) for dst, task in node.core.xfer_sends(stats)]
                 decide["moves"][str(r)] = [[int(x) for x in mv] for mv in stats.moves]
-            decide["xfer_counts"] = Counter(str(m.dst) for m in xfers)
-            await worker.post(xfers)
+            decide["xfer_counts"] = Counter(str(dst) for _, dst, _ in xfers)
+            await worker.post(xfers=xfers)
             await write_frame(writer, decide)
             commit = await expect_frame(reader, "xfer_commit")
             await worker.wait_arrivals(commit["expect"], None)
@@ -341,11 +371,6 @@ async def run_worker(host: str, port: int, index: int = 0) -> None:
         writer.close()
         if worker is not None:
             await worker.close()
-
-
-def _gossip_message(s: GossipSend) -> Message:
-    payload = {"round": s.round, "members": s.members}
-    return Message(s.src, s.dst, "gossip", payload, s.size)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,14 +1,14 @@
 """Typed active messages exchanged between simulated ranks.
 
-Besides the in-simulator :class:`Message` dataclass, this module owns
-the *wire form* of a message — the JSON-safe dict the real-socket
-runtime (:mod:`repro.net`) frames onto TCP connections. Both runtimes
-exchange the same logical messages; :func:`to_wire`/:func:`from_wire`
-are the single conversion point, so a payload that round-trips here is
-guaranteed to mean the same thing to a simulated rank and to a live
-node process. The schema is versioned (:data:`WIRE_VERSION`); a
-receiver rejects frames from a different major version instead of
-guessing.
+Besides the in-simulator :class:`Message` dataclass, this module keeps
+a JSON-safe *wire dict* for one message (:func:`to_wire`, versioned by
+:data:`WIRE_VERSION`). The real-socket runtime (:mod:`repro.net`) no
+longer uses it: gossip and transfer messages cross its sockets as
+fixed-layout records inside binary batch frames
+(:func:`repro.net.wire.pack_batch`). :func:`to_wire` and
+:func:`encode_payload` stay because the repo benchmark's
+``net.wire.pack_us`` microbenchmark times them;
+:class:`WireFormatError` is the base of every framing error.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ __all__ = [
     "WIRE_VERSION",
     "WireFormatError",
     "encode_payload",
-    "decode_payload",
     "to_wire",
-    "from_wire",
 ]
 
 _ids = itertools.count()
 
-#: Wire-schema version stamped on every framed message. Bump on any
-#: incompatible change to the frame layout or payload encoding.
+#: Schema version stamped on every wire dict. Bump on any incompatible
+#: change to its layout or payload encoding.
 WIRE_VERSION = 1
 
 
@@ -45,10 +43,11 @@ def encode_payload(payload: Any) -> Any:
 
     Handled types: None/bool/int/float/str pass through; numpy scalars
     become Python scalars; numpy arrays become ``{"__nd__": ..,
-    "dtype": ..}``; tuples become ``{"__tuple__": [..]}`` (so the
-    decoder can restore tuple-vs-list exactly); lists and string-keyed
+    "dtype": ..}``; tuples become ``{"__tuple__": [..]}`` (so tuple and
+    list stay distinct); lists and string-keyed
     dicts recurse. Anything else is a :class:`WireFormatError` — the
-    wire schema is deliberately closed.
+    wire schema is deliberately closed. (Kept, with :func:`to_wire`, for
+    the repo benchmark's ``net.wire.pack_us`` microbenchmark.)
     """
     if payload is None or isinstance(payload, (bool, int, float, str)):
         return payload
@@ -70,19 +69,6 @@ def encode_payload(payload: Any) -> Any:
     raise WireFormatError(f"unencodable payload type {type(payload).__name__}")
 
 
-def decode_payload(value: Any) -> Any:
-    """Inverse of :func:`encode_payload`."""
-    if isinstance(value, list):
-        return [decode_payload(v) for v in value]
-    if isinstance(value, dict):
-        if "__nd__" in value:
-            return np.asarray(value["__nd__"], dtype=np.dtype(value["dtype"]))
-        if "__tuple__" in value:
-            return tuple(decode_payload(v) for v in value["__tuple__"])
-        return {k: decode_payload(v) for k, v in value.items()}
-    return value
-
-
 def to_wire(msg: "Message") -> dict[str, Any]:
     """The JSON-safe wire dict for one message."""
     return {
@@ -93,31 +79,6 @@ def to_wire(msg: "Message") -> dict[str, Any]:
         "payload": encode_payload(msg.payload),
         "size": int(msg.size),
     }
-
-
-def from_wire(data: dict[str, Any]) -> "Message":
-    """Rebuild a :class:`Message` from its wire dict.
-
-    Raises :class:`WireFormatError` on a missing/incompatible version
-    or a malformed frame, never silently reinterprets.
-    """
-    if not isinstance(data, dict):
-        raise WireFormatError(f"wire frame must be a dict, got {type(data).__name__}")
-    version = data.get("v")
-    if version != WIRE_VERSION:
-        raise WireFormatError(
-            f"wire version mismatch: got {version!r}, expected {WIRE_VERSION}"
-        )
-    try:
-        return Message(
-            src=int(data["src"]),
-            dst=int(data["dst"]),
-            tag=str(data["tag"]),
-            payload=decode_payload(data.get("payload")),
-            size=int(data.get("size", 64)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise WireFormatError(f"malformed wire frame: {exc}") from exc
 
 
 @dataclass(frozen=True)

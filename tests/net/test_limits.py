@@ -1,25 +1,29 @@
 """Known limits of the socket runtime, pinned.
 
 Open fds are ``O(W^2)`` in the worker count and independent of the rank
-count (one server and one connection per worker pair), batch frames are
-cut near ``BATCH_CUT_BYTES``, a dispatcher queue never holds more than
-one step's cuts, and the sim<->net identity holds at 256 ranks in tier-1
+count (one server and one connection per worker pair), every core of a
+spec shares one read-only ``task_loads``, batch frames are cut near
+``BATCH_CUT_BYTES``, a dispatcher queue never holds more than one
+step's cuts, and the sim<->net identity holds at 256 ranks in tier-1
 (1,024 under ``slow``).
 """
 
 import asyncio
 import os
 
+import numpy as np
 import pytest
 
 from repro.net import (
     EpisodeSpec,
     NetOptions,
+    NodeCore,
     run_episode_net,
     run_episode_net_async,
     run_episode_sim,
 )
 from repro.net import dispatcher, node
+from repro.net.wire import MEMBER_ID, RECORD
 
 needs_proc_fd = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
@@ -84,6 +88,20 @@ class TestScale:
         assert net.to_dict() == run_episode_sim(spec).to_dict()
 
 
+class TestMemory:
+    def test_cores_share_one_read_only_task_loads(self):
+        """8 B per task per rank: the spec's one read-only ``task_loads``
+        array is every core's; only ``assignment`` is private."""
+        spec = EpisodeSpec.synthetic(8, seed=2)
+        a, b = NodeCore(spec, 0), NodeCore(spec, 1)
+        assert a.task_loads is b.task_loads is spec.task_loads_array
+        assert not spec.task_loads_array.flags.writeable
+        assert a.assignment.flags.writeable and not np.shares_memory(
+            a.assignment, b.assignment
+        )
+        assert not np.shares_memory(a.assignment, spec.assignment_array)
+
+
 class TestBatchCut:
     @pytest.fixture
     def spy(self, monkeypatch):
@@ -91,18 +109,18 @@ class TestBatchCut:
         every send, per destination, between two drains."""
         seen = {"frames": [], "depths": []}
         since_drain: dict[tuple[int, int], int] = {}
-        real_pack = dispatcher.pack_frame
+        real_pack = dispatcher.pack_batch
         real_send = dispatcher.Dispatcher.send
         real_drain = dispatcher.Dispatcher.drain
 
-        def pack(obj, msgs=None):
-            payload = real_pack(obj, msgs)
-            if msgs is not None:
-                seen["frames"].append((len(payload), [len(m) for m in msgs]))
+        def pack(envelope, records, ids=()):
+            payload = real_pack(envelope, records, ids)
+            sizes = [RECORD.itemsize + MEMBER_ID.itemsize * r[3] for r in records]
+            seen["frames"].append((len(payload), sizes))
             return payload
 
-        def send(self, dst, frame, tag="", msgs=None):
-            real_send(self, dst, frame, tag, msgs)
+        def send(self, dst, frame, tag="", section=None):
+            real_send(self, dst, frame, tag, section)
             key = (self.rank, dst)
             since_drain[key] = since_drain.get(key, 0) + 1
             seen["depths"].append((self.queued(dst), since_drain[key]))
@@ -112,7 +130,7 @@ class TestBatchCut:
             for key in [k for k in since_drain if k[0] == self.rank]:
                 del since_drain[key]
 
-        monkeypatch.setattr(dispatcher, "pack_frame", pack)
+        monkeypatch.setattr(dispatcher, "pack_batch", pack)
         monkeypatch.setattr(dispatcher.Dispatcher, "send", send)
         monkeypatch.setattr(dispatcher.Dispatcher, "drain", drain)
         return seen
@@ -135,9 +153,9 @@ class TestBatchCut:
         assert max(cuts for _, cuts in spy["depths"]) > 1  # cuts happened
         # Queue depth at every send <= the cuts of the step so far.
         assert all(depth <= cuts for depth, cuts in spy["depths"])
-        for size, bodies in spy["frames"]:
-            # A cut closes only once it passes the constant: all but its
-            # last message fit under it, so a frame exceeds it by at most
-            # one message (plus the ~70-byte envelope).
-            assert sum(n + 1 for n in bodies[:-1]) < cut
-            assert size <= cut + bodies[-1] + 128
+        for size, records in spy["frames"]:
+            # A cut closes only once its records pass the constant: all
+            # but its last message fit under it, so a frame exceeds it by
+            # at most one message (plus the ~70-byte envelope).
+            assert sum(records[:-1]) < cut
+            assert size <= cut + records[-1] + 128

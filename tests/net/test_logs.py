@@ -9,8 +9,7 @@ from repro.net import EpisodeSpec, NetOptions, run_episode_net, save_result
 from repro.net.analyze import analyze_episode, analyze_logs, format_report
 from repro.net.logging_jsonl import RECORD_FIELDS, WireLog, iter_records, log_path
 from repro.net.node import NetWorker
-from repro.net.wire import encode_json, pack_frame, unpack_frame
-from repro.sim.messages import Message, to_wire
+from repro.net.wire import GOSSIP, XFER, FrameError, pack_batch, unpack_frame
 
 
 class TestWireLog:
@@ -113,16 +112,16 @@ class TestBatchedTransport:
         worker = NetWorker(0, EpisodeSpec.synthetic(8, seed=0), range(8))
         worker.begin_iteration(0)
         members = np.array([1, 5], dtype=np.int64)
-        messages = [
-            Message(5, 2, "gossip", {"round": 1, "members": members}, 96),
-            Message(1, 2, "gossip", {"round": 1, "members": members}, 96),
-            Message(5, 7, "gossip", {"round": 1, "members": members}, 96),
-            Message(3, 4, "xfer", {"task": 11}, 48),
+        records = [
+            (GOSSIP, 5, 2, 2, 1, 96),
+            (GOSSIP, 1, 2, 2, 1, 96),
+            (GOSSIP, 5, 7, 2, 1, 96),
+            (XFER, 3, 4, 0, 11, 48),
         ]
         envelope = {"t": "batch", "src": 1, "iter": 0, "seq": 0}
-        packed = pack_frame(envelope, [encode_json(to_wire(m)) for m in messages])
+        packed = pack_batch(envelope, records, [members] * 3)
         frame, rest = unpack_frame(packed)
-        assert rest == b"" and len(frame["msgs"]) == 4
+        assert rest == b"" and frame["n"] == 4
         worker.on_batch(frame)
         worker.on_batch(frame)  # the stubborn link's retransmission
         assert worker.deduped == 1
@@ -134,15 +133,18 @@ class TestBatchedTransport:
         worker.on_batch({**frame, "src": 2})
         assert worker.deduped == 1 and worker.nodes[2].arrivals[1] == 4
 
+    @staticmethod
+    def _gossip_batch(iteration, seq):
+        """Rank 3 tells rank 1 about {3} in round 1, from worker 1."""
+        envelope = {"t": "batch", "src": 1, "iter": iteration, "seq": seq}
+        records = [(GOSSIP, 3, 1, 1, 1, 64)]
+        return unpack_frame(pack_batch(envelope, records, [np.array([3])]))[0]
+
     def test_batch_ahead_of_the_epoch_waits_for_begin_iteration(self):
         """A peer may cross an epoch boundary first; what it sends then
         must survive this worker's per-iteration reset."""
         worker = NetWorker(0, EpisodeSpec.synthetic(4, seed=0), range(4))
-        payload = {"round": 1, "members": np.array([3], dtype=np.int64)}
-        wire = to_wire(Message(3, 1, "gossip", payload, 64))
-
-        def batch(iteration, seq):
-            return {"t": "batch", "src": 1, "iter": iteration, "seq": seq, "msgs": [wire]}
+        batch = self._gossip_batch
 
         worker.on_batch(batch(0, 0))  # before the first begin_iteration
         assert not worker.nodes[1].arrivals
@@ -154,6 +156,18 @@ class TestBatchedTransport:
         assert worker.nodes[1].arrivals[1] == 1  # reset, then the parked one
         worker.nodes[1].core.advance(1)  # the payload reached the core's inbox
         assert 3 in worker.nodes[1].core.shard
+
+    def test_batch_from_an_earlier_iteration_is_refused(self):
+        """The barriers make a batch from a finished iteration impossible;
+        one that passes dedup anyway must fail loudly, not count toward
+        the current barrier."""
+        worker = NetWorker(0, EpisodeSpec.synthetic(4, seed=0), range(4))
+        worker.begin_iteration(0)
+        worker.begin_iteration(1)
+        with pytest.raises(FrameError, match=r"worker 1 \(seq 5, iter 0\)"):
+            worker.on_batch(self._gossip_batch(0, 5))
+        assert not worker.nodes[1].arrivals
+        assert worker.nodes[1].core.registry.counters.get("gossip.received", 0) == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_consistent_for_any_worker_count(self, workers, tmp_path):
