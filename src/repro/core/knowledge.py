@@ -195,9 +195,18 @@ class PackedKnowledgeBitmap:
         """Seed each rank in ``ranks`` with knowledge of itself (Alg. 1 l.7)."""
         _or_bits(self.packed, ranks, ranks)
 
-    def merge_many(self, dsts: np.ndarray, src_row: np.ndarray) -> None:
-        """Merge one packed row into several destinations at once."""
+    def merge_many(self, dsts: int | np.ndarray, src_row: np.ndarray) -> None:
+        """Merge one packed row (:meth:`row`) into one destination or
+        several at once."""
         self.packed[dsts] |= src_row
+
+    def row(self, rank: int) -> np.ndarray:
+        """A copy of ``S^rank``'s packed row, the operand of :meth:`merge_many`."""
+        return self.packed[rank].copy()
+
+    def count(self, rank: int) -> int:
+        """``|S^rank|``: the popcount of one row."""
+        return int.from_bytes(self.packed[rank].tobytes(), "little").bit_count()
 
     def known(self, rank: int) -> np.ndarray:
         """``S^rank`` as a sorted array of rank ids."""

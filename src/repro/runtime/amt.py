@@ -140,6 +140,7 @@ class AMTRuntime:
         barrier = PhaseBarrier(self.system, on_release)
         barrier.start()
         self.system.run()
+        barrier.close()
         if np.isnan(releases).any():
             raise RuntimeError("phase barrier did not release every rank")
 

@@ -13,6 +13,18 @@ merged knowledge once for each distinct round value it receives, which
 is what the practical implementations do and bounds traffic at
 ``O(P f k)`` messages (the literal per-received-message forwarding of
 the pseudocode is exponential; see DESIGN.md § 5).
+
+An inform message's payload is ``(row, round)``: a copy of the
+sender's packed row of :class:`PackedKnowledgeBitmap` at send time
+(``know.row``), shared by every target of the fan-out. A receiver
+merges it with one ``know.merge_many(rank, row)``; the layout of the
+row stays the store's business. The modelled wire size still counts
+one entry per known rank (``HEADER_BYTES + ENTRY_BYTES * |S^p|``, the
+row's popcount), which is what a real id-list message would carry.
+
+Each stage takes a fresh ``inform_<n>`` tag from its system and retires
+it when the stage ends, so a message delayed past the stage timeout is
+discarded on arrival instead of forwarding into the next stage.
 """
 
 from __future__ import annotations
@@ -29,8 +41,6 @@ from repro.sim.termination import SafraDetector
 from repro.util.validation import check_positive_int
 
 __all__ = ["DistributedGossip", "GossipOutcome"]
-
-_gossip_counter = 0
 
 
 @dataclass
@@ -92,10 +102,8 @@ class DistributedGossip:
 
     def run(self) -> GossipOutcome:
         """Execute the inform stage to quiescence; advances the clock."""
-        global _gossip_counter
-        _gossip_counter += 1
-        tag = f"inform_{_gossip_counter}"
         system = self.system
+        tag = system.stage_tag("inform")
         n = system.n_ranks
         start_time = system.engine.now
         counters = {"messages": 0, "bytes": 0}
@@ -113,12 +121,10 @@ class DistributedGossip:
         know.add_self(seeds)
         #: Rounds already forwarded per rank (coalescing guard).
         forwarded: list[set[int]] = [set() for _ in range(n)]
-        #: Set once the stage is over: late messages (delayed past the
-        #: stage timeout) must not trigger sends into the next stage.
-        closed = [False]
 
         def send_knowledge(proc: Process, next_round: int) -> None:
-            candidates = know.unknown_targets(proc.rank)
+            rank = proc.rank
+            candidates = know.unknown_targets(rank)
             if self.detector is not None and self.detector.suspected:
                 suspects = np.fromiter(
                     self.detector.suspected, dtype=np.int64, count=-1
@@ -126,27 +132,27 @@ class DistributedGossip:
                 candidates = candidates[~np.isin(candidates, suspects)]
             if candidates.size == 0:
                 return
-            rng = self.streams[proc.rank]
+            rng = self.streams[rank]
             k = min(self.fanout, candidates.size)
             targets = (
                 candidates
                 if candidates.size <= self.fanout
                 else rng.choice(candidates, size=k, replace=False)
             )
-            payload = know.known(proc.rank)
-            size = HEADER_BYTES + ENTRY_BYTES * payload.size
-            proc.send_many(targets, tag, payload=(payload, next_round), size=size)
-            n_sent = int(len(targets))
+            size = HEADER_BYTES + ENTRY_BYTES * know.count(rank)
+            proc.send_many(
+                targets.tolist(), tag, payload=(know.row(rank), next_round), size=size
+            )
+            n_sent = len(targets)
             counters["messages"] += n_sent
             counters["bytes"] += n_sent * size
 
         def on_inform(proc: Process, msg) -> None:
-            if closed[0]:
-                return
-            members, round_index = msg.payload
-            know.add(proc.rank, members)
-            if round_index < self.rounds and round_index not in forwarded[proc.rank]:
-                forwarded[proc.rank].add(round_index)
+            row, round_index = msg.payload
+            rank = proc.rank
+            know.merge_many(rank, row)
+            if round_index < self.rounds and round_index not in forwarded[rank]:
+                forwarded[rank].add(round_index)
                 send_knowledge(proc, round_index + 1)
 
         for proc in system.processes:
@@ -159,38 +165,44 @@ class DistributedGossip:
         safra = SafraDetector(
             system, on_terminate=detected.append, scope=lambda t: t == tag
         )
-        if faults is None:
-            for rank in seeds:
-                send_knowledge(system.processes[int(rank)], 1)
-            safra.start()
-            system.run()
-            if not detected:
-                raise RuntimeError("gossip termination was not detected")
-            elapsed = detected[0] - start_time
-        else:
-            # Faulty run: a crashed member breaks the Safra ring, so the
-            # stage is additionally bounded by a timeout. Events are
-            # stepped one at a time so the clock stops at detection (or
-            # at the deadline) instead of draining unrelated events.
-            if self.detector is not None:
-                self.detector.start()
-            for rank in seeds:
-                send_knowledge(system.processes[int(rank)], 1)
-            safra.start()
-            deadline = start_time + faults.config.stage_timeout
-            engine = system.engine
-            while not detected:
-                nxt = engine.peek()
-                if nxt is None or nxt > deadline:
-                    break
-                engine.step()
-            if not detected:
-                safra.cancel()
-                engine.run(until=deadline)  # advance the clock, only
-            closed[0] = True
-            if self.detector is not None:
-                self.detector.stop()
-            elapsed = (detected[0] if detected else deadline) - start_time
+        try:
+            if faults is None:
+                for rank in seeds:
+                    send_knowledge(system.processes[int(rank)], 1)
+                safra.start()
+                system.run()
+                if not detected:
+                    raise RuntimeError("gossip termination was not detected")
+                elapsed = detected[0] - start_time
+            else:
+                # Faulty run: a crashed member breaks the Safra ring, so
+                # the stage is additionally bounded by a timeout. Events
+                # are stepped one at a time so the clock stops at
+                # detection (or at the deadline) instead of draining
+                # unrelated events.
+                if self.detector is not None:
+                    self.detector.start()
+                for rank in seeds:
+                    send_knowledge(system.processes[int(rank)], 1)
+                safra.start()
+                deadline = start_time + faults.config.stage_timeout
+                engine = system.engine
+                while not detected:
+                    nxt = engine.peek()
+                    if nxt is None or nxt > deadline:
+                        break
+                    engine.step()
+                if not detected:
+                    safra.cancel()
+                    engine.run(until=deadline)  # advance the clock, only
+                if self.detector is not None:
+                    self.detector.stop()
+                elapsed = (detected[0] if detected else deadline) - start_time
+        finally:
+            # The stage is over: late messages (delayed past the stage
+            # timeout) are discarded instead of sending into the next.
+            safra.cancel()
+            system.retire(tag)
 
         return GossipOutcome(
             knowledge=know,

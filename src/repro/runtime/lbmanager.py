@@ -323,7 +323,7 @@ class LBManager:
     def _stats_allreduce(self, rank_loads: np.ndarray) -> None:
         """Simulate the constant-size (total, max) all-reduce."""
         contributions = [(float(l), float(l)) for l in rank_loads]
-        allreduce(
+        op = allreduce(
             self.runtime.system,
             contributions,
             combine=lambda a, b: (a[0] + b[0], max(a[1], b[1])),
@@ -331,3 +331,4 @@ class LBManager:
             size=32,
         )
         self.runtime.system.run()
+        op.close()

@@ -24,8 +24,6 @@ from repro.sim.termination import DijkstraScholten
 
 __all__ = ["MigrationResult", "migrate_tasks"]
 
-_migration_counter = 0
-
 
 @dataclass
 class MigrationResult:
@@ -63,12 +61,11 @@ def migrate_tasks(
         The serialization size model.
 
     Returns the episode's :class:`MigrationResult`; the system clock
-    advances to the detected completion time.
+    advances to the detected completion time, and the episode leaves no
+    handler or hook behind.
     """
-    global _migration_counter
-    _migration_counter += 1
-    commit_tag = f"mig_commit_{_migration_counter}"
-    task_tag = f"mig_task_{_migration_counter}"
+    commit_tag = system.stage_tag("mig_commit")
+    task_tag = system.stage_tag("mig_task")
     start = system.engine.now
 
     # Final destination per task (collapse multi-hop proposals).
@@ -103,7 +100,11 @@ def migrate_tasks(
     for task, dst in outgoing.get(0, ()):
         root.send(dst, task_tag, payload=task, size=bytes_by_task[task])
     detector.start()
-    system.run()
+    try:
+        system.run()
+    finally:
+        detector.cancel()
+        system.retire(commit_tag, task_tag)
     if not done:
         raise RuntimeError("migration termination was not detected")
     return MigrationResult(

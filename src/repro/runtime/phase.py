@@ -20,15 +20,15 @@ from repro.sim.reductions import binomial_children, binomial_parent
 
 __all__ = ["PhaseBarrier", "PhaseInstrumentation"]
 
-_barrier_counter = 0
-
 
 class PhaseBarrier:
     """A binomial-tree barrier keyed to each rank's CPU-busy time.
 
     Every rank "arrives" when its CPU drains (``busy_until``); arrival
     reports flow up a binomial tree and a release wave flows back down.
-    ``on_complete(rank, time)`` fires per rank at its release time.
+    ``on_release(rank, time)`` fires per rank at its release time.
+    Once the system has run the barrier out, :meth:`close` retires its
+    tags.
     """
 
     def __init__(
@@ -37,15 +37,13 @@ class PhaseBarrier:
         on_release: Callable[[int, float], None],
         size: int = 16,
     ) -> None:
-        global _barrier_counter
-        _barrier_counter += 1
         self.system = system
         self.on_release = on_release
         self.size = size
         n = system.n_ranks
         self._pending = [len(binomial_children(v, n)) + 1 for v in range(n)]
-        self._tag_up = f"__barrier_up_{_barrier_counter}"
-        self._tag_down = f"__barrier_down_{_barrier_counter}"
+        self._tag_up = system.stage_tag("__barrier_up")
+        self._tag_down = system.stage_tag("__barrier_down")
         for proc in system.processes:
             proc.register(self._tag_up, self._on_up)
             proc.register(self._tag_down, self._on_down)
@@ -55,6 +53,10 @@ class PhaseBarrier:
         for proc in self.system.processes:
             when = max(self.system.engine.now, proc.busy_until)
             self.system.engine.schedule_at(when, self._arrive, proc.rank)
+
+    def close(self) -> None:
+        """Retire the barrier's tags (idempotent)."""
+        self.system.retire(self._tag_up, self._tag_down)
 
     def _arrive(self, rank: int) -> None:
         self._pending[rank] -= 1

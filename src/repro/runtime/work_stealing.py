@@ -29,8 +29,6 @@ from repro.util.validation import check_positive
 
 __all__ = ["StealResult", "WorkStealingScheduler", "RetentiveWorkStealing"]
 
-_instances = 0
-
 
 @dataclass
 class StealResult:
@@ -59,8 +57,6 @@ class WorkStealingScheduler:
         request_size: int = 32,
         task_desc_size: int = 256,
     ) -> None:
-        global _instances
-        _instances += 1
         check_positive("max_attempts", max_attempts)
         self.system = system
         self.task_loads = np.ascontiguousarray(task_loads, dtype=np.float64)
@@ -82,8 +78,8 @@ class WorkStealingScheduler:
         self._attempts = [0] * system.n_ranks
         self._retired = [False] * system.n_ranks
 
-        self._tag_request = f"ws_request_{_instances}"
-        self._tag_response = f"ws_response_{_instances}"
+        self._tag_request = system.stage_tag("ws_request")
+        self._tag_response = system.stage_tag("ws_response")
         for proc in system.processes:
             proc.register(self._tag_request, self._on_request)
             proc.register(self._tag_response, self._on_response)
@@ -99,11 +95,15 @@ class WorkStealingScheduler:
         )
 
     def run(self) -> StealResult:
-        """Execute the phase to completion; advances the system clock."""
+        """Execute the phase to completion; advances the system clock.
+        The phase retires its tags when it ends."""
         self.result.start_time = self.system.engine.now
         for rank in range(self.system.n_ranks):
             self._next(rank)
-        self.system.run()
+        try:
+            self.system.run()
+        finally:
+            self.system.retire(self._tag_request, self._tag_response)
         if self.result.tasks_executed != self.task_loads.size:
             raise RuntimeError(
                 f"work stealing lost tasks: executed {self.result.tasks_executed} "

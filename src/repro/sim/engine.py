@@ -4,11 +4,19 @@ Events are ``(time, sequence, callback, args)`` tuples in a binary heap.
 The sequence number makes simultaneous events execute in scheduling
 order, which — together with seeded RNG streams — makes every
 simulation bit-reproducible.
+
+:mod:`repro.sim.process` queues its message events through
+:meth:`Engine._push`, which skips :meth:`Engine.schedule_at`'s past-time
+check: their times are ``max(now, ...) + non-negative costs`` by
+construction. Every event, checked or not, draws its sequence number
+from the same ticket, and only this module knows the tuple layout.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from typing import Any, Callable
 
 from repro.obs import StatsRegistry
@@ -30,7 +38,8 @@ class Engine:
     def __init__(self, registry: StatsRegistry | None = None) -> None:
         self._queue: list[tuple[float, int, Callable[..., None], tuple[Any, ...]]] = []
         self._now = 0.0
-        self._seq = 0
+        #: Sequence numbers, one per scheduled event, in scheduling order.
+        self._ticket = itertools.count()
         self._events_processed = 0
         self._registry = registry
 
@@ -58,40 +67,46 @@ class Engine:
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         check_nonnegative("delay", delay)
-        heapq.heappush(self._queue, (self._now + delay, self._seq, callback, args))
-        self._seq += 1
+        self._push(self._now + delay, callback, args)
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute time ``when`` (>= now)."""
         if when < self._now:
             raise ValueError(f"cannot schedule into the past ({when} < {self._now})")
-        heapq.heappush(self._queue, (when, self._seq, callback, args))
-        self._seq += 1
+        self._push(when, callback, args)
+
+    def _push(self, when: float, callback: Callable[..., None], args: tuple[Any, ...]) -> None:
+        """Queue ``callback(*args)`` at ``when``, unchecked: for callers
+        whose times are never before ``now`` by construction."""
+        heapq.heappush(self._queue, (when, next(self._ticket), callback, args))
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Dispatch events until the queue drains, ``until`` is reached,
         or ``max_events`` have executed. Returns the final time.
 
         With ``until`` set, events beyond it stay queued and the clock
-        advances exactly to ``until``.
+        advances exactly to ``until`` (unless ``max_events`` stopped the
+        run first). The loop keeps the queue, the pop and the bounds in
+        locals; ``events_processed`` is current inside every callback.
         """
+        queue = self._queue
+        pop = heapq.heappop
+        stop = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
         dispatched = 0
         start_time = self._now
         try:
-            while self._queue:
-                when, _, callback, args = self._queue[0]
-                if until is not None and when > until:
-                    self._now = until
-                    return self._now
-                if max_events is not None and dispatched >= max_events:
-                    return self._now
-                heapq.heappop(self._queue)
+            while queue and queue[0][0] <= stop and dispatched < limit:
+                when, _, callback, args = pop(queue)
                 self._now = when
                 self._events_processed += 1
                 dispatched += 1
                 callback(*args)
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None:
+                if queue and queue[0][0] > until:
+                    self._now = until
+                elif not queue and until > self._now:
+                    self._now = until
             return self._now
         finally:
             if self._registry is not None and self._registry.enabled:

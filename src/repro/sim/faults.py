@@ -380,14 +380,11 @@ class HeartbeatFailureDetector:
     without P^2 heartbeat traffic.
     """
 
-    _instances = 0
-
     def __init__(self, system: "System", config: FaultConfig, registry=None) -> None:
-        HeartbeatFailureDetector._instances += 1
         self.system = system
         self.config = config
         self.registry = registry if registry is not None else system.registry
-        self._hb_tag = f"__hb_{HeartbeatFailureDetector._instances}"
+        self._hb_tag = system.stage_tag("__hb")
         n = system.n_ranks
         self.last_heard = np.full(n, system.engine.now)
         self.timeouts = np.full(n, config.suspect_timeout)

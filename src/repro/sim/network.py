@@ -55,15 +55,21 @@ class NetworkModel:
 
     def latency(self, src: int, dst: int, size: int) -> float:
         """Total transfer time for ``size`` bytes from ``src`` to ``dst``."""
-        return self.wire_latency(src, dst) + self.tx_seconds(src, dst, size)
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        tx, alpha = self.link_cost(src, dst, size)
+        return alpha + tx
 
-    def wire_latency(self, src: int, dst: int) -> float:
-        """The size-independent (alpha) component."""
+    def link_cost(self, src: int, dst: int, size: int) -> tuple[float, float]:
+        """``(tx, alpha)`` for ``size >= 0`` bytes, classifying the link
+        once: ``tx`` is the serialization (beta) time the sender's NIC
+        is occupied, ``alpha`` the size-independent wire latency."""
         if src == dst:
-            return self.self_latency
-        if self.node_of(src) == self.node_of(dst):
-            return self.intra_latency
-        return self.inter_latency
+            return 0.0, self.self_latency
+        rpn = self.ranks_per_node
+        if src // rpn == dst // rpn:
+            return size / self.intra_bandwidth, self.intra_latency
+        return size / self.inter_bandwidth, self.inter_latency
 
     def latencies(
         self, src: int, dsts: np.ndarray, sizes: np.ndarray | int
@@ -94,14 +100,3 @@ class NetworkModel:
             ),
         )
         return alpha + beta
-
-    def tx_seconds(self, src: int, dst: int, size: int) -> float:
-        """The serialization (beta) component: time the sender's NIC is
-        occupied pushing ``size`` bytes."""
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        if src == dst:
-            return 0.0
-        if self.node_of(src) == self.node_of(dst):
-            return size / self.intra_bandwidth
-        return size / self.inter_bandwidth

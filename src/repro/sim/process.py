@@ -7,6 +7,30 @@ overhead plus whatever :meth:`Process.compute` time the handler spends.
 A :class:`System` wires ``P`` processes to one
 :class:`~repro.sim.engine.Engine` and one
 :class:`~repro.sim.network.NetworkModel`.
+
+**Stage lifetime.** A protocol stage (an inform stage, a termination
+detector, an all-reduce, a migration, a barrier) names its tags with
+:meth:`System.stage_tag` — ``<prefix>_<n>``, numbered per system, so
+the same run on a fresh system yields the same tags and registry keys
+whatever else ran in the interpreter — and, when it finishes, detaches
+its hooks (:meth:`System.remove_hooks`) and handlers
+(:meth:`System.retire`). A long-lived system therefore pays only for
+the stages that are running. A late message for a retired tag (a delay
+spike past a stage timeout) is discarded when it executes, still
+charged the handler overhead, so simulated time does not depend on
+when a stage detached.
+
+**The per-message path.** Each message is one :class:`Message`, one
+arrival event and one execute event; arrival and execution stay
+separate events because executing inline would run a handler ahead of
+other events queued at the same time. The path keeps its state in
+locals, classifies each link once (:meth:`NetworkModel.link_cost`),
+charges the handler overhead through the same occupancy rule as
+:meth:`Process.compute` without re-validating it, and queues its events
+with the engine's unchecked push (their times are never in the past by
+construction). Hooks are tuples, replaced rather than mutated, so a
+hook that detaches while the hooks run (a detector announcing
+termination) never makes the loop skip the next one.
 """
 
 from __future__ import annotations
@@ -23,6 +47,15 @@ from repro.util.validation import check_nonnegative, check_positive
 __all__ = ["Process", "System"]
 
 Handler = Callable[["Process", Message], None]
+
+#: The hook lists of a :class:`System`, by attribute name.
+_HOOK_LISTS = (
+    "_transmit_hooks",
+    "_deliver_hooks",
+    "_post_execute_hooks",
+    "_compute_hooks",
+    "_drop_hooks",
+)
 
 
 class Process:
@@ -64,15 +97,8 @@ class Process:
     def send(self, dst: int, tag: str, payload: Any = None, size: int = 64) -> None:
         """Send an active message; delivery time follows the network model."""
         self.sent += 1
-        msg = Message(
-            src=self.rank,
-            dst=dst,
-            tag=tag,
-            payload=payload,
-            size=size,
-            send_time=self.system.engine.now,
-        )
-        self.system.transmit(msg)
+        system = self.system
+        system.transmit(Message(self.rank, dst, tag, payload, size, system.engine.now))
 
     def send_many(
         self, dsts: "list[int] | Any", tag: str, payload: Any = None, size: int = 64
@@ -83,31 +109,30 @@ class Process:
         system batches the message accounting (see
         :meth:`System.transmit_many`).
         """
-        now = self.system.engine.now
-        msgs = [
-            Message(
-                src=self.rank,
-                dst=int(dst),
-                tag=tag,
-                payload=payload,
-                size=size,
-                send_time=now,
-            )
-            for dst in dsts
-        ]
+        system = self.system
+        now = system.engine.now
+        src = self.rank
+        msgs = [Message(src, int(dst), tag, payload, size, now) for dst in dsts]
         if not msgs:
             return
         self.sent += len(msgs)
-        self.system.transmit_many(msgs)
+        system.transmit_many(msgs)
 
     def compute(self, duration: float) -> None:
         """Occupy this rank's CPU for ``duration`` seconds."""
         check_nonnegative("duration", duration)
-        start = max(self.system.engine.now, self.busy_until)
-        self.busy_until = start + duration
+        self._occupy(duration)
+
+    def _occupy(self, duration: float) -> None:
+        """:meth:`compute` for a ``duration`` already known to be valid."""
+        system = self.system
+        now = system.engine._now
+        busy = self.busy_until
+        start = busy if busy > now else now  # max(now, busy), ties to now
+        self.busy_until = end = start + duration
         self.compute_time += duration
-        for hook in self.system._compute_hooks:
-            hook(self.rank, start, self.busy_until)
+        for hook in system._compute_hooks:
+            hook(self.rank, start, end)
 
     def deliver(self, msg: Message) -> None:
         """Called by the system at wire-arrival time; the message queues
@@ -116,29 +141,32 @@ class Process:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
+        """Schedule the head of the mailbox at ``max(now, busy_until)``."""
         if self._executing or not self._mailbox:
             return
         self._executing = True
-        start = max(self.system.engine.now, self.busy_until)
-        self.system.engine.schedule_at(start, self._execute)
+        engine = self.system.engine
+        now = engine._now
+        busy = self.busy_until
+        engine._push(busy if busy > now else now, self._execute, ())
 
     def _execute(self) -> None:
-        if not self._mailbox:
+        mailbox = self._mailbox
+        if not mailbox:
             # The mailbox was cleared (rank crash) between scheduling
             # and execution; this event is stale.
             self._executing = False
             return
-        msg = self._mailbox.popleft()
+        msg = mailbox.popleft()
         self.received += 1
-        self.compute(self.system.handler_overhead)
-        try:
-            handler = self._handlers[msg.tag]
-        except KeyError:
-            raise KeyError(
-                f"rank {self.rank} has no handler for tag {msg.tag!r}"
-            ) from None
-        handler(self, msg)
-        for hook in self.system._post_execute_hooks:
+        system = self.system
+        self._occupy(system.handler_overhead)  # validated by the System
+        handler = self._handlers.get(msg.tag)
+        if handler is not None:
+            handler(self, msg)
+        elif msg.tag not in system._retired:
+            raise KeyError(f"rank {self.rank} has no handler for tag {msg.tag!r}")
+        for hook in system._post_execute_hooks:
             hook(self, msg)
         self._executing = False
         self._schedule_next()
@@ -173,11 +201,15 @@ class System:
         self._nic_free = [0.0] * int(n_ranks)
         self._rx_free = [0.0] * int(n_ranks)
         #: Monitors (termination detectors hook in here).
-        self._transmit_hooks: list[Callable[[Message], None]] = []
-        self._deliver_hooks: list[Callable[[Message], None]] = []
-        self._post_execute_hooks: list[Callable[[Process, Message], None]] = []
-        self._compute_hooks: list[Callable[[int, float, float], None]] = []
-        self._drop_hooks: list[Callable[[Message], None]] = []
+        self._transmit_hooks: tuple[Callable[[Message], None], ...] = ()
+        self._deliver_hooks: tuple[Callable[[Message], None], ...] = ()
+        self._post_execute_hooks: tuple[Callable[[Process, Message], None], ...] = ()
+        self._compute_hooks: tuple[Callable[[int, float, float], None], ...] = ()
+        self._drop_hooks: tuple[Callable[[Message], None], ...] = ()
+        #: Stage tags handed out so far, per prefix, and the tags of
+        #: finished stages (their late messages are discarded).
+        self._tag_serials: dict[str, int] = {}
+        self._retired: set[str] = set()
         #: Optional fault-injection layer (:class:`repro.sim.faults.FaultyLink`).
         #: None, or a layer whose ``enabled`` is False, leaves the
         #: message path byte-identical to the undecorated system.
@@ -189,19 +221,19 @@ class System:
 
     def add_transmit_hook(self, hook: Callable[[Message], None]) -> None:
         """Observe every message send (for termination detection)."""
-        self._transmit_hooks.append(hook)
+        self._transmit_hooks += (hook,)
 
     def add_deliver_hook(self, hook: Callable[[Message], None]) -> None:
         """Observe every message wire arrival."""
-        self._deliver_hooks.append(hook)
+        self._deliver_hooks += (hook,)
 
     def add_post_execute_hook(self, hook: Callable[[Process, Message], None]) -> None:
         """Observe handler completion (termination detectors hook here)."""
-        self._post_execute_hooks.append(hook)
+        self._post_execute_hooks += (hook,)
 
     def add_compute_hook(self, hook: Callable[[int, float, float], None]) -> None:
         """Observe CPU occupancy: ``hook(rank, start, end)`` per compute."""
-        self._compute_hooks.append(hook)
+        self._compute_hooks += (hook,)
 
     def add_drop_hook(self, hook: Callable[[Message], None]) -> None:
         """Observe every message the fault layer destroys.
@@ -210,7 +242,36 @@ class System:
         transmit hooks ran), so termination detectors subscribe here to
         un-count it — keeping quiescence detection sound under loss.
         """
-        self._drop_hooks.append(hook)
+        self._drop_hooks += (hook,)
+
+    def remove_hooks(self, *hooks: Callable[..., None]) -> None:
+        """Detach each of ``hooks`` from every hook list it is on (a
+        finished stage's monitors). Unknown hooks are ignored."""
+        for name in _HOOK_LISTS:
+            current = getattr(self, name)
+            kept = tuple(h for h in current if h not in hooks)
+            if len(kept) != len(current):
+                setattr(self, name, kept)
+
+    def stage_tag(self, prefix: str) -> str:
+        """A fresh message tag ``<prefix>_<n>`` for one protocol stage,
+        ``n`` counting this system's stages with that prefix from 1."""
+        n = self._tag_serials.get(prefix, 0) + 1
+        self._tag_serials[prefix] = n
+        return f"{prefix}_{n}"
+
+    def retire(self, *tags: str) -> None:
+        """A stage finished: unregister its ``tags`` on every process.
+
+        A message for a retired tag that is still on the wire is
+        discarded when it executes — charged the handler overhead and
+        seen by the post-execute hooks like any other execution — where
+        a tag that was never registered is still a ``KeyError``.
+        """
+        for tag in tags:
+            self._retired.add(tag)
+            for proc in self.processes:
+                proc._handlers.pop(tag, None)
 
     def _notify_drop(self, msg: Message) -> None:
         for hook in self._drop_hooks:
@@ -231,8 +292,9 @@ class System:
         """
         if not msgs:
             return
+        n_ranks = len(self.processes)
         for msg in msgs:
-            if not 0 <= msg.dst < self.n_ranks:
+            if not 0 <= msg.dst < n_ranks:
                 raise ValueError(f"destination rank {msg.dst} out of range")
         self.messages_sent += len(msgs)
         self.bytes_sent += sum(m.size for m in msgs)
@@ -256,20 +318,27 @@ class System:
         # concurrent inbound streams contend for the receive NIC (in-cast):
         # a stream completes no earlier than the previous stream's finish
         # plus its own transmission time (pipelined LogGP-style gap).
-        now = self.engine.now
-        network = self.network
+        # ``a if a > b else b`` is ``max(b, a)`` exactly, ties included.
+        engine = self.engine
+        now = engine.now
+        push = engine._push
+        link_cost = self.network.link_cost
         nic_free = self._nic_free
         rx_free = self._rx_free
-        schedule_at = self.engine.schedule_at
+        processes = self.processes
+        arrive = self._arrive
         faults = self.faults
         faulty = faults is not None and faults.enabled
         for msg in msgs:
+            src = msg.src
+            dst = msg.dst
             for hook in self._transmit_hooks:
                 hook(msg)
-            tx = network.tx_seconds(msg.src, msg.dst, msg.size)
-            depart = max(now, nic_free[msg.src]) + tx
-            nic_free[msg.src] = depart
-            arrival = depart + network.wire_latency(msg.src, msg.dst)
+            tx, alpha = link_cost(src, dst, msg.size)
+            free = nic_free[src]
+            depart = (free if free > now else now) + tx
+            nic_free[src] = depart
+            arrival = depart + alpha
             if faulty:
                 # The fault layer decides this message's fate(s): no
                 # copies = dropped (the sender's NIC still paid — it
@@ -284,15 +353,15 @@ class System:
                     if i:
                         for hook in self._transmit_hooks:
                             hook(msg)
-                    rx_done = max(arrival, rx_free[msg.dst] + tx)
-                    rx_free[msg.dst] = rx_done
-                    schedule_at(
-                        rx_done + extra, self._arrive, self.processes[msg.dst], msg
-                    )
+                    rx = rx_free[dst] + tx
+                    rx_done = rx if rx > arrival else arrival
+                    rx_free[dst] = rx_done
+                    push(rx_done + extra, arrive, (processes[dst], msg))
                 continue
-            rx_done = max(arrival, rx_free[msg.dst] + tx)
-            rx_free[msg.dst] = rx_done
-            schedule_at(rx_done, self._arrive, self.processes[msg.dst], msg)
+            rx = rx_free[dst] + tx
+            rx_done = rx if rx > arrival else arrival
+            rx_free[dst] = rx_done
+            push(rx_done, arrive, (processes[dst], msg))
 
     def _arrive(self, dest: Process, msg: Message) -> None:
         faults = self.faults

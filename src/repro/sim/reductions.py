@@ -23,8 +23,6 @@ from repro.sim.process import Process, System
 
 __all__ = ["allreduce", "binomial_children", "binomial_parent"]
 
-_counter = 0
-
 
 def binomial_parent(vrank: int) -> int:
     """Parent of a virtual rank in the binomial tree (vrank > 0)."""
@@ -55,7 +53,7 @@ def allreduce(
     on_complete: Callable[[int, Any], None],
     size: int = 64,
     root: int = 0,
-) -> None:
+) -> "_AllReduceOp":
     """Simulate an all-reduce across all ranks of ``system``.
 
     Parameters
@@ -71,16 +69,20 @@ def allreduce(
         Wire size of each reduction message in bytes.
     root:
         Tree root (rank numbering is rotated so any root works).
+
+    Returns the operation's handle. Once the system has run the
+    operation out, ``close()`` retires its tags: a message for them that
+    is still on the wire then executes as a no-op.
     """
-    global _counter
     if len(contributions) != system.n_ranks:
         raise ValueError(
             f"need one contribution per rank ({len(contributions)} != {system.n_ranks})"
         )
     if not 0 <= root < system.n_ranks:
         raise ValueError(f"root {root} out of range")
-    _counter += 1
-    _AllReduceOp(system, contributions, combine, on_complete, size, root, _counter).start()
+    op = _AllReduceOp(system, contributions, combine, on_complete, size, root)
+    op.start()
+    return op
 
 
 class _AllReduceOp:
@@ -94,7 +96,6 @@ class _AllReduceOp:
         on_complete: Callable[[int, Any], None],
         size: int,
         root: int,
-        uid: int,
     ) -> None:
         self.system = system
         self.combine = combine
@@ -102,8 +103,8 @@ class _AllReduceOp:
         self.size = size
         self.root = root
         self.n = system.n_ranks
-        self.tag_up = f"__allreduce_up_{uid}"
-        self.tag_down = f"__allreduce_down_{uid}"
+        self.tag_up = system.stage_tag("__allreduce_up")
+        self.tag_down = system.stage_tag("__allreduce_down")
         self.value = list(contributions)
         self.pending = [
             len(binomial_children(self._vrank(r), self.n)) for r in range(self.n)
@@ -117,6 +118,10 @@ class _AllReduceOp:
 
     def _rank(self, vrank: int) -> int:
         return (vrank + self.root) % self.n
+
+    def close(self) -> None:
+        """Retire this operation's tags (idempotent)."""
+        self.system.retire(self.tag_up, self.tag_down)
 
     def start(self) -> None:
         if self.n == 1:

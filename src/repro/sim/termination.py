@@ -19,7 +19,10 @@ are provided as substrates:
     its deficit returns to zero.
 
 Both treat tags starting with ``"__"`` as control traffic, excluded
-from the application-message accounting.
+from the application-message accounting, and decide whether a tag
+counts once per tag (:class:`_TagScope`), not once per message. Both
+detach their hooks and retire their control tag when they announce or
+are cancelled (see :mod:`repro.sim.process`, *Stage lifetime*).
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ from repro.sim.process import Process, System
 
 __all__ = ["SafraDetector", "DijkstraScholten", "is_control_tag"]
 
-_safra_instances = 0
-_ds_instances = 0
-
 WHITE = 0
 BLACK = 1
 
@@ -41,6 +41,23 @@ BLACK = 1
 def is_control_tag(tag: str) -> bool:
     """Whether a message tag belongs to a control protocol."""
     return tag.startswith("__")
+
+
+class _TagScope(dict):
+    """``tag -> counted?`` for one detector, resolved on a tag's first
+    sight: a control tag never counts, another counts when ``scope`` is
+    None or accepts it. ``scope`` must be a pure function of the tag."""
+
+    __slots__ = ("_scope",)
+
+    def __init__(self, scope: Callable[[str], bool] | None) -> None:
+        super().__init__()
+        self._scope = scope
+
+    def __missing__(self, tag: str) -> bool:
+        counted = not is_control_tag(tag) and (self._scope is None or bool(self._scope(tag)))
+        self[tag] = counted
+        return counted
 
 
 class SafraDetector:
@@ -64,15 +81,14 @@ class SafraDetector:
         token_size: int = 16,
         scope: Callable[[str], bool] | None = None,
     ) -> None:
-        global _safra_instances
-        _safra_instances += 1
-        self._token_tag = f"__safra_token_{_safra_instances}"
+        self._token_tag = system.stage_tag("__safra_token")
         self.system = system
         self.on_terminate = on_terminate
         self.token_size = token_size
         #: Which application tags this detector accounts for (epoch
         #: scoping); None = every non-control message.
         self.scope = scope
+        self._counted = _TagScope(scope)
         n = system.n_ranks
         self._count = [0] * n  #: sent - received per rank
         self._color = [WHITE] * n
@@ -102,24 +118,26 @@ class SafraDetector:
 
         The ring may be broken — a crashed member cannot forward the
         token — so a timed-out stage cancels the detector; any token
-        still circulating is swallowed by the terminated guard.
+        still circulating is discarded as a message for a retired tag.
+        A no-op once terminated.
         """
-        self._terminated = True
+        if not self._terminated:
+            self._terminated = True
+            self._detach()
+
+    def _detach(self) -> None:
+        self.system.remove_hooks(self._on_transmit, self._on_executed, self._on_drop)
+        self.system.retire(self._token_tag)
 
     # -- message accounting --------------------------------------------------
 
-    def _in_scope(self, tag: str) -> bool:
-        if is_control_tag(tag):
-            return False
-        return self.scope is None or self.scope(tag)
-
     def _on_transmit(self, msg: Message) -> None:
-        if self._terminated or not self._in_scope(msg.tag):
+        if self._terminated or not self._counted[msg.tag]:
             return
         self._count[msg.src] += 1
 
     def _on_executed(self, proc: Process, msg: Message) -> None:
-        if self._terminated or not self._in_scope(msg.tag):
+        if self._terminated or not self._counted[msg.tag]:
             return
         self._count[proc.rank] -= 1
         self._color[proc.rank] = BLACK
@@ -129,7 +147,7 @@ class SafraDetector:
     def _on_drop(self, msg: Message) -> None:
         """A counted message will never execute: un-count it at the
         sender so the ring's sent-received total can still reach zero."""
-        if self._terminated or not self._in_scope(msg.tag):
+        if self._terminated or not self._counted[msg.tag]:
             return
         self._count[msg.src] -= 1
         if self.system.n_ranks == 1:
@@ -170,6 +188,7 @@ class SafraDetector:
 
     def _announce(self) -> None:
         self._terminated = True
+        self._detach()
         self.on_terminate(self.system.engine.now)
 
 
@@ -193,9 +212,7 @@ class DijkstraScholten:
         on_terminate: Callable[[float], None],
         ack_size: int = 8,
     ) -> None:
-        global _ds_instances
-        _ds_instances += 1
-        self._ack_tag = f"__ds_ack_{_ds_instances}"
+        self._ack_tag = system.stage_tag("__ds_ack")
         self.system = system
         self.root = root
         self.on_terminate = on_terminate
@@ -206,6 +223,7 @@ class DijkstraScholten:
         self._engaged = [False] * n
         self._engaged[root] = True
         self._terminated = False
+        self._counted = _TagScope(None)
         system.add_transmit_hook(self._on_transmit)
         system.add_post_execute_hook(self._on_executed)
         system.add_drop_hook(self._on_drop)
@@ -221,13 +239,24 @@ class DijkstraScholten:
         """Check for the trivial case (root never sent anything)."""
         self._maybe_finish(self.root)
 
+    def cancel(self) -> None:
+        """Abandon detection without announcing (the computation was
+        given up). A no-op once terminated."""
+        if not self._terminated:
+            self._terminated = True
+            self._detach()
+
+    def _detach(self) -> None:
+        self.system.remove_hooks(self._on_transmit, self._on_executed, self._on_drop)
+        self.system.retire(self._ack_tag)
+
     def _on_transmit(self, msg: Message) -> None:
-        if is_control_tag(msg.tag) or self._terminated:
+        if self._terminated or not self._counted[msg.tag]:
             return
         self._deficit[msg.src] += 1
 
     def _on_executed(self, proc: Process, msg: Message) -> None:
-        if is_control_tag(msg.tag) or self._terminated:
+        if self._terminated or not self._counted[msg.tag]:
             return
         rank = proc.rank
         if not self._engaged[rank]:
@@ -258,7 +287,7 @@ class DijkstraScholten:
             self._deficit[msg.dst] -= 1
             self._maybe_finish(msg.dst)
             return
-        if is_control_tag(msg.tag):
+        if not self._counted[msg.tag]:
             return
         self._deficit[msg.src] -= 1
         self._maybe_finish(msg.src)
@@ -270,6 +299,7 @@ class DijkstraScholten:
             return
         if rank == self.root:
             self._terminated = True
+            self._detach()
             self.on_terminate(self.system.engine.now)
             return
         parent = self._parent[rank]
