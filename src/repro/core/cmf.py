@@ -37,7 +37,8 @@ pass for a sender that consults nothing but its own CMF.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from itertools import islice
+from math import inf
 
 import numpy as np
 
@@ -88,7 +89,7 @@ def build_cmf(
         return None
     # Negative masses can only arise in the original variant once a known
     # load exceeds l_ave; clamp so such ranks simply receive zero mass.
-    masses = np.maximum(1.0 - loads / l_s, 0.0)
+    masses = _masses(loads, l_s)
     z = masses.sum()
     if z <= 0.0:
         return None
@@ -101,6 +102,11 @@ def sample_cmf(cmf: np.ndarray, rng: np.random.Generator) -> int:
     """Sample a candidate index from a CMF built by :func:`build_cmf`."""
     u = rng.random()
     return int(np.searchsorted(cmf, u, side="right"))
+
+
+def _masses(loads: np.ndarray | list[float], l_s: float) -> np.ndarray:
+    """The headroom masses ``1 - load / l_s``, clamped at zero."""
+    return np.maximum(1.0 - np.asarray(loads, dtype=np.float64) / l_s, 0.0)
 
 
 # -- incremental maintenance (the Alg. 2 l.7 fast path) --------------------
@@ -119,12 +125,14 @@ def _fenwick_parents(n: int) -> np.ndarray:
     return low
 
 
-def _fenwick_build(values: np.ndarray) -> np.ndarray:
+def _fenwick_build(values: np.ndarray, length: int = 0) -> np.ndarray:
     """Fenwick tree over ``values`` (1-indexed partial sums), built O(n).
 
     Node ``i`` holds ``sum(values[i - lowbit(i):i])``, computed as a
     vectorized difference of cumulative sums (``prefix[0] = 0`` makes
-    node 0 the unused zero slot). :func:`_fenwick_add` and
+    node 0 the unused zero slot). Nodes past ``n`` up to ``length`` are
+    +inf: a descent never takes one, so it needs no bounds test, and an
+    add that walks into them leaves them +inf. :func:`_fenwick_add` and
     :func:`_fenwick_search` index it one scalar at a time, which a
     Python list serves about three times faster than an ndarray — but
     ``tolist()`` is the dearest step of a build, so whoever is about to
@@ -135,7 +143,15 @@ def _fenwick_build(values: np.ndarray) -> np.ndarray:
     prefix = np.empty(n + 1, dtype=np.float64)
     prefix[0] = 0.0
     np.cumsum(values, out=prefix[1:])
-    return prefix - prefix[_fenwick_parents(n)]
+    tree = np.full(max(length, n + 1), inf)
+    np.subtract(prefix, prefix[_fenwick_parents(n)], out=tree[: n + 1])
+    return tree
+
+
+@lru_cache(maxsize=None)
+def _levels(n_bits: int) -> tuple[int, ...]:
+    """Descent offsets, highest first, over ``2 ** n_bits`` tree nodes."""
+    return tuple(1 << k for k in reversed(range(n_bits)))
 
 
 def _fenwick_add(tree: list[float] | np.ndarray, index: int, delta: float) -> None:
@@ -181,12 +197,42 @@ def _resolve_drift(masses: np.ndarray, target: float) -> int:
     return int(np.flatnonzero(masses)[-1])
 
 
+def _clears(
+    tasks: list[float], pos: int, p_load: float, threshold_load: float, reach: int
+) -> bool:
+    """Whether ``reach`` more accepts from ``pos`` would all leave
+    ``p_load`` above the threshold, in the walk's own float order."""
+    if len(tasks) - pos < reach:
+        return False
+    for o_load in islice(tasks, pos, pos + reach):
+        p_load -= o_load
+        if p_load <= threshold_load:
+            return False
+    return True
+
+
+def _certain(o_loads: np.ndarray, pos: int, p_load: float, threshold_load: float) -> int:
+    """The proposals a walk from ``pos`` is certain to make: the tasks
+    left, cut where accepting every one would reach the threshold.
+
+    ``subtract.accumulate`` folds left to right, so each running load
+    has the bits of the walk's own ``p_load -= o_load``.
+    """
+    run = np.subtract.accumulate(np.concatenate(([p_load], o_loads[pos:])))
+    crossed = np.flatnonzero(run[1:] <= threshold_load)
+    return int(crossed[0]) + 1 if crossed.size else run.size - 1
+
+
 class IncrementalCMF:
     """The BUILDCMF distribution under incremental load updates.
 
-    Maintains, for a fixed candidate list, the same headroom masses
+    Maintains, for a fixed candidate list, the distribution
     :func:`build_cmf` computes — exactly, element for element — while
-    supporting O(log n) single-candidate updates and draws:
+    supporting O(log n) single-candidate updates and draws. A mass is a
+    function of its load and ``l_s``, so none is stored: ``masses``
+    evaluates :func:`build_cmf`'s expression over the current loads,
+    and what is maintained is their ``total``, positive count and
+    Fenwick tree.
 
     - ``update(idx, new_load)`` adjusts one candidate's known load (the
       effect of one accepted transfer or one nack correction). Only the
@@ -200,7 +246,7 @@ class IncrementalCMF:
       ``None`` for the current loads (no candidate with positive mass).
     - ``materialize()`` returns the prefix array :func:`build_cmf` would
       build, bit-identically (it reruns the same normalized cumsum over
-      the identically-maintained masses).
+      the same masses).
 
     ``builds`` counts full (re)builds and ``updates`` point updates, so
     the transfer stage can report both costs.
@@ -211,7 +257,6 @@ class IncrementalCMF:
         "l_ave",
         "variant",
         "l_s",
-        "masses",
         "total",
         "n_positive",
         "builds",
@@ -236,16 +281,15 @@ class IncrementalCMF:
         self._rebuild()
 
     def _rebuild(self) -> None:
-        """Recompute masses/total/tree from scratch — build_cmf's O(n)."""
+        """Recompute l_s/total/tree from scratch — build_cmf's O(n)."""
         self.builds += 1
         loads = self.loads
+        self.total = 0.0
+        self.n_positive = 0
+        self._tree = None
         if loads.size == 0:
             self._max_load = 0.0
             self.l_s = 0.0
-            self.masses = np.zeros(0, dtype=np.float64)
-            self.total = 0.0
-            self.n_positive = 0
-            self._tree = None
             return
         self._max_load = float(loads.max())
         if self.variant == CMF_ORIGINAL:
@@ -253,16 +297,24 @@ class IncrementalCMF:
         else:
             self.l_s = max(self.l_ave, self._max_load)
         if self.l_s <= 0.0:
-            self.masses = np.zeros_like(loads)
-            self.total = 0.0
-            self.n_positive = 0
-            self._tree = None
             return
-        # The exact expression build_cmf uses, so masses match bitwise.
-        self.masses = np.maximum(1.0 - loads / self.l_s, 0.0)
-        self.total = float(self.masses.sum())
-        self.n_positive = int(np.count_nonzero(self.masses))
-        self._tree = _fenwick_build(self.masses)
+        masses = self.masses
+        self.total = float(masses.sum())
+        self.n_positive = int(np.count_nonzero(masses))
+        self._tree = _fenwick_build(masses, 1 << loads.size.bit_length())
+
+    @property
+    def masses(self) -> np.ndarray:
+        """Each candidate's mass, as :func:`build_cmf` computes it (all
+        zero while ``l_s <= 0``)."""
+        if self.l_s <= 0.0:
+            return np.zeros_like(self.loads)
+        return _masses(self.loads, self.l_s)
+
+    def _mass(self, load: float) -> float:
+        """One candidate's mass: the same float operations as ``masses``."""
+        headroom = 1.0 - load / self.l_s
+        return headroom if headroom > 0.0 else 0.0
 
     def _list_tree(self) -> list[float]:
         """The Fenwick tree as a list, converted on first scalar use."""
@@ -300,12 +352,9 @@ class IncrementalCMF:
                     return
         if self.l_s <= 0.0 or self._tree is None:
             return  # degenerate distribution: every mass pinned at zero
-        old_mass = float(self.masses[idx])
-        headroom = 1.0 - new_load / self.l_s
-        new_mass = headroom if headroom > 0.0 else 0.0
+        old_mass, new_mass = self._mass(old_load), self._mass(new_load)
         if new_mass == old_mass:
             return
-        self.masses[idx] = new_mass
         if old_mass == 0.0:
             self.n_positive += 1
         elif new_mass == 0.0:
@@ -321,17 +370,17 @@ class IncrementalCMF:
         u = rng.random()
         target = u * self.total
         idx = _fenwick_search(self._list_tree(), target)
-        if idx >= self.masses.size or self.masses[idx] <= 0.0:
+        if idx >= self.loads.size or self._mass(self.loads.item(idx)) <= 0.0:
             idx = _resolve_drift(self.masses, target)
         return int(idx)
 
     def propose_pass(
         self,
-        o_loads: list[float],
+        o_loads: np.ndarray,
         p_load: float,
         threshold_load: float,
         relaxed: bool,
-        random: Callable[[], float],
+        rng: np.random.Generator,
     ) -> tuple[list[int], list[int], float, int]:
         """Walk a sender's ordered task loads, proposing each in turn.
 
@@ -339,57 +388,82 @@ class IncrementalCMF:
         l.4-18) for a sender whose view is this sampler alone: per task,
         stop once ``p_load`` is at or below ``threshold_load`` or the
         CMF is exhausted; otherwise ``sample`` a candidate with one
-        ``random()`` draw, apply the criterion (``relaxed``: l.37, else
-        l.35) to its known load, and on accept ``update`` that load by
-        the task's. ``sample`` and ``update`` are inlined over locals in
+        uniform, apply the criterion (``relaxed``: l.37, else l.35) to
+        its known load, and on accept ``update`` that load by the
+        task's. ``sample`` and ``update`` are inlined over locals in
         their exact float order, so every draw, decision and counter is
         what the method calls would produce. Accepts are only recorded:
         returns ``(accepted walk positions, their candidate indices,
         the sender's final load, rejection count)``.
+
+        A segment (one CMF build) whose next ``size/64 + 1`` accepts
+        would all leave ``p_load`` above the threshold is *long*: it
+        walks the tree as a list, which pays for its conversion within
+        that many proposals, and takes its uniforms from one
+        ``rng.random(n)``, ``n`` being the proposals the pass is certain
+        to make (rejections only delay the crossing). A chunk carries
+        over an ``l_s`` rebuild; if the pass ends before the chunk does,
+        the generator is rewound and exactly the uniforms used are
+        redrawn, so it ends where one ``random()`` per proposal would
+        leave it. A short segment indexes the tree as built and draws
+        one ``random()`` per proposal.
         """
-        loads, l_ave = self.loads, self.l_ave
+        l_ave = self.l_ave
         modified = self.variant == CMF_MODIFIED
-        size = loads.size
-        top = 1 << (size.bit_length() - 1) if size else 0
-        n_tasks = len(o_loads)
+        size = self.loads.size
+        bits = _levels(size.bit_length())
+        reach = (size >> 6) + 1
+        tasks = o_loads.tolist()
+        n_tasks = len(tasks)
         acc_pos: list[int] = []
         acc_idx: list[int] = []
+        push_pos, push_idx = acc_pos.append, acc_idx.append
         rejected = 0
-        pos = 0
-        while True:
+        pos = chunk_pos = chunk_end = 0
+        # A memoryview indexes as Python floats and writes through.
+        loads = memoryview(self.loads)
+        # n_positive == 0 covers ``exhausted`` (no candidates and l_s <= 0
+        # both pin it at zero).
+        while pos < n_tasks and p_load > threshold_load and self.n_positive:
             # One segment per CMF build: the sampler's scalars live in
             # locals until l_s moves, which is the only full rebuild.
-            # n_positive == 0 covers ``exhausted`` (no candidates and
-            # l_s <= 0 both pin it at zero).
-            l_s, masses = self.l_s, self.masses
+            l_s = self.l_s
             total, n_positive, max_load = self.total, self.n_positive, self._max_load
-            # A walk that can only be short indexes the tree as built;
-            # list access pays for its conversion within size/64 draws.
-            long_walk = n_positive > 0 and n_tasks - pos > size >> 6
-            tree = self._list_tree() if long_walk else self._tree
+            long_walk = pos < chunk_end or _clears(tasks, pos, p_load, threshold_load, reach)
+            if not long_walk:
+                draw, stop, tree = rng.random, n_tasks, self._tree
+                if type(tree) is not list:
+                    tree = memoryview(tree)
+            else:
+                if pos >= chunk_end:
+                    saved = rng.bit_generator.state
+                    chunk_pos, chunk_end = pos, pos + _certain(o_loads, pos, p_load, threshold_load)
+                    draw = iter(rng.random(chunk_end - pos).tolist()).__next__
+                stop = chunk_end
+                tree = self._list_tree()
             rebuild = False
-            while pos < n_tasks and p_load > threshold_load and n_positive:
-                o_load = o_loads[pos]
-                target = random() * total
+            for o_load in islice(tasks, pos, stop):
+                if p_load <= threshold_load or not n_positive:
+                    break
+                target = draw() * total
                 idx = 0
-                bit = top
                 remaining = target
-                while bit:
+                for bit in bits:
                     nxt = idx + bit
-                    if nxt <= size:
-                        node = tree[nxt]
-                        if node <= remaining:
-                            idx = nxt
-                            remaining -= node
-                    bit >>= 1
-                mass = masses.item(idx) if idx < size else 0.0
+                    node = tree[nxt]
+                    if node <= remaining:
+                        idx = nxt
+                        remaining -= node
+                # ``_mass`` inlined; past the end reads as a rank at l_s.
+                l_x = loads[idx] if idx < size else l_s
+                mass = 1.0 - l_x / l_s
                 if mass <= 0.0:
-                    idx = _resolve_drift(masses, target)
-                    mass = masses.item(idx)
-                l_x = loads.item(idx)
+                    idx = _resolve_drift(_masses(loads, l_s), target)
+                    l_x = loads[idx]
+                    mass = 1.0 - l_x / l_s
                 if (o_load < p_load - l_x) if relaxed else (l_x + o_load < l_ave):
-                    acc_pos.append(pos)
-                    acc_idx.append(idx)
+                    push_pos(pos)
+                    push_idx(idx)
                     pos += 1
                     p_load -= o_load
                     new_load = l_x + o_load
@@ -401,17 +475,15 @@ class IncrementalCMF:
                                 rebuild = True
                                 break
                         elif new_load < l_x and l_x == max_load:
-                            max_load = float(loads.max())
+                            max_load = max(loads)
                             if max(l_ave, max_load) != l_s:
                                 rebuild = True
                                 break
                     headroom = 1.0 - new_load / l_s
                     new_mass = headroom if headroom > 0.0 else 0.0
                     if new_mass != mass:
-                        masses[idx] = new_mass
-                        if mass == 0.0:
-                            n_positive += 1
-                        elif new_mass == 0.0:
+                        # ``mass`` > 0: the descent only lands on mass.
+                        if new_mass == 0.0:
                             n_positive -= 1
                         delta = new_mass - mass
                         total += delta
@@ -423,9 +495,11 @@ class IncrementalCMF:
                     rejected += 1
                     pos += 1
             self.total, self.n_positive, self._max_load = total, n_positive, max_load
-            if not rebuild:
-                break
-            self._rebuild()
+            if rebuild:
+                self._rebuild()
+        if pos < chunk_end:
+            rng.bit_generator.state = saved
+            rng.random(pos - chunk_pos)
         self.updates += len(acc_pos)
         return acc_pos, acc_idx, p_load, rejected
 
@@ -433,7 +507,7 @@ class IncrementalCMF:
         """The prefix array :func:`build_cmf` would return right now."""
         if self.exhausted:
             return None
-        z = self.masses.sum()
-        cmf = np.cumsum(self.masses / z)
+        masses = self.masses
+        cmf = np.cumsum(masses / masses.sum())
         cmf[-1] = 1.0
         return cmf

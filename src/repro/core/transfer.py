@@ -382,7 +382,7 @@ def _transfer_from_rank_soa(
         o_loads = task_loads[order]
         if fused:
             walk = sampler.propose_pass(
-                o_loads.tolist(), float(loads[p]), threshold_load, relaxed, rng.random
+                o_loads, float(loads[p]), threshold_load, relaxed, rng
             )
         else:
             walk = _scalar_pass(

@@ -42,6 +42,10 @@ class PhaseBarrier:
         self.size = size
         n = system.n_ranks
         self._pending = [len(binomial_children(v, n)) + 1 for v in range(n)]
+        # A duplicated control message must not count a child's arrival
+        # twice or release a rank twice.
+        self._heard: set[tuple[int, int]] = set()
+        self._released: set[int] = set()
         self._tag_up = system.stage_tag("__barrier_up")
         self._tag_down = system.stage_tag("__barrier_down")
         for proc in system.processes:
@@ -63,6 +67,9 @@ class PhaseBarrier:
         self._maybe_send_up(rank)
 
     def _on_up(self, proc: Process, msg: Message) -> None:
+        if (proc.rank, msg.src) in self._heard:
+            return
+        self._heard.add((proc.rank, msg.src))
         self._pending[proc.rank] -= 1
         self._maybe_send_up(proc.rank)
 
@@ -77,6 +84,9 @@ class PhaseBarrier:
         self.system.processes[rank].send(parent, self._tag_up, size=self.size)
 
     def _release(self, rank: int) -> None:
+        if rank in self._released:
+            return
+        self._released.add(rank)
         self.on_release(rank, self.system.engine.now)
         for child in binomial_children(rank, self.system.n_ranks):
             self.system.processes[rank].send(child, self._tag_down, size=self.size)

@@ -109,6 +109,10 @@ class _AllReduceOp:
         self.pending = [
             len(binomial_children(self._vrank(r), self.n)) for r in range(self.n)
         ]
+        # A duplicated control message must not fold a child twice or
+        # complete a rank twice: (rank, child) pairs heard, ranks done.
+        self._heard: set[tuple[int, int]] = set()
+        self._done: set[int] = set()
         for proc in system.processes:
             proc.register(self.tag_up, self._on_up)
             proc.register(self.tag_down, self._on_down)
@@ -135,8 +139,7 @@ class _AllReduceOp:
         vrank = self._vrank(rank)
         if vrank == 0:
             # Root folded every child: deliver locally, then broadcast.
-            self.on_complete(rank, self.value[rank])
-            self._fan_out(rank)
+            self._complete(rank, self.value[rank])
             return
         parent = self._rank(binomial_parent(vrank))
         self.system.processes[rank].send(
@@ -145,6 +148,9 @@ class _AllReduceOp:
 
     def _on_up(self, proc: Process, msg: Message) -> None:
         rank = proc.rank
+        if (rank, msg.src) in self._heard:
+            return
+        self._heard.add((rank, msg.src))
         self.value[rank] = self.combine(self.value[rank], msg.payload)
         self.pending[rank] -= 1
         if self.pending[rank] == 0:
@@ -157,7 +163,13 @@ class _AllReduceOp:
             )
 
     def _on_down(self, proc: Process, msg: Message) -> None:
-        rank = proc.rank
-        self.value[rank] = msg.payload
-        self.on_complete(rank, self.value[rank])
+        self._complete(proc.rank, msg.payload)
+
+    def _complete(self, rank: int, value: Any) -> None:
+        """Deliver ``rank``'s result and pass it down, once per rank."""
+        if rank in self._done:
+            return
+        self._done.add(rank)
+        self.value[rank] = value
+        self.on_complete(rank, value)
         self._fan_out(rank)

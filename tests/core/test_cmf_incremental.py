@@ -205,16 +205,34 @@ class TestFenwick:
 
 
 class _Scripted:
-    """A stand-in generator: ``random()`` replays scripted uniforms."""
+    """A stand-in generator: ``random(size=None)`` replays scripted
+    uniforms, and ``bit_generator.state`` is its draw cursor (so a
+    rewind is an assignment to it). ``calls`` logs each call's size."""
 
     def __init__(self, uniforms):
         self.uniforms = list(uniforms)
         self.drawn = 0
+        self.calls = []
 
-    def random(self):
-        u = self.uniforms[self.drawn]
-        self.drawn += 1
-        return u
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.drawn
+
+    @state.setter
+    def state(self, drawn):
+        self.drawn = drawn
+
+    def random(self, size=None):
+        self.calls.append(size)
+        n = 1 if size is None else size
+        out = self.uniforms[self.drawn : self.drawn + n]
+        assert len(out) == n, "drew past the script"
+        self.drawn += n
+        return out[0] if size is None else np.asarray(out, dtype=float)
 
 
 def _reference_pass(sampler, o_loads, p_load, threshold_load, relaxed, rng):
@@ -236,24 +254,33 @@ def _reference_pass(sampler, o_loads, p_load, threshold_load, relaxed, rng):
     return acc_pos, acc_idx, p_load, rejected
 
 
+def _same_state(a, b):
+    """Bit-generator states equal, array leaves compared element-wise."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 def _assert_pass_matches_reference(
-    known, l_ave, variant, o_loads, p_load, threshold_load, relaxed, uniforms,
-    tamper=None,
+    known, l_ave, variant, o_loads, p_load, threshold_load, relaxed, uniforms=(),
+    tamper=None, rngs=None,
 ):
     """Run propose_pass and the reference loop on twin samplers; every
-    observable — accepts, counters, sampler state, draws — must agree."""
+    observable — accepts, counters, sampler state, generator state —
+    must agree. ``rngs`` passes the twin generators in (real ones, or
+    scripted ones a test inspects afterwards)."""
     fused = IncrementalCMF(np.asarray(known, dtype=float), l_ave, variant)
     ref = IncrementalCMF(np.asarray(known, dtype=float), l_ave, variant)
     if tamper is not None:
         tamper(fused)
         tamper(ref)
-    rng_fused, rng_ref = _Scripted(uniforms), _Scripted(uniforms)
+    rng_fused, rng_ref = rngs or (_Scripted(uniforms), _Scripted(uniforms))
     acc_pos, acc_idx, out_load, rejected = fused.propose_pass(
-        list(o_loads), p_load, threshold_load, relaxed, rng_fused.random
+        np.asarray(o_loads, dtype=float), p_load, threshold_load, relaxed, rng_fused
     )
     expected = _reference_pass(ref, o_loads, p_load, threshold_load, relaxed, rng_ref)
     assert (acc_pos, acc_idx, out_load, rejected) == expected
-    assert rng_fused.drawn == rng_ref.drawn
+    assert _same_state(rng_fused.bit_generator.state, rng_ref.bit_generator.state)
     assert (fused.builds, fused.updates) == (ref.builds, ref.updates)
     assert (fused.total, fused.n_positive, fused.l_s, fused._max_load) == (
         ref.total, ref.n_positive, ref.l_s, ref._max_load,
@@ -262,7 +289,7 @@ def _assert_pass_matches_reference(
     assert np.array_equal(fused.masses, ref.masses)
     assert np.array_equal(fused._tree, ref._tree)
     assert fused.exhausted == ref.exhausted
-    return fused, acc_pos, rng_fused.drawn
+    return fused, acc_pos, rng_fused.bit_generator.state
 
 
 class TestProposePass:
@@ -373,23 +400,70 @@ class TestProposePass:
         assert sampler.loads.tolist() == [0.2, 0.5 + 0.1, 1.0]
 
     def test_short_walk_on_a_large_cmf_indexes_the_tree_as_built(self):
-        # Two tasks against 200 candidates: converting the tree to a
-        # list would cost more than the walk, so it stays an ndarray —
-        # through a point update and an l_s rebuild alike.
+        # 50 tasks against 200 candidates, but the second accept would
+        # take p_load to 0.85 <= 1.0: fewer than 200/64 + 1 = 4 accepts
+        # stay above the threshold, so the walk is short however many
+        # tasks are left. Converting the tree to a list would cost more
+        # than the walk, so it stays an ndarray — through a point update
+        # and an l_s rebuild alike — and each proposal draws alone.
         known = np.random.default_rng(7).uniform(0.0, 0.9, size=199).tolist() + [0.8]
+        uniforms = [0.3, 0.9999] + [0.5] * 48
+        rngs = (_Scripted(uniforms), _Scripted(uniforms))
         sampler, acc_pos, _ = _assert_pass_matches_reference(
-            known, l_ave=1.0, variant=CMF_MODIFIED, o_loads=[0.05, 0.6],
-            p_load=9.0, threshold_load=1.0, relaxed=True, uniforms=[0.3, 0.9999],
+            known, l_ave=1.0, variant=CMF_MODIFIED, o_loads=[0.05, 0.6] + [0.01] * 48,
+            p_load=1.5, threshold_load=1.0, relaxed=True, rngs=rngs,
         )
         assert acc_pos == [0, 1] and sampler.builds == 2
         assert isinstance(sampler._tree, np.ndarray)
-        # A long walk over the same CMF converts once and keeps the list.
-        sampler.propose_pass([0.01] * 50, 9.0, 1.0, True, _Scripted([0.5] * 50).random)
+        assert rngs[0].calls == [None, None]
+        # A long walk over the same CMF converts once, keeps the list and
+        # draws its 50 uniforms in one call.
+        rng = _Scripted([0.5] * 50)
+        sampler.propose_pass(np.full(50, 0.01), 9.0, 1.0, True, rng)
         assert isinstance(sampler._tree, list)
+        assert rng.calls == [50]
+
+    def test_rebuild_mid_chunk_carries_uniforms_into_the_next_segment(self):
+        uniforms = [0.1, 0.1, 0.6, 0.95]
+        rngs = (_Scripted(uniforms), _Scripted(uniforms))
+        sampler, acc_pos, drawn = _assert_pass_matches_reference(
+            known=[0.5, 0.2, 0.8], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.9, 0.3, 0.3, 0.2], p_load=9.0, threshold_load=1.0,
+            relaxed=True, rngs=rngs,
+        )
+        # The first accept rebuilds at l_s = 1.4; the second segment
+        # walks on with the three uniforms left in the first chunk.
+        assert sampler.builds == 2 and drawn == 4 and acc_pos[0] == 0
+        assert rngs[0].calls == [4]
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64],
+    )
+    def test_long_walk_exhausting_mid_chunk_rewinds_real_generators(self, bit_generator):
+        # Original CMF, three candidates: each fills past l_ave within
+        # two accepts, so the CMF runs dry after a few of the 20
+        # proposals the chunk drew. The generator must end where one
+        # random() per proposal leaves it, cached 32-bit half included.
+        rngs = []
+        for _ in range(2):
+            rng = np.random.Generator(bit_generator(11))
+            rng.integers(2**32, dtype=np.uint32)  # leave a half-word cached
+            rngs.append(rng)
+        sampler, acc_pos, _ = _assert_pass_matches_reference(
+            known=[0.0, 0.2, 0.4], l_ave=1.0, variant=CMF_ORIGINAL,
+            o_loads=[0.6] * 20, p_load=20.0, threshold_load=1.0,
+            relaxed=True, rngs=rngs,
+        )
+        assert sampler.exhausted and 0 < len(acc_pos) < 20
+        assert isinstance(sampler._tree, list)  # the long walk ran
+        assert rngs[0].random(3).tolist() == rngs[1].random(3).tolist()
 
     @given(
         known=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12),
-        padding=st.sampled_from([0, 150]),  # past 64 candidates short walks skip tolist
+        # A long walk needs size/64 + 1 accepts above the threshold: 1,
+        # 3 or 11 here, so the lengths below land on both sides.
+        padding=st.sampled_from([0, 150, 650]),
         o_loads=st.lists(st.floats(0.0, 1.5), max_size=25),
         p_load=st.floats(0.0, 20.0),
         variant=st.sampled_from([CMF_ORIGINAL, CMF_MODIFIED]),
