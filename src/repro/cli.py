@@ -16,9 +16,11 @@ Commands
     summarize the telemetry registry (counters, per-iteration series),
     or summarize a previously exported stats JSON.
 ``bench``
-    Time the inform/transfer/refinement/empire hot paths and write
-    ``BENCH_perf.json`` (the repo's perf trajectory; see
-    ``docs/performance.md``).
+    Race serial against parallel refinement trials and, with
+    ``--scale``, run the rank-count ladder (store race, stage walls,
+    per-rung peak RSS); write ``BENCH_perf.json`` (see
+    ``docs/performance.md``). ``bench faults`` writes
+    ``BENCH_faults.json``.
 ``version``
     Print the package version.
 
@@ -41,17 +43,22 @@ def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     """``--workers``: the trial-parallelism knob.
 
     Exposed on every subcommand that runs TemperedLB refinement trials
-    (and on ``bench``, where it parameterizes the refinement case).
-    The worker count never changes results — per-trial RNG streams make
-    the output bit-identical for any count — only wall time: a process
+    (and on ``bench``, where it parameterizes the refinement race).
+    Results are bit-identical for every count >= 1 — each trial gets
+    its own spawned RNG stream — and only wall time changes: a process
     pool runs the trials where a second core and fork exist, the serial
-    loop elsewhere.
+    loop elsewhere. Omitting the flag is *not* the same as ``1``: it
+    runs the shared-stream loop (one stream drawn across all trials),
+    whose decisions can differ from any count's until that loop gives
+    way to per-trial streams.
     """
     p.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="parallel refinement-trial workers (default: serial trial loop)",
+        help="parallel refinement-trial workers; results are identical for "
+        "every N >= 1 (default: the shared-stream serial loop, whose results "
+        "can differ from any N's)",
     )
 
 
@@ -175,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         choices=["perf", "faults"],
         default="perf",
-        help="perf = hot-path timings (default); faults = imbalance "
-        "degradation vs gossip loss rate",
+        help="perf = refinement race and --scale ladder (default); "
+        "faults = imbalance degradation vs gossip loss rate",
     )
     p.add_argument(
         "--quick", action="store_true", help="CI-smoke scale instead of the § V scale"
@@ -193,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile",
         action="store_true",
-        help="run each headline case once under cProfile and write the "
-        "top-20 cumulative hotspots per case to benchmarks/results/ "
-        "(perf suite only)",
+        help="run the serial refinement case and each rung case once under "
+        "cProfile and write the top-20 cumulative hotspots per case to "
+        "benchmarks/results/ (perf suite only)",
     )
     _add_workers_flag(p)
     p.add_argument("--seed", type=int, default=0)

@@ -13,7 +13,6 @@ from repro.core.comm import CommAwareLB, CommGraph
 from repro.core.criteria import (
     CRITERION_ORIGINAL,
     CRITERION_RELAXED,
-    evaluate_criterion,
 )
 from repro.core.distribution import Distribution
 from repro.core.gossip import GossipConfig, GossipResult, run_inform_stage
@@ -67,7 +66,6 @@ __all__ = [
     "TemperedLB",
     "TransferStats",
     "build_cmf",
-    "evaluate_criterion",
     "imbalance",
     "iterative_refinement",
     "load_statistics",

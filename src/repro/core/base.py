@@ -116,7 +116,7 @@ class LoadBalancer(ABC):
             records=records or [],
             extra=extra,
         )
-        if self.registry is not None and self.registry.enabled:
+        if self.registry is not None:
             self.registry.inc("lb.rebalances")
             self.registry.event(
                 "lb.rebalance",

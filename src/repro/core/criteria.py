@@ -17,13 +17,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.util.validation import check_in
-
 __all__ = [
     "CRITERION_ORIGINAL",
     "CRITERION_RELAXED",
     "CRITERIA",
-    "evaluate_criterion",
     "original_criterion",
     "relaxed_criterion",
 ]
@@ -42,20 +39,12 @@ def relaxed_criterion(l_x: float, task_load: float, l_ave: float, l_p: float) ->
     return task_load < l_p - l_x
 
 
+#: Criterion name -> predicate. Arguments mirror Alg. 2 l.33: ``l_x`` is
+#: the sender's *known* load of the candidate recipient, ``task_load`` is
+#: ``LOAD(o_x)``, ``l_ave`` the global average, ``l_p`` the sender's
+#: current load.
 CRITERIA: dict[str, Callable[[float, float, float, float], bool]] = {
     CRITERION_ORIGINAL: original_criterion,
     CRITERION_RELAXED: relaxed_criterion,
 }
 
-
-def evaluate_criterion(
-    name: str, l_x: float, task_load: float, l_ave: float, l_p: float
-) -> bool:
-    """Dispatch to a named criterion.
-
-    Parameters mirror Alg. 2 l.33: ``l_x`` is the sender's *known* load of
-    the candidate recipient, ``task_load`` is ``LOAD(o_x)``, ``l_ave`` the
-    global average, ``l_p`` the sender's current load.
-    """
-    check_in("criterion", name, CRITERIA)
-    return CRITERIA[name](l_x, task_load, l_ave, l_p)

@@ -210,7 +210,7 @@ class GossipResult:
     auto_threshold: int = 0
     #: Wall seconds per layer and round — ``"sample"`` (everything up
     #: to the group-by-receiver), ``"merge"``, ``"trim"`` — and of the
-    #: store's ``finish()``; taken only under an enabled registry.
+    #: store's ``finish()``; taken only under a registry.
     per_round_seconds: dict[str, list[float]] = field(default_factory=dict)
     finish_seconds: float = 0.0
 
@@ -270,7 +270,7 @@ def run_inform_stage(
         knowledge_backend=backend,
         auto_threshold=SPARSE_AUTO_MIN_RANKS_FAST,
     )
-    instrumented = registry is not None and registry.enabled
+    instrumented = registry is not None
     if seeds.size == 0:
         if instrumented:
             _record_inform_stage(registry, result)

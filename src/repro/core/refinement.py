@@ -110,7 +110,7 @@ def _run_trial(
     Safe to run concurrently given a private ``rng`` and ``registry``:
     the shared inputs (``dist``, ``original``, configs) are only read.
     """
-    instrumented = registry is not None and registry.enabled
+    instrumented = registry is not None
     working = np.array(original, copy=True)  # Alg. 3 l.3: reset per trial
     out = _TrialOutcome()
     for iteration in range(1, int(n_iters) + 1):
@@ -262,7 +262,7 @@ def iterative_refinement(
         initial_imbalance=initial,
     )
 
-    instrumented = registry is not None and registry.enabled
+    instrumented = registry is not None
     wall_start = time.perf_counter()
     if n_workers is None:
         outcomes = [

@@ -241,7 +241,7 @@ def transfer_stage(
     overloaded = np.flatnonzero(is_overloaded)
     stats.overloaded_ranks = overloaded.size
     if overloaded.size == 0:
-        if registry is not None and registry.enabled:
+        if registry is not None:
             stats.record(registry)
         return stats
 
@@ -274,7 +274,7 @@ def transfer_stage(
                 if loads[r] > threshold_load and r not in queued:
                     queue.append(r)
                     queued.add(r)
-    if registry is not None and registry.enabled:
+    if registry is not None:
         stats.record(registry)
     return stats
 
@@ -311,7 +311,7 @@ def transfer_from_rank(
     _transfer_from_rank_soa(
         p, tasks, None, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
     )
-    if registry is not None and registry.enabled:
+    if registry is not None:
         stats.record(registry)
     return stats
 

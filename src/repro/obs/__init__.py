@@ -24,12 +24,6 @@ un-instrumented build. See ``docs/observability.md``.
 """
 
 from repro.obs.events import Event
-from repro.obs.registry import NULL_REGISTRY, NullRegistry, StatsRegistry, ensure_registry
+from repro.obs.registry import StatsRegistry
 
-__all__ = [
-    "Event",
-    "NULL_REGISTRY",
-    "NullRegistry",
-    "StatsRegistry",
-    "ensure_registry",
-]
+__all__ = ["Event", "StatsRegistry"]

@@ -23,11 +23,9 @@ events
     :class:`~repro.obs.events.Event` records (see that module).
 
 Instrumented code takes an optional ``registry`` argument defaulting to
-``None``; call sites guard with ``if registry is not None and
-registry.enabled`` so an un-instrumented run pays **no** recording cost
-and — crucially — consumes no RNG, leaving LB output byte-identical.
-:data:`NULL_REGISTRY` (a :class:`NullRegistry`) is the null-object for
-code that prefers unconditional attribute access over ``None`` checks.
+``None``; call sites guard with ``if registry is not None`` so an
+un-instrumented run pays **no** recording cost and — crucially —
+consumes no RNG, leaving LB output byte-identical.
 """
 
 from __future__ import annotations
@@ -37,14 +35,11 @@ from typing import Any, Callable, Iterator, Mapping
 
 from repro.obs.events import Event
 
-__all__ = ["StatsRegistry", "NullRegistry", "NULL_REGISTRY", "ensure_registry"]
+__all__ = ["StatsRegistry"]
 
 
 class StatsRegistry:
     """An in-memory sink for instrumentation data."""
-
-    #: False only on :class:`NullRegistry`; hot paths check this once.
-    enabled: bool = True
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
@@ -211,51 +206,3 @@ class StatsRegistry:
                          f"({', '.join(sorted({e.kind for e in self.events}))})")
         return "\n".join(lines) if lines else "(empty registry)"
 
-
-class NullRegistry(StatsRegistry):
-    """No-op registry: accepts every call, records nothing.
-
-    The null-object default for code that wants unconditional
-    ``registry.inc(...)`` calls. Layers on hot paths should still
-    prefer the ``registry is not None and registry.enabled`` guard,
-    which also skips building the arguments.
-    """
-
-    enabled = False
-
-    def inc(self, name: str, value: float = 1) -> float:
-        return 0
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, **fields: Any) -> None:
-        pass
-
-    def add_time(self, name: str, seconds: float) -> None:
-        pass
-
-    @contextmanager
-    def timed(self, name: str, clock: Callable[[], float]) -> Iterator[None]:
-        yield
-
-    def event(
-        self,
-        kind: str,
-        time: float | None = None,
-        rank: int | None = None,
-        **fields: Any,
-    ) -> None:
-        pass
-
-    def merge(self, other: StatsRegistry) -> StatsRegistry:
-        return self
-
-
-#: Shared null-object instance; never records anything.
-NULL_REGISTRY = NullRegistry()
-
-
-def ensure_registry(registry: StatsRegistry | None) -> StatsRegistry:
-    """``registry`` if given, else :data:`NULL_REGISTRY`."""
-    return registry if registry is not None else NULL_REGISTRY

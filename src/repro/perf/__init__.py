@@ -1,16 +1,18 @@
-"""Performance harness: microbenchmarks of the LB pipeline hot paths.
+"""Performance harness: what the ``benchmarks/e2e`` workloads do not measure.
 
 ``repro bench`` (see :mod:`repro.cli`) runs :func:`run_benchmarks` and
-writes ``BENCH_perf.json`` so every change leaves a perf trajectory to
-regress against; ``repro bench faults`` runs :func:`run_fault_bench`
-and writes ``BENCH_faults.json``, the imbalance-degradation-vs-loss
-table. See ``docs/performance.md`` and ``docs/fault_tolerance.md``.
+writes ``BENCH_perf.json``: the serial-vs-parallel refinement race and,
+with ``--scale``, the rank-count ladder (4k / 32k / 131k) with its
+store race, stage walls and per-rung peak RSS. The § V-scale stage
+timings are ``benchmarks/e2e``'s. ``repro bench faults`` runs
+:func:`run_fault_bench` and writes ``BENCH_faults.json``, the
+imbalance-degradation-vs-loss table. See ``docs/performance.md`` and
+``docs/fault_tolerance.md``.
 """
 
 from repro.perf.bench import (
     SCALE_RSS_BUDGET_MB,
     SCALE_RUNGS,
-    BenchResult,
     format_report,
     run_benchmarks,
     run_scale_ladder,
@@ -18,7 +20,6 @@ from repro.perf.bench import (
 from repro.perf.faults import format_fault_report, run_fault_bench
 
 __all__ = [
-    "BenchResult",
     "SCALE_RSS_BUDGET_MB",
     "SCALE_RUNGS",
     "format_report",

@@ -1,55 +1,42 @@
-"""Microbenchmarks for the gossip-LB hot paths.
+"""The perf bench: what no ``benchmarks/e2e`` workload measures.
 
-Four timed paths, mirroring where an LB episode actually spends time
-(one production path per stage — races whose outcome is decided are
-retired, their committed ratios recorded in ``docs/performance.md``):
+Two cases. The § V-scale stage timings belong to ``benchmarks/e2e``'s
+``phase_4k``, which times the same inform and transfer stages with
+repeats and spread.
 
-``inform/batched``
-    One full inform stage (Alg. 1) on packed knowledge; must obey the
-    ``f x |senders|`` message model (``message_model_exact``).
-``transfer/incremental``
-    One transfer stage (Alg. 2) with the CMF refreshed per accepted
-    transfer (incremental Fenwick maintenance); ``cmf_builds`` /
-    ``cmf_updates`` ride along.
 ``refinement/serial`` vs ``refinement/parallel``
     Algorithm 3 with the trial loop serial (spawned streams, one
     worker) vs. parallel under the shipping resolution rule (a process
     pool wherever a second core and ``fork`` exist) — same streams,
     bit-identical output, so the ratio is work-for-work. The per-stage
     ``wall.*`` timers from both instrumented runs ride along, and the
-    parallel run's cumulative
-    stage walls over its true ``wall.refinement`` span give the
-    utilization figure (> 1 means trials overlapped *in time*; whether
-    that overlap was real cores or time-slicing shows in the speedup,
-    which is bounded by ``meta.cpu_count`` — recorded for exactly that
-    reason).
-``empire_step``
-    A short EMPIRE surrogate run, reported per simulated step — the
-    end-to-end figure the ROADMAP's "fast as the hardware allows" goal
-    is judged by.
-
-The ``--scale`` ladder adds per-rung cases on top of these:
-
-``inform/packed`` vs ``inform/sparse``
-    The same round loop over both knowledge stores at the rungs where
-    the packed matrix is tractable. Both consume identical RNG and
+    parallel run's cumulative stage walls over its true
+    ``wall.refinement`` span give the utilization figure (> 1 means
+    trials overlapped *in time*; whether that overlap was real cores or
+    time-slicing shows in the speedup, which is bounded by
+    ``meta.cpu_count`` — recorded for exactly that reason). These are
+    the payload's only ``benchmarks[]`` rows.
+The ``--scale`` ladder
+    One ``scale_ladder[]`` record per rung, the only copy of the rung's
+    numbers: one inform stage per knowledge store where the packed
+    matrix is tractable, each with its ``f x |senders|`` message-model
+    bit (``message_model_exact``); both stores consume identical RNG and
     produce bit-identical knowledge, so the ratio —
     ``speedups.inform_backend_auto_vs_alt_<rung>`` — is work-for-work
-    and proves ``knowledge="auto"`` picks the faster store.
-``refinement/<rung>``
-    One full Algorithm 3 episode at the rung's rank count: inform +
-    CMF + transfer + trial selection, end to end, with the per-stage
-    ``wall.*`` timers riding along. The 131k row is the headline "how
-    long does a whole LB decision take at BG/Q scale" figure, and its
-    subprocess peak RSS is the < 8 GiB acceptance gate.
+    and proves ``knowledge="auto"`` picks the faster store. Then one
+    transfer stage and one full Algorithm 3 episode (``refinement``,
+    with its ``wall.*`` stage timers). The 131k episode is the headline
+    "how long does a whole LB decision take at BG/Q scale" figure, and
+    its subprocess peak RSS is the < 8 GiB acceptance gate.
 
-Default scale is the paper's § V analysis scenario (10^4 tasks on
-4096 ranks); ``quick`` drops to a CI-smoke size. Every case reports
-the best of ``repeats`` runs (state is rebuilt per run, so repeated
-timings are independent). ``profile=True`` additionally runs each
-headline case once under :mod:`cProfile` and collects the top-20
-cumulative hotspots per case into the payload's ``profiles`` section
-(the CLI writes them to ``benchmarks/results/``).
+The refinement race runs on the paper's § V analysis scenario (10^4
+tasks on 4096 ranks); ``quick`` drops it to a CI-smoke size. Every
+case reports the best of ``repeats`` runs (state is rebuilt per run,
+so repeated timings are independent). ``profile=True`` additionally
+runs the serial race case and each rung case once under
+:mod:`cProfile` and collects the top-20 cumulative hotspots per case
+into the payload's ``profiles`` section (the CLI writes them to
+``benchmarks/results/``).
 """
 
 from __future__ import annotations
@@ -59,7 +46,6 @@ import platform
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -72,7 +58,6 @@ from repro.util.parallel import effective_cpu_count, resolve_backend
 from repro.workloads.synthetic import paper_analysis_scenario
 
 __all__ = [
-    "BenchResult",
     "run_benchmarks",
     "run_scale_ladder",
     "format_report",
@@ -81,7 +66,7 @@ __all__ = [
     "LADDER_MAX_KNOWN",
 ]
 
-#: The § V analysis scale (n_tasks, n_loaded_ranks, n_ranks).
+#: The refinement race's scale (n_tasks, n_loaded_ranks, n_ranks): § V's.
 FULL_SCALE = (10_000, 16, 4096)
 #: CI-smoke scale for ``--quick``.
 QUICK_SCALE = (2_000, 8, 512)
@@ -117,24 +102,6 @@ _RUNG_REFERENCE = {"4k": True, "32k": True, "131k": False}
 #: the whole inform+transfer+selection loop, not convergence quality,
 #: and one 131k iteration is already tens of seconds.
 _RUNG_EPISODE = {"4k": (2, 2), "32k": (1, 2), "131k": (1, 2)}
-
-
-@dataclass
-class BenchResult:
-    """Best-of-N timing for one benchmark case."""
-
-    name: str
-    seconds: float  #: best wall time across repeats
-    repeats: int
-    extra: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "seconds": self.seconds,
-            "repeats": self.repeats,
-            **self.extra,
-        }
 
 
 def _time_best(fn: Callable[[], Any], repeats: int) -> tuple[float, Any]:
@@ -186,6 +153,11 @@ def _peak_rss_mb() -> float:
     return peak / 1024.0 if sys.platform != "darwin" else peak / (1024.0 * 1024.0)
 
 
+def _message_model_exact(stage: Any, fanout: int) -> bool:
+    """Whether every round sent exactly ``fanout x |senders|`` messages."""
+    return stage.per_round_messages == [fanout * s for s in stage.per_round_senders]
+
+
 def _run_scale_rung(
     name: str, quick: bool, repeats: int, seed: int, profile: bool = False
 ) -> dict[str, Any]:
@@ -219,29 +191,24 @@ def _run_scale_rung(
     auto_backend = GossipConfig(**base).resolve_knowledge(n_ranks)
     backends = ("packed", "sparse") if _RUNG_REFERENCE[name] else ("sparse",)
     profiles: dict[str, str] = {}
-
-    def make_inform(config: GossipConfig) -> Callable[[], Any]:
-        def bench_inform() -> Any:
-            return run_inform_stage(
-                loads,
-                config,
-                np.random.default_rng(seed + 1),
-                average_load=dist.average_load,
-            )
-
-        return bench_inform
-
     inform_secs: dict[str, float] = {}
     inform_mem: dict[str, float] = {}
     inform_messages: dict[str, int] = {}
+    model_exact: dict[str, bool] = {}
     gossip = None
     for backend in backends:
-        bench_inform = make_inform(GossipConfig(knowledge=backend, **base))
+        config = GossipConfig(knowledge=backend, **base)
+
+        def bench_inform(config=config):
+            return run_inform_stage(
+                loads, config, np.random.default_rng(seed + 1), average_load=dist.average_load
+            )
+
         secs, stage = _time_best(bench_inform, reps)
         inform_secs[backend] = secs
         inform_messages[backend] = stage.n_messages
-        mem = getattr(stage.knowledge, "memory_bytes", None)
-        inform_mem[backend] = (mem() / 2**20) if mem is not None else 0.0
+        model_exact[backend] = _message_model_exact(stage, config.fanout)
+        inform_mem[backend] = stage.knowledge.memory_bytes() / 2**20
         if backend == auto_backend or gossip is None:
             gossip = stage
         if profile and backend == "sparse":
@@ -259,7 +226,7 @@ def _run_scale_rung(
 
     transfer_secs, stats = _time_best(bench_transfer, reps)
     if profile:
-        profiles[f"transfer_soa_{name}"] = _profile_text(bench_transfer)
+        profiles[f"transfer_{name}"] = _profile_text(bench_transfer)
 
     # Full-episode case: Algorithm 3 end to end at this rank count —
     # inform + CMF + transfer + trial selection — under the shipping
@@ -295,14 +262,13 @@ def _run_scale_rung(
         "trim_policy": "lowest",
         "repeats": reps,
         "auto_backend": auto_backend,
-        "auto_threshold": (
-            gossip.auto_threshold if gossip is not None else 0
-        ),
+        "auto_threshold": gossip.auto_threshold,
         "inform_seconds": inform_secs,
         "inform_messages": inform_messages,
+        "message_model_exact": model_exact,
         "knowledge_memory_mb": inform_mem,
-        "transfer_seconds": {"soa": transfer_secs},
-        "transfers": {"soa": stats.transfers},
+        "transfer_seconds": transfer_secs,
+        "transfers": stats.transfers,
         "refinement": {
             "seconds": episode_secs,
             "n_trials": ep_trials,
@@ -395,24 +361,24 @@ def run_benchmarks(
     scale: str | None = None,
     profile: bool = False,
 ) -> dict[str, Any]:
-    """Run every benchmark case and return the ``BENCH_perf.json`` payload.
+    """Run the bench and return the ``BENCH_perf.json`` payload.
 
-    ``workers`` overrides the refinement case's parallel worker count
+    ``workers`` overrides the refinement race's parallel worker count
     (default: 2 at quick scale, 4 at full scale). The parallel case
     measures the shipping resolution rule — the process backend
     wherever a second core and ``fork`` exist, the serial loop where a
     pool cannot win — and the payload records the resolved backend.
 
     ``scale`` additionally runs the rank-count ladder (a rung name or
-    ``"all"``; see :func:`run_scale_ladder`): the payload gains a
-    ``scale_ladder`` section, per-rung benchmark rows tagged with their
-    rung (including one ``refinement/<rung>`` full-episode row), and
-    per rung ``inform_backend_auto_vs_alt_<rung>`` — the ratio that
-    proves ``knowledge="auto"`` picks the faster backend at that rank
+    ``"all"``; see :func:`run_scale_ladder`): the payload gains one
+    ``scale_ladder`` record per rung and, per raced rung,
+    ``speedups.inform_backend_auto_vs_alt_<rung>`` — the ratio that
+    proves ``knowledge="auto"`` picks the faster store at that rank
     count.
 
-    ``profile=True`` runs each headline case once more under cProfile
-    and returns the top-20 cumulative listings in ``payload["profiles"]``.
+    ``profile=True`` runs the serial race case and each rung case once
+    more under cProfile and returns the top-20 cumulative listings in
+    ``payload["profiles"]``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -420,81 +386,11 @@ def run_benchmarks(
     dist = paper_analysis_scenario(
         n_tasks=n_tasks, n_loaded_ranks=n_loaded, n_ranks=n_ranks, seed=seed
     )
-    loads = np.bincount(
-        dist.assignment, weights=dist.task_loads, minlength=dist.n_ranks
-    )
-    results: list[BenchResult] = []
-    profiles: dict[str, str] = {}
-
-    # -- inform stage (its result feeds the transfer benchmarks below) ------
-    def bench_inform():
-        return run_inform_stage(
-            loads,
-            GossipConfig(),
-            np.random.default_rng(seed + 1),
-            average_load=dist.average_load,
-        )
-
-    secs, inform = _time_best(bench_inform, repeats)
-    if profile:
-        profiles["inform_batched"] = _profile_text(bench_inform)
-    results.append(
-        BenchResult(
-            "inform/batched",
-            secs,
-            repeats,
-            {
-                "messages": inform.n_messages,
-                "coverage": float(inform.coverage()),
-                # The stage reports what it actually ran — no
-                # re-derivation that could drift from the selector.
-                "knowledge": inform.knowledge_backend,
-                "auto_threshold": inform.auto_threshold,
-                # f * |senders| messages every round (candidate sets
-                # never run dry at bench scale).
-                "message_model_exact": all(
-                    m == inform.per_round_senders[i] * GossipConfig().fanout
-                    for i, m in enumerate(inform.per_round_messages)
-                ),
-            },
-        )
-    )
-
-    # -- transfer stage ----------------------------------------------------
-    def bench_transfer():
-        assignment = np.array(dist.assignment, copy=True)
-        return transfer_stage(
-            assignment,
-            dist.task_loads,
-            inform,
-            TransferConfig(),
-            np.random.default_rng(seed + 2),
-        )
-
-    secs, stats = _time_best(bench_transfer, repeats)
-    if profile:
-        profiles["transfer_incremental"] = _profile_text(bench_transfer)
-    results.append(
-        BenchResult(
-            "transfer/incremental",
-            secs,
-            repeats,
-            {
-                "transfers": stats.transfers,
-                "rejections": stats.rejections,
-                "cmf_builds": stats.cmf_builds,
-                "cmf_updates": stats.cmf_updates,
-            },
-        )
-    )
-
-    # -- refinement: serial vs parallel (process-backed) trials -------------
     n_trials, n_iters, default_workers = (2, 2, 2) if quick else (4, 2, 4)
     n_workers = default_workers if workers is None else int(workers)
-    refine_secs: dict[str, float] = {}
-    wall_timers: dict[str, float] = {}
-    parallel_timers: dict[str, float] = {}
-    parallel_backend = resolve_backend(n_workers, n_trials)
+    rows: list[dict[str, Any]] = []
+    timers: dict[str, dict[str, float]] = {}
+    profiles: dict[str, str] = {}
     for label, case_workers in (("serial", 1), ("parallel", n_workers)):
 
         def bench_refinement(case_workers=case_workers):
@@ -510,58 +406,21 @@ def run_benchmarks(
             return registry
 
         secs, registry = _time_best(bench_refinement, repeats)
-        refine_secs[label] = secs
         if profile and label == "serial":
             profiles["refinement_serial"] = _profile_text(bench_refinement)
-        timers = {k: float(v) for k, v in registry.timers.items()}
-        if label == "serial":
-            wall_timers = timers
-        else:
-            parallel_timers = timers
-        results.append(
-            BenchResult(
-                f"refinement/{label}",
-                secs,
-                repeats,
-                {
-                    "n_trials": n_trials,
-                    "n_iters": n_iters,
-                    "n_workers": case_workers,
-                    "executor": resolve_backend(case_workers, n_trials),
-                },
-            )
+        timers[label] = {k: float(v) for k, v in registry.timers.items()}
+        rows.append(
+            {
+                "name": f"refinement/{label}",
+                "seconds": secs,
+                "repeats": repeats,
+                "n_trials": n_trials,
+                "n_iters": n_iters,
+                "n_workers": case_workers,
+                "executor": resolve_backend(case_workers, n_trials),
+            }
         )
-
-    # -- EMPIRE surrogate step ---------------------------------------------
-    from repro.empire import EmpireConfig, run_empire
-
-    empire_ranks, empire_steps = (32, 12) if quick else (100, 40)
-    empire_config = EmpireConfig(
-        configuration="tempered",
-        n_ranks=empire_ranks,
-        n_steps=empire_steps,
-        lb_period=empire_steps // 4,
-        initial_particles=2_000 if quick else 10_000,
-        injection_per_step=20 if quick else 100,
-        n_trials=1,
-        n_iters=4,
-        seed=seed,
-    )
-    secs, _ = _time_best(lambda: run_empire(empire_config), max(1, repeats - 1))
-    results.append(
-        BenchResult(
-            "empire_step",
-            secs / empire_steps,
-            max(1, repeats - 1),
-            {"ranks": empire_ranks, "steps": empire_steps, "run_seconds": secs},
-        )
-    )
-
-    speedups = {
-        "refinement_parallel_vs_serial": (
-            refine_secs["serial"] / refine_secs["parallel"]
-        ),
-    }
+    speedups = {"refinement_parallel_vs_serial": rows[0]["seconds"] / rows[1]["seconds"]}
 
     # -- rank-count ladder (opt-in via ``scale``) ---------------------------
     ladder: list[dict[str, Any]] = []
@@ -571,66 +430,15 @@ def run_benchmarks(
         )
         for rung in ladder:
             profiles.update(rung.pop("profiles", {}))
-            tag = {
-                "scale": rung["scale"],
-                "n_ranks": rung["n_ranks"],
-                "n_tasks": rung["n_tasks"],
-            }
-            for backend, secs in rung["inform_seconds"].items():
-                results.append(
-                    BenchResult(
-                        f"inform/{backend}",
-                        secs,
-                        rung["repeats"],
-                        {
-                            **tag,
-                            "knowledge": backend,
-                            "messages": rung["inform_messages"][backend],
-                            "knowledge_memory_mb": rung["knowledge_memory_mb"][backend],
-                        },
-                    )
-                )
-            for engine, secs in rung["transfer_seconds"].items():
-                results.append(
-                    BenchResult(
-                        f"transfer/{engine}",
-                        secs,
-                        rung["repeats"],
-                        {
-                            **tag,
-                            "knowledge": rung["auto_backend"],
-                            "engine": engine,
-                            "transfers": rung["transfers"][engine],
-                        },
-                    )
-                )
-            episode = rung.get("refinement")
-            if episode:
-                walls = episode["stage_walls"]
-                results.append(
-                    BenchResult(
-                        f"refinement/{rung['scale']}",
-                        episode["seconds"],
-                        1,
-                        {
-                            **tag,
-                            "n_trials": episode["n_trials"],
-                            "n_iters": episode["n_iters"],
-                            "knowledge": rung["auto_backend"],
-                            "wall_inform": walls.get("wall.inform", 0.0),
-                            "wall_transfer": walls.get("wall.transfer", 0.0),
-                        },
-                    )
-                )
-            # The gated ladder invariant: whatever backend "auto" picks
-            # at this rank count must beat the alternative. Rungs run
-            # without a reference backend (131k) contribute timing and
+            # The gated ladder invariant: whatever store "auto" picks at
+            # this rank count must beat the alternative. Rungs run
+            # without a reference store (131k) contribute timing and
             # RSS data only — there is nothing tractable to race.
-            alts = [b for b in rung["inform_seconds"] if b != rung["auto_backend"]]
+            seconds = rung["inform_seconds"]
+            alts = [b for b in seconds if b != rung["auto_backend"]]
             if alts:
                 speedups[f"inform_backend_auto_vs_alt_{rung['scale']}"] = (
-                    rung["inform_seconds"][alts[0]]
-                    / rung["inform_seconds"][rung["auto_backend"]]
+                    seconds[alts[0]] / seconds[rung["auto_backend"]]
                 )
     # Stage timers are cumulative per trial and measure elapsed time
     # inside each worker (descheduled slices included); wall.refinement
@@ -638,10 +446,9 @@ def run_benchmarks(
     # run: > 1 means trials overlapped in time, and only together with
     # a speedup > 1 does that overlap prove real core parallelism (it
     # can approach n_workers on idle multi-core hardware).
-    stage_wall = parallel_timers.get("wall.inform", 0.0) + parallel_timers.get(
-        "wall.transfer", 0.0
-    )
-    refinement_wall = parallel_timers.get("wall.refinement", 0.0)
+    parallel = timers["parallel"]
+    stage_wall = parallel.get("wall.inform", 0.0) + parallel.get("wall.transfer", 0.0)
+    refinement_wall = parallel.get("wall.refinement", 0.0)
     return {
         "meta": {
             "quick": quick,
@@ -655,13 +462,13 @@ def run_benchmarks(
             # use — anyone reading the refinement ratio needs this.
             "cpu_count": effective_cpu_count(),
         },
-        "benchmarks": [r.to_dict() for r in results],
+        "benchmarks": rows,
         "speedups": speedups,
         "scale_ladder": ladder,
         "profiles": profiles,
-        "wall_timers": wall_timers,
+        "wall_timers": timers["serial"],
         "refinement_parallel": {
-            "executor": parallel_backend,
+            "executor": resolve_backend(n_workers, n_trials),
             "n_workers": n_workers,
             "stage_wall_seconds": stage_wall,
             "wall_seconds": refinement_wall,
@@ -673,14 +480,12 @@ def run_benchmarks(
 def format_report(payload: dict[str, Any]) -> str:
     """Human-readable digest of a :func:`run_benchmarks` payload.
 
-    Rows are no longer all at one scale: ladder rows carry their own
-    rung and knowledge backend, so each line leads with its rung label
-    (``meta.scale`` for the classic suite) and the per-row detail
-    includes the backend where one applies.
+    The race rows print at ``meta.scale``; each ladder rung prints its
+    own block (summary, inform per store with its message-model bit,
+    transfer, episode).
     """
     meta = payload["meta"]
     scale = meta["scale"]
-    base_label = f"{scale['n_ranks']}r"
     lines = [
         f"perf bench ({'quick' if meta['quick'] else 'full'} scale: "
         f"{scale['n_tasks']} tasks, {scale['n_ranks']} ranks; "
@@ -688,60 +493,57 @@ def format_report(payload: dict[str, Any]) -> str:
         "",
     ]
     width = max(len(b["name"]) for b in payload["benchmarks"])
-    label_width = max(
-        len(str(b.get("scale", base_label))) for b in payload["benchmarks"]
-    )
     for bench in payload["benchmarks"]:
         detail = ", ".join(
-            f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in bench.items()
-            if k not in ("name", "seconds", "repeats", "scale")
+            f"{k}={v}" for k, v in bench.items() if k not in ("name", "seconds", "repeats")
         )
-        label = str(bench.get("scale", base_label))
         lines.append(
-            f"  [{label:>{label_width}}] {bench['name']:<{width}}"
-            f"  {bench['seconds'] * 1e3:9.2f} ms"
-            + (f"  ({detail})" if detail else "")
+            f"  {bench['name']:<{width}}  {bench['seconds'] * 1e3:9.2f} ms  ({detail})"
         )
     lines.append("")
     for name, value in payload["speedups"].items():
         lines.append(f"  speedup {name}: {value:.2f}x")
     for rung in payload.get("scale_ladder", ()):
-        mem = rung.get("knowledge_memory_mb", {})
-        mem_part = (
-            ", knowledge "
-            + "/".join(f"{b}={v:.1f}MB" for b, v in sorted(mem.items()))
-            if mem
-            else ""
+        mem = "/".join(
+            f"{b}={v:.1f}MB" for b, v in sorted(rung["knowledge_memory_mb"].items())
         )
         lines.append(
             f"  rung {rung['scale']}: {rung['n_ranks']} ranks, "
-            f"{rung['n_tasks']} tasks, auto={rung['auto_backend']}"
-            f"{mem_part}, peak RSS {rung['peak_rss_mb']:.0f} MB "
+            f"{rung['n_tasks']} tasks, auto={rung['auto_backend']}, "
+            f"knowledge {mem}, peak RSS {rung['peak_rss_mb']:.0f} MB "
             f"(budget {rung['peak_rss_budget_mb']} MB"
-            + ("" if rung.get("subprocess", True) else ", in-process upper bound")
+            + ("" if rung["subprocess"] else ", in-process upper bound")
             + ")"
         )
-        episode = rung.get("refinement")
-        if episode:
-            walls = episode.get("stage_walls", {})
-            lines.append(
-                f"    episode ({episode['n_trials']}x{episode['n_iters']}): "
-                f"{episode['seconds']:.2f}s total, "
-                f"inform {walls.get('wall.inform', 0.0):.2f}s, "
-                f"transfer {walls.get('wall.transfer', 0.0):.2f}s"
+        exact = rung["message_model_exact"]
+        lines.append(
+            "    inform: "
+            + ", ".join(
+                f"{b} {s:.2f}s (f x senders {'exact' if exact[b] else 'BROKEN'})"
+                for b, s in rung["inform_seconds"].items()
             )
-    refinement = payload.get("refinement_parallel")
-    if refinement and refinement["wall_seconds"]:
+            + f"; transfer {rung['transfer_seconds']:.2f}s, "
+            f"{rung['transfers']} transfers"
+        )
+        episode = rung["refinement"]
+        walls = episode["stage_walls"]
+        lines.append(
+            f"    episode ({episode['n_trials']}x{episode['n_iters']}): "
+            f"{episode['seconds']:.2f}s total, "
+            f"inform {walls.get('wall.inform', 0.0):.2f}s, "
+            f"transfer {walls.get('wall.transfer', 0.0):.2f}s"
+        )
+    refinement = payload["refinement_parallel"]
+    if refinement["wall_seconds"]:
         lines.append(
             "  refinement utilization: "
             f"{refinement['stage_wall_seconds']:.2f}s stage walls / "
             f"{refinement['wall_seconds']:.2f}s wall.refinement = "
             f"{refinement['utilization']:.2f} "
             f"({refinement['executor']} x{refinement['n_workers']}, "
-            f"{meta.get('cpu_count', '?')} cores)"
+            f"{meta['cpu_count']} cores)"
         )
-    if payload.get("wall_timers"):
+    if payload["wall_timers"]:
         timers = ", ".join(
             f"{k}={v * 1e3:.1f}ms" for k, v in sorted(payload["wall_timers"].items())
         )

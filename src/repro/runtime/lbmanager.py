@@ -169,7 +169,7 @@ class LBManager:
                 original, n_failover = failover_assignment(
                     original, task_loads, faults.alive
                 )
-                if n_failover and self.registry is not None and self.registry.enabled:
+                if n_failover and self.registry is not None:
                     self.registry.inc("faults.failover_tasks", n_failover)
 
         # 1. Statistics all-reduce: (total, max) of rank loads.
@@ -246,7 +246,7 @@ class LBManager:
                         gossip_bytes=gossip.bytes_sent,
                     )
                 )
-                if self.registry is not None and self.registry.enabled:
+                if self.registry is not None:
                     self.registry.inc("episode.iterations")
                     self.registry.inc("gossip.messages", gossip.n_messages)
                     self.registry.inc("gossip.bytes", gossip.bytes_sent)
@@ -296,7 +296,7 @@ class LBManager:
             gossip_bytes=gossip_bytes,
             records=records,
         )
-        if self.registry is not None and self.registry.enabled:
+        if self.registry is not None:
             reg = self.registry
             bytes_moved = migration.bytes_moved if migration is not None else 0
             reg.inc("episode.runs")

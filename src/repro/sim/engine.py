@@ -109,7 +109,7 @@ class Engine:
                     self._now = until
             return self._now
         finally:
-            if self._registry is not None and self._registry.enabled:
+            if self._registry is not None:
                 self._registry.inc("engine.runs")
                 self._registry.inc("engine.events", dispatched)
                 self._registry.add_time("engine.sim_time", self._now - start_time)

@@ -288,13 +288,13 @@ class FaultyLink:
         if cfg.delay_rate > 0.0 and rng.random() < cfg.delay_rate:
             extra += rng.exponential(cfg.delay_scale)
             self.delayed += 1
-            if self.registry is not None and self.registry.enabled:
+            if self.registry is not None:
                 self.registry.inc("faults.delayed")
         if cfg.reorder_window > 0.0:
             extra += rng.uniform(0.0, cfg.reorder_window)
         if cfg.duplicate_rate > 0.0 and rng.random() < cfg.duplicate_rate:
             self.duplicates += 1
-            if self.registry is not None and self.registry.enabled:
+            if self.registry is not None:
                 self.registry.inc("faults.duplicates")
             second = extra + (
                 rng.uniform(0.0, cfg.reorder_window)
@@ -314,7 +314,7 @@ class FaultyLink:
 
     def _record_drop(self, msg: Message, reason: str) -> None:
         self.drops += 1
-        if self.registry is not None and self.registry.enabled:
+        if self.registry is not None:
             self.registry.inc("faults.drops")
             self.registry.inc(f"faults.drops.{reason}")
         self.system._notify_drop(msg)
@@ -336,7 +336,7 @@ class FaultyLink:
         self.alive[rank] = False
         self.crashes += 1
         self.system.processes[rank].reset()
-        if self.registry is not None and self.registry.enabled:
+        if self.registry is not None:
             self.registry.inc("faults.crashes")
             self.registry.event("fault.crash", time=self.system.engine.now, rank=rank)
         for hook in self.on_crash:
@@ -350,7 +350,7 @@ class FaultyLink:
             return
         self.alive[rank] = True
         self.restarts += 1
-        if self.registry is not None and self.registry.enabled:
+        if self.registry is not None:
             self.registry.inc("faults.restarts")
             self.registry.event("fault.restart", time=self.system.engine.now, rank=rank)
         for hook in self.on_restart:
@@ -414,7 +414,7 @@ class HeartbeatFailureDetector:
             self.suspected.discard(src)
             # False suspicion: back the timeout off (eventual accuracy).
             self.timeouts[src] *= 1.5
-            if self.registry is not None and self.registry.enabled:
+            if self.registry is not None:
                 self.registry.inc("faults.unsuspected")
 
     def _tick(self) -> None:
@@ -441,7 +441,7 @@ class HeartbeatFailureDetector:
             if rank not in self.suspected:
                 self.suspected.add(rank)
                 self.suspicions += 1
-                if self.registry is not None and self.registry.enabled:
+                if self.registry is not None:
                     self.registry.inc("faults.suspected")
                     self.registry.event(
                         "fault.suspect", time=now, rank=rank

@@ -298,7 +298,7 @@ class System:
                 raise ValueError(f"destination rank {msg.dst} out of range")
         self.messages_sent += len(msgs)
         self.bytes_sent += sum(m.size for m in msgs)
-        if self.registry is not None and self.registry.enabled:
+        if self.registry is not None:
             tag_counts: dict[str, int] = {}
             tag_bytes: dict[str, int] = {}
             link_counts: dict[str, int] = {}

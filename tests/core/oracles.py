@@ -355,7 +355,7 @@ def transfer_stage_lists(
                 if loads[r] > threshold_load and r not in queued:
                     queue.append(r)
                     queued.add(r)
-    if registry is not None and registry.enabled:
+    if registry is not None:
         stats.record(registry)
     return stats
 

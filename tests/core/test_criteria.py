@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.criteria import (
+    CRITERIA,
     CRITERION_ORIGINAL,
     CRITERION_RELAXED,
-    evaluate_criterion,
     original_criterion,
     relaxed_criterion,
 )
+from repro.core.transfer import TransferConfig
 
 
 class TestOriginal:
@@ -57,9 +58,13 @@ class TestRelaxed:
 
 class TestDispatch:
     def test_named_dispatch(self):
-        assert evaluate_criterion(CRITERION_ORIGINAL, 0.0, 0.5, 1.0, 2.0)
-        assert evaluate_criterion(CRITERION_RELAXED, 0.0, 1.5, 1.0, 2.0)
+        assert CRITERIA[CRITERION_ORIGINAL] is original_criterion
+        assert CRITERIA[CRITERION_RELAXED] is relaxed_criterion
+        assert CRITERIA[CRITERION_ORIGINAL](0.0, 0.5, 1.0, 2.0)
+        assert CRITERIA[CRITERION_RELAXED](0.0, 1.5, 1.0, 2.0)
 
     def test_unknown_name(self):
+        # Transfer dispatches through CRITERIA; the config refuses any
+        # other name before a stage runs.
         with pytest.raises(ValueError, match="criterion"):
-            evaluate_criterion("strict", 0, 0, 1, 1)
+            TransferConfig(criterion="strict")

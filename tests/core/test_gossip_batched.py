@@ -19,6 +19,8 @@ import pytest
 
 from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.core.knowledge import PackedKnowledgeBitmap
+from repro.perf.bench import LADDER_MAX_KNOWN, SCALE_RUNGS, _message_model_exact
+from repro.workloads.synthetic import paper_analysis_scenario
 from tests.core.oracles import inform_oracle, member_sets
 
 IMPLS = {"oracle": inform_oracle, "batched": run_inform_stage}
@@ -120,6 +122,34 @@ class TestMessageModel:
             result.per_round_messages, result.per_round_senders
         ):
             assert msgs == f * senders
+
+    @pytest.mark.parametrize("knowledge", ["packed", "sparse"])
+    def test_4k_ladder_rung_is_exact(self, knowledge):
+        # The bench's 4k rung inputs (cap 512, "lowest" trim, k = 10):
+        # candidate sets never run dry there, so every round sends
+        # exactly f x |senders| on both stores, and the rung's
+        # per-store message-model bit reads the same.
+        spec = SCALE_RUNGS["4k"]
+        dist = paper_analysis_scenario(
+            spec["tasks_full"], spec["n_loaded"], spec["n_ranks"], seed=0
+        )
+        loads = np.bincount(
+            dist.assignment, weights=dist.task_loads, minlength=dist.n_ranks
+        )
+        config = GossipConfig(
+            knowledge=knowledge, rounds=10, max_known=LADDER_MAX_KNOWN,
+            trim_policy="lowest",
+        )
+        result = run_inform_stage(
+            loads, config, np.random.default_rng(1),
+            average_load=dist.average_load,
+        )
+        assert result.knowledge_backend == knowledge
+        assert len(result.per_round_messages) == config.rounds
+        assert result.per_round_messages == [
+            config.fanout * s for s in result.per_round_senders
+        ]
+        assert _message_model_exact(result, config.fanout)
 
     @pytest.mark.parametrize("impl", IMPLS)
     def test_general_regime_is_bounded(self, impl):

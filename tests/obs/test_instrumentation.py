@@ -15,7 +15,6 @@ from repro import Distribution, StatsRegistry, TemperedConfig, TemperedLB
 from repro.analysis.io import load_stats, save_stats, stats_to_csv
 from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.core.transfer import transfer_stage
-from repro.obs import NullRegistry
 from repro.runtime import AMTRuntime, LBManager
 from repro.sim.engine import Engine
 from repro.sim.process import System
@@ -71,22 +70,21 @@ class TestCoreStages:
         assert sum(timed.per_round_seconds["sample"]) > 0.0
         assert timed.finish_seconds >= 0.0
 
-        # Off (no registry, or a disabled one) the loop never reads the
-        # clock, and either way it draws and decides the same.
+        # Off (no registry) the loop never reads the clock, and it draws
+        # and decides the same.
         def no_clock():
             raise AssertionError("perf_counter read with timing off")
 
         monkeypatch.setattr(gossip_module, "perf_counter", no_clock)
-        for registry in (None, NullRegistry()):
-            rng = np.random.default_rng(4)
-            plain = run_inform_stage(loads, config, rng, registry=registry)
-            assert plain.per_round_seconds == {} and plain.finish_seconds == 0.0
-            assert rng.bit_generator.state == timed_state
-            np.testing.assert_array_equal(plain.knowledge.rows, timed.knowledge.rows)
-            assert plain.per_round_messages == timed.per_round_messages
-            assert (plain.n_messages, plain.bytes_sent) == (
-                timed.n_messages, timed.bytes_sent,
-            )
+        rng = np.random.default_rng(4)
+        plain = run_inform_stage(loads, config, rng, registry=None)
+        assert plain.per_round_seconds == {} and plain.finish_seconds == 0.0
+        assert rng.bit_generator.state == timed_state
+        np.testing.assert_array_equal(plain.knowledge.rows, timed.knowledge.rows)
+        assert plain.per_round_messages == timed.per_round_messages
+        assert (plain.n_messages, plain.bytes_sent) == (
+            timed.n_messages, timed.bytes_sent,
+        )
 
     def test_round_timing_lands_in_the_stage_series(self):
         loads = np.ones(32)
@@ -232,14 +230,6 @@ class TestAcceptanceCriterion:
         b = TemperedLB(n_trials=2, n_iters=3).rebalance(dist, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(a.assignment, b.assignment)
         assert a.assignment.tobytes() == b.assignment.tobytes()
-
-    def test_null_registry_records_nothing_through_stack(self):
-        dist = paper_analysis_scenario(n_tasks=200, n_loaded_ranks=4, n_ranks=32, seed=5)
-        null = NullRegistry()
-        TemperedLB(n_trials=1, n_iters=2).instrument(null).rebalance(
-            dist, rng=np.random.default_rng(0)
-        )
-        assert null.counters == {} and null.series == {} and null.events == []
 
 
 class TestSimLayer:

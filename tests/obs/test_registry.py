@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_REGISTRY, Event, NullRegistry, StatsRegistry, ensure_registry
+from repro.obs import Event, StatsRegistry
 
 
 class TestCounters:
@@ -117,28 +117,3 @@ class TestMergeAndSerialization:
             assert token in text
         assert StatsRegistry().summary() == "(empty registry)"
 
-
-class TestNullRegistry:
-    def test_records_nothing(self):
-        null = NullRegistry()
-        assert null.enabled is False
-        assert null.inc("a", 5) == 0
-        null.gauge("g", 1)
-        null.observe("s", x=1)
-        null.add_time("t", 1.0)
-        null.event("e", x=1)
-        with null.timed("b", clock=lambda: 0.0):
-            pass
-        assert null.counters == {} and null.series == {} and null.events == []
-
-    def test_merge_is_noop(self):
-        other = StatsRegistry()
-        other.inc("c")
-        null = NullRegistry()
-        assert null.merge(other) is null
-        assert null.counters == {}
-
-    def test_ensure_registry(self):
-        assert ensure_registry(None) is NULL_REGISTRY
-        reg = StatsRegistry()
-        assert ensure_registry(reg) is reg

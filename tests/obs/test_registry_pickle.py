@@ -9,7 +9,7 @@ future unpicklable field silently breaking worker round-trips.
 
 import pickle
 
-from repro.obs import NULL_REGISTRY, NullRegistry, StatsRegistry
+from repro.obs import StatsRegistry
 
 
 def populated_registry():
@@ -30,7 +30,6 @@ class TestStatsRegistryPickle:
         original = populated_registry()
         restored = pickle.loads(pickle.dumps(original))
         assert restored.to_dict() == original.to_dict()
-        assert restored.enabled
 
     def test_restored_registry_is_independent(self):
         original = populated_registry()
@@ -59,13 +58,3 @@ class TestStatsRegistryPickle:
         restored = pickle.loads(pickle.dumps(StatsRegistry()))
         assert restored.to_dict() == StatsRegistry().to_dict()
 
-
-class TestNullRegistryPickle:
-    def test_null_registry_stays_disabled_noop(self):
-        restored = pickle.loads(pickle.dumps(NULL_REGISTRY))
-        assert isinstance(restored, NullRegistry)
-        assert not restored.enabled
-        restored.inc("anything", 5)
-        restored.observe("series", x=1)
-        assert restored.counters == {}
-        assert restored.series == {}
