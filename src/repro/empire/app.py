@@ -213,5 +213,9 @@ def run_empire(config: EmpireConfig) -> EmpireRun:
     return EmpireRun(
         config=config,
         series=series,
-        extra={"lb_invocations": sim.lb_invocations},
+        extra={
+            "lb_invocations": sim.lb_invocations,
+            "physics_s": sim.physics_s,
+            "physics_wait_s": sim.physics_wait_s,
+        },
     )

@@ -80,6 +80,14 @@ class BDotScenario:
         pos, vel = self._spawn(self.initial_particles)
         return ParticlePopulation(pos, vel)
 
+    def get_state(self) -> dict:
+        """The scenario's own mutable state: its random stream."""
+        return {"rng": self._rng.bit_generator.state}
+
+    def set_state(self, state: dict) -> None:
+        """Resume from :meth:`get_state` (e.g. of a worker's copy)."""
+        self._rng.bit_generator.state = state["rng"]
+
     def step(self, population: ParticlePopulation, step_index: int) -> None:
         """Advance one timestep: move everything, then inject new plasma."""
         population.advance(self.dt)

@@ -162,6 +162,16 @@ class ElectrostaticScenario:
         pos, vel = self._spawn(self.initial_particles)
         return ParticlePopulation(pos, vel)
 
+    def get_state(self) -> dict:
+        """The scenario's own mutable state: its random stream and the
+        stepper's warm-start potential."""
+        return {"rng": self._rng.bit_generator.state, "phi": self.stepper._phi}
+
+    def set_state(self, state: dict) -> None:
+        """Resume from :meth:`get_state` (e.g. of a worker's copy)."""
+        self._rng.bit_generator.state = state["rng"]
+        self.stepper._phi = state["phi"]
+
     def step(self, population: ParticlePopulation, step_index: int) -> None:
         self.stepper.step(population)
         if self.injection_per_step:

@@ -145,6 +145,16 @@ class ParticlePopulation:
         """Append newly created particles (copied; validated row by row)."""
         self._append(*_check_rows(positions, velocities))
 
+    def replace_rows(self, positions: np.ndarray, velocities: np.ndarray) -> None:
+        """Make these rows (copied; validated) the whole population.
+
+        How a population advanced elsewhere — in a physics worker —
+        comes back: the storage is kept if it is large enough.
+        """
+        pos, vel = _check_rows(positions, velocities)
+        self._count = 0
+        self._append(pos, vel)
+
     def count_per_color(self, mesh: Mesh2D) -> np.ndarray:
         """Particles per color, length ``mesh.n_colors``."""
         if self._count == 0:

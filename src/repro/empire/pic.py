@@ -2,7 +2,14 @@
 
 Per timestep (matching § VI-A's structure):
 
-1. particles move and new plasma is injected (the B-Dot scenario);
+1. particles move and new plasma is injected (the B-Dot scenario), and
+   the particles are counted per color. With a balancer attached and a
+   second usable core this *physics* runs ahead in a forked worker
+   (:class:`repro.util.parallel.RunAhead`) while the steps below run
+   here; otherwise the same generator runs inline. It is safe to split
+   because the physics never reads what the steps below write — the
+   balancer sees only the previous step's loads (the principle of
+   persistence) — and the results are bit-identical either way;
 2. *particle update*: per-color loads execute on their assigned ranks —
    pinned to home ranks in SPMD mode, migratable in AMT mode (which
    pays the tasking overhead that makes "AMT without LB" ~23% slower);
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -35,6 +42,7 @@ from repro.empire.bdot import BDotScenario
 from repro.empire.fields import FieldSolveModel
 from repro.empire.mesh import Mesh2D
 from repro.empire.workload import ColorWorkloadModel
+from repro.util.parallel import RunAhead, can_fork_worker
 from repro.util.validation import check_in, check_nonnegative, coerce_rng
 
 __all__ = ["LBCostModel", "PICSimulation", "default_lb_schedule"]
@@ -111,7 +119,14 @@ def default_lb_schedule(period: int = 100, first: int = 2) -> Callable[[int], bo
 
 
 class PICSimulation:
-    """Drive the EMPIRE surrogate for a number of timesteps."""
+    """Drive the EMPIRE surrogate for a number of timesteps.
+
+    The scenario must own its state — its random stream included — and
+    hand it over through ``get_state()`` / ``set_state(state)``: when the
+    physics runs in a worker, the worker's final population rows and
+    scenario state are copied back at the end of :meth:`run`, so a
+    stream shared with a collaborator here would be drawn twice.
+    """
 
     def __init__(
         self,
@@ -160,6 +175,10 @@ class PICSimulation:
         self.population = scenario.initialize()
         self._last_loads: np.ndarray | None = None
         self.lb_invocations = 0
+        #: Wall seconds of the physics (scenario step and colour count),
+        #: timed where it ran, and of the loop blocked waiting for it.
+        self.physics_s = 0.0
+        self.physics_wait_s = 0.0
 
     # -- helpers ------------------------------------------------------------
 
@@ -176,48 +195,76 @@ class PICSimulation:
 
         Series metrics: ``t_step, t_particle, t_nonparticle, t_lb,
         max_load, min_load, avg_load, lower_bound, imbalance,
-        n_particles, migrations``.
+        n_particles, migrations``. If a step raises, the series keeps
+        the steps before it and the simulation must be discarded.
         """
         series = series or PhaseSeries()
         mesh = self.mesh
         n_ranks = mesh.n_ranks
+        forked = self.balancer is not None and can_fork_worker()
+        width = mesh.n_colors + 1
+        with RunAhead(self._physics(n_steps), width, self._physics_state, forked) as physics:
+            for step, row in enumerate(physics):
+                counts = row[:-1]
+                loads = self.workload.loads_from_counts(mesh, counts)
+
+                t_lb = 0.0
+                migrations = 0
+                if (
+                    self.balancer is not None
+                    and self._last_loads is not None
+                    and self.lb_schedule(step)
+                ):
+                    t_lb, migrations = self._run_lb(counts)
+
+                rank_particle = self._particle_rank_times(loads)
+                t_particle = float(rank_particle.max())
+                field_times = self.fields.step_time(mesh.cells_per_rank(), n_ranks)
+                t_nonparticle = float(field_times.max())
+
+                series.record(
+                    t_step=t_particle + t_nonparticle + t_lb,
+                    t_particle=t_particle,
+                    t_nonparticle=t_nonparticle,
+                    t_lb=t_lb,
+                    max_load=float(rank_particle.max()),
+                    min_load=float(rank_particle.min()),
+                    avg_load=float(rank_particle.mean()),
+                    lower_bound=lower_bound_max_load(rank_particle, loads),
+                    imbalance=imbalance(rank_particle),
+                    n_particles=float(row[-1]),
+                    migrations=float(migrations),
+                )
+                # Instrumentation records *measured durations*: on slow ranks
+                # a color looks heavier (cf. AMTRuntime's heterogeneity model).
+                self._last_loads = loads / self.rank_speeds[self.assignment]
+        if physics.result is not None:
+            positions, velocities, scenario_state = physics.result
+            self.population.replace_rows(positions, velocities)
+            self.scenario.set_state(scenario_state)
+        self.physics_s += physics.busy_s
+        self.physics_wait_s += physics.wait_s
+        return series
+
+    def _physics(self, n_steps: int) -> Iterator[np.ndarray]:
+        """Step 1 of each timestep: the colour counts, then the particle count.
+
+        Reads and writes only the scenario and the population, so it may
+        run in another process.
+        """
+        mesh, population = self.mesh, self.population
         for step in range(n_steps):
             if step > 0:
-                self.scenario.step(self.population, step)
-            counts = self.population.count_per_color(mesh)
-            loads = self.workload.loads_from_counts(mesh, counts)
+                self.scenario.step(population, step)
+            row = np.empty(mesh.n_colors + 1, dtype=np.int64)
+            row[:-1] = population.count_per_color(mesh)
+            row[-1] = population.count
+            yield row
 
-            t_lb = 0.0
-            migrations = 0
-            if (
-                self.balancer is not None
-                and self._last_loads is not None
-                and self.lb_schedule(step)
-            ):
-                t_lb, migrations = self._run_lb(counts)
-
-            rank_particle = self._particle_rank_times(loads)
-            t_particle = float(rank_particle.max())
-            field_times = self.fields.step_time(mesh.cells_per_rank(), n_ranks)
-            t_nonparticle = float(field_times.max())
-
-            series.record(
-                t_step=t_particle + t_nonparticle + t_lb,
-                t_particle=t_particle,
-                t_nonparticle=t_nonparticle,
-                t_lb=t_lb,
-                max_load=float(rank_particle.max()),
-                min_load=float(rank_particle.min()),
-                avg_load=float(rank_particle.mean()),
-                lower_bound=lower_bound_max_load(rank_particle, loads),
-                imbalance=imbalance(rank_particle),
-                n_particles=float(self.population.count),
-                migrations=float(migrations),
-            )
-            # Instrumentation records *measured durations*: on slow ranks
-            # a color looks heavier (cf. AMTRuntime's heterogeneity model).
-            self._last_loads = loads / self.rank_speeds[self.assignment]
-        return series
+    def _physics_state(self) -> tuple[np.ndarray, np.ndarray, Any]:
+        """What a worker hands back: the live particle rows and the
+        scenario's own state (not the collaborator objects)."""
+        return self.population.positions, self.population.velocities, self.scenario.get_state()
 
     def _run_lb(self, counts: np.ndarray) -> tuple[float, int]:
         """One LB episode on the previous step's instrumented loads."""

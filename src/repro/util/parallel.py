@@ -32,20 +32,35 @@ loop is GIL-bound Python/NumPy, so a thread pool never beat the serial
 loop (0.93x measured at the § V scale) and there is none. Both backends
 call the same function on the same payloads, so the choice affects
 wall time only — never results.
+
+:class:`RunAhead` applies the same rule (:func:`can_fork_worker`) to a
+pipeline of two stages: a generator of fixed-length rows runs in one
+forked worker, ahead of the caller that consumes the rows, so the two
+overlap on two cores. The rows cross through a fixed ring in shared
+memory, never through pickling; the generator's results are the same
+wherever it runs.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
+import pickle
+import time
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
+    "RING_SLOTS",
+    "RemoteTraceback",
+    "RunAhead",
     "TrialExecutor",
+    "can_fork_worker",
     "effective_cpu_count",
     "resolve_backend",
     "spawn_streams",
@@ -84,17 +99,26 @@ def _fork_available() -> bool:
         return False
 
 
+def can_fork_worker() -> bool:
+    """Whether a forked worker can run *beside* this process.
+
+    It needs a second usable core (:func:`effective_cpu_count`) — a
+    worker time-sliced with its parent on one core is strictly
+    overhead — and the ``fork`` start method (a worker that re-imports
+    the world is too).
+    """
+    return effective_cpu_count() >= 2 and _fork_available()
+
+
 def resolve_backend(n_workers: int, n_payloads: int | None = None) -> str:
     """The backend a map over ``n_payloads`` with ``n_workers`` uses.
 
-    ``"serial"`` when the worker count, the payload count or
-    :func:`effective_cpu_count` leaves nothing to overlap — a pool of
-    time-sliced workers on one core is strictly overhead — or when fork
-    is unavailable (a pool that re-imports the world per worker is
-    too); ``"process"`` otherwise.
+    ``"serial"`` when the worker count or the payload count leaves
+    nothing to overlap, or when :func:`can_fork_worker` says no;
+    ``"process"`` otherwise.
     """
     effective = min(n_workers, n_payloads) if n_payloads is not None else n_workers
-    if effective <= 1 or effective_cpu_count() < 2 or not _fork_available():
+    if effective <= 1 or not can_fork_worker():
         return "serial"
     return "process"
 
@@ -187,3 +211,184 @@ class TrialExecutor:
         with pool:
             futures = [pool.submit(_invoke_shared, fn, p) for p in payloads]
             return [f.result() for f in futures]
+
+
+# -- run-ahead pipeline ------------------------------------------------------
+
+#: Rows a :class:`RunAhead` ring holds: how far its worker may get ahead
+#: of the caller. Sized to cover the steps between two EMPIRE LB calls
+#: at the benchmark scale (docs/performance.md, *The PIC physics worker*).
+RING_SLOTS = 32
+
+# One-byte message tags on the worker's pipe to the caller; the caller
+# frees a slot with a bare ``_FREE`` on the other pipe.
+_ROW, _DONE, _FAILED, _FREE = b"r", b"d", b"e", b"f"
+
+
+class RemoteTraceback(Exception):
+    """The cause chained to an exception re-raised from a worker."""
+
+    def __str__(self) -> str:
+        return f"raised in the worker:\n{self.args[0]}"
+
+
+def _failure_message(exc: Exception) -> bytes:
+    """``exc`` and its traceback, pickled — or a stand-in that pickles."""
+    tb = traceback.format_exc()
+    try:
+        blob = pickle.dumps((exc, tb))
+        pickle.loads(blob)  # an exception may pickle yet fail to rebuild
+    except Exception:
+        blob = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), tb))
+    return _FAILED + blob
+
+
+class RunAhead:
+    """Iterate ``rows``, a generator of ``width``-long ``int64`` rows,
+    produced ahead of the caller in a forked worker or inline.
+
+    Forked, the worker iterates its copy-on-write copy of ``rows`` into a
+    ring of :data:`RING_SLOTS` rows in an anonymous shared ``mmap`` made
+    before the fork. One-byte tokens on two pipes say that a slot is
+    filled (worker to caller) or free again (caller to worker), so the
+    worker blocks only when it is a full ring ahead, and memory does not
+    grow with the number of rows. The caller copies each row out of its
+    slot and frees the slot. After the last row the worker sends back
+    ``finish()`` (pickled), which lands in :attr:`result`; it is how the
+    producer's state returns to the caller. A worker exception re-raises
+    in the caller at the row where it happened, with the worker's
+    traceback chained as its cause, and leaving the ``with`` block for
+    any reason terminates and reaps the worker.
+
+    Inline (``forked=False``, or when the fork fails) the caller
+    iterates ``rows`` itself, ``finish`` is never called and
+    :attr:`result` stays ``None``: the state is already in place.
+
+    :attr:`busy_s` is the producer's own time inside ``rows``, timed
+    where it runs; :attr:`wait_s` is the caller's time blocked on the
+    worker (0 inline).
+    """
+
+    def __init__(
+        self,
+        rows: Iterator[np.ndarray],
+        width: int,
+        finish: Callable[[], Any],
+        forked: bool,
+    ) -> None:
+        self._rows = rows
+        self._width = int(width)
+        self._finish = finish
+        self.forked = bool(forked)
+        self.result: Any = None
+        self.busy_s = 0.0
+        self.wait_s = 0.0
+        self._process: Any = None
+
+    def __enter__(self) -> "RunAhead":
+        if self.forked:
+            try:
+                self._start()
+            except OSError as exc:  # pragma: no cover - fork refused (memory, pids)
+                # The same generator runs inline: only wall time differs.
+                warnings.warn(
+                    f"run-ahead worker unavailable ({exc}); running inline",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                self.forked = False
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        """Terminate the worker if it still runs, and reap it."""
+        if self._process is None:
+            return
+        if self._process.is_alive():
+            self._process.terminate()
+        self._process.join()
+        self._ready.close()
+        self._free.close()
+        self._process = None
+        self._ring = None  # unmapped once the last row view is gone
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        if not self.forked:
+            yield from self._timed()
+            return
+        ring = np.frombuffer(self._ring, dtype=np.int64).reshape(RING_SLOTS, self._width)
+        step = 0
+        while True:
+            message = self._receive()
+            tag, body = message[:1], memoryview(message)[1:]
+            if tag == _DONE:
+                self.busy_s, self.result = pickle.loads(body)
+                return
+            if tag == _FAILED:
+                exc, tb = pickle.loads(body)
+                raise exc from RemoteTraceback(tb)
+            row = ring[step % RING_SLOTS].copy()
+            step += 1
+            try:
+                self._free.send_bytes(_FREE)
+            except BrokenPipeError:
+                pass  # the worker has produced its last row and exited
+            yield row
+
+    # -- internals ------------------------------------------------------------
+
+    def _timed(self) -> Iterator[np.ndarray]:
+        rows = iter(self._rows)
+        while True:
+            start = time.perf_counter()
+            try:
+                row = next(rows)
+            except StopIteration:
+                return
+            finally:
+                self.busy_s += time.perf_counter() - start
+            yield row
+
+    def _start(self) -> None:
+        context = multiprocessing.get_context("fork")
+        self._ring = mmap.mmap(-1, RING_SLOTS * self._width * 8)
+        ready_r, ready_w = context.Pipe(duplex=False)
+        free_r, free_w = context.Pipe(duplex=False)
+        process = context.Process(target=self._produce, args=(ready_w, free_r), daemon=True)
+        try:
+            process.start()
+        except OSError:
+            ready_r.close()
+            free_w.close()
+            raise
+        finally:
+            # The caller keeps its own ends only, so a worker that dies
+            # reads as end-of-file rather than a hang.
+            ready_w.close()
+            free_r.close()
+        self._process, self._ready, self._free = process, ready_r, free_w
+
+    def _produce(self, ready: Any, free: Any) -> None:
+        """The worker: fill slots, one token per row, then the hand-back."""
+        ring = np.frombuffer(self._ring, dtype=np.int64).reshape(RING_SLOTS, self._width)
+        try:
+            for step, row in enumerate(self._timed()):
+                if step >= RING_SLOTS:
+                    free.recv_bytes()  # the caller has copied row step - RING_SLOTS
+                ring[step % RING_SLOTS] = row
+                ready.send_bytes(_ROW)
+            message = _DONE + pickle.dumps((self.busy_s, self._finish()))
+        except Exception as exc:
+            message = _failure_message(exc)
+        ready.send_bytes(message)
+
+    def _receive(self) -> bytes:
+        start = time.perf_counter()
+        try:
+            return self._ready.recv_bytes()
+        except EOFError:
+            self._process.join()
+            raise RuntimeError(
+                f"run-ahead worker exited (code {self._process.exitcode}) without a result"
+            ) from None
+        finally:
+            self.wait_s += time.perf_counter() - start
