@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.analysis import format_rows
 from repro.core.gossip import GossipConfig, run_inform_stage
-from repro.runtime.distributed_gossip import DistributedGossip
+from repro.runtime.lbmanager import event_inform_stage
 from repro.sim.process import System
 
 SCALES = [32, 128, 512]
@@ -26,15 +26,15 @@ def run_compare():
         loads[: max(2, n_ranks // 16)] = 25.0
         phase = run_inform_stage(loads, GossipConfig(fanout=FANOUT, rounds=ROUNDS), rng=0)
         sys_ = System(n_ranks)
-        event = DistributedGossip(sys_, loads, fanout=FANOUT, rounds=ROUNDS).run()
+        event, event_elapsed = event_inform_stage(sys_, loads, fanout=FANOUT, rounds=ROUNDS)
         rows.append(
             {
                 "P": n_ranks,
                 "phase coverage": phase.coverage(),
-                "event coverage": event.knowledge.coverage(event.underloaded),
+                "event coverage": event.coverage(),
                 "phase msgs": phase.n_messages,
                 "event msgs": event.n_messages,
-                "event time (us)": event.elapsed * 1e6,
+                "event time (us)": event_elapsed * 1e6,
             }
         )
     return rows

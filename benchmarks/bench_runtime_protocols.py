@@ -10,7 +10,7 @@ lightweight gossip cost the paper's scalability argument rests on.
 import numpy as np
 
 from repro.analysis import format_rows
-from repro.runtime.distributed_gossip import DistributedGossip
+from repro.runtime.lbmanager import event_inform_stage
 from repro.runtime.migration import migrate_tasks
 from repro.sim.process import System
 from repro.sim.reductions import allreduce
@@ -37,7 +37,7 @@ def measure_protocols():
         sys_ = System(n_ranks)
         loads = np.ones(n_ranks)
         loads[: max(2, n_ranks // 16)] = 20.0
-        gossip = DistributedGossip(sys_, loads, fanout=4, rounds=6).run()
+        gossip, gossip_elapsed = event_inform_stage(sys_, loads, fanout=4, rounds=6)
 
         # migration: one task per hot rank to a random cold rank
         sys_ = System(n_ranks)
@@ -52,9 +52,9 @@ def measure_protocols():
             {
                 "P": n_ranks,
                 "allreduce (us)": reduce_time * 1e6,
-                "gossip (us)": gossip.elapsed * 1e6,
+                "gossip (us)": gossip_elapsed * 1e6,
                 "gossip msgs": gossip.n_messages,
-                "coverage": gossip.knowledge.coverage(gossip.underloaded),
+                "coverage": gossip.coverage(),
                 "migration (ms)": migration.duration * 1e3,
             }
         )

@@ -362,7 +362,7 @@ def _cmd_empire(args: argparse.Namespace) -> int:
 def _cmd_protocols(args: argparse.Namespace) -> int:
     from repro.analysis import format_rows
     from repro.analysis.io import save_json
-    from repro.runtime.distributed_gossip import DistributedGossip
+    from repro.runtime.lbmanager import event_inform_stage
     from repro.sim.faults import FaultyLink, HeartbeatFailureDetector
     from repro.sim.process import System
     from repro.sim.reductions import allreduce
@@ -386,21 +386,17 @@ def _cmd_protocols(args: argparse.Namespace) -> int:
         detector = HeartbeatFailureDetector(sys2, fault_cfg)
     loads = np.ones(n)
     loads[: max(2, n // 16)] = 20.0
-    gossip = DistributedGossip(
-        sys2,
-        loads,
-        fanout=args.fanout,
-        rounds=args.rounds,
-        detector=detector,
-    ).run()
+    gossip, gossip_elapsed = event_inform_stage(
+        sys2, loads, fanout=args.fanout, rounds=args.rounds, detector=detector
+    )
 
     rows = [
         {
             "P": n,
             "allreduce (us)": max(times.values()) * 1e6,
-            "gossip (us)": gossip.elapsed * 1e6,
+            "gossip (us)": gossip_elapsed * 1e6,
             "gossip msgs": gossip.n_messages,
-            "coverage": gossip.knowledge.coverage(gossip.underloaded),
+            "coverage": gossip.coverage(),
         }
     ]
     if link is not None:

@@ -2,8 +2,9 @@
 
 Phase-level implementations of Algorithms 1–6 of the paper plus the
 GreedyLB / HierLB baselines. The event-level (message-by-message)
-implementation of the inform stage lives in
-:mod:`repro.runtime.distributed_gossip`.
+inform stage runs the per-rank rule :class:`repro.core.gossip.RankInform`,
+driven asynchronously by :func:`repro.runtime.lbmanager.event_inform_stage`
+and at round barriers by :class:`repro.net.episode.NodeCore`.
 """
 
 from repro.core.base import IterationRecord, LBResult, LoadBalancer

@@ -36,9 +36,15 @@ fault injection, which acts on payload handles in the loop. Only
 
 ``tests/core/oracles.py`` holds the set-based transcription of
 Algorithm 1 that the equivalence suites compare the loop against.
-The event-level asynchronous version (messages with latencies, no round
-barrier, termination detection) lives in
-:mod:`repro.runtime.distributed_gossip`.
+
+:class:`RankInform` is the same listing seen from one rank: merge what
+arrives, forward once per distinct received round to targets drawn
+with the rank's own generator. It is the one rule behind both
+event-level drivers — the asynchronous stage of
+:func:`repro.runtime.lbmanager.event_inform_stage` (messages with
+latencies, no round barrier, Safra termination) and the round-barrier
+:class:`repro.net.episode.NodeCore` of ``repro.net`` and its simulator
+reference.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from typing import ClassVar
 import numpy as np
 
 from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge, inform_store
+from repro.core.knowledge import add_bits, ids_to_row, merge_row, row_count, unknown_targets
 from repro.core.soa import rank_order
 from repro.obs import StatsRegistry
 from repro.sim.faults import EVENT_ONLY_FAULTS, FaultConfig, PhaseFaultModel
@@ -58,6 +65,7 @@ from repro.util.validation import check_in, check_positive_int, coerce_rng
 __all__ = [
     "GossipConfig",
     "GossipResult",
+    "RankInform",
     "run_inform_stage",
     "resolve_auto_threshold",
     "SPARSE_AUTO_MIN_RANKS_FAST",
@@ -662,3 +670,62 @@ def _run_rounds(
     store.finish()
     if timed:
         result.finish_seconds = perf_counter() - mark
+
+
+class RankInform:
+    """Algorithm 1 for one rank, one payload at a time: the rule both
+    event-level drivers run (``event_inform_stage`` as messages land,
+    ``NodeCore`` once per round barrier with the round's union).
+
+    ``row`` is ``S^p`` as a packed row — a view into a shared
+    :class:`PackedKnowledgeBitmap` if the driver wants no copy at the
+    end — and ``rng`` the rank's own generator. A forward is
+    ``(targets, round, row, size)``: up to ``fanout`` distinct targets
+    from ``P \\ S^p \\ {p} \\ exclude`` (all of them if no more, else one
+    ``rng.choice`` without replacement), the round receivers see, a
+    copy of the row and the modelled size of each message. ``exclude``
+    is a set of rank ids (suspected peers) or None.
+    """
+
+    __slots__ = ("rank", "n_ranks", "fanout", "rounds", "rng", "row", "_forwarded")
+
+    def __init__(
+        self, rank: int, n_ranks: int, fanout: int, rounds: int,
+        rng: np.random.Generator, row: np.ndarray | None = None,
+    ) -> None:
+        self.rank = rank
+        self.n_ranks = n_ranks
+        self.fanout = fanout
+        self.rounds = rounds
+        self.rng = rng
+        self.row = ids_to_row(np.empty(0, dtype=np.int64), n_ranks) if row is None else row
+        #: Received rounds already forwarded: the coalescing guard.
+        self._forwarded: set[int] = set()
+
+    def seed(self, exclude: set[int] | None = None) -> tuple | None:
+        """The rank knows itself (Alg. 1 l.7) and sends round 1."""
+        add_bits(self.row, self.rank)
+        return self._forward(1, exclude)
+
+    def on_inform(
+        self, round_index: int, row: np.ndarray, exclude: set[int] | None = None
+    ) -> tuple | None:
+        """Merge one payload row; forward once per distinct received
+        round below ``rounds`` (coalesced forwarding, DESIGN.md § 5)."""
+        merge_row(self.row, row)
+        if round_index >= self.rounds or round_index in self._forwarded:
+            return None
+        self._forwarded.add(round_index)
+        return self._forward(round_index + 1, exclude)
+
+    def _forward(self, next_round: int, exclude: set[int] | None) -> tuple | None:
+        candidates = unknown_targets(self.row, self.rank, self.n_ranks)
+        if exclude:
+            drop = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+            candidates = candidates[~np.isin(candidates, drop)]
+        if candidates.size == 0:
+            return None
+        if candidates.size > self.fanout:
+            candidates = self.rng.choice(candidates, size=self.fanout, replace=False)
+        size = HEADER_BYTES + ENTRY_BYTES * row_count(self.row)
+        return candidates, next_round, self.row.copy(), size

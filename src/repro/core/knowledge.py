@@ -27,6 +27,11 @@ queries, ``test(rows, draws)`` and ``extract(rows, exclude)`` (members
 as ``(row, rank id)`` pairs), for the same sets in the same order, so
 both stores consume the same RNG stream and finish bit-identical.
 
+One rank's ``S^p`` on its own is a packed row, private or a view into
+a :class:`PackedKnowledgeBitmap`; the per-rank inform rule
+(:class:`repro.core.gossip.RankInform`) touches it only through the
+row helpers (:func:`add_bits` ... :func:`unknown_targets`).
+
 The tests check everything here against plain Python ``set``s. Loads do
 not change during an inform stage, so ``LOAD^p`` is simply the global
 load snapshot restricted to ``S^p`` (see DESIGN.md § 5).
@@ -38,7 +43,10 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["PackedKnowledgeBitmap", "SparseKnowledge", "inform_store", "keep_first_bits"]
+__all__ = [
+    "PackedKnowledgeBitmap", "SparseKnowledge", "inform_store", "keep_first_bits",
+    "add_bits", "ids_to_row", "merge_row", "row_count", "row_ids", "unknown_targets",
+]
 
 #: Rank ids in a shard.
 _ID_DTYPE = np.int32
@@ -156,6 +164,48 @@ def _priority_order(loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# One rank's row, for the per-rank inform rule.
+# ---------------------------------------------------------------------------
+
+
+def add_bits(row: np.ndarray, ids) -> None:
+    """Set the bits of rank id(s) ``ids`` in one packed row, in place."""
+    byte, bit = _bits(np.atleast_1d(ids))
+    np.bitwise_or.at(row, byte, bit)
+
+
+def merge_row(row: np.ndarray, other: np.ndarray) -> None:
+    """OR packed row ``other`` into ``row``, in place: ``S |= S'``."""
+    np.bitwise_or(row, other, out=row)
+
+
+def ids_to_row(ids: np.ndarray, n_ranks: int) -> np.ndarray:
+    """A new packed row holding the rank ids ``ids`` (duplicates allowed)."""
+    mask = np.zeros(n_ranks, dtype=bool)
+    mask[ids] = True
+    return np.packbits(mask)
+
+
+def row_ids(row: np.ndarray, n_ranks: int) -> np.ndarray:
+    """The members of one packed row as a sorted ``int64`` id array."""
+    return np.flatnonzero(np.unpackbits(row, count=n_ranks).view(bool))
+
+
+def row_count(row: np.ndarray) -> int:
+    """``|S|``: the popcount of one packed row."""
+    return int.from_bytes(row.tobytes(), "little").bit_count()
+
+
+def unknown_targets(row: np.ndarray, rank: int, n_ranks: int) -> np.ndarray:
+    """``P \\ S^p`` minus ``rank`` itself, sorted: the forward candidates of
+    Alg. 1 l.20. The padding bits past ``n_ranks`` never surface."""
+    mask = np.unpackbits(row, count=n_ranks).view(bool)
+    np.logical_not(mask, out=mask)
+    mask[rank] = False
+    return np.flatnonzero(mask)
+
+
+# ---------------------------------------------------------------------------
 # Containers.
 # ---------------------------------------------------------------------------
 
@@ -182,18 +232,11 @@ class PackedKnowledgeBitmap:
         self.n_bytes = (self.n_ranks + 7) >> 3
         self.packed = np.zeros((self.n_ranks, self.n_bytes), dtype=np.uint8)
 
-    def _unpack_row(self, rank: int) -> np.ndarray:
-        return np.unpackbits(self.packed[rank], count=self.n_ranks).view(bool)
-
     # -- knowledge-store API ------------------------------------------------
 
     def add(self, rank: int, members: np.ndarray | list[int]) -> None:
         """Add ``members`` to ``S^rank``."""
         _or_bits(self.packed, rank, members)
-
-    def add_self(self, ranks: np.ndarray) -> None:
-        """Seed each rank in ``ranks`` with knowledge of itself (Alg. 1 l.7)."""
-        _or_bits(self.packed, ranks, ranks)
 
     def merge_many(self, dsts: int | np.ndarray, src_row: np.ndarray) -> None:
         """Merge one packed row (:meth:`row`) into one destination or
@@ -201,26 +244,17 @@ class PackedKnowledgeBitmap:
         self.packed[dsts] |= src_row
 
     def row(self, rank: int) -> np.ndarray:
-        """A copy of ``S^rank``'s packed row, the operand of :meth:`merge_many`."""
-        return self.packed[rank].copy()
-
-    def count(self, rank: int) -> int:
-        """``|S^rank|``: the popcount of one row."""
-        return int.from_bytes(self.packed[rank].tobytes(), "little").bit_count()
+        """``S^rank``'s packed row, live: a view that the row helpers
+        (:func:`merge_row`, :func:`add_bits`) write through."""
+        return self.packed[rank]
 
     def known(self, rank: int) -> np.ndarray:
         """``S^rank`` as a sorted array of rank ids."""
-        return np.flatnonzero(self._unpack_row(rank))
+        return row_ids(self.packed[rank], self.n_ranks)
 
     def counts(self) -> np.ndarray:
         """``|S^p|`` for every rank ``p`` (vectorized popcount)."""
         return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
-
-    def unknown_targets(self, rank: int) -> np.ndarray:
-        """``P \\ S^p`` minus self — candidate targets (Alg. 1 l.20)."""
-        mask = ~self._unpack_row(rank)
-        mask[rank] = False
-        return np.flatnonzero(mask)
 
     def discard_members(self, ranks: np.ndarray) -> None:
         """Remove ``ranks`` from every ``S^p`` (bit-column clear).

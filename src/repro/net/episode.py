@@ -2,8 +2,11 @@
 
 One LB episode — gossip inform rounds followed by local transfer
 decisions — expressed as a *transport-agnostic* per-rank state machine
-(:class:`NodeCore`) plus a frozen :class:`EpisodeSpec`. Two runtimes
-drive the same state machine:
+(:class:`NodeCore`) plus a frozen :class:`EpisodeSpec`. A core's inform
+stage is :class:`repro.core.gossip.RankInform`, the per-rank rule the
+asynchronous event-level stage of :mod:`repro.runtime.lbmanager` runs
+too; :class:`NodeCore` is its round-barrier driver. Two runtimes drive
+the same state machine:
 
 - :mod:`repro.net.simref` sends the protocol's messages through the
   discrete-event simulator (:class:`repro.sim.process.System`), with
@@ -22,16 +25,16 @@ The determinism contract that makes sim<->net **bit-identity** possible
    schedule.
 2. *Round barriers with order-free merges.* Gossip round ``r``'s
    messages are all delivered before any rank acts on them, and a
-   rank's merge of its round-``r`` payloads is a set union of sorted id
-   shards — the result is independent of arrival order, which is the
+   rank merges its round-``r`` payloads as one union (an OR of packed
+   rows) — the result is independent of arrival order, which is the
    one thing a real network refuses to promise.
 3. *Snapshot transfer view.* Transfer decisions read only the rank's
-   own knowledge shard, the episode's load snapshot and its own RNG
+   own knowledge, the episode's load snapshot and its own RNG
    (``view="snapshot"`` semantics of Algorithm 2), so the decision set
    is a pure function of (spec, rank) once gossip has converged.
 
 Under these rules the episode outcome — per-round message counts,
-knowledge shards, accepted moves, the final assignment, and every
+knowledge sets, accepted moves, the final assignment, and every
 protocol counter — is a pure function of the spec, whatever transport
 carried the bytes.
 
@@ -51,9 +54,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.gossip import ENTRY_BYTES, HEADER_BYTES, GossipResult
+from repro.core.gossip import ENTRY_BYTES, HEADER_BYTES, GossipResult, RankInform
+from repro.core.knowledge import SparseKnowledge, ids_to_row, row_ids
 from repro.core.metrics import imbalance
-from repro.core.knowledge import SparseKnowledge
 from repro.core.transfer import TransferConfig, TransferStats, transfer_from_rank
 from repro.obs import StatsRegistry
 from repro.util.validation import check_positive_int
@@ -292,14 +295,24 @@ class NodeCore:
             spec.seed, self.n_ranks, self.rank
         )
         self.registry = StatsRegistry()
-        #: S^p — sorted underloaded-rank ids this rank knows.
-        self.shard = np.empty(0, dtype=np.int64)
+        #: This iteration's inform stage: S^p as a packed row, the
+        #: coalescing guard and the gossip stream.
+        self.inform = self._new_inform()
         #: Payload buffer per round, merged only at the round barrier.
         self._inbox: dict[int, list[np.ndarray]] = {}
         self._load_snapshot: np.ndarray | None = None
         self._underloaded: np.ndarray | None = None
 
     # -- gossip --------------------------------------------------------------
+
+    def _new_inform(self) -> RankInform:
+        spec = self.spec
+        return RankInform(self.rank, self.n_ranks, spec.fanout, spec.rounds, self.gossip_rng)
+
+    @property
+    def shard(self) -> np.ndarray:
+        """S^p — the sorted underloaded-rank ids this rank knows."""
+        return row_ids(self.inform.row, self.n_ranks)
 
     def begin_iteration(self) -> list[GossipSend]:
         """Reset per-iteration gossip state; seed round 1 if underloaded."""
@@ -308,35 +321,22 @@ class NodeCore:
         )
         self._load_snapshot = loads
         self._underloaded = loads < self.average_load
-        self.shard = np.empty(0, dtype=np.int64)
+        self.inform = self._new_inform()
         self._inbox = {}
         if not self._underloaded[self.rank]:
             return []
-        self.shard = np.array([self.rank], dtype=np.int64)
-        return self._forward(next_round=1)
+        return self._sends(self.inform.seed())
 
-    def _forward(self, next_round: int) -> list[GossipSend]:
-        """Draw up to ``fanout`` targets from P \\ S^p (minus self) and
-        emit this rank's merged shard — the coalesced forwarding rule of
-        Algorithm 1 with this rank's own stream."""
-        mask = np.ones(self.n_ranks, dtype=bool)
-        mask[self.shard] = False
-        mask[self.rank] = False
-        candidates = np.flatnonzero(mask)
-        if candidates.size == 0:
+    def _sends(self, forward: tuple | None) -> list[GossipSend]:
+        """One :class:`GossipSend` per target of a :class:`RankInform`
+        forward, all sharing the forwarded row's sorted ids."""
+        if forward is None:
             return []
-        if candidates.size <= self.spec.fanout:
-            targets = candidates
-        else:
-            targets = self.gossip_rng.choice(
-                candidates, size=self.spec.fanout, replace=False
-            )
-        members = self.shard
-        sends = [
-            GossipSend(self.rank, int(dst), next_round, members) for dst in targets
-        ]
+        targets, next_round, row, size = forward
+        members = row_ids(row, self.n_ranks)
+        sends = [GossipSend(self.rank, int(dst), next_round, members) for dst in targets]
         self.registry.inc("gossip.messages", len(sends))
-        self.registry.inc("gossip.bytes", sum(s.size for s in sends))
+        self.registry.inc("gossip.bytes", size * len(sends))
         return sends
 
     def receive(self, round_index: int, members: np.ndarray) -> None:
@@ -347,17 +347,14 @@ class NodeCore:
         self.registry.inc("gossip.received")
 
     def advance(self, round_index: int) -> list[GossipSend]:
-        """Merge round ``round_index``'s payloads; forward once if the
-        round cap allows. Call only once all of the round's messages
-        are in (the barrier)."""
+        """Merge round ``round_index``'s payloads as one union; forward
+        once if the round cap allows. Call only once all of the round's
+        messages are in (the barrier)."""
         payloads = self._inbox.pop(int(round_index), [])
         if not payloads:
             return []
-        merged = np.union1d(self.shard, np.concatenate(payloads))
-        self.shard = merged.astype(np.int64)
-        if round_index >= self.spec.rounds:
-            return []
-        return self._forward(next_round=round_index + 1)
+        union = ids_to_row(np.concatenate(payloads), self.n_ranks)
+        return self._sends(self.inform.on_inform(round_index, union))
 
     # -- transfer ------------------------------------------------------------
 
@@ -376,8 +373,6 @@ class NodeCore:
     def coverage_hits(self) -> int:
         """|S^p ∩ U| — this rank's contribution to episode coverage."""
         assert self._underloaded is not None
-        if self.shard.size == 0:
-            return 0
         return int(np.count_nonzero(self._underloaded[self.shard]))
 
     def decide_transfers(self) -> TransferStats:

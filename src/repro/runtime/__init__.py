@@ -8,8 +8,7 @@ detection, and migrations ship task bytes across the network model.
 """
 
 from repro.runtime.amt import AMTRuntime, PhaseResult
-from repro.runtime.distributed_gossip import DistributedGossip, GossipOutcome
-from repro.runtime.lbmanager import DistributedLBResult, LBManager
+from repro.runtime.lbmanager import DistributedLBResult, LBManager, event_inform_stage
 from repro.runtime.migration import MigrationResult, migrate_tasks
 from repro.runtime.phase import PhaseBarrier, PhaseInstrumentation
 from repro.runtime.work_stealing import (
@@ -20,9 +19,7 @@ from repro.runtime.work_stealing import (
 
 __all__ = [
     "AMTRuntime",
-    "DistributedGossip",
     "DistributedLBResult",
-    "GossipOutcome",
     "LBManager",
     "MigrationResult",
     "PhaseBarrier",
@@ -31,5 +28,6 @@ __all__ = [
     "RetentiveWorkStealing",
     "StealResult",
     "WorkStealingScheduler",
+    "event_inform_stage",
     "migrate_tasks",
 ]

@@ -4,7 +4,7 @@ Sequence per episode (what vt does at an LB phase boundary):
 
 1. constant-size statistics all-reduce (``l_ave``, ``l_max``);
 2. ``n_trials x n_iters`` refinement iterations (Algorithm 3), each an
-   asynchronous inform stage (:class:`DistributedGossip`) followed by
+   asynchronous inform stage (:func:`event_inform_stage`) followed by
    local transfer decisions (Algorithm 2, snapshot view — senders see
    only their own knowledge) and an all-reduce evaluating the proposed
    imbalance;
@@ -12,6 +12,14 @@ Sequence per episode (what vt does at an LB phase boundary):
 
 The returned :class:`DistributedLBResult` carries the simulated cost of
 the whole episode — the ``t_lb`` column of Fig. 3.
+
+In :func:`event_inform_stage` each rank runs
+:class:`repro.core.gossip.RankInform` on every inform message as it
+lands: rounds "proceed without barriers, relying on distributed
+termination detection" (Safra's). A payload is ``(row, round)``, one
+copy of the sender's packed row per fan-out. Each stage retires its
+``inform_<n>`` tag when it ends, so a message delayed past the stage
+timeout is discarded on arrival instead of forwarding into the next.
 """
 
 from __future__ import annotations
@@ -21,20 +29,25 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.base import IterationRecord
-from repro.core.gossip import GossipConfig
+from repro.core.gossip import GossipConfig, GossipResult, RankInform
+from repro.core.knowledge import PackedKnowledgeBitmap
 from repro.core.metrics import imbalance
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferStats, transfer_from_rank
 from repro.obs import StatsRegistry
 from repro.runtime.amt import AMTRuntime
-from repro.runtime.distributed_gossip import DistributedGossip
 from repro.runtime.migration import MigrationResult, migrate_tasks
 from repro.sim.faults import HeartbeatFailureDetector
+from repro.sim.process import System
 from repro.sim.reductions import allreduce
 from repro.sim.rng import RankStreams
-from repro.util.validation import refuse_changed
+from repro.sim.termination import SafraDetector
+from repro.util.validation import check_positive_int, refuse_changed
 
-__all__ = ["DistributedLBResult", "LBManager", "check_event_level", "failover_assignment"]
+__all__ = [
+    "DistributedLBResult", "LBManager", "check_event_level", "event_inform_stage",
+    "failover_assignment",
+]
 
 #: CPU seconds charged per transfer-loop attempt (criterion + CMF sample).
 _ATTEMPT_COST = 5e-7
@@ -52,6 +65,103 @@ def check_event_level(config: TemperedConfig) -> None:
     refuse_changed("LBManager", gossip, GossipConfig(), ("fanout", "rounds"))
     refuse_changed("LBManager", config.transfer, replace(config.transfer, cascade=False))
     refuse_changed("LBManager", config, replace(config, n_workers=None))
+
+
+def event_inform_stage(
+    system: System, rank_loads: np.ndarray, average_load: float | None = None,
+    fanout: int = 6, rounds: int = 10, streams: RankStreams | None = None,
+    detector: HeartbeatFailureDetector | None = None,
+) -> tuple[GossipResult, float]:
+    """Run one asynchronous inform stage to quiescence on ``system``.
+
+    Returns the stage's :class:`~repro.core.gossip.GossipResult` and the
+    simulated seconds from its start to detected quiescence (or to the
+    stage timeout under faults); the clock advances by that much. Rank
+    ``p`` draws its targets from ``streams[p]``. Under an active fault
+    layer only live underloaded ranks seed, the stage is bounded by
+    ``stage_timeout``, and the optional ``detector``'s heartbeats run
+    for the stage alone; its suspects are never picked as targets.
+    """
+    check_positive_int("fanout", fanout)
+    check_positive_int("rounds", rounds)
+    n = system.n_ranks
+    loads = np.ascontiguousarray(rank_loads, dtype=np.float64)
+    if loads.size != n:
+        raise ValueError("need one load per rank")
+    l_ave = float(loads.mean()) if average_load is None else float(average_load)
+    streams = streams or RankStreams(n, seed=0)
+    faults = system.faults if system.faults is not None and system.faults.enabled else None
+    tag = system.stage_tag("inform")
+    start_time = system.engine.now
+
+    underloaded = loads < l_ave
+    seeds = np.flatnonzero(underloaded)
+    if faults is not None:
+        # Crashed ranks cannot initiate gossip about themselves.
+        seeds = seeds[faults.alive[seeds]]
+    know = PackedKnowledgeBitmap(n)
+    cores = [RankInform(p, n, fanout, rounds, streams[p], know.row(p)) for p in range(n)]
+    # The detector's live set: suspicions raised mid-stage apply at once.
+    suspects = detector.suspected if detector is not None else None
+    sent = [0, 0]  # messages, bytes
+
+    def send(proc, forward) -> None:
+        if forward is not None:
+            targets, next_round, row, size = forward
+            proc.send_many(targets.tolist(), tag, payload=(row, next_round), size=size)
+            sent[0] += len(targets)
+            sent[1] += len(targets) * size
+
+    def on_inform(proc, msg) -> None:
+        row, round_index = msg.payload
+        send(proc, cores[proc.rank].on_inform(round_index, row, suspects))
+
+    for proc in system.processes:
+        proc.register(tag, on_inform)
+
+    detected: list[float] = []
+    # Scoped to this stage's tag: with faults, messages can linger past
+    # the stage (delay spikes) and must not poison the next stage.
+    safra = SafraDetector(system, on_terminate=detected.append, scope=lambda t: t == tag)
+    try:
+        if faults is not None and detector is not None:
+            detector.start()
+        for p in seeds.tolist():
+            send(system.processes[p], cores[p].seed(suspects))
+        safra.start()
+        if faults is None:
+            system.run()
+            if not detected:
+                raise RuntimeError("gossip termination was not detected")
+            elapsed = detected[0] - start_time
+        else:
+            # A crashed member breaks the Safra ring, so the stage is
+            # also bounded by a timeout. Events are stepped one at a time
+            # so the clock stops at detection (or at the deadline)
+            # instead of draining unrelated events.
+            deadline = start_time + faults.config.stage_timeout
+            engine = system.engine
+            while not detected:
+                nxt = engine.peek()
+                if nxt is None or nxt > deadline:
+                    break
+                engine.step()
+            if not detected:
+                safra.cancel()
+                engine.run(until=deadline)  # advance the clock, only
+            if detector is not None:
+                detector.stop()
+            elapsed = (detected[0] if detected else deadline) - start_time
+    finally:
+        # Late messages (delayed past the stage timeout) are discarded
+        # instead of sending into the next stage.
+        safra.cancel()
+        system.retire(tag)
+
+    result = GossipResult(
+        know, underloaded, loads.copy(), l_ave, n_messages=sent[0], bytes_sent=sent[1]
+    )
+    return result, elapsed
 
 
 def failover_assignment(
@@ -129,7 +239,7 @@ class LBManager:
         self.registry = registry
         #: Lazily created when the system has an active fault layer;
         #: heartbeats run only inside gossip stages (started/stopped by
-        #: :class:`DistributedGossip`).
+        #: :func:`event_inform_stage`).
         self.failure_detector: HeartbeatFailureDetector | None = None
 
     def run_episode(self, predicted_loads: np.ndarray | None = None) -> DistributedLBResult:
@@ -189,7 +299,7 @@ class LBManager:
             working = original.copy()
             for iteration in range(1, cfg.n_iters + 1):
                 loads = np.bincount(working, weights=task_loads, minlength=n_ranks)
-                gossip = DistributedGossip(
+                gossip, gossip_elapsed = event_inform_stage(
                     system,
                     loads,
                     average_load=l_ave,
@@ -197,14 +307,13 @@ class LBManager:
                     rounds=gossip_cfg.rounds,
                     streams=self.streams,
                     detector=self.failure_detector,
-                ).run()
-                gossip_time += gossip.elapsed
+                )
+                gossip_time += gossip_elapsed
                 gossip_messages += gossip.n_messages
                 gossip_bytes += gossip.bytes_sent
                 # Transfer decisions run rank by rank so each overloaded
                 # rank's CPU is charged for its own attempts.
                 stats = TransferStats()
-                gossip_result = gossip.to_gossip_result()
                 overloaded = np.flatnonzero(loads > transfer_cfg.threshold * l_ave)
                 if faults is not None:
                     # Dead and suspected ranks must neither receive work
@@ -213,7 +322,7 @@ class LBManager:
                     if self.failure_detector is not None:
                         excluded |= {int(r) for r in self.failure_detector.suspected}
                     if excluded:
-                        gossip_result.knowledge.discard_members(
+                        gossip.knowledge.discard_members(
                             np.fromiter(sorted(excluded), dtype=np.int64)
                         )
                     overloaded = overloaded[faults.alive[overloaded]]
@@ -222,7 +331,7 @@ class LBManager:
                         int(p),
                         working,
                         task_loads,
-                        gossip_result,
+                        gossip,
                         transfer_cfg,
                         rng=self.decision_rng,
                         registry=self.registry,
@@ -262,7 +371,7 @@ class LBManager:
                         imbalance=proposed,
                         gossip_messages=gossip.n_messages,
                         gossip_bytes=gossip.bytes_sent,
-                        gossip_elapsed=gossip.elapsed,
+                        gossip_elapsed=gossip_elapsed,
                     )
                 if proposed < best_imbalance:
                     best_imbalance = proposed

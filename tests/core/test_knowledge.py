@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.knowledge import PackedKnowledgeBitmap as KnowledgeBitmap
+from repro.core.knowledge import add_bits, unknown_targets
 
 
 class TestKnowledgeBitmap:
@@ -20,7 +21,8 @@ class TestKnowledgeBitmap:
 
     def test_add_self_seeds_diagonal(self):
         k = KnowledgeBitmap(5)
-        k.add_self(np.array([1, 4]))
+        for rank in (1, 4):
+            add_bits(k.row(rank), rank)
         assert [list(k.known(r)) for r in range(5)] == [[], [1], [], [], [4]]
 
     def test_merge_is_union(self):
@@ -40,7 +42,7 @@ class TestKnowledgeBitmap:
     def test_unknown_targets_excludes_known_and_self(self):
         k = KnowledgeBitmap(4)
         k.add(0, [1])
-        assert list(k.unknown_targets(0)) == [2, 3]
+        assert list(unknown_targets(k.row(0), 0, 4)) == [2, 3]
 
     def test_counts(self):
         k = KnowledgeBitmap(3)

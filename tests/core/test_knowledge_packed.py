@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.knowledge import PackedKnowledgeBitmap
+from repro.core.knowledge import PackedKnowledgeBitmap, add_bits, unknown_targets
 from tests.core.oracles import member_sets, set_coverage
 
 
@@ -43,7 +43,8 @@ class TestPackedBasics:
 
     def test_add_self_seeds_diagonal(self):
         k = PackedKnowledgeBitmap(20)
-        k.add_self(np.array([1, 9, 17]))
+        for rank in (1, 9, 17):
+            add_bits(k.row(rank), rank)
         assert [r for r in range(20) if r in k.known(r)] == [1, 9, 17]
         np.testing.assert_array_equal(k.counts().sum(), 3)
 
@@ -66,7 +67,7 @@ class TestPackedBasics:
         # into the candidate set.
         k = PackedKnowledgeBitmap(10)
         k.add(0, [1, 9])
-        assert list(k.unknown_targets(0)) == [2, 3, 4, 5, 6, 7, 8]
+        assert list(unknown_targets(k.row(0), 0, 10)) == [2, 3, 4, 5, 6, 7, 8]
 
     def test_coverage_matches_reference(self):
         rng = np.random.default_rng(7)
@@ -100,7 +101,7 @@ class TestPackedParity:
                 ranks = rng.choice(n, size=3, replace=False)
                 for r in ranks.tolist():
                     ref[r].add(r)
-                packed.add_self(ranks)
+                    add_bits(packed.row(r), r)
             elif op == 2:
                 src, dst = rng.choice(n, size=2, replace=False)
                 ref[int(dst)] |= ref[int(src)]
@@ -115,7 +116,7 @@ class TestPackedParity:
         assert packed.counts().tolist() == [len(members) for members in ref]
         for rank in range(n):
             assert packed.known(rank).tolist() == sorted(ref[rank])
-            assert packed.unknown_targets(rank).tolist() == [
+            assert unknown_targets(packed.row(rank), rank, n).tolist() == [
                 q for q in range(n) if q != rank and q not in ref[rank]
             ]
 

@@ -1,6 +1,7 @@
 """Stage-timeout envelope of the event-level inform stage.
 
-The faulty branch of :meth:`DistributedGossip.run` bounds the stage by
+The faulty branch of :func:`repro.runtime.lbmanager.event_inform_stage`
+bounds the stage by
 ``start + stage_timeout`` with a peek/step loop, then advances the
 clock with ``Engine.run(until=deadline)``. Both treat an event landing
 exactly on the deadline as inside the budget, so the seam between them
@@ -13,7 +14,7 @@ of the seam fails a seeded regression, not a debugging session.
 import numpy as np
 import pytest
 
-from repro.runtime.distributed_gossip import DistributedGossip
+from repro.runtime.lbmanager import event_inform_stage
 from repro.sim.faults import FaultConfig, FaultyLink, parse_churn
 from repro.sim.process import System
 
@@ -40,8 +41,8 @@ def _system(stage_timeout):
 def _run(stage_timeout):
     system = _system(stage_timeout)
     start = system.engine.now
-    outcome = DistributedGossip(system, _loads()).run()
-    return system, start, outcome
+    outcome, elapsed = event_inform_stage(system, _loads())
+    return system, start, outcome, elapsed
 
 
 class TestStageTimeout:
@@ -49,8 +50,8 @@ class TestStageTimeout:
         """A budget that expires before the first delivery matures:
         the stage returns seed self-knowledge, charges exactly the
         budget, and does not crash or hang."""
-        system, start, outcome = _run(1e-12)
-        assert outcome.elapsed == pytest.approx(1e-12)
+        system, start, outcome, elapsed = _run(1e-12)
+        assert elapsed == pytest.approx(1e-12)
         assert system.engine.now == pytest.approx(start + 1e-12)
         # Round-1 sends happened (they are charged at send time) but
         # nothing was delivered, so coverage is the seeds' own bits.
@@ -58,7 +59,7 @@ class TestStageTimeout:
         # Each seed knows exactly itself out of U underloaded ranks and
         # everyone else knows nothing: mean coverage is U*(1/U)/P = 1/P.
         assert outcome.underloaded.sum() > 0
-        assert outcome.to_gossip_result().coverage() == pytest.approx(
+        assert outcome.coverage() == pytest.approx(
             1.0 / N_RANKS
         )
 
@@ -66,18 +67,18 @@ class TestStageTimeout:
         """When quiescence beats the deadline, elapsed is the detection
         time; the clock never overshoots the deadline either way."""
         timeout = 2e-3
-        system, start, outcome = _run(timeout)
-        assert 0.0 < outcome.elapsed <= timeout
+        system, start, _, elapsed = _run(timeout)
+        assert 0.0 < elapsed <= timeout
         assert system.engine.now - start <= timeout
 
     def test_envelope_is_seed_deterministic(self):
         """Same seed, same budget -> bit-identical stage outcome."""
         for timeout in (1e-12, 2e-3):
-            a = _run(timeout)[2]
-            b = _run(timeout)[2]
+            _, _, a, a_elapsed = _run(timeout)
+            _, _, b, b_elapsed = _run(timeout)
             assert a.n_messages == b.n_messages
             assert a.bytes_sent == b.bytes_sent
-            assert a.elapsed == b.elapsed
+            assert a_elapsed == b_elapsed
             for rank in range(N_RANKS):
                 np.testing.assert_array_equal(
                     a.knowledge.known(rank), b.knowledge.known(rank)
@@ -87,7 +88,7 @@ class TestStageTimeout:
         """Deliveries stranded past the deadline must be inert: a
         second stage on the same system runs to normal quiescence with
         its own accounting, never consuming the stale messages."""
-        system, _, first = _run(1e-12)
+        system, _, first, _ = _run(1e-12)
         stranded = system.engine.pending
         assert stranded > 1  # the undelivered round-1 sends + the churn event
         # Restore a workable budget for the follow-up stage; the first
@@ -95,6 +96,6 @@ class TestStageTimeout:
         system.faults.config = FaultConfig(
             churn=parse_churn("crash:3@5.0"), stage_timeout=2e-3
         )
-        second = DistributedGossip(system, _loads()).run()
+        second, _ = event_inform_stage(system, _loads())
         assert second.n_messages > first.n_messages
-        assert second.to_gossip_result().coverage() > 0.9
+        assert second.coverage() > 0.9

@@ -52,7 +52,6 @@ PUBLIC_MODULES = [
     "repro.sim.trace",
     "repro.runtime",
     "repro.runtime.amt",
-    "repro.runtime.distributed_gossip",
     "repro.runtime.lbmanager",
     "repro.runtime.migration",
     "repro.runtime.phase",

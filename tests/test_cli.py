@@ -177,6 +177,37 @@ class TestProtocols:
         assert row["P"] == 16
         assert row["coverage"] > 0.5
 
+    #: Rows of ``repro protocols --ranks 64`` before the inform stage moved
+    #: onto the per-rank rule, lossless and with loss plus a crash (whose
+    #: stage runs into its 2 ms timeout with the crashed rank suspected).
+    PINNED = {
+        (): {
+            "P": 64,
+            "allreduce (us)": 10.641066666666662,
+            "coverage": 0.98515625,
+            "gossip (us)": 91.75013333333337,
+            "gossip msgs": 1488,
+        },
+        ("--loss-rate", "0.1", "--fault-seed", "3", "--churn", "crash:5@0.00005"): {
+            "P": 64,
+            "allreduce (us)": 10.641066666666662,
+            "coverage": 0.97578125,
+            "crashes": 1,
+            "drops": 132,
+            "gossip (us)": 2000.0,
+            "gossip msgs": 1471,
+            "suspected": 1,
+        },
+    }
+
+    @pytest.mark.parametrize("flags", list(PINNED), ids=["lossless", "loss_and_crash"])
+    def test_rows_are_pinned(self, flags, capsys, tmp_path):
+        out_file = tmp_path / "protocols.json"
+        code = main(["protocols", "--ranks", "64", *flags, "--json", str(out_file)])
+        capsys.readouterr()
+        assert code == 0
+        assert json.loads(out_file.read_text()) == [self.PINNED[flags]]
+
 
 class TestBench:
     def test_quick_bench_writes_json(self, capsys, tmp_path):

@@ -13,7 +13,7 @@ and reaches, or is refused by, the code it is handed to.
 - ``LBManager`` refuses knobs its event-level episode does not
   implement instead of running without them, and phase-level gossip
   refuses the event-level fault knobs;
-- counts (``EpisodeSpec``'s, ``DistributedGossip``'s) are integers.
+- counts (``EpisodeSpec``'s, ``event_inform_stage``'s) are integers.
 """
 
 from dataclasses import replace
@@ -29,8 +29,7 @@ from repro.empire.app import EmpireConfig, _make_balancer
 from repro.net.episode import EpisodeSpec
 from repro.obs import StatsRegistry
 from repro.runtime.amt import AMTRuntime
-from repro.runtime.distributed_gossip import DistributedGossip
-from repro.runtime.lbmanager import LBManager
+from repro.runtime.lbmanager import LBManager, event_inform_stage
 from repro.sim.faults import EVENT_ONLY_FAULTS, FaultConfig
 from repro.sim.process import System
 from repro.workloads import paper_analysis_scenario
@@ -193,9 +192,9 @@ class TestCountsMustBeIntegers:
     @pytest.mark.parametrize(
         "knob", [{"fanout": 2.5}, {"rounds": 3.7}], ids=lambda k: next(iter(k))
     )
-    def test_distributed_gossip(self, knob):
+    def test_event_inform_stage(self, knob):
         with pytest.raises(ValueError, match=f"{next(iter(knob))} must be a positive integer"):
-            DistributedGossip(System(4), np.ones(4), **knob)
+            event_inform_stage(System(4), np.ones(4), **knob)
 
 
 def _runtime() -> AMTRuntime:
