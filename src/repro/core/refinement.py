@@ -8,6 +8,12 @@ trials wins, and only that proposal's transfers are actually executed
 timestep's state so a bad random walk cannot trap the result in a local
 minimum (§ V-A).
 
+That loop is written once, in :func:`run_trials` (per-trial reset, rank
+loads, iteration rows, gossip totals, best-of selection), around an
+:data:`IterationDriver` that one family supplies: the phase-level
+inform and transfer stages here, the event-level inform stage and
+per-rank transfers in :meth:`repro.runtime.lbmanager.LBManager.run_episode`.
+
 Trials are independent, so they can run concurrently. With
 ``n_workers`` set, each trial draws from its own spawned RNG stream
 (:func:`repro.util.parallel.spawn_streams`) and records into its own
@@ -32,19 +38,28 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.core.base import IterationRecord
 from repro.core.distribution import Distribution
-from repro.core.gossip import GossipConfig, run_inform_stage
+from repro.core.gossip import GossipConfig, GossipResult, run_inform_stage
 from repro.core.metrics import imbalance
-from repro.core.transfer import TransferConfig, transfer_stage
+from repro.core.transfer import TransferConfig, TransferStats, transfer_stage
 from repro.obs import StatsRegistry
 from repro.util.parallel import TrialExecutor, spawn_streams
 from repro.util.validation import check_positive, coerce_rng
 
-__all__ = ["RefinementResult", "iterative_refinement"]
+__all__ = ["IterationDriver", "RefinementResult", "iterative_refinement", "run_trials"]
+
+#: One family's Algorithm 3 iteration (l.4-11): ``(trial, iteration,
+#: working, loads)`` runs inform and transfer on ``working`` in place,
+#: from its pre-iteration rank ``loads``, and returns the proposed
+#: imbalance, the transfer stats and the inform result.
+IterationDriver = Callable[
+    [int, int, np.ndarray, np.ndarray], tuple[float, TransferStats, GossipResult]
+]
 
 
 @dataclass
@@ -86,8 +101,6 @@ class _TrialShared:
     """
 
     dist: Distribution
-    original: np.ndarray
-    l_ave: float
     n_iters: int
     gossip: GossipConfig
     transfer: TransferConfig
@@ -95,26 +108,63 @@ class _TrialShared:
 
 
 def _run_trial(
-    trial: int,
-    dist: Distribution,
-    original: np.ndarray,
-    l_ave: float,
-    n_iters: int,
-    gossip: GossipConfig,
-    transfer: TransferConfig,
-    rng: np.random.Generator,
-    registry: StatsRegistry | None,
+    trial: int, original: np.ndarray, task_loads: np.ndarray, n_ranks: int,
+    n_iters: int, iterate: IterationDriver,
 ) -> _TrialOutcome:
     """Run one trial (Alg. 3 l.3-12) against a private working copy.
 
-    Safe to run concurrently given a private ``rng`` and ``registry``:
-    the shared inputs (``dist``, ``original``, configs) are only read.
+    Safe to run concurrently given a driver that owns its RNG and
+    registry: ``original`` and ``task_loads`` are only read.
     """
-    instrumented = registry is not None
     working = np.array(original, copy=True)  # Alg. 3 l.3: reset per trial
     out = _TrialOutcome()
     for iteration in range(1, int(n_iters) + 1):
-        loads = np.bincount(working, weights=dist.task_loads, minlength=dist.n_ranks)
+        loads = np.bincount(working, weights=task_loads, minlength=n_ranks)
+        proposed, stats, inform = iterate(trial, iteration, working, loads)
+        out.records.append(IterationRecord(
+            trial=trial, iteration=iteration, transfers=stats.transfers,
+            rejections=stats.rejections, imbalance=proposed,
+            gossip_messages=inform.n_messages, gossip_bytes=inform.bytes_sent,
+        ))
+        out.gossip_messages += inform.n_messages
+        out.gossip_bytes += inform.bytes_sent
+        if proposed < out.best_imbalance:
+            out.best_imbalance = proposed
+            out.best_assignment = np.array(working, copy=True)
+    return out
+
+
+def run_trials(
+    iterate: IterationDriver, original: np.ndarray, task_loads: np.ndarray,
+    n_ranks: int, n_trials: int, n_iters: int, initial_imbalance: float,
+) -> RefinementResult:
+    """Algorithm 3's outer loop, one trial after another, around one
+    family's iteration driver.
+
+    Every trial restarts from ``original``; each iteration hands the
+    driver the working assignment and its rank loads, and the proposal
+    with the lowest imbalance across all trials wins (ties to the lowest
+    trial; the original assignment when nothing beats
+    ``initial_imbalance``). Nothing is migrated here.
+    """
+    result = RefinementResult(np.array(original, copy=True), initial_imbalance, initial_imbalance)
+    _select_best(result, (
+        _run_trial(trial, original, task_loads, n_ranks, n_iters, iterate)
+        for trial in range(1, int(n_trials) + 1)
+    ))
+    return result
+
+
+def _phase_driver(
+    dist: Distribution, gossip: GossipConfig, transfer: TransferConfig,
+    rng: np.random.Generator, registry: StatsRegistry | None,
+) -> IterationDriver:
+    """The phase-level iteration: :func:`run_inform_stage` then
+    :func:`transfer_stage`, one ``lb.iteration`` row per call."""
+    instrumented = registry is not None
+    l_ave = dist.average_load  # constant: no load is created or destroyed
+
+    def iterate(trial, iteration, working, loads):
         if instrumented:
             with registry.timed("wall.inform", time.perf_counter):
                 inform = run_inform_stage(
@@ -128,20 +178,7 @@ def _run_trial(
             inform = run_inform_stage(loads, gossip, rng, average_load=l_ave)
             stats = transfer_stage(working, dist.task_loads, inform, transfer, rng)
         loads = np.bincount(working, weights=dist.task_loads, minlength=dist.n_ranks)
-        proposal_imbalance = imbalance(loads)
-        out.records.append(
-            IterationRecord(
-                trial=trial,
-                iteration=iteration,
-                transfers=stats.transfers,
-                rejections=stats.rejections,
-                imbalance=proposal_imbalance,
-                gossip_messages=inform.n_messages,
-                gossip_bytes=inform.bytes_sent,
-            )
-        )
-        out.gossip_messages += inform.n_messages
-        out.gossip_bytes += inform.bytes_sent
+        proposed = imbalance(loads)
         if instrumented:
             registry.inc("lb.iterations")
             registry.observe(
@@ -155,14 +192,13 @@ def _run_trial(
                 rejection_rate=stats.rejection_rate,
                 cmf_builds=stats.cmf_builds,
                 cmf_updates=stats.cmf_updates,
-                imbalance=proposal_imbalance,
+                imbalance=proposed,
                 gossip_messages=inform.n_messages,
                 gossip_bytes=inform.bytes_sent,
             )
-        if proposal_imbalance < out.best_imbalance:
-            out.best_imbalance = proposal_imbalance
-            out.best_assignment = np.array(working, copy=True)
-    return out
+        return proposed, stats, inform
+
+    return iterate
 
 
 def _trial_worker(
@@ -178,21 +214,15 @@ def _trial_worker(
     """
     trial, rng = payload
     registry = StatsRegistry() if shared.instrumented else None
+    dist = shared.dist
+    iterate = _phase_driver(dist, shared.gossip, shared.transfer, rng, registry)
     outcome = _run_trial(
-        trial,
-        shared.dist,
-        shared.original,
-        shared.l_ave,
-        shared.n_iters,
-        shared.gossip,
-        shared.transfer,
-        rng,
-        registry,
+        trial, dist.assignment, dist.task_loads, dist.n_ranks, shared.n_iters, iterate
     )
     return outcome, registry
 
 
-def _select_best(result: RefinementResult, outcomes: list[_TrialOutcome]) -> None:
+def _select_best(result: RefinementResult, outcomes: Iterable[_TrialOutcome]) -> None:
     """Fold trial outcomes into ``result`` in trial order (Alg. 3 l.13).
 
     The strict ``<`` comparison is the tie-breaking rule: when two
@@ -252,48 +282,30 @@ def iterative_refinement(
     transfer = transfer or TransferConfig()
     rng = coerce_rng(rng)
 
-    l_ave = dist.average_load
     original = dist.assignment
-    best_assignment = np.array(original, copy=True)
     initial = dist.imbalance()
-    result = RefinementResult(
-        best_assignment=best_assignment,
-        best_imbalance=initial,
-        initial_imbalance=initial,
-    )
 
     instrumented = registry is not None
     wall_start = time.perf_counter()
     if n_workers is None:
-        outcomes = [
-            _run_trial(
-                trial, dist, original, l_ave, n_iters, gossip, transfer, rng, registry
-            )
-            for trial in range(1, int(n_trials) + 1)
-        ]
+        iterate = _phase_driver(dist, gossip, transfer, rng, registry)
+        result = run_trials(
+            iterate, original, dist.task_loads, dist.n_ranks, n_trials, n_iters, initial
+        )
     else:
         check_positive("n_workers", n_workers)
         streams = spawn_streams(rng, int(n_trials))
-        shared = _TrialShared(
-            dist=dist,
-            original=original,
-            l_ave=l_ave,
-            n_iters=int(n_iters),
-            gossip=gossip,
-            transfer=transfer,
-            instrumented=instrumented,
-        )
+        shared = _TrialShared(dist, int(n_iters), gossip, transfer, instrumented)
         pool = TrialExecutor(min(int(n_workers), int(n_trials)))
         payloads = [(trial + 1, streams[trial]) for trial in range(int(n_trials))]
         pairs = pool.map(_trial_worker, payloads, shared)
-        outcomes = [outcome for outcome, _ in pairs]
         if instrumented:
             # Merge in trial order regardless of completion order, so
             # recorded series are identical for any worker count.
             for _, sub in pairs:
                 registry.merge(sub)  # type: ignore[arg-type]
-
-    _select_best(result, outcomes)
+        result = RefinementResult(np.array(original, copy=True), initial, initial)
+        _select_best(result, (outcome for outcome, _ in pairs))
 
     if instrumented:
         registry.add_time("wall.refinement", time.perf_counter() - wall_start)

@@ -36,7 +36,7 @@ from repro.net.episode import (
     EpisodeSpec,
     EpisodeTally,
     build_result,
-    episode_coverage,
+    fold_decisions,
 )
 from repro.net.node import run_worker
 from repro.net.wire import FrameError, expect_frame, write_frame
@@ -227,55 +227,25 @@ async def _drive(
     for _iteration in range(spec.n_iters):
         round_index = 1
         while True:
-            counts: dict[int, int] = {}
-            arrivals: Counter[int] = Counter()
-            nbytes = 0
+            reports = []
             for reader in readers:
-                report = await expect_frame(reader, "sent")
+                reports.append(report := await expect_frame(reader, "sent"))
                 if int(report["round"]) != round_index:
                     raise FrameError(
                         f"worker reported round {report['round']}, "
                         f"coordinator at {round_index}"
                     )
-                counts.update(
-                    {int(r): int(c) for r, c in report["rank_counts"].items()}
-                )
-                arrivals.update(
-                    {int(d): int(c) for d, c in report["dst_counts"].items()}
-                )
-                nbytes += int(report["bytes"])
-            if tally.record_round_counts(counts, nbytes) == 0:
+            if tally.record_round(reports) == 0:
                 await _broadcast(conns, {"t": "gossip_done"})
                 break
-            commit = {
-                "t": "commit",
-                "round": round_index,
-                "expect": {str(r): arrivals[r] for r in range(n)},
-            }
-            await _broadcast(conns, commit)
+            expect = _expect(reports, "dst_counts", n)
+            await _broadcast(conns, {"t": "commit", "round": round_index, "expect": expect})
             round_index += 1
 
-        moves_by_rank: dict[int, list[tuple[int, int, int]]] = {}
-        hits: list[int] = []  # a mean's operands: any order
-        under = 0
-        arrivals = Counter()
-        for reader in readers:
-            report = await expect_frame(reader, "decide")
-            for r, moves in report["moves"].items():
-                moves_by_rank[int(r)] = [(int(a), int(b), int(c)) for a, b, c in moves]
-            hits += report["hits"].values()
-            under += sum(report["under"].values())
-            arrivals.update(
-                {int(d): int(c) for d, c in report["xfer_counts"].items()}
-            )
-        coverage = episode_coverage(hits, under)
-        iteration_moves = [mv for r in range(n) for mv in moves_by_rank[r]]
-        tally.record_xfers(len(iteration_moves))
-        xfer_commit = {
-            "t": "xfer_commit",
-            "expect": {str(r): arrivals[r] for r in range(n)},
-        }
-        await _broadcast(conns, xfer_commit)
+        reports = [await expect_frame(reader, "decide") for reader in readers]
+        iteration_moves, coverage = fold_decisions(reports, n, tally)
+        expect = _expect(reports, "xfer_counts", n)
+        await _broadcast(conns, {"t": "xfer_commit", "expect": expect})
         for reader in readers:
             await expect_frame(reader, "xfer_done")
         await _broadcast(conns, {"t": "apply", "moves": iteration_moves})
@@ -290,6 +260,15 @@ async def _drive(
             transport.append({"ranks": list(ranks), **frame["transport"]})
     await _broadcast(conns, {"t": "shutdown"})
     return build_result(spec, all_moves, tally, merged.counters, coverage)
+
+
+def _expect(reports: list[dict[str, Any]], key: str, n: int) -> dict[str, int]:
+    """The count-exact barrier's target: every rank's arrivals for one
+    step, the workers' per-destination ``key`` counts summed."""
+    arrivals: Counter[str] = Counter()
+    for report in reports:
+        arrivals.update(report[key])
+    return {str(r): arrivals[str(r)] for r in range(n)}
 
 
 def save_result(

@@ -48,9 +48,10 @@ id) differs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -69,7 +70,9 @@ __all__ = [
     "NodeCore",
     "XFER_BYTES",
     "episode_streams",
-    "episode_coverage",
+    "round_report",
+    "decide_iteration",
+    "fold_decisions",
     "assemble_assignment",
     "build_result",
 ]
@@ -269,7 +272,8 @@ class NodeCore:
     3. :meth:`advance` once round ``r`` is *barrier-complete* — returns
        the round ``r+1`` sends;
     4. :meth:`decide_transfers` after the last round — returns this
-       rank's accepted moves;
+       rank's accepted moves (:func:`decide_iteration` runs it for every
+       core a driver hosts);
     5. :meth:`apply_moves` with the episode-wide move list (the
        migration/epoch boundary) before the next iteration.
 
@@ -301,7 +305,9 @@ class NodeCore:
         #: Payload buffer per round, merged only at the round barrier.
         self._inbox: dict[int, list[np.ndarray]] = {}
         self._load_snapshot: np.ndarray | None = None
-        self._underloaded: np.ndarray | None = None
+        #: This iteration's underloaded mask (``l^q < l_ave``), set by
+        #: :meth:`begin_iteration`.
+        self.underloaded: np.ndarray | None = None
 
     # -- gossip --------------------------------------------------------------
 
@@ -320,10 +326,10 @@ class NodeCore:
             self.assignment, weights=self.task_loads, minlength=self.n_ranks
         )
         self._load_snapshot = loads
-        self._underloaded = loads < self.average_load
+        self.underloaded = loads < self.average_load
         self.inform = self._new_inform()
         self._inbox = {}
-        if not self._underloaded[self.rank]:
+        if not self.underloaded[self.rank]:
             return []
         return self._sends(self.inform.seed())
 
@@ -360,20 +366,20 @@ class NodeCore:
 
     def gossip_result(self) -> GossipResult:
         """This rank's snapshot view of the finished inform stage."""
-        assert self._load_snapshot is not None and self._underloaded is not None
+        assert self._load_snapshot is not None and self.underloaded is not None
         know = SparseKnowledge(self.n_ranks)
         know.add(self.rank, self.shard)
         return GossipResult(
             knowledge=know,
-            underloaded=self._underloaded,
+            underloaded=self.underloaded,
             load_snapshot=self._load_snapshot,
             average_load=self.average_load,
         )
 
     def coverage_hits(self) -> int:
         """|S^p ∩ U| — this rank's contribution to episode coverage."""
-        assert self._underloaded is not None
-        return int(np.count_nonzero(self._underloaded[self.shard]))
+        assert self.underloaded is not None
+        return int(np.count_nonzero(self.underloaded[self.shard]))
 
     def decide_transfers(self) -> TransferStats:
         """Algorithm 2 for this rank alone, on its snapshot view."""
@@ -423,17 +429,57 @@ def assemble_assignment(
     return assignment
 
 
-def episode_coverage(hits: list[int], underloaded_count: int) -> float:
-    """Mean fraction of the underloaded set known per rank.
+def round_report(sends: dict[int, list[GossipSend]]) -> dict[str, Any]:
+    """One gossip round's report for the cores a driver hosts, string-keyed
+    as the JSON ``sent`` frame: messages per sending rank and per
+    destination, and their model bytes."""
+    step = [s for batch in sends.values() for s in batch]
+    return {
+        "rank_counts": {str(r): len(b) for r, b in sends.items()},
+        "bytes": sum(s.size for s in step),
+        "dst_counts": Counter(str(s.dst) for s in step),
+    }
 
-    Same denominator rule as
-    :meth:`repro.core.knowledge.SparseKnowledge.coverage` (via
-    ``_coverage_denominator``): an empty underloaded set counts as full
-    coverage.
-    """
-    if underloaded_count == 0:
-        return 1.0
-    return float(np.asarray(hits, dtype=np.float64).mean() / underloaded_count)
+
+def decide_iteration(
+    cores: Iterable[NodeCore],
+) -> tuple[dict[str, dict[str, Any]], list[tuple[int, int, int]]]:
+    """One iteration's decide step, after the last gossip round, for the
+    cores a driver hosts: the report :func:`fold_decisions` reads (per
+    rank, string-keyed as the JSON ``decide`` frame: coverage hits,
+    underloaded flag, accepted moves; transfers per destination) and the
+    ``(src, dst, task)`` transfer messages to send, in rank then
+    decision order."""
+    report: dict[str, dict[str, Any]] = {"moves": {}, "hits": {}, "under": {}}
+    xfers: list[tuple[int, int, int]] = []
+    for core in cores:
+        r = core.rank
+        report["hits"][str(r)] = core.coverage_hits()
+        report["under"][str(r)] = bool(core.underloaded[r])
+        stats = core.decide_transfers()
+        xfers += [(r, dst, task) for dst, task in core.xfer_sends(stats)]
+        report["moves"][str(r)] = stats.moves
+    report["xfer_counts"] = Counter(str(dst) for _, dst, _ in xfers)
+    return report, xfers
+
+
+def fold_decisions(
+    reports: Iterable[dict[str, dict[str, Any]]], n_ranks: int, tally: EpisodeTally
+) -> tuple[list[tuple[int, int, int]], float]:
+    """Fold every driver's :func:`decide_iteration` report into the
+    iteration's episode-wide moves (in rank order) and its coverage — the
+    mean fraction of the underloaded set known per rank, full when that
+    set is empty (the rule of :meth:`repro.core.knowledge.SparseKnowledge.coverage`)
+    — and account the transfer messages in ``tally``."""
+    reports = list(reports)
+    by_rank = {int(r): moves for report in reports for r, moves in report["moves"].items()}
+    iteration_moves = [(int(t), int(s), int(d)) for r in range(n_ranks) for t, s, d in by_rank[r]]
+    tally.record_xfers(len(iteration_moves))
+    under = sum(sum(report["under"].values()) for report in reports)
+    if under == 0:
+        return iteration_moves, 1.0
+    hits = [h for report in reports for h in report["hits"].values()]  # a mean: any order
+    return iteration_moves, float(np.asarray(hits, dtype=np.float64).mean() / under)
 
 
 class EpisodeTally:
@@ -448,24 +494,18 @@ class EpisodeTally:
         self.bytes_sent = 0
         self.transfer_messages = 0
 
-    def record_round(self, sends_by_rank: dict[int, list[GossipSend]]) -> int:
-        """Account one gossip round's sends; returns the message count."""
-        return self.record_round_counts(
-            {r: len(s) for r, s in sends_by_rank.items()},
-            sum(s.size for sends in sends_by_rank.values() for s in sends),
-        )
-
-    def record_round_counts(self, counts: dict[int, int], nbytes: int) -> int:
-        """Count-level variant of :meth:`record_round`, for drivers that
-        see per-rank send *reports* rather than the sends themselves
-        (the net coordinator). Identical bookkeeping by construction."""
-        n = sum(counts.values())
+    def record_round(self, reports: Iterable[dict[str, Any]]) -> int:
+        """Account one gossip round from every driver's :func:`round_report`;
+        returns the round's message count (0: the inform stage is over)."""
+        reports = list(reports)
+        counts = [c for report in reports for c in report["rank_counts"].values()]
+        n = sum(counts)
         if n == 0:
             return 0
         self.per_round_messages.append(n)
-        self.per_round_senders.append(sum(1 for c in counts.values() if c))
+        self.per_round_senders.append(sum(1 for c in counts if c))
         self.n_messages += n
-        self.bytes_sent += int(nbytes)
+        self.bytes_sent += sum(int(report["bytes"]) for report in reports)
         return n
 
     def record_xfers(self, n: int) -> None:

@@ -44,7 +44,14 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.net.dispatcher import Dispatcher, RetryPolicy
-from repro.net.episode import XFER_BYTES, EpisodeSpec, GossipSend, NodeCore
+from repro.net.episode import (
+    XFER_BYTES,
+    EpisodeSpec,
+    GossipSend,
+    NodeCore,
+    decide_iteration,
+    round_report,
+)
 from repro.net.logging_jsonl import WireLog
 from repro.net.wire import (
     GOSSIP,
@@ -326,13 +333,7 @@ async def run_worker(host: str, port: int, index: int = 0) -> None:
             while True:
                 step = [s for batch in sends.values() for s in batch]
                 await worker.post(gossip=step)
-                sent = {
-                    "t": "sent",
-                    "round": round_index,
-                    "rank_counts": {str(r): len(b) for r, b in sends.items()},
-                    "bytes": sum(s.size for s in step),
-                    "dst_counts": Counter(str(s.dst) for s in step),
-                }
+                sent = {"t": "sent", "round": round_index, **round_report(sends)}
                 await write_frame(writer, sent)
                 reply = await expect_frame(reader, "commit", "gossip_done")
                 if reply["t"] == "gossip_done":
@@ -341,17 +342,9 @@ async def run_worker(host: str, port: int, index: int = 0) -> None:
                 sends = {r: n.core.advance(round_index) for r, n in nodes.items()}
                 round_index += 1
 
-            decide: dict = {"t": "decide", "moves": {}, "hits": {}, "under": {}}
-            xfers: list[tuple[int, int, int]] = []
-            for r, node in nodes.items():
-                decide["hits"][str(r)] = node.core.coverage_hits()
-                decide["under"][str(r)] = bool(node.core._underloaded[r])
-                stats = node.core.decide_transfers()
-                xfers += [(r, dst, task) for dst, task in node.core.xfer_sends(stats)]
-                decide["moves"][str(r)] = [[int(x) for x in mv] for mv in stats.moves]
-            decide["xfer_counts"] = Counter(str(dst) for _, dst, _ in xfers)
+            report, xfers = decide_iteration(n.core for n in nodes.values())
             await worker.post(xfers=xfers)
-            await write_frame(writer, decide)
+            await write_frame(writer, {"t": "decide", **report})
             commit = await expect_frame(reader, "xfer_commit")
             await worker.wait_arrivals(commit["expect"], None)
             await write_frame(writer, {"t": "xfer_done"})

@@ -24,7 +24,9 @@ from repro.net.episode import (
     EpisodeTally,
     NodeCore,
     build_result,
-    episode_coverage,
+    decide_iteration,
+    fold_decisions,
+    round_report,
 )
 from repro.obs import StatsRegistry
 from repro.sim.messages import Message
@@ -63,7 +65,7 @@ def run_episode_sim(
     for _iteration in range(spec.n_iters):
         sends = {r: cores[r].begin_iteration() for r in range(n)}
         round_index = 1
-        while tally.record_round(sends):
+        while tally.record_round([round_report(sends)]):
             for r in range(n):
                 for s in sends[r]:
                     system.processes[r].send(
@@ -76,22 +78,10 @@ def run_episode_sim(
             sends = {r: cores[r].advance(round_index) for r in range(n)}
             round_index += 1
 
-        underloaded_count = sum(
-            1 for core in cores if core._underloaded is not None and core._underloaded[core.rank]
-        )
-        coverage = episode_coverage(
-            [core.coverage_hits() for core in cores], underloaded_count
-        )
-
-        iteration_moves: list[tuple[int, int, int]] = []
-        for r in range(n):
-            stats = cores[r].decide_transfers()
-            for dst, task in cores[r].xfer_sends(stats):
-                system.processes[r].send(
-                    dst, "xfer", payload={"task": task}, size=XFER_BYTES
-                )
-            iteration_moves.extend(stats.moves)
-        tally.record_xfers(len(iteration_moves))
+        report, xfers = decide_iteration(cores)
+        for src, dst, task in xfers:
+            system.processes[src].send(dst, "xfer", payload={"task": task}, size=XFER_BYTES)
+        iteration_moves, coverage = fold_decisions([report], n, tally)
         system.run()
         applied = np.asarray(iteration_moves, dtype=np.int64).reshape(-1, 3)
         for core in cores:

@@ -7,7 +7,8 @@ Sequence per episode (what vt does at an LB phase boundary):
    asynchronous inform stage (:func:`event_inform_stage`) followed by
    local transfer decisions (Algorithm 2, snapshot view — senders see
    only their own knowledge) and an all-reduce evaluating the proposed
-   imbalance;
+   imbalance, run by the phase level's trial loop
+   (:func:`repro.core.refinement.run_trials`);
 3. one migration episode executing the best proposal (Alg. 3 l.13).
 
 The returned :class:`DistributedLBResult` carries the simulated cost of
@@ -32,12 +33,13 @@ from repro.core.base import IterationRecord
 from repro.core.gossip import GossipConfig, GossipResult, RankInform
 from repro.core.knowledge import PackedKnowledgeBitmap
 from repro.core.metrics import imbalance
+from repro.core.refinement import run_trials
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferStats, transfer_from_rank
 from repro.obs import StatsRegistry
 from repro.runtime.amt import AMTRuntime
 from repro.runtime.migration import MigrationResult, migrate_tasks
-from repro.sim.faults import HeartbeatFailureDetector
+from repro.sim.faults import FaultyLink, HeartbeatFailureDetector
 from repro.sim.process import System
 from repro.sim.reductions import allreduce
 from repro.sim.rng import RankStreams
@@ -250,7 +252,6 @@ class LBManager:
         runtime = self.runtime
         system = runtime.system
         cfg = self.config
-        gossip_cfg, transfer_cfg = cfg.gossip, cfg.transfer
         task_loads = (
             np.ascontiguousarray(predicted_loads, dtype=np.float64)
             if predicted_loads is not None
@@ -289,93 +290,44 @@ class LBManager:
         initial_imbalance = imbalance(rank_loads)
 
         # 2. Iterative refinement (Algorithm 3) with event-level informs.
-        best = original.copy()
-        best_imbalance = initial_imbalance
-        records: list[IterationRecord] = []
         gossip_time = 0.0
-        gossip_messages = 0
-        gossip_bytes = 0
-        for trial in range(1, cfg.n_trials + 1):
-            working = original.copy()
-            for iteration in range(1, cfg.n_iters + 1):
-                loads = np.bincount(working, weights=task_loads, minlength=n_ranks)
-                gossip, gossip_elapsed = event_inform_stage(
-                    system,
-                    loads,
-                    average_load=l_ave,
-                    fanout=gossip_cfg.fanout,
-                    rounds=gossip_cfg.rounds,
-                    streams=self.streams,
-                    detector=self.failure_detector,
+
+        def iterate(trial, iteration, working, loads):
+            nonlocal gossip_time
+            gossip, gossip_elapsed = event_inform_stage(
+                system, loads, average_load=l_ave, fanout=cfg.gossip.fanout,
+                rounds=cfg.gossip.rounds, streams=self.streams, detector=self.failure_detector,
+            )
+            gossip_time += gossip_elapsed
+            stats = self._transfer(working, task_loads, loads, l_ave, gossip, faults)
+            loads = np.bincount(working, weights=task_loads, minlength=n_ranks)
+            proposed = imbalance(loads)
+            # Evaluating I_proposed is an all-reduce in the real system.
+            self._stats_allreduce(loads)
+            if self.registry is not None:
+                self.registry.inc("episode.iterations")
+                self.registry.inc("gossip.messages", gossip.n_messages)
+                self.registry.inc("gossip.bytes", gossip.bytes_sent)
+                self.registry.observe(
+                    "episode.iteration",
+                    trial=trial,
+                    iteration=iteration,
+                    proposed=stats.proposed,
+                    accepted=stats.transfers,
+                    rejected=stats.rejections,
+                    rejection_rate=stats.rejection_rate,
+                    cmf_builds=stats.cmf_builds,
+                    imbalance=proposed,
+                    gossip_messages=gossip.n_messages,
+                    gossip_bytes=gossip.bytes_sent,
+                    gossip_elapsed=gossip_elapsed,
                 )
-                gossip_time += gossip_elapsed
-                gossip_messages += gossip.n_messages
-                gossip_bytes += gossip.bytes_sent
-                # Transfer decisions run rank by rank so each overloaded
-                # rank's CPU is charged for its own attempts.
-                stats = TransferStats()
-                overloaded = np.flatnonzero(loads > transfer_cfg.threshold * l_ave)
-                if faults is not None:
-                    # Dead and suspected ranks must neither receive work
-                    # nor make decisions this iteration.
-                    excluded = {int(r) for r in faults.dead_ranks()}
-                    if self.failure_detector is not None:
-                        excluded |= {int(r) for r in self.failure_detector.suspected}
-                    if excluded:
-                        gossip.knowledge.discard_members(
-                            np.fromiter(sorted(excluded), dtype=np.int64)
-                        )
-                    overloaded = overloaded[faults.alive[overloaded]]
-                for p in overloaded:
-                    rank_stats = transfer_from_rank(
-                        int(p),
-                        working,
-                        task_loads,
-                        gossip,
-                        transfer_cfg,
-                        rng=self.decision_rng,
-                        registry=self.registry,
-                    )
-                    attempts = rank_stats.transfers + rank_stats.rejections
-                    if attempts:
-                        system.processes[int(p)].compute(attempts * _ATTEMPT_COST)
-                    stats.merge(rank_stats)
-                loads = np.bincount(working, weights=task_loads, minlength=n_ranks)
-                proposed = imbalance(loads)
-                # Evaluating I_proposed is an all-reduce in the real system.
-                self._stats_allreduce(loads)
-                records.append(
-                    IterationRecord(
-                        trial=trial,
-                        iteration=iteration,
-                        transfers=stats.transfers,
-                        rejections=stats.rejections,
-                        imbalance=proposed,
-                        gossip_messages=gossip.n_messages,
-                        gossip_bytes=gossip.bytes_sent,
-                    )
-                )
-                if self.registry is not None:
-                    self.registry.inc("episode.iterations")
-                    self.registry.inc("gossip.messages", gossip.n_messages)
-                    self.registry.inc("gossip.bytes", gossip.bytes_sent)
-                    self.registry.observe(
-                        "episode.iteration",
-                        trial=trial,
-                        iteration=iteration,
-                        proposed=stats.proposed,
-                        accepted=stats.transfers,
-                        rejected=stats.rejections,
-                        rejection_rate=stats.rejection_rate,
-                        cmf_builds=stats.cmf_builds,
-                        imbalance=proposed,
-                        gossip_messages=gossip.n_messages,
-                        gossip_bytes=gossip.bytes_sent,
-                        gossip_elapsed=gossip_elapsed,
-                    )
-                if proposed < best_imbalance:
-                    best_imbalance = proposed
-                    best = working.copy()
+            return proposed, stats, gossip
+
+        refined = run_trials(
+            iterate, original, task_loads, n_ranks, cfg.n_trials, cfg.n_iters, initial_imbalance
+        )
+        best, best_imbalance = refined.best_assignment, refined.best_imbalance
 
         # 3. Execute the winning proposal's migrations.
         moves = [
@@ -401,9 +353,9 @@ class LBManager:
             t_lb=system.engine.now - t0,
             gossip_time=gossip_time,
             migration=migration,
-            gossip_messages=gossip_messages,
-            gossip_bytes=gossip_bytes,
-            records=records,
+            gossip_messages=refined.total_gossip_messages,
+            gossip_bytes=refined.total_gossip_bytes,
+            records=refined.records,
         )
         if self.registry is not None:
             reg = self.registry
@@ -424,10 +376,41 @@ class LBManager:
                 migration_bytes=bytes_moved,
                 t_lb=result.t_lb,
                 gossip_time=gossip_time,
-                gossip_messages=gossip_messages,
-                gossip_bytes=gossip_bytes,
+                gossip_messages=result.gossip_messages,
+                gossip_bytes=result.gossip_bytes,
             )
         return result
+
+    def _transfer(
+        self, working: np.ndarray, task_loads: np.ndarray, loads: np.ndarray,
+        l_ave: float, gossip: GossipResult, faults: FaultyLink | None,
+    ) -> TransferStats:
+        """Algorithm 2 rank by rank on ``working``, each overloaded rank's
+        CPU charged for its own attempts."""
+        transfer_cfg = self.config.transfer
+        stats = TransferStats()
+        overloaded = np.flatnonzero(loads > transfer_cfg.threshold * l_ave)
+        if faults is not None:
+            # Dead and suspected ranks receive no work this iteration;
+            # only dead ones are kept from deciding (a live suspect
+            # still sends).
+            excluded = {int(r) for r in faults.dead_ranks()}
+            excluded |= {int(r) for r in self.failure_detector.suspected}
+            if excluded:
+                gossip.knowledge.discard_members(
+                    np.fromiter(sorted(excluded), dtype=np.int64)
+                )
+            overloaded = overloaded[faults.alive[overloaded]]
+        for p in overloaded:
+            rank_stats = transfer_from_rank(
+                int(p), working, task_loads, gossip, transfer_cfg,
+                rng=self.decision_rng, registry=self.registry,
+            )
+            attempts = rank_stats.transfers + rank_stats.rejections
+            if attempts:
+                self.runtime.system.processes[int(p)].compute(attempts * _ATTEMPT_COST)
+            stats.merge(rank_stats)
+        return stats
 
     def _stats_allreduce(self, rank_loads: np.ndarray) -> None:
         """Simulate the constant-size (total, max) all-reduce."""

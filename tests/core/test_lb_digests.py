@@ -19,6 +19,10 @@ biased local/global split. The digests were generated at commit
 ``235256f`` (the last one with the argsort wave dedup and the two-sort
 task ordering) by ``python tests/core/test_lb_digests.py`` with numpy
 2.4.6 on x86-64, and must never be regenerated to make a change pass.
+The two ``trials3`` cases (three trials, so the cross-trial best-of
+selection is pinned) were generated the same way at commit ``71c4fa4``,
+before the trial loop moved into one function shared with the
+event-level family.
 """
 
 from __future__ import annotations
@@ -86,13 +90,13 @@ def _inform_digest(n_ranks: int, seed: int, config: GossipConfig) -> str:
 
 def _episode_digest(
     n_ranks: int, seed: int, gossip: GossipConfig, transfer: TransferConfig,
-    n_iters: int = 4,
+    n_iters: int = 4, n_trials: int = 1, n_workers: int | None = None,
 ) -> str:
     rng = np.random.default_rng(seed + 200)
     registry = StatsRegistry()
     result = iterative_refinement(
-        _scenario(n_ranks, seed), n_trials=1, n_iters=n_iters, gossip=gossip,
-        transfer=transfer, rng=rng, registry=registry,
+        _scenario(n_ranks, seed), n_trials=n_trials, n_iters=n_iters, gossip=gossip,
+        transfer=transfer, rng=rng, registry=registry, n_workers=n_workers,
     )
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(result.best_assignment, dtype=np.int64).tobytes())
@@ -104,6 +108,10 @@ def _episode_digest(
         )
     for name in COUNTERS:
         h.update(f"{name}={registry.counter(name)!r};".encode())
+    if n_trials > 1:
+        # The multi-trial cases also pin the per-iteration telemetry rows.
+        rows = registry.series["lb.iteration"]
+        h.update(repr([sorted(row.items()) for row in rows]).encode())
     _update_state(h, rng)
     return h.hexdigest()
 
@@ -177,6 +185,10 @@ EPISODES = {
         4096, 12, GossipConfig(max_known=64, knowledge="sparse", **LOWEST),
         TransferConfig(ordering="fewest_migrations"),
     ),
+    # Three trials of two iterations: the cross-trial best-of selection,
+    # once on the shared stream and once on per-trial spawned streams.
+    "episode-p400-trials3": (400, 10, GossipConfig(), TransferConfig(), 2, 3),
+    "episode-p400-trials3-workers2": (400, 10, GossipConfig(), TransferConfig(), 2, 3, 2),
 }
 
 EMPIRE = {
@@ -208,6 +220,8 @@ PINNED: dict[str, str] = {
     "episode-p400-rebuild-once": "77974214eda38205fcb3613521c11610ab863c68afb9a61101bc6bee4d57fb43",
     "episode-p4096-lowest-sorted": "5185472c75b05930289479a3ed24ac6ebeb90e4ef33882c7c5a9480037709ae9",
     "episode-p4096-phase": "9d6d80464265fb31adb4ba665e50cdc708d667f82a2907b870d763d3ac9324ca",
+    "episode-p400-trials3": "b218faa5d1227e501bd313791b2147755cc8b67561c7ed0f2c97fc7091995478",
+    "episode-p400-trials3-workers2": "2ec4577d3c9e021c0b73faee2b6c002dfb6591adb4c9039b3f52b03030f2761f",
     "episode-p64-default": "96d3e5e88f3df534dfc331a75615a9b1d176678586e613d40f830e0f8afbeab8",
     "episode-p64-lbaf": "93916253b3f9e0440c5fd936e52ab81784d3e6c5777bc9b33b10c97e1bc9963b",
     "inform-p400-bias": "8ed94f7b594005370af0036a8b0eb0275c721e1e5e5b55bc721627203312ec18",

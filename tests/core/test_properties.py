@@ -72,14 +72,24 @@ def test_lemma2_violating_transfer_never_helps(l_i, l_x_frac, excess):
 @settings(max_examples=60, deadline=None)
 def test_lemma1_objective_nonincreasing_through_full_stage(loads, seed):
     """Running a full relaxed-criterion transfer stage (shared view, so
-    every acceptance sees true loads) never increases the objective F."""
+    every acceptance sees true loads) never increases the objective F —
+    at the end, and at every accepted transfer: replaying the stage's
+    moves in order, each lowers the larger of its two ranks' loads
+    strictly (Lemma 1) and never raises F.
+
+    Lemma 1 is exact arithmetic. The stage evaluates ``l < l_p - l_x``
+    in floats, so when the criterion's slack ``l_p - l_x - l`` is within
+    rounding it can accept a zero-gain swap (``l_x + l == l_p``, e.g.
+    loads ``[127.3410035802888, 1.3023723032349181, 1.3023723032349181]``
+    at seed 195223); such a move must still not raise the pair's
+    maximum beyond rounding."""
     task_loads = np.asarray(loads)
     n_ranks = 4
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, n_ranks, size=task_loads.size)
     before = np.bincount(assignment, weights=task_loads, minlength=n_ranks)
     gossip = run_inform_stage(before, GossipConfig(fanout=2, rounds=3), rng=seed)
-    transfer_stage(
+    stats = transfer_stage(
         assignment,
         task_loads,
         gossip,
@@ -88,6 +98,20 @@ def test_lemma1_objective_nonincreasing_through_full_stage(loads, seed):
     )
     after = np.bincount(assignment, weights=task_loads, minlength=n_ranks)
     assert objective(after) <= objective(before) + 1e-9
+
+    replay = before.copy()
+    for task, src, dst in stats.moves:
+        pair_max, f = max(replay[src], replay[dst]), objective(replay)
+        slack = replay[src] - replay[dst] - task_loads[task]
+        replay[src] -= task_loads[task]
+        replay[dst] += task_loads[task]
+        rounding = 1e-12 * pair_max
+        if slack > rounding:
+            assert max(replay[src], replay[dst]) < pair_max
+        else:
+            assert max(replay[src], replay[dst]) <= pair_max + rounding
+        assert objective(replay) <= f + 1e-12
+    np.testing.assert_allclose(replay, after, atol=1e-9 * after.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ seq)`` order, and draws the same RNG values. Each digest is the
   and the heartbeat detector's suspicions.
 
 Cases: lossless ``LBManager`` episodes at 64 and 256 ranks over three
-seeds each; two consecutive episodes on one runtime; episodes under an
+seeds each; two consecutive episodes on one runtime; one three-trial
+episode (its winner is trial 2's last iteration, so the cross-trial
+best-of selection is pinned); episodes under an
 active ``FaultyLink`` (loss, delay spikes past the stage timeout,
 duplication, the heartbeat detector and one crash, so the peek / step
 stage-timeout path runs); ``run_episode_sim`` on ``net_64``'s spec
@@ -31,6 +33,9 @@ shape; and a standalone ``migrate_tasks``, ``allreduce``, Safra and
 Dijkstra–Scholten run. The digests were generated before the hot-path
 rewrite by ``python tests/runtime/test_episode_digests.py`` with numpy
 2.4.6 on x86-64, and must never be regenerated to make a change pass.
+``lb-p64-trials3`` was generated the same way at commit ``71c4fa4``,
+before the trial loop moved into one function shared with the
+phase-level family.
 """
 
 from __future__ import annotations
@@ -112,6 +117,7 @@ def _hash_lb_result(h, result) -> None:
 def _lb_digest(
     n_ranks: int, n_tasks: int, n_loaded: int, seed: int,
     episodes: int = 1, faults: FaultConfig | None = None,
+    config: TemperedConfig = TemperedConfig(n_trials=1, n_iters=3),
 ) -> str:
     """``episodes`` LB episodes on one runtime. Lossless runs execute a
     phase before each episode; faulty runs (whose crash would stall the
@@ -124,9 +130,7 @@ def _lb_digest(
     link = None
     if faults is not None:
         link = FaultyLink(runtime.system, faults, registry=registry)
-    manager = LBManager(
-        runtime, TemperedConfig(n_trials=1, n_iters=3), seed=seed + 1, registry=registry
-    )
+    manager = LBManager(runtime, config, seed=seed + 1, registry=registry)
     h = hashlib.sha256()
     for _ in range(episodes):
         if link is None:
@@ -249,6 +253,9 @@ CASES = {
     **{f"lb-p64-s{s}": (_lb_digest, (64, 1024, 4, s)) for s in (1, 2, 3)},
     **{f"lb-p256-s{s}": (_lb_digest, (256, 4096, 16, s)) for s in (5, 6, 7)},
     "lb-p64-two-episodes": (_lb_digest, (64, 1024, 4, 4, 2)),
+    "lb-p64-trials3": (
+        _lb_digest, (64, 1024, 4, 1, 1, None, TemperedConfig(n_trials=3, n_iters=2)),
+    ),
     "lb-p64-faults-s1": (_lb_digest, (64, 1024, 4, 1, 2, _faults(1))),
     "lb-p64-faults-s2": (_lb_digest, (64, 1024, 4, 2, 2, _faults(2))),
     "lb-p64-faults-control": (
@@ -284,6 +291,7 @@ PINNED: dict[str, str] = {
     "lb-p64-s2": "55b547a1919e31ca960742db7671b1bb6118a41d1d7daa29e9b2298dde3153ba",
     "lb-p64-s3": "323c6c89e62fc5feafc77f4a9fb22eb0d718332b026cc28af3e1ad10718effa8",
     "lb-p64-two-episodes": "e34cdaf849aa863d2a02039fb567e63ceaff98faf86157070603cae192923fc3",
+    "lb-p64-trials3": "c447f31679bdb1faa3fb3c28c0efa9845de39650d4a4af9d35826b2ed76a77cd",
     "protocols-s1": "1a5878ef512ef1a8bf4fa1979d583c69be89f11df58eaf185f856e08a32748ff",
     "protocols-s2": "84c3750e89811931e325431645b98309015a073dfa3298fc5a5bbc7193936eb7",
     "simref-p64-s5": "e0f6ca43355e36ebe1c59c9195f8edf1802c177480ac42051e5182b17754d008",

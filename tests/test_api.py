@@ -164,6 +164,18 @@ def test_gossip_is_algorithm_one_and_nothing_else():
     assert found == [], f"storage layout in core/gossip.py: {found}"
 
 
+def test_algorithm3_loop_and_barrier_step_are_written_once():
+    """One trial loop builds every iteration row, and only ``NodeCore``'s
+    own module touches its private state: a second copy of either loop
+    would show here."""
+    src = Path(repro.__file__).parent
+    texts = {p.relative_to(src).as_posix(): p.read_text() for p in src.rglob("*.py")}
+    sites = [name for name, text in texts.items() for _ in re.finditer(r"IterationRecord\(", text)]
+    assert sites == ["core/refinement.py"], f"IterationRecord( built in {sites}"
+    readers = sorted(n for n, t in texts.items() if "._underloaded" in t and n != "net/episode.py")
+    assert readers == [], f"NodeCore._underloaded read in {readers}"
+
+
 # -- reachability: a module stays only if something outside tests/ reaches it --
 
 
