@@ -142,8 +142,9 @@ def _fenwick_build(values: np.ndarray, length: int = 0) -> np.ndarray:
     n = values.size
     prefix = np.empty(n + 1, dtype=np.float64)
     prefix[0] = 0.0
-    np.cumsum(values, out=prefix[1:])
-    tree = np.full(max(length, n + 1), inf)
+    np.add.accumulate(values, out=prefix[1:])  # ``cumsum`` without its wrapper
+    tree = np.empty(max(length, n + 1))
+    tree[n + 1 :] = inf
     np.subtract(prefix, prefix[_fenwick_parents(n)], out=tree[: n + 1])
     return tree
 
@@ -280,6 +281,88 @@ class IncrementalCMF:
         self.updates = 0
         self._rebuild()
 
+    @classmethod
+    def many(
+        cls,
+        known_loads: np.ndarray,
+        bounds: np.ndarray,
+        l_ave: float,
+        variant: str = CMF_MODIFIED,
+    ) -> list["IncrementalCMF"]:
+        """One sampler per segment ``known_loads[bounds[i]:bounds[i+1]]``.
+
+        Each is what ``cls(segment, l_ave, variant, copy=False)`` builds,
+        bit for bit, and its ``loads`` is a view of the segment. The
+        elementwise parts of the build — maxima, masses, positive
+        counts and Fenwick nodes — run once over every segment; only the
+        two float folds whose order is the segment's own, the mass sum
+        and the prefix sum, run per segment. A segment that is empty or
+        whose ``l_s`` is not positive (an exhausted sampler) takes the
+        plain constructor.
+        """
+        check_in("cmf", variant, (CMF_ORIGINAL, CMF_MODIFIED))
+        l_ave = float(l_ave)
+        known_loads = np.asarray(known_loads, dtype=np.float64)
+        if len(bounds) == 2:  # one segment: nothing to share
+            return [cls(known_loads[bounds[0] : bounds[1]], l_ave, variant, copy=False)]
+        bounds = np.asarray(bounds, dtype=np.int64)
+        counts = np.diff(bounds)
+        max_load = np.zeros(counts.size)
+        filled = np.flatnonzero(counts > 0)
+        if filled.size:
+            max_load[filled] = np.maximum.reduceat(known_loads, bounds[filled])
+        if variant == CMF_ORIGINAL:
+            l_s = np.full(counts.size, l_ave)
+        else:
+            l_s = np.maximum(l_ave, max_load)
+        live = (counts > 0) & (l_s > 0.0)
+        # Every live l_s is l_ave under the snapshot view: one scalar
+        # serves all. A dead segment's masses are never read; 1.0 keeps
+        # them finite.
+        if l_ave > 0.0 and (l_s[live] == l_ave).all():
+            masses = _masses(known_loads, l_ave)
+        else:
+            masses = _masses(known_loads, np.repeat(np.where(live, l_s, 1.0), counts))
+        positive = np.zeros(counts.size, dtype=np.int64)
+        if filled.size:
+            positive[filled] = np.add.reduceat(masses > 0.0, bounds[filled], dtype=np.int64)
+        # Segment i's tree is row i of one (segments, width) matrix, the
+        # width of the largest; +inf past the segment's n nodes.
+        width = 1 << int(counts.max(initial=0)).bit_length()
+        prefix = np.zeros((counts.size, width))
+        trees = np.empty_like(prefix)
+        samplers: list[IncrementalCMF] = []
+        for i, (start, end, alive, l_s_i, max_i, positive_i) in enumerate(zip(
+            bounds[:-1].tolist(), bounds[1:].tolist(), live.tolist(), l_s.tolist(),
+            max_load.tolist(), positive.tolist(),
+        )):
+            segment = known_loads[start:end]
+            if not alive:
+                samplers.append(cls(segment, l_ave, variant, copy=False))
+                continue
+            own = masses[start:end]
+            sampler = cls.__new__(cls)
+            sampler.loads, sampler.l_ave, sampler.variant = segment, l_ave, variant
+            sampler.builds, sampler.updates = 1, 0
+            sampler.l_s, sampler._max_load, sampler.n_positive = l_s_i, max_i, positive_i
+            # The segment's own ``sum`` and ``cumsum``, minus their wrappers.
+            sampler.total = float(np.add.reduce(own))
+            np.add.accumulate(own, out=prefix[i, 1 : own.size + 1])
+            sampler._tree = trees[i, : 1 << own.size.bit_length()]  # filled below
+            samplers.append(sampler)
+        # Node j = prefix[j] - prefix[j - lowbit(j)], one lowbit at a
+        # time: the nodes of lowbit k sit at offset k of each run of 2k
+        # nodes, their parents at offset 0 — strided, no index array.
+        trees[:, 0] = 0.0
+        k = 1
+        while k < width:
+            shape = (counts.size, width // (2 * k), 2 * k)
+            runs, nodes = prefix.reshape(shape), trees.reshape(shape)
+            np.subtract(runs[:, :, k], runs[:, :, 0], out=nodes[:, :, k])
+            k *= 2
+        trees[np.arange(width) > counts[:, None]] = inf
+        return samplers
+
     def _rebuild(self) -> None:
         """Recompute l_s/total/tree from scratch — build_cmf's O(n)."""
         self.builds += 1
@@ -291,15 +374,17 @@ class IncrementalCMF:
             self._max_load = 0.0
             self.l_s = 0.0
             return
-        self._max_load = float(loads.max())
+        # ``max`` and ``sum`` as their ufunc reductions, minus the
+        # wrappers: a walk rebuilds thousands of small trees.
+        self._max_load = float(np.maximum.reduce(loads))
         if self.variant == CMF_ORIGINAL:
             self.l_s = self.l_ave
         else:
             self.l_s = max(self.l_ave, self._max_load)
         if self.l_s <= 0.0:
             return
-        masses = self.masses
-        self.total = float(masses.sum())
+        masses = _masses(loads, self.l_s)
+        self.total = float(np.add.reduce(masses))
         self.n_positive = int(np.count_nonzero(masses))
         self._tree = _fenwick_build(masses, 1 << loads.size.bit_length())
 

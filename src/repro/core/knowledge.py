@@ -8,8 +8,8 @@ shard formats, the per-round working representation, the trims and
 the candidate views — and nothing outside it touches a bit or a shard.
 
 Two *containers* hold a finished stage, sharing ``add`` /
-``merge_many`` / ``known`` / ``counts`` / ``coverage`` / ``rows`` /
-``memory_bytes``: :class:`PackedKnowledgeBitmap` (``P x ceil(P/8)``
+``merge_many`` / ``known`` / ``known_many`` / ``knows_any`` /
+``counts`` / ``coverage`` / ``rows`` / ``memory_bytes``: :class:`PackedKnowledgeBitmap` (``P x ceil(P/8)``
 bytes, ``np.packbits`` layout: O(P^2) bits, 2 GiB at 2^17 ranks) and
 :class:`SparseKnowledge` (a sorted ``int32`` shard per rank, immutable
 by replacement: ~``4cP`` bytes under a cap of c, 268 MB at 2^17 ranks
@@ -100,6 +100,13 @@ def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nz_r, nz_b = np.nonzero(packed)
     br, bc = np.nonzero(np.unpackbits(packed[nz_r, nz_b, None], axis=1))
     return nz_r[br], nz_b[br] * 8 + bc
+
+
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """Run bounds ``[0, c0, c0 + c1, ...]`` of consecutive runs of ``counts``."""
+    bounds = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
 
 
 def _coverage_denominator(underloaded: np.ndarray) -> int:
@@ -252,6 +259,25 @@ class PackedKnowledgeBitmap:
         """``S^rank`` as a sorted array of rank ids."""
         return row_ids(self.packed[rank], self.n_ranks)
 
+    def known_many(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``S^r`` for each of ``ranks`` at once: the sorted id arrays
+        :meth:`known` returns, concatenated, and the ``len(ranks) + 1``
+        bounds of each rank's run. Unpacks ``len(ranks) x P`` bytes."""
+        if len(ranks) == 1:
+            ids = self.known(ranks[0])
+            return ids, np.array([0, ids.size])
+        unpacked = np.unpackbits(self.packed[ranks], axis=1, count=self.n_ranks).view(bool)
+        counts = np.count_nonzero(unpacked, axis=1)
+        starts = np.arange(0, unpacked.size, self.n_ranks)
+        ids = np.flatnonzero(unpacked) - np.repeat(starts, counts)
+        return ids, _bounds(counts)
+
+    def knows_any(self, ranks: np.ndarray, members: np.ndarray) -> bool:
+        """Whether any of ``ranks`` knows a rank of the boolean mask
+        ``members``: one OR of their rows, ANDed with the packed mask."""
+        union = np.bitwise_or.reduce(self.packed[ranks], axis=0)
+        return bool((union & np.packbits(members)).any())
+
     def counts(self) -> np.ndarray:
         """``|S^p|`` for every rank ``p`` (vectorized popcount)."""
         return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
@@ -348,6 +374,20 @@ class SparseKnowledge:
     def known(self, rank: int) -> np.ndarray:
         """``S^rank`` as a sorted array of rank ids."""
         return self.shards[rank].astype(np.int64)
+
+    def known_many(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``S^r`` for each of ``ranks`` at once: the sorted id arrays
+        :meth:`known` returns, concatenated, and the ``len(ranks) + 1``
+        bounds of each rank's run."""
+        shards = [self.shards[r] for r in np.asarray(ranks).tolist()]
+        counts = np.fromiter((s.size for s in shards), dtype=np.int64, count=len(shards))
+        ids = np.concatenate(shards) if shards else np.empty(0, dtype=_ID_DTYPE)
+        return ids.astype(np.int64), _bounds(counts)
+
+    def knows_any(self, ranks: np.ndarray, members: np.ndarray) -> bool:
+        """Whether any of ``ranks`` knows a rank of the boolean mask
+        ``members``."""
+        return any(members[self.shards[r]].any() for r in np.asarray(ranks).tolist())
 
     def counts(self) -> np.ndarray:
         """``|S^p|`` for every rank ``p``."""

@@ -22,7 +22,9 @@ transfers get accepted:
     the same two-group ordering keyed on the marginal load.
 
 All functions are pure: they take the candidate task ids and the global
-task-load array and return a new id array.
+task-load array and return a new id array. :func:`order_segments`
+orders many senders' task lists at once and returns positions; the
+one-sender functions are batches of one.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "order_load_intensive",
     "order_fewest_migrations",
     "order_lightest",
+    "order_segments",
     "order_tasks",
 ]
 
@@ -56,7 +59,7 @@ def order_arbitrary(
     tasks: np.ndarray, task_loads: np.ndarray, l_ave: float, l_p: float
 ) -> np.ndarray:
     """Alg. 2 l.40-42: keep the identifying-index order."""
-    return np.asarray(tasks, dtype=np.int64)
+    return order_tasks(ORDER_ARBITRARY, tasks, task_loads, l_ave, l_p)
 
 
 def order_load_intensive(
@@ -66,23 +69,7 @@ def order_load_intensive(
 
     Ties broken by ascending task id for determinism.
     """
-    tasks = np.asarray(tasks, dtype=np.int64)
-    loads = task_loads[tasks]
-    # stable sort on -load keeps ascending-id order within equal loads
-    return tasks[np.argsort(-loads, kind="stable")]
-
-
-def _two_group_order(
-    tasks: np.ndarray, loads: np.ndarray, cut: float
-) -> np.ndarray:
-    """Tasks with load <= cut by descending load, then the rest ascending.
-
-    This is the comparator shared by Alg. 5 (l.7-11, cut = l_cut) and
-    Alg. 6 (l.7-11, cut = l_marg): one stable sort keyed on the group
-    first and the signed load second, so equal keys keep input order.
-    """
-    light = loads <= cut
-    return tasks[np.lexsort((np.where(light, -loads, loads), ~light))]
+    return order_tasks(ORDER_LOAD_INTENSIVE, tasks, task_loads, l_ave, l_p)
 
 
 def order_fewest_migrations(
@@ -94,16 +81,7 @@ def order_fewest_migrations(
     the excess, fall back to descending order (Alg. 5 l.3-4). Otherwise
     the cutoff task (lightest with load > l_ex) leads.
     """
-    tasks = np.asarray(tasks, dtype=np.int64)
-    if tasks.size == 0:
-        return tasks
-    loads = task_loads[tasks]
-    l_ex = l_p - l_ave
-    over = loads > l_ex
-    if not over.any():
-        return order_load_intensive(tasks, task_loads, l_ave, l_p)
-    l_cut = float(loads[over].min())
-    return _two_group_order(tasks, loads, l_cut)
+    return order_tasks(ORDER_FEWEST_MIGRATIONS, tasks, task_loads, l_ave, l_p)
 
 
 def order_lightest(
@@ -115,26 +93,97 @@ def order_lightest(
     the excess ``l_ex``; the load at that position is the marginal load
     ``l_marg``. Tasks up to ``l_marg`` go descending, the rest ascending.
     """
-    tasks = np.asarray(tasks, dtype=np.int64)
-    if tasks.size == 0:
-        return tasks
+    return order_tasks(ORDER_LIGHTEST, tasks, task_loads, l_ave, l_p)
+
+
+def _two_group_sort(loads: np.ndarray, cut, *segment_keys: np.ndarray) -> np.ndarray:
+    """The permutation that puts tasks with load <= cut first by
+    descending load, then the rest ascending.
+
+    This is the comparator shared by Alg. 5 (l.7-11, cut = l_cut) and
+    Alg. 6 (l.7-11, cut = l_marg): one stable sort keyed on the group
+    first and the signed load second, so equal keys keep input order.
+    ``segment_keys``, when given, sort first: each run of equal keys
+    is ordered on its own.
+    """
+    light = loads <= cut
+    return np.lexsort((np.where(light, -loads, loads), ~light, *segment_keys))
+
+
+def order_segments(
+    name: str,
+    tasks: np.ndarray,
+    bounds: np.ndarray,
+    task_loads: np.ndarray,
+    l_ave: float,
+    l_p: np.ndarray,
+) -> np.ndarray:
+    """ORDERTASKS for a batch of senders at once.
+
+    ``tasks[bounds[i]:bounds[i + 1]]`` are sender ``i``'s task ids and
+    ``l_p[i]`` its load. Returns the permutation of positions that puts
+    every segment in ``name``'s order and keeps the segments in place,
+    so ``tasks[perm][bounds[i]:bounds[i + 1]]`` is exactly the order of
+    sender ``i`` alone. Every ordering is a *cut* per segment and one
+    stable sort keyed on (segment, ``load <= cut``, signed load):
+    descending load is the cut ``+inf``, ascending load ``-inf``. Only
+    Alg. 6's marginal load folds a running sum, which runs per segment
+    in its own float order.
+    """
+    check_in("ordering", name, ORDERINGS)
+    if name == ORDER_ARBITRARY or len(tasks) == 0:
+        return np.arange(len(tasks))
     loads = task_loads[tasks]
-    l_ex = l_p - l_ave
-    ascending = np.argsort(loads, kind="stable")
-    sorted_loads = loads[ascending]
-    if l_ex <= 0.0:
-        # Rank is not actually overloaded; the marginal task degenerates
-        # to the lightest task and the order is simply ascending.
-        return tasks[ascending]
-    cumulative = np.cumsum(sorted_loads)
-    crossing = np.searchsorted(cumulative, l_ex, side="left")
-    if crossing >= sorted_loads.size:
-        # Even migrating everything cannot cover the excess: the marginal
-        # task is the heaviest one and the order is pure descending.
-        l_marg = float(sorted_loads[-1])
+    l_ex = np.asarray(l_p, dtype=np.float64) - l_ave
+    # Each task's segment: the first sort key, needless for one segment.
+    segments = (
+        None if len(bounds) == 2
+        else np.repeat(np.arange(len(bounds) - 1), bounds[1:] - bounds[:-1])
+    )
+    if name == ORDER_LOAD_INTENSIVE:
+        cut = np.full(len(bounds) - 1, np.inf)
+    elif name == ORDER_FEWEST_MIGRATIONS:
+        # The lightest task above the excess; +inf (all descending, Alg.
+        # 5 l.3-4) when no single task exceeds it.
+        over = np.where(loads > _per_task(l_ex, segments), loads, np.inf)
+        cut = _segment_min(over, bounds)
     else:
-        l_marg = float(sorted_loads[crossing])
-    return _two_group_order(tasks, loads, l_marg)
+        cut = _marginal_loads(loads, bounds, l_ex, segments)
+    keys = () if segments is None else (segments,)
+    return _two_group_sort(loads, _per_task(cut, segments), *keys)
+
+
+def _per_task(values: np.ndarray, segments: np.ndarray | None):
+    """A per-segment value for every task (the scalar, for one segment)."""
+    return values[0] if segments is None else values[segments]
+
+
+def _segment_min(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Each segment's minimum (+inf for an empty segment)."""
+    starts, filled = bounds[:-1], bounds[1:] > bounds[:-1]
+    if filled.all():
+        return np.minimum.reduceat(values, starts)
+    out = np.full(starts.size, np.inf)
+    if filled.any():
+        out[filled] = np.minimum.reduceat(values, starts[filled])
+    return out
+
+
+def _marginal_loads(
+    loads: np.ndarray, bounds: np.ndarray, l_ex: np.ndarray, segments: np.ndarray | None
+) -> np.ndarray:
+    """Alg. 6's ``l_marg`` per segment: the load at which the ascending
+    prefix sum first reaches the excess (the heaviest load when none
+    does), or ``-inf`` — plain ascending order — for a segment that is
+    not actually overloaded."""
+    cut = np.full(len(bounds) - 1, -np.inf)
+    keys = (loads,) if segments is None else (loads, segments)
+    ascending = loads[np.lexsort(keys)]
+    for i in np.flatnonzero((l_ex > 0.0) & (bounds[1:] > bounds[:-1])).tolist():
+        sorted_loads = ascending[bounds[i] : bounds[i + 1]]
+        crossing = np.searchsorted(np.cumsum(sorted_loads), l_ex[i], side="left")
+        cut[i] = sorted_loads[min(crossing, sorted_loads.size - 1)]
+    return cut
 
 
 OrderingFn = Callable[[np.ndarray, np.ndarray, float, float], np.ndarray]
@@ -150,6 +199,8 @@ ORDERINGS: dict[str, OrderingFn] = {
 def order_tasks(
     name: str, tasks: np.ndarray, task_loads: np.ndarray, l_ave: float, l_p: float
 ) -> np.ndarray:
-    """Dispatch to a named ordering (Alg. 2 l.3)."""
-    check_in("ordering", name, ORDERINGS)
-    return ORDERINGS[name](tasks, task_loads, l_ave, l_p)
+    """Order one sender's tasks by a named ordering (Alg. 2 l.3): a
+    batch of one for :func:`order_segments`."""
+    tasks = np.asarray(tasks, dtype=np.int64)
+    bounds = np.array([0, tasks.size])
+    return tasks[order_segments(name, tasks, bounds, task_loads, l_ave, np.array([l_p]))]

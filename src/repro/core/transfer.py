@@ -27,19 +27,24 @@ that *become* overloaded during the stage.
 The stage mutates a *proposed* assignment; actual migrations happen only
 once at the end of Algorithm 3 (see :mod:`repro.core.refinement`).
 
-There is one implementation: structure-of-arrays rank state
-(:mod:`repro.core.soa`) walked by one loop family — the fused
+There is one implementation, in three layers (:class:`_Stage`): a
+*prologue* that prepares senders with array operations (candidates,
+samplers, task orders), a per-sender *walk* — the fused
 :meth:`IncrementalCMF.propose_pass` for the default configuration and
-:func:`_scalar_pass` for shared view / nacks / rebuilt CMFs — sharing
-one bulk apply. The list-of-lists transcription it is tested against,
-bit for bit, lives in ``tests/core/oracles.py``.
+:func:`_scalar_pass` for shared view / nacks / rebuilt CMFs — and one
+bulk *apply*. A stage whose senders cannot affect each other prepares
+them a block at a time, applying each block at once; any other stage, and
+:func:`transfer_from_rank`, runs the same layers one sender at a time.
+The list-of-lists transcription it is tested against, bit for bit,
+lives in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,7 +57,7 @@ from repro.core.cmf import (
 )
 from repro.core.criteria import CRITERIA, CRITERION_RELAXED
 from repro.core.gossip import GossipResult
-from repro.core.ordering import ORDER_ARBITRARY, ORDERINGS, order_tasks
+from repro.core.ordering import ORDER_ARBITRARY, ORDERINGS, order_segments
 from repro.core.soa import RankTaskState
 from repro.obs import StatsRegistry
 from repro.util.validation import (
@@ -224,8 +229,10 @@ def transfer_stage(
         Seed or generator for CMF sampling.
     registry:
         Optional :class:`~repro.obs.StatsRegistry`; records the stage's
-        proposal/acceptance counters under the ``transfer.`` prefix.
-        Never consumes RNG.
+        proposal/acceptance counters under the ``transfer.`` prefix and
+        the wall seconds of its three layers as the timers
+        ``wall.transfer.prologue`` / ``.walk`` / ``.apply``. Never
+        consumes RNG; without it no clock is read.
     """
     config = config or TransferConfig()
     rng = coerce_rng(rng)
@@ -233,50 +240,19 @@ def transfer_stage(
     loads = np.bincount(assignment, weights=task_loads, minlength=n_ranks).astype(
         np.float64
     )
-    l_ave = gossip.average_load
-    threshold_load = config.threshold * l_ave
-    stats = TransferStats()
-
-    is_overloaded = loads > threshold_load
+    stage = _Stage(assignment, task_loads, loads, gossip, config, rng, registry)
+    is_overloaded = loads > stage.threshold_load
     overloaded = np.flatnonzero(is_overloaded)
-    stats.overloaded_ranks = overloaded.size
-    if overloaded.size == 0:
-        if registry is not None:
-            stats.record(registry)
-        return stats
-
-    # Mutable per-rank task state. Senders only consult their own tasks;
-    # recipient arrivals are maintained so cascaded processing sees them.
-    # Without cascading only the ranks queued now are ever read.
-    readers = None if config.cascade else is_overloaded
-    state = RankTaskState(assignment, n_ranks, readers)
-
-    queue: deque[int] = deque(int(p) for p in overloaded)
-    queued = set(queue)
-    # Budget against pathological re-queue cycles; generous because the
-    # relaxed criterion guarantees monotone progress (Lemma 1).
-    budget = 20 * n_ranks + 100
-    while queue:
-        p = queue.popleft()
-        queued.discard(p)
-        if loads[p] <= threshold_load:
-            continue
-        if stats.rank_processings >= budget:
-            stats.budget_exhausted = True
-            break
-        stats.rank_processings += 1
-        recipients = _transfer_from_rank_soa(
-            p, state.tasks(p), state, assignment, task_loads, loads, l_ave,
-            gossip, config, rng, stats,
-        )
-        if config.cascade:
-            for r in recipients:
-                if loads[r] > threshold_load and r not in queued:
-                    queue.append(r)
-                    queued.add(r)
+    stage.stats.overloaded_ranks = overloaded.size
+    if overloaded.size and _independent(config, gossip, overloaded, is_overloaded):
+        stage.run_independent(overloaded, is_overloaded)
+    elif overloaded.size:
+        stage.run_queue(overloaded, is_overloaded)
     if registry is not None:
-        stats.record(registry)
-    return stats
+        stage.stats.record(registry)
+        for layer, seconds in stage.spent.items():
+            registry.add_time(f"wall.transfer.{layer}", seconds)
+    return stage.stats
 
 
 def transfer_from_rank(
@@ -295,7 +271,6 @@ def transfer_from_rank(
     rng = coerce_rng(rng)
     p = int(p)
     n_ranks = gossip.knowledge.n_ranks
-    l_ave = gossip.average_load
     # ``p``'s tasks in ascending id order — what the CSR slice holds.
     # A snapshot sender without nacks reads no true load but its own,
     # so only its tasks are summed (in the full bincount's order: the
@@ -303,118 +278,324 @@ def transfer_from_rank(
     tasks = np.flatnonzero(assignment == p)
     own = slice(None) if config.view == VIEW_SHARED or config.nacks else tasks
     loads = np.bincount(assignment[own], weights=task_loads[own], minlength=n_ranks)
-    stats = TransferStats()
-    if loads[p] <= config.threshold * l_ave:
-        return stats
-    stats.overloaded_ranks = 1
-    stats.rank_processings = 1
-    _transfer_from_rank_soa(
-        p, tasks, None, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
-    )
+    stage = _Stage(assignment, task_loads, loads, gossip, config, rng)
+    if loads[p] <= stage.threshold_load:
+        return stage.stats
+    stage.stats.overloaded_ranks = 1
+    stage.stats.rank_processings = 1
+    stage.walk(*stage.prologue(np.array([p]), tasks, np.array([0, tasks.size]))[0])
+    stage.apply()
     if registry is not None:
-        stats.record(registry)
-    return stats
+        stage.stats.record(registry)
+    return stage.stats
 
 
-def _transfer_from_rank_soa(
-    p: int,
-    tasks: np.ndarray,
-    state: RankTaskState | None,
-    assignment: np.ndarray,
-    task_loads: np.ndarray,
-    loads: np.ndarray,
-    l_ave: float,
-    gossip: GossipResult,
-    config: TransferConfig,
-    rng: np.random.Generator,
-    stats: TransferStats,
-) -> set[int]:
-    """Algorithm 2 TRANSFER for one overloaded rank ``p``, over
-    structure-of-arrays state; returns the ranks that received tasks
-    (for cascading).
+def _independent(
+    config: TransferConfig, gossip: GossipResult, overloaded: np.ndarray,
+    is_overloaded: np.ndarray,
+) -> bool:
+    """Whether no sender of the stage reads what another one writes.
 
-    ``tasks`` is ``p``'s task-id array and ``state`` (``None`` for a
-    lone sender, whose arrivals nobody reads) records where tasks go.
-    Same float operations in the same order and the same RNG
-    consumption as the list-of-lists loop in ``tests/core/oracles.py``.
+    Under the snapshot view without nacks a sender reads only the
+    inform snapshot, its own tasks and its own load; without cascading
+    no rank joins mid-stage. Its own load and tasks change only if it
+    receives, that is, if it is in another sender's ``S^p`` — which one
+    OR of the senders' rows against the overloaded mask rules out. (It
+    holds by construction for ``h >= 1``: the inform stage only spreads
+    ranks below ``l_ave``.)
+    """
+    return (
+        config.view == VIEW_SNAPSHOT
+        and not config.cascade
+        and not config.nacks
+        and not gossip.knowledge.knows_any(overloaded, is_overloaded)
+    )
+
+
+#: Unpacked knowledge bytes per prologue block (``P`` per sender): a
+#: block holds at most ``2**15 // P`` senders, so each per-candidate
+#: array stays within 256 KiB and in cache. Larger blocks measured
+#: slower on senders that know ≈ 3,000 ranks.
+_BLOCK_BYTES = 1 << 15
+#: Tasks per prologue block, unless one sender holds more: its
+#: per-task arrays stay as small as one sender's were.
+_BLOCK_TASKS = 1 << 16
+
+
+def _blocks(sizes: list[int], max_senders: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[lo, hi)`` runs of senders, each at most
+    ``max_senders`` long (and at least one) and holding at most
+    :data:`_BLOCK_TASKS` tasks unless its first sender alone does."""
+    lo = 0
+    while lo < len(sizes):
+        hi, held = lo + 1, sizes[lo]
+        while hi < len(sizes) and hi - lo < max_senders and held + sizes[hi] <= _BLOCK_TASKS:
+            held += sizes[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+class _Sender(NamedTuple):
+    """What the prologue prepares for one sender's walk."""
+
+    rank: int
+    candidates: np.ndarray  #: ``S^p`` minus ``p``, sorted
+    sampler: IncrementalCMF | _RebuildCMF  #: over the candidates' known loads
+    tasks: np.ndarray  #: ``p``'s task ids
+    ordered: np.ndarray  #: the same ids in first-pass walk order
+    ordered_loads: np.ndarray  #: their loads
+
+
+class _Stage:
+    """One transfer stage, as three layers over its senders.
+
+    ``prologue`` prepares a block of senders with array operations —
+    candidates, known loads, CMF samplers, first-pass task orders; no
+    RNG. ``walk`` runs one sender's passes, the only RNG-ordered step,
+    and records the accepts. ``apply`` writes every recorded accept to
+    ``assignment``, the loads and the stats, in sender order.
+
+    A stage whose senders are independent (:func:`_independent`) runs
+    one prologue and one apply per block of senders
+    (:meth:`run_independent`): only the order of their walks, which is
+    the order of their draws, matters. Every other stage, like
+    :func:`transfer_from_rank`, runs the same three layers with a batch
+    of one per sender at dequeue time (:meth:`run_queue`).
 
     A sender whose view is its own CMF — snapshot view, incremental
-    recomputation, no nacks: the default — runs each pass *fused*:
-    :meth:`IncrementalCMF.propose_pass` walks the tasks over local
-    scalars and only records ``(position, candidate)`` per accept, and
-    the accepts are applied afterwards in bulk. ``np.add.at`` is
-    unbuffered and sequential, so each recipient's additions keep their
-    order and bits; the sender's load is the walk's running value.
-    Every other configuration walks :func:`_scalar_pass`; both share
-    the bulk tail. Per-pass work is O(tasks of ``p``), never
-    O(candidates) beyond the CMF build.
+    recomputation, no nacks: the default — walks each pass *fused*
+    (:meth:`IncrementalCMF.propose_pass`, accepts only recorded, the
+    recipients' loads added at apply time by an unbuffered, sequential
+    ``np.add.at``, so each keeps its order and bits). Every other
+    configuration walks :func:`_scalar_pass`, which updates the loads as
+    it goes. Same float operations in the same order and the same RNG
+    consumption as the list-of-lists loop in ``tests/core/oracles.py``.
     """
-    candidates = gossip.knowledge.known(p)
-    candidates = candidates[candidates != p]
-    if candidates.size == 0:
-        stats.stalled_ranks += 1
-        return set()
 
-    shared = config.view == VIEW_SHARED
-    # A gather is already a private copy: the sender's own bookkeeping.
-    known_loads = (loads if shared else gossip.load_snapshot)[candidates]
-    if config.recompute_cmf:
-        sampler = IncrementalCMF(known_loads, l_ave, config.cmf, copy=False)
-    else:
-        sampler = _RebuildCMF(known_loads, l_ave, config.cmf)
+    def __init__(
+        self,
+        assignment: np.ndarray,
+        task_loads: np.ndarray,
+        loads: np.ndarray,
+        gossip: GossipResult,
+        config: TransferConfig,
+        rng: np.random.Generator,
+        registry: StatsRegistry | None = None,
+    ) -> None:
+        self.assignment = assignment
+        self.task_loads = task_loads
+        self.loads = loads
+        self.gossip = gossip
+        self.config = config
+        self.rng = rng
+        self.stats = TransferStats()
+        self.l_ave = gossip.average_load
+        self.threshold_load = config.threshold * self.l_ave
+        self.shared = config.view == VIEW_SHARED
+        self.fused = config.recompute_cmf and not self.shared and not config.nacks
+        self.max_passes = config.max_passes if config.max_passes is not None else _PASS_CAP
+        # Accepts recorded since the last apply: the sender of each, and
+        # one array per pass of the moved tasks and of their recipients.
+        self._senders: list[int] = []
+        self._moved: list[np.ndarray] = []
+        self._recipients: list[np.ndarray] = []
+        # Wall seconds per layer; the clock is read only with a registry.
+        self.spent = {"prologue": 0.0, "walk": 0.0, "apply": 0.0}
+        self._clock = time.perf_counter if registry is not None else None
+        self._mark = self._clock() if self._clock is not None else 0.0
 
-    fused = config.recompute_cmf and not shared and not config.nacks
-    relaxed = config.criterion == CRITERION_RELAXED
-    threshold_load = config.threshold * l_ave
-    touched: set[int] = set()
+    def _lap(self, layer: str) -> None:
+        """Charge the time since the previous lap to ``layer``."""
+        if self._clock is not None:
+            now = self._clock()
+            self.spent[layer] += now - self._mark
+            self._mark = now
 
-    max_passes = config.max_passes if config.max_passes is not None else _PASS_CAP
-    for _ in range(max_passes):
-        if loads[p] <= threshold_load or tasks.size == 0:
-            break
-        order = order_tasks(
-            config.ordering,
-            tasks.astype(np.int64, copy=False),
-            task_loads,
-            l_ave,
-            float(loads[p]),
+    def run_independent(self, overloaded: np.ndarray, is_overloaded: np.ndarray) -> None:
+        """Every sender once, in rank order: per block of senders, one
+        prologue, one walk per sender and one apply. (Applying per block
+        rather than per stage keeps the temporaries of a stage with
+        hundreds of thousands of accepts as small as one block's.)"""
+        state = RankTaskState(self.assignment, is_overloaded.size, is_overloaded)
+        owned = [state.tasks(p) for p in overloaded.tolist()]
+        self.stats.rank_processings = overloaded.size
+        for lo, hi in _blocks([len(t) for t in owned], _BLOCK_BYTES // is_overloaded.size):
+            task_bounds = np.zeros(hi - lo + 1, dtype=np.int64)
+            np.cumsum([len(t) for t in owned[lo:hi]], out=task_bounds[1:])
+            senders = self.prologue(overloaded[lo:hi], np.concatenate(owned[lo:hi]), task_bounds)
+            self._lap("prologue")
+            senders.reverse()
+            while senders:  # a sender's sampler goes once it is walked
+                self.walk(*senders.pop())
+            self._lap("walk")
+            self.apply()
+            self._lap("apply")
+
+    def run_queue(self, overloaded: np.ndarray, is_overloaded: np.ndarray) -> None:
+        """Senders in queue order, each prepared at dequeue time and
+        applied before the next: a later sender may read what an earlier
+        one wrote (its loads, its arrivals) and, with ``cascade``, ranks
+        overloaded mid-stage join the queue."""
+        config, loads, stats = self.config, self.loads, self.stats
+        # Senders only consult their own tasks; recipient arrivals are
+        # maintained so cascaded processing sees them. Without cascading
+        # only the ranks queued now are ever read.
+        state = RankTaskState(
+            self.assignment, is_overloaded.size, None if config.cascade else is_overloaded
         )
-        o_loads = task_loads[order]
-        if fused:
-            walk = sampler.propose_pass(
-                o_loads, float(loads[p]), threshold_load, relaxed, rng
-            )
-        else:
-            walk = _scalar_pass(
-                p, o_loads, candidates, sampler, loads, l_ave, threshold_load,
-                config, rng, stats,
-            )
-        acc_pos, acc_idx, p_load, rejected = walk
-        stats.rejections += rejected
-        if len(acc_pos) == 0:
-            break
-        acc_pos = np.asarray(acc_pos, dtype=np.intp)
-        recipients = candidates[np.asarray(acc_idx, dtype=np.intp)]
-        if fused:  # the walk only recorded its accepts; _scalar_pass applied them
-            loads[p] = p_load
-            np.add.at(loads, recipients, o_loads[acc_pos])
-        moved = order[acc_pos]
-        assignment[moved] = recipients
-        stats.transfers += moved.size
-        arrived_at = recipients.tolist()
-        stats.moves.extend(zip(moved.tolist(), repeat(p), arrived_at))
-        touched.update(arrived_at)
-        tasks = tasks[assignment[tasks] == p]
-        if state is not None:
+        queue: deque[int] = deque(overloaded.tolist())
+        queued = set(queue)
+        # Budget against pathological re-queue cycles; generous because
+        # the relaxed criterion guarantees monotone progress (Lemma 1).
+        budget = 20 * is_overloaded.size + 100
+        while queue:
+            p = queue.popleft()
+            queued.discard(p)
+            if loads[p] <= self.threshold_load:
+                continue
+            if stats.rank_processings >= budget:
+                stats.budget_exhausted = True
+                break
+            stats.rank_processings += 1
+            tasks = state.tasks(p)
+            (sender,) = self.prologue(np.array([p]), tasks, np.array([0, tasks.size]))
+            self._lap("prologue")
+            self.walk(*sender)
+            self._lap("walk")
+            if not self._moved:
+                continue
+            moved, recipients = self.apply()
             state.extend(recipients, moved)
-            state.set_tasks(p, tasks)
-        if sampler.exhausted:
-            break
-    stats.cmf_builds += sampler.builds
-    stats.cmf_updates += sampler.updates
-    if sampler.exhausted and loads[p] > threshold_load:
-        stats.stalled_ranks += 1
-    return touched
+            state.set_tasks(p, tasks[self.assignment[tasks] == p])
+            self._lap("apply")
+            if config.cascade:
+                # A set filled in accept order, so it iterates as the
+                # one-sender loop's always did.
+                for r in set(recipients.tolist()):
+                    if loads[r] > self.threshold_load and r not in queued:
+                        queue.append(r)
+                        queued.add(r)
+
+    def prologue(
+        self, senders: np.ndarray, tasks: np.ndarray, task_bounds: np.ndarray
+    ) -> list[_Sender]:
+        """Prepare ``senders``, whose task ids are the runs of ``tasks``
+        cut at ``task_bounds``, at the current loads."""
+        config = self.config
+        candidates, bounds = self.gossip.knowledge.known_many(senders)
+        owners = senders[0] if len(senders) == 1 else np.repeat(senders, bounds[1:] - bounds[:-1])
+        mine = candidates == owners
+        if mine.any():  # a sender never proposes to itself
+            candidates = candidates[~mine]
+            kept = np.zeros(mine.size + 1, dtype=np.int64)
+            np.cumsum(~mine, out=kept[1:])
+            bounds = kept[bounds]
+        # A gather is already a private copy: each sender's own bookkeeping.
+        known = (self.loads if self.shared else self.gossip.load_snapshot)[candidates]
+        cuts = bounds.tolist()
+        starts, ends = cuts[:-1], cuts[1:]
+        if config.recompute_cmf:
+            samplers = IncrementalCMF.many(known, bounds, self.l_ave, config.cmf)
+        else:
+            samplers = [
+                _RebuildCMF(known[a:b], self.l_ave, config.cmf) for a, b in zip(starts, ends)
+            ]
+        ordered = tasks[
+            order_segments(
+                config.ordering, tasks, task_bounds, self.task_loads, self.l_ave,
+                self.loads[senders],
+            )
+        ]
+        ordered_loads = self.task_loads[ordered]
+        task_cuts = task_bounds.tolist()
+        task_starts, task_ends = task_cuts[:-1], task_cuts[1:]
+        return [
+            _Sender(
+                p, candidates[a:b], sampler, tasks[ta:tb], ordered[ta:tb],
+                ordered_loads[ta:tb],
+            )
+            for p, a, b, sampler, ta, tb in zip(
+                senders.tolist(), starts, ends, samplers, task_starts, task_ends
+            )
+        ]
+
+    def walk(
+        self,
+        p: int,
+        candidates: np.ndarray,
+        sampler: IncrementalCMF | _RebuildCMF,
+        tasks: np.ndarray,
+        ordered: np.ndarray,
+        ordered_loads: np.ndarray,
+    ) -> None:
+        """Algorithm 2 TRANSFER for one prepared sender: its passes,
+        recording each pass's accepts. A pass after the first orders
+        what the previous one left, alone."""
+        stats, loads, config = self.stats, self.loads, self.config
+        if candidates.size == 0:
+            stats.stalled_ranks += 1
+            return
+        threshold_load = self.threshold_load
+        relaxed = config.criterion == CRITERION_RELAXED
+        for pass_no in range(self.max_passes):
+            if pass_no:  # what the previous pass left, ordered alone
+                tasks = tasks[~np.isin(tasks, self._moved[-1])]
+                ordered = tasks[
+                    order_segments(
+                        config.ordering, tasks, np.array([0, tasks.size]), self.task_loads,
+                        self.l_ave, loads[p : p + 1],
+                    )
+                ]
+                ordered_loads = self.task_loads[ordered]
+            if loads[p] <= threshold_load or tasks.size == 0:
+                break
+            if self.fused:
+                walk = sampler.propose_pass(
+                    ordered_loads, float(loads[p]), threshold_load, relaxed, self.rng
+                )
+            else:
+                walk = _scalar_pass(
+                    p, ordered_loads, candidates, sampler, loads, self.l_ave,
+                    threshold_load, config, self.rng, stats,
+                )
+            acc_pos, acc_idx, p_load, rejected = walk
+            stats.rejections += rejected
+            if len(acc_pos) == 0:
+                break
+            acc_pos = np.asarray(acc_pos, dtype=np.intp)
+            if self.fused:  # the walk only recorded its accepts
+                loads[p] = p_load
+            self._senders.extend([p] * acc_pos.size)
+            self._moved.append(ordered[acc_pos])
+            self._recipients.append(candidates[np.asarray(acc_idx, dtype=np.intp)])
+            if sampler.exhausted:
+                break
+        stats.cmf_builds += sampler.builds
+        stats.cmf_updates += sampler.updates
+        if sampler.exhausted and loads[p] > threshold_load:
+            stats.stalled_ranks += 1
+
+    def apply(self) -> tuple[np.ndarray, np.ndarray]:
+        """Apply every accept recorded since the last call, in record
+        order: one gather-and-scatter. Returns ``(moved task ids,
+        recipients)``."""
+        if not self._moved:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        moved, recipients = _joined(self._moved), _joined(self._recipients)
+        if self.fused:
+            np.add.at(self.loads, recipients, self.task_loads[moved])
+        self.assignment[moved] = recipients
+        self.stats.transfers += moved.size
+        self.stats.moves.extend(zip(moved.tolist(), self._senders, recipients.tolist()))
+        for pending in (self._senders, self._moved, self._recipients):
+            pending.clear()
+        return moved, recipients
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(parts)``, without a copy of a lone part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _scalar_pass(

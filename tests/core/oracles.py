@@ -22,9 +22,11 @@ transcriptions the equivalence suites compare it against. Nothing under
     "lowest" trim is ``sorted(members, key=(load, id))[:cap]``.
 :func:`transfer_stage_lists`
     Algorithm 2 over ``list[list[int]]`` rank/task state, behind
-    :func:`repro.core.transfer.transfer_stage`'s signature. It shares
-    the CMF samplers with production, so it is bit-identical to it:
-    same assignment, same stats, same final RNG state. With
+    :func:`repro.core.transfer.transfer_stage`'s signature, one sender
+    at a time. It shares the CMF samplers with production (each built
+    alone) and orders tasks with :func:`order_tasks`, so it is
+    bit-identical to it: same assignment, same stats, same final RNG
+    state. With
     ``rebuild_cmf=True`` it refreshes the CMF by a full BUILDCMF per
     accepted transfer instead of incrementally — the reference that
     :class:`repro.core.cmf.IncrementalCMF` is held to (same decisions
@@ -37,6 +39,10 @@ transcriptions the equivalence suites compare it against. Nothing under
     acceptance loop; two stable argsorts and a concatenate. Production
     must return the same rows, targets and order and leave the
     generator in the same state.
+:func:`order_tasks`
+    ORDERTASKS one sender at a time, each of the four orderings as its
+    listing reads (the oracle's own; production sorts a block of
+    senders at once).
 """
 
 from __future__ import annotations
@@ -58,7 +64,6 @@ from repro.core.gossip import (
     _run_rounds,
     _sample_sparse_rows,
 )
-from repro.core.ordering import order_tasks
 from repro.core.transfer import (
     _PASS_CAP,
     VIEW_SHARED,
@@ -312,6 +317,29 @@ def two_group_order(tasks: np.ndarray, loads: np.ndarray, cut: float) -> np.ndar
     light_order = np.argsort(-loads[light], kind="stable")
     heavy_order = np.argsort(loads[~light], kind="stable")
     return np.concatenate([tasks[light][light_order], tasks[~light][heavy_order]])
+
+
+def order_tasks(name: str, tasks, task_loads, l_ave: float, l_p: float) -> np.ndarray:
+    """ORDERTASKS for one sender, each ordering as Alg. 4-6 read."""
+    tasks = np.asarray(tasks, dtype=np.int64)
+    if name == "arbitrary" or tasks.size == 0:
+        return tasks
+    loads = task_loads[tasks]
+    descending = tasks[np.argsort(-loads, kind="stable")]
+    if name == "load_intensive":
+        return descending
+    l_ex = l_p - l_ave
+    if name == "fewest_migrations":
+        over = loads > l_ex
+        if not over.any():
+            return descending
+        return two_group_order(tasks, loads, float(loads[over].min()))
+    ascending = np.argsort(loads, kind="stable")
+    if l_ex <= 0.0:
+        return tasks[ascending]
+    sorted_loads = loads[ascending]
+    crossing = np.searchsorted(np.cumsum(sorted_loads), l_ex, side="left")
+    return two_group_order(tasks, loads, float(sorted_loads[min(crossing, tasks.size - 1)]))
 
 
 def transfer_stage_lists(

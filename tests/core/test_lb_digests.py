@@ -22,7 +22,11 @@ task ordering) by ``python tests/core/test_lb_digests.py`` with numpy
 The two ``trials3`` cases (three trials, so the cross-trial best-of
 selection is pinned) were generated the same way at commit ``71c4fa4``,
 before the trial loop moved into one function shared with the
-event-level family.
+event-level family. ``episode-p400-threshold-0.9`` (senders that are
+also recipients, so each is prepared alone) and ``episode-p4096-fewest``
+(thousands of short Alg. 5 senders on bit rows) were generated at
+commit ``4c76db6``, before the transfer stage prepared its senders a
+block at a time.
 """
 
 from __future__ import annotations
@@ -189,6 +193,14 @@ EPISODES = {
     # once on the shared stream and once on per-trial spawned streams.
     "episode-p400-trials3": (400, 10, GossipConfig(), TransferConfig(), 2, 3),
     "episode-p400-trials3-workers2": (400, 10, GossipConfig(), TransferConfig(), 2, 3, 2),
+    # h < 1: a rank between 0.9 and 1.0 x l_ave both sends and is known
+    # as a recipient, so senders of one stage are not independent.
+    "episode-p400-threshold-0.9": (400, 13, GossipConfig(), TransferConfig(threshold=0.9)),
+    # Thousands of short Alg. 5 senders from iteration 2 on, on bit rows.
+    "episode-p4096-fewest": (
+        4096, 14, GossipConfig(knowledge="packed"),
+        TransferConfig(ordering="fewest_migrations"),
+    ),
 }
 
 EMPIRE = {
@@ -222,6 +234,8 @@ PINNED: dict[str, str] = {
     "episode-p4096-phase": "9d6d80464265fb31adb4ba665e50cdc708d667f82a2907b870d763d3ac9324ca",
     "episode-p400-trials3": "b218faa5d1227e501bd313791b2147755cc8b67561c7ed0f2c97fc7091995478",
     "episode-p400-trials3-workers2": "2ec4577d3c9e021c0b73faee2b6c002dfb6591adb4c9039b3f52b03030f2761f",
+    "episode-p400-threshold-0.9": "5c295cd603c2c806b4482f0adeb6d9e1f6c187194830614aa13f409871dc5c85",
+    "episode-p4096-fewest": "cec199d942ab72257c1d99488ede302483495f95ab35855f4f884a0bde43b7d7",
     "episode-p64-default": "96d3e5e88f3df534dfc331a75615a9b1d176678586e613d40f830e0f8afbeab8",
     "episode-p64-lbaf": "93916253b3f9e0440c5fd936e52ab81784d3e6c5777bc9b33b10c97e1bc9963b",
     "inform-p400-bias": "8ed94f7b594005370af0036a8b0eb0275c721e1e5e5b55bc721627203312ec18",

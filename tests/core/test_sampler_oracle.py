@@ -31,7 +31,7 @@ from repro.core.gossip import (
     run_inform_stage,
 )
 from repro.core.knowledge import _PackedCandidates
-from repro.core.ordering import _two_group_order
+from repro.core.ordering import _two_group_sort
 from tests.core import oracles
 from tests.core.test_gossip_set_model import ACCOUNTING, FAULTS, RETRANSMIT, _loads
 
@@ -202,7 +202,7 @@ class TestTwoGroupOrderMatchesOracle:
         loads = np.asarray(loads, dtype=np.float64)
         tasks = np.random.default_rng(len(loads)).permutation(loads.size).astype(np.int64)
         np.testing.assert_array_equal(
-            _two_group_order(tasks, loads, cut), oracles.two_group_order(tasks, loads, cut)
+            tasks[_two_group_sort(loads, cut)], oracles.two_group_order(tasks, loads, cut)
         )
 
     @pytest.mark.parametrize(
@@ -219,5 +219,5 @@ class TestTwoGroupOrderMatchesOracle:
         loads = np.asarray(loads, dtype=np.float64)
         tasks = np.arange(10, 10 + loads.size, dtype=np.int64)
         np.testing.assert_array_equal(
-            _two_group_order(tasks, loads, cut), oracles.two_group_order(tasks, loads, cut)
+            tasks[_two_group_sort(loads, cut)], oracles.two_group_order(tasks, loads, cut)
         )
