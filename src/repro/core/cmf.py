@@ -250,7 +250,9 @@ class IncrementalCMF:
       the same masses).
 
     ``builds`` counts full (re)builds and ``updates`` point updates, so
-    the transfer stage can report both costs.
+    the transfer stage can report both costs. ``clone()`` copies the
+    whole state, counters included: a copy of a fresh build reports
+    the build it was copied from.
     """
 
     __slots__ = (
@@ -362,6 +364,16 @@ class IncrementalCMF:
             k *= 2
         trees[np.arange(width) > counts[:, None]] = inf
         return samplers
+
+    def clone(self) -> "IncrementalCMF":
+        """An independent copy: its own loads and tree, the same scalars."""
+        twin = type(self).__new__(type(self))
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin.loads = self.loads.copy()
+        if self._tree is not None:
+            twin._tree = self._tree.copy()
+        return twin
 
     def _rebuild(self) -> None:
         """Recompute l_s/total/tree from scratch — build_cmf's O(n)."""

@@ -221,6 +221,9 @@ class GossipResult:
     #: store's ``finish()``; taken only under a registry.
     per_round_seconds: dict[str, list[float]] = field(default_factory=dict)
     finish_seconds: float = 0.0
+    #: Deliveries to a receiver whose set was already complete, which
+    #: the store's merge skips; counted only under a registry.
+    merges_skipped: int = 0
 
     def coverage(self) -> float:
         """Mean fraction of underloaded ranks known per rank."""
@@ -341,6 +344,7 @@ def _record_inform_stage(registry: StatsRegistry, result: GossipResult) -> None:
             for layer in _ROUND_LAYERS
         },
         finish_s=result.finish_seconds,
+        merges_skipped=result.merges_skipped,
     )
 
 
@@ -545,8 +549,8 @@ def _run_rounds(
     payloads across rounds.
 
     ``timed`` fills ``result.per_round_seconds`` / ``finish_seconds``
-    from a few clock reads per round; it draws nothing and changes no
-    result.
+    from a few clock reads per round, and ``merges_skipped``; it draws
+    nothing and changes no result.
     """
     n_ranks = result.load_snapshot.size
     rpn = config.ranks_per_node
@@ -657,6 +661,9 @@ def _run_rounds(
             cuts = np.flatnonzero(targets[1:] != targets[:-1]) + 1
             bounds = np.concatenate(([0], cuts, [targets.size]))
             receivers = targets[bounds[:-1]]
+            complete = store.complete if timed else None
+            if complete is not None:
+                result.merges_skipped += int(np.diff(bounds)[complete[receivers]].sum())
             lap("sample")
             store.merge(receivers, bounds, payloads, src[order])
             lap("merge")

@@ -9,7 +9,8 @@ the candidate views — and nothing outside it touches a bit or a shard.
 
 Two *containers* hold a finished stage, sharing ``add`` /
 ``merge_many`` / ``known`` / ``known_many`` / ``knows_any`` /
-``counts`` / ``coverage`` / ``rows`` / ``memory_bytes``: :class:`PackedKnowledgeBitmap` (``P x ceil(P/8)``
+``equal_sets`` / ``counts`` / ``coverage`` / ``rows`` /
+``memory_bytes``: :class:`PackedKnowledgeBitmap` (``P x ceil(P/8)``
 bytes, ``np.packbits`` layout: O(P^2) bits, 2 GiB at 2^17 ranks) and
 :class:`SparseKnowledge` (a sorted ``int32`` shard per rank, immutable
 by replacement: ~``4cP`` bytes under a cap of c, 268 MB at 2^17 ranks
@@ -278,6 +279,14 @@ class PackedKnowledgeBitmap:
         union = np.bitwise_or.reduce(self.packed[ranks], axis=0)
         return bool((union & np.packbits(members)).any())
 
+    def equal_sets(self, ranks: np.ndarray) -> list[int]:
+        """For each of ``ranks``, the position in ``ranks`` of the first
+        rank whose ``S^r`` equals its own: rows keyed by their bytes (a
+        dict compares keys whose hashes collide)."""
+        first: dict[bytes, int] = {}
+        packed = self.packed
+        return [first.setdefault(packed[r].tobytes(), i) for i, r in enumerate(ranks.tolist())]
+
     def counts(self) -> np.ndarray:
         """``|S^p|`` for every rank ``p`` (vectorized popcount)."""
         return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
@@ -389,6 +398,17 @@ class SparseKnowledge:
         ``members``."""
         return any(members[self.shards[r]].any() for r in np.asarray(ranks).tolist())
 
+    def equal_sets(self, ranks: np.ndarray) -> list[int]:
+        """As :meth:`PackedKnowledgeBitmap.equal_sets`: shards by object
+        first (complete rows share one decode), then by their bytes."""
+        shards = [self.shards[r] for r in np.asarray(ranks).tolist()]
+        by_object: dict[int, int] = {}
+        by_bytes: dict[bytes, int] = {}
+        for i, shard in enumerate(shards):
+            if id(shard) not in by_object:
+                by_object[id(shard)] = by_bytes.setdefault(shard.tobytes(), i)
+        return [by_object[id(shard)] for shard in shards]
+
     def counts(self) -> np.ndarray:
         """``|S^p|`` for every rank ``p``."""
         return np.fromiter(
@@ -438,24 +458,10 @@ class SparseKnowledge:
         return out
 
     def memory_bytes(self) -> int:
-        """Bytes actually held by the shard arrays.
-
-        Counted per distinct array *object*, not per rank: the inform
-        stage interns converged shards, so thousands of ranks
-        may reference one physical array. Summing ``nbytes`` per rank
-        would report that storage once per referencing rank — at 4k
-        ranks / cap 512 that inflated 8 MB of logical entries into the
-        benchmark report when the resident footprint was a fraction of
-        it.
-        """
-        seen: set[int] = set()
-        total = 0
-        for s in self.shards:
-            key = id(s)
-            if key not in seen:
-                seen.add(key)
-                total += s.nbytes
-        return int(total)
+        """Bytes actually held by the shard arrays, counted per distinct
+        array *object*: the inform stage interns converged shards, so
+        thousands of ranks may reference one physical array."""
+        return int(sum({id(s): s.nbytes for s in self.shards}.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +547,12 @@ class _PackedStore:
     Everything is a whole-round array pass: the gathered sender rows
     double as the round's send buffer, candidates are their
     complement, merges are layered scatter-ORs. :meth:`finish` writes
-    the container, ``knowledge`` (sparse when ``sparse``).
+    the container, ``knowledge`` (sparse when ``sparse``). A *complete*
+    row can grow no further, so its receiver takes no part in merge for
+    the rest of the stage: in either order, one holding every seed —
+    rows hold nothing else — flagged by :meth:`snapshot` from the
+    popcount it takes anyway (never, while a cap below the seed count
+    binds: trimmed rows hold at most ``cap``).
 
     **Rank order** (uncapped, or the "random" trim, whose RNG keys are
     drawn per rank-ordered column): bit ``q`` is rank ``q``; the rows
@@ -551,10 +562,9 @@ class _PackedStore:
     position ``j`` of the stable (load, id) sort (``dec[j]``; ``enc``
     is the inverse). The cap lowest members are a row's first ``cap``
     set bits, so the trim is a prefix cut (:func:`keep_first_bits`), and a
-    row equal to ``{0..cap-1}`` is *complete*: no payload can displace
-    a member, so its receiver skips merge and trim for the rest of the
-    stage. Self bits, candidate views and the same-node views go
-    through ``enc``; ``finish`` decodes rows to rank order.
+    row equal to ``{0..cap-1}`` is complete too: no payload can
+    displace a member. Self bits, candidate views and the same-node
+    views go through ``enc``; ``finish`` decodes rows to rank order.
     """
 
     def __init__(
@@ -578,6 +588,8 @@ class _PackedStore:
         self.template = _leading_ones(n_ranks)
         self.enc: np.ndarray | None = None
         self.dec: np.ndarray | None = None
+        self.n_seeds = seeds.size
+        self.complete = np.zeros(n_ranks, dtype=bool)
         if cap is None or trim_policy != "lowest":
             self.rows = self.knowledge.packed
             _or_bits(self.rows, seeds, seeds)
@@ -594,13 +606,15 @@ class _PackedStore:
         _or_bits(self.rows, seeds, pos)
         # A seed's row {p} is complete only if the cap keeps one member
         # and p comes first.
-        self.complete = np.zeros(n_ranks, dtype=bool)
         self.complete[seeds] = (pos == 0) & (self.full == 1)
 
     def snapshot(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Payload rows (a gather, hence a copy) and their ``|S^p|``."""
+        """Payload rows (a gather, hence a copy) and their ``|S^p|``;
+        a sender that holds every seed is flagged complete."""
         snap = self.rows[senders]
-        return snap, np.bitwise_count(snap).sum(axis=1, dtype=np.int64)
+        entries = np.bitwise_count(snap).sum(axis=1, dtype=np.int64)
+        self.complete[senders[entries == self.n_seeds]] = True
+        return snap, entries
 
     def candidates(
         self, senders: np.ndarray, snap: np.ndarray, entries: np.ndarray, full: bool
@@ -641,23 +655,16 @@ class _PackedStore:
         return counts, _PackedCandidates(local, cand.enc)
 
     def merge(
-        self,
-        receivers: np.ndarray,
-        bounds: np.ndarray,
-        payloads: np.ndarray,
-        src: np.ndarray,
+        self, receivers: np.ndarray, bounds: np.ndarray, payloads: np.ndarray, src: np.ndarray
     ) -> None:
         # Scatter-OR one "j-th message per receiver" layer at a time —
         # each layer touches every receiver at most once, so a plain
         # fancy-indexed |= applies a whole layer in one vectorized pass
         # (grouped-OR via reduceat walks bytes one at a time and is
         # ~10x slower). Complete receivers take no part.
-        starts = bounds[:-1]
-        group_sizes = np.diff(bounds)
-        if self.enc is not None:
-            todo = ~self.complete[receivers]
-            receivers, starts = receivers[todo], starts[todo]
-            group_sizes = group_sizes[todo]
+        todo = ~self.complete[receivers]
+        receivers, starts = receivers[todo], bounds[:-1][todo]
+        group_sizes = np.diff(bounds)[todo]
         rows = self.rows
         for j in range(int(group_sizes.max(initial=0))):
             layer = group_sizes > j
@@ -999,11 +1006,7 @@ class _SparseStore:
         return cand.counts, cand
 
     def merge(
-        self,
-        receivers: np.ndarray,
-        bounds: np.ndarray,
-        payloads: np.ndarray,
-        src: np.ndarray,
+        self, receivers: np.ndarray, bounds: np.ndarray, payloads: np.ndarray, src: np.ndarray
     ) -> None:
         # Complete receivers and receivers whose every payload *is*
         # their own shard object are skipped wholesale (the union
@@ -1016,12 +1019,8 @@ class _SparseStore:
         complete = self.complete
         payload_list = payloads.tolist()
         recv_list = receivers.tolist()
-        own_ids = np.fromiter(
-            (id(shards[r]) for r in recv_list), np.int64, receivers.size
-        )
-        payload_ids = np.fromiter(
-            (id(s) for s in payload_list), np.int64, len(payload_list)
-        )[src]
+        own_ids = np.fromiter((id(shards[r]) for r in recv_list), np.int64, receivers.size)
+        payload_ids = np.fromiter((id(s) for s in payload_list), np.int64, len(payload_list))[src]
         is_own = payload_ids == np.repeat(own_ids, np.diff(bounds))
         open_recv = ~np.logical_and.reduceat(is_own, bounds[:-1])
         if complete is not None:

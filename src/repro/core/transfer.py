@@ -202,6 +202,15 @@ class _RebuildCMF:
     def poke(self, idx: int, new_load: float) -> None:
         self.loads[idx] = new_load
 
+    def clone(self) -> "_RebuildCMF":
+        """An independent copy: its own loads, the same counters. ``cmf``
+        is replaced on a rebuild, never written, so the copy shares it."""
+        twin = type(self).__new__(type(self))
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin.loads = self.loads.copy()
+        return twin
+
 
 def transfer_stage(
     assignment: np.ndarray,
@@ -283,7 +292,7 @@ def transfer_from_rank(
         return stage.stats
     stage.stats.overloaded_ranks = 1
     stage.stats.rank_processings = 1
-    stage.walk(*stage.prologue(np.array([p]), tasks, np.array([0, tasks.size]))[0])
+    stage.walk(*stage.prologue(p, tasks))
     stage.apply()
     if registry is not None:
         stage.stats.record(registry)
@@ -312,25 +321,33 @@ def _independent(
     )
 
 
-#: Unpacked knowledge bytes per prologue block (``P`` per sender): a
-#: block holds at most ``2**15 // P`` senders, so each per-candidate
-#: array stays within 256 KiB and in cache. Larger blocks measured
-#: slower on senders that know ≈ 3,000 ranks.
+#: Unpacked knowledge bytes per prologue block (``P`` per sampler
+#: built): a block builds at most ``2**15 // P`` samplers, so each
+#: per-candidate array stays within 256 KiB and in cache. Larger blocks
+#: measured slower on senders that know ≈ 3,000 ranks.
 _BLOCK_BYTES = 1 << 15
 #: Tasks per prologue block, unless one sender holds more: its
 #: per-task arrays stay as small as one sender's were.
 _BLOCK_TASKS = 1 << 16
 
 
-def _blocks(sizes: list[int], max_senders: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ``[lo, hi)`` runs of senders, each at most
-    ``max_senders`` long (and at least one) and holding at most
-    :data:`_BLOCK_TASKS` tasks unless its first sender alone does."""
+def _blocks(
+    sizes: list[int], builds: list[bool], max_builds: int
+) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[lo, hi)`` runs of senders (at least one each),
+    each with at most ``max_builds`` of the senders flagged in
+    ``builds`` and at most :data:`_BLOCK_TASKS` tasks, unless its first
+    sender alone exceeds either."""
     lo = 0
     while lo < len(sizes):
-        hi, held = lo + 1, sizes[lo]
-        while hi < len(sizes) and hi - lo < max_senders and held + sizes[hi] <= _BLOCK_TASKS:
+        hi, held, built = lo + 1, sizes[lo], builds[lo]
+        while (
+            hi < len(sizes)
+            and built + builds[hi] <= max_builds
+            and held + sizes[hi] <= _BLOCK_TASKS
+        ):
             held += sizes[hi]
+            built += builds[hi]
             hi += 1
         yield lo, hi
         lo = hi
@@ -350,18 +367,20 @@ class _Sender(NamedTuple):
 class _Stage:
     """One transfer stage, as three layers over its senders.
 
-    ``prologue`` prepares a block of senders with array operations —
-    candidates, known loads, CMF samplers, first-pass task orders; no
-    RNG. ``walk`` runs one sender's passes, the only RNG-ordered step,
-    and records the accepts. ``apply`` writes every recorded accept to
-    ``assignment``, the loads and the stats, in sender order.
+    The prologue prepares a block of senders with array operations —
+    candidates, known loads and CMF samplers (:meth:`samplers`),
+    first-pass task orders (:meth:`orders`); no RNG. ``walk`` runs one
+    sender's passes, the only RNG-ordered step, and records the
+    accepts. ``apply`` writes every recorded accept to ``assignment``,
+    the loads and the stats, in sender order.
 
     A stage whose senders are independent (:func:`_independent`) runs
     one prologue and one apply per block of senders
     (:meth:`run_independent`): only the order of their walks, which is
-    the order of their draws, matters. Every other stage, like
-    :func:`transfer_from_rank`, runs the same three layers with a batch
-    of one per sender at dequeue time (:meth:`run_queue`).
+    the order of their draws, matters, and senders with equal ``S^p``
+    share one CMF build. Every other stage, like
+    :func:`transfer_from_rank`, runs the same three layers for one
+    sender at a time, prepared at dequeue time (:meth:`run_queue`).
 
     A sender whose view is its own CMF — snapshot view, incremental
     recomputation, no nacks: the default — walks each pass *fused*
@@ -416,18 +435,40 @@ class _Stage:
         """Every sender once, in rank order: per block of senders, one
         prologue, one walk per sender and one apply. (Applying per block
         rather than per stage keeps the temporaries of a stage with
-        hundreds of thousands of accepts as small as one block's.)"""
+        hundreds of thousands of accepts as small as one block's.)
+
+        Here no sender is in any ``S^p``, so a sender's candidates and
+        sampler are a function of its ``S^p`` and the inform snapshot
+        alone (Alg. 2 l.5), and senders with equal sets share them: the
+        sampler is built with the first sender of its group, each sender
+        but the group's last walks a copy made at walk entry, and the
+        last walks the build itself — a group of one copies nothing."""
         state = RankTaskState(self.assignment, is_overloaded.size, is_overloaded)
         owned = [state.tasks(p) for p in overloaded.tolist()]
         self.stats.rank_processings = overloaded.size
-        for lo, hi in _blocks([len(t) for t in owned], _BLOCK_BYTES // is_overloaded.size):
+        group = self.gossip.knowledge.equal_sets(overloaded)
+        last = {g: i for i, g in enumerate(group)}
+        first = [g == i for i, g in enumerate(group)]
+        built: dict[int, tuple[np.ndarray, IncrementalCMF | _RebuildCMF]] = {}
+        max_builds = _BLOCK_BYTES // is_overloaded.size
+        for lo, hi in _blocks([len(t) for t in owned], first, max_builds):
+            opening = [i for i in range(lo, hi) if first[i]]
+            if opening:
+                built.update(zip(opening, self.samplers(overloaded[opening])))
             task_bounds = np.zeros(hi - lo + 1, dtype=np.int64)
             np.cumsum([len(t) for t in owned[lo:hi]], out=task_bounds[1:])
-            senders = self.prologue(overloaded[lo:hi], np.concatenate(owned[lo:hi]), task_bounds)
+            tasks = np.concatenate(owned[lo:hi])
+            ordered, ordered_loads = self.orders(tasks, task_bounds, self.loads[overloaded[lo:hi]])
             self._lap("prologue")
-            senders.reverse()
-            while senders:  # a sender's sampler goes once it is walked
-                self.walk(*senders.pop())
+            cuts = task_bounds.tolist()
+            for i, p, a, b in zip(range(lo, hi), overloaded[lo:hi].tolist(), cuts, cuts[1:]):
+                g = group[i]
+                if last[g] == i:  # the group's build goes once it is walked
+                    candidates, sampler = built.pop(g)
+                else:
+                    candidates, sampler = built[g]
+                    sampler = sampler.clone()
+                self.walk(p, candidates, sampler, tasks[a:b], ordered[a:b], ordered_loads[a:b])
             self._lap("walk")
             self.apply()
             self._lap("apply")
@@ -459,7 +500,7 @@ class _Stage:
                 break
             stats.rank_processings += 1
             tasks = state.tasks(p)
-            (sender,) = self.prologue(np.array([p]), tasks, np.array([0, tasks.size]))
+            sender = self.prologue(p, tasks)
             self._lap("prologue")
             self.walk(*sender)
             self._lap("walk")
@@ -477,11 +518,19 @@ class _Stage:
                         queue.append(r)
                         queued.add(r)
 
-    def prologue(
-        self, senders: np.ndarray, tasks: np.ndarray, task_bounds: np.ndarray
-    ) -> list[_Sender]:
-        """Prepare ``senders``, whose task ids are the runs of ``tasks``
-        cut at ``task_bounds``, at the current loads."""
+    def prologue(self, p: int, tasks: np.ndarray) -> _Sender:
+        """Prepare sender ``p``, which holds ``tasks``, at the current loads."""
+        ((candidates, sampler),) = self.samplers(np.array([p]))
+        ordered, ordered_loads = self.orders(
+            tasks, np.array([0, tasks.size]), self.loads[p : p + 1]
+        )
+        return _Sender(p, candidates, sampler, tasks, ordered, ordered_loads)
+
+    def samplers(
+        self, senders: np.ndarray
+    ) -> list[tuple[np.ndarray, IncrementalCMF | _RebuildCMF]]:
+        """Each sender's candidates (``S^p`` minus ``p``, sorted) and a
+        sampler over their known loads, at the current loads."""
         config = self.config
         candidates, bounds = self.gossip.knowledge.known_many(senders)
         owners = senders[0] if len(senders) == 1 else np.repeat(senders, bounds[1:] - bounds[:-1])
@@ -501,24 +550,21 @@ class _Stage:
             samplers = [
                 _RebuildCMF(known[a:b], self.l_ave, config.cmf) for a, b in zip(starts, ends)
             ]
+        return [(candidates[a:b], sampler) for a, b, sampler in zip(starts, ends, samplers)]
+
+    def orders(
+        self, tasks: np.ndarray, task_bounds: np.ndarray, sender_loads: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The runs of ``tasks`` cut at ``task_bounds`` (one per sender,
+        whose load is in ``sender_loads``), each in walk order, and
+        their loads."""
         ordered = tasks[
             order_segments(
-                config.ordering, tasks, task_bounds, self.task_loads, self.l_ave,
-                self.loads[senders],
+                self.config.ordering, tasks, task_bounds, self.task_loads, self.l_ave,
+                sender_loads,
             )
         ]
-        ordered_loads = self.task_loads[ordered]
-        task_cuts = task_bounds.tolist()
-        task_starts, task_ends = task_cuts[:-1], task_cuts[1:]
-        return [
-            _Sender(
-                p, candidates[a:b], sampler, tasks[ta:tb], ordered[ta:tb],
-                ordered_loads[ta:tb],
-            )
-            for p, a, b, sampler, ta, tb in zip(
-                senders.tolist(), starts, ends, samplers, task_starts, task_ends
-            )
-        ]
+        return ordered, self.task_loads[ordered]
 
     def walk(
         self,
@@ -541,13 +587,9 @@ class _Stage:
         for pass_no in range(self.max_passes):
             if pass_no:  # what the previous pass left, ordered alone
                 tasks = tasks[~np.isin(tasks, self._moved[-1])]
-                ordered = tasks[
-                    order_segments(
-                        config.ordering, tasks, np.array([0, tasks.size]), self.task_loads,
-                        self.l_ave, loads[p : p + 1],
-                    )
-                ]
-                ordered_loads = self.task_loads[ordered]
+                ordered, ordered_loads = self.orders(
+                    tasks, np.array([0, tasks.size]), loads[p : p + 1]
+                )
             if loads[p] <= threshold_load or tasks.size == 0:
                 break
             if self.fused:

@@ -172,7 +172,9 @@ class SetStore:
     """The round loop's store adapter over ``list[set[int]]``."""
 
     def __init__(self, n_ranks: int, seeds, config: GossipConfig, loads) -> None:
-        assert config.max_known is None or config.trim_policy == "lowest"
+        # A "random" trim is modelled only where it never binds.
+        cap = config.max_known
+        assert cap is None or config.trim_policy == "lowest" or cap >= seeds.size
         self.know: list[set[int]] = [set() for _ in range(n_ranks)]
         for p in seeds.tolist():
             self.know[p].add(p)

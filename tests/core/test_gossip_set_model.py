@@ -157,6 +157,45 @@ class TestLatePayloadAtCompleteReceiver:
         assert sum(hits) > 0
 
 
+class TestCompleteRows:
+    """k = 10 rounds converge, and a receiver whose row can grow no
+    further takes no merge: one holding every seed, uncapped or under a
+    cap at or above the seed count (a random trim that never binds, or
+    "lowest"), or one holding a binding "lowest" cap's lowest members.
+    The stores with that skip match the set model, faults on and off,
+    and every row flagged complete holds exactly that full set."""
+
+    @pytest.mark.parametrize("faults", [None, FAULTS], ids=["plain", "faults"])
+    @pytest.mark.parametrize("n_ranks", [64, 400])
+    @pytest.mark.parametrize(
+        "cap, trim",
+        [("none", "random"), ("seeds", "random"), ("above", "random"),
+         ("seeds", "lowest"), ("above", "lowest"), ("below", "lowest")],
+    )
+    def test_skips_match_the_set_model(self, monkeypatch, n_ranks, cap, trim, faults):
+        loads = _loads(n_ranks, n_ranks)
+        seeds = np.flatnonzero(loads < loads.mean())
+        max_known = {
+            "none": None, "seeds": seeds.size, "above": n_ranks + 3, "below": seeds.size // 4,
+        }[cap]
+        by_priority = sorted(seeds.tolist(), key=lambda q: (loads[q], q))
+        full = set(by_priority[:max_known])
+        flagged = []
+        merge = knowledge_module._PackedStore.merge
+
+        def spy(self, receivers, bounds, payloads, src):
+            for r in np.flatnonzero(self.complete).tolist():
+                ids = knowledge_module.row_ids(self.rows[r], self.n_ranks)
+                assert set((ids if self.dec is None else self.dec[ids]).tolist()) == full
+            flagged.append(int(self.complete[receivers].sum()))
+            merge(self, receivers, bounds, payloads, src)
+
+        monkeypatch.setattr(knowledge_module._PackedStore, "merge", spy)
+        config = GossipConfig(max_known=max_known, trim_policy=trim, faults=faults)
+        _assert_matches_set_model(loads, config, 3)
+        assert sum(flagged) > 0
+
+
 #: (n_messages, inter_node_messages, bytes_sent, sha256(packed)[:16],
 #: the sampler's next 32-bit draw) at the parent commit `1482e56`
 #: (rank-order rows, argpartition trim), 256 ranks, seeds 0, 1, 2.

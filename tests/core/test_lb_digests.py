@@ -26,7 +26,14 @@ event-level family. ``episode-p400-threshold-0.9`` (senders that are
 also recipients, so each is prepared alone) and ``episode-p4096-fewest``
 (thousands of short Alg. 5 senders on bit rows) were generated at
 commit ``4c76db6``, before the transfer stage prepared its senders a
-block at a time.
+block at a time. ``episode-p4096-rounds3`` and ``-rounds5`` (k = 3:
+every sender's ``S^p`` its own; k = 5: distinct and shared ``S^p`` mixed
+in one stage), ``episode-p400-random-cap512``
+(a random trim whose cap exceeds the seed count, so rows holding every
+seed are complete under a cap) and ``stage-p400-random-cap64`` (an
+inform stage whose random-trim cap binds) were generated at commit
+``431c106``, before senders with equal ``S^p`` shared one CMF build and
+complete rank-ordered rows stopped taking merges.
 """
 
 from __future__ import annotations
@@ -154,6 +161,9 @@ INFORM = {
     "inform-p4096-lowest-sorted-faults": (
         4096, 23, GossipConfig(max_known=64, knowledge="sparse", faults=FAULTS, **LOWEST)
     ),
+    # A random trim on rank-ordered bit rows whose cap binds: no row
+    # ever holds every seed, so no merge may be skipped.
+    "stage-p400-random-cap64": (400, 25, GossipConfig(max_known=64, knowledge="packed")),
 }
 
 EPISODES = {
@@ -201,6 +211,16 @@ EPISODES = {
         4096, 14, GossipConfig(knowledge="packed"),
         TransferConfig(ordering="fewest_migrations"),
     ),
+    # k = 3: rows stay far from converged, so every sender holds a set
+    # of its own; k = 5: a stage's senders mix sets of their own with
+    # shared ones (1,784 senders, 1,587 distinct sets in iteration 2).
+    "episode-p4096-rounds3": (4096, 15, GossipConfig(rounds=3), TransferConfig()),
+    "episode-p4096-rounds5": (4096, 15, GossipConfig(rounds=5), TransferConfig()),
+    # A random trim whose cap exceeds the seed count: rows that hold
+    # every seed are complete although a cap is set.
+    "episode-p400-random-cap512": (
+        400, 16, GossipConfig(max_known=512, knowledge="packed"), TransferConfig(),
+    ),
 }
 
 EMPIRE = {
@@ -236,6 +256,9 @@ PINNED: dict[str, str] = {
     "episode-p400-trials3-workers2": "2ec4577d3c9e021c0b73faee2b6c002dfb6591adb4c9039b3f52b03030f2761f",
     "episode-p400-threshold-0.9": "5c295cd603c2c806b4482f0adeb6d9e1f6c187194830614aa13f409871dc5c85",
     "episode-p4096-fewest": "cec199d942ab72257c1d99488ede302483495f95ab35855f4f884a0bde43b7d7",
+    "episode-p4096-rounds3": "4dd6ef643ba499d76ba5ddde6f8fdeeb8059dcb04ab2aeebd79ae4a9b0114c88",
+    "episode-p4096-rounds5": "7e30e5da0966d198f626dcb91fea8fa71a4cd8af5ee95aafa3d5205a21742e83",
+    "episode-p400-random-cap512": "1c0ac714767737bc65e220a6f83c57ab0a2bbd8912401e4c7ee201fd4b6e206e",
     "episode-p64-default": "96d3e5e88f3df534dfc331a75615a9b1d176678586e613d40f830e0f8afbeab8",
     "episode-p64-lbaf": "93916253b3f9e0440c5fd936e52ab81784d3e6c5777bc9b33b10c97e1bc9963b",
     "inform-p400-bias": "8ed94f7b594005370af0036a8b0eb0275c721e1e5e5b55bc721627203312ec18",
@@ -257,6 +280,7 @@ PINNED: dict[str, str] = {
     "inform-p64-noavoid": "42d8045d50c834486b0aa4d987b7244dc2d02594b9b9a162bab51f9e65d47eb7",
     "inform-p64-packed": "380b15738f102d4af1fa75448c20fe040ee041ce72f2bed034c4f27e243e628e",
     "inform-p64-packed-f2": "932bea028bc9be52979c5b34a4f60505d9afbf115be9468cf317b9f785ed8410",
+    "stage-p400-random-cap64": "ab7802f2beb8133684d35d81e7cfbc606c60aa11244de497923646a0783acf68",
 }
 
 

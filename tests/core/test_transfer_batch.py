@@ -11,6 +11,13 @@ included, over both stores, every ordering, criterion and CMF variant,
 thresholds on both sides of 1, stalled senders and zero-load or tied
 tasks; the segmented orders are held to the oracle's per-sender
 ORDERTASKS.
+
+Senders of an independent stage whose ``S^p`` are equal share one CMF
+build, each but the last walking a clone of it: stages whose rows are
+all equal, all distinct or a mix — equal shards as one object or as
+equal copies — are held to the same oracle, a clone is shown to be
+independent of its original and its siblings, and a stage of equal rows
+is shown to build once.
 """
 
 import numpy as np
@@ -19,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.transfer as transfer_module
-from repro.core.cmf import IncrementalCMF
+from repro.core.cmf import CMF_MODIFIED, CMF_ORIGINAL, IncrementalCMF
 from repro.core.gossip import GossipResult
 from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
 from repro.core.ordering import ORDERINGS, order_segments
@@ -183,3 +190,169 @@ def test_samplers_built_together_equal_samplers_built_alone(segments, l_ave, var
             assert got._tree is None
         else:
             assert got._tree.tobytes() == want._tree.tobytes()
+
+
+@st.composite
+def converged_stages(draw):
+    """An independent stage (h >= 1, sets drawn from the underloaded
+    ranks) whose senders hold one shared set, a set each, or a few sets
+    between them, as bit rows or as shards — equal shards either one
+    object or equal copies."""
+    n_ranks = draw(st.integers(4, 24))
+    n_tasks = draw(st.integers(4, 80))
+    hot = draw(st.integers(1, max(1, n_ranks // 2)))
+    task_loads = np.array(draw(st.lists(LOADS, min_size=n_tasks, max_size=n_tasks)))
+    assignment = np.array(
+        draw(st.lists(st.integers(0, hot - 1), min_size=n_tasks, max_size=n_tasks))
+    )
+    loads = np.bincount(assignment, weights=task_loads, minlength=n_ranks)
+    l_ave = float(loads.mean())
+    underloaded = loads < l_ave
+    pool = np.flatnonzero(underloaded).tolist()
+    kind = draw(st.sampled_from(["equal", "distinct", "mixed"]))
+    n_sets = {"equal": 1, "distinct": n_ranks, "mixed": draw(st.integers(2, 3))}[kind]
+    palette = [
+        np.array(sorted(draw(st.lists(st.sampled_from(pool), unique=True))) if pool else [])
+        for _ in range(n_sets)
+    ]
+    pick = list(range(n_ranks)) if kind == "distinct" else [
+        draw(st.integers(0, n_sets - 1)) for _ in range(n_ranks)
+    ]
+    if draw(st.booleans()):
+        knowledge = PackedKnowledgeBitmap(n_ranks)
+        for p, i in enumerate(pick):
+            knowledge.add(p, palette[i])
+    else:
+        knowledge = SparseKnowledge(n_ranks)
+        shared = [ids.astype(np.int32) for ids in palette]  # sorted, as shards are
+        aliased = draw(st.booleans())
+        for p, i in enumerate(pick):
+            knowledge.shards[p] = shared[i] if aliased else shared[i].copy()
+    gossip = GossipResult(knowledge, underloaded, loads, l_ave)
+    config = TransferConfig(
+        threshold=draw(st.sampled_from([1.0, 1.3])),
+        ordering=draw(st.sampled_from(sorted(ORDERINGS))),
+        cmf=draw(st.sampled_from(["modified", "original"])),
+        recompute_cmf=draw(st.booleans()),
+        max_passes=draw(st.sampled_from([1, 3])),
+    )
+    return assignment, task_loads, gossip, config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(converged_stages())
+def test_shared_builds_equal_the_one_sender_oracle(case):
+    assignment, task_loads, gossip, config, seed = case
+    got = _run(transfer_stage, assignment, task_loads, gossip, config, seed)
+    want = _run(oracles.transfer_stage_lists, assignment, task_loads, gossip, config, seed)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+
+
+def _state(sampler):
+    """Everything a sampler walks on, as plain values."""
+    out = {name: getattr(sampler, name) for name in sampler.__slots__}
+    out["loads"] = sampler.loads.tobytes()
+    tree = out.get("_tree")
+    if tree is not None:
+        out["_tree"] = np.asarray(tree).tobytes()
+    if isinstance(out.get("cmf"), np.ndarray):
+        out["cmf"] = out["cmf"].tobytes()
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=40),
+    st.floats(1e-3, 50.0),
+    st.lists(LOADS, max_size=20),
+    st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.0, 80.0, allow_nan=False)), max_size=20),
+    st.sampled_from([CMF_MODIFIED, CMF_ORIGINAL]),
+    st.booleans(),
+)
+def test_a_clone_leaves_its_original_and_siblings_unchanged(
+    loads, l_ave, tasks, updates, variant, incremental
+):
+    """A clone walked (a fused pass on the tree as built, then point
+    updates and a rebuild) ends where a fresh build would, and its
+    original and a sibling clone keep every bit."""
+    known = np.array(loads)
+    if incremental:
+        (original,) = IncrementalCMF.many(known, np.array([0, known.size]), l_ave, variant)
+    else:
+        original = transfer_module._RebuildCMF(known, l_ave, variant)
+    before = _state(original)
+    walked, sibling = original.clone(), original.clone()
+    assert _state(walked) == before == _state(sibling)
+    fresh = (
+        IncrementalCMF(known.copy(), l_ave, variant) if incremental
+        else transfer_module._RebuildCMF(known.copy(), l_ave, variant)
+    )
+    if incremental:
+        walk = (np.array(tasks), l_ave + sum(tasks), l_ave, True)
+        assert walked.propose_pass(*walk, np.random.default_rng(1)) == fresh.propose_pass(
+            *walk, np.random.default_rng(1)
+        )
+    for raw, new_load in updates:  # a rise past l_s rebuilds
+        walked.update(raw % known.size, new_load)
+        fresh.update(raw % known.size, new_load)
+    if incremental:
+        walked._rebuild()
+        fresh._rebuild()
+    assert _state(walked) == _state(fresh)
+    assert _state(original) == before
+    assert _state(sibling) == before
+
+
+@pytest.mark.parametrize("recompute_cmf", [True, False])
+@pytest.mark.parametrize("store", [PackedKnowledgeBitmap, SparseKnowledge])
+def test_a_stage_of_equal_rows_builds_once(monkeypatch, store, recompute_cmf):
+    """Counted by call, not timed: one ``known_many`` of one rank and one
+    O(n) build, then a clone for every sender but the last."""
+    rng = np.random.default_rng(11)
+    n_ranks = 64
+    task_loads = rng.gamma(3.0, 0.3, size=600)
+    assignment = rng.integers(0, 64, size=600)
+    assignment[:400] = rng.integers(0, 12, size=400)
+    loads = np.bincount(assignment, weights=task_loads, minlength=n_ranks)
+    underloaded = loads < loads.mean()
+    knowledge = store(n_ranks)
+    for p in range(n_ranks):
+        knowledge.add(p, np.flatnonzero(underloaded))
+    gossip = GossipResult(knowledge, underloaded, loads, float(loads.mean()))
+    config = TransferConfig(recompute_cmf=recompute_cmf)
+    want = _run(oracles.transfer_stage_lists, assignment, task_loads, gossip, config, 5)
+    calls = {"known": [], "built": 0, "clones": 0}
+    known_many, many = store.known_many, IncrementalCMF.many
+    rebuild_init = transfer_module._RebuildCMF.__init__
+    clones = {cls: cls.clone for cls in (IncrementalCMF, transfer_module._RebuildCMF)}
+
+    def known_spy(self, ranks):
+        calls["known"].append(len(ranks))
+        return known_many(self, ranks)
+
+    def many_spy(known, bounds, *args):
+        calls["built"] += len(bounds) - 1
+        return many(known, bounds, *args)
+
+    def init_spy(self, *args):
+        calls["built"] += 1
+        rebuild_init(self, *args)
+
+    def clone_spy(self):
+        calls["clones"] += 1
+        return clones[type(self)](self)
+
+    monkeypatch.setattr(store, "known_many", known_spy)
+    monkeypatch.setattr(IncrementalCMF, "many", staticmethod(many_spy))
+    monkeypatch.setattr(transfer_module._RebuildCMF, "__init__", init_spy)
+    for cls in clones:
+        monkeypatch.setattr(cls, "clone", clone_spy)
+    taken = _spy_paths(monkeypatch)
+    got = _run(transfer_stage, assignment, task_loads, gossip, config, 5)
+    senders = got[1].overloaded_ranks
+    assert taken == ["run_independent"] and senders >= 8
+    assert calls == {"known": [1], "built": 1, "clones": senders - 1}
+    assert got[1].cmf_builds >= senders
+    assert (got[0].tolist(), got[1], got[2]) == (want[0].tolist(), want[1], want[2])

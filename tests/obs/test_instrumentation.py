@@ -98,6 +98,27 @@ class TestCoreStages:
             assert row[f"{layer}_s"] == pytest.approx(sum(seconds))
         assert row["finish_s"] == result.finish_seconds
 
+    def test_merges_skipped_counts_deliveries_to_complete_rows(self, monkeypatch):
+        from repro.core import knowledge as knowledge_module
+
+        loads = np.ones(64)
+        loads[:4] = 12.0
+        want = []
+        merge = knowledge_module._PackedStore.merge
+
+        def spy(self, receivers, bounds, payloads, src):
+            want.append(int(np.diff(bounds)[self.complete[receivers]].sum()))
+            merge(self, receivers, bounds, payloads, src)
+
+        monkeypatch.setattr(knowledge_module._PackedStore, "merge", spy)
+        config = GossipConfig(knowledge="packed")
+        reg = StatsRegistry()
+        result = run_inform_stage(loads, config, rng=0, registry=reg)
+        (row,) = reg.series_rows("gossip.stage")
+        assert row["merges_skipped"] == result.merges_skipped == sum(want) > 0
+        # Counted only under a registry.
+        assert run_inform_stage(loads, config, rng=0).merges_skipped == 0
+
     def test_transfer_stage_counters_match_stats(self):
         dist = paper_analysis_scenario(n_tasks=300, n_loaded_ranks=4, n_ranks=32, seed=1)
         loads = dist.rank_loads()
