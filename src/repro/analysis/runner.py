@@ -72,11 +72,17 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "SweepSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output or a user's file:
+        unknown keys are refused by name, and ``seeds`` may be omitted."""
+        unknown = sorted(set(payload) - {"workloads", "strategies", "seeds"})
+        if unknown:
+            raise ValueError(
+                f"unknown sweep spec keys {unknown}; expected workloads, strategies, seeds"
+            )
         return cls(
             workloads=payload["workloads"],
             strategies=payload["strategies"],
-            seeds=tuple(payload["seeds"]),
+            seeds=tuple(payload.get("seeds", cls.seeds)),
         )
 
 

@@ -27,13 +27,7 @@ from repro.core.metrics import (
     load_statistics,
     objective,
 )
-from repro.core.ordering import (
-    ORDERINGS,
-    order_arbitrary,
-    order_fewest_migrations,
-    order_lightest,
-    order_load_intensive,
-)
+from repro.core.ordering import ORDERINGS
 from repro.core.refinement import RefinementResult, iterative_refinement
 from repro.core.soa import RankTaskState
 from repro.core.tempered import TemperedConfig, TemperedLB
@@ -71,10 +65,6 @@ __all__ = [
     "iterative_refinement",
     "load_statistics",
     "objective",
-    "order_arbitrary",
-    "order_fewest_migrations",
-    "order_lightest",
-    "order_load_intensive",
     "run_inform_stage",
     "sample_cmf",
     "transfer_stage",

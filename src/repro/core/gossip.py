@@ -26,13 +26,13 @@ How ``S^p`` is *stored* is :mod:`repro.core.knowledge`'s business: the
 loop reaches it only through a seeded five-method store
 (``snapshot`` / ``candidates`` / ``merge`` / ``trim`` / ``finish``)
 built by :func:`~repro.core.knowledge.inform_store` — bit rows or
-sorted id arrays, chosen separately from the container the caller asked
-for (``resolve_knowledge``) — and reads candidates only as rank ids
-through the store's view (``test`` / ``extract``). The sampler's control
-flow depends only on candidate *counts*, so every store consumes the
-same RNG stream and produces bit-identical knowledge, with or without
-fault injection, which acts on payload handles in the loop. Only
-``intra_node_bias`` needs bit rows.
+sorted id arrays, whichever ``GossipConfig.resolve_knowledge`` names,
+each finishing into its own container — and reads candidates only as
+rank ids through the store's view (``test`` / ``extract``). The
+sampler's control flow depends only on candidate *counts*, so every
+store consumes the same RNG stream and produces bit-identical
+knowledge, with or without fault injection, which acts on payload
+handles in the loop. Only ``intra_node_bias`` needs bit rows.
 
 ``tests/core/oracles.py`` holds the set-based transcription of
 Algorithm 1 that the equivalence suites compare the loop against.
@@ -68,7 +68,6 @@ __all__ = [
     "RankInform",
     "run_inform_stage",
     "resolve_auto_threshold",
-    "SPARSE_AUTO_MIN_RANKS_FAST",
 ]
 
 #: Bytes for one (rank id, load) knowledge entry on the wire.
@@ -78,27 +77,12 @@ HEADER_BYTES = 32
 #: The layers a timed round is split into (``per_round_seconds`` keys).
 _ROUND_LAYERS = ("sample", "merge", "trim")
 
-#: Rank count at which ``knowledge="auto"`` switches from the packed
-#: bitmap (O(P^2) bits — 128 MiB at 2^15, 2 GiB at 2^17, plus a
-#: same-sized row gather per round) to sparse per-rank id shards
-#: (O(cap * P) bytes). Sparse only pays off once knowledge is capped,
-#: so auto additionally requires ``max_known``. The constant was set
-#: at PR 8 from packed/sparse wall ratios (fanout 6, 10 rounds, cap
-#: 512, "lowest" trim, 1 CPU) of 0.71x at 4096 ranks, 1.02x at 8192,
-#: 1.53x at 16384 and 3.55x at 32768 — measured against the packed
-#: store's rank-order unpack + argpartition trim, which no longer
-#: exists. It now chooses the *container* only: up to 32 * cap ranks
-#: both containers run the same priority-ordered bit rows (0.84x /
-#: 0.92x / 0.99x at 4096 / 8192 / 16384, the difference being
-#: ``finish()``), and at 32768 the packed leg's bit rows take 1.6x
-#: the sparse leg's sorted arrays (docs/performance.md has the race).
-SPARSE_AUTO_MIN_RANKS_FAST = 8_192
-
 
 # Shim for benchmarks/e2e/wl_phase.py:65; the follow-up [benchmark] PR removes it.
 def resolve_auto_threshold(kernel: str) -> int:
-    """The ``knowledge="auto"`` packed→sparse crossover rank count."""
-    return SPARSE_AUTO_MIN_RANKS_FAST
+    """The retired ``knowledge="auto"`` rank-count crossover, 8,192;
+    :meth:`GossipConfig.resolve_knowledge` no longer reads it."""
+    return 8_192
 
 
 @dataclass(frozen=True)
@@ -136,12 +120,9 @@ class GossipConfig:
     #: churn, reordering, control loss, detector and stage timeouts)
     #: have no round-loop meaning and raise ``ValueError``.
     faults: FaultConfig | None = None
-    #: Knowledge store: "packed" (the dense bit matrix, O(P^2) bits),
-    #: "sparse" (per-rank sorted id shards, O(sum |S^p|) — the
-    #: high-rank-count store, bit-identical to packed), or "auto"
-    #: (sparse once the rank count reaches
-    #: :data:`SPARSE_AUTO_MIN_RANKS_FAST` *and* ``max_known`` caps the
-    #: shards; packed otherwise, and always under ``intra_node_bias``).
+    #: Knowledge store: "packed" (bit rows, O(P^2) bits), "sparse"
+    #: (per-rank sorted id shards, O(sum |S^p|) — bit-identical to
+    #: packed), or "auto" (see :meth:`resolve_knowledge`).
     knowledge: str = "auto"
     # Shim for benchmarks/e2e/wl_phase.py:65; the follow-up [benchmark] PR removes it.
     kernel: ClassVar[str] = "auto"
@@ -168,19 +149,23 @@ class GossipConfig:
             self.faults.refuse("phase-level gossip", EVENT_ONLY_FAULTS)
 
     def resolve_knowledge(self, n_ranks: int) -> str:
-        """The knowledge store used at a given rank count.
+        """The knowledge store — and so the container — used at a given
+        rank count; the one place a representation is chosen.
 
-        Auto selects sparse only where it is both applicable (no
-        topology bias — that pass is packed-only) and a win: a
-        ``max_known`` cap bounds the shards, and the rank count is at
-        or past the measured packed/sparse crossover.
+        Auto picks sorted id shards exactly when a ``max_known`` cap
+        bounds them, no topology bias needs bit rows, and a bit row
+        (P/8 bytes) outweighs a full shard (4 bytes an id) charged 320
+        extra ids — the sorted-array merge's fixed per-receiver numpy
+        cost — whatever the trim policy; bit rows otherwise. The
+        per-receiver charge is raced at caps 16 to 512 in
+        docs/performance.md (*Backend selection*).
         """
         if self.knowledge != "auto":
             return self.knowledge
         if (
             self.max_known is not None
             and self.intra_node_bias == 0.0
-            and n_ranks >= SPARSE_AUTO_MIN_RANKS_FAST
+            and n_ranks > 32 * (self.max_known + 320)
         ):
             return "sparse"
         return "packed"
@@ -211,11 +196,10 @@ class GossipResult:
     duplicated: int = 0
     retransmits: int = 0
     expired: int = 0
-    #: Backend the stage actually ran ("packed"/"sparse")
-    #: and the auto crossover that applied — so callers (bench meta,
-    #: CLI reports) never re-derive the selection and drift from it.
+    #: Backend the stage actually ran ("packed"/"sparse") — so callers
+    #: (bench meta, CLI reports) never re-derive the selection and
+    #: drift from it.
     knowledge_backend: str = ""
-    auto_threshold: int = 0
     #: Wall seconds per layer and round — ``"sample"`` (everything up
     #: to the group-by-receiver), ``"merge"``, ``"trim"`` — and of the
     #: store's ``finish()``; taken only under a registry.
@@ -279,7 +263,6 @@ def run_inform_stage(
         load_snapshot=loads.copy(),
         average_load=l_ave,
         knowledge_backend=backend,
-        auto_threshold=SPARSE_AUTO_MIN_RANKS_FAST,
     )
     instrumented = registry is not None
     if seeds.size == 0:

@@ -18,15 +18,17 @@ and c=512).
 
 Two *stores* are the round loop's working representation, behind five
 methods (``snapshot`` / ``candidates`` / ``merge`` / ``trim`` /
-``finish``); :func:`inform_store` picks one, seeded (each seed knows
-itself, Alg. 1 l.7), and ``finish()`` leaves the requested container in
-``store.knowledge``. :class:`_PackedStore` runs bit rows — in (load,
-id) priority order under a capped "lowest" trim, which makes the trim
-a prefix cut (:func:`keep_first_bits`) — and :class:`_SparseStore`
-sorted id arrays. Their candidate views answer the sampler's only two
-queries, ``test(rows, draws)`` and ``extract(rows, exclude)`` (members
-as ``(row, rank id)`` pairs), for the same sets in the same order, so
-both stores consume the same RNG stream and finish bit-identical.
+``finish``); :func:`inform_store` builds the one its backend names,
+seeded (each seed knows itself, Alg. 1 l.7), and the container follows
+the store. :class:`_PackedStore` runs bit rows — in (load, id)
+priority order under a capped "lowest" trim, which makes the trim a
+prefix cut (:func:`keep_first_bits`) — into a packed container, and
+:class:`_SparseStore` sorted id arrays into a sparse one, left in
+``store.knowledge``. Their candidate views answer the sampler's only
+two queries, ``test(rows, draws)`` and ``extract(rows, exclude)``
+(members as ``(row, rank id)`` pairs), for the same sets in the same
+order, so both stores consume the same RNG stream and finish
+bit-identical.
 
 One rank's ``S^p`` on its own is a packed row, private or a view into
 a :class:`PackedKnowledgeBitmap`; the per-rank inform rule
@@ -479,19 +481,12 @@ def inform_store(
     rng: np.random.Generator,
     ranks_per_node: int = 1,
 ) -> "_PackedStore | _SparseStore":
-    """The working representation of one inform stage, seeded, whose
-    ``finish()`` writes a ``backend`` ("packed"/"sparse") container.
-
-    Bit rows for a packed container, and for a sparse one whose
-    capped-"lowest" bit row (P/8 bytes) is no larger than a full int32
-    shard (4 * cap); sorted id arrays otherwise.
-    """
-    sparse = backend == "sparse"
-    lowest = cap is not None and trim_policy == "lowest"
-    if not sparse or (lowest and n_ranks <= 32 * cap):
-        return _PackedStore(
-            n_ranks, seeds, cap, trim_policy, loads, rng, ranks_per_node, sparse
-        )
+    """The working representation of one inform stage, seeded: bit rows
+    for ``backend="packed"``, sorted id arrays for ``"sparse"``. Each
+    store's ``finish()`` writes its own container; which one to run is
+    :meth:`repro.core.gossip.GossipConfig.resolve_knowledge`'s rule."""
+    if backend == "packed":
+        return _PackedStore(n_ranks, seeds, cap, trim_policy, loads, rng, ranks_per_node)
     return _SparseStore(n_ranks, seeds, cap, trim_policy, loads, rng)
 
 
@@ -540,14 +535,11 @@ class _PackedCandidates:
 
 
 class _PackedStore:
-    """Round-loop adapter over bit rows — the working representation
-    of every packed container, and of a sparse one whose capped
-    "lowest" row is no larger than a shard (see :func:`inform_store`).
+    """Round-loop adapter over the bit rows of ``knowledge``.
 
     Everything is a whole-round array pass: the gathered sender rows
     double as the round's send buffer, candidates are their
-    complement, merges are layered scatter-ORs. :meth:`finish` writes
-    the container, ``knowledge`` (sparse when ``sparse``). A *complete*
+    complement, merges are layered scatter-ORs. A *complete*
     row can grow no further, so its receiver takes no part in merge for
     the rest of the stage: in either order, one holding every seed —
     rows hold nothing else — flagged by :meth:`snapshot` from the
@@ -555,8 +547,8 @@ class _PackedStore:
     binds: trimmed rows hold at most ``cap``).
 
     **Rank order** (uncapped, or the "random" trim, whose RNG keys are
-    drawn per rank-ordered column): bit ``q`` is rank ``q``; the rows
-    are the packed container's own matrix and ``finish`` is a no-op.
+    drawn per rank-ordered column): bit ``q`` is rank ``q`` and
+    ``finish`` is a no-op.
 
     **Priority order** (capped "lowest" trim): bit ``j`` is the rank at
     position ``j`` of the stable (load, id) sort (``dec[j]``; ``enc``
@@ -576,14 +568,14 @@ class _PackedStore:
         loads: np.ndarray,
         rng: np.random.Generator,
         ranks_per_node: int = 1,
-        sparse: bool = False,
     ) -> None:
         self.n_ranks = n_ranks
         self.cap = cap
         self.rng = rng
         self.ranks_per_node = ranks_per_node
         self.node_masks: np.ndarray | None = None
-        self.knowledge = (SparseKnowledge if sparse else PackedKnowledgeBitmap)(n_ranks)
+        self.knowledge = PackedKnowledgeBitmap(n_ranks)
+        self.rows = self.knowledge.packed
         #: All-ones candidate row with the padding bits already clear.
         self.template = _leading_ones(n_ranks)
         self.enc: np.ndarray | None = None
@@ -591,14 +583,9 @@ class _PackedStore:
         self.n_seeds = seeds.size
         self.complete = np.zeros(n_ranks, dtype=bool)
         if cap is None or trim_policy != "lowest":
-            self.rows = self.knowledge.packed
             _or_bits(self.rows, seeds, seeds)
             return
         self.enc, self.dec = _priority_order(loads)
-        if sparse:
-            self.rows = np.zeros((n_ranks, self.template.size), dtype=np.uint8)
-        else:
-            self.rows = self.knowledge.packed
         #: |complete row| and its leading bytes: {0..cap-1}, or all of P.
         self.full = min(cap, n_ranks)
         self.head = _leading_ones(self.full)
@@ -703,55 +690,29 @@ class _PackedStore:
             rows[chunk] = np.packbits(trimmed, axis=1)
 
     def finish(self) -> None:
-        """Write the container: priority rows are unpacked and their
-        columns gathered back to rank order, then re-packed in place
-        (packed) or read off as sorted ids through a boolean mask
-        (sparse: only positions somebody holds are gathered; shards are
-        views of one id array per chunk, no per-row sort or copy). All
-        complete rows share one decode — as shards, one array object."""
+        """Decode priority rows to rank order in place: unpack, gather
+        the columns back, re-pack. All complete rows share one decode."""
         if self.enc is None:
             return
-        know, rows, n = self.knowledge, self.rows, self.n_ranks
-        sparse = isinstance(know, SparseKnowledge)
-        shards = know.shards if sparse else None
+        rows, n = self.rows, self.n_ranks
         done = np.flatnonzero(self.complete)
         todo = np.append(np.flatnonzero(~self.complete), done[:1])
-        if sparse:
-            held = np.flatnonzero(
-                np.unpackbits(np.bitwise_or.reduce(rows, axis=0), count=n)
-            )
-            ids = self.dec[held]
-            order = np.argsort(ids)
-            cols, ids = held[order], ids[order].astype(_ID_DTYPE)
         for start in range(0, todo.size, _TRIM_CHUNK_ROWS):
             chunk = todo[start : start + _TRIM_CHUNK_ROWS]
             bools = np.unpackbits(rows[chunk], axis=1, count=n)
-            if not sparse:
-                rows[chunk] = np.packbits(np.take(bools, self.enc, axis=1), axis=1)
-                continue
-            member = np.take(bools, cols, axis=1).view(bool)
-            flat = np.broadcast_to(ids, member.shape)[member]
-            ends = np.cumsum(np.count_nonzero(member, axis=1)).tolist()
-            for r, lo, hi in zip(chunk.tolist(), [0] + ends, ends):
-                shards[r] = flat[lo:hi]
-        if sparse:
-            for r in done[1:].tolist():
-                shards[r] = shards[done[0]]
-        else:
-            rows[done] = rows[done[:1]]
+            rows[chunk] = np.packbits(np.take(bools, self.enc, axis=1), axis=1)
+        rows[done] = rows[done[:1]]
 
 
 class _ShardInterner:
-    """Content-addressed canonical store for shard arrays.
+    """Content-addressed canonical store for id-space shard arrays.
 
     ``canon`` returns one canonical array per distinct content, so
-    ranks whose knowledge sets converge — the steady state of capped
-    "lowest"-trim gossip, where every rank settles on the same
-    lowest-load members — share a single array object. The sparse
-    store then skips whole merges on object identity alone (a payload
-    that *is* the receiver's shard cannot add members). A lookup never
-    changes values: the canonical is value-equal to the query by
-    construction, so interning is invisible to results.
+    ranks whose knowledge sets converge share a single array object,
+    and the sparse store skips whole merges on object identity alone
+    (a payload that *is* the receiver's shard cannot add members). A
+    lookup never changes values: the canonical is value-equal to the
+    query by construction, so interning is invisible to results.
 
     Contents are bucketed by a cheap fingerprint (size, first, last,
     sum); collisions fall back to an exact compare. The table is
@@ -922,10 +883,7 @@ class _FastSparseCandidates:
 
 
 class _SparseStore:
-    """Round-loop adapter over sorted id arrays — the working
-    representation of a :class:`SparseKnowledge` container whenever bit
-    rows would be larger than the shards (``n_ranks > 32 * max_known``)
-    or must stay in rank order ("random" trim, uncapped).
+    """Round-loop adapter over the sorted id shards of ``knowledge``.
 
     Nothing O(P) per sender is ever materialized, so round cost scales
     with shard sizes (bounded by ``max_known``) instead of ``P``. Two
@@ -934,11 +892,12 @@ class _SparseStore:
     - **Priority space** (capped "lowest" trim only): shards hold
       sorted *priority* values (``enc[member]``, as the bit rows'
       positions), so the trim is a ``[:cap]`` truncation of the sorted
-      union and a shard equal to ``{0..cap-1}`` is *complete* — its
-      merges skip without touching the payloads. :meth:`finish`
-      decodes shards back to rank ids.
-    - **Interning + identity skips**: equal shard contents share one
-      array object (:class:`_ShardInterner`), so messages whose
+      union and a shard equal to ``{0..cap-1}`` is *complete*: it is
+      the one ``head`` array, and its merges skip without touching the
+      payloads. Shards short of it are not interned (at 32k ranks no
+      two compared equal). :meth:`finish` decodes shards to rank ids.
+    - **Interning + identity skips** (id space): equal shard contents
+      share one array object (:class:`_ShardInterner`), so messages whose
       payload *is* the receiver's shard are no-ops — detected for the
       whole round with one ``reduceat`` — and sender rows sharing the
       round's dominant payload object test sampler draws against one
@@ -967,8 +926,8 @@ class _SparseStore:
         self.rng = rng
         self.knowledge = SparseKnowledge(n_ranks)
         self.template = _leading_ones(n_ranks)
-        self.interner = _ShardInterner(max_buckets=max(1024, n_ranks // 4))
         self.fused_trim = cap is not None and trim_policy == "lowest"
+        self.interner = None if self.fused_trim else _ShardInterner(max(1024, n_ranks // 4))
         self.enc: np.ndarray | None = None
         self.dec: np.ndarray | None = None
         self.complete: np.ndarray | None = None
@@ -981,6 +940,8 @@ class _SparseStore:
             members = self.enc[seeds]
             self.complete = np.zeros(n_ranks, dtype=bool)
             self.complete[seeds] = (members == 0) & (cap == 1)
+            #: {0..cap-1}, the one object every complete shard holds.
+            self.head = np.arange(min(cap, n_ranks), dtype=_ID_DTYPE)
         shards = self.knowledge.shards
         for p, shard in zip(seeds.tolist(), members.astype(_ID_DTYPE).reshape(-1, 1)):
             shards[p] = shard
@@ -1013,7 +974,6 @@ class _SparseStore:
         # cannot change their set); only the rest run a real merge,
         # with the "lowest" trim fused in as a truncation.
         shards = self.knowledge.shards
-        interner = self.interner
         fused_trim = self.fused_trim
         cap = self.cap
         complete = self.complete
@@ -1039,9 +999,7 @@ class _SparseStore:
                 if pid != own_id and pid not in seen:
                     seen.append(pid)
                     parts.append(p)
-            if own.size == 0 and len(parts) == 1 and (
-                not fused_trim or parts[0].size <= cap
-            ):
+            if own.size == 0 and len(parts) == 1 and (not fused_trim or parts[0].size <= cap):
                 # Adopting the payload object shares it; shard arrays
                 # are immutable-by-replacement, so sharing is safe.
                 merged = parts[0]
@@ -1055,12 +1013,14 @@ class _SparseStore:
                 keep[0] = True
                 np.not_equal(merged[1:], merged[:-1], out=keep[1:])
                 merged = merged[keep]
-                if fused_trim and merged.size > cap:
+                if not fused_trim:
+                    merged = self.interner.canon(merged)
+                elif merged.size > cap:
                     merged = merged[:cap].copy()
-                merged = interner.canon(merged)
-            shards[r] = merged
             if fused_trim and merged.size == cap and merged[-1] == cap - 1:
+                merged = self.head
                 complete[r] = True
+            shards[r] = merged
 
     def trim(self, receivers: np.ndarray) -> None:
         """The "random" ``max_known`` cap (the fused "lowest" one never

@@ -21,15 +21,12 @@ transfers get accepted:
     prefix of tasks whose cumulative load first covers the excess — then
     the same two-group ordering keyed on the marginal load.
 
-All functions are pure: they take the candidate task ids and the global
-task-load array and return a new id array. :func:`order_segments`
-orders many senders' task lists at once and returns positions; the
-one-sender functions are batches of one.
+Both functions are pure. :func:`order_segments` orders many senders'
+task lists at once and returns positions; :func:`order_tasks` orders
+one sender's task ids, a batch of one, and returns a new id array.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -41,10 +38,6 @@ __all__ = [
     "ORDER_FEWEST_MIGRATIONS",
     "ORDER_LIGHTEST",
     "ORDERINGS",
-    "order_arbitrary",
-    "order_load_intensive",
-    "order_fewest_migrations",
-    "order_lightest",
     "order_segments",
     "order_tasks",
 ]
@@ -53,47 +46,8 @@ ORDER_ARBITRARY = "arbitrary"
 ORDER_LOAD_INTENSIVE = "load_intensive"
 ORDER_FEWEST_MIGRATIONS = "fewest_migrations"
 ORDER_LIGHTEST = "lightest"
-
-
-def order_arbitrary(
-    tasks: np.ndarray, task_loads: np.ndarray, l_ave: float, l_p: float
-) -> np.ndarray:
-    """Alg. 2 l.40-42: keep the identifying-index order."""
-    return order_tasks(ORDER_ARBITRARY, tasks, task_loads, l_ave, l_p)
-
-
-def order_load_intensive(
-    tasks: np.ndarray, task_loads: np.ndarray, l_ave: float, l_p: float
-) -> np.ndarray:
-    """Alg. 4: most load-intensive tasks first (descending load).
-
-    Ties broken by ascending task id for determinism.
-    """
-    return order_tasks(ORDER_LOAD_INTENSIVE, tasks, task_loads, l_ave, l_p)
-
-
-def order_fewest_migrations(
-    tasks: np.ndarray, task_loads: np.ndarray, l_ave: float, l_p: float
-) -> np.ndarray:
-    """Alg. 5: minimize the number of migrations.
-
-    ``l_ex = l^p - l_ave`` is the rank's excess. If no single task exceeds
-    the excess, fall back to descending order (Alg. 5 l.3-4). Otherwise
-    the cutoff task (lightest with load > l_ex) leads.
-    """
-    return order_tasks(ORDER_FEWEST_MIGRATIONS, tasks, task_loads, l_ave, l_p)
-
-
-def order_lightest(
-    tasks: np.ndarray, task_loads: np.ndarray, l_ave: float, l_p: float
-) -> np.ndarray:
-    """Alg. 6: most lightweight tasks first, led by the marginal task.
-
-    Sort ascending, find the first prefix whose cumulative load reaches
-    the excess ``l_ex``; the load at that position is the marginal load
-    ``l_marg``. Tasks up to ``l_marg`` go descending, the rest ascending.
-    """
-    return order_tasks(ORDER_LIGHTEST, tasks, task_loads, l_ave, l_p)
+#: Every ordering's name, in the order the module docstring lists them.
+ORDERINGS = (ORDER_ARBITRARY, ORDER_LOAD_INTENSIVE, ORDER_FEWEST_MIGRATIONS, ORDER_LIGHTEST)
 
 
 def _two_group_sort(loads: np.ndarray, cut, *segment_keys: np.ndarray) -> np.ndarray:
@@ -184,16 +138,6 @@ def _marginal_loads(
         crossing = np.searchsorted(np.cumsum(sorted_loads), l_ex[i], side="left")
         cut[i] = sorted_loads[min(crossing, sorted_loads.size - 1)]
     return cut
-
-
-OrderingFn = Callable[[np.ndarray, np.ndarray, float, float], np.ndarray]
-
-ORDERINGS: dict[str, OrderingFn] = {
-    ORDER_ARBITRARY: order_arbitrary,
-    ORDER_LOAD_INTENSIVE: order_load_intensive,
-    ORDER_FEWEST_MIGRATIONS: order_fewest_migrations,
-    ORDER_LIGHTEST: order_lightest,
-}
 
 
 def order_tasks(

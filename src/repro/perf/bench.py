@@ -262,7 +262,6 @@ def _run_scale_rung(
         "trim_policy": "lowest",
         "repeats": reps,
         "auto_backend": auto_backend,
-        "auto_threshold": gossip.auto_threshold,
         "inform_seconds": inform_secs,
         "inform_messages": inform_messages,
         "message_model_exact": model_exact,

@@ -53,6 +53,17 @@ class TestSpecValidation:
         rebuilt = SweepSpec.from_dict(spec.to_dict())
         assert rebuilt == spec
 
+    def test_from_dict_refuses_unknown_keys(self):
+        payload = small_spec().to_dict()
+        payload["seed"] = payload.pop("seeds")
+        with pytest.raises(ValueError, match="'seed'"):
+            SweepSpec.from_dict(payload)
+
+    def test_from_dict_seeds_default(self):
+        payload = small_spec().to_dict()
+        del payload["seeds"]
+        assert SweepSpec.from_dict(payload).seeds == (0, 1, 2)
+
 
 class TestRunSweep:
     def test_one_row_per_cell(self):

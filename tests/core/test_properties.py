@@ -14,11 +14,7 @@ from repro.core.cmf import CMF_MODIFIED, CMF_ORIGINAL, build_cmf, sample_cmf
 from repro.core.criteria import original_criterion, relaxed_criterion
 from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.core.metrics import imbalance, objective
-from repro.core.ordering import (
-    order_fewest_migrations,
-    order_lightest,
-    order_load_intensive,
-)
+from repro.core.ordering import order_tasks
 from repro.core.transfer import TransferConfig, transfer_stage
 
 positive_loads = st.lists(
@@ -176,8 +172,8 @@ def test_orderings_are_permutations(loads, l_p_scale):
     tasks = np.arange(task_loads.size, dtype=np.int64)
     l_ave = float(task_loads.sum() / 4)
     l_p = l_ave * l_p_scale
-    for fn in (order_load_intensive, order_fewest_migrations, order_lightest):
-        out = fn(tasks, task_loads, l_ave, l_p)
+    for name in ("load_intensive", "fewest_migrations", "lightest"):
+        out = order_tasks(name, tasks, task_loads, l_ave, l_p)
         assert sorted(out.tolist()) == tasks.tolist()
 
 
@@ -192,7 +188,7 @@ def test_fewest_migrations_leader_resolves_overload_if_possible(loads):
     l_ex = l_p - l_ave
     covering = task_loads[task_loads > l_ex]
     assume(covering.size > 0)
-    out = order_fewest_migrations(tasks, task_loads, l_ave, l_p)
+    out = order_tasks("fewest_migrations", tasks, task_loads, l_ave, l_p)
     assert task_loads[out[0]] == covering.min()
 
 
@@ -205,7 +201,7 @@ def test_lightest_prefix_covers_excess(loads):
     l_p = float(task_loads.sum())
     l_ave = l_p * 0.6
     l_ex = l_p - l_ave
-    out = order_lightest(tasks, task_loads, l_ave, l_p)
+    out = order_tasks("lightest", tasks, task_loads, l_ave, l_p)
     lead = task_loads[out[0]]
     group = task_loads[task_loads <= lead]
     if task_loads.sum() >= l_ex:

@@ -4,8 +4,8 @@
 for memory and wall-time at high rank counts — every decision they make
 must be the one the packed-bitmap + list-oracle stack makes. These tests
 drive both stacks through full inform+transfer episodes over 20 seeds
-at 512 and 4,096 ranks — capped-"lowest" on both sides of the
-bit-rows / sorted-arrays rule — and require exact equality of the
+at 512 and 4,096 ranks — capped-"lowest" with shards both smaller and
+larger than bit rows — and require exact equality of the
 knowledge matrix, the per-round sender/message accounting, the transferred
 assignment and the stats counters — plus the final state of both the
 inform and the transfer generator, so the stacks consume the identical
@@ -17,11 +17,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.gossip import (
-    SPARSE_AUTO_MIN_RANKS_FAST,
-    GossipConfig,
-    run_inform_stage,
-)
+from repro.core.gossip import GossipConfig, run_inform_stage
+from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferConfig, transfer_stage
 from tests.core.oracles import transfer_stage_lists
@@ -86,9 +83,9 @@ class TestStackEquivalence:
                 ),
             ),
             (4_096, 6_000, GossipConfig(fanout=3, rounds=3, max_known=64)),
-            # The other side of ``n_ranks <= 32 * max_known`` at each
-            # scale: 512/48 and 4,096/256 run a sparse container on bit
-            # rows, 512/8 and 4,096/64 on sorted arrays.
+            # Both sides of a full shard's size against a bit row at
+            # each scale: larger at 512/48 and 4,096/256, smaller at
+            # 512/8 and 4,096/64.
             (
                 512,
                 1_500,
@@ -149,30 +146,59 @@ class TestKnowledgeKnob:
     def test_auto_resolution_rule(self):
         from repro.sim.faults import FaultConfig
 
-        # One threshold — the measured packed/sparse crossover of the
-        # round loop.
-        threshold = SPARSE_AUTO_MIN_RANKS_FAST
-        assert threshold == 8_192
-        capped = GossipConfig(max_known=512)
-        assert capped.resolve_knowledge(threshold) == "sparse"
-        assert capped.resolve_knowledge(threshold - 1) == "packed"
+        # One byte rule, under either trim policy: sorted id shards
+        # exactly when a bit row (P/8 bytes) outweighs a full shard
+        # (4 bytes an id) charged 320 extra ids.
+        for cap in (64, 512):
+            for trim in ("random", "lowest"):
+                capped = GossipConfig(max_known=cap, trim_policy=trim)
+                assert capped.resolve_knowledge(32 * (cap + 320)) == "packed"
+                assert capped.resolve_knowledge(32 * (cap + 320) + 1) == "sparse"
+        # At 8,192 ranks a cap of 8,192 or 2,048 keeps shards no smaller
+        # than bit rows, so both run bit rows; so do small caps below
+        # 10,240 ranks, where the merge's per-receiver cost dominates.
+        for cap in (8_192, 2_048, 16, 1):
+            assert GossipConfig(max_known=cap).resolve_knowledge(8_192) == "packed"
+        assert GossipConfig(max_known=16).resolve_knowledge(1_024) == "packed"
         # No cap -> shards are O(P^2) too; auto stays packed.
-        assert GossipConfig().resolve_knowledge(4 * threshold) == "packed"
+        assert GossipConfig().resolve_knowledge(131_072) == "packed"
         # Faults compose with the sparse store, so a capped fault
-        # config goes sparse at scale like any other (active or not).
+        # config follows the same rule (active or not).
         for faults in (FaultConfig(loss_rate=0.2, retransmit=True), FaultConfig()):
             faulty = GossipConfig(max_known=512, faults=faults)
-            assert faulty.resolve_knowledge(threshold) == "sparse"
-            assert faulty.resolve_knowledge(threshold - 1) == "packed"
+            assert faulty.resolve_knowledge(26_625) == "sparse"
+            assert faulty.resolve_knowledge(26_624) == "packed"
         # The packed-only feature keeps auto on packed at any rank count.
         biased = GossipConfig(max_known=512, ranks_per_node=8, intra_node_bias=0.5)
-        assert biased.resolve_knowledge(4 * threshold) == "packed"
+        assert biased.resolve_knowledge(131_072) == "packed"
         # Explicit selection wins regardless of rank count.
         assert GossipConfig(knowledge="sparse").resolve_knowledge(8) == "sparse"
         assert (
-            GossipConfig(knowledge="packed").resolve_knowledge(4 * threshold)
+            GossipConfig(knowledge="packed", max_known=8).resolve_knowledge(131_072)
             == "packed"
         )
+
+    @pytest.mark.parametrize("knob", ["auto", "packed", "sparse"])
+    @pytest.mark.parametrize("trim_policy", ["random", "lowest"])
+    @pytest.mark.parametrize("cap", [None, 1, 16])
+    @pytest.mark.parametrize("n_ranks", [64, 300])
+    def test_container_follows_the_store(self, n_ranks, cap, trim_policy, knob):
+        _, _, loads = _scenario(n_ranks, 4 * n_ranks, seed=n_ranks)
+        config = GossipConfig(
+            fanout=3, rounds=4, max_known=cap, trim_policy=trim_policy, knowledge=knob
+        )
+        result = run_inform_stage(loads, config, np.random.default_rng(0))
+        assert result.knowledge_backend == config.resolve_knowledge(n_ranks)
+        container = {"packed": PackedKnowledgeBitmap, "sparse": SparseKnowledge}
+        assert type(result.knowledge) is container[result.knowledge_backend]
+
+    def test_auto_container_past_the_rule(self):
+        # Past 32 * (cap + 320) ranks ``auto`` runs shards and returns them.
+        _, _, loads = _scenario(11_000, 20_000, seed=3)
+        config = GossipConfig(fanout=3, rounds=2, max_known=16, trim_policy="lowest")
+        result = run_inform_stage(loads, config, np.random.default_rng(0))
+        assert result.knowledge_backend == "sparse"
+        assert type(result.knowledge) is SparseKnowledge
 
     def test_explicit_sparse_matches_packed_at_tiny_scale(self):
         # The backend knob is a pure representation choice even far

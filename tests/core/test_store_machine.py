@@ -1,7 +1,7 @@
 """A stateful Hypothesis machine over the three knowledge stores.
 
 ``_PackedStore`` (rank-order rows when uncapped, priority-ordered rows
-under a "lowest" cap, decoding into either container), ``_SparseStore``
+under a "lowest" cap), ``_SparseStore``
 (id-space or priority-space shards) and the oracle
 ``tests/core/oracles.SetStore`` are driven through one random sequence
 of the round loop's calls: seed (construction), ``snapshot``,
@@ -55,10 +55,6 @@ class StoreMachine(RuleBasedStateMachine):
             "sorted-arrays": _SparseStore(n, seeds, cap, "lowest", loads, stream),
             "set": SetStore(n, seeds, GossipConfig(max_known=cap, trim_policy="lowest"), loads),
         }
-        if cap is not None:
-            self.stores["bit-rows-to-shards"] = _PackedStore(
-                n, seeds, cap, "lowest", loads, stream, sparse=True
-            )
         self.history = []
         self.dirty = set()
 
