@@ -154,21 +154,20 @@ class GossipConfig:
 
         Auto picks sorted id shards exactly when a ``max_known`` cap
         bounds them, no topology bias needs bit rows, and a bit row
-        (P/8 bytes) outweighs a full shard (4 bytes an id) charged 320
-        extra ids — the sorted-array merge's fixed per-receiver numpy
-        cost — whatever the trim policy; bit rows otherwise. The
-        per-receiver charge is raced at caps 16 to 512 in
-        docs/performance.md (*Backend selection*).
+        (P/8 bytes) outweighs a full shard (4 bytes an id) charged
+        ``375 + 19 * sqrt(max_known)`` extra ids — the sorted-array
+        merge's per-receiver cost, which grows with the cap — whatever
+        the trim policy; bit rows otherwise. The charge is fitted to the
+        crossovers raced at caps 16, 64 and 512 under the "lowest" trim
+        (≈ 15k, 20.5k and 42.5k ranks) in docs/performance.md
+        (*Backend selection*).
         """
         if self.knowledge != "auto":
             return self.knowledge
-        if (
-            self.max_known is not None
-            and self.intra_node_bias == 0.0
-            and n_ranks > 32 * (self.max_known + 320)
-        ):
-            return "sparse"
-        return "packed"
+        cap = self.max_known
+        if cap is None or self.intra_node_bias != 0.0:
+            return "packed"
+        return "sparse" if n_ranks > 32 * (cap + 375 + 19 * cap**0.5) else "packed"
 
 
 @dataclass
@@ -243,6 +242,8 @@ def run_inform_stage(
     config = config or GossipConfig()
     rng = coerce_rng(rng)
     loads = np.ascontiguousarray(rank_loads, dtype=np.float64)
+    if loads.ndim != 1:
+        raise ValueError(f"rank_loads must be one load per rank (1-D), got shape {loads.shape}")
     n_ranks = loads.size
     if n_ranks == 0:
         raise ValueError("rank_loads must be non-empty")

@@ -105,6 +105,13 @@ def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nz_r[br], nz_b[br] * 8 + bc
 
 
+def _popcounts(rows: np.ndarray) -> np.ndarray:
+    """Row popcounts: of 64-bit words where rows are contiguous whole words, else of bytes."""
+    if rows.shape[1] % 8 == 0 and rows.flags.c_contiguous:
+        rows = rows.view(np.uint64)
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+
+
 def _bounds(counts: np.ndarray) -> np.ndarray:
     """Run bounds ``[0, c0, c0 + c1, ...]`` of consecutive runs of ``counts``."""
     bounds = np.zeros(counts.size + 1, dtype=np.int64)
@@ -291,7 +298,7 @@ class PackedKnowledgeBitmap:
 
     def counts(self) -> np.ndarray:
         """``|S^p|`` for every rank ``p`` (vectorized popcount)."""
-        return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
+        return _popcounts(self.packed)
 
     def discard_members(self, ranks: np.ndarray) -> None:
         """Remove ``ranks`` from every ``S^p`` (bit-column clear).
@@ -317,15 +324,10 @@ class PackedKnowledgeBitmap:
         if n_under == 0:
             return 1.0
         if underloaded.dtype == bool:
-            mask = np.asarray(underloaded, dtype=bool)
+            packed_mask = np.packbits(underloaded)
         else:
-            mask = np.zeros(self.n_ranks, dtype=bool)
-            mask[underloaded] = True
-        packed_mask = np.packbits(mask)
-        per_rank = np.bitwise_count(self.packed & packed_mask).sum(
-            axis=1, dtype=np.int64
-        )
-        return float(per_rank.mean() / n_under)
+            packed_mask = ids_to_row(underloaded, self.n_ranks)
+        return float(_popcounts(self.packed & packed_mask).mean() / n_under)
 
     @property
     def rows(self) -> np.ndarray:
@@ -538,13 +540,13 @@ class _PackedStore:
     """Round-loop adapter over the bit rows of ``knowledge``.
 
     Everything is a whole-round array pass: the gathered sender rows
-    double as the round's send buffer, candidates are their
-    complement, merges are layered scatter-ORs. A *complete*
-    row can grow no further, so its receiver takes no part in merge for
-    the rest of the stage: in either order, one holding every seed —
-    rows hold nothing else — flagged by :meth:`snapshot` from the
-    popcount it takes anyway (never, while a cap below the seed count
-    binds: trimmed rows hold at most ``cap``).
+    double as the round's send buffer, candidates are their complement,
+    and a round's merges OR into one receiver buffer written back once.
+    A *complete* row can grow no further, so its receiver takes no part
+    in merge for the rest of the stage: in either order, one holding
+    every seed — rows hold nothing else — flagged by :meth:`snapshot`
+    from the popcount it takes anyway (never, while a cap below the seed
+    count binds: trimmed rows hold at most ``cap``).
 
     **Rank order** (uncapped, or the "random" trim, whose RNG keys are
     drawn per rank-ordered column): bit ``q`` is rank ``q`` and
@@ -599,7 +601,7 @@ class _PackedStore:
         """Payload rows (a gather, hence a copy) and their ``|S^p|``;
         a sender that holds every seed is flagged complete."""
         snap = self.rows[senders]
-        entries = np.bitwise_count(snap).sum(axis=1, dtype=np.int64)
+        entries = _popcounts(snap)
         self.complete[senders[entries == self.n_seeds]] = True
         return snap, entries
 
@@ -638,24 +640,23 @@ class _PackedStore:
                 [np.packbits(bit_node == node) for node in range(int(node_of[-1]) + 1)]
             )
         local = cand.packed & self.node_masks[senders // rpn]
-        counts = np.bitwise_count(local).sum(axis=1, dtype=np.int64)
+        counts = _popcounts(local)
         return counts, _PackedCandidates(local, cand.enc)
 
     def merge(
         self, receivers: np.ndarray, bounds: np.ndarray, payloads: np.ndarray, src: np.ndarray
     ) -> None:
-        # Scatter-OR one "j-th message per receiver" layer at a time —
-        # each layer touches every receiver at most once, so a plain
-        # fancy-indexed |= applies a whole layer in one vectorized pass
-        # (grouped-OR via reduceat walks bytes one at a time and is
-        # ~10x slower). Complete receivers take no part.
-        todo = ~self.complete[receivers]
-        receivers, starts = receivers[todo], bounds[:-1][todo]
-        group_sizes = np.diff(bounds)[todo]
-        rows = self.rows
-        for j in range(int(group_sizes.max(initial=0))):
-            layer = group_sizes > j
-            rows[receivers[layer]] |= payloads[src[starts[layer] + j]]
+        # Receivers still growing, by descending group size: the j-th payloads
+        # (of receivers with more than j) OR into a prefix of one buffer.
+        sizes = np.diff(bounds)
+        todo = np.flatnonzero(~self.complete[receivers])
+        todo = todo[np.argsort(-sizes[todo], kind="stable")]
+        receivers, starts, sizes = receivers[todo], bounds[todo], sizes[todo]
+        buf = payloads[src[starts]]
+        prefix = np.searchsorted(-sizes, -np.arange(1, sizes.max(initial=1)))
+        for j, m in enumerate(prefix.tolist(), 1):
+            buf[:m] |= payloads[src[starts[:m] + j]]
+        self.rows[receivers] |= buf
 
     def trim(self, receivers: np.ndarray) -> None:
         cap = self.cap
@@ -677,8 +678,7 @@ class _PackedStore:
         # "random": a uniform cap-subset of each over-cap row, keyed per
         # rank-ordered column.
         n = self.n_ranks
-        counts = np.bitwise_count(rows[receivers]).sum(axis=1, dtype=np.int64)
-        over = receivers[counts > cap]
+        over = receivers[_popcounts(rows[receivers]) > cap]
         for start in range(0, over.size, _TRIM_CHUNK_ROWS):
             chunk = over[start : start + _TRIM_CHUNK_ROWS]
             bools = np.unpackbits(rows[chunk], axis=1, count=n).view(bool)

@@ -88,6 +88,8 @@ def event_inform_stage(
     check_positive_int("rounds", rounds)
     n = system.n_ranks
     loads = np.ascontiguousarray(rank_loads, dtype=np.float64)
+    if loads.ndim != 1:
+        raise ValueError(f"rank_loads must be one load per rank (1-D), got shape {loads.shape}")
     if loads.size != n:
         raise ValueError("need one load per rank")
     l_ave = float(loads.mean()) if average_load is None else float(average_load)

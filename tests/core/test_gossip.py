@@ -1,5 +1,7 @@
 """Unit tests for repro.core.gossip (Algorithm 1, phase level)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,13 @@ class TestInformStage:
     def test_empty_loads_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             run_inform_stage(np.array([]), GossipConfig(), rng=0)
+
+    @pytest.mark.parametrize(
+        "loads", [np.array([[3.0, 0.1], [0.2, 0.3]]), np.ones((8, 1))], ids=["2x2", "Px1"]
+    )
+    def test_non_1d_loads_rejected(self, loads):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {loads.shape}")):
+            run_inform_stage(loads, GossipConfig(), np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         loads = loads_with_two_overloaded(32)

@@ -1,14 +1,14 @@
 """Both production stores against an oracle that shares no storage code.
 
-Below ``n_ranks <= 32 * max_known`` a packed and a sparse container run
-the same priority-ordered bit rows, so comparing them with each other
-proves nothing there. ``tests/core/oracles.py::inform_set_model`` drives
-the real round loop over plain Python sets; because the sampler's
-control flow depends only on candidate counts it must agree with
-production *bit for bit* — member sets, per-round accounting, byte and
-message totals, the five fault counters and the final sampler-RNG state
-— on both sides of the rule, at every row-width and cap alignment, with
-and without faults. The biased split (packed-only, not modelled by the
+Each container runs its own store at every rank count and cap: a
+packed stage runs bit rows, a sparse one sorted id arrays.
+``tests/core/oracles.py::inform_set_model`` drives the real round loop
+over plain Python sets; because the sampler's control flow depends only
+on candidate counts, both stores must agree with it *bit for bit* —
+member sets, per-round accounting, byte and message totals, the five
+fault counters and the final sampler-RNG state — on both sides of
+``n_ranks <= 32 * max_known`` (a bit row no larger than a full shard),
+at every row-width and cap alignment, with and without faults. The biased split (packed-only, not modelled by the
 set store) is pinned against the parent commit's rank-order results.
 """
 
@@ -57,8 +57,8 @@ def _assert_matches_set_model(loads, config, seed, containers=("packed", "sparse
 
 class TestStraddlingTheRule:
     """(P, cap) pairs on both sides of ``P <= 32 * cap``: 512/48 and
-    4096/256 run bit rows under a sparse container, 512/8 and 4096/64
-    sorted arrays; a packed container runs bit rows throughout."""
+    4096/256 below it, 512/8 and 4096/64 above. On every pair a packed
+    container runs bit rows and a sparse one sorted arrays."""
 
     @pytest.mark.parametrize(
         "extra",

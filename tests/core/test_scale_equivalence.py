@@ -146,17 +146,16 @@ class TestKnowledgeKnob:
     def test_auto_resolution_rule(self):
         from repro.sim.faults import FaultConfig
 
-        # One byte rule, under either trim policy: sorted id shards
-        # exactly when a bit row (P/8 bytes) outweighs a full shard
-        # (4 bytes an id) charged 320 extra ids.
-        for cap in (64, 512):
+        # One rule, under either trim policy: sorted id shards exactly
+        # when a bit row (P/8 bytes) outweighs a full shard (4 bytes an
+        # id) charged 375 + 19 * sqrt(cap) extra ids.
+        for cap, bound in ((16, 32 * (16 + 375 + 76)), (64, 32 * (64 + 375 + 152))):
             for trim in ("random", "lowest"):
                 capped = GossipConfig(max_known=cap, trim_policy=trim)
-                assert capped.resolve_knowledge(32 * (cap + 320)) == "packed"
-                assert capped.resolve_knowledge(32 * (cap + 320) + 1) == "sparse"
-        # At 8,192 ranks a cap of 8,192 or 2,048 keeps shards no smaller
-        # than bit rows, so both run bit rows; so do small caps below
-        # 10,240 ranks, where the merge's per-receiver cost dominates.
+                assert capped.resolve_knowledge(bound) == "packed"
+                assert capped.resolve_knowledge(bound + 1) == "sparse"
+        # At 8,192 ranks every cap runs bit rows (8,192 and 2,048 keep
+        # shards no smaller than bit rows); so does 1,024 ranks at cap 16.
         for cap in (8_192, 2_048, 16, 1):
             assert GossipConfig(max_known=cap).resolve_knowledge(8_192) == "packed"
         assert GossipConfig(max_known=16).resolve_knowledge(1_024) == "packed"
@@ -166,8 +165,8 @@ class TestKnowledgeKnob:
         # config follows the same rule (active or not).
         for faults in (FaultConfig(loss_rate=0.2, retransmit=True), FaultConfig()):
             faulty = GossipConfig(max_known=512, faults=faults)
-            assert faulty.resolve_knowledge(26_625) == "sparse"
-            assert faulty.resolve_knowledge(26_624) == "packed"
+            assert faulty.resolve_knowledge(42_142) == "sparse"
+            assert faulty.resolve_knowledge(42_141) == "packed"
         # The packed-only feature keeps auto on packed at any rank count.
         biased = GossipConfig(max_known=512, ranks_per_node=8, intra_node_bias=0.5)
         assert biased.resolve_knowledge(131_072) == "packed"
@@ -193,8 +192,9 @@ class TestKnowledgeKnob:
         assert type(result.knowledge) is container[result.knowledge_backend]
 
     def test_auto_container_past_the_rule(self):
-        # Past 32 * (cap + 320) ranks ``auto`` runs shards and returns them.
-        _, _, loads = _scenario(11_000, 20_000, seed=3)
+        # Past 32 * (cap + 375 + 19 * sqrt(cap)) ranks (14,944 at cap
+        # 16) ``auto`` runs shards and returns them.
+        _, _, loads = _scenario(16_000, 20_000, seed=3)
         config = GossipConfig(fanout=3, rounds=2, max_known=16, trim_policy="lowest")
         result = run_inform_stage(loads, config, np.random.default_rng(0))
         assert result.knowledge_backend == "sparse"

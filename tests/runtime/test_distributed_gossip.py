@@ -2,6 +2,8 @@
 (:func:`repro.runtime.lbmanager.event_inform_stage`, distributed gossip
 as asynchronous messages)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,11 @@ class TestDistributedGossip:
         sys_ = System(4)
         with pytest.raises(ValueError, match="one load per rank"):
             event_inform_stage(sys_, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "loads", [np.array([[3.0, 0.1], [0.2, 0.3]]), np.ones((4, 1))], ids=["2x2", "Px1"]
+    )
+    def test_non_1d_loads_rejected(self, loads):
+        # Both have one value per rank of a 4-rank system; neither is 1-D.
+        with pytest.raises(ValueError, match=re.escape(f"got shape {loads.shape}")):
+            event_inform_stage(System(4), loads)
