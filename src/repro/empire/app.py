@@ -73,9 +73,6 @@ class EmpireConfig:
     #: (faults included), ``n_iters`` and ``transfer.threshold`` with
     #: GrapevineLB's transfer stage, and refuses any other transfer knob.
     lb: TemperedConfig = TemperedConfig(n_trials=2, n_iters=8)
-    #: "structured" (the calibrated benchmark mesh) or "unstructured"
-    #: (Delaunay triangulation, § VI-A's real mesh type).
-    mesh_type: str = "structured"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -84,7 +81,6 @@ class EmpireConfig:
         check_positive("colors_per_rank", self.colors_per_rank)
         check_positive("n_steps", self.n_steps)
         check_positive("lb_period", self.lb_period)
-        check_in("mesh_type", self.mesh_type, ("structured", "unstructured"))
         if self.configuration == "grapevine":  # GrapevineLB fixes the rest of the stage
             default = TemperedConfig().transfer
             refuse_changed("grapevine", self.lb.transfer, default, ("threshold",))
@@ -171,17 +167,7 @@ def _make_balancer(config: EmpireConfig) -> LoadBalancer | None:
 
 def run_empire(config: EmpireConfig) -> EmpireRun:
     """Run one configuration of the EMPIRE surrogate."""
-    if config.mesh_type == "unstructured":
-        from repro.empire.unstructured import UnstructuredMesh2D
-
-        mesh = UnstructuredMesh2D(
-            config.n_ranks,
-            colors_per_rank=config.colors_per_rank,
-            n_points=config.n_ranks * config.colors_per_rank * 15,
-            seed=config.seed + 7,
-        )
-    else:
-        mesh = Mesh2D(config.n_ranks, colors_per_rank=config.colors_per_rank)
+    mesh = Mesh2D(config.n_ranks, colors_per_rank=config.colors_per_rank)
     scenario = BDotScenario(
         initial_particles=config.initial_particles,
         injection_per_step=config.injection_per_step,

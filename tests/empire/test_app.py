@@ -85,16 +85,3 @@ class TestRunEmpire:
         a = run_empire(small("tempered"))
         b = run_empire(small("tempered"))
         assert a.t_total == b.t_total
-
-    def test_unstructured_mesh_type(self):
-        run = run_empire(small("tempered", mesh_type="unstructured", n_ranks=16))
-        assert run.series.n_phases == 60
-        assert run.extra["lb_invocations"] == 3
-
-    def test_rcb_on_unstructured(self):
-        run = run_empire(small("rcb", mesh_type="unstructured", n_ranks=16))
-        assert run.t_lb > 0
-
-    def test_bad_mesh_type(self):
-        with pytest.raises(ValueError, match="mesh_type"):
-            small("spmd", mesh_type="hexagonal")

@@ -32,7 +32,7 @@ from tests.empire.test_identity import CASES, PINNED, _digest
 
 PATHS = ("inline", "worker")
 #: The cases that attach a balancer, so the worker path forks for them.
-BALANCED = {"tempered", "greedy", "rcb", "unstructured", "electrostatic"}
+BALANCED = {"tempered", "greedy", "rcb", "electrostatic"}
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="the worker path needs fork"
