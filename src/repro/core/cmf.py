@@ -149,6 +149,22 @@ def _fenwick_build(values: np.ndarray, length: int = 0) -> np.ndarray:
     return tree
 
 
+@lru_cache(maxsize=8)
+def _fenwick_paths(n: int) -> tuple[tuple[int, ...], ...]:
+    """The nodes :func:`_fenwick_add` touches for each 0-based index of
+    an ``n``-node tree, cached per ``n``: O(n log n) steps to build,
+    which a walk pays back only after about ``n`` accepts."""
+    paths = []
+    for index in range(n):
+        path = []
+        i = index + 1
+        while i <= n:
+            path.append(i)
+            i += i & -i
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
 @lru_cache(maxsize=None)
 def _levels(n_bits: int) -> tuple[int, ...]:
     """Descent offsets, highest first, over ``2 ** n_bits`` tree nodes."""
@@ -502,8 +518,14 @@ class IncrementalCMF:
         over an ``l_s`` rebuild; if the pass ends before the chunk does,
         the generator is rewound and exactly the uniforms used are
         redrawn, so it ends where one ``random()`` per proposal would
-        leave it. A short segment indexes the tree as built and draws
-        one ``random()`` per proposal.
+        leave it. A long segment with at least ``size`` proposals left
+        in its chunk is a *list segment*: it also holds the loads as a
+        list, written back to ``loads`` before its rebuild or at its
+        end, and adds along the cached per-index paths of
+        :func:`_fenwick_paths` — O(size) a segment, which that many
+        proposals repay. Every other segment reads and writes the loads
+        through a ``memoryview``. A short segment indexes the tree as
+        built and draws one ``random()`` per proposal.
         """
         l_ave = self.l_ave
         modified = self.variant == CMF_MODIFIED
@@ -518,7 +540,7 @@ class IncrementalCMF:
         rejected = 0
         pos = chunk_pos = chunk_end = 0
         # A memoryview indexes as Python floats and writes through.
-        loads = memoryview(self.loads)
+        view = memoryview(self.loads)
         # n_positive == 0 covers ``exhausted`` (no candidates and l_s <= 0
         # both pin it at zero).
         while pos < n_tasks and p_load > threshold_load and self.n_positive:
@@ -527,6 +549,7 @@ class IncrementalCMF:
             l_s = self.l_s
             total, n_positive, max_load = self.total, self.n_positive, self._max_load
             long_walk = pos < chunk_end or _clears(tasks, pos, p_load, threshold_load, reach)
+            loads, paths = view, None
             if not long_walk:
                 draw, stop, tree = rng.random, n_tasks, self._tree
                 if type(tree) is not list:
@@ -538,6 +561,8 @@ class IncrementalCMF:
                     draw = iter(rng.random(chunk_end - pos).tolist()).__next__
                 stop = chunk_end
                 tree = self._list_tree()
+                if chunk_end - pos >= size:
+                    loads, paths = self.loads.tolist(), _fenwick_paths(size)
             rebuild = False
             for o_load in islice(tasks, pos, stop):
                 if p_load <= threshold_load or not n_positive:
@@ -584,13 +609,19 @@ class IncrementalCMF:
                             n_positive -= 1
                         delta = new_mass - mass
                         total += delta
-                        i = idx + 1
-                        while i <= size:
-                            tree[i] += delta
-                            i += i & -i
+                        if paths is None:
+                            i = idx + 1
+                            while i <= size:
+                                tree[i] += delta
+                                i += i & -i
+                        else:
+                            for i in paths[idx]:
+                                tree[i] += delta
                 else:
                     rejected += 1
                     pos += 1
+            if paths is not None:
+                self.loads[:] = loads
             self.total, self.n_positive, self._max_load = total, n_positive, max_load
             if rebuild:
                 self._rebuild()

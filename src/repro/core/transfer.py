@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -107,7 +107,23 @@ class TransferConfig:
         return replace(self, view=VIEW_SHARED, max_passes=None, cascade=True)
 
 
-@dataclass
+class _MoveRows(np.ndarray):
+    """``TransferStats.moves``: an ndarray that a list ``+=`` extends
+    with its rows, as it did the tuples the rows replaced, rather than
+    adding it to elementwise."""
+
+    def __radd__(self, other: object) -> object:
+        if isinstance(other, list):
+            return NotImplemented  # so the list concatenates
+        return super().__radd__(other)
+
+
+def _move_rows(moves: object = ()) -> np.ndarray:
+    """``moves`` as one ``(n, 3)`` int64 array of ``(task, src, dst)`` rows."""
+    return np.asarray(moves, dtype=np.int64).reshape(-1, 3).view(_MoveRows)
+
+
+@dataclass(eq=False)
 class TransferStats:
     """Acceptance/rejection accounting for one transfer stage.
 
@@ -115,6 +131,11 @@ class TransferStats:
     § V-B / § V-D tables (a task moving twice counts twice).
     ``stalled_ranks`` counts overloaded ranks that stopped early because
     no CMF could be built (no known candidate with positive mass).
+    ``moves`` holds the accepted transfers ``M^p`` as one ``(transfers,
+    3)`` int64 array of ``(task, src, dst)`` rows in accept order; a list
+    of triples passed in is converted, and a list extended with it
+    (``rows += stats.moves``) takes its rows. Two stats are equal when
+    every counter and every move is.
     """
 
     transfers: int = 0
@@ -126,7 +147,20 @@ class TransferStats:
     cmf_builds: int = 0  #: full BUILDCMF invocations (l.5 vs l.7 cost)
     cmf_updates: int = 0  #: O(log n) incremental mass updates (fast path)
     budget_exhausted: bool = False
-    moves: list[tuple[int, int, int]] = field(default_factory=list)  #: (task, src, dst)
+    moves: np.ndarray = field(default_factory=_move_rows)  #: (task, src, dst) rows
+
+    def __post_init__(self) -> None:
+        self.moves = _move_rows(self.moves)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._counters() == other._counters() and np.array_equal(
+            self.moves, other.moves
+        )
+
+    def _counters(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "moves")
 
     @property
     def proposed(self) -> int:
@@ -139,18 +173,21 @@ class TransferStats:
         attempts = self.transfers + self.rejections
         return self.rejections / attempts if attempts else 0.0
 
-    def merge(self, other: "TransferStats") -> None:
-        """Accumulate another stage's counters into this one."""
-        self.transfers += other.transfers
-        self.rejections += other.rejections
-        self.nacked += other.nacked
-        self.overloaded_ranks += other.overloaded_ranks
-        self.stalled_ranks += other.stalled_ranks
-        self.rank_processings += other.rank_processings
-        self.cmf_builds += other.cmf_builds
-        self.cmf_updates += other.cmf_updates
-        self.budget_exhausted |= other.budget_exhausted
-        self.moves.extend(other.moves)
+    def merge(self, *others: "TransferStats") -> None:
+        """Accumulate other stages' counters and moves into this one (in
+        argument order). The moves are joined once per call, so merging
+        many stats in one call costs their total number of moves."""
+        for other in others:
+            self.transfers += other.transfers
+            self.rejections += other.rejections
+            self.nacked += other.nacked
+            self.overloaded_ranks += other.overloaded_ranks
+            self.stalled_ranks += other.stalled_ranks
+            self.rank_processings += other.rank_processings
+            self.cmf_builds += other.cmf_builds
+            self.cmf_updates += other.cmf_updates
+            self.budget_exhausted |= other.budget_exhausted
+        self.moves = _move_rows(np.concatenate([self.moves, *(other.moves for other in others)]))
 
     def record(self, registry: StatsRegistry, prefix: str = "transfer") -> None:
         """Add this stage's counters to a registry under ``prefix``."""
@@ -257,11 +294,12 @@ def transfer_stage(
         stage.run_independent(overloaded, is_overloaded)
     elif overloaded.size:
         stage.run_queue(overloaded, is_overloaded)
+    stats = stage.close()
     if registry is not None:
-        stage.stats.record(registry)
+        stats.record(registry)
         for layer, seconds in stage.spent.items():
             registry.add_time(f"wall.transfer.{layer}", seconds)
-    return stage.stats
+    return stats
 
 
 def transfer_from_rank(
@@ -294,9 +332,10 @@ def transfer_from_rank(
     stage.stats.rank_processings = 1
     stage.walk(*stage.prologue(p, tasks))
     stage.apply()
+    stats = stage.close()
     if registry is not None:
-        stage.stats.record(registry)
-    return stage.stats
+        stats.record(registry)
+    return stats
 
 
 def _independent(
@@ -372,7 +411,9 @@ class _Stage:
     first-pass task orders (:meth:`orders`); no RNG. ``walk`` runs one
     sender's passes, the only RNG-ordered step, and records the
     accepts. ``apply`` writes every recorded accept to ``assignment``,
-    the loads and the stats, in sender order.
+    the loads and the stats, in sender order, and keeps them as one
+    block of ``(task, src, dst)`` rows; ``close`` joins the blocks into
+    ``TransferStats.moves`` once, at the end of the stage.
 
     A stage whose senders are independent (:func:`_independent`) runs
     one prologue and one apply per block of senders
@@ -414,11 +455,13 @@ class _Stage:
         self.shared = config.view == VIEW_SHARED
         self.fused = config.recompute_cmf and not self.shared and not config.nacks
         self.max_passes = config.max_passes if config.max_passes is not None else _PASS_CAP
-        # Accepts recorded since the last apply: the sender of each, and
-        # one array per pass of the moved tasks and of their recipients.
+        # Accepts recorded since the last apply: per pass, its sender and
+        # one array each of the moved tasks and of their recipients.
         self._senders: list[int] = []
         self._moved: list[np.ndarray] = []
         self._recipients: list[np.ndarray] = []
+        # One (task, src, dst) block per apply, joined by ``close``.
+        self._applied: list[np.ndarray] = []
         # Wall seconds per layer; the clock is read only with a registry.
         self.spent = {"prologue": 0.0, "walk": 0.0, "apply": 0.0}
         self._clock = time.perf_counter if registry is not None else None
@@ -608,7 +651,7 @@ class _Stage:
             acc_pos = np.asarray(acc_pos, dtype=np.intp)
             if self.fused:  # the walk only recorded its accepts
                 loads[p] = p_load
-            self._senders.extend([p] * acc_pos.size)
+            self._senders.append(p)
             self._moved.append(ordered[acc_pos])
             self._recipients.append(candidates[np.asarray(acc_idx, dtype=np.intp)])
             if sampler.exhausted:
@@ -629,10 +672,20 @@ class _Stage:
             np.add.at(self.loads, recipients, self.task_loads[moved])
         self.assignment[moved] = recipients
         self.stats.transfers += moved.size
-        self.stats.moves.extend(zip(moved.tolist(), self._senders, recipients.tolist()))
+        block = np.empty((moved.size, 3), dtype=np.int64)
+        block[:, 0] = moved
+        block[:, 1] = np.repeat(self._senders, [part.size for part in self._moved])
+        block[:, 2] = recipients
+        self._applied.append(block)
         for pending in (self._senders, self._moved, self._recipients):
             pending.clear()
         return moved, recipients
+
+    def close(self) -> TransferStats:
+        """The stage's stats, its applied blocks joined into ``moves``."""
+        if self._applied:
+            self.stats.moves = _move_rows(_joined(self._applied))
+        return self.stats
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:

@@ -397,7 +397,7 @@ class NodeCore:
         """The ``(dst, task)`` transfer messages this rank's decisions
         imply — one per accepted move, in decision order. Records the
         sender-side counters (both transports call this exactly once)."""
-        sends = [(int(dst), int(task)) for task, _src, dst in stats.moves]
+        sends = list(zip(stats.moves[:, 2].tolist(), stats.moves[:, 0].tolist()))
         if sends:
             self.registry.inc("xfer.sent", len(sends))
             self.registry.inc("xfer.bytes", XFER_BYTES * len(sends))
@@ -411,7 +411,9 @@ class NodeCore:
         """Apply the episode-wide accepted moves (epoch boundary). A driver
         applying one list to many ranks passes an ``(n, 3)`` array built once
         (one fancy assignment per rank; no task moves twice in an iteration);
-        a list is walked — turning it into an array costs three such walks."""
+        a list — of triples, or of the rows of :attr:`TransferStats.moves`
+        arrays it was extended with — is walked: turning it into an array
+        costs three such walks."""
         if isinstance(moves, np.ndarray):
             self.assignment[moves[:, 0]] = moves[:, 2]
             return
@@ -458,7 +460,7 @@ def decide_iteration(
         report["under"][str(r)] = bool(core.underloaded[r])
         stats = core.decide_transfers()
         xfers += [(r, dst, task) for dst, task in core.xfer_sends(stats)]
-        report["moves"][str(r)] = stats.moves
+        report["moves"][str(r)] = stats.moves.tolist()
     report["xfer_counts"] = Counter(str(dst) for _, dst, _ in xfers)
     return report, xfers
 

@@ -403,6 +403,7 @@ class LBManager:
                     np.fromiter(sorted(excluded), dtype=np.int64)
                 )
             overloaded = overloaded[faults.alive[overloaded]]
+        per_rank = []
         for p in overloaded:
             rank_stats = transfer_from_rank(
                 int(p), working, task_loads, gossip, transfer_cfg,
@@ -411,7 +412,8 @@ class LBManager:
             attempts = rank_stats.transfers + rank_stats.rejections
             if attempts:
                 self.runtime.system.processes[int(p)].compute(attempts * _ATTEMPT_COST)
-            stats.merge(rank_stats)
+            per_rank.append(rank_stats)
+        stats.merge(*per_rank)
         return stats
 
     def _stats_allreduce(self, rank_loads: np.ndarray) -> None:

@@ -51,9 +51,10 @@ def migrate_tasks(
     Parameters
     ----------
     moves:
-        ``(task, src, dst)`` triples (e.g. ``TransferStats.moves`` or a
-        diff of assignments). A task appearing several times is shipped
-        once, directly to its final destination.
+        ``(task, src, dst)`` triples — :class:`~repro.runtime.LBManager`
+        passes the diff of the original and the winning assignment. A
+        task appearing several times is shipped once, directly to its
+        final destination.
     task_loads:
         Per-task loads; a task's state size scales with its load (more
         particles = more work = more bytes), matching EMPIRE's colors.

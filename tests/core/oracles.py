@@ -358,6 +358,7 @@ def transfer_stage_lists(
     l_ave = gossip.average_load
     threshold_load = config.threshold * l_ave
     stats = TransferStats()
+    moves: list[tuple[int, int, int]] = []  # (task, src, dst), in accept order
     overloaded = np.flatnonzero(loads > threshold_load)
     stats.overloaded_ranks = overloaded.size
     rank_tasks: list[list[int]] = [[] for _ in range(n_ranks)]
@@ -378,13 +379,14 @@ def transfer_stage_lists(
         stats.rank_processings += 1
         recipients = _transfer_from_rank(
             p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng,
-            stats, rebuild_cmf,
+            stats, moves, rebuild_cmf,
         )
         if config.cascade:
             for r in recipients:
                 if loads[r] > threshold_load and r not in queued:
                     queue.append(r)
                     queued.add(r)
+    stats.moves = np.array(moves, dtype=np.int64).reshape(-1, 3)
     if registry is not None:
         stats.record(registry)
     return stats
@@ -392,7 +394,7 @@ def transfer_stage_lists(
 
 def _transfer_from_rank(
     p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats,
-    rebuild_cmf,
+    moves, rebuild_cmf,
 ) -> set[int]:
     """Algorithm 2 TRANSFER for one overloaded rank ``p``; returns the
     ranks that received tasks (for cascading)."""
@@ -452,7 +454,7 @@ def _transfer_from_rank(
             accepted.append(int(task))
             touched.add(recipient)
             stats.transfers += 1
-            stats.moves.append((int(task), p, recipient))
+            moves.append((int(task), p, recipient))
             if config.recompute_cmf:
                 sampler.update(idx, float(loads[recipient]) if shared else l_x + o_load)
             elif not shared:

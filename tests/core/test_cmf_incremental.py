@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.cmf as cmf_module
 from repro.core.cmf import (
     CMF_MODIFIED,
     CMF_ORIGINAL,
     IncrementalCMF,
     _fenwick_add,
     _fenwick_build,
+    _fenwick_paths,
     _fenwick_search,
     build_cmf,
     sample_cmf,
@@ -203,6 +205,24 @@ class TestFenwick:
     def test_empty_build_is_the_zero_slot(self):
         assert _fenwick_build(np.zeros(0)).tolist() == [0.0]
 
+    def test_cached_paths_equal_the_add_walk(self):
+        """The nodes each cached path names are the nodes ``_fenwick_add``
+        writes, in its order, for every index of every tree up to 600."""
+
+        class Written(list):
+            def __setitem__(self, i, value):
+                self.order.append(i)
+                super().__setitem__(i, value)
+
+        for n in range(601):
+            paths = _fenwick_paths(n)
+            assert len(paths) == n
+            for index in range(n):
+                tree = Written([0.0] * (n + 1))
+                tree.order = []
+                _fenwick_add(tree, index, 1.0)
+                assert paths[index] == tuple(tree.order)
+
 
 class _Scripted:
     """A stand-in generator: ``random(size=None)`` replays scripted
@@ -290,6 +310,18 @@ def _assert_pass_matches_reference(
     assert np.array_equal(fused._tree, ref._tree)
     assert fused.exhausted == ref.exhausted
     return fused, acc_pos, rng_fused.bit_generator.state
+
+
+def _count_paths(monkeypatch):
+    """Log the tree size of every path-cache lookup the walk makes."""
+    sizes = []
+
+    def spy(n):
+        sizes.append(n)
+        return _fenwick_paths(n)
+
+    monkeypatch.setattr(cmf_module, "_fenwick_paths", spy)
+    return sizes
 
 
 class TestProposePass:
@@ -458,6 +490,43 @@ class TestProposePass:
         assert sampler.exhausted and 0 < len(acc_pos) < 20
         assert isinstance(sampler._tree, list)  # the long walk ran
         assert rngs[0].random(3).tolist() == rngs[1].random(3).tolist()
+
+    def test_list_segment_writes_back_before_a_rebuild_and_rewinds(self, monkeypatch):
+        # Two candidates and 12 tasks the pass is certain to propose: a
+        # list segment (12 >= 2). The first accept lifts candidate 0 to
+        # 1.4 > l_s: the segment's loads go back to the sampler before
+        # the rebuild reads them. The next segment is a list segment
+        # too; it fills candidate 1 up to l_s, the CMF runs dry mid-chunk
+        # and the generator is rewound to the four uniforms used.
+        built = _count_paths(monkeypatch)
+        uniforms = [0.1, 0.5, 0.5, 0.5] + [0.5] * 8
+        rngs = (_Scripted(uniforms), _Scripted(uniforms))
+        sampler, acc_pos, drawn = _assert_pass_matches_reference(
+            known=[0.5, 0.2], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.9] + [0.4] * 11, p_load=20.0, threshold_load=1.0,
+            relaxed=True, rngs=rngs,
+        )
+        assert built == [2, 2]  # one lookup per list segment
+        assert acc_pos == [0, 1, 2, 3] and drawn == 4
+        assert sampler.builds == 2 and sampler.exhausted  # filled to l_s: no rebuild
+        assert sampler.loads.tolist() == [1.4, 0.2 + 0.4 + 0.4 + 0.4]
+        assert rngs[0].calls == [12, 4]  # the chunk, then the redraw
+
+    @pytest.mark.parametrize("tasks, lists", [(4, False), (5, True)])
+    def test_list_segments_start_at_as_many_certain_proposals_as_candidates(
+        self, monkeypatch, tasks, lists
+    ):
+        # Five candidates, never full: every task is a certain proposal.
+        # Four tasks (one below the edge) walk long, on the ndarray loads,
+        # and never touch the path cache; five walk a list segment.
+        built = _count_paths(monkeypatch)
+        sampler, acc_pos, _ = _assert_pass_matches_reference(
+            known=[0.1, 0.2, 0.3, 0.4, 0.5], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.01] * tasks, p_load=9.0, threshold_load=1.0,
+            relaxed=True, uniforms=[0.3] * tasks,
+        )
+        assert len(acc_pos) == tasks and isinstance(sampler._tree, list)
+        assert built == ([5] if lists else [])
 
     @given(
         known=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12),

@@ -20,6 +20,9 @@ independent of its original and its siblings, and a stage of equal rows
 is shown to build once.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,3 +359,38 @@ def test_a_stage_of_equal_rows_builds_once(monkeypatch, store, recompute_cmf):
     assert calls == {"known": [1], "built": 1, "clones": senders - 1}
     assert got[1].cmf_builds >= senders
     assert (got[0].tolist(), got[1], got[2]) == (want[0].tolist(), want[1], want[2])
+
+
+def test_accepts_are_kept_as_one_int64_array():
+    """A stage's accepts cost no Python object each: one sender with
+    over 20,000 accepts leaves fewer than 40 traced bytes per accept in
+    its stats (an ``(n, 3)`` int64 row is 24; a ``(task, src, dst)``
+    tuple and its list slot were about 100), and the rows are the
+    oracle's moves in accept order."""
+    n_ranks, n_tasks = 64, 30_000
+    rng = np.random.default_rng(3)
+    task_loads = rng.uniform(0.5, 1.5, size=n_tasks)
+    assignment = np.zeros(n_tasks, dtype=np.int64)
+    loads = np.bincount(assignment, weights=task_loads, minlength=n_ranks)
+    underloaded = loads < loads.mean()
+    knowledge = PackedKnowledgeBitmap(n_ranks)
+    knowledge.add(0, np.flatnonzero(underloaded))
+    gossip = GossipResult(knowledge, underloaded, loads, float(loads.mean()))
+    config = TransferConfig()
+    _run(transfer_stage, assignment, task_loads, gossip, config, 9)  # warm every cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        moved, stats, _ = _run(transfer_stage, assignment, task_loads, gossip, config, 9)
+        del moved
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert stats.transfers >= 20_000
+    assert kept < 40 * stats.transfers
+    assert stats.moves.dtype == np.int64
+    assert stats.moves.shape == (stats.transfers, 3)
+    want = _run(oracles.transfer_stage_lists, assignment, task_loads, gossip, config, 9)[1]
+    assert stats.moves.tolist() == want.moves.tolist()

@@ -146,6 +146,39 @@ class TestEpisodeHelpers:
         with pytest.raises(IndexError):
             episode_streams(0, 8, 8)
 
+    def test_moves_extend_a_plain_list_as_a_transport_free_driver_does(self):
+        """A driver may extend a list with each rank's
+        ``TransferStats.moves`` (rows of an ``(n, 3)`` array), hand that
+        list to ``apply_moves`` and compare its rows, as lists, with the
+        simulator's JSON moves — the loop every NodeCore runs in one
+        process, with messages handed over as calls."""
+        from repro.net.episode import NodeCore
+
+        spec = EpisodeSpec.synthetic(16, seed=4, n_iters=2)
+        cores = [NodeCore(spec, rank) for rank in range(spec.n_ranks)]
+        moves = []
+        for _ in range(spec.n_iters):
+            sends = [s for core in cores for s in core.begin_iteration()]
+            round_index = 1
+            while sends:
+                for s in sends:
+                    cores[s.dst].receive(s.round, s.members)
+                sends = [s for core in cores for s in core.advance(round_index)]
+                round_index += 1
+            iteration_moves = []
+            for core in cores:
+                stats = core.decide_transfers()
+                for dst, task in core.xfer_sends(stats):
+                    cores[dst].receive_xfer(task)
+                iteration_moves += stats.moves
+            for core in cores:
+                core.apply_moves(iteration_moves)
+            moves += iteration_moves
+        sim = run_episode_sim(spec).to_dict()
+        assert moves and [list(m) for m in moves] == sim["moves"]
+        for core in cores:
+            assert core.assignment.tolist() == sim["assignment"]
+
     @pytest.mark.parametrize(
         "moves",
         [
