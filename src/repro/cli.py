@@ -11,6 +11,12 @@ Commands
 ``protocols``
     Measure event-level protocol costs (allreduce, gossip, migration)
     at a given rank count.
+``sweep``
+    Run a declarative sweep (workloads x strategies x seeds) from a
+    ``SweepSpec`` JSON file and print the aggregated table.
+``trace``
+    Trace one LB episode on the event-level runtime and print a
+    per-rank Gantt chart, message counts by tag and utilization.
 ``stats``
     Run an instrumented balancer over a time-varying workload and
     summarize the telemetry registry (counters, per-iteration series),
@@ -21,11 +27,18 @@ Commands
     per-rung peak RSS); write ``BENCH_perf.json`` (see
     ``docs/performance.md``). ``bench faults`` writes
     ``BENCH_faults.json``.
+``net``
+    ``net run`` runs one LB episode over real loopback TCP sockets
+    (``--check`` compares it with the simulator); ``net analyze``
+    summarizes the artifact directory a run leaves.
 ``version``
     Print the package version.
 
-All commands accept ``--json PATH`` to additionally write
-machine-readable results.
+``analyze``, ``empire``, ``protocols``, ``sweep``, ``stats`` and
+``net analyze`` accept ``--json PATH`` to additionally write
+machine-readable results; ``bench --json PATH`` moves its output file
+(``-`` skips writing). ``trace``, ``net run`` and ``version`` take no
+``--json``.
 """
 
 from __future__ import annotations
@@ -149,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks-per-rank", type=int, default=6)
     p.add_argument("--width", type=int, default=64)
 
-    p = sub.add_parser("amr", help="run the AMR mini-app mapping study")
-    p.add_argument("--ranks", type=int, default=16)
-    p.add_argument("--phases", type=int, default=24)
-    p.add_argument("--mapping", choices=["sfc", "balancer"], default="balancer")
-    p.add_argument("--json", type=str, default=None)
-
     p = sub.add_parser("stats", help="instrumented run telemetry summary/export")
     p.add_argument(
         "input",
@@ -262,7 +269,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "analyze": _cmd_analyze,
-        "amr": _cmd_amr,
         "bench": _cmd_bench,
         "empire": _cmd_empire,
         "net": _cmd_net,
@@ -646,37 +652,6 @@ def _cmd_net(args: argparse.Namespace) -> int:
             print("bit-identity: FAILED — net result diverges from simulator")
             return 1
         print("bit-identity: net == sim (field-for-field)")
-    return 0
-
-
-def _cmd_amr(args: argparse.Namespace) -> int:
-    from repro.amr import AMRConfig, AMRSimulation
-    from repro.analysis import format_rows
-    from repro.analysis.io import save_json
-
-    sim = AMRSimulation(
-        AMRConfig(
-            n_ranks=args.ranks,
-            n_phases=args.phases,
-            mapping=args.mapping,
-            load_noise=0.5,
-        )
-    )
-    records = sim.run()
-    rows = [
-        {
-            "phase": r.phase,
-            "blocks": r.n_blocks,
-            "imbalance": r.imbalance,
-            "migrations": r.migrations,
-        }
-        for r in records
-        if r.phase % max(args.phases // 8, 1) == 0
-    ]
-    print(format_rows(rows, ["phase", "blocks", "imbalance", "migrations"],
-                      title=f"AMR mapping study ({args.mapping})"))
-    if args.json:
-        save_json(rows, args.json)
     return 0
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from repro.sim.messages import Message
 from repro.sim.process import System
 from repro.sim.termination import is_control_tag
+from repro.util.validation import check_positive_int
 
 __all__ = ["Tracer", "SendRecord"]
 
@@ -79,6 +80,7 @@ class Tracer:
 
     def gantt(self, width: int = 60, until: float | None = None) -> str:
         """A text Gantt chart: one row per rank, ``#`` = busy, ``.`` = idle."""
+        check_positive_int("width", width)
         horizon = self.system.engine.now if until is None else float(until)
         if horizon <= 0:
             return "\n".join(f"rank {r:>3} |" + "." * width for r in range(self.system.n_ranks))

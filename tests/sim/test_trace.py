@@ -105,3 +105,12 @@ class TestGantt:
         tracer = Tracer(sys_)
         out = tracer.gantt(width=5)
         assert "#" not in out
+
+    @pytest.mark.parametrize("until", [0.0, 1.0], ids=["zero-horizon", "positive-horizon"])
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_non_positive_width_rejected(self, width, until):
+        sys_ = System(2)
+        tracer = Tracer(sys_)
+        sys_.processes[0].compute(1.0)
+        with pytest.raises(ValueError, match="width"):
+            tracer.gantt(width=width, until=until)

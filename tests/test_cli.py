@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.util.parallel import resolve_backend
 
@@ -16,6 +18,17 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_docstring_names_every_subcommand(self):
+        def names(parser, prefix=""):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        yield prefix + name
+                        yield from names(child, prefix + name + " ")
+
+        missing = [n for n in names(build_parser()) if f"``{n}``" not in repro.cli.__doc__]
+        assert missing == []
 
 
 class TestVersion:
@@ -151,19 +164,6 @@ class TestTrace:
         assert "rank   0 |" in out
         assert "mean utilization" in out
         assert "messages by tag" in out
-
-
-class TestAmr:
-    def test_runs_mapping_study(self, capsys, tmp_path):
-        out_file = tmp_path / "amr.json"
-        code = main(
-            ["amr", "--ranks", "8", "--phases", "8", "--mapping", "sfc", "--json", str(out_file)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "AMR mapping study (sfc)" in out
-        rows = json.loads(out_file.read_text())
-        assert rows[0]["phase"] == 0
 
 
 class TestProtocols:
