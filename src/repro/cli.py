@@ -439,7 +439,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.tempered import TemperedConfig
     from repro.runtime import AMTRuntime, LBManager
     from repro.sim.trace import Tracer
+    from repro.util.validation import check_positive_int
 
+    check_positive_int("--tasks-per-rank", args.tasks_per_rank)
+    check_positive_int("--width", args.width)
     n_ranks = args.ranks
     rng = np.random.default_rng(0)
     n_tasks = n_ranks * args.tasks_per_rank

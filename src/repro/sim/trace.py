@@ -83,7 +83,7 @@ class Tracer:
         check_positive_int("width", width)
         horizon = self.system.engine.now if until is None else float(until)
         if horizon <= 0:
-            return "\n".join(f"rank {r:>3} |" + "." * width for r in range(self.system.n_ranks))
+            return "\n".join(f"rank {r:>3} |{'.' * width}|" for r in range(self.system.n_ranks))
         lines = []
         for rank, intervals in enumerate(self.busy):
             cells = ["."] * width

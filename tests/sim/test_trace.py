@@ -82,13 +82,15 @@ class TestBusyTracking:
 
 
 class TestGantt:
-    def test_shape(self):
+    @pytest.mark.parametrize("until", [0.0, 2.0])
+    def test_shape(self, until):
         sys_ = System(3)
         tracer = Tracer(sys_)
         sys_.processes[1].compute(1.0)
-        out = tracer.gantt(width=20, until=2.0)
+        out = tracer.gantt(width=20, until=until)
         lines = out.splitlines()
         assert len(lines) == 3
+        assert all(l.endswith("|") for l in lines)
         assert all(len(l) == len(lines[0]) for l in lines)
 
     def test_busy_rank_shows_hashes(self):

@@ -165,6 +165,15 @@ class TestTrace:
         assert "mean utilization" in out
         assert "messages by tag" in out
 
+    @pytest.mark.parametrize("flag", ["--width", "--tasks-per-rank"])
+    def test_bad_count_rejected_before_the_run(self, flag, monkeypatch):
+        def no_runtime(*args, **kwargs):
+            pytest.fail("the runtime was built before the flags were checked")
+
+        monkeypatch.setattr("repro.runtime.AMTRuntime", no_runtime)
+        with pytest.raises(ValueError, match=flag):
+            main(["trace", "--ranks", "2", flag, "0"])
+
 
 class TestProtocols:
     def test_reports_costs(self, capsys, tmp_path):
