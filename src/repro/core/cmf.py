@@ -27,11 +27,13 @@ single-recipient load updates in O(log n) via a Fenwick (binary
 indexed) tree over the headroom masses, falling back to a full rebuild
 only when the scaling factor ``l_s`` itself changes. Its contract with
 :func:`build_cmf` is exact: the mass vector, the ``None``/exhausted
-condition and the materialized prefix sums are identical
+condition and the normalized prefix sums are identical
 (``tests/core/test_cmf_incremental.py`` proves this property-style).
 :meth:`IncrementalCMF.propose_pass` is the transfer stage's whole
 sample → criterion → update loop over that state, fused into one scalar
-pass for a sender that consults nothing but its own CMF.
+pass for a sender that consults nothing but its own CMF. The accept
+that ends a pass on the threshold is counted but not applied, as no draw
+reads it; senders with equal ``S^p`` walk copy-on-write clones.
 """
 
 from __future__ import annotations
@@ -261,14 +263,11 @@ class IncrementalCMF:
       :func:`sample_cmf` — via Fenwick descent on ``u * total``.
     - ``exhausted`` is True exactly when :func:`build_cmf` would return
       ``None`` for the current loads (no candidate with positive mass).
-    - ``materialize()`` returns the prefix array :func:`build_cmf` would
-      build, bit-identically (it reruns the same normalized cumsum over
-      the same masses).
 
-    ``builds`` counts full (re)builds and ``updates`` point updates, so
-    the transfer stage can report both costs. ``clone()`` copies the
-    whole state, counters included: a copy of a fresh build reports
-    the build it was copied from.
+    ``builds`` counts the distributions defined (the first build, then
+    each move of ``l_s``, rebuilt or not) and ``updates`` point updates.
+    ``clone()`` copies the scalars, counters included, and shares
+    ``loads`` and the tree until either twin first writes (``_own``).
     """
 
     __slots__ = (
@@ -282,6 +281,7 @@ class IncrementalCMF:
         "updates",
         "_tree",
         "_max_load",
+        "_shared",
     )
 
     def __init__(
@@ -295,8 +295,7 @@ class IncrementalCMF:
         self.loads = np.array(known_loads, dtype=np.float64, copy=copy)
         self.l_ave = float(l_ave)
         self.variant = variant
-        self.builds = 0
-        self.updates = 0
+        self.builds, self.updates, self._shared = 0, 0, False
         self._rebuild()
 
     @classmethod
@@ -361,7 +360,7 @@ class IncrementalCMF:
             own = masses[start:end]
             sampler = cls.__new__(cls)
             sampler.loads, sampler.l_ave, sampler.variant = segment, l_ave, variant
-            sampler.builds, sampler.updates = 1, 0
+            sampler.builds, sampler.updates, sampler._shared = 1, 0, False
             sampler.l_s, sampler._max_load, sampler.n_positive = l_s_i, max_i, positive_i
             # The segment's own ``sum`` and ``cumsum``, minus their wrappers.
             sampler.total = float(np.add.reduce(own))
@@ -382,14 +381,21 @@ class IncrementalCMF:
         return samplers
 
     def clone(self) -> "IncrementalCMF":
-        """An independent copy: its own loads and tree, the same scalars."""
+        """An independent twin, copy-on-write: see the class docstring."""
         twin = type(self).__new__(type(self))
-        for name in self.__slots__:
-            setattr(twin, name, getattr(self, name))
-        twin.loads = self.loads.copy()
-        if self._tree is not None:
-            twin._tree = self._tree.copy()
+        twin.loads, twin._tree, twin.l_ave = self.loads, self._tree, self.l_ave
+        twin.variant, twin.l_s, twin.total = self.variant, self.l_s, self.total
+        twin.n_positive, twin._max_load = self.n_positive, self._max_load
+        twin.builds, twin.updates = self.builds, self.updates
+        twin._shared = self._shared = True
         return twin
+
+    def _own(self) -> None:
+        """Copy the ``loads`` and tree shared with a twin, before a write."""
+        self.loads = self.loads.copy()
+        if self._tree is not None:
+            self._tree = self._tree.copy()
+        self._shared = False
 
     def _rebuild(self) -> None:
         """Recompute l_s/total/tree from scratch — build_cmf's O(n)."""
@@ -447,6 +453,8 @@ class IncrementalCMF:
         O(log n) unless ``l_s`` changes (then a full rebuild runs).
         """
         self.updates += 1
+        if self._shared:
+            self._own()
         loads = self.loads
         old_load = float(loads[idx])
         new_load = float(new_load)
@@ -507,7 +515,10 @@ class IncrementalCMF:
         their exact float order, so every draw, decision and counter is
         what the method calls would produce. Accepts are only recorded:
         returns ``(accepted walk positions, their candidate indices,
-        the sender's final load, rejection count)``.
+        the sender's final load, rejection count)``. The accept that
+        takes ``p_load`` to the threshold is not applied: no draw reads
+        it and the caller discards the sampler, so only ``builds`` (if
+        it moves ``l_s``) and ``updates`` count it.
 
         A segment (one CMF build) whose next ``size/64 + 1`` accepts
         would all leave ``p_load`` above the threshold is *long*: it
@@ -539,8 +550,11 @@ class IncrementalCMF:
         push_pos, push_idx = acc_pos.append, acc_idx.append
         rejected = 0
         pos = chunk_pos = chunk_end = 0
-        # A memoryview indexes as Python floats and writes through.
+        # A memoryview indexes as Python floats and writes through; a
+        # clone's is read-only, so its first write raises and copies.
         view = memoryview(self.loads)
+        if self._shared:
+            view = view.toreadonly()
         # n_positive == 0 covers ``exhausted`` (no candidates and l_s <= 0
         # both pin it at zero).
         while pos < n_tasks and p_load > threshold_load and self.n_positive:
@@ -560,12 +574,15 @@ class IncrementalCMF:
                     chunk_pos, chunk_end = pos, pos + _certain(o_loads, pos, p_load, threshold_load)
                     draw = iter(rng.random(chunk_end - pos).tolist()).__next__
                 stop = chunk_end
-                tree = self._list_tree()
-                if chunk_end - pos >= size:
+                if chunk_end - pos >= size:  # owns up front, not per accept
+                    if self._shared:
+                        self._own()
+                        view = memoryview(self.loads)
                     loads, paths = self.loads.tolist(), _fenwick_paths(size)
+                tree = self._list_tree()
             rebuild = False
             for o_load in islice(tasks, pos, stop):
-                if p_load <= threshold_load or not n_positive:
+                if not n_positive:
                     break
                 target = draw() * total
                 idx = 0
@@ -589,7 +606,17 @@ class IncrementalCMF:
                     pos += 1
                     p_load -= o_load
                     new_load = l_x + o_load
-                    loads[idx] = new_load
+                    if p_load <= threshold_load:  # the last accept
+                        if modified and new_load > l_s:  # the skipped rebuild
+                            self.builds += 1
+                        break
+                    try:
+                        loads[idx] = new_load
+                    except TypeError:  # a clone's first write: own, then write
+                        self._own()
+                        loads = view = memoryview(self.loads)
+                        tree = self._tree if type(self._tree) is list else memoryview(self._tree)
+                        loads[idx] = new_load
                     if modified:
                         if new_load > max_load:
                             max_load = new_load
@@ -630,12 +657,3 @@ class IncrementalCMF:
             rng.random(pos - chunk_pos)
         self.updates += len(acc_pos)
         return acc_pos, acc_idx, p_load, rejected
-
-    def materialize(self) -> np.ndarray | None:
-        """The prefix array :func:`build_cmf` would return right now."""
-        if self.exhausted:
-            return None
-        masses = self.masses
-        cmf = np.cumsum(masses / masses.sum())
-        cmf[-1] = 1.0
-        return cmf

@@ -144,7 +144,7 @@ class TransferStats:
     overloaded_ranks: int = 0
     stalled_ranks: int = 0
     rank_processings: int = 0
-    cmf_builds: int = 0  #: full BUILDCMF invocations (l.5 vs l.7 cost)
+    cmf_builds: int = 0  #: distributions defined: one l.5 build, then each l.7 move of ``l_s``
     cmf_updates: int = 0  #: O(log n) incremental mass updates (fast path)
     budget_exhausted: bool = False
     moves: np.ndarray = field(default_factory=_move_rows)  #: (task, src, dst) rows
@@ -484,8 +484,8 @@ class _Stage:
         sampler are a function of its ``S^p`` and the inform snapshot
         alone (Alg. 2 l.5), and senders with equal sets share them: the
         sampler is built with the first sender of its group, each sender
-        but the group's last walks a copy made at walk entry, and the
-        last walks the build itself — a group of one copies nothing."""
+        but the group's last walks a clone made at walk entry, and the
+        last walks the build itself. A clone copies at its first write."""
         state = RankTaskState(self.assignment, is_overloaded.size, is_overloaded)
         owned = [state.tasks(p) for p in overloaded.tolist()]
         self.stats.rank_processings = overloaded.size
@@ -654,11 +654,12 @@ class _Stage:
             self._senders.append(p)
             self._moved.append(ordered[acc_pos])
             self._recipients.append(candidates[np.asarray(acc_idx, dtype=np.intp)])
-            if sampler.exhausted:
+            # A pass ending on the threshold leaves its last accept unapplied.
+            if loads[p] <= threshold_load or sampler.exhausted:
                 break
         stats.cmf_builds += sampler.builds
         stats.cmf_updates += sampler.updates
-        if sampler.exhausted and loads[p] > threshold_load:
+        if loads[p] > threshold_load and sampler.exhausted:
             stats.stalled_ranks += 1
 
     def apply(self) -> tuple[np.ndarray, np.ndarray]:

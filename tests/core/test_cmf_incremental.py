@@ -41,15 +41,26 @@ updates_strategy = st.lists(
 )
 
 
+def materialize(inc: IncrementalCMF) -> np.ndarray | None:
+    """The prefix array :func:`build_cmf` would return for ``inc`` right
+    now: the same normalized cumsum over ``inc``'s masses."""
+    if inc.exhausted:
+        return None
+    masses = inc.masses
+    cmf = np.cumsum(masses / masses.sum())
+    cmf[-1] = 1.0
+    return cmf
+
+
 def assert_matches_fresh_build(inc: IncrementalCMF, l_ave: float, variant: str):
     """The incremental state must equal a from-scratch build, exactly."""
     fresh = build_cmf(inc.loads, l_ave, variant)
     if fresh is None:
         assert inc.exhausted
-        assert inc.materialize() is None
+        assert materialize(inc) is None
     else:
         assert not inc.exhausted
-        materialized = inc.materialize()
+        materialized = materialize(inc)
         assert np.array_equal(materialized, fresh)
         # Masses themselves are bit-identical to build_cmf's expression.
         loads = np.asarray(inc.loads, dtype=np.float64)
@@ -97,7 +108,7 @@ class TestIncrementalMatchesBuild:
             inc.update(raw_idx % len(loads), new_load)
             if inc.exhausted:
                 continue
-            reference = inc.materialize()
+            reference = materialize(inc)
             assert sample_cmf(reference, rng_ref) == inc.sample(rng_inc)
         # One uniform per draw: the streams stay aligned.
         assert rng_inc.random() == rng_ref.random()
@@ -125,7 +136,7 @@ class TestIncrementalMatchesBuild:
     def test_exhaustion_equivalence_edge_cases(self):
         # Empty candidate list.
         inc = IncrementalCMF(np.zeros(0), 1.0, CMF_MODIFIED)
-        assert inc.exhausted and inc.materialize() is None
+        assert inc.exhausted and materialize(inc) is None
         # l_s == 0 (all-zero loads, zero average).
         inc = IncrementalCMF(np.zeros(3), 0.0, CMF_MODIFIED)
         assert inc.exhausted
@@ -281,16 +292,40 @@ def _same_state(a, b):
     return np.array_equal(a, b)
 
 
+def _sampler_state(sampler):
+    """What a sampler's next draw reads, copied."""
+    return {
+        "scalars": (sampler.total, sampler.n_positive, sampler.l_s, sampler._max_load),
+        "loads": sampler.loads.copy(),
+        "masses": sampler.masses,
+        "tree": None if sampler._tree is None else np.array(sampler._tree),
+        "exhausted": sampler.exhausted,
+    }
+
+
+class _Recording(IncrementalCMF):
+    """The reference sampler, keeping its state from before each update."""
+
+    __slots__ = ("before",)
+
+    def update(self, idx, new_load):
+        self.before = _sampler_state(self)
+        super().update(idx, new_load)
+
+
 def _assert_pass_matches_reference(
     known, l_ave, variant, o_loads, p_load, threshold_load, relaxed, uniforms=(),
     tamper=None, rngs=None,
 ):
     """Run propose_pass and the reference loop on twin samplers; every
-    observable — accepts, counters, sampler state, generator state —
-    must agree. ``rngs`` passes the twin generators in (real ones, or
-    scripted ones a test inspects afterwards)."""
+    observable — accepts, counters, generator state, sampler state —
+    must agree. A pass that ends on the threshold records its last
+    accept without applying it, so there the fused sampler is held to
+    the reference's state from before its final update; every other
+    exit, to its state after. ``rngs`` passes the twin generators in
+    (real ones, or scripted ones a test inspects afterwards)."""
     fused = IncrementalCMF(np.asarray(known, dtype=float), l_ave, variant)
-    ref = IncrementalCMF(np.asarray(known, dtype=float), l_ave, variant)
+    ref = _Recording(np.asarray(known, dtype=float), l_ave, variant)
     if tamper is not None:
         tamper(fused)
         tamper(ref)
@@ -302,13 +337,9 @@ def _assert_pass_matches_reference(
     assert (acc_pos, acc_idx, out_load, rejected) == expected
     assert _same_state(rng_fused.bit_generator.state, rng_ref.bit_generator.state)
     assert (fused.builds, fused.updates) == (ref.builds, ref.updates)
-    assert (fused.total, fused.n_positive, fused.l_s, fused._max_load) == (
-        ref.total, ref.n_positive, ref.l_s, ref._max_load,
-    )
-    assert np.array_equal(fused.loads, ref.loads)
-    assert np.array_equal(fused.masses, ref.masses)
-    assert np.array_equal(fused._tree, ref._tree)
-    assert fused.exhausted == ref.exhausted
+    ended_on_threshold = bool(acc_pos) and out_load <= threshold_load
+    want = ref.before if ended_on_threshold else _sampler_state(ref)
+    assert _same_state(_sampler_state(fused), want)
     return fused, acc_pos, rng_fused.bit_generator.state
 
 

@@ -30,10 +30,11 @@ from hypothesis import strategies as st
 
 import repro.core.transfer as transfer_module
 from repro.core.cmf import CMF_MODIFIED, CMF_ORIGINAL, IncrementalCMF
-from repro.core.gossip import GossipResult
+from repro.core.gossip import GossipResult, run_inform_stage
 from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
 from repro.core.ordering import ORDERINGS, order_segments
 from repro.core.transfer import TransferConfig, transfer_stage
+from repro.workloads import paper_analysis_scenario
 from tests.core import oracles
 
 #: Task loads with ties and zeros.
@@ -254,8 +255,9 @@ def test_shared_builds_equal_the_one_sender_oracle(case):
 
 
 def _state(sampler):
-    """Everything a sampler walks on, as plain values."""
-    out = {name: getattr(sampler, name) for name in sampler.__slots__}
+    """Everything a sampler walks on, as plain values: not whether a
+    copy-on-write clone still shares its arrays."""
+    out = {name: getattr(sampler, name) for name in sampler.__slots__ if name != "_shared"}
     out["loads"] = sampler.loads.tobytes()
     tree = out.get("_tree")
     if tree is not None:
@@ -306,6 +308,76 @@ def test_a_clone_leaves_its_original_and_siblings_unchanged(
     assert _state(walked) == _state(fresh)
     assert _state(original) == before
     assert _state(sibling) == before
+
+
+def test_a_clone_whose_only_accept_ends_its_walk_copies_nothing():
+    """The accept that ends a walk is recorded, not applied, so a clone
+    that writes nothing before it keeps sharing its original's arrays."""
+    (original,) = IncrementalCMF.many(np.array([0.2, 0.4, 0.6]), np.array([0, 3]), 1.0)
+    before = _state(original)
+    twin = original.clone()
+    walk = twin.propose_pass(np.array([0.5, 0.5]), 1.3, 1.0, True, np.random.default_rng(0))
+    assert walk[0] == [0] and walk[2] <= 1.0
+    assert np.shares_memory(twin.loads, original.loads)
+    assert np.shares_memory(twin._tree, original._tree)
+    assert _state(original) == before
+
+
+def _spy_own(monkeypatch):
+    owners = []
+    own = IncrementalCMF._own
+
+    def spy(self):
+        owners.append(self)
+        own(self)
+
+    monkeypatch.setattr(IncrementalCMF, "_own", spy)
+    return owners
+
+
+@pytest.mark.parametrize("n_candidates", [3, 16])  # a list segment, then not
+def test_a_clone_with_a_non_terminal_accept_copies_once(monkeypatch, n_candidates):
+    """Its first applied write copies ``loads`` and the tree, once per
+    walk however many accepts follow; the original and a sibling keep
+    every bit."""
+    known = np.random.default_rng(2).uniform(0.0, 0.6, size=n_candidates)
+    (original,) = IncrementalCMF.many(known, np.array([0, n_candidates]), 1.0)
+    before = _state(original)
+    walked, sibling = original.clone(), original.clone()
+    owners = _spy_own(monkeypatch)
+    acc_pos, _, p_load, _ = walked.propose_pass(
+        np.full(4, 0.1), 1.35, 1.0, True, np.random.default_rng(3)
+    )
+    assert len(acc_pos) >= 2 and p_load <= 1.0
+    assert len(owners) == 1 and owners[0] is walked
+    assert not np.shares_memory(walked.loads, original.loads)
+    assert _state(original) == before == _state(sibling)
+
+
+def test_a_stage_materialises_fewer_rebuilds_than_it_counts(monkeypatch):
+    """On an independent stage at P = 1,024, no walk rebuilds the tree
+    for the ``l_s`` its last accept moves: a spy on ``_rebuild`` counts
+    fewer rebuilds after the first build than ``cmf_builds`` counts
+    past the builds the walks start from."""
+    dist = paper_analysis_scenario(n_tasks=1024, n_loaded_ranks=64, n_ranks=1024, seed=4)
+    gossip = run_inform_stage(dist.rank_loads(), rng=5)
+    counts = {"rebuilt": 0, "started": 0}
+    rebuild, walk = IncrementalCMF._rebuild, transfer_module._Stage.walk
+
+    def rebuild_spy(self):
+        counts["rebuilt"] += self.builds > 0  # the constructor's build is l.5
+        rebuild(self)
+
+    def walk_spy(self, p, candidates, sampler, *args):
+        counts["started"] += sampler.builds if candidates.size else 0
+        walk(self, p, candidates, sampler, *args)
+
+    monkeypatch.setattr(IncrementalCMF, "_rebuild", rebuild_spy)
+    monkeypatch.setattr(transfer_module._Stage, "walk", walk_spy)
+    taken = _spy_paths(monkeypatch)
+    stats = transfer_stage(dist.assignment.copy(), dist.task_loads, gossip, rng=6)
+    assert taken == ["run_independent"] and stats.overloaded_ranks == 64
+    assert counts["rebuilt"] < stats.cmf_builds - counts["started"]
 
 
 @pytest.mark.parametrize("recompute_cmf", [True, False])
