@@ -20,20 +20,18 @@ transfer (Alg. 2 l.7) so the updated knowledge steers later picks; the
 original computes it once (l.5).
 
 Recomputing by calling :func:`build_cmf` from scratch costs O(n) per
-accepted transfer, which makes Algorithm 2 O(tasks x known_ranks) per
-rank per iteration and dominates wall-time at the paper's § V analysis
-scale. :class:`IncrementalCMF` maintains the same distribution under
-single-recipient load updates in O(log n) via a Fenwick (binary
-indexed) tree over the headroom masses, falling back to a full rebuild
-only when the scaling factor ``l_s`` itself changes. Its contract with
-:func:`build_cmf` is exact: the mass vector, the ``None``/exhausted
-condition and the normalized prefix sums are identical
-(``tests/core/test_cmf_incremental.py`` proves this property-style).
+accepted transfer, which dominates wall-time at the paper's § V
+analysis scale. :class:`IncrementalCMF` maintains the same distribution
+under single-recipient load updates in O(log n) via a Fenwick (binary
+indexed) tree over the headroom masses, and rescales the tree in place
+when ``l_s`` itself moves. Masses, the ``None``/exhausted condition and
+the normalized prefix sums equal :func:`build_cmf`'s exactly; a
+rescaled tree's nodes stay within rounding of a fresh build's, and its
+draws land where :func:`sample_cmf`'s do
+(``tests/core/test_cmf_incremental.py`` checks both property-style).
 :meth:`IncrementalCMF.propose_pass` is the transfer stage's whole
-sample → criterion → update loop over that state, fused into one scalar
-pass for a sender that consults nothing but its own CMF. The accept
-that ends a pass on the threshold is counted but not applied, as no draw
-reads it; senders with equal ``S^p`` walk copy-on-write clones.
+sample → criterion → update loop, fused into one scalar pass for a
+sender that consults nothing but its own CMF.
 """
 
 from __future__ import annotations
@@ -46,13 +44,7 @@ import numpy as np
 
 from repro.util.validation import check_in
 
-__all__ = [
-    "CMF_ORIGINAL",
-    "CMF_MODIFIED",
-    "IncrementalCMF",
-    "build_cmf",
-    "sample_cmf",
-]
+__all__ = ["CMF_ORIGINAL", "CMF_MODIFIED", "IncrementalCMF", "build_cmf", "sample_cmf"]
 
 CMF_ORIGINAL = "original"
 CMF_MODIFIED = "modified"
@@ -106,40 +98,44 @@ def sample_cmf(cmf: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(cmf, u, side="right"))
 
 
-def _masses(loads: np.ndarray | list[float], l_s: float) -> np.ndarray:
-    """The headroom masses ``1 - load / l_s``, clamped at zero."""
-    return np.maximum(1.0 - np.asarray(loads, dtype=np.float64) / l_s, 0.0)
+def _masses(loads: np.ndarray | list[float], l_s: float | np.ndarray) -> np.ndarray:
+    """The headroom masses ``1 - load / l_s``, clamped at zero (written
+    in place into the quotient: a walk evaluates thousands of them)."""
+    masses = np.true_divide(np.asarray(loads, dtype=np.float64), l_s)
+    np.subtract(1.0, masses, out=masses)
+    return np.maximum(masses, 0.0, out=masses)
 
 
 # -- incremental maintenance (the Alg. 2 l.7 fast path) --------------------
 
 
-@lru_cache(maxsize=32)
-def _fenwick_parents(n: int) -> np.ndarray:
-    """``i - lowbit(i)`` for ``i`` in ``0..n`` (read-only, cached per ``n``).
+#: Rescales of one tree in a row before a full rebuild resets its drift.
+_RESCALES = 8
 
-    A transfer stage rebuilds trees of a handful of sizes thousands of
-    times; the index arithmetic depends on ``n`` alone.
+
+@lru_cache(maxsize=32)
+def _fenwick_parents(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``i - lowbit(i)``, and ``lowbit(i)`` as floats (the leaves node
+    ``i`` covers), for ``i`` in ``0..n``: read-only, cached per ``n``, as
+    a stage builds and rescales trees of a few sizes thousands of times.
     """
     idx = np.arange(n + 1)
-    low = idx - (idx & -idx)
-    low.flags.writeable = False
-    return low
+    lowbit = idx & -idx
+    parents, counts = idx - lowbit, lowbit.astype(np.float64)
+    parents.flags.writeable = counts.flags.writeable = False
+    return parents, counts
 
 
 def _fenwick_build(values: np.ndarray, length: int = 0) -> np.ndarray:
     """Fenwick tree over ``values`` (1-indexed partial sums), built O(n).
 
-    Node ``i`` holds ``sum(values[i - lowbit(i):i])``, computed as a
-    vectorized difference of cumulative sums (``prefix[0] = 0`` makes
-    node 0 the unused zero slot). Nodes past ``n`` up to ``length`` are
-    +inf: a descent never takes one, so it needs no bounds test, and an
-    add that walks into them leaves them +inf. :func:`_fenwick_add` and
-    :func:`_fenwick_search` index it one scalar at a time, which a
-    Python list serves about three times faster than an ndarray — but
-    ``tolist()`` is the dearest step of a build, so whoever is about to
-    make many such accesses converts, and a tree that is sampled a
-    handful of times before the next rebuild never pays for it.
+    Node ``i`` holds ``sum(values[i - lowbit(i):i])``, a difference of
+    cumulative sums (node 0 is the unused zero slot). Nodes past ``n``
+    up to ``length`` are +inf: a descent never takes one, and an add
+    that walks into them leaves them +inf. A Python list serves scalar
+    indexing about three times faster than an ndarray, but ``tolist()``
+    is the dearest step of a build, so only a caller about to make many
+    such accesses converts.
     """
     n = values.size
     prefix = np.empty(n + 1, dtype=np.float64)
@@ -147,7 +143,7 @@ def _fenwick_build(values: np.ndarray, length: int = 0) -> np.ndarray:
     np.add.accumulate(values, out=prefix[1:])  # ``cumsum`` without its wrapper
     tree = np.empty(max(length, n + 1))
     tree[n + 1 :] = inf
-    np.subtract(prefix, prefix[_fenwick_parents(n)], out=tree[: n + 1])
+    np.subtract(prefix, prefix[_fenwick_parents(n)[0]], out=tree[: n + 1])
     return tree
 
 
@@ -183,11 +179,8 @@ def _fenwick_add(tree: list[float] | np.ndarray, index: int, delta: float) -> No
 
 
 def _fenwick_search(tree: list[float] | np.ndarray, target: float) -> int:
-    """Smallest 0-based ``i`` whose inclusive prefix sum exceeds ``target``.
-
-    Mirrors ``searchsorted(cumsum, target, side="right")`` over the
-    unnormalized masses.
-    """
+    """Smallest 0-based ``i`` whose inclusive prefix sum exceeds ``target``:
+    ``searchsorted(cumsum, target, side="right")`` over unnormalized masses."""
     n = len(tree) - 1
     idx = 0
     bit = 1 << (n.bit_length() - 1) if n else 0
@@ -255,9 +248,9 @@ class IncrementalCMF:
 
     - ``update(idx, new_load)`` adjusts one candidate's known load (the
       effect of one accepted transfer or one nack correction). Only the
-      touched mass and the Fenwick tree path change; a full O(n) rebuild
-      happens only when ``l_s = max(l_ave, max LOAD^p)`` itself moves
-      (a new running maximum, or the old maximum shrinking).
+      touched mass and the Fenwick tree path change, unless
+      ``l_s = max(l_ave, max LOAD^p)`` itself moves (a new running
+      maximum, or the old maximum shrinking): then :meth:`_rescale`.
     - ``sample(rng)`` draws a candidate with probability proportional to
       its mass, consuming exactly one uniform — the same RNG cost as
       :func:`sample_cmf` — via Fenwick descent on ``u * total``.
@@ -265,31 +258,19 @@ class IncrementalCMF:
       ``None`` for the current loads (no candidate with positive mass).
 
     ``builds`` counts the distributions defined (the first build, then
-    each move of ``l_s``, rebuilt or not) and ``updates`` point updates.
+    each move of ``l_s``, rescaled, rebuilt or skipped) and ``updates``
+    point updates.
     ``clone()`` copies the scalars, counters included, and shares
     ``loads`` and the tree until either twin first writes (``_own``).
     """
 
     __slots__ = (
-        "loads",
-        "l_ave",
-        "variant",
-        "l_s",
-        "total",
-        "n_positive",
-        "builds",
-        "updates",
-        "_tree",
-        "_max_load",
-        "_shared",
+        "loads", "l_ave", "variant", "l_s", "total", "n_positive", "builds", "updates",
+        "_tree", "_max_load", "_rescales", "_shared",
     )
 
     def __init__(
-        self,
-        known_loads: np.ndarray,
-        l_ave: float,
-        variant: str = CMF_MODIFIED,
-        copy: bool = True,
+        self, known_loads: np.ndarray, l_ave: float, variant: str = CMF_MODIFIED, copy: bool = True
     ) -> None:
         check_in("cmf", variant, (CMF_ORIGINAL, CMF_MODIFIED))
         self.loads = np.array(known_loads, dtype=np.float64, copy=copy)
@@ -300,11 +281,7 @@ class IncrementalCMF:
 
     @classmethod
     def many(
-        cls,
-        known_loads: np.ndarray,
-        bounds: np.ndarray,
-        l_ave: float,
-        variant: str = CMF_MODIFIED,
+        cls, known_loads: np.ndarray, bounds: np.ndarray, l_ave: float, variant: str = CMF_MODIFIED
     ) -> list["IncrementalCMF"]:
         """One sampler per segment ``known_loads[bounds[i]:bounds[i+1]]``.
 
@@ -360,7 +337,7 @@ class IncrementalCMF:
             own = masses[start:end]
             sampler = cls.__new__(cls)
             sampler.loads, sampler.l_ave, sampler.variant = segment, l_ave, variant
-            sampler.builds, sampler.updates, sampler._shared = 1, 0, False
+            sampler.builds, sampler.updates, sampler._shared, sampler._rescales = 1, 0, False, 0
             sampler.l_s, sampler._max_load, sampler.n_positive = l_s_i, max_i, positive_i
             # The segment's own ``sum`` and ``cumsum``, minus their wrappers.
             sampler.total = float(np.add.reduce(own))
@@ -386,7 +363,7 @@ class IncrementalCMF:
         twin.loads, twin._tree, twin.l_ave = self.loads, self._tree, self.l_ave
         twin.variant, twin.l_s, twin.total = self.variant, self.l_s, self.total
         twin.n_positive, twin._max_load = self.n_positive, self._max_load
-        twin.builds, twin.updates = self.builds, self.updates
+        twin.builds, twin.updates, twin._rescales = self.builds, self.updates, self._rescales
         twin._shared = self._shared = True
         return twin
 
@@ -402,19 +379,15 @@ class IncrementalCMF:
         self.builds += 1
         loads = self.loads
         self.total = 0.0
-        self.n_positive = 0
+        self.n_positive = self._rescales = 0
         self._tree = None
         if loads.size == 0:
-            self._max_load = 0.0
-            self.l_s = 0.0
+            self._max_load = self.l_s = 0.0
             return
         # ``max`` and ``sum`` as their ufunc reductions, minus the
         # wrappers: a walk rebuilds thousands of small trees.
         self._max_load = float(np.maximum.reduce(loads))
-        if self.variant == CMF_ORIGINAL:
-            self.l_s = self.l_ave
-        else:
-            self.l_s = max(self.l_ave, self._max_load)
+        self.l_s = self.l_ave if self.variant == CMF_ORIGINAL else max(self.l_ave, self._max_load)
         if self.l_s <= 0.0:
             return
         masses = _masses(loads, self.l_s)
@@ -447,11 +420,41 @@ class IncrementalCMF:
         """True exactly when :func:`build_cmf` would return ``None``."""
         return self.loads.size == 0 or self.l_s <= 0.0 or self.n_positive == 0
 
-    def update(self, idx: int, new_load: float) -> None:
-        """Set candidate ``idx``'s known load, maintaining the masses.
+    def _rescale(self, idx: int, old_load: float, new_load: float) -> None:
+        """Move ``l_s`` to ``max(l_ave, max LOAD^p)`` after ``idx``'s load
+        went from ``old_load`` to ``new_load``. No mass is clamped under the
+        modified CMF, so a node over ``c`` leaves holds ``c - S / l_s``
+        (``S`` their load sum): the update is added at the old scale (its
+        mass may go negative), then every node maps to ``c - (c - node) *
+        r``, ``r = l_s / l_s'``, and ``total`` likewise. A list tree is
+        rescaled as an array, so a fused pass and ``update()`` keep equal
+        bits. :meth:`_rebuild` runs instead when ``r`` is outside [1/2, 2],
+        after ``_RESCALES`` in a row, or on a scale <= 0."""
+        old_l_s, l_s = self.l_s, max(self.l_ave, self._max_load)
+        r = old_l_s / l_s if l_s > 0.0 else 0.0
+        tree = self._tree
+        if tree is None or not 0.5 <= r <= 2.0 or self._rescales == _RESCALES:
+            self._rebuild()
+            return
+        self.builds += 1
+        self._rescales += 1
+        delta = (1.0 - new_load / old_l_s) - (1.0 - old_load / old_l_s)
+        if type(tree) is list:
+            tree = self._tree = np.array(tree, dtype=np.float64)
+        _fenwick_add(memoryview(tree), idx, delta)  # scalar adds, as Python floats
+        n = self.loads.size
+        nodes, counts = tree[: n + 1], _fenwick_parents(n)[1]
+        np.subtract(counts, nodes, out=nodes)
+        np.multiply(nodes, r, out=nodes)
+        np.subtract(counts, nodes, out=nodes)
+        self.total = n - (n - (self.total + delta)) * r
+        self.l_s = l_s
+        # A rise leaves every candidate but ``idx`` below the new maximum.
+        self.n_positive = n - 1 if r < 1.0 else int(np.count_nonzero(self.loads < l_s))
 
-        O(log n) unless ``l_s`` changes (then a full rebuild runs).
-        """
+    def update(self, idx: int, new_load: float) -> None:
+        """Set candidate ``idx``'s known load, maintaining the masses:
+        O(log n), or a :meth:`_rescale` when ``l_s`` moves."""
         self.updates += 1
         if self._shared:
             self._own()
@@ -462,15 +465,11 @@ class IncrementalCMF:
         if self.variant == CMF_MODIFIED:
             if new_load > self._max_load:
                 self._max_load = new_load
-                if new_load > self.l_s:
-                    self._rebuild()
-                    return
             elif old_load == self._max_load and new_load < old_load:
-                fresh_max = float(loads.max())
-                self._max_load = fresh_max
-                if max(self.l_ave, fresh_max) != self.l_s:
-                    self._rebuild()
-                    return
+                self._max_load = float(loads.max())
+            if max(self.l_ave, self._max_load) != self.l_s:
+                self._rescale(int(idx), old_load, new_load)
+                return
         if self.l_s <= 0.0 or self._tree is None:
             return  # degenerate distribution: every mass pinned at zero
         old_mass, new_mass = self._mass(old_load), self._mass(new_load)
@@ -496,11 +495,7 @@ class IncrementalCMF:
         return int(idx)
 
     def propose_pass(
-        self,
-        o_loads: np.ndarray,
-        p_load: float,
-        threshold_load: float,
-        relaxed: bool,
+        self, o_loads: np.ndarray, p_load: float, threshold_load: float, relaxed: bool,
         rng: np.random.Generator,
     ) -> tuple[list[int], list[int], float, int]:
         """Walk a sender's ordered task loads, proposing each in turn.
@@ -518,22 +513,23 @@ class IncrementalCMF:
         the sender's final load, rejection count)``. The accept that
         takes ``p_load`` to the threshold is not applied: no draw reads
         it and the caller discards the sampler, so only ``builds`` (if
-        it moves ``l_s``) and ``updates`` count it.
+        it moves ``l_s``) and ``updates`` count it. Any other accept
+        that moves ``l_s`` ends the segment, one per distribution, with
+        the :meth:`_rescale` that ``update()`` runs.
 
-        A segment (one CMF build) whose next ``size/64 + 1`` accepts
+        A segment whose next ``size/64 + 1`` accepts
         would all leave ``p_load`` above the threshold is *long*: it
         walks the tree as a list, which pays for its conversion within
         that many proposals, and takes its uniforms from one
         ``rng.random(n)``, ``n`` being the proposals the pass is certain
         to make (rejections only delay the crossing). A chunk carries
-        over an ``l_s`` rebuild; if the pass ends before the chunk does,
-        the generator is rewound and exactly the uniforms used are
+        over into the next segment; if the pass ends before the chunk
+        does, the generator is rewound and exactly the uniforms used are
         redrawn, so it ends where one ``random()`` per proposal would
         leave it. A long segment with at least ``size`` proposals left
         in its chunk is a *list segment*: it also holds the loads as a
-        list, written back to ``loads`` before its rebuild or at its
-        end, and adds along the cached per-index paths of
-        :func:`_fenwick_paths` — O(size) a segment, which that many
+        list, written back at its end, and adds along the cached paths
+        of :func:`_fenwick_paths` — O(size) a segment, which that many
         proposals repay. Every other segment reads and writes the loads
         through a ``memoryview``. A short segment indexes the tree as
         built and draws one ``random()`` per proposal.
@@ -558,8 +554,8 @@ class IncrementalCMF:
         # n_positive == 0 covers ``exhausted`` (no candidates and l_s <= 0
         # both pin it at zero).
         while pos < n_tasks and p_load > threshold_load and self.n_positive:
-            # One segment per CMF build: the sampler's scalars live in
-            # locals until l_s moves, which is the only full rebuild.
+            # One segment per distribution: the sampler's scalars live
+            # in locals until l_s moves.
             l_s = self.l_s
             total, n_positive, max_load = self.total, self.n_positive, self._max_load
             long_walk = pos < chunk_end or _clears(tasks, pos, p_load, threshold_load, reach)
@@ -580,7 +576,7 @@ class IncrementalCMF:
                         view = memoryview(self.loads)
                     loads, paths = self.loads.tolist(), _fenwick_paths(size)
                 tree = self._list_tree()
-            rebuild = False
+            moved = False
             for o_load in islice(tasks, pos, stop):
                 if not n_positive:
                     break
@@ -621,12 +617,12 @@ class IncrementalCMF:
                         if new_load > max_load:
                             max_load = new_load
                             if new_load > l_s:
-                                rebuild = True
+                                moved = True
                                 break
                         elif new_load < l_x and l_x == max_load:
                             max_load = max(loads)
                             if max(l_ave, max_load) != l_s:
-                                rebuild = True
+                                moved = True
                                 break
                     headroom = 1.0 - new_load / l_s
                     new_mass = headroom if headroom > 0.0 else 0.0
@@ -650,8 +646,8 @@ class IncrementalCMF:
             if paths is not None:
                 self.loads[:] = loads
             self.total, self.n_positive, self._max_load = total, n_positive, max_load
-            if rebuild:
-                self._rebuild()
+            if moved:
+                self._rescale(idx, l_x, new_load)
         if pos < chunk_end:
             rng.bit_generator.state = saved
             rng.random(pos - chunk_pos)

@@ -627,17 +627,19 @@ class _Stage:
             return
         threshold_load = self.threshold_load
         relaxed = config.criterion == CRITERION_RELAXED
+        # ``loads[p]`` as a float, kept equal to it: both passes return it.
+        p_load = float(loads[p])
         for pass_no in range(self.max_passes):
             if pass_no:  # what the previous pass left, ordered alone
                 tasks = tasks[~np.isin(tasks, self._moved[-1])]
                 ordered, ordered_loads = self.orders(
                     tasks, np.array([0, tasks.size]), loads[p : p + 1]
                 )
-            if loads[p] <= threshold_load or tasks.size == 0:
+            if p_load <= threshold_load or tasks.size == 0:
                 break
             if self.fused:
                 walk = sampler.propose_pass(
-                    ordered_loads, float(loads[p]), threshold_load, relaxed, self.rng
+                    ordered_loads, p_load, threshold_load, relaxed, self.rng
                 )
             else:
                 walk = _scalar_pass(
@@ -648,6 +650,7 @@ class _Stage:
             stats.rejections += rejected
             if len(acc_pos) == 0:
                 break
+            # Indexing with the lists themselves measured slower than this.
             acc_pos = np.asarray(acc_pos, dtype=np.intp)
             if self.fused:  # the walk only recorded its accepts
                 loads[p] = p_load
@@ -655,11 +658,11 @@ class _Stage:
             self._moved.append(ordered[acc_pos])
             self._recipients.append(candidates[np.asarray(acc_idx, dtype=np.intp)])
             # A pass ending on the threshold leaves its last accept unapplied.
-            if loads[p] <= threshold_load or sampler.exhausted:
+            if p_load <= threshold_load or sampler.exhausted:
                 break
         stats.cmf_builds += sampler.builds
         stats.cmf_updates += sampler.updates
-        if loads[p] > threshold_load and sampler.exhausted:
+        if p_load > threshold_load and sampler.exhausted:
             stats.stalled_ranks += 1
 
     def apply(self) -> tuple[np.ndarray, np.ndarray]:

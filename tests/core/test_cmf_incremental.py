@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import repro.core.cmf as cmf_module
 from repro.core.cmf import (
+    _RESCALES,
     CMF_MODIFIED,
     CMF_ORIGINAL,
     IncrementalCMF,
@@ -22,6 +23,7 @@ from repro.core.cmf import (
     _fenwick_build,
     _fenwick_paths,
     _fenwick_search,
+    _masses,
     build_cmf,
     sample_cmf,
 )
@@ -233,6 +235,106 @@ class TestFenwick:
                 tree.order = []
                 _fenwick_add(tree, index, 1.0)
                 assert paths[index] == tuple(tree.order)
+
+
+#: Fixed uniforms for draw checks: fractional parts of k * golden ratio,
+#: which stay clear of the simple fractions where masses add up exactly.
+GRID = np.modf(np.arange(1, 241) * 0.6180339887498949)[0].tolist()
+
+
+def _spy_rebuilds(monkeypatch):
+    """Log every full rebuild after a sampler's first."""
+    rebuilds = []
+    rebuild = IncrementalCMF._rebuild
+
+    def spy(self):
+        if self.builds:
+            rebuilds.append(self.l_s)
+        rebuild(self)
+
+    monkeypatch.setattr(IncrementalCMF, "_rebuild", spy)
+    return rebuilds
+
+
+class TestRescale:
+    """An ``l_s`` move rescales the tree: nodes within rounding of a fresh
+    build, every draw where a fresh ``build_cmf`` puts it."""
+
+    def test_masses_in_place_match_the_expression(self):
+        loads = np.random.default_rng(3).uniform(-1.0, 3.0, size=300)
+        for l_s in (1.0, 2.5, np.linspace(0.5, 4.0, 300)):
+            assert np.array_equal(_masses(loads, l_s), np.maximum(1.0 - loads / l_s, 0.0))
+            assert np.array_equal(_masses(loads.tolist(), l_s), _masses(loads, l_s))
+
+    @given(
+        loads=loads_strategy,
+        l_ave=st.floats(min_value=1e-3, max_value=50.0),
+        # (grow?, index or amount, factor): a candidate lifted past l_s,
+        # or the maximum lowered, possibly below zero.
+        moves=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 1000), st.floats(1.01, 2.5)),
+            min_size=1, max_size=5,
+        ),
+        listed=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_successive_moves_stay_within_rounding_of_a_fresh_build(
+        self, loads, l_ave, moves, listed
+    ):
+        inc = IncrementalCMF(np.asarray(loads), l_ave, CMF_MODIFIED)
+        if listed:  # as a point update or a draw leaves it
+            inc._list_tree()
+        for grow, raw, factor in moves:
+            old_l_s, run = inc.l_s, inc._rescales
+            if grow:
+                inc.update(raw % len(loads), inc.l_s * factor)
+            else:
+                top = int(np.argmax(inc.loads))
+                inc.update(top, float(inc.loads[top]) - (factor - 1.0) * inc.l_s)
+            l_s = max(l_ave, float(inc.loads.max()))
+            assert inc.l_s == l_s
+            if l_s != old_l_s:  # the guard rebuilds, or the run grows by one
+                rescaled = 0.5 <= old_l_s / l_s <= 2.0 and run < _RESCALES
+                assert inc._rescales == (run + 1 if rescaled else 0)
+            masses = _masses(inc.loads, l_s)
+            fresh = _fenwick_build(masses)
+            tree = np.asarray(inc._tree)[: fresh.size]
+            counts = np.arange(fresh.size) & -np.arange(fresh.size)
+            assert np.all(np.abs(tree - fresh) <= 1e-9 * np.maximum(np.abs(fresh), counts))
+            assert abs(inc.total - masses.sum()) <= 1e-9 * len(loads)
+            assert inc.n_positive == np.count_nonzero(masses)
+            cmf = build_cmf(inc.loads, l_ave, CMF_MODIFIED)
+            assert inc.exhausted == (cmf is None)
+            if cmf is not None:
+                for u in GRID:
+                    assert inc.sample(_Scripted([u])) == sample_cmf(cmf, _Scripted([u]))
+
+    @pytest.mark.parametrize(
+        "new_load, rebuilt",
+        [(1.5, []), (2.0, []), (2.5, [1.0])],  # r = 1/1.5, 1/2: rescaled; 1/2.5: rebuilt
+    )
+    def test_a_move_past_twice_l_s_rebuilds(self, monkeypatch, new_load, rebuilt):
+        rebuilds = _spy_rebuilds(monkeypatch)
+        inc = IncrementalCMF(np.array([0.2, 0.4, 0.6]), 1.0, CMF_MODIFIED)
+        inc.update(0, new_load)
+        assert rebuilds == rebuilt and inc.builds == 2 and inc.l_s == new_load
+
+    def test_a_maximum_falling_below_half_l_s_rebuilds(self, monkeypatch):
+        rebuilds = _spy_rebuilds(monkeypatch)
+        inc = IncrementalCMF(np.array([0.1, 5.0]), 1.0, CMF_MODIFIED)
+        inc.update(1, 3.0)  # r = 5 / 3: rescaled
+        inc.update(1, 1.2)  # r = 3 / 1.2 = 2.5: rebuilt
+        assert rebuilds == [3.0] and inc.builds == 3 and inc.l_s == 1.2
+
+    def test_a_run_of_rescales_ends_in_a_rebuild(self, monkeypatch):
+        rebuilds = _spy_rebuilds(monkeypatch)
+        inc = IncrementalCMF(np.array([0.2, 0.4, 0.6]), 1.0, CMF_MODIFIED)
+        for k in range(2 * _RESCALES + 2):
+            inc.update(k % 3, inc.l_s * 1.1)
+            assert len(rebuilds) == (k + 1) // (_RESCALES + 1)
+            assert inc._rescales == (k + 1) % (_RESCALES + 1)
+        assert inc.builds == 2 * _RESCALES + 3
+        assert_matches_fresh_build(inc, 1.0, CMF_MODIFIED)
 
 
 class _Scripted:
@@ -542,6 +644,33 @@ class TestProposePass:
         assert sampler.builds == 2 and sampler.exhausted  # filled to l_s: no rebuild
         assert sampler.loads.tolist() == [1.4, 0.2 + 0.4 + 0.4 + 0.4]
         assert rngs[0].calls == [12, 4]  # the chunk, then the redraw
+
+    def test_a_move_inside_a_list_segment_rescales_the_bits_update_does(self, monkeypatch):
+        # Twelve certain proposals over two candidates: a list segment.
+        # The first accept lifts candidate 0 to 1.4 > l_s = 1.0 on the
+        # fused pass's list tree and on the reference's ndarray tree; both
+        # rescale (r = 1 / 1.4) through one array path, bit for bit, and
+        # the walk carries on at the new scale.
+        rebuilds = _spy_rebuilds(monkeypatch)
+        sampler, acc_pos, _ = _assert_pass_matches_reference(
+            known=[0.5, 0.2], l_ave=1.0, variant=CMF_MODIFIED,
+            o_loads=[0.9] + [0.01] * 11, p_load=20.0, threshold_load=1.0,
+            relaxed=True, uniforms=[0.1] + [0.7] * 11,
+        )
+        assert rebuilds == [] and sampler._rescales == 1 and sampler.builds == 2
+        assert sampler.l_s == 1.4 and len(acc_pos) == 12
+
+    def test_a_move_on_a_short_segment_rescales_the_bits_update_does(self, monkeypatch):
+        # A short walk over 200 candidates: the fused pass rescales its
+        # ndarray tree, the reference the list its first update made.
+        rebuilds = _spy_rebuilds(monkeypatch)
+        known = np.random.default_rng(7).uniform(0.0, 0.9, size=199).tolist() + [0.8]
+        sampler, acc_pos, _ = _assert_pass_matches_reference(
+            known, l_ave=1.0, variant=CMF_MODIFIED, o_loads=[0.05, 0.3, 0.6],
+            p_load=1.5, threshold_load=1.0, relaxed=True, uniforms=[0.3, 0.9999, 0.5],
+        )
+        assert acc_pos == [0, 1, 2] and rebuilds == [] and sampler._rescales == 1
+        assert isinstance(sampler._tree, np.ndarray) and sampler.l_s == 1.1
 
     @pytest.mark.parametrize("tasks, lists", [(4, False), (5, True)])
     def test_list_segments_start_at_as_many_certain_proposals_as_candidates(

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.transfer as transfer_module
-from repro.core.cmf import CMF_MODIFIED, CMF_ORIGINAL, IncrementalCMF
+from repro.core.cmf import _RESCALES, CMF_MODIFIED, CMF_ORIGINAL, IncrementalCMF
 from repro.core.gossip import GossipResult, run_inform_stage
 from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
 from repro.core.ordering import ORDERINGS, order_segments
@@ -378,6 +378,33 @@ def test_a_stage_materialises_fewer_rebuilds_than_it_counts(monkeypatch):
     stats = transfer_stage(dist.assignment.copy(), dist.task_loads, gossip, rng=6)
     assert taken == ["run_independent"] and stats.overloaded_ranks == 64
     assert counts["rebuilt"] < stats.cmf_builds - counts["started"]
+
+
+def test_a_stage_rebuilds_only_where_the_rescale_guard_says(monkeypatch):
+    """The same stage: every ``l_s`` move a walk applies rescales the
+    tree unless ``r = l_s / l_s'`` leaves [1/2, 2] or ``_RESCALES`` ran
+    in a row. A spy on ``_rebuild`` sees 7 rebuilds where every move
+    once rebuilt (160), while ``cmf_builds`` and the moves stay put."""
+    dist = paper_analysis_scenario(n_tasks=1024, n_loaded_ranks=64, n_ranks=1024, seed=4)
+    gossip = run_inform_stage(dist.rank_loads(), rng=5)
+    guarded, moves = [], []
+    rebuild, rescale = IncrementalCMF._rebuild, IncrementalCMF._rescale
+
+    def rebuild_spy(self):
+        if self.builds:  # the constructor's build is l.5
+            r = self.l_s / max(self.l_ave, self._max_load)
+            guarded.append(not 0.5 <= r <= 2.0 or self._rescales == _RESCALES)
+        rebuild(self)
+
+    def rescale_spy(self, *args):
+        moves.append(args)
+        rescale(self, *args)
+
+    monkeypatch.setattr(IncrementalCMF, "_rebuild", rebuild_spy)
+    monkeypatch.setattr(IncrementalCMF, "_rescale", rescale_spy)
+    stats = transfer_stage(dist.assignment.copy(), dist.task_loads, gossip, rng=6)
+    assert all(guarded) and len(guarded) == 7 and len(moves) == 160
+    assert (stats.cmf_builds, stats.transfers, stats.rejections) == (229, 974, 10)
 
 
 @pytest.mark.parametrize("recompute_cmf", [True, False])
