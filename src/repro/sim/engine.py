@@ -9,7 +9,11 @@ simulation bit-reproducible.
 :meth:`Engine._push`, which skips :meth:`Engine.schedule_at`'s past-time
 check: their times are ``max(now, ...) + non-negative costs`` by
 construction. Every event, checked or not, draws its sequence number
-from the same ticket, and only this module knows the tuple layout.
+from the same ticket, and only this module builds the tuples. An
+execute event that would pop next may instead run inline in the arrival
+event that would push it: ``System._arrive`` reads the head's time and
+:meth:`run`'s budget itself (an engine method there measured slower),
+and counts it as a dispatched event.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ class Engine:
         #: Sequence numbers, one per scheduled event, in scheduling order.
         self._ticket = itertools.count()
         self._events_processed = 0
+        #: Inline executions may run below this count: 0 outside run().
+        self._inline_limit: float = 0
         self._registry = registry
 
     @property
@@ -87,20 +93,21 @@ class Engine:
         With ``until`` set, events beyond it stay queued and the clock
         advances exactly to ``until`` (unless ``max_events`` stopped the
         run first). The loop keeps the queue, the pop and the bounds in
-        locals; ``events_processed`` is current inside every callback.
+        locals; ``events_processed`` is current inside every callback and
+        counts inline executions, so at most ``max_events`` are dispatched.
         """
         queue = self._queue
         pop = heapq.heappop
         stop = math.inf if until is None else until
-        limit = math.inf if max_events is None else max_events
-        dispatched = 0
+        start_events = self._events_processed
+        limit = math.inf if max_events is None else start_events + max_events
+        self._inline_limit = limit
         start_time = self._now
         try:
-            while queue and queue[0][0] <= stop and dispatched < limit:
+            while queue and queue[0][0] <= stop and self._events_processed < limit:
                 when, _, callback, args = pop(queue)
                 self._now = when
                 self._events_processed += 1
-                dispatched += 1
                 callback(*args)
             if until is not None:
                 if queue and queue[0][0] > until:
@@ -109,14 +116,15 @@ class Engine:
                     self._now = until
             return self._now
         finally:
+            self._inline_limit = 0
             if self._registry is not None:
                 self._registry.inc("engine.runs")
-                self._registry.inc("engine.events", dispatched)
+                self._registry.inc("engine.events", self._events_processed - start_events)
                 self._registry.add_time("engine.sim_time", self._now - start_time)
                 self._registry.gauge("engine.queue_depth", len(self._queue))
 
     def step(self) -> bool:
-        """Dispatch exactly one event; returns False when the queue is empty."""
+        """Dispatch exactly one event, never inline; False when the queue is empty."""
         if not self._queue:
             return False
         when, _, callback, args = heapq.heappop(self._queue)

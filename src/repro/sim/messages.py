@@ -117,3 +117,11 @@ class Message(_Fields):
         if msg_id is None:
             msg_id = next(_ids)
         return _new_tuple(cls, (src, dst, tag, payload, size, send_time, msg_id))
+
+    @classmethod
+    def burst(cls, src: int, dsts: Any, tag: str, payload: Any, size: int, now: float) -> list:
+        """``[Message(src, int(dst), tag, payload, size, now) for dst in
+        dsts]``, checking ``size`` once."""
+        if size < 0:
+            raise ValueError("message size must be non-negative")
+        return [_new_tuple(cls, (src, int(d), tag, payload, size, now, next(_ids))) for d in dsts]

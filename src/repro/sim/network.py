@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["NetworkModel"]
@@ -70,33 +68,3 @@ class NetworkModel:
         if src // rpn == dst // rpn:
             return size / self.intra_bandwidth, self.intra_latency
         return size / self.inter_bandwidth, self.inter_latency
-
-    def latencies(
-        self, src: int, dsts: np.ndarray, sizes: np.ndarray | int
-    ) -> np.ndarray:
-        """Vectorized :meth:`latency`: one sender, many destinations.
-
-        ``sizes`` may be a scalar (one payload fanned out) or an array
-        aligned with ``dsts``. Element ``i`` equals
-        ``latency(src, dsts[i], sizes[i])`` exactly — the same alpha
-        lookup and the same single IEEE division for the beta term.
-        """
-        dsts = np.asarray(dsts, dtype=np.int64)
-        sizes = np.broadcast_to(np.asarray(sizes, dtype=np.float64), dsts.shape)
-        if (sizes < 0).any():
-            raise ValueError("size must be non-negative")
-        same = dsts == src
-        intra = (dsts // self.ranks_per_node == src // self.ranks_per_node) & ~same
-        alpha = np.where(
-            same,
-            self.self_latency,
-            np.where(intra, self.intra_latency, self.inter_latency),
-        )
-        beta = np.where(
-            same,
-            0.0,
-            np.where(
-                intra, sizes / self.intra_bandwidth, sizes / self.inter_bandwidth
-            ),
-        )
-        return alpha + beta

@@ -21,16 +21,19 @@ charged the handler overhead, so simulated time does not depend on
 when a stage detached.
 
 **The per-message path.** Each message is one :class:`Message`, one
-arrival event and one execute event; arrival and execution stay
-separate events because executing inline would run a handler ahead of
-other events queued at the same time. The path keeps its state in
-locals, classifies each link once (:meth:`NetworkModel.link_cost`),
-charges the handler overhead through the same occupancy rule as
-:meth:`Process.compute` without re-validating it, and queues its events
-with the engine's unchecked push (their times are never in the past by
-construction). Hooks are tuples, replaced rather than mutated, so a
-hook that detaches while the hooks run (a detector announcing
-termination) never makes the loop skip the next one.
+arrival event and one execution, an event at ``max(now, busy_until)``
+unless the rank is idle and no queued event is due at ``now``: that
+execute event would be the next one popped, so the arrival runs it
+inline (counted as an event) and every ``(time, seq)`` order stays the
+same. A rank's next message is always an event, so an inline execution
+never runs another. The path keeps its state in locals, classifies
+each link once (:meth:`NetworkModel.link_cost`), charges the handler
+overhead through the same occupancy rule as :meth:`Process.compute`
+without re-validating it, and queues its events with the engine's
+unchecked push (their times are never in the past by construction).
+Hooks are tuples, replaced rather than mutated, so a hook that detaches
+while the hooks run (a detector announcing termination) never makes
+the loop skip the next one.
 """
 
 from __future__ import annotations
@@ -110,9 +113,7 @@ class Process:
         :meth:`System.transmit_many`).
         """
         system = self.system
-        now = system.engine.now
-        src = self.rank
-        msgs = [Message(src, int(dst), tag, payload, size, now) for dst in dsts]
+        msgs = Message.burst(self.rank, dsts, tag, payload, size, system.engine._now)
         if not msgs:
             return
         self.sent += len(msgs)
@@ -134,22 +135,6 @@ class Process:
         for hook in system._compute_hooks:
             hook(self.rank, start, end)
 
-    def deliver(self, msg: Message) -> None:
-        """Called by the system at wire-arrival time; the message queues
-        behind any handler currently executing on this rank."""
-        self._mailbox.append(msg)
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        """Schedule the head of the mailbox at ``max(now, busy_until)``."""
-        if self._executing or not self._mailbox:
-            return
-        self._executing = True
-        engine = self.system.engine
-        now = engine._now
-        busy = self.busy_until
-        engine._push(busy if busy > now else now, self._execute, ())
-
     def _execute(self) -> None:
         mailbox = self._mailbox
         if not mailbox:
@@ -168,8 +153,13 @@ class Process:
             raise KeyError(f"rank {self.rank} has no handler for tag {msg.tag!r}")
         for hook in system._post_execute_hooks:
             hook(self, msg)
-        self._executing = False
-        self._schedule_next()
+        if mailbox:  # the next message is an event, never inline
+            engine = system.engine
+            now = engine._now
+            busy = self.busy_until
+            engine._push(busy if busy > now else now, self._execute, ())
+        else:
+            self._executing = False
 
 
 class System:
@@ -297,7 +287,6 @@ class System:
             if not 0 <= msg.dst < n_ranks:
                 raise ValueError(f"destination rank {msg.dst} out of range")
         self.messages_sent += len(msgs)
-        self.bytes_sent += sum(m.size for m in msgs)
         if self.registry is not None:
             tag_counts: dict[str, int] = {}
             tag_bytes: dict[str, int] = {}
@@ -320,21 +309,25 @@ class System:
         # plus its own transmission time (pipelined LogGP-style gap).
         # ``a if a > b else b`` is ``max(b, a)`` exactly, ties included.
         engine = self.engine
-        now = engine.now
+        now = engine._now
         push = engine._push
         link_cost = self.network.link_cost
         nic_free = self._nic_free
         rx_free = self._rx_free
         processes = self.processes
         arrive = self._arrive
+        hooks = self._transmit_hooks
         faults = self.faults
         faulty = faults is not None and faults.enabled
+        nbytes = 0
         for msg in msgs:
             src = msg.src
             dst = msg.dst
-            for hook in self._transmit_hooks:
+            size = msg.size
+            nbytes += size
+            for hook in hooks:
                 hook(msg)
-            tx, alpha = link_cost(src, dst, msg.size)
+            tx, alpha = link_cost(src, dst, size)
             free = nic_free[src]
             depart = (free if free > now else now) + tx
             nic_free[src] = depart
@@ -357,11 +350,14 @@ class System:
                     rx_done = rx if rx > arrival else arrival
                     rx_free[dst] = rx_done
                     push(rx_done + extra, arrive, (processes[dst], msg))
+                # A drop can end a detector, which detaches its hooks.
+                hooks = self._transmit_hooks
                 continue
             rx = rx_free[dst] + tx
             rx_done = rx if rx > arrival else arrival
             rx_free[dst] = rx_done
             push(rx_done, arrive, (processes[dst], msg))
+        self.bytes_sent += nbytes
 
     def _arrive(self, dest: Process, msg: Message) -> None:
         faults = self.faults
@@ -369,7 +365,21 @@ class System:
             return
         for hook in self._deliver_hooks:
             hook(msg)
-        dest.deliver(msg)
+        dest._mailbox.append(msg)
+        if dest._executing:
+            return
+        dest._executing = True
+        engine = self.engine
+        busy = dest.busy_until
+        if busy > engine._now:
+            engine._push(busy, dest._execute, ())
+        elif engine._events_processed < engine._inline_limit and (
+            not engine._queue or engine._queue[0][0] > engine._now
+        ):
+            engine._events_processed += 1  # the execute event, dispatched inline
+            dest._execute()
+        else:
+            engine._push(engine._now, dest._execute, ())
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Drive the engine; returns the final simulated time."""
