@@ -482,8 +482,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.core.distribution import Distribution
     from repro.core.grapevine import GrapevineLB
     from repro.core.tempered import TemperedLB
+    from repro.util.validation import check_positive_int
     from repro.workloads import MovingHotspot
 
+    check_positive_int("--phases", args.phases)
     registry = StatsRegistry()
     faults = _parse_fault_config(args)
     if args.balancer == "grapevine":
@@ -603,6 +605,17 @@ def _cmd_net(args: argparse.Namespace) -> int:
 
     from pathlib import Path
 
+    from repro.util.validation import check_nonnegative
+
+    check_nonnegative("--processes", args.processes)
+    outdir = Path(args.out)
+    log_dir = None if args.no_logs else str(outdir / "logs")
+    options = NetOptions(
+        workers=args.processes if args.processes > 0 else args.workers,
+        processes=args.processes > 0,
+        log_dir=log_dir,
+        timeout=args.timeout,
+    )
     spec = EpisodeSpec.synthetic(
         args.ranks,
         n_tasks=args.tasks,
@@ -611,14 +624,6 @@ def _cmd_net(args: argparse.Namespace) -> int:
         fanout=args.fanout,
         rounds=args.rounds,
         n_iters=args.iters,
-    )
-    outdir = Path(args.out)
-    log_dir = None if args.no_logs else str(outdir / "logs")
-    options = NetOptions(
-        workers=args.processes if args.processes > 0 else args.workers,
-        processes=args.processes > 0,
-        log_dir=log_dir,
-        timeout=args.timeout,
     )
     transport: list[dict] = []
     try:

@@ -41,6 +41,7 @@ from repro.net.episode import (
 from repro.net.node import run_worker
 from repro.net.wire import FrameError, expect_frame, write_frame
 from repro.obs import StatsRegistry
+from repro.util.validation import check_positive, check_positive_int
 
 __all__ = [
     "NetOptions",
@@ -64,6 +65,10 @@ class NetOptions:
     log_dir: str | None = None  #: per-node JSONL wire logs (None = off)
     timeout: float = 300.0  #: wall-clock budget for the whole episode
     policy: RetryPolicy = RetryPolicy()  #: dispatcher retry/backoff
+
+    def __post_init__(self) -> None:
+        check_positive_int("workers", self.workers)
+        check_positive("timeout", self.timeout)
 
 
 class WorkerFailed(ConnectionError):
@@ -120,7 +125,7 @@ async def _watch(proc: asyncio.subprocess.Process) -> None:
 async def _run_episode(
     spec: EpisodeSpec, options: NetOptions, transport: list | None
 ) -> EpisodeResult:
-    n_workers = max(1, min(int(options.workers), spec.n_ranks))
+    n_workers = min(options.workers, spec.n_ranks)
     # Contiguous rank slices, remainder spread over the first workers.
     base, extra = divmod(spec.n_ranks, n_workers)
     bounds = [i * base + min(i, extra) for i in range(n_workers + 1)]

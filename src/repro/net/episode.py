@@ -128,6 +128,7 @@ class EpisodeSpec:
         """A paper-shaped scenario spec (§ V synthetic distribution)."""
         from repro.workloads import paper_analysis_scenario
 
+        check_positive_int("n_ranks", n_ranks)
         n_tasks = 32 * n_ranks if n_tasks is None else n_tasks
         n_loaded_ranks = (
             max(n_ranks // 8, 1) if n_loaded_ranks is None else n_loaded_ranks

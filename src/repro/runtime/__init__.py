@@ -11,11 +11,6 @@ from repro.runtime.amt import AMTRuntime, PhaseResult
 from repro.runtime.lbmanager import DistributedLBResult, LBManager, event_inform_stage
 from repro.runtime.migration import MigrationResult, migrate_tasks
 from repro.runtime.phase import PhaseBarrier, PhaseInstrumentation
-from repro.runtime.work_stealing import (
-    RetentiveWorkStealing,
-    StealResult,
-    WorkStealingScheduler,
-)
 
 __all__ = [
     "AMTRuntime",
@@ -25,9 +20,6 @@ __all__ = [
     "PhaseBarrier",
     "PhaseInstrumentation",
     "PhaseResult",
-    "RetentiveWorkStealing",
-    "StealResult",
-    "WorkStealingScheduler",
     "event_inform_stage",
     "migrate_tasks",
 ]

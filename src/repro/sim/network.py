@@ -41,16 +41,6 @@ class NetworkModel:
         """Node id hosting a rank (block mapping, as on the ARM cluster)."""
         return rank // self.ranks_per_node
 
-    def link_class(self, src: int, dst: int) -> str:
-        """Which link a message traverses: ``"self"``, ``"intra"`` (same
-        node) or ``"inter"`` (crossing nodes). Telemetry keys messages
-        by this class (``net.links.*``)."""
-        if src == dst:
-            return "self"
-        if self.node_of(src) == self.node_of(dst):
-            return "intra"
-        return "inter"
-
     def latency(self, src: int, dst: int, size: int) -> float:
         """Total transfer time for ``size`` bytes from ``src`` to ``dst``."""
         if size < 0:

@@ -287,20 +287,33 @@ class System:
             if not 0 <= msg.dst < n_ranks:
                 raise ValueError(f"destination rank {msg.dst} out of range")
         self.messages_sent += len(msgs)
-        if self.registry is not None:
-            tag_counts: dict[str, int] = {}
-            tag_bytes: dict[str, int] = {}
-            link_counts: dict[str, int] = {}
+        registry = self.registry
+        if registry is not None:
+            # One pass: each message's link ("self", "intra" node or
+            # "inter" node) and its tally row under (tag, link).
+            rpn = self.network.ranks_per_node
+            tally: dict[tuple[str, str], list[int]] = {}
             for m in msgs:
-                tag_counts[m.tag] = tag_counts.get(m.tag, 0) + 1
-                tag_bytes[m.tag] = tag_bytes.get(m.tag, 0) + m.size
-                link = self.network.link_class(m.src, m.dst)
-                link_counts[link] = link_counts.get(link, 0) + 1
-            for tag, count in tag_counts.items():
-                self.registry.inc(f"net.messages.{tag}", count)
-                self.registry.inc(f"net.bytes.{tag}", tag_bytes[tag])
-            for link, count in link_counts.items():
-                self.registry.inc(f"net.links.{link}", count)
+                src = m.src
+                dst = m.dst
+                if src == dst:
+                    link = "self"
+                elif src // rpn == dst // rpn:
+                    link = "intra"
+                else:
+                    link = "inter"
+                row = tally.get((m.tag, link))
+                if row is None:
+                    tally[m.tag, link] = [1, m.size]
+                else:
+                    row[0] += 1
+                    row[1] += m.size
+            # Tags first, then links, each in first-seen order.
+            for (tag, _), (count, size) in tally.items():
+                registry.inc(f"net.messages.{tag}", count)
+                registry.inc(f"net.bytes.{tag}", size)
+            for (_, link), (count, _) in tally.items():
+                registry.inc(f"net.links.{link}", count)
         # Sender-side NIC serialization: concurrent sends from one rank
         # queue behind each other for their transmission (beta) time; the
         # wire latency (alpha) then overlaps freely. At the destination,

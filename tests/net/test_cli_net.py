@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.net import NetOptions
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +74,41 @@ class TestNetAnalyze:
         finally:
             payload["result"]["per_round_messages"][0] -= 1
             result_path.write_text(json.dumps(payload))
+
+
+class TestNetRunRefusesBadOptions:
+    """A bad host option fails before any socket opens, naming itself,
+    instead of being rewritten to something that runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_episode(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("an episode started despite a bad option")
+
+        monkeypatch.setattr("repro.net.run_episode_net", refuse)
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--workers", "0", "workers"),
+            ("--workers", "-2", "workers"),
+            ("--processes", "-1", "--processes"),
+            ("--timeout", "0", "timeout"),
+        ],
+    )
+    def test_bad_host_option(self, flag, value, name, tmp_path):
+        with pytest.raises(ValueError, match=name):
+            main(["net", "run", "--ranks", "8", "--out", str(tmp_path), flag, value])
+
+    @pytest.mark.parametrize("ranks", ["0", "-4"])
+    def test_bad_rank_count_names_ranks(self, ranks, tmp_path):
+        with pytest.raises(ValueError, match="n_ranks"):
+            main(["net", "run", "--ranks", ranks, "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"workers": 0}, {"workers": -2}, {"workers": 1.5}, {"timeout": 0.0}]
+)
+def test_net_options_refuse_bad_values(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        NetOptions(**kwargs)

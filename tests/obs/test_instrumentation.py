@@ -17,6 +17,7 @@ from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.core.transfer import transfer_stage
 from repro.runtime import AMTRuntime, LBManager
 from repro.sim.engine import Engine
+from repro.sim.messages import Message
 from repro.sim.process import System
 from repro.workloads import MovingHotspot, paper_analysis_scenario
 
@@ -281,6 +282,88 @@ class TestSimLayer:
         assert reg.counter("net.bytes.ping") == 150
         assert reg.counter("net.links.intra") == 2
         assert received == [1, 2]
+
+
+    def test_burst_counters_tags_first_then_links_in_first_seen_order(self):
+        reg = StatsRegistry()
+        system = System(8, registry=reg)  # 4 ranks per node
+        for proc in system.processes:
+            for tag in ("a", "b"):
+                proc.register(tag, lambda p, m: None)
+        system.transmit_many(
+            [
+                Message(0, 0, "b", size=10),  # self
+                Message(0, 5, "a", size=20),  # inter
+                Message(1, 2, "b", size=30),  # intra
+                Message(4, 6, "a", size=40),  # intra
+            ]
+        )
+        assert list(reg.counters.items()) == [
+            ("net.messages.b", 2),
+            ("net.bytes.b", 40),
+            ("net.messages.a", 2),
+            ("net.bytes.a", 60),
+            ("net.links.self", 1),
+            ("net.links.inter", 1),
+            ("net.links.intra", 2),
+        ]
+
+    def test_episode_net_counters_pinned(self):
+        """Every ``net.*`` counter of a 16-rank episode (barriers,
+        reductions, inform, Safra tokens, migration), in the order the
+        registry first saw it."""
+        reg = StatsRegistry()
+        dist = paper_analysis_scenario(n_tasks=256, n_loaded_ranks=2, n_ranks=16, seed=3)
+        runtime = AMTRuntime(
+            16, dist.task_loads, dist.assignment, task_overhead=1e-3, registry=reg
+        )
+        runtime.execute_phase()
+        config = TemperedConfig(n_trials=1, n_iters=2, fanout=3, rounds=3)
+        LBManager(runtime, config, seed=4, registry=reg).run_episode()
+        runtime.execute_phase()
+        net = [(k, v) for k, v in reg.counters.items() if k.startswith("net.")]
+        assert net == NET_EPISODE_COUNTERS
+
+
+#: ``TestSimLayer.test_episode_net_counters_pinned``'s counters.
+NET_EPISODE_COUNTERS = [
+    ("net.messages.__barrier_up_1", 15),
+    ("net.bytes.__barrier_up_1", 240),
+    ("net.links.intra", 319),
+    ("net.links.inter", 581),
+    ("net.messages.__barrier_down_1", 15),
+    ("net.bytes.__barrier_down_1", 240),
+    ("net.messages.__allreduce_up_1", 15),
+    ("net.bytes.__allreduce_up_1", 480),
+    ("net.messages.__allreduce_down_1", 15),
+    ("net.bytes.__allreduce_down_1", 480),
+    ("net.messages.inform_1", 135),
+    ("net.bytes.inform_1", 10176),
+    ("net.messages.__safra_token_1", 48),
+    ("net.bytes.__safra_token_1", 768),
+    ("net.messages.__allreduce_up_2", 15),
+    ("net.bytes.__allreduce_up_2", 480),
+    ("net.messages.__allreduce_down_2", 15),
+    ("net.bytes.__allreduce_down_2", 480),
+    ("net.messages.inform_2", 105),
+    ("net.bytes.inform_2", 6960),
+    ("net.messages.__safra_token_2", 48),
+    ("net.bytes.__safra_token_2", 768),
+    ("net.messages.__allreduce_up_3", 15),
+    ("net.bytes.__allreduce_up_3", 480),
+    ("net.messages.__allreduce_down_3", 15),
+    ("net.bytes.__allreduce_down_3", 480),
+    ("net.messages.mig_commit_1", 15),
+    ("net.bytes.mig_commit_1", 240),
+    ("net.messages.mig_task_1", 192),
+    ("net.bytes.mig_task_1", 240865242),
+    ("net.messages.__ds_ack_1", 207),
+    ("net.bytes.__ds_ack_1", 1656),
+    ("net.messages.__barrier_up_2", 15),
+    ("net.bytes.__barrier_up_2", 240),
+    ("net.messages.__barrier_down_2", 15),
+    ("net.bytes.__barrier_down_2", 240),
+]
 
 
 class TestRuntimeLayer:

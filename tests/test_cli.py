@@ -175,6 +175,17 @@ class TestTrace:
             main(["trace", "--ranks", "2", flag, "0"])
 
 
+class TestStats:
+    @pytest.mark.parametrize("phases", ["0", "-1"])
+    def test_bad_phase_count_rejected_before_the_balancer(self, phases, monkeypatch):
+        def no_balancer(*args, **kwargs):
+            pytest.fail("the balancer was built before --phases was checked")
+
+        monkeypatch.setattr("repro.core.tempered.TemperedLB", no_balancer)
+        with pytest.raises(ValueError, match="--phases"):
+            main(["stats", "--phases", phases])
+
+
 class TestProtocols:
     def test_reports_costs(self, capsys, tmp_path):
         out_file = tmp_path / "protocols.json"
