@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Tour of the analysis toolkit: traces, reports, sweeps, plots.
+"""Tour of the analysis toolkit: reports, tables, plots.
 
-Synthesizes a dynamic load trace, measures its persistence, balances
-one phase and prints the full LB diagnostic report, then replays the
-trace under three strategies and renders the executed-imbalance
-comparison as a strip chart.
+Drifts a load hotspot over the task ring, measures its phase-to-phase
+persistence, balances one phase and prints the full LB diagnostic
+report, then balances every phase of the drift under three strategies
+and renders the resulting imbalance as a table and a strip chart.
 
 Run:  python examples/analysis_toolkit.py
 """
@@ -14,7 +14,9 @@ import numpy as np
 from repro.analysis import format_rows, lb_report, strip_chart
 from repro.core.distribution import Distribution
 from repro.core.registry import make_balancer
-from repro.workloads import synthesize_trace
+from repro.workloads import MovingHotspot
+
+N_TASKS, N_RANKS, N_PHASES = 256, 16, 24
 
 STRATEGIES = {
     "tempered": {"n_trials": 1, "n_iters": 5, "fanout": 4, "rounds": 5},
@@ -24,33 +26,38 @@ STRATEGIES = {
 
 
 def main() -> None:
-    trace = synthesize_trace("hotspot", n_phases=24, n_tasks=256)
-    print(f"synthesized trace: {trace.n_phases} phases x {trace.n_tasks} tasks, "
-          f"mean persistence {trace.mean_persistence():.3f}\n")
+    hotspot = MovingHotspot(N_TASKS, base=0.5, amplitude=10.0, sigma=0.05, speed=0.01)
+    persistence = np.mean([hotspot.persistence(t) for t in range(N_PHASES - 1)])
+    print(f"moving hotspot: {N_PHASES} phases x {N_TASKS} tasks, "
+          f"mean persistence {persistence:.3f}\n")
+
+    # Every phase starts from the same block placement of tasks on ranks.
+    block = (np.arange(N_TASKS) * N_RANKS // N_TASKS).astype(np.int64)
+    phases = [Distribution(hotspot.loads(t), block, N_RANKS) for t in range(N_PHASES)]
 
     # One balancing decision, dissected with the "+LBDebug"-style report.
-    dist = Distribution(
-        trace.phase(0), (np.arange(256) * 16 // 256).astype(np.int64), 16
-    )
     lb = make_balancer("tempered", **STRATEGIES["tempered"])
-    result = lb.rebalance(dist, rng=np.random.default_rng(0))
-    print(lb_report(dist, result))
+    result = lb.rebalance(phases[0], rng=np.random.default_rng(0))
+    print(lb_report(phases[0], result))
 
-    # Replay the whole trace under three strategies.
-    print("\nreplaying the trace (LB every 2 phases, deciding on stale loads):")
+    # Balance each phase of the drift under three strategies.
+    initial = np.mean([dist.imbalance() for dist in phases])
+    print(f"\nbalancing every phase from the block placement (mean I = {initial:.2f}):")
     series = {}
     rows = []
     for name, kwargs in STRATEGIES.items():
-        replay = trace.replay(make_balancer(name, **kwargs), n_ranks=16, lb_period=2)
-        series[name] = [imb for _, imb, _ in replay]
+        balancer = make_balancer(name, **kwargs)
+        rng = np.random.default_rng(0)
+        results = [balancer.rebalance(dist, rng=rng) for dist in phases]
+        series[name] = [r.final_imbalance for r in results]
         rows.append(
             {
                 "strategy": name,
-                "mean executed I (steady)": float(np.mean(series[name][8:])),
-                "migrations": sum(m for _, _, m in replay),
+                "mean final I": float(np.mean(series[name])),
+                "mean migrations": float(np.mean([r.n_migrations for r in results])),
             }
         )
-    print(format_rows(rows, ["strategy", "mean executed I (steady)", "migrations"]))
+    print(format_rows(rows, ["strategy", "mean final I", "mean migrations"]))
     print()
     print(strip_chart(series, width=60, height=10))
 

@@ -15,7 +15,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.distribution import Distribution
-from repro.core.registry import make_balancer
+from repro.core.registry import available_strategies, make_balancer
 from repro.workloads import (
     paper_analysis_scenario,
     random_distribution,
@@ -61,6 +61,11 @@ class SweepSpec:
         for label, params in self.strategies.items():
             if "kind" not in params:
                 raise ValueError(f"strategy {label!r} needs a 'kind'")
+            if params["kind"] not in available_strategies():
+                raise ValueError(
+                    f"strategy {label!r}: unknown kind {params['kind']!r}; "
+                    f"available: {available_strategies()}"
+                )
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form."""

@@ -238,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--rounds", type=int, default=10)
     pr.add_argument("--iters", type=int, default=1,
                     help="inform+transfer iterations per episode")
-    pr.add_argument("--workers", type=int, default=1,
+    pr.add_argument("--workers", type=int, default=None,
                     help="in-process workers (one socket endpoint each) "
-                    "hosting the rank nodes")
+                    "hosting the rank nodes (default 1)")
     pr.add_argument("--processes", type=int, default=0,
                     help="shard ranks across N real worker OS processes "
-                    "(0 = in-process coroutine workers; sockets are real "
-                    "either way)")
+                    "instead (0 = in-process coroutine workers; sockets are "
+                    "real either way)")
     pr.add_argument("--out", type=str, default="net_episode",
                     help="artifact directory (result.json + logs/)")
     pr.add_argument("--no-logs", action="store_true",
@@ -608,10 +608,12 @@ def _cmd_net(args: argparse.Namespace) -> int:
     from repro.util.validation import check_nonnegative
 
     check_nonnegative("--processes", args.processes)
+    if args.processes > 0 and args.workers is not None:
+        raise ValueError("--workers and --processes both set the worker count; pass one")
     outdir = Path(args.out)
     log_dir = None if args.no_logs else str(outdir / "logs")
     options = NetOptions(
-        workers=args.processes if args.processes > 0 else args.workers,
+        workers=args.processes or (1 if args.workers is None else args.workers),
         processes=args.processes > 0,
         log_dir=log_dir,
         timeout=args.timeout,

@@ -8,7 +8,6 @@ and at round barriers by :class:`repro.net.episode.NodeCore`.
 """
 
 from repro.core.base import IterationRecord, LBResult, LoadBalancer
-from repro.core.baselines import RandomLB, RotateLB
 from repro.core.cmf import CMF_MODIFIED, CMF_ORIGINAL, build_cmf, sample_cmf
 from repro.core.comm import CommAwareLB, CommGraph
 from repro.core.criteria import (
@@ -52,10 +51,8 @@ __all__ = [
     "LoadStatistics",
     "ORDERINGS",
     "PackedKnowledgeBitmap",
-    "RandomLB",
     "RankTaskState",
     "RefinementResult",
-    "RotateLB",
     "SparseKnowledge",
     "TemperedConfig",
     "TemperedLB",

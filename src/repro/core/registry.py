@@ -1,8 +1,10 @@
 """Strategy registry: build any balancer by name.
 
-Mirrors Charm++'s ``+balancer <Name>`` runtime flag: experiment specs,
-the CLI and the EMPIRE driver can all resolve strategies from strings
-(with keyword overrides) without importing each class.
+Mirrors Charm++'s ``+balancer <Name>`` runtime flag: a sweep spec
+(:mod:`repro.analysis.runner`, behind ``repro sweep``) names each
+strategy by string, with keyword overrides, without importing its class.
+The registry holds the paper's balancer and its three comparison
+baselines.
 """
 
 from __future__ import annotations
@@ -10,11 +12,9 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.core.base import LoadBalancer
-from repro.core.baselines import RandomLB, RotateLB
 from repro.core.grapevine import GrapevineLB
 from repro.core.greedy import GreedyLB
 from repro.core.hier import HierLB
-from repro.core.refine import GreedyRefineLB, RefineLB
 from repro.core.tempered import TemperedLB
 
 __all__ = ["STRATEGIES", "make_balancer", "available_strategies"]
@@ -23,11 +23,7 @@ STRATEGIES: dict[str, Callable[..., LoadBalancer]] = {
     "tempered": TemperedLB,
     "grapevine": GrapevineLB,
     "greedy": GreedyLB,
-    "greedy_refine": GreedyRefineLB,
-    "refine": RefineLB,
     "hier": HierLB,
-    "random": RandomLB,
-    "rotate": RotateLB,
 }
 
 

@@ -37,10 +37,6 @@ class NetworkModel:
         check_positive("inter_bandwidth", self.inter_bandwidth)
         check_nonnegative("self_latency", self.self_latency)
 
-    def node_of(self, rank: int) -> int:
-        """Node id hosting a rank (block mapping, as on the ARM cluster)."""
-        return rank // self.ranks_per_node
-
     def latency(self, src: int, dst: int, size: int) -> float:
         """Total transfer time for ``size`` bytes from ``src`` to ``dst``."""
         if size < 0:

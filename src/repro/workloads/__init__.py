@@ -13,14 +13,11 @@ from repro.workloads.synthetic import (
     skewed_distribution,
 )
 from repro.workloads.timevarying import MovingHotspot, PersistenceNoise
-from repro.workloads.traces import LoadTrace, synthesize_trace
 
 __all__ = [
-    "LoadTrace",
     "MovingHotspot",
     "PersistenceNoise",
     "paper_analysis_scenario",
     "random_distribution",
     "skewed_distribution",
-    "synthesize_trace",
 ]

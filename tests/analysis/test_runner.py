@@ -48,6 +48,13 @@ class TestSpecValidation:
                 strategies={"g": {"n_trials": 2}},
             )
 
+    @pytest.mark.parametrize("kind", ["refine", "quantum"])
+    def test_unknown_kind(self, kind):
+        """A strategy the registry does not hold fails when the spec is
+        built, before any cell runs."""
+        with pytest.raises(ValueError, match=f"unknown kind '{kind}'"):
+            small_spec(strategies={"g": {"kind": "greedy"}, "x": {"kind": kind}})
+
     def test_roundtrip_dict(self):
         spec = small_spec()
         rebuilt = SweepSpec.from_dict(spec.to_dict())

@@ -1,15 +1,12 @@
-"""Property-based invariants for the refinement-family strategies."""
+"""Property-based invariants for the HierLB baseline."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baselines import RandomLB, RotateLB
 from repro.core.distribution import Distribution
-from repro.core.greedy import GreedyLB
 from repro.core.hier import HierLB
-from repro.core.refine import GreedyRefineLB, RefineLB
 
 loads_strategy = st.lists(
     st.floats(min_value=1e-3, max_value=100.0, allow_nan=False),
@@ -26,41 +23,6 @@ def make_dist(loads, n_ranks, seed):
 
 @given(
     loads=loads_strategy,
-    n_ranks=st.integers(min_value=1, max_value=10),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=50, deadline=None)
-def test_refine_never_increases_max_load(loads, n_ranks, seed):
-    dist = make_dist(loads, n_ranks, seed)
-    res = RefineLB().rebalance(dist)
-    after = np.bincount(res.assignment, weights=dist.task_loads, minlength=n_ranks)
-    assert after.max() <= dist.rank_loads().max() + 1e-9
-
-
-@given(
-    loads=loads_strategy,
-    n_ranks=st.integers(min_value=1, max_value=10),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=50, deadline=None)
-def test_greedy_refine_respects_lpt_quality_class(loads, n_ranks, seed):
-    """GreedyRefine's makespan is within (4/3 + tolerance) of the LPT
-    lower bound — it only deviates from LPT inside its slack."""
-    dist = make_dist(loads, n_ranks, seed)
-    tol = 0.1
-    res = GreedyRefineLB(tolerance=tol).rebalance(dist)
-    after = np.bincount(res.assignment, weights=dist.task_loads, minlength=n_ranks)
-    lower = max(dist.average_load, float(dist.task_loads.max()))
-    if dist.task_loads.size > n_ranks:
-        # Pairing bound: two of the n_ranks+1 heaviest tasks must share a
-        # rank, so the optimum is at least the cheapest such pair.
-        desc = np.sort(dist.task_loads)[::-1]
-        lower = max(lower, float(desc[n_ranks - 1] + desc[n_ranks]))
-    assert after.max() <= (4 / 3 + tol) * lower + 1e-9
-
-
-@given(
-    loads=loads_strategy,
     n_ranks=st.integers(min_value=1, max_value=8),
     seed=st.integers(min_value=0, max_value=10_000),
 )
@@ -71,28 +33,3 @@ def test_hier_never_worse_and_conserves(loads, n_ranks, seed):
     after = np.bincount(res.assignment, weights=dist.task_loads, minlength=n_ranks)
     assert after.sum() == pytest.approx(dist.total_load)
     assert after.max() <= dist.rank_loads().max() + 1e-9
-
-
-@given(
-    loads=loads_strategy,
-    n_ranks=st.integers(min_value=1, max_value=8),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=40, deadline=None)
-def test_rotate_preserves_load_multiset(loads, n_ranks, seed):
-    dist = make_dist(loads, n_ranks, seed)
-    res = RotateLB().rebalance(dist)
-    after = np.bincount(res.assignment, weights=dist.task_loads, minlength=n_ranks)
-    np.testing.assert_allclose(np.sort(after), np.sort(dist.rank_loads()), rtol=1e-12)
-
-
-@given(
-    loads=loads_strategy,
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=40, deadline=None)
-def test_random_lb_valid_assignment(loads, seed):
-    dist = make_dist(loads, 6, seed)
-    res = RandomLB().rebalance(dist, rng=seed)
-    assert (res.assignment >= 0).all() and (res.assignment < 6).all()
-    assert res.assignment.shape == dist.assignment.shape

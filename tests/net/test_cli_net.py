@@ -100,6 +100,13 @@ class TestNetRunRefusesBadOptions:
         with pytest.raises(ValueError, match=name):
             main(["net", "run", "--ranks", "8", "--out", str(tmp_path), flag, value])
 
+    def test_workers_with_processes_refused(self, tmp_path):
+        """Both flags set the worker count, so naming both is refused
+        instead of one being dropped."""
+        with pytest.raises(ValueError, match="--workers and --processes"):
+            main(["net", "run", "--ranks", "8", "--out", str(tmp_path),
+                  "--workers", "3", "--processes", "2"])
+
     @pytest.mark.parametrize("ranks", ["0", "-4"])
     def test_bad_rank_count_names_ranks(self, ranks, tmp_path):
         with pytest.raises(ValueError, match="n_ranks"):

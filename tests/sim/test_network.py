@@ -6,12 +6,6 @@ from repro.sim.network import NetworkModel
 
 
 class TestTopology:
-    def test_node_block_mapping(self):
-        net = NetworkModel(ranks_per_node=4)
-        assert net.node_of(0) == 0
-        assert net.node_of(3) == 0
-        assert net.node_of(4) == 1
-
     def test_self_message_cheapest(self):
         net = NetworkModel()
         assert net.latency(0, 0, 100) < net.latency(0, 1, 100)
@@ -19,6 +13,11 @@ class TestTopology:
     def test_intra_node_cheaper_than_inter(self):
         net = NetworkModel(ranks_per_node=4)
         assert net.latency(0, 1, 1000) < net.latency(0, 5, 1000)
+        # Block mapping: ranks 0-3 share node 0, rank 4 starts node 1.
+        intra = net.intra_latency + 1000 / net.intra_bandwidth
+        inter = net.inter_latency + 1000 / net.inter_bandwidth
+        assert net.latency(0, 3, 1000) == pytest.approx(intra)
+        assert net.latency(0, 4, 1000) == pytest.approx(inter)
 
     def test_latency_grows_with_size(self):
         net = NetworkModel()

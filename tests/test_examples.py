@@ -21,7 +21,7 @@ EXAMPLES_DIR = ROOT / "examples"
 ALL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 #: Examples fast enough to execute in the suite (a few seconds each).
-FAST_EXAMPLES = ["quickstart.py", "ordering_study.py"]
+FAST_EXAMPLES = ["quickstart.py", "ordering_study.py", "analysis_toolkit.py"]
 
 
 @pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)
