@@ -640,7 +640,8 @@ def _cmd_net(args: argparse.Namespace) -> int:
     )
     wire = {
         key: sum(row[key] for row in transport)
-        for key in ("frames", "wire_bytes", "envelope_bytes", "retries", "deduped")
+        for key in ("frames", "wire_bytes", "envelope_bytes", "retries", "deduped",
+                    "control_frames", "control_bytes")
     }
     print(
         f"net episode: {spec.n_ranks} ranks over loopback TCP ({mode})\n"
@@ -649,7 +650,8 @@ def _cmd_net(args: argparse.Namespace) -> int:
         f"coverage {result.coverage:.4f}\n"
         f"  transfers: {len(result.moves)} moves\n"
         f"  wire: {wire['frames']} batch frames, {wire['wire_bytes']} bytes "
-        f"({wire['envelope_bytes']} envelope), retries={wire['retries']} "
+        f"({wire['envelope_bytes']} envelope), control: {wire['control_frames']} "
+        f"frames, {wire['control_bytes']} bytes, retries={wire['retries']} "
         f"deduped={wire['deduped']}\n"
         f"  imbalance: {result.initial_imbalance:.4f} -> "
         f"{result.final_imbalance:.4f}\n"

@@ -4,11 +4,13 @@ The coordinator is pure *control plane*. Gossip and transfer messages
 never pass through it — they flow worker-to-worker as rank-addressed
 batch frames over the dispatcher sockets — but every round barrier
 does: workers report per-destination send counts, the coordinator
-aggregates them into per-rank expected arrival counts and broadcasts
-the commit, and no rank advances a round before its arrivals match its
-commit. That turns TCP's "eventually, in some order" into the
+sums them into per-rank expected arrival counts and sends each worker
+its slice of them, and no rank advances a round before its arrivals
+match. That turns TCP's "eventually, in some order" into the
 deterministic round structure :class:`~repro.net.episode.NodeCore`
-needs, without ever looking at message *content*.
+needs, without ever looking at message *content*. Every per-rank or
+per-task field of a control frame is a binary section
+(:mod:`repro.net.wire`), so no JSON envelope grows with the ranks.
 
 Workers are either coroutines in this process (``processes=False``, the
 default — still real loopback TCP between every pair of workers) or
@@ -25,10 +27,11 @@ import asyncio
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.net.dispatcher import RetryPolicy
 from repro.net.episode import (
@@ -99,8 +102,9 @@ async def run_episode_net_async(
     """Run one episode over real sockets; returns the canonical result.
 
     ``transport``, if given, receives one row per worker: its rank
-    slice and the physical counters of its ``stats`` frame (frames and
-    bytes written, envelope bytes, retries, deduped batches).
+    slice and the counters of its ``stats`` frame (batch frames and bytes
+    written, envelope bytes, retries, deduped batches, control frames and
+    bytes both ways).
     """
     options = options or NetOptions()
     return await asyncio.wait_for(
@@ -205,7 +209,6 @@ async def _drive(
     transport: list | None,
 ) -> EpisodeResult:
     """The coordinator's half of the worker protocol."""
-    n = spec.n_ranks
     by_index: dict[int, _Conn] = {}
     for _ in slices:
         conn = await pending.get()
@@ -213,16 +216,19 @@ async def _drive(
     conns = [by_index[i] for i in range(len(slices))]
     readers = [reader for reader, _ in conns]
 
+    scalars = {k: v for k, v in spec.to_dict().items() if k not in ("task_loads", "assignment")}
     assign_base = {
         "t": "assign",
-        "spec": spec.to_dict(),
+        "spec": scalars,
+        "task_loads": spec.task_loads_array,
+        "assignment": spec.assignment_array.astype(np.int32),
         "log_dir": options.log_dir,
         "policy": asdict(options.policy),
     }
     if options.log_dir is not None:
         Path(options.log_dir).mkdir(parents=True, exist_ok=True)
     for (_, writer), (lo, hi) in zip(conns, slices):
-        await write_frame(writer, {**assign_base, "ranks": list(range(lo, hi))})
+        await write_frame(writer, {**assign_base, "ranks": [lo, hi]})
     ports = [int((await expect_frame(r, "ports"))["port"]) for r in readers]
     await _broadcast(conns, {"t": "peers", "ports": ports, "slices": slices})
 
@@ -235,45 +241,42 @@ async def _drive(
             reports = []
             for reader in readers:
                 reports.append(report := await expect_frame(reader, "sent"))
-                if int(report["round"]) != round_index:
-                    raise FrameError(
-                        f"worker reported round {report['round']}, "
-                        f"coordinator at {round_index}"
-                    )
+                if report["round"] != round_index:
+                    raise FrameError(f"worker at round {report['round']}, not {round_index}")
             if tally.record_round(reports) == 0:
                 await _broadcast(conns, {"t": "gossip_done"})
                 break
-            expect = _expect(reports, "dst_counts", n)
-            await _broadcast(conns, {"t": "commit", "round": round_index, "expect": expect})
+            commit = {"t": "commit", "round": round_index}
+            await _commit(conns, slices, reports, "dst_counts", commit)
             round_index += 1
 
         reports = [await expect_frame(reader, "decide") for reader in readers]
-        iteration_moves, coverage = fold_decisions(reports, n, tally)
-        expect = _expect(reports, "xfer_counts", n)
-        await _broadcast(conns, {"t": "xfer_commit", "expect": expect})
+        moves, coverage = fold_decisions(reports, tally)
+        await _commit(conns, slices, reports, "xfer_counts", {"t": "xfer_commit"})
         for reader in readers:
             await expect_frame(reader, "xfer_done")
-        await _broadcast(conns, {"t": "apply", "moves": iteration_moves})
-        all_moves.extend(iteration_moves)
+        await _broadcast(conns, {"t": "apply", "moves": moves})
+        all_moves.extend(map(tuple, moves.tolist()))
 
     merged = StatsRegistry()
     for reader, ranks in zip(readers, slices):
         frame = await expect_frame(reader, "stats")
-        for reg in frame["registries"].values():
-            merged.merge(StatsRegistry.from_dict(reg))
+        merged.merge(StatsRegistry.from_dict(frame["registry"]))
         if transport is not None:
             transport.append({"ranks": list(ranks), **frame["transport"]})
     await _broadcast(conns, {"t": "shutdown"})
     return build_result(spec, all_moves, tally, merged.counters, coverage)
 
 
-def _expect(reports: list[dict[str, Any]], key: str, n: int) -> dict[str, int]:
-    """The count-exact barrier's target: every rank's arrivals for one
-    step, the workers' per-destination ``key`` counts summed."""
-    arrivals: Counter[str] = Counter()
-    for report in reports:
-        arrivals.update(report[key])
-    return {str(r): arrivals[str(r)] for r in range(n)}
+async def _commit(conns: list[_Conn], slices: list[tuple[int, int]],
+                  reports: list[dict[str, Any]], key: str, frame: dict[str, Any]) -> None:
+    """Send the count-exact barrier's target — every rank's arrivals for
+    one step, the workers' ``key`` counts summed — as each worker's slice."""
+    if any(report[key].shape != (slices[-1][1],) for report in reports):
+        raise FrameError(f"a worker's {key!r} is not one count per rank")
+    arrivals = np.sum([report[key] for report in reports], axis=0, dtype=np.int32)
+    for (_, writer), (lo, hi) in zip(conns, slices):
+        await write_frame(writer, {**frame, "expect": arrivals[lo:hi]})
 
 
 def save_result(

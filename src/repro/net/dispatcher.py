@@ -25,7 +25,7 @@ import asyncio
 from dataclasses import dataclass
 
 from repro.net.logging_jsonl import WireLog
-from repro.net.wire import pack_batch, pack_frame
+from repro.net.wire import pack_frame
 
 __all__ = ["DispatchError", "RetryPolicy", "Dispatcher"]
 
@@ -80,20 +80,13 @@ class Dispatcher:
         self._seq: dict[int, int] = {}
         self._failure: DispatchError | None = None
 
-    def send(
-        self,
-        dst: int,
-        frame: dict,
-        tag: str = "",
-        section: tuple[list[tuple], list] | None = None,
-    ) -> None:
+    def send(self, dst: int, frame: dict, tag: str = "") -> None:
         """Enqueue one frame for ``dst``; returns immediately.
 
         The frame is stamped with a per-peer ``seq`` for receiver-side
-        dedup and packed here: a control frame, or with ``section`` =
-        ``(records, ids)`` the envelope of a batch frame
-        (:func:`~repro.net.wire.pack_batch`); ``tag`` labels the
-        ``retry`` log rows only.
+        dedup and packed here (:func:`~repro.net.wire.pack_frame`: its
+        arrays become binary sections); ``tag`` labels the ``retry`` log
+        rows only.
         """
         if self._failure is not None:
             raise self._failure
@@ -101,8 +94,7 @@ class Dispatcher:
             raise KeyError(f"{dst} is not a known peer")
         seq = self._seq.get(dst, 0)
         self._seq[dst] = seq + 1
-        frame = {**frame, "seq": seq}
-        payload = pack_frame(frame) if section is None else pack_batch(frame, *section)
+        payload = pack_frame({**frame, "seq": seq})
         channel = self._channels.get(dst)
         if channel is None:
             channel = self._channels[dst] = _PeerChannel()

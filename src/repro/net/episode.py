@@ -48,7 +48,6 @@ id) differs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Iterable
@@ -86,9 +85,9 @@ XFER_BYTES = HEADER_BYTES + ENTRY_BYTES
 class EpisodeSpec:
     """Everything both runtimes need to run one identical episode.
 
-    The spec is JSON-serializable (:meth:`to_dict`/:meth:`from_dict`)
-    because the net coordinator ships it to worker processes inside the
-    ``start`` frame.
+    The spec is JSON-serializable (:meth:`to_dict`/:meth:`from_dict`,
+    which also takes ``task_loads`` / ``assignment`` as the arrays the
+    net coordinator's ``assign`` frame carries them in).
     """
 
     n_ranks: int
@@ -110,6 +109,8 @@ class EpisodeSpec:
         check_positive_int("n_iters", self.n_iters)
         if len(self.task_loads) != len(self.assignment):
             raise ValueError("task_loads and assignment must have equal length")
+        if max(self.n_ranks, len(self.assignment)) > np.iinfo(np.int32).max:
+            raise ValueError("ranks and task ids travel as <i4: at most 2**31 - 1 of each")
         if len(self.assignment) and not (
             0 <= min(self.assignment) and max(self.assignment) < self.n_ranks
         ):
@@ -178,8 +179,8 @@ class EpisodeSpec:
     def from_dict(cls, payload: dict[str, Any]) -> "EpisodeSpec":
         known = {f.name for f in fields(cls)}
         data = {k: v for k, v in payload.items() if k in known}
-        data["task_loads"] = tuple(float(x) for x in data["task_loads"])
-        data["assignment"] = tuple(int(x) for x in data["assignment"])
+        data["task_loads"] = tuple(np.asarray(data["task_loads"], np.float64).tolist())
+        data["assignment"] = tuple(np.asarray(data["assignment"], np.int64).tolist())
         return cls(**data)
 
 
@@ -346,12 +347,13 @@ class NodeCore:
         self.registry.inc("gossip.bytes", size * len(sends))
         return sends
 
-    def receive(self, round_index: int, members: np.ndarray) -> None:
-        """Buffer one arriving gossip payload (order-free by design)."""
+    def receive(self, round_index: int, members: np.ndarray, messages: int = 1) -> None:
+        """Buffer arriving gossip payloads (order-free by design):
+        ``members`` holds the ids of ``messages`` messages, concatenated."""
         self._inbox.setdefault(int(round_index), []).append(
             np.asarray(members, dtype=np.int64)
         )
-        self.registry.inc("gossip.received")
+        self.registry.inc("gossip.received", messages)
 
     def advance(self, round_index: int) -> list[GossipSend]:
         """Merge round ``round_index``'s payloads as one union; forward
@@ -404,9 +406,9 @@ class NodeCore:
             self.registry.inc("xfer.bytes", XFER_BYTES * len(sends))
         return sends
 
-    def receive_xfer(self, task: int) -> None:
-        """Record one arriving transfer message (the task lands here)."""
-        self.registry.inc("xfer.received")
+    def receive_xfer(self, task: int | None = None, messages: int = 1) -> None:
+        """Record ``messages`` arriving transfers (a rank keeps only the count)."""
+        self.registry.inc("xfer.received", messages)
 
     def apply_moves(self, moves: list[tuple[int, int, int]] | np.ndarray) -> None:
         """Apply the episode-wide accepted moves (epoch boundary). A driver
@@ -432,57 +434,62 @@ def assemble_assignment(
     return assignment
 
 
-def round_report(sends: dict[int, list[GossipSend]]) -> dict[str, Any]:
-    """One gossip round's report for the cores a driver hosts, string-keyed
-    as the JSON ``sent`` frame: messages per sending rank and per
-    destination, and their model bytes."""
+def round_report(sends: dict[int, list[GossipSend]], n_ranks: int) -> dict[str, Any]:
+    """One gossip round's report for the cores a driver hosts, as the
+    ``sent`` frame carries it: ``<i4`` messages per hosted rank and per
+    destination rank, and their model bytes."""
     step = [s for batch in sends.values() for s in batch]
     return {
-        "rank_counts": {str(r): len(b) for r, b in sends.items()},
+        "rank_counts": np.array([len(b) for b in sends.values()], dtype=np.int32),
         "bytes": sum(s.size for s in step),
-        "dst_counts": Counter(str(s.dst) for s in step),
+        "dst_counts": np.bincount([s.dst for s in step], minlength=n_ranks).astype(np.int32),
     }
 
 
 def decide_iteration(
     cores: Iterable[NodeCore],
-) -> tuple[dict[str, dict[str, Any]], list[tuple[int, int, int]]]:
+) -> tuple[dict[str, np.ndarray], list[tuple[int, int, int]]]:
     """One iteration's decide step, after the last gossip round, for the
-    cores a driver hosts: the report :func:`fold_decisions` reads (per
-    rank, string-keyed as the JSON ``decide`` frame: coverage hits,
-    underloaded flag, accepted moves; transfers per destination) and the
-    ``(src, dst, task)`` transfer messages to send, in rank then
-    decision order."""
-    report: dict[str, dict[str, Any]] = {"moves": {}, "hits": {}, "under": {}}
+    cores a driver hosts (in rank order): the ``decide`` frame's report —
+    ``(n, 3)`` accepted ``(task, src, dst)`` moves in rank then decision
+    order, hits and underloaded flags per hosted rank, transfers per
+    destination rank — and the ``(src, dst, task)`` transfers to send."""
+    cores = list(cores)
     xfers: list[tuple[int, int, int]] = []
+    moves, hits, under = [np.empty((0, 3), dtype=np.int32)], [], []
     for core in cores:
-        r = core.rank
-        report["hits"][str(r)] = core.coverage_hits()
-        report["under"][str(r)] = bool(core.underloaded[r])
+        hits.append(core.coverage_hits())
+        under.append(bool(core.underloaded[core.rank]))
         stats = core.decide_transfers()
-        xfers += [(r, dst, task) for dst, task in core.xfer_sends(stats)]
-        report["moves"][str(r)] = stats.moves.tolist()
-    report["xfer_counts"] = Counter(str(dst) for _, dst, _ in xfers)
+        xfers += [(core.rank, dst, task) for dst, task in core.xfer_sends(stats)]
+        moves.append(stats.moves)
+    report = {
+        "moves": np.concatenate(moves, dtype=np.int32),
+        "hits": np.array(hits, dtype=np.int32),
+        "under": np.array(under, dtype=bool),
+        "xfer_counts": np.bincount(
+            [dst for _, dst, _ in xfers], minlength=cores[0].n_ranks).astype(np.int32),
+    }
     return report, xfers
 
 
 def fold_decisions(
-    reports: Iterable[dict[str, dict[str, Any]]], n_ranks: int, tally: EpisodeTally
-) -> tuple[list[tuple[int, int, int]], float]:
-    """Fold every driver's :func:`decide_iteration` report into the
-    iteration's episode-wide moves (in rank order) and its coverage — the
+    reports: Iterable[dict[str, np.ndarray]], tally: EpisodeTally
+) -> tuple[np.ndarray, float]:
+    """Fold every driver's :func:`decide_iteration` report, in rank-slice
+    order, into the iteration's ``(n, 3)`` moves and its coverage — the
     mean fraction of the underloaded set known per rank, full when that
-    set is empty (the rule of :meth:`repro.core.knowledge.SparseKnowledge.coverage`)
-    — and account the transfer messages in ``tally``."""
+    set is empty (:meth:`repro.core.knowledge.SparseKnowledge.coverage`'s
+    rule) — and account the transfer messages in ``tally``."""
     reports = list(reports)
-    by_rank = {int(r): moves for report in reports for r, moves in report["moves"].items()}
-    iteration_moves = [(int(t), int(s), int(d)) for r in range(n_ranks) for t, s, d in by_rank[r]]
-    tally.record_xfers(len(iteration_moves))
-    under = sum(sum(report["under"].values()) for report in reports)
+    moves = np.concatenate([r["moves"] for r in reports]).reshape(-1, 3)
+    tally.transfer_messages += len(moves)
+    tally.bytes_sent += XFER_BYTES * len(moves)
+    under = int(sum(np.count_nonzero(r["under"]) for r in reports))
     if under == 0:
-        return iteration_moves, 1.0
-    hits = [h for report in reports for h in report["hits"].values()]  # a mean: any order
-    return iteration_moves, float(np.asarray(hits, dtype=np.float64).mean() / under)
+        return moves, 1.0
+    hits = np.concatenate([r["hits"] for r in reports]).astype(np.float64)
+    return moves, float(hits.mean() / under)
 
 
 class EpisodeTally:
@@ -501,20 +508,15 @@ class EpisodeTally:
         """Account one gossip round from every driver's :func:`round_report`;
         returns the round's message count (0: the inform stage is over)."""
         reports = list(reports)
-        counts = [c for report in reports for c in report["rank_counts"].values()]
-        n = sum(counts)
+        counts = np.concatenate([r["rank_counts"] for r in reports])
+        n = int(counts.sum())
         if n == 0:
             return 0
         self.per_round_messages.append(n)
-        self.per_round_senders.append(sum(1 for c in counts if c))
+        self.per_round_senders.append(int(np.count_nonzero(counts)))
         self.n_messages += n
-        self.bytes_sent += sum(int(report["bytes"]) for report in reports)
+        self.bytes_sent += sum(int(r["bytes"]) for r in reports)
         return n
-
-    def record_xfers(self, n: int) -> None:
-        """Account ``n`` transfer messages."""
-        self.transfer_messages += int(n)
-        self.bytes_sent += XFER_BYTES * int(n)
 
 
 def build_result(

@@ -1,4 +1,4 @@
-"""Live workers: one TCP endpoint hosting a slice of rank nodes.
+"""Live workers: one TCP endpoint hosting a slice of ranks.
 
 The transport's unit is the **worker**, as a DARMA/vt process owns one
 MPI endpoint for all the rank-addressed traffic it hosts. A
@@ -6,29 +6,27 @@ MPI endpoint for all the rank-addressed traffic it hosts. A
 :class:`~repro.net.dispatcher.Dispatcher` whose peers are the workers
 (itself included: same-worker traffic takes the same encode -> socket
 -> decode path, so there is one delivery path), and hosts a contiguous
-slice of :class:`NetNode` s — what is left of a rank is its
-:class:`~repro.net.episode.NodeCore`, its arrival counters and its
-:class:`~repro.net.logging_jsonl.WireLog`. Nothing in this module
+rank slice — per rank a :class:`~repro.net.episode.NodeCore` and, when
+logging, a :class:`~repro.net.logging_jsonl.WireLog`. Nothing in this module
 decides *anything* about the episode; it only moves the state
 machines' messages over sockets and implements the waits the round
 barrier needs.
 
 Each barrier step (a gossip round, the transfer step) leaves a worker
-as **one batch frame per destination worker**: a small JSON envelope
-(``src`` worker, ``iter``, ``seq``, record count) and one binary
-section — a fixed-layout record per message and the members of every
-gossip message in one ``<i8`` array (:func:`repro.net.wire.pack_batch`),
-built straight from the step's :class:`~repro.net.episode.GossipSend` s
-and ``(src, dst, task)`` transfers. No message becomes an object or a
-JSON string on the way. A step is cut into several frames only once its
-records pass :data:`BATCH_CUT_BYTES`. The receiver drops a repeated
-``(src, seq)`` batch whole, refuses one from an earlier iteration,
-hands each record to the node it addresses — gossip members as a
-read-only view into the frame — and wakes one per-worker condition
-once per batch.
+as **one batch frame per destination worker** (:mod:`repro.net.wire`),
+its record and member-id sections built straight from the step's
+:class:`~repro.net.episode.GossipSend` s and ``(src, dst, task)``
+transfers, cut into several frames only past :data:`BATCH_CUT_BYTES`.
+The receiver drops a repeated ``(src, seq)`` batch whole, refuses one
+from an earlier iteration, counts its arrivals per hosted rank in bulk,
+hands each addressed core its gossip members in one call and wakes one
+per-worker condition once per batch; only a wire log costs a step per
+record.
 
 :func:`run_worker` speaks the coordinator's control protocol (see
-:mod:`repro.net.coordinator` for the frame sequence). Run as
+:mod:`repro.net.coordinator`) in the same frame layout, and counts the
+frames and bytes its control link carries (``control_frames`` /
+``control_bytes`` in its ``stats``). Run as
 ``python -m repro.net.worker HOST PORT INDEX`` it is a standalone
 worker process that dials a coordinator — that is how
 ``repro net run --processes N`` turns workers into real OS processes.
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import sys
-from collections import Counter
 from typing import Any, Iterable
 
 import numpy as np
@@ -64,8 +61,9 @@ from repro.net.wire import (
     read_frame,
     write_frame,
 )
+from repro.obs import StatsRegistry
 
-__all__ = ["BATCH_CUT_BYTES", "NetNode", "NetWorker", "run_worker", "main"]
+__all__ = ["BATCH_CUT_BYTES", "NetWorker", "run_worker", "main"]
 
 #: A step's batch for one peer is cut once its records and member ids
 #: pass this size, so a frame stays well under ``MAX_FRAME_BYTES`` (and
@@ -73,36 +71,25 @@ __all__ = ["BATCH_CUT_BYTES", "NetNode", "NetWorker", "run_worker", "main"]
 BATCH_CUT_BYTES = 1 << 20
 
 
-class NetNode:
-    """One hosted rank: protocol state machine, arrival counters, log."""
-
-    __slots__ = ("core", "log", "arrivals")
-
-    def __init__(self, spec: EpisodeSpec, rank: int, log: WireLog | None = None):
-        self.core = NodeCore(spec, rank)
-        self.log = log
-        #: messages in per barrier step — a gossip round, None = transfers
-        self.arrivals: Counter[int | None] = Counter()
-
-
 class NetWorker:
-    """One worker: a server, a dispatcher and the nodes they carry."""
+    """One worker: a server, a dispatcher and the ranks they carry."""
 
     def __init__(
-        self, index: int, spec: EpisodeSpec, ranks: Iterable[int],
+        self, index: int, spec: EpisodeSpec, ranks: range,
         policy: RetryPolicy | None = None, log_dir: str | None = None,
     ) -> None:
         self.index = int(index)
-        self.nodes = {
-            int(r): NetNode(spec, r, WireLog(log_dir, r) if log_dir else None)
-            for r in ranks
-        }
+        self.ranks = ranks  #: the hosted slice; lists below are indexed by rank - ranks.start
+        self.cores = [NodeCore(spec, r) for r in ranks]
+        self.logs = [WireLog(log_dir, r) for r in ranks] if log_dir else None
         self.policy = policy or RetryPolicy()
         self.iteration = -1  #: none begun: whatever arrives now is early
+        #: step (a gossip round, None = transfers) -> messages in per hosted rank
+        self.arrivals: dict[int | None, np.ndarray] = {}
         self.dispatcher: Dispatcher | None = None
         self.deduped = 0  #: retransmitted batches dropped whole
         self.message_bytes = 0  #: records + member ids sent, envelopes excluded
-        self._owner: list[int] = []  #: rank -> hosting worker
+        self._owner = np.empty(0, np.int64)  #: rank -> hosting worker
         self._server: asyncio.AbstractServer | None = None
         self._seen: set[tuple[int, int]] = set()
         self._early: list[dict[str, Any]] = []  #: batches of a later iteration
@@ -119,9 +106,9 @@ class NetWorker:
 
     def connect(self, ports: list[int], slices: list[list[int]]) -> None:
         """Wire the dispatcher once every worker's port and slice is known."""
-        self._owner = [w for w, (lo, hi) in enumerate(slices) for _ in range(lo, hi)]
+        self._owner = np.repeat(np.arange(len(slices)), [hi - lo for lo, hi in slices])
         peers = {w: ("127.0.0.1", int(p)) for w, p in enumerate(ports)}
-        log = next(iter(self.nodes.values())).log  # retry rows: the first rank's
+        log = self.logs and self.logs[0]  # retry rows: the first rank's
         self.dispatcher = Dispatcher(self.index, peers, self.policy, log)
 
     async def close(self) -> None:
@@ -134,9 +121,8 @@ class NetWorker:
         if self._server is not None:
             self._server.close()
             waits.append(self._server.wait_closed())
-        for node in self.nodes.values():
-            if node.log is not None:
-                node.log.close()
+        for log in self.logs or ():
+            log.close()
         if self.dispatcher is not None:
             waits.append(self.dispatcher.close())
         await asyncio.gather(*waits, return_exceptions=True)
@@ -175,7 +161,7 @@ class NetWorker:
             self._cond.notify_all()
 
     def on_batch(self, frame: dict[str, Any]) -> None:
-        """Deliver one batch frame to the nodes it addresses, once."""
+        """Deliver one batch frame to the ranks it addresses, once."""
         if frame.get("t") != "batch":
             raise FrameError(f"unexpected worker-to-worker frame {frame.get('t')!r}")
         src, seq, iteration = int(frame["src"]), int(frame["seq"]), int(frame["iter"])
@@ -201,23 +187,28 @@ class NetWorker:
             self._deliver(frame)
 
     def _deliver(self, frame: dict[str, Any]) -> None:
-        records, ids = frame["records"], frame["ids"]
-        ends = np.cumsum(records["count"], dtype=np.int64).tolist()
-        for (kind, src, dst, count, step, size), end in zip(records.tolist(), ends):
-            node = self.nodes.get(dst)
-            if node is None:
-                raise FrameError(f"worker {self.index} does not host rank {dst}")
-            if kind == GOSSIP:
-                node.core.receive(step, ids[end - count : end])
-            else:
-                node.core.receive_xfer(step)  # a transfer's step is its task id
-                step = None
-            node.arrivals[step] += 1
-            if node.log is not None:
-                node.log.record(
-                    "rx", KINDS[kind], src, size,
-                    RECORD.itemsize + MEMBER_ID.itemsize * count, step, self.iteration,
-                )
+        records, ids, hosted = frame["records"], frame["ids"], len(self.ranks)
+        local = records["dst"] - self.ranks.start
+        if ((local < 0) | (local >= hosted)).any():
+            raise FrameError(f"worker {self.index} hosts {self.ranks}, not all of {records['dst']}")
+        gossip = records["kind"] == GOSSIP
+        counts, key = records["count"][gossip], records["step"][gossip] * hosted + local[gossip]
+        keys, pair, messages = np.unique(key, return_inverse=True, return_counts=True)
+        ends = np.cumsum(np.bincount(pair, counts, len(keys))).astype(np.int64).tolist()
+        members = ids[np.argsort(np.repeat(key, counts), kind="stable")]  # by (round, rank)
+        for k, n, start, end in zip(keys.tolist(), messages.tolist(), [0, *ends], ends):
+            step, i = divmod(k, hosted)
+            self.arrivals.setdefault(step, np.zeros(hosted, np.int64))[i] += n
+            self.cores[i].receive(step, members[start:end], messages=n)
+        xfers = np.bincount(local[~gossip], minlength=hosted)
+        self.arrivals[None] = self.arrivals.get(None, 0) + xfers
+        for i in np.flatnonzero(xfers).tolist():
+            self.cores[i].receive_xfer(messages=int(xfers[i]))
+        for kind, src, dst, count, step, size in records.tolist() if self.logs else ():
+            self.logs[dst - self.ranks.start].record(
+                "rx", KINDS[kind], src, size, RECORD.itemsize + MEMBER_ID.itemsize * count,
+                step if kind == GOSSIP else None, self.iteration,
+            )
 
     # -- outbound ------------------------------------------------------------
 
@@ -226,43 +217,38 @@ class NetWorker:
         gossip: Iterable[GossipSend] = (),
         xfers: Iterable[tuple[int, int, int]] = (),
     ) -> None:
-        """Send one barrier step's messages — gossip sends and ``(src,
-        dst, task)`` transfers — as one batch frame per destination
-        worker (more only past :data:`BATCH_CUT_BYTES`), then wait
-        until every frame is written."""
-        cuts: dict[int, list[tuple[list[tuple], list[np.ndarray]]]] = {}
-        room: dict[int, int] = {}
-
-        def cut_for(rank: int, nbytes: int) -> tuple[list[tuple], list[np.ndarray]]:
-            dst = self._owner[rank]
-            if room.get(dst, 0) <= 0:
-                cuts.setdefault(dst, []).append(([], []))
-                room[dst] = BATCH_CUT_BYTES
-            room[dst] -= nbytes
-            self.message_bytes += nbytes
-            return cuts[dst][-1]
-
-        for s in gossip:
-            count = s.members.size
-            nbytes = RECORD.itemsize + MEMBER_ID.itemsize * count
-            rows, ids = cut_for(s.dst, nbytes)
-            rows.append((GOSSIP, s.src, s.dst, count, s.round, s.size))
-            ids.append(s.members)
-            log = self.nodes[s.src].log
-            if log is not None:
-                log.record("tx", "gossip", s.dst, s.size, nbytes, s.round, self.iteration)
-        for src, dst, task in xfers:
-            rows, _ = cut_for(dst, RECORD.itemsize)
-            rows.append((XFER, src, dst, 0, task, XFER_BYTES))
-            log = self.nodes[src].log
-            if log is not None:
-                log.record("tx", "xfer", dst, XFER_BYTES, RECORD.itemsize, None, self.iteration)
+        """Send one barrier step's gossip sends and ``(src, dst, task)``
+        transfers as one batch frame per destination worker — cut only
+        once its records and ids pass :data:`BATCH_CUT_BYTES`, so all but a
+        cut's last message fit under it — and wait until all are written."""
+        gossip, xfers = list(gossip), list(xfers)
+        records = np.array(
+            [(GOSSIP, s.src, s.dst, s.members.size, s.round, s.size) for s in gossip]
+            + [(XFER, src, dst, 0, task, XFER_BYTES) for src, dst, task in xfers], dtype=RECORD,
+        )
+        ids = np.concatenate([np.empty(0, MEMBER_ID), *(s.members for s in gossip)])
+        nbytes = RECORD.itemsize + MEMBER_ID.itemsize * records["count"].astype(np.int64)
+        self.message_bytes += int(nbytes.sum())
+        for kind, src, dst, count, step, size in records.tolist() if self.logs else ():
+            self.logs[src - self.ranks.start].record(
+                "tx", KINDS[kind], dst, size, RECORD.itemsize + MEMBER_ID.itemsize * count,
+                step if kind == GOSSIP else None, self.iteration,
+            )
+        owner = self._owner[records["dst"]]
+        id_owner = np.repeat(owner, records["count"])
         envelope = {"t": "batch", "src": self.index, "iter": self.iteration}
-        for dst, worker_cuts in cuts.items():
-            for section in worker_cuts:
-                self.dispatcher.send(dst, envelope, "batch", section)
+        for dst in np.unique(owner).tolist():
+            mine, mine_ids, ends = records[owner == dst], ids[id_owner == dst], nbytes[owner == dst]
+            ends, id_ends = np.cumsum(ends), np.concatenate([[0], np.cumsum(mine["count"])])
+            cuts = [0]
+            while cuts[-1] < len(mine):  # a cut closes at the message that fills it
+                base = ends[cuts[-1] - 1] if cuts[-1] else 0
+                cuts.append(min(int(np.searchsorted(ends, base + BATCH_CUT_BYTES)) + 1, len(mine)))
+            for lo, hi in zip(cuts, cuts[1:]):
+                cut = {"records": mine[lo:hi], "ids": mine_ids[id_ends[lo] : id_ends[hi]]}
+                self.dispatcher.send(dst, {**envelope, **cut}, "batch")
             # Bounded by construction: drained after every step.
-            assert self.dispatcher.queued(dst) <= len(worker_cuts)
+            assert self.dispatcher.queued(dst) <= len(cuts) - 1
         await self.dispatcher.drain()
 
     # -- barriers ------------------------------------------------------------
@@ -272,96 +258,117 @@ class NetWorker:
         guarantee no earlier traffic is in flight), start every core, take in
         the batches of peers that crossed first; returns the round-1 sends."""
         self.iteration = int(iteration)
-        for node in self.nodes.values():
-            node.arrivals.clear()
-        sends = {r: n.core.begin_iteration() for r, n in self.nodes.items()}
+        self.arrivals = {}
+        sends = {core.rank: core.begin_iteration() for core in self.cores}
         early, self._early = self._early, []
         for frame in early:
             self._deliver(frame)
         return sends
 
-    async def wait_arrivals(self, expect: dict[str, int], step: int | None) -> None:
-        """The count-exact barrier: block until every hosted rank has
-        its ``expect[rank]`` messages of ``step`` (a gossip round, None =
-        the transfer step), evaluated once per arriving batch."""
-        want = [(n.arrivals, int(expect.get(str(r), 0))) for r, n in self.nodes.items()]
+    async def wait_arrivals(self, expect: np.ndarray, step: int | None) -> None:
+        """The count-exact barrier: block until every hosted rank has its
+        ``expect`` count (this slice's, in rank order) of ``step`` messages
+        (a gossip round, None = transfers), checked once per batch."""
+        if expect.shape != (len(self.ranks),):
+            raise FrameError(f"expected counts of shape {expect.shape} for {len(self.ranks)} ranks")
         async with self._cond:
             await self._cond.wait_for(
                 lambda: self._failure is not None
-                or all(arrivals[step] >= count for arrivals, count in want)
+                or bool(np.all(self.arrivals.get(step, 0) >= expect))
             )
         if self._failure is not None:
             raise self._failure
 
 
+class _ControlLink:
+    """A worker's coordinator connection, counting frames and bytes both ways."""
+
+    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        self.reader, self.writer = reader, writer
+        self.frames = self.bytes = 0
+
+    async def readexactly(self, n: int) -> bytes:  # all read_frame asks of a reader
+        data = await self.reader.readexactly(n)
+        self.bytes += len(data)
+        return data
+
+    async def send(self, frame: dict[str, Any]) -> None:
+        self.bytes += await write_frame(self.writer, frame)
+        self.frames += 1
+
+    async def expect(self, *types: str) -> dict[str, Any]:
+        frame = await expect_frame(self, *types)
+        self.frames += 1
+        return frame
+
+
 async def run_worker(host: str, port: int, index: int = 0) -> None:
     """Host a slice of ranks and follow the coordinator's protocol.
 
-    Control-frame sequence (worker perspective; all frames are typed by
-    the ``"t"`` key, rank keys are strings because JSON):
+    Control-frame sequence (worker perspective; every per-rank field is
+    a section indexed by rank):
 
-    1. connect, send ``hello`` (this worker's index); receive ``assign``
-       (spec, rank slice, log dir, retry policy) and build one
-       :class:`NetWorker` hosting a :class:`NetNode` per rank;
-    2. send ``ports`` (the worker's one data port); receive ``peers``
-       (every worker's port and rank slice) and connect the dispatcher;
-    3. per iteration: per round — post the gossip batches, send ``sent``
-       (per-rank and per-destination counts), receive ``commit`` (wait
-       for the expected arrivals, advance) or ``gossip_done`` (break);
-       then decide transfers, post them, send ``decide``, receive
-       ``xfer_commit``, wait for arrivals, send ``xfer_done``, receive
-       ``apply`` and apply the global move list;
-    4. send ``stats`` (per-rank registries, per-worker transport
-       counters), receive ``shutdown``.
+    1. send ``hello``; receive ``assign`` (spec scalars, ``task_loads``
+       and ``assignment`` sections, ``[lo, hi)`` rank slice, log dir,
+       retry policy) and build a :class:`NetWorker`;
+    2. send ``ports``; receive ``peers`` (every worker's port and slice);
+    3. per iteration: per round, post the gossip batches, send ``sent``
+       (:func:`~repro.net.episode.round_report`), receive ``commit``
+       (this slice's ``expect`` counts: wait for them, advance) or
+       ``gossip_done``; then post the transfers, send ``decide``
+       (:func:`~repro.net.episode.decide_iteration`), receive
+       ``xfer_commit``, wait, send ``xfer_done``, receive ``apply`` and
+       apply its ``(n, 3)`` move rows;
+    4. send ``stats`` (the hosted ranks' registries merged into one — integer
+       counters: any merge order gives the simulator's totals — and the
+       transport and control-link counters), receive ``shutdown``.
     """
-    reader, writer = await asyncio.open_connection(host, port)
+    link = _ControlLink(*await asyncio.open_connection(host, port))
     worker: NetWorker | None = None
     try:
-        await write_frame(writer, {"t": "hello", "worker": index})
-        assign = await expect_frame(reader, "assign")
-        spec = EpisodeSpec.from_dict(assign["spec"])
+        await link.send({"t": "hello", "worker": index})
+        assign = await link.expect("assign")
+        arrays = {key: assign[key] for key in ("task_loads", "assignment")}
+        spec = EpisodeSpec.from_dict({**assign["spec"], **arrays})
         policy = RetryPolicy(**assign["policy"])
-        worker = NetWorker(index, spec, assign["ranks"], policy, assign.get("log_dir"))
-        nodes = worker.nodes
-        await write_frame(writer, {"t": "ports", "port": await worker.start()})
-        peers = await expect_frame(reader, "peers")
+        worker = NetWorker(index, spec, range(*assign["ranks"]), policy, assign.get("log_dir"))
+        await link.send({"t": "ports", "port": await worker.start()})
+        peers = await link.expect("peers")
         worker.connect(peers["ports"], peers["slices"])
 
         for iteration in range(spec.n_iters):
             sends = worker.begin_iteration(iteration)
             round_index = 1
             while True:
-                step = [s for batch in sends.values() for s in batch]
-                await worker.post(gossip=step)
-                sent = {"t": "sent", "round": round_index, **round_report(sends)}
-                await write_frame(writer, sent)
-                reply = await expect_frame(reader, "commit", "gossip_done")
+                await worker.post(gossip=[s for batch in sends.values() for s in batch])
+                report = round_report(sends, spec.n_ranks)
+                await link.send({"t": "sent", "round": round_index, **report})
+                reply = await link.expect("commit", "gossip_done")
                 if reply["t"] == "gossip_done":
                     break
                 await worker.wait_arrivals(reply["expect"], round_index)
-                sends = {r: n.core.advance(round_index) for r, n in nodes.items()}
+                sends = {core.rank: core.advance(round_index) for core in worker.cores}
                 round_index += 1
 
-            report, xfers = decide_iteration(n.core for n in nodes.values())
+            report, xfers = decide_iteration(worker.cores)
             await worker.post(xfers=xfers)
-            await write_frame(writer, {"t": "decide", **report})
-            commit = await expect_frame(reader, "xfer_commit")
+            await link.send({"t": "decide", **report})
+            commit = await link.expect("xfer_commit")
             await worker.wait_arrivals(commit["expect"], None)
-            await write_frame(writer, {"t": "xfer_done"})
-            apply = await expect_frame(reader, "apply")
-            applied = np.asarray(apply["moves"], dtype=np.int64).reshape(-1, 3)
-            for node in nodes.values():
-                node.core.apply_moves(applied)
+            await link.send({"t": "xfer_done"})
+            moves = (await link.expect("apply"))["moves"]
+            for core in worker.cores:
+                core.apply_moves(moves)
 
-        stats_frame = {
-            "t": "stats",
-            "registries": {str(r): n.core.registry.to_dict() for r, n in nodes.items()},
-            "transport": worker.transport_stats(),
-        }
-        await write_frame(writer, stats_frame)
-        await expect_frame(reader, "shutdown")
+        transport = {**worker.transport_stats(), "control_frames": link.frames,
+                     "control_bytes": link.bytes}
+        registry = StatsRegistry()
+        for core in worker.cores:
+            registry.merge(core.registry)
+        await link.send({"t": "stats", "registry": registry.to_dict(), "transport": transport})
+        await link.expect("shutdown")
     finally:
-        writer.close()
+        link.writer.close()
         if worker is not None:
             await worker.close()
 

@@ -15,8 +15,6 @@ field-for-field equal :class:`~repro.net.episode.EpisodeResult` out.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.net.episode import (
     XFER_BYTES,
     EpisodeResult,
@@ -65,7 +63,7 @@ def run_episode_sim(
     for _iteration in range(spec.n_iters):
         sends = {r: cores[r].begin_iteration() for r in range(n)}
         round_index = 1
-        while tally.record_round([round_report(sends)]):
+        while tally.record_round([round_report(sends, n)]):
             for r in range(n):
                 for s in sends[r]:
                     system.processes[r].send(
@@ -81,12 +79,11 @@ def run_episode_sim(
         report, xfers = decide_iteration(cores)
         for src, dst, task in xfers:
             system.processes[src].send(dst, "xfer", payload={"task": task}, size=XFER_BYTES)
-        iteration_moves, coverage = fold_decisions([report], n, tally)
+        moves, coverage = fold_decisions([report], tally)
         system.run()
-        applied = np.asarray(iteration_moves, dtype=np.int64).reshape(-1, 3)
         for core in cores:
-            core.apply_moves(applied)
-        all_moves.extend(iteration_moves)
+            core.apply_moves(moves)
+        all_moves.extend(map(tuple, moves.tolist()))
 
     merged = StatsRegistry()
     for core in cores:

@@ -1,48 +1,48 @@
-"""Length-prefixed framing for the real-socket runtime.
+"""Length-prefixed framing for the real-socket runtime: one frame layout.
 
 A frame is a 4-byte big-endian unsigned length followed by that many
-bytes of body. The body's first byte says which of two kinds it is:
+bytes of body; every body, batch or control frame, is laid out as::
 
-- ``{`` — a **control frame**: one compact UTF-8 JSON object with a
-  ``"t"`` type key (``assign``, ``sent``, ``commit``, ``decide``,
-  ``apply``, ``stats``, …), used on worker↔coordinator links; a body
-  that starts with any other byte and is not a JSON object is refused;
-- :data:`BATCH_MAGIC` — a **batch frame**, the only worker↔worker
-  frame: one barrier step's gossip and transfer messages for one
-  destination worker, laid out as::
+    offset 0   u8    BATCH_MAGIC
+           1   u8    BATCH_VERSION
+           2   2 B   zero
+           4   <u4   E, the envelope's length (a multiple of 8)
+           8   E B   JSON envelope, space-padded to E
+       8 + E   one binary section after another, each zero-padded to a
+               multiple of 8 bytes, so every section starts 8-byte aligned
 
-      offset 0   u8    BATCH_MAGIC
-             1   u8    BATCH_VERSION
-             2   2 B   zero
-             4   <u4   E, the envelope's length (a multiple of 8)
-             8   E B   JSON envelope {"t":"batch","src","iter","seq","n"},
-                       space-padded to E
-         8 + E   n × RECORD   one record per message
-                 Σ count × <i8  every message's member ids, concatenated
+The envelope is one compact JSON object with a ``"t"`` type key; its
+``"sections"`` key, absent in a JSON-only frame, lists the sections in
+body order as ``[name, code, shape]``, ``code`` a key of :data:`DTYPES`
+and ``shape`` one or two dimensions; no section shadows an envelope key
+or ``"t"``. :func:`pack_frame` turns each
+NumPy array value of a dict into a section and the rest into the
+envelope; :func:`read_frame` / :func:`unpack_frame` give the dict back,
+each section a read-only ``np.frombuffer`` view into the body. Nothing
+received is decoded but by ``json`` and ``np.frombuffer``.
 
-  A :data:`RECORD` is 32 little-endian bytes: ``kind`` (:data:`GOSSIP`
-  / :data:`XFER`), ``src`` and ``dst`` rank, ``count`` (member ids it
-  owns in the id array; 0 for a transfer), ``step`` (the gossip round,
-  or the transfer's task id) and ``size`` (the simulator's model wire
-  size). The ids are ``<i8``, the dtype ``NodeCore`` keeps its shards
-  in, and both arrays start 8-byte aligned, so a receiver reads them
-  with two ``np.frombuffer`` calls and hands out views, no copy.
+A **batch frame** (``"t": "batch"``, the only worker↔worker frame)
+carries one barrier step's messages for one destination worker:
+envelope ``{"t","src","iter","seq"}``, a ``records`` section of one
+:data:`RECORD` per message and an ``ids`` section, every gossip
+message's member ids as ``<i8`` (the dtype of ``NodeCore.shard``). A
+:data:`RECORD` is 32 little-endian bytes: ``kind`` (:data:`GOSSIP` /
+:data:`XFER`), ``src`` and ``dst`` rank, ``count`` (its ids; 0 for a
+transfer), ``step`` (the gossip round, or the transfer's task id) and
+``size`` (the simulator's model wire size, which byte counters use).
 
-Dedup, early-batch parking and ``seq`` stamping read only the small
-JSON envelope. :func:`read_frame` / :func:`unpack_frame` decode either
-kind: a control frame to its dict, a batch to its envelope dict plus
-``"records"`` and ``"ids"`` (read-only arrays). An unknown first byte,
-a wrong version, an unknown kind or counts that do not account for the
-body byte for byte raise :class:`FrameError`. Model byte counters use
-the simulator's cost model, never ``len(frame)``.
+An unknown first byte, a wrong version, a dtype code off the
+whitelist, a section table that does not account for the body byte for
+byte, or a batch whose records and ids disagree raise :class:`FrameError`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -52,15 +52,14 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "BATCH_MAGIC",
     "BATCH_VERSION",
+    "DTYPES",
     "GOSSIP",
     "XFER",
     "KINDS",
     "RECORD",
     "MEMBER_ID",
     "FrameError",
-    "encode_json",
     "pack_frame",
-    "pack_batch",
     "unpack_frame",
     "read_frame",
     "expect_frame",
@@ -70,16 +69,15 @@ __all__ = [
 _LEN = struct.Struct(">I")
 
 #: Upper bound on one frame's payload. Batch frames are cut near 1 MiB
-#: and a 1,024-rank move list is a few megabytes; anything bigger is a
-#: corrupted length prefix, and failing fast beats a 4 GiB alloc.
+#: and a 1,024-rank control frame is tens of kilobytes; anything bigger
+#: is a corrupted length prefix, and failing fast beats a 4 GiB alloc.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: First body byte of a batch frame; a JSON control body starts with ``{``.
+#: First body byte of every frame.
 BATCH_MAGIC = 0xBA
-#: Bump on any incompatible change to the batch layout.
-BATCH_VERSION = 1
-_BATCH_TAG = bytes([BATCH_MAGIC])
-_BATCH_HEAD = struct.Struct("<BBxxI")  # magic, version, envelope length
+#: Bump on any incompatible change to the frame layout.
+BATCH_VERSION = 2
+_HEAD = struct.Struct("<BBxxI")  # magic, version, envelope length
 
 #: Record kinds, and the message tags they stand for.
 GOSSIP, XFER = 0, 1
@@ -93,48 +91,45 @@ RECORD = np.dtype(
 #: A gossip member id on the wire: the dtype of ``NodeCore.shard``.
 MEMBER_ID = np.dtype("<i8")
 
+#: The section dtype whitelist: wire code -> dtype.
+DTYPES = {
+    "<i8": np.dtype("<i8"), "<f8": np.dtype("<f8"), "<i4": np.dtype("<i4"),
+    "|b1": np.dtype(bool), "rec": RECORD,
+}
+_CODES = {dtype: code for code, dtype in DTYPES.items()}
+#: Compact JSON; one encoder (``json.dumps(separators=...)`` builds one per call).
+_ENVELOPE = json.JSONEncoder(separators=(",", ":"))
+
 
 class FrameError(WireFormatError):
     """A byte stream that does not follow the framing protocol."""
 
 
-def encode_json(obj: Any) -> bytes:
-    """Compact UTF-8 JSON — the encoding of every control body."""
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
-
-
-def _framed(body: bytes) -> bytes:
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _LEN.pack(len(body)) + body
-
-
-def pack_frame(obj: dict[str, Any]) -> bytes:
-    """Serialize one control frame: length prefix + compact JSON.
-
-    The runtime sends no message this way any more; the repo
-    benchmark's ``net.wire.pack_us`` microbenchmark still times it on a
-    ``to_wire`` dict, so it and :func:`unpack_frame` keep their shape.
-    """
-    return _framed(encode_json(obj))
-
-
-def pack_batch(
-    envelope: dict[str, Any], records: Sequence[tuple], ids: Sequence[np.ndarray] = ()
-) -> bytes:
-    """Serialize one batch frame: ``envelope`` (which gains ``"n"``),
-    ``records`` — ``(kind, src, dst, count, step, size)`` tuples in
-    :data:`RECORD` field order — and the member-id arrays the gossip
-    records' ``count`` fields account for, in record order."""
-    head = encode_json({**envelope, "n": len(records)})
+def pack_frame(frame: dict[str, Any]) -> bytes:
+    """Serialize one frame: each NumPy array value of ``frame`` becomes a
+    section (dtype on :data:`DTYPES`' whitelist), the rest the envelope."""
+    envelope, table, sections = {}, [], []
+    for name, value in frame.items():
+        if not isinstance(value, np.ndarray):
+            envelope[name] = value
+            continue
+        code = _CODES.get(value.dtype)
+        if code is None or not 1 <= value.ndim <= 2:
+            raise FrameError(f"section {name!r}: {value.dtype} {value.shape} is not wire-safe")
+        table.append([name, code, list(value.shape)])
+        data = value.tobytes()
+        sections += [data, bytes(-len(data) % 8)]
+    if table:
+        if "sections" in envelope:
+            raise FrameError("'sections' is the section table's key")
+        envelope["sections"] = table
+    head = _ENVELOPE.encode(envelope).encode("utf-8")
     head += b" " * (-len(head) % 8)
-    members = np.concatenate(ids, dtype=MEMBER_ID).tobytes() if len(ids) else b""
-    return _framed(
-        _BATCH_HEAD.pack(BATCH_MAGIC, BATCH_VERSION, len(head))
-        + head
-        + np.array(records, dtype=RECORD).tobytes()
-        + members
-    )
+    length = _HEAD.size + len(head) + sum(map(len, sections))
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    prefix = _LEN.pack(length) + _HEAD.pack(BATCH_MAGIC, BATCH_VERSION, len(head))
+    return b"".join([prefix, head, *sections])
 
 
 def unpack_frame(data: bytes) -> tuple[dict[str, Any], bytes]:
@@ -156,64 +151,64 @@ def unpack_frame(data: bytes) -> tuple[dict[str, Any], bytes]:
 
 
 def _decode_body(body: bytes) -> dict[str, Any]:
-    if body[:1] == _BATCH_TAG:
-        return _decode_batch(body)
-    return _decode_json(body)  # any other first byte fails here unless it is JSON
-
-
-def _decode_json(body: bytes) -> dict[str, Any]:
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FrameError(
-            f"undecodable frame body (first byte {body[:1]!r}): {exc}"
-        ) from exc
-    if not isinstance(obj, dict):
-        raise FrameError(f"frame body must be an object, got {type(obj).__name__}")
-    return obj
-
-
-def _decode_batch(body: bytes) -> dict[str, Any]:
-    if len(body) < _BATCH_HEAD.size:
-        raise FrameError("truncated batch header")
-    _, version, head_len = _BATCH_HEAD.unpack_from(body)
+    if len(body) < _HEAD.size or body[0] != BATCH_MAGIC:
+        raise FrameError(f"not a frame body (first byte {body[:1]!r})")
+    _, version, head_len = _HEAD.unpack_from(body)
     if version != BATCH_VERSION:
-        raise FrameError(f"batch version {version}, expected {BATCH_VERSION}")
-    start = _BATCH_HEAD.size + head_len
-    if head_len % 8 or start > len(body):
-        raise FrameError(f"batch envelope of {head_len} bytes does not fit the body")
-    batch = _decode_json(body[_BATCH_HEAD.size : start])
-    for key in ("src", "iter", "seq", "n"):
-        if type(batch.get(key)) is not int:
-            raise FrameError(f"batch envelope field {key!r} must be an integer")
-    n = batch["n"]
-    if batch.get("t") != "batch" or n < 0:
-        raise FrameError(f"malformed batch envelope {batch}")
-    ids_start = start + n * RECORD.itemsize
-    if ids_start > len(body):
-        raise FrameError(f"{n} records run past a {len(body)}-byte body")
-    records = np.frombuffer(body, RECORD, n, start)
+        raise FrameError(f"frame version {version}, expected {BATCH_VERSION}")
+    at = _HEAD.size + head_len
+    if head_len % 8 or at > len(body):
+        raise FrameError(f"envelope of {head_len} bytes does not fit the body")
+    try:
+        frame = json.loads(body[_HEAD.size : at].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FrameError(f"undecodable envelope: {exc}") from exc
+    if not isinstance(frame, dict):
+        raise FrameError(f"envelope must be an object, got {type(frame).__name__}")
+    table = frame.pop("sections", [])
+    for entry in table if type(table) is list else [table]:  # a non-list: one bad entry
+        if not (type(entry) is list and len(entry) == 3 and type(entry[0]) is str
+                and entry[0] not in frame and entry[0] != "t" and type(entry[1]) is str
+                and entry[1] in DTYPES and type(entry[2]) is list and 1 <= len(entry[2]) <= 2
+                and all(type(d) is int and 0 <= d <= MAX_FRAME_BYTES for d in entry[2])):
+            raise FrameError(f"malformed section entry {entry!r}")
+        name, code, shape = entry
+        count = math.prod(shape)
+        nbytes = count * DTYPES[code].itemsize
+        if at + nbytes > len(body):
+            raise FrameError(f"section {name!r} of {nbytes} bytes runs past the body")
+        frame[name] = np.frombuffer(body, DTYPES[code], count, at).reshape(shape)
+        at += nbytes + -nbytes % 8
+    if at != len(body):
+        raise FrameError(f"sections account for {at} of the body's {len(body)} bytes")
+    if frame.get("t") == "batch":
+        _check_batch(frame)
+    return frame
+
+
+def _check_batch(batch: dict[str, Any]) -> None:
+    if any(type(batch.get(key)) is not int for key in ("src", "iter", "seq")):
+        raise FrameError("batch envelope fields src, iter and seq must be integers")
+    records, ids = batch.get("records"), batch.get("ids")
+    if not (isinstance(records, np.ndarray) and records.dtype == RECORD and records.ndim == 1
+            and isinstance(ids, np.ndarray) and ids.dtype == MEMBER_ID and ids.ndim == 1):
+        raise FrameError("a batch needs a 1-D 'records' and a 1-D '<i8' 'ids' section")
     kinds, counts = records["kind"], records["count"]
     if not ((kinds == GOSSIP) | (kinds == XFER)).all():
         raise FrameError(f"unknown record kind in {sorted(set(kinds.tolist()))}")
     if ((counts < 0) | ((kinds == XFER) & (counts != 0))).any():
         raise FrameError("negative member count, or members on a transfer record")
     total = int(counts.sum(dtype=np.int64))
-    if len(body) - ids_start != total * MEMBER_ID.itemsize:
-        raise FrameError(
-            f"member counts sum to {total} ids, body holds "
-            f"{len(body) - ids_start} bytes after the records"
-        )
-    batch["records"] = records
-    batch["ids"] = np.frombuffer(body, MEMBER_ID, total, ids_start)
-    return batch
+    if total != ids.size:
+        raise FrameError(f"member counts sum to {total} ids, the batch holds {ids.size}")
 
 
 async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
     EOF mid-frame raises :class:`FrameError` — a peer that dies between
-    the prefix and the body must not look like a graceful close.
+    the prefix and the body must not look like a graceful close. Only
+    ``reader.readexactly`` is called.
     """
     try:
         prefix = await reader.readexactly(_LEN.size)
@@ -232,16 +227,18 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
 
 
 async def expect_frame(reader: asyncio.StreamReader, *types: str) -> dict[str, Any]:
-    """Read one control frame and require its ``"t"`` to be in ``types``."""
+    """Read one frame and require its ``"t"`` to be in ``types``."""
     frame = await read_frame(reader)
     if frame is None:
         raise FrameError(f"peer closed while a {types} frame was expected")
     if frame.get("t") not in types:
-        raise FrameError(f"expected control frame {types}, got {frame.get('t')!r}")
+        raise FrameError(f"expected frame {types}, got {frame.get('t')!r}")
     return frame
 
 
-async def write_frame(writer: asyncio.StreamWriter, obj: dict[str, Any]) -> None:
-    """Write one control frame and drain the transport buffer."""
-    writer.write(pack_frame(obj))
+async def write_frame(writer: asyncio.StreamWriter, frame: dict[str, Any]) -> int:
+    """Write one frame, drain the transport buffer; returns its length."""
+    data = pack_frame(frame)
+    writer.write(data)
     await writer.drain()
+    return len(data)

@@ -4,8 +4,8 @@ Besides the in-simulator :class:`Message` record, this module keeps
 a JSON-safe *wire dict* for one message (:func:`to_wire`, versioned by
 :data:`WIRE_VERSION`). The real-socket runtime (:mod:`repro.net`) no
 longer uses it: gossip and transfer messages cross its sockets as
-fixed-layout records inside binary batch frames
-(:func:`repro.net.wire.pack_batch`). :func:`to_wire` and
+fixed-layout records in binary sections of batch frames
+(:func:`repro.net.wire.pack_frame`). :func:`to_wire` and
 :func:`encode_payload` stay because the repo benchmark's
 ``net.wire.pack_us`` microbenchmark times them;
 :class:`WireFormatError` is the base of every framing error.

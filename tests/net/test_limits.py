@@ -4,8 +4,9 @@ Open fds are ``O(W^2)`` in the worker count and independent of the rank
 count (one server and one connection per worker pair), every core of a
 spec shares one read-only ``task_loads``, batch frames are cut near
 ``BATCH_CUT_BYTES``, a dispatcher queue never holds more than one
-step's cuts, and the sim<->net identity holds at 256 ranks in tier-1
-(1,024 under ``slow``).
+step's cuts, control frames carry every per-rank field as a binary
+section (so their JSON envelopes do not grow with the ranks), and the
+sim<->net identity holds at 256 ranks in tier-1 (1,024 under ``slow``).
 """
 
 import asyncio
@@ -22,8 +23,8 @@ from repro.net import (
     run_episode_net_async,
     run_episode_sim,
 )
-from repro.net import dispatcher, node
-from repro.net.wire import MEMBER_ID, RECORD
+from repro.net import dispatcher, node, wire
+from repro.net.wire import MAX_FRAME_BYTES, MEMBER_ID, RECORD
 
 needs_proc_fd = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
@@ -105,32 +106,39 @@ class TestMemory:
 class TestBatchCut:
     @pytest.fixture
     def spy(self, monkeypatch):
-        """Record every batch frame packed and the queue depth behind
-        every send, per destination, between two drains."""
-        seen = {"frames": [], "depths": []}
+        """Record every batch frame packed, the queue depth behind every
+        send, and each step's cuts (their message sizes) per destination,
+        between two drains."""
+        seen = {"frames": [], "depths": [], "steps": []}
         since_drain: dict[tuple[int, int], int] = {}
-        real_pack = dispatcher.pack_batch
+        step_cuts: dict[tuple[int, int], list[list[int]]] = {}
+        real_pack = dispatcher.pack_frame
         real_send = dispatcher.Dispatcher.send
         real_drain = dispatcher.Dispatcher.drain
 
-        def pack(envelope, records, ids=()):
-            payload = real_pack(envelope, records, ids)
-            sizes = [RECORD.itemsize + MEMBER_ID.itemsize * r[3] for r in records]
+        def pack(frame):
+            payload = real_pack(frame)
+            counts = frame["records"]["count"].tolist()
+            sizes = [RECORD.itemsize + MEMBER_ID.itemsize * c for c in counts]
             seen["frames"].append((len(payload), sizes))
             return payload
 
-        def send(self, dst, frame, tag="", section=None):
-            real_send(self, dst, frame, tag, section)
+        def send(self, dst, frame, tag=""):
+            real_send(self, dst, frame, tag)
             key = (self.rank, dst)
             since_drain[key] = since_drain.get(key, 0) + 1
             seen["depths"].append((self.queued(dst), since_drain[key]))
+            counts = frame["records"]["count"].tolist()
+            step_cuts.setdefault(key, []).append(
+                [RECORD.itemsize + MEMBER_ID.itemsize * c for c in counts])
 
         async def drain(self):
             await real_drain(self)
             for key in [k for k in since_drain if k[0] == self.rank]:
                 del since_drain[key]
+                seen["steps"].append(step_cuts.pop(key))
 
-        monkeypatch.setattr(dispatcher, "pack_batch", pack)
+        monkeypatch.setattr(dispatcher, "pack_frame", pack)
         monkeypatch.setattr(dispatcher.Dispatcher, "send", send)
         monkeypatch.setattr(dispatcher.Dispatcher, "drain", drain)
         return seen
@@ -156,6 +164,51 @@ class TestBatchCut:
         for size, records in spy["frames"]:
             # A cut closes only once its records pass the constant: all
             # but its last message fit under it, so a frame exceeds it by
-            # at most one message (plus the ~70-byte envelope).
+            # at most one message (plus the ~110-byte header and envelope).
             assert sum(records[:-1]) < cut
-            assert size <= cut + records[-1] + 128
+            assert size <= cut + records[-1] + 192
+        # ...and no earlier: every cut of a step but its last reaches it.
+        assert any(len(cuts) > 1 for cuts in spy["steps"])
+        for cuts in spy["steps"]:
+            assert all(sum(records) >= cut for records in cuts[:-1])
+
+
+class TestControlPlane:
+    """What the worker<->coordinator links carry, per episode."""
+
+    #: ``control_bytes`` summed over both workers of a 64-rank, two-iteration
+    #: episode (seed 0) while control frames were JSON with string rank
+    #: keys: 112 frames, 199,478 bytes (hello through the last ``apply``).
+    JSON_CONTROL_BYTES = 199_478
+
+    def test_64_rank_control_bytes_below_the_json_layout(self):
+        transport: list[dict] = []
+        spec = EpisodeSpec.synthetic(64, seed=0, n_iters=2)
+        run_episode_net(spec, NetOptions(workers=2), transport)
+        frames = sum(row["control_frames"] for row in transport)
+        sent = sum(row["control_bytes"] for row in transport)
+        assert frames == 112  # the protocol's frame sequence is unchanged
+        assert sent == 153_832  # measured with sections; 23 % below the JSON layout
+        assert sent < self.JSON_CONTROL_BYTES
+
+    def test_1024_rank_control_frames_stay_small(self, monkeypatch):
+        """The largest control frame at 1,024 ranks (4,096 tasks, four
+        workers) is the spec's ``assign``, ~50 kB — far below the frame
+        limit — and no JSON envelope grows with the ranks or tasks."""
+        frames: list[tuple[int, int, str]] = []
+        real_pack = wire.pack_frame
+
+        def pack(frame):  # write_frame's codec: every control frame, no batch
+            data = real_pack(frame)
+            envelope = int.from_bytes(data[8:12], "little")
+            frames.append((len(data), envelope, frame["t"]))
+            return data
+
+        monkeypatch.setattr(wire, "pack_frame", pack)
+        spec = EpisodeSpec.synthetic(1024, n_tasks=4096, seed=0)
+        run_episode_net(spec, NetOptions(workers=4))
+        assert {t for *_, t in frames} >= {"assign", "sent", "commit", "decide", "apply", "stats"}
+        largest, _, kind = max(frames)
+        assert kind == "assign" and largest < 64 * 1024
+        assert largest < MAX_FRAME_BYTES / 1000
+        assert max(envelope for _, envelope, _ in frames) <= 1024

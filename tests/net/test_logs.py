@@ -5,11 +5,29 @@ import json
 import numpy as np
 import pytest
 
-from repro.net import EpisodeSpec, NetOptions, run_episode_net, save_result
+from repro.net import EpisodeSpec, NetOptions, NodeCore, run_episode_net, save_result
 from repro.net.analyze import analyze_episode, analyze_logs, format_report
 from repro.net.logging_jsonl import RECORD_FIELDS, WireLog, iter_records, log_path
 from repro.net.node import NetWorker
-from repro.net.wire import GOSSIP, XFER, FrameError, pack_batch, unpack_frame
+from repro.net.wire import GOSSIP, RECORD, XFER, FrameError, pack_frame, unpack_frame
+
+
+def batch_frame(envelope, records, ids=()):
+    """A batch frame through the codec, as a worker receives it."""
+    sections = {"records": np.array(records, dtype=RECORD),
+                "ids": np.concatenate([np.empty(0, np.int64), *ids])}
+    frame, rest = unpack_frame(pack_frame({**envelope, **sections}))
+    assert rest == b""
+    return frame
+
+
+def arrivals(worker):
+    """Per hosted rank, its nonzero arrival counts per step."""
+    out = {}
+    for step, counts in worker.arrivals.items():
+        for i in np.flatnonzero(counts).tolist():
+            out.setdefault(worker.ranks[i], {})[step] = int(counts[i])
+    return out
 
 
 class TestWireLog:
@@ -119,26 +137,64 @@ class TestBatchedTransport:
             (XFER, 3, 4, 0, 11, 48),
         ]
         envelope = {"t": "batch", "src": 1, "iter": 0, "seq": 0}
-        packed = pack_batch(envelope, records, [members] * 3)
-        frame, rest = unpack_frame(packed)
-        assert rest == b"" and frame["n"] == 4
+        frame = batch_frame(envelope, records, [members] * 3)
+        assert len(frame["records"]) == 4
         worker.on_batch(frame)
         worker.on_batch(frame)  # the stubborn link's retransmission
         assert worker.deduped == 1
-        arrivals = {r: dict(n.arrivals) for r, n in worker.nodes.items() if n.arrivals}
-        assert arrivals == {2: {1: 2}, 7: {1: 1}, 4: {None: 1}}
-        assert worker.nodes[2].core.registry.counters["gossip.received"] == 2
-        assert worker.nodes[4].core.registry.counters["xfer.received"] == 1
+        assert arrivals(worker) == {2: {1: 2}, 7: {1: 1}, 4: {None: 1}}
+        assert worker.cores[2].registry.counters["gossip.received"] == 2
+        assert worker.cores[4].registry.counters["xfer.received"] == 1
         # Same seq from another worker is another batch.
         worker.on_batch({**frame, "src": 2})
-        assert worker.deduped == 1 and worker.nodes[2].arrivals[1] == 4
+        assert worker.deduped == 1 and arrivals(worker)[2][1] == 4
+        assert worker.cores[2].registry.counters["gossip.received"] == 4
+
+    def test_bulk_delivery_equals_one_receive_per_record(self):
+        """Counting a batch per (round, rank) in bulk gives every core the
+        counters, arrivals and merged knowledge the per-record loop gave,
+        whatever the record order, rounds and kinds are mixed."""
+        spec = EpisodeSpec.synthetic(12, seed=3)
+        rng = np.random.default_rng(5)
+        records, ids = [], []
+        for _ in range(60):
+            dst, src = int(rng.integers(4, 10)), int(rng.integers(12))
+            if rng.random() < 0.3:
+                records.append((XFER, src, dst, 0, int(rng.integers(400)), 48))
+                continue
+            members = np.unique(rng.integers(0, 12, int(rng.integers(0, 5))))
+            records.append((GOSSIP, src, dst, members.size, int(rng.integers(1, 3)), 64))
+            ids.append(members)
+        worker = NetWorker(0, spec, range(4, 10))
+        worker.begin_iteration(0)
+        worker.on_batch(batch_frame({"t": "batch", "src": 0, "iter": 0, "seq": 0}, records, ids))
+        reference = {r: NodeCore(spec, r) for r in range(4, 10)}
+        expected: dict = {}
+        payloads = iter(ids)
+        for core in reference.values():
+            core.begin_iteration()
+        for kind, _src, dst, _count, step, _size in records:
+            if kind == GOSSIP:
+                reference[dst].receive(step, next(payloads))
+            else:
+                reference[dst].receive_xfer(step)
+                step = None
+            expected.setdefault(dst, {}).setdefault(step, 0)
+            expected[dst][step] += 1
+        assert arrivals(worker) == expected
+        for core in worker.cores:
+            ref = reference[core.rank]
+            assert core.registry.counters == ref.registry.counters
+            for round_index in (1, 2):
+                core.advance(round_index)
+                ref.advance(round_index)
+            assert core.shard.tolist() == ref.shard.tolist()
 
     @staticmethod
     def _gossip_batch(iteration, seq):
         """Rank 3 tells rank 1 about {3} in round 1, from worker 1."""
         envelope = {"t": "batch", "src": 1, "iter": iteration, "seq": seq}
-        records = [(GOSSIP, 3, 1, 1, 1, 64)]
-        return unpack_frame(pack_batch(envelope, records, [np.array([3])]))[0]
+        return batch_frame(envelope, [(GOSSIP, 3, 1, 1, 1, 64)], [np.array([3])])
 
     def test_batch_ahead_of_the_epoch_waits_for_begin_iteration(self):
         """A peer may cross an epoch boundary first; what it sends then
@@ -147,15 +203,15 @@ class TestBatchedTransport:
         batch = self._gossip_batch
 
         worker.on_batch(batch(0, 0))  # before the first begin_iteration
-        assert not worker.nodes[1].arrivals
+        assert not arrivals(worker)
         worker.begin_iteration(0)
-        assert worker.nodes[1].arrivals[1] == 1
+        assert arrivals(worker) == {1: {1: 1}}
         worker.on_batch(batch(1, 1))  # the peer is already in iteration 1
-        assert worker.nodes[1].arrivals[1] == 1
+        assert arrivals(worker) == {1: {1: 1}}
         worker.begin_iteration(1)
-        assert worker.nodes[1].arrivals[1] == 1  # reset, then the parked one
-        worker.nodes[1].core.advance(1)  # the payload reached the core's inbox
-        assert 3 in worker.nodes[1].core.shard
+        assert arrivals(worker) == {1: {1: 1}}  # reset, then the parked one
+        worker.cores[1].advance(1)  # the payload reached the core's inbox
+        assert 3 in worker.cores[1].shard
 
     def test_batch_from_an_earlier_iteration_is_refused(self):
         """The barriers make a batch from a finished iteration impossible;
@@ -166,8 +222,18 @@ class TestBatchedTransport:
         worker.begin_iteration(1)
         with pytest.raises(FrameError, match=r"worker 1 \(seq 5, iter 0\)"):
             worker.on_batch(self._gossip_batch(0, 5))
-        assert not worker.nodes[1].arrivals
-        assert worker.nodes[1].core.registry.counters.get("gossip.received", 0) == 0
+        assert not arrivals(worker)
+        assert worker.cores[1].registry.counters.get("gossip.received", 0) == 0
+
+    def test_batch_for_a_rank_hosted_elsewhere_is_refused(self):
+        worker = NetWorker(0, EpisodeSpec.synthetic(8, seed=0), range(2, 5))
+        worker.begin_iteration(0)
+        frame = batch_frame({"t": "batch", "src": 1, "iter": 0, "seq": 0},
+                            [(XFER, 0, 3, 0, 1, 48), (XFER, 0, 5, 0, 2, 48)])
+        with pytest.raises(FrameError, match="hosts range"):
+            worker.on_batch(frame)
+        with pytest.raises(FrameError, match="worker-to-worker"):
+            worker.on_batch({"t": "commit", "src": 1, "iter": 0, "seq": 1})
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_consistent_for_any_worker_count(self, workers, tmp_path):
