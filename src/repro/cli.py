@@ -641,7 +641,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
     wire = {
         key: sum(row[key] for row in transport)
         for key in ("frames", "wire_bytes", "envelope_bytes", "retries", "deduped",
-                    "control_frames", "control_bytes")
+                    "control_frames", "control_bytes", "core_s")
     }
     print(
         f"net episode: {spec.n_ranks} ranks over loopback TCP ({mode})\n"
@@ -652,7 +652,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
         f"  wire: {wire['frames']} batch frames, {wire['wire_bytes']} bytes "
         f"({wire['envelope_bytes']} envelope), control: {wire['control_frames']} "
         f"frames, {wire['control_bytes']} bytes, retries={wire['retries']} "
-        f"deduped={wire['deduped']}\n"
+        f"deduped={wire['deduped']} core_s={wire['core_s']:.3f}\n"
         f"  imbalance: {result.initial_imbalance:.4f} -> "
         f"{result.final_imbalance:.4f}\n"
         f"  artifacts: {outdir / 'result.json'}"

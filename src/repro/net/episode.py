@@ -1,19 +1,21 @@
 """The deterministic distributed-episode protocol shared by sim and net.
 
 One LB episode — gossip inform rounds followed by local transfer
-decisions — expressed as a *transport-agnostic* per-rank state machine
-(:class:`NodeCore`) plus a frozen :class:`EpisodeSpec`. A core's inform
-stage is :class:`repro.core.gossip.RankInform`, the per-rank rule the
+decisions — expressed as a *transport-agnostic* state machine for a
+contiguous rank slice (:class:`NodeCore`) plus a frozen
+:class:`EpisodeSpec`. A rank's inform stage is
+:class:`repro.core.gossip.RankInform`, the per-rank rule the
 asynchronous event-level stage of :mod:`repro.runtime.lbmanager` runs
-too; :class:`NodeCore` is its round-barrier driver. Two runtimes drive
-the same state machine:
+too; :class:`NodeCore` drives its hosted ranks' rules at round barriers
+in array passes over the slice (one batch in, one scatter-merge, one
+set of send arrays out). Two runtimes drive the same class:
 
-- :mod:`repro.net.simref` sends the protocol's messages through the
-  discrete-event simulator (:class:`repro.sim.process.System`), with
-  network latencies and per-message delivery events;
-- :mod:`repro.net.node`/:mod:`repro.net.coordinator` send them as
-  length-prefixed frames over real loopback TCP sockets between
-  asyncio nodes.
+- :mod:`repro.net.simref` hosts every rank in one core and sends the
+  protocol's messages through the discrete-event simulator
+  (:class:`repro.sim.process.System`), with network latencies and
+  per-message delivery events;
+- :mod:`repro.net.node`/:mod:`repro.net.coordinator` host one core per
+  worker and send its messages as batch frames over real loopback TCP.
 
 The determinism contract that makes sim<->net **bit-identity** possible
 (and is pinned by ``tests/net/test_bit_identity.py``):
@@ -22,28 +24,24 @@ The determinism contract that makes sim<->net **bit-identity** possible
    target selection, transfer CMF sampling — comes from that rank's own
    generator, spawned from ``SeedSequence(spec.seed)`` exactly as
    :func:`episode_streams` does. No draw ever depends on another rank's
-   schedule.
+   schedule, or on which slice hosts the rank.
 2. *Round barriers with order-free merges.* Gossip round ``r``'s
    messages are all delivered before any rank acts on them, and a
    rank merges its round-``r`` payloads as one union (an OR of packed
    rows) — the result is independent of arrival order, which is the
    one thing a real network refuses to promise.
 3. *Snapshot transfer view.* Transfer decisions read only the rank's
-   own knowledge, the episode's load snapshot and its own RNG
+   own knowledge, the iteration's load snapshot and its own RNG
    (``view="snapshot"`` semantics of Algorithm 2), so the decision set
    is a pure function of (spec, rank) once gossip has converged.
 
 Under these rules the episode outcome — per-round message counts,
 knowledge sets, accepted moves, the final assignment, and every
 protocol counter — is a pure function of the spec, whatever transport
-carried the bytes.
-
-Message sizes use the simulator's cost model
-(:data:`~repro.core.gossip.HEADER_BYTES` +
-:data:`~repro.core.gossip.ENTRY_BYTES` per knowledge entry) so byte
-counters agree across transports even though a message's physical
-length inside a batch frame (a 32-byte record plus 8 bytes per member
-id) differs.
+carried the bytes and however the ranks were sliced. Message sizes use
+the simulator's cost model (:data:`~repro.core.gossip.HEADER_BYTES` +
+:data:`~repro.core.gossip.ENTRY_BYTES` per knowledge entry), not a
+message's length inside a batch frame.
 """
 
 from __future__ import annotations
@@ -55,24 +53,15 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.core.gossip import ENTRY_BYTES, HEADER_BYTES, GossipResult, RankInform
-from repro.core.knowledge import SparseKnowledge, ids_to_row, row_ids
+from repro.core.knowledge import SparseKnowledge, row_ids
 from repro.core.metrics import imbalance
 from repro.core.transfer import TransferConfig, TransferStats, transfer_from_rank
 from repro.obs import StatsRegistry
 from repro.util.validation import check_positive_int
 
 __all__ = [
-    "EpisodeSpec",
-    "EpisodeResult",
-    "EpisodeTally",
-    "GossipSend",
-    "NodeCore",
-    "XFER_BYTES",
-    "episode_streams",
-    "round_report",
-    "decide_iteration",
-    "fold_decisions",
-    "assemble_assignment",
+    "EpisodeSpec", "EpisodeResult", "EpisodeTally", "GossipSend", "GossipSends", "NodeCore",
+    "XFER_BYTES", "episode_streams", "round_report", "fold_decisions", "assemble_assignment",
     "build_result",
 ]
 
@@ -213,17 +202,41 @@ def episode_streams(
 @dataclass(frozen=True)
 class GossipSend:
     """One outbound gossip message: rank ``src`` tells ``dst`` about
-    ``members`` (a sorted array of underloaded rank ids) in ``round``."""
+    ``members`` (a sorted array of underloaded rank ids) in ``round``;
+    ``size`` is its model wire size (the shared cost model, not the
+    frame length), set when the send is built."""
 
     src: int
     dst: int
     round: int
     members: np.ndarray
+    size: int
 
-    @property
-    def size(self) -> int:
-        """Model wire size (shared cost model, not the JSON frame length)."""
-        return HEADER_BYTES + ENTRY_BYTES * int(self.members.size)
+
+@dataclass(frozen=True)
+class GossipSends:
+    """One barrier step's gossip messages from a slice, as arrays in send
+    order (by rank, then in each forward's target order): ``src``,
+    ``dst``, member ``counts`` and model ``sizes`` per message, every
+    message's member ids concatenated in ``ids``, all in one ``round``.
+    Iterating yields the :class:`GossipSend` s (``members`` are views)."""
+
+    round: int
+    src: np.ndarray
+    dst: np.ndarray
+    counts: np.ndarray
+    ids: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.dst)
+
+    def __iter__(self):
+        ends = np.cumsum(self.counts).tolist()
+        for src, dst, start, end, size in zip(
+            self.src.tolist(), self.dst.tolist(), [0, *ends], ends, self.sizes.tolist()
+        ):
+            yield GossipSend(src, dst, self.round, self.ids[start:end], size)
 
 
 @dataclass
@@ -264,159 +277,172 @@ class EpisodeResult:
 
 
 class NodeCore:
-    """Rank ``rank``'s half of the episode protocol, transport-free.
+    """The episode protocol for a contiguous rank slice, transport-free.
 
+    One core hosts ``ranks`` (an int is the one-rank slice). They share
+    one private ``assignment``, the spec's read-only ``task_loads``, one
+    load vector, one :attr:`registry` and one packed matrix
+    :attr:`known` whose rows are their :class:`RankInform` rows; each
+    keeps its own :attr:`streams` (:func:`episode_streams`).
     The driver (simulated or sockets) calls, per iteration:
 
-    1. :meth:`begin_iteration` — returns the round-1 sends (empty unless
-       this rank seeds gossip, i.e. is underloaded);
-    2. :meth:`receive` for every arriving gossip message (any order);
+    1. :meth:`begin_iteration` — returns the round-1 sends (the
+       underloaded hosted ranks seed gossip);
+    2. :meth:`receive` for arriving gossip messages (any order, one
+       message or a whole batch per call);
     3. :meth:`advance` once round ``r`` is *barrier-complete* — returns
        the round ``r+1`` sends;
-    4. :meth:`decide_transfers` after the last round — returns this
-       rank's accepted moves (:func:`decide_iteration` runs it for every
-       core a driver hosts);
+    4. :meth:`decide` after the last round (or :meth:`decide_transfers`
+       and :meth:`xfer_sends`, for a driver that wants the stats);
     5. :meth:`apply_moves` with the episode-wide move list (the
        migration/epoch boundary) before the next iteration.
 
-    All counters a rank can observe locally are accumulated in
-    :attr:`registry` so the coordinator-side merge is comparable across
-    transports.
+    Every counter is an integer sum, so any slicing merges to the same totals.
     """
 
-    def __init__(self, spec: EpisodeSpec, rank: int) -> None:
-        self.spec = spec
-        self.rank = int(rank)
-        self.n_ranks = spec.n_ranks
+    def __init__(self, spec: EpisodeSpec, ranks: int | range) -> None:
+        self.spec, self.n_ranks = spec, spec.n_ranks
+        self.ranks = range(ranks, ranks + 1) if isinstance(ranks, (int, np.integer)) else ranks
+        if not 0 <= self.ranks.start < self.ranks.stop <= self.n_ranks or self.ranks.step != 1:
+            raise IndexError(f"ranks {self.ranks} are not a slice of {self.n_ranks} ranks")
         self.task_loads = spec.task_loads_array  # shared and read-only
-        #: private: transfer decisions and apply_moves write it
-        self.assignment = spec.assignment_array.copy()
-        rank_loads = np.bincount(
-            self.assignment, weights=self.task_loads, minlength=self.n_ranks
-        )
-        #: l_ave is fixed for the whole episode (the one statistics
-        #: all-reduce the paper's episode opens with).
-        self.average_load = float(rank_loads.mean())
-        self.gossip_rng, self.transfer_rng = episode_streams(
-            spec.seed, self.n_ranks, self.rank
-        )
+        self.assignment = spec.assignment_array.copy()  #: decisions and apply_moves write it
+        #: l_ave, fixed for the episode (the statistics all-reduce it opens with)
+        self.average_load = float(
+            np.bincount(self.assignment, self.task_loads, self.n_ranks).mean())
         self.registry = StatsRegistry()
-        #: This iteration's inform stage: S^p as a packed row, the
-        #: coalescing guard and the gossip stream.
-        self.inform = self._new_inform()
-        #: Payload buffer per round, merged only at the round barrier.
-        self._inbox: dict[int, list[np.ndarray]] = {}
-        self._load_snapshot: np.ndarray | None = None
-        #: This iteration's underloaded mask (``l^q < l_ave``), set by
-        #: :meth:`begin_iteration`.
-        self.underloaded: np.ndarray | None = None
+        self.known = np.zeros((len(self.ranks), (self.n_ranks + 7) >> 3), dtype=np.uint8)
+        #: (gossip, transfer) generators per hosted rank (:func:`episode_streams`)
+        self.streams = [episode_streams(spec.seed, self.n_ranks, r) for r in self.ranks]
+        self._informs: list[RankInform] = []  #: this iteration's, by slice index
+        #: round -> batches of (receivers, member counts, ids), merged at the barrier
+        self._inbox: dict[int, list[tuple[np.ndarray, ...]]] = {}
+        self._loads = np.empty(0)
+        self.underloaded: np.ndarray | None = None  #: ``l^q < l_ave``, per iteration
 
     # -- gossip --------------------------------------------------------------
 
-    def _new_inform(self) -> RankInform:
-        spec = self.spec
-        return RankInform(self.rank, self.n_ranks, spec.fanout, spec.rounds, self.gossip_rng)
+    def begin_iteration(self) -> GossipSends:
+        """Reset per-iteration gossip state; the underloaded ranks seed round 1."""
+        self._loads = np.bincount(self.assignment, self.task_loads, self.n_ranks)
+        self.underloaded = self._loads < self.average_load
+        self.known.fill(0)
+        self._inbox, spec = {}, self.spec
+        self._informs = [RankInform(r, self.n_ranks, spec.fanout, spec.rounds, gossip, row)
+                         for r, (gossip, _), row in zip(self.ranks, self.streams, self.known)]
+        seeds = np.flatnonzero(self.underloaded[self.ranks.start : self.ranks.stop]).tolist()
+        return self._sends(1, seeds, [self._informs[i].seed() for i in seeds])
 
-    @property
-    def shard(self) -> np.ndarray:
-        """S^p — the sorted underloaded-rank ids this rank knows."""
-        return row_ids(self.inform.row, self.n_ranks)
-
-    def begin_iteration(self) -> list[GossipSend]:
-        """Reset per-iteration gossip state; seed round 1 if underloaded."""
-        loads = np.bincount(
-            self.assignment, weights=self.task_loads, minlength=self.n_ranks
+    def _sends(self, next_round: int, senders: list[int], forwards: list) -> GossipSends:
+        """The messages of hosted ranks ``senders``' :class:`RankInform`
+        forwards: each forward's targets all get its row's sorted ids."""
+        kept = [(i, *f) for i, f in zip(senders, forwards) if f is not None]
+        if not kept:
+            return GossipSends(next_round, *[np.empty(0, np.int64)] * 5)
+        local, targets, _, rows, sizes = zip(*kept)
+        fan = np.fromiter(map(len, targets), np.int64, len(kept))
+        bits = np.unpackbits(np.repeat(rows, fan, axis=0), axis=1, count=self.n_ranks).view(bool)
+        sends = GossipSends(
+            next_round, np.repeat(np.array(local, np.int64) + self.ranks.start, fan),
+            np.concatenate(targets), np.count_nonzero(bits, axis=1),
+            np.flatnonzero(bits) % self.n_ranks, np.repeat(np.array(sizes, np.int64), fan),
         )
-        self._load_snapshot = loads
-        self.underloaded = loads < self.average_load
-        self.inform = self._new_inform()
-        self._inbox = {}
-        if not self.underloaded[self.rank]:
-            return []
-        return self._sends(self.inform.seed())
-
-    def _sends(self, forward: tuple | None) -> list[GossipSend]:
-        """One :class:`GossipSend` per target of a :class:`RankInform`
-        forward, all sharing the forwarded row's sorted ids."""
-        if forward is None:
-            return []
-        targets, next_round, row, size = forward
-        members = row_ids(row, self.n_ranks)
-        sends = [GossipSend(self.rank, int(dst), next_round, members) for dst in targets]
         self.registry.inc("gossip.messages", len(sends))
-        self.registry.inc("gossip.bytes", size * len(sends))
+        self.registry.inc("gossip.bytes", int(sends.sizes.sum()))
         return sends
 
-    def receive(self, round_index: int, members: np.ndarray, messages: int = 1) -> None:
+    def receive(self, round_index, members: np.ndarray, messages=1, dst=None) -> None:
         """Buffer arriving gossip payloads (order-free by design):
-        ``members`` holds the ids of ``messages`` messages, concatenated."""
-        self._inbox.setdefault(int(round_index), []).append(
-            np.asarray(members, dtype=np.int64)
-        )
-        self.registry.inc("gossip.received", messages)
+        ``messages`` messages to hosted rank ``dst`` (None: the first) in
+        round ``round_index``, ``members`` their ids concatenated; or a
+        batch, ``round_index``, ``dst`` and ``messages`` one entry per
+        message (round, destination, member count), ``members`` in order."""
+        members = np.asarray(members, dtype=np.int64)
+        if np.ndim(dst) == 0:  # one batch entry: all ``messages`` merge into one union
+            self.registry.inc("gossip.received", messages)
+            heard = np.array([0 if dst is None else dst - self.ranks.start])
+            batch = heard, np.array([members.size]), members
+            self._inbox.setdefault(int(round_index), []).append(batch)
+            return
+        self.registry.inc("gossip.received", len(dst))
+        heard = np.asarray(dst, dtype=np.int64) - self.ranks.start
+        rounds, counts = np.asarray(round_index), np.asarray(messages)
+        for r in np.unique(rounds).tolist():
+            mine = rounds == r
+            ids = members if mine.all() else members[np.repeat(mine, counts)]
+            self._inbox.setdefault(r, []).append((heard[mine], counts[mine], ids))
 
-    def advance(self, round_index: int) -> list[GossipSend]:
-        """Merge round ``round_index``'s payloads as one union; forward
-        once if the round cap allows. Call only once all of the round's
-        messages are in (the barrier)."""
-        payloads = self._inbox.pop(int(round_index), [])
-        if not payloads:
-            return []
-        union = ids_to_row(np.concatenate(payloads), self.n_ranks)
-        return self._sends(self.inform.on_inform(round_index, union))
+    def advance(self, round_index: int) -> GossipSends:
+        """Merge round ``round_index``'s payloads as one union per receiver
+        (one scatter); each forwards once if the round cap allows. Call only
+        once all of the round's messages are in (the barrier)."""
+        batches = self._inbox.pop(int(round_index), [])
+        if not batches:
+            return self._sends(round_index + 1, [], [])
+        receivers = np.unique(np.concatenate([heard for heard, _, _ in batches]))
+        union = np.zeros((receivers.size, self.n_ranks), dtype=bool)
+        for heard, counts, ids in batches:
+            union[np.repeat(np.searchsorted(receivers, heard), counts), ids] = True
+        union = np.packbits(union, axis=1)
+        receivers = receivers.tolist()
+        informs = self._informs
+        forwards = [informs[i].on_inform(round_index, row) for i, row in zip(receivers, union)]
+        return self._sends(round_index + 1, receivers, forwards)
 
     # -- transfer ------------------------------------------------------------
 
-    def gossip_result(self) -> GossipResult:
-        """This rank's snapshot view of the finished inform stage."""
-        assert self._load_snapshot is not None and self.underloaded is not None
-        know = SparseKnowledge(self.n_ranks)
-        know.add(self.rank, self.shard)
-        return GossipResult(
-            knowledge=know,
-            underloaded=self.underloaded,
-            load_snapshot=self._load_snapshot,
-            average_load=self.average_load,
-        )
-
-    def coverage_hits(self) -> int:
-        """|S^p ∩ U| — this rank's contribution to episode coverage."""
-        assert self.underloaded is not None
-        return int(np.count_nonzero(self.underloaded[self.shard]))
-
     def decide_transfers(self) -> TransferStats:
-        """Algorithm 2 for this rank alone, on its snapshot view."""
-        return transfer_from_rank(
-            self.rank,
-            self.assignment,
-            self.task_loads,
-            self.gossip_result(),
-            self.spec.transfer_config(),
-            rng=self.transfer_rng,
-            registry=self.registry,
-        )
+        """Algorithm 2 for each hosted rank above the threshold (one at or
+        below it would draw and record nothing), in rank order, each on its
+        snapshot view and stream: the slice's stats, moves in rank then
+        decision order. A rank's moves are undone once decided, so each
+        decides on the iteration's assignment, as a core of its own would."""
+        config, parts = self.spec.transfer_config(), []
+        loads = self._loads[self.ranks.start : self.ranks.stop]
+        for i in np.flatnonzero(loads > config.threshold * self.average_load).tolist():
+            rank, know = self.ranks.start + i, SparseKnowledge(self.n_ranks)
+            know.add(rank, row_ids(self.known[i], self.n_ranks))
+            view = GossipResult(know, self.underloaded, self._loads, self.average_load)
+            parts.append(transfer_from_rank(rank, self.assignment, self.task_loads, view, config,
+                                            rng=self.streams[i][1], registry=self.registry))
+            self.assignment[parts[-1].moves[:, 0]] = rank
+        stats = TransferStats()
+        stats.merge(*parts)
+        return stats
 
     def xfer_sends(self, stats: TransferStats) -> list[tuple[int, int]]:
-        """The ``(dst, task)`` transfer messages this rank's decisions
-        imply — one per accepted move, in decision order. Records the
-        sender-side counters (both transports call this exactly once)."""
+        """The ``(dst, task)`` transfer per move of ``stats``, in decision order,
+        and the sender-side counters (called once a step; :meth:`decide` does)."""
         sends = list(zip(stats.moves[:, 2].tolist(), stats.moves[:, 0].tolist()))
         if sends:
             self.registry.inc("xfer.sent", len(sends))
             self.registry.inc("xfer.bytes", XFER_BYTES * len(sends))
         return sends
 
+    def decide(self) -> dict[str, np.ndarray]:
+        """The decide step: the ``decide`` frame's report — ``(n, 3)``
+        accepted ``(task, src, dst)`` moves in rank then decision order (the
+        transfers to send), hits ``|S^p ∩ U|`` and underloaded flags per
+        hosted rank, transfers per destination rank."""
+        stats = self.decide_transfers()
+        self.xfer_sends(stats)
+        hits = np.bitwise_count(self.known & np.packbits(self.underloaded)).sum(axis=1)
+        return {
+            "moves": np.asarray(stats.moves, dtype=np.int32),
+            "hits": hits.astype(np.int32),
+            "under": self.underloaded[self.ranks.start : self.ranks.stop].copy(),
+            "xfer_counts": np.bincount(stats.moves[:, 2], minlength=self.n_ranks).astype(np.int32),
+        }
+
     def receive_xfer(self, task: int | None = None, messages: int = 1) -> None:
         """Record ``messages`` arriving transfers (a rank keeps only the count)."""
         self.registry.inc("xfer.received", messages)
 
     def apply_moves(self, moves: list[tuple[int, int, int]] | np.ndarray) -> None:
-        """Apply the episode-wide accepted moves (epoch boundary). A driver
-        applying one list to many ranks passes an ``(n, 3)`` array built once
-        (one fancy assignment per rank; no task moves twice in an iteration);
-        a list — of triples, or of the rows of :attr:`TransferStats.moves`
-        arrays it was extended with — is walked: turning it into an array
-        costs three such walks."""
+        """Apply the episode-wide accepted moves (epoch boundary): an ``(n,
+        3)`` array in one fancy assignment (no task moves twice in an
+        iteration), or a list — of triples, or of :attr:`TransferStats.moves`
+        rows — walked in order."""
         if isinstance(moves, np.ndarray):
             self.assignment[moves[:, 0]] = moves[:, 2]
             return
@@ -434,49 +460,21 @@ def assemble_assignment(
     return assignment
 
 
-def round_report(sends: dict[int, list[GossipSend]], n_ranks: int) -> dict[str, Any]:
-    """One gossip round's report for the cores a driver hosts, as the
-    ``sent`` frame carries it: ``<i4`` messages per hosted rank and per
-    destination rank, and their model bytes."""
-    step = [s for batch in sends.values() for s in batch]
+def round_report(sends: GossipSends, ranks: range, n_ranks: int) -> dict[str, Any]:
+    """One gossip round's report for the slice ``ranks`` that sent
+    ``sends``, as the ``sent`` frame carries it: ``<i4`` messages per
+    hosted rank and per destination rank, and their model bytes."""
     return {
-        "rank_counts": np.array([len(b) for b in sends.values()], dtype=np.int32),
-        "bytes": sum(s.size for s in step),
-        "dst_counts": np.bincount([s.dst for s in step], minlength=n_ranks).astype(np.int32),
+        "rank_counts": np.bincount(sends.src - ranks.start, minlength=len(ranks)).astype(np.int32),
+        "bytes": int(sends.sizes.sum()),
+        "dst_counts": np.bincount(sends.dst, minlength=n_ranks).astype(np.int32),
     }
-
-
-def decide_iteration(
-    cores: Iterable[NodeCore],
-) -> tuple[dict[str, np.ndarray], list[tuple[int, int, int]]]:
-    """One iteration's decide step, after the last gossip round, for the
-    cores a driver hosts (in rank order): the ``decide`` frame's report —
-    ``(n, 3)`` accepted ``(task, src, dst)`` moves in rank then decision
-    order, hits and underloaded flags per hosted rank, transfers per
-    destination rank — and the ``(src, dst, task)`` transfers to send."""
-    cores = list(cores)
-    xfers: list[tuple[int, int, int]] = []
-    moves, hits, under = [np.empty((0, 3), dtype=np.int32)], [], []
-    for core in cores:
-        hits.append(core.coverage_hits())
-        under.append(bool(core.underloaded[core.rank]))
-        stats = core.decide_transfers()
-        xfers += [(core.rank, dst, task) for dst, task in core.xfer_sends(stats)]
-        moves.append(stats.moves)
-    report = {
-        "moves": np.concatenate(moves, dtype=np.int32),
-        "hits": np.array(hits, dtype=np.int32),
-        "under": np.array(under, dtype=bool),
-        "xfer_counts": np.bincount(
-            [dst for _, dst, _ in xfers], minlength=cores[0].n_ranks).astype(np.int32),
-    }
-    return report, xfers
 
 
 def fold_decisions(
     reports: Iterable[dict[str, np.ndarray]], tally: EpisodeTally
 ) -> tuple[np.ndarray, float]:
-    """Fold every driver's :func:`decide_iteration` report, in rank-slice
+    """Fold every driver's :meth:`NodeCore.decide` report, in rank-slice
     order, into the iteration's ``(n, 3)`` moves and its coverage — the
     mean fraction of the underloaded set known per rank, full when that
     set is empty (:meth:`repro.core.knowledge.SparseKnowledge.coverage`'s

@@ -6,22 +6,22 @@ MPI endpoint for all the rank-addressed traffic it hosts. A
 :class:`~repro.net.dispatcher.Dispatcher` whose peers are the workers
 (itself included: same-worker traffic takes the same encode -> socket
 -> decode path, so there is one delivery path), and hosts a contiguous
-rank slice — per rank a :class:`~repro.net.episode.NodeCore` and, when
-logging, a :class:`~repro.net.logging_jsonl.WireLog`. Nothing in this module
-decides *anything* about the episode; it only moves the state
-machines' messages over sockets and implements the waits the round
-barrier needs.
+rank slice as **one** :class:`~repro.net.episode.NodeCore` (one
+assignment, one knowledge matrix, one registry) and, when logging, a
+:class:`~repro.net.logging_jsonl.WireLog` per rank. Nothing in this
+module decides *anything* about the episode; it only moves the core's
+messages over sockets and implements the waits the round barrier needs.
 
 Each barrier step (a gossip round, the transfer step) leaves a worker
 as **one batch frame per destination worker** (:mod:`repro.net.wire`),
 its record and member-id sections built straight from the step's
-:class:`~repro.net.episode.GossipSend` s and ``(src, dst, task)``
-transfers, cut into several frames only past :data:`BATCH_CUT_BYTES`.
+:class:`~repro.net.episode.GossipSends` arrays or ``(task, src, dst)``
+move rows, cut into several frames only past :data:`BATCH_CUT_BYTES`.
 The receiver drops a repeated ``(src, seq)`` batch whole, refuses one
-from an earlier iteration, counts its arrivals per hosted rank in bulk,
-hands each addressed core its gossip members in one call and wakes one
+from an earlier iteration, counts its arrivals per hosted rank with a
+``bincount``, hands the core the whole batch in one call and wakes one
 per-worker condition once per batch; only a wire log costs a step per
-record.
+record. ``core_s`` sums the seconds spent inside core calls.
 
 :func:`run_worker` speaks the coordinator's control protocol (see
 :mod:`repro.net.coordinator`) in the same frame layout, and counts the
@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import asyncio
 import sys
-from typing import Any, Iterable
+from time import perf_counter
+from typing import Any
 
 import numpy as np
 
@@ -44,9 +45,8 @@ from repro.net.dispatcher import Dispatcher, RetryPolicy
 from repro.net.episode import (
     XFER_BYTES,
     EpisodeSpec,
-    GossipSend,
+    GossipSends,
     NodeCore,
-    decide_iteration,
     round_report,
 )
 from repro.net.logging_jsonl import WireLog
@@ -61,7 +61,6 @@ from repro.net.wire import (
     read_frame,
     write_frame,
 )
-from repro.obs import StatsRegistry
 
 __all__ = ["BATCH_CUT_BYTES", "NetWorker", "run_worker", "main"]
 
@@ -79,8 +78,9 @@ class NetWorker:
         policy: RetryPolicy | None = None, log_dir: str | None = None,
     ) -> None:
         self.index = int(index)
-        self.ranks = ranks  #: the hosted slice; lists below are indexed by rank - ranks.start
-        self.cores = [NodeCore(spec, r) for r in ranks]
+        self.ranks = ranks  #: the hosted slice; logs are indexed by rank - ranks.start
+        self.core = NodeCore(spec, ranks)
+        self.core_s = 0.0  #: seconds inside core calls
         self.logs = [WireLog(log_dir, r) for r in ranks] if log_dir else None
         self.policy = policy or RetryPolicy()
         self.iteration = -1  #: none begun: whatever arrives now is early
@@ -133,8 +133,15 @@ class NetWorker:
         return {
             "worker": self.index, "frames": out.sent, "wire_bytes": out.bytes,
             "envelope_bytes": out.bytes - self.message_bytes,
-            "retries": out.retries, "deduped": self.deduped,
+            "retries": out.retries, "deduped": self.deduped, "core_s": self.core_s,
         }
+
+    def call(self, method, *args, **kwargs):
+        """Call a core method, adding its wall time to ``core_s``."""
+        start = perf_counter()
+        result = method(*args, **kwargs)
+        self.core_s += perf_counter() - start
+        return result
 
     # -- inbound -------------------------------------------------------------
 
@@ -192,18 +199,17 @@ class NetWorker:
         if ((local < 0) | (local >= hosted)).any():
             raise FrameError(f"worker {self.index} hosts {self.ranks}, not all of {records['dst']}")
         gossip = records["kind"] == GOSSIP
-        counts, key = records["count"][gossip], records["step"][gossip] * hosted + local[gossip]
-        keys, pair, messages = np.unique(key, return_inverse=True, return_counts=True)
-        ends = np.cumsum(np.bincount(pair, counts, len(keys))).astype(np.int64).tolist()
-        members = ids[np.argsort(np.repeat(key, counts), kind="stable")]  # by (round, rank)
-        for k, n, start, end in zip(keys.tolist(), messages.tolist(), [0, *ends], ends):
-            step, i = divmod(k, hosted)
-            self.arrivals.setdefault(step, np.zeros(hosted, np.int64))[i] += n
-            self.cores[i].receive(step, members[start:end], messages=n)
+        steps = records["step"][gossip]
+        for step in np.unique(steps).tolist():
+            arrived = np.bincount(local[gossip][steps == step], minlength=hosted)
+            self.arrivals[step] = self.arrivals.get(step, 0) + arrived
         xfers = np.bincount(local[~gossip], minlength=hosted)
         self.arrivals[None] = self.arrivals.get(None, 0) + xfers
-        for i in np.flatnonzero(xfers).tolist():
-            self.cores[i].receive_xfer(messages=int(xfers[i]))
+        if steps.size:
+            counts, dst = records["count"][gossip], records["dst"][gossip]
+            self.call(self.core.receive, steps, ids, counts, dst)
+        if xfers.any():
+            self.call(self.core.receive_xfer, messages=int(xfers.sum()))
         for kind, src, dst, count, step, size in records.tolist() if self.logs else ():
             self.logs[dst - self.ranks.start].record(
                 "rx", KINDS[kind], src, size, RECORD.itemsize + MEMBER_ID.itemsize * count,
@@ -212,21 +218,21 @@ class NetWorker:
 
     # -- outbound ------------------------------------------------------------
 
-    async def post(
-        self,
-        gossip: Iterable[GossipSend] = (),
-        xfers: Iterable[tuple[int, int, int]] = (),
-    ) -> None:
-        """Send one barrier step's gossip sends and ``(src, dst, task)``
-        transfers as one batch frame per destination worker — cut only
-        once its records and ids pass :data:`BATCH_CUT_BYTES`, so all but a
-        cut's last message fit under it — and wait until all are written."""
-        gossip, xfers = list(gossip), list(xfers)
-        records = np.array(
-            [(GOSSIP, s.src, s.dst, s.members.size, s.round, s.size) for s in gossip]
-            + [(XFER, src, dst, 0, task, XFER_BYTES) for src, dst, task in xfers], dtype=RECORD,
-        )
-        ids = np.concatenate([np.empty(0, MEMBER_ID), *(s.members for s in gossip)])
+    async def post(self, gossip: GossipSends | None = None, xfers: np.ndarray | None = None):
+        """Send one barrier step — its gossip sends, or its ``(n, 3)``
+        ``(task, src, dst)`` transfer moves — as one batch frame per
+        destination worker, cut only once its records and ids pass
+        :data:`BATCH_CUT_BYTES` (so all but a cut's last message fit under
+        it), and wait until all are written."""
+        if gossip is not None:
+            columns = (GOSSIP, gossip.src, gossip.dst, gossip.counts, gossip.round, gossip.sizes)
+            ids = gossip.ids
+        else:
+            columns = (XFER, xfers[:, 1], xfers[:, 2], 0, xfers[:, 0], XFER_BYTES)
+            ids = np.empty(0, MEMBER_ID)
+        records = np.empty(len(columns[1]), RECORD)
+        for name, column in zip(RECORD.names, columns):
+            records[name] = column
         nbytes = RECORD.itemsize + MEMBER_ID.itemsize * records["count"].astype(np.int64)
         self.message_bytes += int(nbytes.sum())
         for kind, src, dst, count, step, size in records.tolist() if self.logs else ():
@@ -253,13 +259,13 @@ class NetWorker:
 
     # -- barriers ------------------------------------------------------------
 
-    def begin_iteration(self, iteration: int) -> dict[int, list[GossipSend]]:
+    def begin_iteration(self, iteration: int) -> GossipSends:
         """Cross the epoch boundary: clear the arrival counters (barriers
-        guarantee no earlier traffic is in flight), start every core, take in
+        guarantee no earlier traffic is in flight), start the core, take in
         the batches of peers that crossed first; returns the round-1 sends."""
         self.iteration = int(iteration)
         self.arrivals = {}
-        sends = {core.rank: core.begin_iteration() for core in self.cores}
+        sends = self.call(self.core.begin_iteration)
         early, self._early = self._early, []
         for frame in early:
             self._deliver(frame)
@@ -316,12 +322,12 @@ async def run_worker(host: str, port: int, index: int = 0) -> None:
        (:func:`~repro.net.episode.round_report`), receive ``commit``
        (this slice's ``expect`` counts: wait for them, advance) or
        ``gossip_done``; then post the transfers, send ``decide``
-       (:func:`~repro.net.episode.decide_iteration`), receive
+       (:meth:`~repro.net.episode.NodeCore.decide`), receive
        ``xfer_commit``, wait, send ``xfer_done``, receive ``apply`` and
        apply its ``(n, 3)`` move rows;
-    4. send ``stats`` (the hosted ranks' registries merged into one — integer
-       counters: any merge order gives the simulator's totals — and the
-       transport and control-link counters), receive ``shutdown``.
+    4. send ``stats`` (the core's one registry — integer counters, so any
+       slicing gives the simulator's totals — and the transport, core-time
+       and control-link counters), receive ``shutdown``.
     """
     link = _ControlLink(*await asyncio.open_connection(host, port))
     worker: NetWorker | None = None
@@ -340,32 +346,28 @@ async def run_worker(host: str, port: int, index: int = 0) -> None:
             sends = worker.begin_iteration(iteration)
             round_index = 1
             while True:
-                await worker.post(gossip=[s for batch in sends.values() for s in batch])
-                report = round_report(sends, spec.n_ranks)
+                await worker.post(sends)
+                report = round_report(sends, worker.ranks, spec.n_ranks)
                 await link.send({"t": "sent", "round": round_index, **report})
                 reply = await link.expect("commit", "gossip_done")
                 if reply["t"] == "gossip_done":
                     break
                 await worker.wait_arrivals(reply["expect"], round_index)
-                sends = {core.rank: core.advance(round_index) for core in worker.cores}
+                sends = worker.call(worker.core.advance, round_index)
                 round_index += 1
 
-            report, xfers = decide_iteration(worker.cores)
-            await worker.post(xfers=xfers)
+            report = worker.call(worker.core.decide)
+            await worker.post(xfers=report["moves"])
             await link.send({"t": "decide", **report})
             commit = await link.expect("xfer_commit")
             await worker.wait_arrivals(commit["expect"], None)
             await link.send({"t": "xfer_done"})
-            moves = (await link.expect("apply"))["moves"]
-            for core in worker.cores:
-                core.apply_moves(moves)
+            worker.call(worker.core.apply_moves, (await link.expect("apply"))["moves"])
 
         transport = {**worker.transport_stats(), "control_frames": link.frames,
                      "control_bytes": link.bytes}
-        registry = StatsRegistry()
-        for core in worker.cores:
-            registry.merge(core.registry)
-        await link.send({"t": "stats", "registry": registry.to_dict(), "transport": transport})
+        registry = worker.core.registry.to_dict()
+        await link.send({"t": "stats", "registry": registry, "transport": transport})
         await link.expect("shutdown")
     finally:
         link.writer.close()

@@ -25,7 +25,7 @@ A **batch frame** (``"t": "batch"``, the only worker↔worker frame)
 carries one barrier step's messages for one destination worker:
 envelope ``{"t","src","iter","seq"}``, a ``records`` section of one
 :data:`RECORD` per message and an ``ids`` section, every gossip
-message's member ids as ``<i8`` (the dtype of ``NodeCore.shard``). A
+message's member ids as ``<i8`` (the dtype of ``GossipSends.ids``). A
 :data:`RECORD` is 32 little-endian bytes: ``kind`` (:data:`GOSSIP` /
 :data:`XFER`), ``src`` and ``dst`` rank, ``count`` (its ids; 0 for a
 transfer), ``step`` (the gossip round, or the transfer's task id) and
@@ -88,7 +88,7 @@ RECORD = np.dtype(
     [("kind", "<i4"), ("src", "<i4"), ("dst", "<i4"), ("count", "<i4"),
      ("step", "<i8"), ("size", "<i8")]
 )
-#: A gossip member id on the wire: the dtype of ``NodeCore.shard``.
+#: A gossip member id on the wire: the dtype of ``GossipSends.ids``.
 MEMBER_ID = np.dtype("<i8")
 
 #: The section dtype whitelist: wire code -> dtype.

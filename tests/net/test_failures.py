@@ -61,11 +61,11 @@ def _fails(spec: EpisodeSpec, options: NetOptions) -> WorkerFailed:
 
 @pytest.fixture
 def advance_raises(monkeypatch):
-    """Rank 20's ``NodeCore.advance`` raises in round 2."""
+    """The ``NodeCore.advance`` of the slice hosting rank 20 raises in round 2."""
     real = NodeCore.advance
 
     def advance(self, round_index):
-        if self.rank == 20 and round_index == 2:
+        if 20 in self.ranks and round_index == 2:
             raise RuntimeError("injected advance failure")
         return real(self, round_index)
 

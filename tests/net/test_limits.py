@@ -2,7 +2,8 @@
 
 Open fds are ``O(W^2)`` in the worker count and independent of the rank
 count (one server and one connection per worker pair), every core of a
-spec shares one read-only ``task_loads``, batch frames are cut near
+spec shares one read-only ``task_loads``, a worker holds one core (one
+assignment) for its whole rank slice, batch frames are cut near
 ``BATCH_CUT_BYTES``, a dispatcher queue never holds more than one
 step's cuts, control frames carry every per-rank field as a binary
 section (so their JSON envelopes do not grow with the ranks), and the
@@ -11,6 +12,7 @@ sim<->net identity holds at 256 ranks in tier-1 (1,024 under ``slow``).
 
 import asyncio
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,7 +85,7 @@ class TestScale:
 
     @pytest.mark.slow
     def test_1024_ranks_identical_to_sim(self):
-        # 4 tasks per rank keeps 1,024 NodeCores' private arrays small.
+        # 4 tasks per rank keeps the 1,024-rank episode small and fast.
         spec = EpisodeSpec.synthetic(1024, n_tasks=4096, seed=0)
         net = run_episode_net(spec, NetOptions(workers=4))
         assert net.to_dict() == run_episode_sim(spec).to_dict()
@@ -101,6 +103,29 @@ class TestMemory:
             a.assignment, b.assignment
         )
         assert not np.shares_memory(a.assignment, spec.assignment_array)
+
+    #: Traced peak of building this worker with one core per rank, each
+    #: copying the assignment (measured before the cores became slices).
+    PEAK_WITH_A_CORE_PER_RANK = 9_248_463
+
+    def test_worker_keeps_one_assignment_not_one_per_rank(self):
+        """A worker hosting 256 ranks x 4,096 tasks builds one core: one
+        32 kB assignment, a 256 x 32 B knowledge matrix and two generators
+        (< 1 kB each) per rank, so building it traces O(T + R*P/8) bytes,
+        not the O(R*T) of a core per rank."""
+        spec = EpisodeSpec.synthetic(256, n_tasks=4096, seed=0)
+        tracemalloc.start()
+        try:
+            worker = node.NetWorker(0, spec, range(256))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        core = worker.core
+        assert core.ranks == range(256) and core.known.shape == (256, 32)
+        assert core.assignment.nbytes == 4096 * 8 and core.task_loads is spec.task_loads_array
+        # The spec's two arrays and one copy, then 3 kB a rank for its streams.
+        assert peak < 3 * core.assignment.nbytes + 3 * 1024 * len(core.ranks) + core.known.nbytes
+        assert peak < self.PEAK_WITH_A_CORE_PER_RANK // 12
 
 
 class TestBatchCut:

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.knowledge import row_ids
 from repro.net import EpisodeSpec, NetOptions, NodeCore, run_episode_net, save_result
 from repro.net.analyze import analyze_episode, analyze_logs, format_report
 from repro.net.logging_jsonl import RECORD_FIELDS, WireLog, iter_records, log_path
 from repro.net.node import NetWorker
 from repro.net.wire import GOSSIP, RECORD, XFER, FrameError, pack_frame, unpack_frame
+from repro.obs import StatsRegistry
 
 
 def batch_frame(envelope, records, ids=()):
@@ -19,6 +21,11 @@ def batch_frame(envelope, records, ids=()):
     frame, rest = unpack_frame(pack_frame({**envelope, **sections}))
     assert rest == b""
     return frame
+
+
+def known(core, rank):
+    """The sorted ids hosted rank ``rank`` of ``core`` knows (its row of ``known``)."""
+    return row_ids(core.known[rank - core.ranks.start], core.n_ranks).tolist()
 
 
 def arrivals(worker):
@@ -143,17 +150,22 @@ class TestBatchedTransport:
         worker.on_batch(frame)  # the stubborn link's retransmission
         assert worker.deduped == 1
         assert arrivals(worker) == {2: {1: 2}, 7: {1: 1}, 4: {None: 1}}
-        assert worker.cores[2].registry.counters["gossip.received"] == 2
-        assert worker.cores[4].registry.counters["xfer.received"] == 1
+        # The slice's one registry: rank 2's two messages and rank 7's one.
+        assert worker.core.registry.counters["gossip.received"] == 3
+        assert worker.core.registry.counters["xfer.received"] == 1
         # Same seq from another worker is another batch.
         worker.on_batch({**frame, "src": 2})
         assert worker.deduped == 1 and arrivals(worker)[2][1] == 4
-        assert worker.cores[2].registry.counters["gossip.received"] == 4
+        assert worker.core.registry.counters["gossip.received"] == 6
+        worker.core.advance(1)
+        for rank in (2, 7):
+            assert {1, 5} <= set(known(worker.core, rank))
 
     def test_bulk_delivery_equals_one_receive_per_record(self):
-        """Counting a batch per (round, rank) in bulk gives every core the
-        counters, arrivals and merged knowledge the per-record loop gave,
-        whatever the record order, rounds and kinds are mixed."""
+        """Handing the slice a whole batch in one call gives the arrivals,
+        the counters, the merged knowledge and the next sends that one-rank
+        cores fed one record at a time give, whatever the record order,
+        rounds and kinds are mixed (empty payloads included)."""
         spec = EpisodeSpec.synthetic(12, seed=3)
         rng = np.random.default_rng(5)
         records, ids = [], []
@@ -182,13 +194,22 @@ class TestBatchedTransport:
             expected.setdefault(dst, {}).setdefault(step, 0)
             expected[dst][step] += 1
         assert arrivals(worker) == expected
-        for core in worker.cores:
-            ref = reference[core.rank]
-            assert core.registry.counters == ref.registry.counters
-            for round_index in (1, 2):
-                core.advance(round_index)
-                ref.advance(round_index)
-            assert core.shard.tolist() == ref.shard.tolist()
+
+        def merged():
+            registry = StatsRegistry()
+            for ref in reference.values():
+                registry.merge(ref.registry)
+            return registry.counters
+
+        assert worker.core.registry.counters == merged()
+        for round_index in (1, 2):
+            sends = [(s.src, s.dst, s.round, s.members.tolist(), s.size)
+                     for s in worker.core.advance(round_index)]
+            assert sends == [(s.src, s.dst, s.round, s.members.tolist(), s.size)
+                             for ref in reference.values() for s in ref.advance(round_index)]
+        assert worker.core.registry.counters == merged()
+        for rank, ref in reference.items():
+            assert known(worker.core, rank) == known(ref, rank)
 
     @staticmethod
     def _gossip_batch(iteration, seq):
@@ -210,8 +231,8 @@ class TestBatchedTransport:
         assert arrivals(worker) == {1: {1: 1}}
         worker.begin_iteration(1)
         assert arrivals(worker) == {1: {1: 1}}  # reset, then the parked one
-        worker.cores[1].advance(1)  # the payload reached the core's inbox
-        assert 3 in worker.cores[1].shard
+        worker.core.advance(1)  # the payload reached the core's inbox
+        assert 3 in known(worker.core, 1)
 
     def test_batch_from_an_earlier_iteration_is_refused(self):
         """The barriers make a batch from a finished iteration impossible;
@@ -223,7 +244,7 @@ class TestBatchedTransport:
         with pytest.raises(FrameError, match=r"worker 1 \(seq 5, iter 0\)"):
             worker.on_batch(self._gossip_batch(0, 5))
         assert not arrivals(worker)
-        assert worker.cores[1].registry.counters.get("gossip.received", 0) == 0
+        assert worker.core.registry.counters.get("gossip.received", 0) == 0
 
     def test_batch_for_a_rank_hosted_elsewhere_is_refused(self):
         worker = NetWorker(0, EpisodeSpec.synthetic(8, seed=0), range(2, 5))
