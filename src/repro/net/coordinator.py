@@ -1,16 +1,16 @@
-"""Episode coordinator: spawn workers, run the barrier protocol, collect.
+"""Episode coordinator: spawn workers, fold each iteration's decisions, collect.
 
-The coordinator is pure *control plane*. Gossip and transfer messages
-never pass through it — they flow worker-to-worker as rank-addressed
-batch frames over the dispatcher sockets — but every round barrier
-does: workers report per-destination send counts, the coordinator
-sums them into per-rank expected arrival counts and sends each worker
-its slice of them, and no rank advances a round before its arrivals
-match. That turns TCP's "eventually, in some order" into the
-deterministic round structure :class:`~repro.net.episode.NodeCore`
-needs, without ever looking at message *content*. Every per-rank or
-per-task field of a control frame is a binary section
-(:mod:`repro.net.wire`), so no JSON envelope grows with the ranks.
+The coordinator is pure *control plane*, and it sits in no round.
+Gossip and transfer messages flow worker-to-worker as batch frames over
+the dispatcher sockets, and the workers close every barrier step among
+themselves (:meth:`~repro.net.node.NetWorker.wait_step`). Once per
+iteration the coordinator reads every worker's ``decide`` report, folds
+them (:func:`~repro.net.episode.fold_decisions`: the moves, the
+coverage, the gossip rounds' accounting) and broadcasts the
+episode-wide moves as ``apply``, which every core needs before the next
+iteration. Every per-rank or per-task field of a control frame is a
+binary section (:mod:`repro.net.wire`), so no JSON envelope grows with
+the ranks.
 
 Workers are either coroutines in this process (``processes=False``, the
 default — still real loopback TCP between every pair of workers) or
@@ -37,7 +37,6 @@ from repro.net.dispatcher import RetryPolicy
 from repro.net.episode import (
     EpisodeResult,
     EpisodeSpec,
-    EpisodeTally,
     build_result,
     fold_decisions,
 )
@@ -232,31 +231,15 @@ async def _drive(
     ports = [int((await expect_frame(r, "ports"))["port"]) for r in readers]
     await _broadcast(conns, {"t": "peers", "ports": ports, "slices": slices})
 
-    tally = EpisodeTally()
     all_moves: list[tuple[int, int, int]] = []
+    all_rounds: list[np.ndarray] = []
     coverage = 1.0
     for _iteration in range(spec.n_iters):
-        round_index = 1
-        while True:
-            reports = []
-            for reader in readers:
-                reports.append(report := await expect_frame(reader, "sent"))
-                if report["round"] != round_index:
-                    raise FrameError(f"worker at round {report['round']}, not {round_index}")
-            if tally.record_round(reports) == 0:
-                await _broadcast(conns, {"t": "gossip_done"})
-                break
-            commit = {"t": "commit", "round": round_index}
-            await _commit(conns, slices, reports, "dst_counts", commit)
-            round_index += 1
-
         reports = [await expect_frame(reader, "decide") for reader in readers]
-        moves, coverage = fold_decisions(reports, tally)
-        await _commit(conns, slices, reports, "xfer_counts", {"t": "xfer_commit"})
-        for reader in readers:
-            await expect_frame(reader, "xfer_done")
+        moves, coverage, iteration_rounds = fold_decisions(reports)
         await _broadcast(conns, {"t": "apply", "moves": moves})
         all_moves.extend(map(tuple, moves.tolist()))
+        all_rounds.append(iteration_rounds)
 
     merged = StatsRegistry()
     for reader, ranks in zip(readers, slices):
@@ -265,18 +248,7 @@ async def _drive(
         if transport is not None:
             transport.append({"ranks": list(ranks), **frame["transport"]})
     await _broadcast(conns, {"t": "shutdown"})
-    return build_result(spec, all_moves, tally, merged.counters, coverage)
-
-
-async def _commit(conns: list[_Conn], slices: list[tuple[int, int]],
-                  reports: list[dict[str, Any]], key: str, frame: dict[str, Any]) -> None:
-    """Send the count-exact barrier's target — every rank's arrivals for
-    one step, the workers' ``key`` counts summed — as each worker's slice."""
-    if any(report[key].shape != (slices[-1][1],) for report in reports):
-        raise FrameError(f"a worker's {key!r} is not one count per rank")
-    arrivals = np.sum([report[key] for report in reports], axis=0, dtype=np.int32)
-    for (_, writer), (lo, hi) in zip(conns, slices):
-        await write_frame(writer, {**frame, "expect": arrivals[lo:hi]})
+    return build_result(spec, all_moves, np.concatenate(all_rounds), merged.counters, coverage)
 
 
 def save_result(

@@ -60,9 +60,8 @@ from repro.obs import StatsRegistry
 from repro.util.validation import check_positive_int
 
 __all__ = [
-    "EpisodeSpec", "EpisodeResult", "EpisodeTally", "GossipSend", "GossipSends", "NodeCore",
-    "XFER_BYTES", "episode_streams", "round_report", "fold_decisions", "assemble_assignment",
-    "build_result",
+    "EpisodeSpec", "EpisodeResult", "GossipSend", "GossipSends", "NodeCore", "XFER_BYTES",
+    "episode_streams", "fold_decisions", "assemble_assignment", "build_result",
 ]
 
 #: Model wire size of one transfer message (header + one task entry);
@@ -293,7 +292,8 @@ class NodeCore:
     3. :meth:`advance` once round ``r`` is *barrier-complete* — returns
        the round ``r+1`` sends;
     4. :meth:`decide` after the last round (or :meth:`decide_transfers`
-       and :meth:`xfer_sends`, for a driver that wants the stats);
+       and :meth:`xfer_sends`, for a driver that wants the stats); its
+       ``rounds`` count the iteration's gossip sends, one row per round;
     5. :meth:`apply_moves` with the episode-wide move list (the
        migration/epoch boundary) before the next iteration.
 
@@ -319,6 +319,8 @@ class NodeCore:
         self._inbox: dict[int, list[tuple[np.ndarray, ...]]] = {}
         self._loads = np.empty(0)
         self.underloaded: np.ndarray | None = None  #: ``l^q < l_ave``, per iteration
+        #: this iteration's sends, one (messages, senders, model bytes) row per round
+        self._rounds: list[tuple[int, int, int]] = []
 
     # -- gossip --------------------------------------------------------------
 
@@ -327,7 +329,7 @@ class NodeCore:
         self._loads = np.bincount(self.assignment, self.task_loads, self.n_ranks)
         self.underloaded = self._loads < self.average_load
         self.known.fill(0)
-        self._inbox, spec = {}, self.spec
+        self._inbox, self._rounds, spec = {}, [], self.spec
         self._informs = [RankInform(r, self.n_ranks, spec.fanout, spec.rounds, gossip, row)
                          for r, (gossip, _), row in zip(self.ranks, self.streams, self.known)]
         seeds = np.flatnonzero(self.underloaded[self.ranks.start : self.ranks.stop]).tolist()
@@ -338,6 +340,7 @@ class NodeCore:
         forwards: each forward's targets all get its row's sorted ids."""
         kept = [(i, *f) for i, f in zip(senders, forwards) if f is not None]
         if not kept:
+            self._rounds.append((0, 0, 0))
             return GossipSends(next_round, *[np.empty(0, np.int64)] * 5)
         local, targets, _, rows, sizes = zip(*kept)
         fan = np.fromiter(map(len, targets), np.int64, len(kept))
@@ -347,8 +350,10 @@ class NodeCore:
             np.concatenate(targets), np.count_nonzero(bits, axis=1),
             np.flatnonzero(bits) % self.n_ranks, np.repeat(np.array(sizes, np.int64), fan),
         )
+        nbytes = int(sends.sizes.sum())
+        self._rounds.append((len(sends), int(np.count_nonzero(fan)), nbytes))
         self.registry.inc("gossip.messages", len(sends))
-        self.registry.inc("gossip.bytes", int(sends.sizes.sum()))
+        self.registry.inc("gossip.bytes", nbytes)
         return sends
 
     def receive(self, round_index, members: np.ndarray, messages=1, dst=None) -> None:
@@ -423,7 +428,8 @@ class NodeCore:
         """The decide step: the ``decide`` frame's report — ``(n, 3)``
         accepted ``(task, src, dst)`` moves in rank then decision order (the
         transfers to send), hits ``|S^p ∩ U|`` and underloaded flags per
-        hosted rank, transfers per destination rank."""
+        hosted rank, and the iteration's gossip ``rounds``: one
+        ``(messages, senders, model bytes)`` row per round the slice sent."""
         stats = self.decide_transfers()
         self.xfer_sends(stats)
         hits = np.bitwise_count(self.known & np.packbits(self.underloaded)).sum(axis=1)
@@ -431,7 +437,7 @@ class NodeCore:
             "moves": np.asarray(stats.moves, dtype=np.int32),
             "hits": hits.astype(np.int32),
             "under": self.underloaded[self.ranks.start : self.ranks.stop].copy(),
-            "xfer_counts": np.bincount(stats.moves[:, 2], minlength=self.n_ranks).astype(np.int32),
+            "rounds": np.array(self._rounds, np.int64).reshape(-1, 3),
         }
 
     def receive_xfer(self, task: int | None = None, messages: int = 1) -> None:
@@ -440,95 +446,59 @@ class NodeCore:
 
     def apply_moves(self, moves: list[tuple[int, int, int]] | np.ndarray) -> None:
         """Apply the episode-wide accepted moves (epoch boundary): an ``(n,
-        3)`` array in one fancy assignment (no task moves twice in an
-        iteration), or a list — of triples, or of :attr:`TransferStats.moves`
-        rows — walked in order."""
-        if isinstance(moves, np.ndarray):
-            self.assignment[moves[:, 0]] = moves[:, 2]
-            return
-        for task, _src, dst in moves:
-            self.assignment[task] = dst
+        3)`` array or a list of ``(task, src, dst)`` rows (:func:`_move`)."""
+        _move(self.assignment, moves)
+
+
+def _move(assignment: np.ndarray, moves) -> np.ndarray:
+    """Write ``moves``' destinations into ``assignment`` in one fancy
+    assignment; a task that moves more than once ends at its last row's."""
+    moves = np.asarray(moves, np.int64).reshape(-1, 3)[::-1]
+    tasks, last = np.unique(moves[:, 0], return_index=True)
+    assignment[tasks] = moves[last, 2]
+    return assignment
 
 
 def assemble_assignment(
     spec: EpisodeSpec, moves: list[tuple[int, int, int]]
 ) -> np.ndarray:
     """The final global assignment from the initial one plus all moves."""
-    assignment = spec.assignment_array.copy()
-    for task, _src, dst in moves:
-        assignment[task] = dst
-    return assignment
-
-
-def round_report(sends: GossipSends, ranks: range, n_ranks: int) -> dict[str, Any]:
-    """One gossip round's report for the slice ``ranks`` that sent
-    ``sends``, as the ``sent`` frame carries it: ``<i4`` messages per
-    hosted rank and per destination rank, and their model bytes."""
-    return {
-        "rank_counts": np.bincount(sends.src - ranks.start, minlength=len(ranks)).astype(np.int32),
-        "bytes": int(sends.sizes.sum()),
-        "dst_counts": np.bincount(sends.dst, minlength=n_ranks).astype(np.int32),
-    }
+    return _move(spec.assignment_array.copy(), moves)
 
 
 def fold_decisions(
-    reports: Iterable[dict[str, np.ndarray]], tally: EpisodeTally
-) -> tuple[np.ndarray, float]:
+    reports: Iterable[dict[str, np.ndarray]],
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Fold every driver's :meth:`NodeCore.decide` report, in rank-slice
-    order, into the iteration's ``(n, 3)`` moves and its coverage — the
+    order, into the iteration's ``(n, 3)`` moves, its coverage — the
     mean fraction of the underloaded set known per rank, full when that
     set is empty (:meth:`repro.core.knowledge.SparseKnowledge.coverage`'s
-    rule) — and account the transfer messages in ``tally``."""
+    rule) — and its gossip rounds: the slices' ``rounds`` rows summed
+    (every driver sends the same steps), the rows with messages kept."""
     reports = list(reports)
     moves = np.concatenate([r["moves"] for r in reports]).reshape(-1, 3)
-    tally.transfer_messages += len(moves)
-    tally.bytes_sent += XFER_BYTES * len(moves)
+    rounds = np.sum([r["rounds"] for r in reports], axis=0, dtype=np.int64)
+    rounds = rounds[rounds[:, 0] > 0]
     under = int(sum(np.count_nonzero(r["under"]) for r in reports))
     if under == 0:
-        return moves, 1.0
+        return moves, 1.0, rounds
     hits = np.concatenate([r["hits"] for r in reports]).astype(np.float64)
-    return moves, float(hits.mean() / under)
-
-
-class EpisodeTally:
-    """Transport-side message accounting, shared so both runtimes count
-    the same way. One instance per episode; rounds across iterations
-    concatenate (the per-iteration gossip stages back to back)."""
-
-    def __init__(self) -> None:
-        self.per_round_messages: list[int] = []
-        self.per_round_senders: list[int] = []
-        self.n_messages = 0
-        self.bytes_sent = 0
-        self.transfer_messages = 0
-
-    def record_round(self, reports: Iterable[dict[str, Any]]) -> int:
-        """Account one gossip round from every driver's :func:`round_report`;
-        returns the round's message count (0: the inform stage is over)."""
-        reports = list(reports)
-        counts = np.concatenate([r["rank_counts"] for r in reports])
-        n = int(counts.sum())
-        if n == 0:
-            return 0
-        self.per_round_messages.append(n)
-        self.per_round_senders.append(int(np.count_nonzero(counts)))
-        self.n_messages += n
-        self.bytes_sent += sum(int(r["bytes"]) for r in reports)
-        return n
+    return moves, float(hits.mean() / under), rounds
 
 
 def build_result(
     spec: EpisodeSpec,
     moves: list[tuple[int, int, int]],
-    tally: EpisodeTally,
+    rounds: np.ndarray,
     counters: dict[str, float],
     coverage: float,
 ) -> EpisodeResult:
     """Assemble the canonical :class:`EpisodeResult`.
 
-    Both runtimes call this with transport-independent inputs, so any
-    sim↔net difference in a result field traces back to a difference in
-    those inputs — never to the assembly arithmetic.
+    ``rounds`` holds every iteration's :func:`fold_decisions` rows back
+    to back. Both runtimes call this with transport-independent inputs,
+    so any sim↔net difference in a result field traces back to a
+    difference in those inputs — never to the assembly arithmetic.
     """
     n_ranks = spec.n_ranks
     task_loads = spec.task_loads_array
@@ -537,11 +507,11 @@ def build_result(
     return EpisodeResult(
         assignment=final,
         moves=[(int(a), int(b), int(c)) for a, b, c in moves],
-        per_round_messages=list(tally.per_round_messages),
-        per_round_senders=list(tally.per_round_senders),
-        n_messages=tally.n_messages,
-        bytes_sent=tally.bytes_sent,
-        transfer_messages=tally.transfer_messages,
+        per_round_messages=rounds[:, 0].tolist(),
+        per_round_senders=rounds[:, 1].tolist(),
+        n_messages=int(rounds[:, 0].sum()),
+        bytes_sent=int(rounds[:, 2].sum()) + XFER_BYTES * len(moves),
+        transfer_messages=len(moves),
         coverage=coverage,
         initial_imbalance=imbalance(
             np.bincount(initial, weights=task_loads, minlength=n_ranks)

@@ -10,18 +10,24 @@ rank slice as **one** :class:`~repro.net.episode.NodeCore` (one
 assignment, one knowledge matrix, one registry) and, when logging, a
 :class:`~repro.net.logging_jsonl.WireLog` per rank. Nothing in this
 module decides *anything* about the episode; it only moves the core's
-messages over sockets and implements the waits the round barrier needs.
+messages over sockets and closes each barrier step with its peers.
 
-Each barrier step (a gossip round, the transfer step) leaves a worker
-as **one batch frame per destination worker** (:mod:`repro.net.wire`),
-its record and member-id sections built straight from the step's
+Each barrier step (a gossip round ``r >= 1``, the transfer step 0)
+leaves a worker as **one batch frame per worker**, itself included and
+empty when that worker gets nothing (:mod:`repro.net.wire`), its record
+and member-id sections built straight from the step's
 :class:`~repro.net.episode.GossipSends` arrays or ``(task, src, dst)``
 move rows, cut into several frames only past :data:`BATCH_CUT_BYTES`.
-The receiver drops a repeated ``(src, seq)`` batch whole, refuses one
-from an earlier iteration, counts its arrivals per hosted rank with a
-``bincount``, hands the core the whole batch in one call and wakes one
+Every frame names its ``step``, its ``cut`` of the ``cuts`` its sender
+sends this worker in the step, and the messages its sender ``sent`` in
+the step to all workers. The receiver drops a repeated ``(src, seq)``
+batch whole, refuses one from an earlier iteration, counts the rest per
+step, hands the core the whole batch in one call and wakes one
 per-worker condition once per batch; only a wire log costs a step per
-record. ``core_s`` sums the seconds spent inside core calls.
+record. A step is complete once every worker's first cut is in and the
+frames counted equal the cuts announced (:meth:`NetWorker.step_total`),
+whatever order the cuts came in. ``core_s`` sums the seconds spent
+inside core calls.
 
 :func:`run_worker` speaks the coordinator's control protocol (see
 :mod:`repro.net.coordinator`) in the same frame layout, and counts the
@@ -47,7 +53,6 @@ from repro.net.episode import (
     EpisodeSpec,
     GossipSends,
     NodeCore,
-    round_report,
 )
 from repro.net.logging_jsonl import WireLog
 from repro.net.wire import (
@@ -84,8 +89,9 @@ class NetWorker:
         self.logs = [WireLog(log_dir, r) for r in ranks] if log_dir else None
         self.policy = policy or RetryPolicy()
         self.iteration = -1  #: none begun: whatever arrives now is early
-        #: step (a gossip round, None = transfers) -> messages in per hosted rank
-        self.arrivals: dict[int | None, np.ndarray] = {}
+        self.workers = 0  #: the episode's worker count, known once connected
+        #: this iteration's step -> [frames in, first cuts in, cuts announced, messages sent]
+        self._steps: dict[int, list[int]] = {}
         self.dispatcher: Dispatcher | None = None
         self.deduped = 0  #: retransmitted batches dropped whole
         self.message_bytes = 0  #: records + member ids sent, envelopes excluded
@@ -106,7 +112,8 @@ class NetWorker:
 
     def connect(self, ports: list[int], slices: list[list[int]]) -> None:
         """Wire the dispatcher once every worker's port and slice is known."""
-        self._owner = np.repeat(np.arange(len(slices)), [hi - lo for lo, hi in slices])
+        self.workers = len(slices)
+        self._owner = np.repeat(np.arange(self.workers), [hi - lo for lo, hi in slices])
         peers = {w: ("127.0.0.1", int(p)) for w, p in enumerate(ports)}
         log = self.logs and self.logs[0]  # retry rows: the first rank's
         self.dispatcher = Dispatcher(self.index, peers, self.policy, log)
@@ -194,22 +201,20 @@ class NetWorker:
             self._deliver(frame)
 
     def _deliver(self, frame: dict[str, Any]) -> None:
-        records, ids, hosted = frame["records"], frame["ids"], len(self.ranks)
-        local = records["dst"] - self.ranks.start
-        if ((local < 0) | (local >= hosted)).any():
-            raise FrameError(f"worker {self.index} hosts {self.ranks}, not all of {records['dst']}")
+        records, ids = frame["records"], frame["ids"]
+        dsts = records["dst"]
+        if ((dsts < self.ranks.start) | (dsts >= self.ranks.stop)).any():
+            raise FrameError(f"worker {self.index} hosts {self.ranks}, not all of {dsts}")
+        counted = self._steps.setdefault(frame["step"], [0, 0, 0, 0])
+        counted[0] += 1
+        if frame["cut"] == 0:
+            counted[1:] = counted[1] + 1, counted[2] + frame["cuts"], counted[3] + frame["sent"]
         gossip = records["kind"] == GOSSIP
-        steps = records["step"][gossip]
-        for step in np.unique(steps).tolist():
-            arrived = np.bincount(local[gossip][steps == step], minlength=hosted)
-            self.arrivals[step] = self.arrivals.get(step, 0) + arrived
-        xfers = np.bincount(local[~gossip], minlength=hosted)
-        self.arrivals[None] = self.arrivals.get(None, 0) + xfers
-        if steps.size:
-            counts, dst = records["count"][gossip], records["dst"][gossip]
-            self.call(self.core.receive, steps, ids, counts, dst)
-        if xfers.any():
-            self.call(self.core.receive_xfer, messages=int(xfers.sum()))
+        if gossip.any():
+            counts = records["count"][gossip]
+            self.call(self.core.receive, records["step"][gossip], ids, counts, dsts[gossip])
+        if xfers := len(records) - int(np.count_nonzero(gossip)):
+            self.call(self.core.receive_xfer, messages=xfers)
         for kind, src, dst, count, step, size in records.tolist() if self.logs else ():
             self.logs[dst - self.ranks.start].record(
                 "rx", KINDS[kind], src, size, RECORD.itemsize + MEMBER_ID.itemsize * count,
@@ -219,20 +224,22 @@ class NetWorker:
     # -- outbound ------------------------------------------------------------
 
     async def post(self, gossip: GossipSends | None = None, xfers: np.ndarray | None = None):
-        """Send one barrier step — its gossip sends, or its ``(n, 3)``
-        ``(task, src, dst)`` transfer moves — as one batch frame per
-        destination worker, cut only once its records and ids pass
-        :data:`BATCH_CUT_BYTES` (so all but a cut's last message fit under
-        it), and wait until all are written."""
+        """Send one barrier step — its gossip sends (step: their round), or
+        its ``(n, 3)`` ``(task, src, dst)`` transfer moves (step 0) — as one
+        batch frame per worker, empty if it gets nothing, cut only once its
+        records and ids pass :data:`BATCH_CUT_BYTES` (so all but a cut's
+        last message fit under it), and wait until all are written."""
         if gossip is not None:
             columns = (GOSSIP, gossip.src, gossip.dst, gossip.counts, gossip.round, gossip.sizes)
-            ids = gossip.ids
+            ids, step = gossip.ids, gossip.round
         else:
             columns = (XFER, xfers[:, 1], xfers[:, 2], 0, xfers[:, 0], XFER_BYTES)
-            ids = np.empty(0, MEMBER_ID)
+            ids, step = np.empty(0, MEMBER_ID), 0
         records = np.empty(len(columns[1]), RECORD)
         for name, column in zip(RECORD.names, columns):
             records[name] = column
+        envelope = {"t": "batch", "src": self.index, "iter": self.iteration, "step": int(step),
+                    "sent": len(records)}
         nbytes = RECORD.itemsize + MEMBER_ID.itemsize * records["count"].astype(np.int64)
         self.message_bytes += int(nbytes.sum())
         for kind, src, dst, count, step, size in records.tolist() if self.logs else ():
@@ -242,16 +249,16 @@ class NetWorker:
             )
         owner = self._owner[records["dst"]]
         id_owner = np.repeat(owner, records["count"])
-        envelope = {"t": "batch", "src": self.index, "iter": self.iteration}
-        for dst in np.unique(owner).tolist():
+        for dst in range(self.workers):
             mine, mine_ids, ends = records[owner == dst], ids[id_owner == dst], nbytes[owner == dst]
             ends, id_ends = np.cumsum(ends), np.concatenate([[0], np.cumsum(mine["count"])])
-            cuts = [0]
-            while cuts[-1] < len(mine):  # a cut closes at the message that fills it
+            cuts = [0]  # a cut closes at the message that fills it; an empty step is one cut
+            while len(cuts) == 1 or cuts[-1] < len(mine):
                 base = ends[cuts[-1] - 1] if cuts[-1] else 0
                 cuts.append(min(int(np.searchsorted(ends, base + BATCH_CUT_BYTES)) + 1, len(mine)))
-            for lo, hi in zip(cuts, cuts[1:]):
-                cut = {"records": mine[lo:hi], "ids": mine_ids[id_ends[lo] : id_ends[hi]]}
+            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                cut = {"cut": i, "cuts": len(cuts) - 1, "records": mine[lo:hi],
+                       "ids": mine_ids[id_ends[lo] : id_ends[hi]]}
                 self.dispatcher.send(dst, {**envelope, **cut}, "batch")
             # Bounded by construction: drained after every step.
             assert self.dispatcher.queued(dst) <= len(cuts) - 1
@@ -260,30 +267,34 @@ class NetWorker:
     # -- barriers ------------------------------------------------------------
 
     def begin_iteration(self, iteration: int) -> GossipSends:
-        """Cross the epoch boundary: clear the arrival counters (barriers
+        """Cross the epoch boundary: clear the step counters (barriers
         guarantee no earlier traffic is in flight), start the core, take in
         the batches of peers that crossed first; returns the round-1 sends."""
         self.iteration = int(iteration)
-        self.arrivals = {}
+        self._steps = {}
         sends = self.call(self.core.begin_iteration)
         early, self._early = self._early, []
         for frame in early:
             self._deliver(frame)
         return sends
 
-    async def wait_arrivals(self, expect: np.ndarray, step: int | None) -> None:
-        """The count-exact barrier: block until every hosted rank has its
-        ``expect`` count (this slice's, in rank order) of ``step`` messages
-        (a gossip round, None = transfers), checked once per batch."""
-        if expect.shape != (len(self.ranks),):
-            raise FrameError(f"expected counts of shape {expect.shape} for {len(self.ranks)} ranks")
+    def step_total(self, step: int) -> int | None:
+        """The messages all workers sent in ``step``, once every worker's
+        frames of it are in (its first cut, and as many frames as the
+        first cuts announce); None before."""
+        frames, firsts, cuts, sent = self._steps.get(step, (0, 0, 0, 0))
+        return sent if firsts == self.workers and frames == cuts else None
+
+    async def wait_step(self, step: int) -> int:
+        """The barrier: block until :meth:`step_total` completes, checked
+        once per batch; returns it (0 after a gossip round: the inform stage
+        is over on every worker)."""
         async with self._cond:
             await self._cond.wait_for(
-                lambda: self._failure is not None
-                or bool(np.all(self.arrivals.get(step, 0) >= expect))
-            )
+                lambda: self._failure is not None or self.step_total(step) is not None)
         if self._failure is not None:
             raise self._failure
+        return self.step_total(step)
 
 
 class _ControlLink:
@@ -318,13 +329,12 @@ async def run_worker(host: str, port: int, index: int = 0) -> None:
        and ``assignment`` sections, ``[lo, hi)`` rank slice, log dir,
        retry policy) and build a :class:`NetWorker`;
     2. send ``ports``; receive ``peers`` (every worker's port and slice);
-    3. per iteration: per round, post the gossip batches, send ``sent``
-       (:func:`~repro.net.episode.round_report`), receive ``commit``
-       (this slice's ``expect`` counts: wait for them, advance) or
-       ``gossip_done``; then post the transfers, send ``decide``
-       (:meth:`~repro.net.episode.NodeCore.decide`), receive
-       ``xfer_commit``, wait, send ``xfer_done``, receive ``apply`` and
-       apply its ``(n, 3)`` move rows;
+    3. per iteration, with no control frame per round: post each gossip
+       round, wait for the step among the workers (:meth:`NetWorker.wait_step`)
+       and advance, until a round in which no worker sent anything; then
+       post the transfers, send ``decide``
+       (:meth:`~repro.net.episode.NodeCore.decide`), wait for the
+       transfer step, receive ``apply`` and apply its ``(n, 3)`` move rows;
     4. send ``stats`` (the core's one registry — integer counters, so any
        slicing gives the simulator's totals — and the transport, core-time
        and control-link counters), receive ``shutdown``.
@@ -344,24 +354,16 @@ async def run_worker(host: str, port: int, index: int = 0) -> None:
 
         for iteration in range(spec.n_iters):
             sends = worker.begin_iteration(iteration)
-            round_index = 1
             while True:
                 await worker.post(sends)
-                report = round_report(sends, worker.ranks, spec.n_ranks)
-                await link.send({"t": "sent", "round": round_index, **report})
-                reply = await link.expect("commit", "gossip_done")
-                if reply["t"] == "gossip_done":
+                if not await worker.wait_step(sends.round):
                     break
-                await worker.wait_arrivals(reply["expect"], round_index)
-                sends = worker.call(worker.core.advance, round_index)
-                round_index += 1
+                sends = worker.call(worker.core.advance, sends.round)
 
             report = worker.call(worker.core.decide)
             await worker.post(xfers=report["moves"])
             await link.send({"t": "decide", **report})
-            commit = await link.expect("xfer_commit")
-            await worker.wait_arrivals(commit["expect"], None)
-            await link.send({"t": "xfer_done"})
+            await worker.wait_step(0)
             worker.call(worker.core.apply_moves, (await link.expect("apply"))["moves"])
 
         transport = {**worker.transport_stats(), "control_frames": link.frames,

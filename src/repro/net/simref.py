@@ -8,7 +8,9 @@ model, delivered by engine events, and handled by per-rank
 :class:`~repro.sim.process.Process` handlers. The round barrier is the
 engine draining to quiescence — every round-``r`` delivery event has
 executed before the round's deliveries reach the core as one batch and
-any rank advances.
+any rank advances. The episode's accounting is the core's own
+``decide`` rows folded by :func:`~repro.net.episode.fold_decisions`, the
+fold the TCP coordinator runs over its workers' reports.
 
 This is the half of the bit-identity contract the CI gate compares the
 TCP runtime against: same :class:`~repro.net.episode.EpisodeSpec` in,
@@ -23,11 +25,9 @@ from repro.net.episode import (
     XFER_BYTES,
     EpisodeResult,
     EpisodeSpec,
-    EpisodeTally,
     NodeCore,
     build_result,
     fold_decisions,
-    round_report,
 )
 from repro.sim.messages import Message
 from repro.sim.network import NetworkModel
@@ -48,7 +48,6 @@ def run_episode_sim(
     n = spec.n_ranks
     core = NodeCore(spec, range(n))
     system = System(n, network=network)
-    tally = EpisodeTally()
     delivered: list[tuple[int, int, np.ndarray]] = []  #: (dst, round, members)
 
     def on_gossip(proc: Process, msg: Message) -> None:
@@ -62,11 +61,12 @@ def run_episode_sim(
         proc.register("xfer", on_xfer)
 
     all_moves: list[tuple[int, int, int]] = []
+    all_rounds: list[np.ndarray] = []
     coverage = 1.0
     for _iteration in range(spec.n_iters):
         sends = core.begin_iteration()
         round_index = 1
-        while tally.record_round([round_report(sends, core.ranks, n)]):
+        while len(sends):
             for s in sends:
                 system.processes[s.src].send(
                     s.dst, "gossip", payload={"round": s.round, "members": s.members}, size=s.size
@@ -81,9 +81,11 @@ def run_episode_sim(
         report = core.decide()
         for task, src, dst in report["moves"].tolist():
             system.processes[src].send(dst, "xfer", payload={"task": task}, size=XFER_BYTES)
-        moves, coverage = fold_decisions([report], tally)
+        moves, coverage, iteration_rounds = fold_decisions([report])
         system.run()
         core.apply_moves(moves)
         all_moves.extend(map(tuple, moves.tolist()))
+        all_rounds.append(iteration_rounds)
 
-    return build_result(spec, all_moves, tally, core.registry.counters, coverage)
+    counters = core.registry.counters
+    return build_result(spec, all_moves, np.concatenate(all_rounds), counters, coverage)

@@ -23,9 +23,13 @@ received is decoded but by ``json`` and ``np.frombuffer``.
 
 A **batch frame** (``"t": "batch"``, the only worker↔worker frame)
 carries one barrier step's messages for one destination worker:
-envelope ``{"t","src","iter","seq"}``, a ``records`` section of one
-:data:`RECORD` per message and an ``ids`` section, every gossip
-message's member ids as ``<i8`` (the dtype of ``GossipSends.ids``). A
+envelope ``{"t","src","iter","seq","step","cut","cuts","sent"}`` (the
+step: a gossip round, or 0 for the transfers; this frame's index among
+the ``cuts`` frames its sender sends that worker in the step; the
+messages its sender sent in the step to all workers), a ``records``
+section of one :data:`RECORD` per message and an ``ids`` section,
+every gossip message's member ids as ``<i8`` (the dtype of
+``GossipSends.ids``). A
 :data:`RECORD` is 32 little-endian bytes: ``kind`` (:data:`GOSSIP` /
 :data:`XFER`), ``src`` and ``dst`` rank, ``count`` (its ids; 0 for a
 transfer), ``step`` (the gossip round, or the transfer's task id) and
@@ -33,7 +37,9 @@ transfer), ``step`` (the gossip round, or the transfer's task id) and
 
 An unknown first byte, a wrong version, a dtype code off the
 whitelist, a section table that does not account for the body byte for
-byte, or a batch whose records and ids disagree raise :class:`FrameError`.
+byte, a batch envelope field that is not an integer, a ``cut`` outside
+``[0, cuts)``, a negative ``sent``, or a batch whose records and ids
+disagree raise :class:`FrameError`.
 """
 
 from __future__ import annotations
@@ -187,8 +193,11 @@ def _decode_body(body: bytes) -> dict[str, Any]:
 
 
 def _check_batch(batch: dict[str, Any]) -> None:
-    if any(type(batch.get(key)) is not int for key in ("src", "iter", "seq")):
-        raise FrameError("batch envelope fields src, iter and seq must be integers")
+    keys = ("src", "iter", "seq", "step", "cut", "cuts", "sent")
+    if any(type(batch.get(key)) is not int for key in keys):
+        raise FrameError(f"batch envelope fields {', '.join(keys)} must be integers")
+    if not 0 <= batch["cut"] < batch["cuts"] or batch["sent"] < 0:
+        raise FrameError(f"cut {batch['cut']} of {batch['cuts']}, or sent {batch['sent']} < 0")
     records, ids = batch.get("records"), batch.get("ids")
     if not (isinstance(records, np.ndarray) and records.dtype == RECORD and records.ndim == 1
             and isinstance(ids, np.ndarray) and ids.dtype == MEMBER_ID and ids.ndim == 1):

@@ -1,5 +1,6 @@
 """JSONL wire-log schema round-trip and analyzer cross-checks."""
 
+import asyncio
 import json
 
 import numpy as np
@@ -15,10 +16,12 @@ from repro.obs import StatsRegistry
 
 
 def batch_frame(envelope, records, ids=()):
-    """A batch frame through the codec, as a worker receives it."""
+    """A batch frame through the codec, as a worker receives it: by
+    default step 1's only cut, its sender having sent these records."""
     sections = {"records": np.array(records, dtype=RECORD),
                 "ids": np.concatenate([np.empty(0, np.int64), *ids])}
-    frame, rest = unpack_frame(pack_frame({**envelope, **sections}))
+    barrier = {"step": 1, "cut": 0, "cuts": 1, "sent": len(records)}
+    frame, rest = unpack_frame(pack_frame({**barrier, **envelope, **sections}))
     assert rest == b""
     return frame
 
@@ -29,11 +32,14 @@ def known(core, rank):
 
 
 def arrivals(worker):
-    """Per hosted rank, its nonzero arrival counts per step."""
-    out = {}
-    for step, counts in worker.arrivals.items():
-        for i in np.flatnonzero(counts).tolist():
-            out.setdefault(worker.ranks[i], {})[step] = int(counts[i])
+    """Per hosted rank, its gossip messages per round waiting in the
+    core's inbox for the round's merge."""
+    out: dict = {}
+    for round_index, batches in worker.core._inbox.items():
+        for heard, _, _ in batches:
+            for i in heard.tolist():
+                rounds = out.setdefault(worker.ranks[i], {})
+                rounds[round_index] = rounds.get(round_index, 0) + 1
     return out
 
 
@@ -149,7 +155,8 @@ class TestBatchedTransport:
         worker.on_batch(frame)
         worker.on_batch(frame)  # the stubborn link's retransmission
         assert worker.deduped == 1
-        assert arrivals(worker) == {2: {1: 2}, 7: {1: 1}, 4: {None: 1}}
+        assert arrivals(worker) == {2: {1: 2}, 7: {1: 1}}
+        assert worker._steps == {1: [1, 1, 1, 4]}  # one frame of the step, once
         # The slice's one registry: rank 2's two messages and rank 7's one.
         assert worker.core.registry.counters["gossip.received"] == 3
         assert worker.core.registry.counters["xfer.received"] == 1
@@ -188,11 +195,10 @@ class TestBatchedTransport:
         for kind, _src, dst, _count, step, _size in records:
             if kind == GOSSIP:
                 reference[dst].receive(step, next(payloads))
+                expected.setdefault(dst, {}).setdefault(step, 0)
+                expected[dst][step] += 1
             else:
                 reference[dst].receive_xfer(step)
-                step = None
-            expected.setdefault(dst, {}).setdefault(step, 0)
-            expected[dst][step] += 1
         assert arrivals(worker) == expected
 
         def merged():
@@ -210,6 +216,43 @@ class TestBatchedTransport:
         assert worker.core.registry.counters == merged()
         for rank, ref in reference.items():
             assert known(worker.core, rank) == known(ref, rank)
+
+    def test_step_waits_for_every_announced_cut_in_any_order(self):
+        """A reconnect can reorder a step's cuts and retransmit one: the
+        step completes only once every worker's announced cuts are in,
+        and the retransmitted cut counts once."""
+        worker = NetWorker(0, EpisodeSpec.synthetic(8, seed=0), range(4))
+        worker.connect([0, 0], [[0, 4], [4, 8]])
+        worker.begin_iteration(0)
+
+        def cut(src, seq, index, cuts, sent, sender, receiver):
+            """Cut ``index`` of ``cuts`` from worker ``src``, which sent
+            ``sent`` messages in round 1; this one tells ``receiver`` of ``sender``."""
+            envelope = {"t": "batch", "src": src, "iter": 0, "seq": seq,
+                        "cut": index, "cuts": cuts, "sent": sent}
+            return batch_frame(envelope, [(GOSSIP, sender, receiver, 1, 1, 64)],
+                               [np.array([sender])])
+
+        first = cut(1, 0, 0, 3, 5, 5, 1)
+        early = [cut(1, 2, 2, 3, 5, 7, 3), cut(0, 0, 0, 1, 2, 0, 3), first, first]
+
+        async def scenario():
+            waiting = asyncio.create_task(worker.wait_step(1))
+            for frame in early:  # the last cut first, then the duplicate of cut 0
+                worker.on_batch(frame)
+                await worker._wake()
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                assert not waiting.done() and worker.step_total(1) is None
+            worker.on_batch(cut(1, 1, 1, 3, 5, 6, 2))
+            await worker._wake()
+            return await asyncio.wait_for(waiting, 1)
+
+        assert asyncio.run(scenario()) == 7  # both workers' sent, the duplicate's once
+        assert worker.deduped == 1
+        assert worker.core.registry.counters["gossip.received"] == 4
+        assert arrivals(worker) == {1: {1: 1}, 2: {1: 1}, 3: {1: 2}}
+        assert worker.step_total(2) is None
 
     @staticmethod
     def _gossip_batch(iteration, seq):
@@ -254,7 +297,7 @@ class TestBatchedTransport:
         with pytest.raises(FrameError, match="hosts range"):
             worker.on_batch(frame)
         with pytest.raises(FrameError, match="worker-to-worker"):
-            worker.on_batch({"t": "commit", "src": 1, "iter": 0, "seq": 1})
+            worker.on_batch({"t": "decide", "src": 1, "iter": 0, "seq": 1})
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_consistent_for_any_worker_count(self, workers, tmp_path):
@@ -269,11 +312,13 @@ class TestBatchedTransport:
         assert logs["nodes"] == spec.n_ranks
         assert logs["per_round_rx"] == logs["per_round_tx"] == result.per_round_messages
         assert logs["model_bytes"] == result.bytes_sent
-        # One row per message; the physical frames are far fewer, and
-        # sum(frame_bytes) + batch envelopes = bytes written.
+        # One row per message; one uncut frame per worker pair and step
+        # (each gossip round with messages, the empty round that ends each
+        # inform stage, the transfer step), and sum(frame_bytes) + batch
+        # envelopes = bytes written.
         assert [row["worker"] for row in transport] == list(range(workers))
-        messages = sum(logs["per_tag_tx"].values())
-        assert 0 < sum(row["frames"] for row in transport) < messages / 4
+        steps = len(result.per_round_messages) + 2 * spec.n_iters
+        assert sum(row["frames"] for row in transport) == workers**2 * steps
         assert logs["frame_bytes"] + sum(r["envelope_bytes"] for r in transport) == (
             sum(r["wire_bytes"] for r in transport)
         )

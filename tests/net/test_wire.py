@@ -179,7 +179,7 @@ class TestSections:
 
 # -- the batch frame -------------------------------------------------------
 
-ENVELOPE = {"t": "batch", "src": 1, "iter": 0, "seq": 0}
+ENVELOPE = {"t": "batch", "src": 1, "iter": 0, "seq": 0, "step": 1, "cut": 0, "cuts": 1, "sent": 2}
 
 
 def batch(envelope, messages):
@@ -332,9 +332,17 @@ class TestMalformedBatch:
         {"t": "batch", "src": 1, "iter": 0},  # no seq
         {"t": "batch", "src": "1", "iter": 0, "seq": 0},
         {"t": "batch", "src": 1, "iter": 0, "seq": True},
+        *({k: v for k, v in ENVELOPE.items() if k != key}  # no step, cut, cuts or sent
+          for key in ("step", "cut", "cuts", "sent")),
+        *({**ENVELOPE, key: value} for key in ("step", "cut", "cuts", "sent")
+          for value in ("1", 1.0, None, False)),
+        # a cut outside [0, cuts), a negative sent
+        *({**ENVELOPE, **barrier} for barrier in (
+            {"cut": -1}, {"cut": 1}, {"cut": 3, "cuts": 2}, {"cuts": 0}, {"cuts": -1},
+            {"sent": -1})),
     ])
     def test_malformed_envelope(self, envelope):
-        with pytest.raises(FrameError, match="integer"):
+        with pytest.raises(FrameError, match=r"must be integers|cut -?\d+ of"):
             unpack_frame(pack_frame(batch(envelope, [])))
 
     @pytest.mark.parametrize("frame", [
