@@ -590,6 +590,7 @@ def _run_rounds(
             targets = np.concatenate((tgt_l, tgt_g))
         else:
             row_idx, targets = _sample_packed_rows(rng, cand, counts, want, n_ranks)
+        cand = local = None  # sampled: the snapshot is all a round holds
 
         if targets.size:
             # Accounting for the whole round in one pass.
@@ -651,6 +652,7 @@ def _run_rounds(
             lap("sample")
             store.merge(receivers, bounds, payloads, src[order])
             lap("merge")
+            snap = payloads = None  # merged: trims run without the snapshot
             store.trim(receivers)
             lap("trim")
         lap("sample")

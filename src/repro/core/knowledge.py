@@ -53,13 +53,11 @@ __all__ = [
 
 #: Rank ids in a shard.
 _ID_DTYPE = np.int32
-#: Rows unpacked per pass of the "random" trim and of ``finish()``'s
-#: decode. Unpacking *every* row at once is O(rows x P) bytes — a
-#: 16 GiB allocation at 2^17 ranks; fixed-size chunks keep it
-#: O(chunk x P). The "random" policy's key draws split along the same
-#: chunk boundaries, and row-chunked ``rng.random`` fills the identical
-#: stream as one full-matrix draw, so results are unchanged.
-_TRIM_CHUNK_ROWS = 64
+#: Bytes of rows (packed, unpacked or ``float64`` keys: a pass's widest; at least one row)
+#: the merge, the trims, ``finish()`` and the popcounts hold at once, so a round holds its
+#: snapshot plus O(chunk), not a matrix a pass (128 MiB at 2^15 ranks). Passes are per
+#: row, and row-chunked ``rng.random`` draws the same stream: results are unchanged.
+_CHUNK_BYTES = 1 << 20
 #: Minimum rows sharing one payload object before the round builds a
 #: shared membership bitmap for them. Below this the flat per-row
 #: structures are cheaper than a P-sized bitmap.
@@ -105,11 +103,21 @@ def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nz_r[br], nz_b[br] * 8 + bc
 
 
-def _popcounts(rows: np.ndarray) -> np.ndarray:
-    """Row popcounts: of 64-bit words where rows are contiguous whole words, else of bytes."""
-    if rows.shape[1] % 8 == 0 and rows.flags.c_contiguous:
-        rows = rows.view(np.uint64)
-    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+def _chunks(n_rows: int, row_bytes: int):
+    """Slices cutting ``n_rows`` rows of ``row_bytes`` bytes into chunks."""
+    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
+def _popcounts(rows: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """Row popcounts of ``rows`` (``rows[at]``) a chunk at a time, of whole 64-bit words if any."""
+    out = np.empty(rows.shape[0] if at is None else at.size, dtype=np.int64)
+    for part in _chunks(out.size, rows.shape[1]):
+        chunk = rows[part] if at is None else rows[at[part]]
+        if chunk.shape[1] % 8 == 0 and chunk.flags.c_contiguous:
+            chunk = chunk.view(np.uint64)
+        np.bitwise_count(chunk).sum(axis=1, dtype=np.int64, out=out[part])
+    return out
 
 
 def _bounds(counts: np.ndarray) -> np.ndarray:
@@ -493,7 +501,11 @@ def inform_store(
 
 
 class _PackedCandidates:
-    """Candidate membership over a packed uint8 bit matrix.
+    """Candidate rows ``packed``, or — ``packed`` None — read off the
+    snapshot rows ``snap``: their complement (all of P if ``snap`` is
+    None) minus each sender's own bit ``pos[i]``. ``extract`` complements
+    the rows asked for; the whole complement (:attr:`packed`) is built
+    only for :meth:`clear` or :meth:`_PackedStore.same_node`.
 
     With ``enc`` (the rank -> bit position map of priority-ordered
     rows; see :class:`_PackedStore`) rank ids are looked up at bit
@@ -501,22 +513,45 @@ class _PackedCandidates:
     sampler keys the same candidates in the same order either way.
     """
 
-    __slots__ = ("packed", "enc")
+    __slots__ = ("_packed", "enc", "snap", "pos", "template")
 
-    def __init__(self, packed: np.ndarray, enc: np.ndarray | None = None) -> None:
-        self.packed = packed
-        self.enc = enc
+    def __init__(self, packed, enc=None, snap=None, pos=None, template=None) -> None:
+        self._packed, self.enc = packed, enc
+        self.snap, self.pos, self.template = snap, pos, template
+
+    @property
+    def packed(self) -> np.ndarray:
+        """Every row's packed candidates, built on first use."""
+        if self._packed is None:
+            self._packed = self._complement(np.arange(self.pos.size))
+        return self._packed
+
+    def _complement(self, rows: np.ndarray) -> np.ndarray:
+        """Candidate rows ``rows`` off the snapshot, padding and self bits clear."""
+        if self.snap is None:
+            out = np.repeat(self.template[None, :], rows.size, axis=0)
+        else:
+            out = self.snap[rows]
+            np.invert(out, out=out)
+            out[:, -1] &= self.template[-1]
+        _clear_bits(out, np.arange(rows.size), self.pos[rows])
+        return out
 
     def test(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
         if self.enc is not None:
             draws = self.enc[draws]
+        packed = self.snap if self._packed is None else self._packed
+        if packed is None:  # all of P but self
+            return draws != self.pos[rows][:, None]
         # One flat gather of each draw's byte; shifting its bit up to
         # the top of the uint8 leaves the rest to wrap away.
         at = draws >> 3
-        at += (rows * self.packed.shape[1])[:, None]
-        byte = self.packed.ravel()[at]
+        at += (rows * packed.shape[1])[:, None]
+        byte = packed.ravel()[at]
         byte <<= (draws & 7).astype(np.uint8)
-        return byte >= 128
+        if self._packed is not None:
+            return byte >= 128
+        return (byte < 128) & (draws != self.pos[rows][:, None])
 
     def clear(self, rows: np.ndarray, ids: np.ndarray) -> None:
         """Drop rank ``ids[i]`` from candidate row ``rows[i]``."""
@@ -527,7 +562,7 @@ class _PackedCandidates:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(i, rank id)`` of every candidate of ``rows[i]``, rank ids
         ascending within each row, minus the ``exclude`` pairs."""
-        sel = self.packed[rows]
+        sel = self._complement(rows) if self._packed is None else self._packed[rows]
         if self.enc is not None:
             bools = np.unpackbits(sel, axis=1, count=self.enc.size)
             sel = np.packbits(bools[:, self.enc], axis=1)
@@ -539,10 +574,10 @@ class _PackedCandidates:
 class _PackedStore:
     """Round-loop adapter over the bit rows of ``knowledge``.
 
-    Everything is a whole-round array pass: the gathered sender rows
-    double as the round's send buffer, candidates are their complement,
-    and a round's merges OR into one receiver buffer written back once.
-    A *complete* row can grow no further, so its receiver takes no part
+    The gathered sender rows are the round's send buffer and its one
+    whole-round copy; candidates are read off their bits, and merges,
+    trims and ``finish`` walk :data:`_CHUNK_BYTES` chunks of rows. A
+    *complete* row can grow no further, so its receiver takes no part
     in merge for the rest of the stage: in either order, one holding
     every seed — rows hold nothing else — flagged by :meth:`snapshot`
     from the popcount it takes anyway (never, while a cap below the seed
@@ -608,23 +643,18 @@ class _PackedStore:
     def candidates(
         self, senders: np.ndarray, snap: np.ndarray, entries: np.ndarray, full: bool
     ) -> tuple[np.ndarray, _PackedCandidates]:
-        """``(counts, candidate rows)``: all of P when ``full``, else
-        ``P \\ S^p``; never the sender itself."""
-        idx = np.arange(senders.size)
+        """``(counts, candidate view)``: all of P when ``full``, else
+        ``P \\ S^p``; never the sender itself. The view reads ``snap``."""
         pos = senders if self.enc is None else self.enc[senders]
         if full:
-            cand = np.repeat(self.template[None, :], senders.size, axis=0)
             counts = np.full(senders.size, self.n_ranks - 1, dtype=np.int64)
         else:
-            cand = ~snap
-            cand[:, -1] &= self.template[-1]
             # |P \ S^p \ {p}| without a second popcount: subtract |S^p|
             # (= `entries`, needed for accounting anyway) and the self
             # bit when it is not already a member of S^p.
             byte, bit = _bits(pos)
-            counts = self.n_ranks - entries - ((snap[idx, byte] & bit) == 0)
-        _clear_bits(cand, idx, pos)
-        return counts, _PackedCandidates(cand, self.enc)
+            counts = self.n_ranks - entries - ((snap[np.arange(senders.size), byte] & bit) == 0)
+        return counts, _PackedCandidates(None, self.enc, None if full else snap, pos, self.template)
 
     def same_node(
         self, senders: np.ndarray, cand: _PackedCandidates
@@ -646,41 +676,46 @@ class _PackedStore:
     def merge(
         self, receivers: np.ndarray, bounds: np.ndarray, payloads: np.ndarray, src: np.ndarray
     ) -> None:
-        # Receivers still growing, by descending group size: the j-th payloads
-        # (of receivers with more than j) OR into a prefix of one buffer.
+        # Receivers still growing, by descending group size, a chunk at a
+        # time: the j-th payloads (of the chunk's receivers with more than
+        # j) OR into a prefix of the chunk's buffer.
         sizes = np.diff(bounds)
         todo = np.flatnonzero(~self.complete[receivers])
         todo = todo[np.argsort(-sizes[todo], kind="stable")]
         receivers, starts, sizes = receivers[todo], bounds[todo], sizes[todo]
-        buf = payloads[src[starts]]
-        prefix = np.searchsorted(-sizes, -np.arange(1, sizes.max(initial=1)))
-        for j, m in enumerate(prefix.tolist(), 1):
-            buf[:m] |= payloads[src[starts[:m] + j]]
-        self.rows[receivers] |= buf
+        for part in _chunks(todo.size, self.rows.shape[1]):
+            at, size = starts[part], sizes[part]
+            buf = payloads[src[at]]
+            prefix = np.searchsorted(-size, -np.arange(1, size[0]))
+            for j, m in enumerate(prefix.tolist(), 1):
+                buf[:m] |= payloads[src[at[:m] + j]]
+            self.rows[receivers[part]] |= buf
 
     def trim(self, receivers: np.ndarray) -> None:
         cap = self.cap
         if cap is None or receivers.size == 0:
             return
         rows = self.rows
+        width = rows.shape[1]
         if self.enc is not None:
             receivers = receivers[~self.complete[receivers]]
-            sub = rows[receivers]
-            width = sub.shape[1]
-            if width % 8:  # keep_first_bits reads whole 64-bit words
-                sub = np.pad(sub, ((0, 0), (0, -width % 8)))
-            counts, over = keep_first_bits(sub, cap)
-            rows[receivers[over]] = sub[over, :width]
-            full = np.flatnonzero(counts >= self.full)
-            at_head = sub[full, : self.head.size] == self.head
-            self.complete[receivers[full]] = at_head.all(axis=1)
+            for part in _chunks(receivers.size, width):
+                chunk = receivers[part]
+                sub = rows[chunk]
+                if width % 8:  # keep_first_bits reads whole 64-bit words
+                    sub = np.pad(sub, ((0, 0), (0, -width % 8)))
+                counts, over = keep_first_bits(sub, cap)
+                rows[chunk[over]] = sub[over, :width]
+                full = np.flatnonzero(counts >= self.full)
+                at_head = sub[full, : self.head.size] == self.head
+                self.complete[chunk[full]] = at_head.all(axis=1)
             return
         # "random": a uniform cap-subset of each over-cap row, keyed per
         # rank-ordered column.
         n = self.n_ranks
-        over = receivers[_popcounts(rows[receivers]) > cap]
-        for start in range(0, over.size, _TRIM_CHUNK_ROWS):
-            chunk = over[start : start + _TRIM_CHUNK_ROWS]
+        over = receivers[_popcounts(rows, receivers) > cap]
+        for part in _chunks(over.size, 8 * n):
+            chunk = over[part]
             bools = np.unpackbits(rows[chunk], axis=1, count=n).view(bool)
             keys = self.rng.random(bools.shape)
             keys[~bools] = np.inf
@@ -697,8 +732,8 @@ class _PackedStore:
         rows, n = self.rows, self.n_ranks
         done = np.flatnonzero(self.complete)
         todo = np.append(np.flatnonzero(~self.complete), done[:1])
-        for start in range(0, todo.size, _TRIM_CHUNK_ROWS):
-            chunk = todo[start : start + _TRIM_CHUNK_ROWS]
+        for part in _chunks(todo.size, n):
+            chunk = todo[part]
             bools = np.unpackbits(rows[chunk], axis=1, count=n)
             rows[chunk] = np.packbits(np.take(bools, self.enc, axis=1), axis=1)
         rows[done] = rows[done[:1]]
@@ -1035,8 +1070,8 @@ class _SparseStore:
         shards = self.knowledge.shards
         lens = np.fromiter((shards[r].size for r in receivers.tolist()), np.int64)
         over = receivers[lens > cap]
-        for start in range(0, over.size, _TRIM_CHUNK_ROWS):
-            chunk = over[start : start + _TRIM_CHUNK_ROWS]
+        for part in _chunks(over.size, 8 * self.n_ranks):
+            chunk = over[part]
             keys = self.rng.random((chunk.size, self.n_ranks))
             for i, r in enumerate(chunk.tolist()):
                 shard = shards[r]

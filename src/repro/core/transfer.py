@@ -648,15 +648,15 @@ class _Stage:
                 )
             acc_pos, acc_idx, p_load, rejected = walk
             stats.rejections += rejected
-            if len(acc_pos) == 0:
+            n_acc = len(acc_pos)
+            if n_acc == 0:
                 break
-            # Indexing with the lists themselves measured slower than this.
-            acc_pos = np.asarray(acc_pos, dtype=np.intp)
+            # Faster than indexing with the lists or `asarray`, at any size.
             if self.fused:  # the walk only recorded its accepts
                 loads[p] = p_load
             self._senders.append(p)
-            self._moved.append(ordered[acc_pos])
-            self._recipients.append(candidates[np.asarray(acc_idx, dtype=np.intp)])
+            self._moved.append(ordered[np.fromiter(acc_pos, np.intp, n_acc)])
+            self._recipients.append(candidates[np.fromiter(acc_idx, np.intp, n_acc)])
             # A pass ending on the threshold leaves its last accept unapplied.
             if p_load <= threshold_load or sampler.exhausted:
                 break

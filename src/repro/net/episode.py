@@ -345,10 +345,12 @@ class NodeCore:
         local, targets, _, rows, sizes = zip(*kept)
         fan = np.fromiter(map(len, targets), np.int64, len(kept))
         bits = np.unpackbits(np.repeat(rows, fan, axis=0), axis=1, count=self.n_ranks).view(bool)
+        ids = np.flatnonzero(bits)
+        ids %= self.n_ranks
         sends = GossipSends(
             next_round, np.repeat(np.array(local, np.int64) + self.ranks.start, fan),
             np.concatenate(targets), np.count_nonzero(bits, axis=1),
-            np.flatnonzero(bits) % self.n_ranks, np.repeat(np.array(sizes, np.int64), fan),
+            ids, np.repeat(np.array(sizes, np.int64), fan),
         )
         nbytes = int(sends.sizes.sum())
         self._rounds.append((len(sends), int(np.count_nonzero(fan)), nbytes))
@@ -388,6 +390,7 @@ class NodeCore:
         union = np.zeros((receivers.size, self.n_ranks), dtype=bool)
         for heard, counts, ids in batches:
             union[np.repeat(np.searchsorted(receivers, heard), counts), ids] = True
+        batches.clear()  # free the round's ids before the forwards' are built
         union = np.packbits(union, axis=1)
         receivers = receivers.tolist()
         informs = self._informs

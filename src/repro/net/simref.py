@@ -7,7 +7,8 @@ gossip and transfer messages are real
 model, delivered by engine events, and handled by per-rank
 :class:`~repro.sim.process.Process` handlers. The round barrier is the
 engine draining to quiescence — every round-``r`` delivery event has
-executed before the round's deliveries reach the core as one batch and
+executed before the round's deliveries reach the core (in runs of
+about one :data:`repro.core.knowledge._CHUNK_BYTES` of member ids) and
 any rank advances. The episode's accounting is the core's own
 ``decide`` rows folded by :func:`~repro.net.episode.fold_decisions`, the
 fold the TCP coordinator runs over its workers' reports.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import knowledge
 from repro.net.episode import (
     XFER_BYTES,
     EpisodeResult,
@@ -71,9 +73,14 @@ def run_episode_sim(
                 system.processes[s.src].send(
                     s.dst, "gossip", payload={"round": s.round, "members": s.members}, size=s.size
                 )
+            sends = s = None  # the ids live on in the messages until they land
             system.run()  # the barrier: every delivery event executes
-            dst, rounds, members = zip(*delivered)
-            core.receive(rounds, np.concatenate(members), [m.size for m in members], dst)
+            # The round reaches the core in runs of whole messages, one per chunk of ids.
+            ends = np.cumsum([m.size for *_, m in delivered]) * 8 // knowledge._CHUNK_BYTES
+            cuts = [0, *(np.flatnonzero(np.diff(ends)) + 1).tolist(), len(delivered)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                dst, rounds, members = zip(*delivered[lo:hi])
+                core.receive(rounds, np.concatenate(members), [m.size for m in members], dst)
             delivered.clear()
             sends = core.advance(round_index)
             round_index += 1

@@ -90,7 +90,7 @@ LADDER_MAX_KNOWN = 512
 #: floor checks and the CI scale-smoke gate. The 131k budget is the
 #: acceptance criterion of the scale-ladder milestone (< 8 GiB for a
 #: 131,072-rank / 2M-task episode).
-SCALE_RSS_BUDGET_MB = {"4k": 2_048, "32k": 4_096, "131k": 8_192}
+SCALE_RSS_BUDGET_MB = {"4k": 2_048, "32k": 1_024, "131k": 8_192}
 
 #: Rungs where the dense packed-bitmap backend is still run as a
 #: reference. At 131k the dense knowledge matrix alone is ~2 GiB and
