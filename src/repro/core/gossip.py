@@ -646,9 +646,8 @@ def _run_rounds(
             cuts = np.flatnonzero(targets[1:] != targets[:-1]) + 1
             bounds = np.concatenate(([0], cuts, [targets.size]))
             receivers = targets[bounds[:-1]]
-            complete = store.complete if timed else None
-            if complete is not None:
-                result.merges_skipped += int(np.diff(bounds)[complete[receivers]].sum())
+            if timed:
+                result.merges_skipped += int(np.diff(bounds)[store.complete[receivers]].sum())
             lap("sample")
             store.merge(receivers, bounds, payloads, src[order])
             lap("merge")

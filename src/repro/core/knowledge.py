@@ -20,15 +20,19 @@ Two *stores* are the round loop's working representation, behind five
 methods (``snapshot`` / ``candidates`` / ``merge`` / ``trim`` /
 ``finish``); :func:`inform_store` builds the one its backend names,
 seeded (each seed knows itself, Alg. 1 l.7), and the container follows
-the store. :class:`_PackedStore` runs bit rows — in (load, id)
-priority order under a capped "lowest" trim, which makes the trim a
-prefix cut (:func:`keep_first_bits`) — into a packed container, and
-:class:`_SparseStore` sorted id arrays into a sparse one, left in
-``store.knowledge``. Their candidate views answer the sampler's only
-two queries, ``test(rows, draws)`` and ``extract(rows, exclude)``
-(members as ``(row, rank id)`` pairs), for the same sets in the same
-order, so both stores consume the same RNG stream and finish
-bit-identical.
+the store. :class:`_PackedStore` runs bit rows into a packed container
+and :class:`_SparseStore` sorted id arrays into a sparse one, left in
+``store.knowledge``; under a capped "lowest" trim both keep members in
+(load, id) priority order, which makes the trim a prefix cut. Their
+candidate views answer the sampler's only two queries,
+``test(rows, draws)`` and ``extract(rows, exclude)`` (members as
+``(row, rank id)`` pairs), for the same sets in the same order, so both
+stores consume the same RNG stream and finish bit-identical.
+
+Both stores keep one *complete-row* rule, flagged in ``store.complete``:
+a row is complete when it holds every seed or, under a binding
+"lowest" cap, the cap lowest priority positions. No payload can change
+a complete row, so its receiver takes no merge.
 
 One rank's ``S^p`` on its own is a packed row, private or a view into
 a :class:`PackedKnowledgeBitmap`; the per-rank inform rule
@@ -58,10 +62,6 @@ _ID_DTYPE = np.int32
 #: snapshot plus O(chunk), not a matrix a pass (128 MiB at 2^15 ranks). Passes are per
 #: row, and row-chunked ``rng.random`` draws the same stream: results are unchanged.
 _CHUNK_BYTES = 1 << 20
-#: Minimum rows sharing one payload object before the round builds a
-#: shared membership bitmap for them. Below this the flat per-row
-#: structures are cheaper than a P-sized bitmap.
-_DOMINANT_MIN_ROWS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +325,8 @@ class PackedKnowledgeBitmap:
         Used by the gossip-convergence analysis: with ``k >= log_f P``
         rounds this approaches 1 with high probability. ``underloaded``
         may be a boolean mask or an array of rank ids. Computed without
-        unpacking: AND every row with the packed underloaded mask and
-        popcount the intersection.
+        unpacking: AND the rows with the packed underloaded mask and
+        popcount the intersection, a chunk of rows at a time.
         """
         n_under = _coverage_denominator(underloaded)
         if n_under == 0:
@@ -335,7 +335,10 @@ class PackedKnowledgeBitmap:
             packed_mask = np.packbits(underloaded)
         else:
             packed_mask = ids_to_row(underloaded, self.n_ranks)
-        return float(_popcounts(self.packed & packed_mask).mean() / n_under)
+        hits = 0
+        for part in _chunks(self.n_ranks, self.n_bytes):
+            hits += int(_popcounts(self.packed[part] & packed_mask).sum())
+        return hits / self.n_ranks / n_under
 
     @property
     def rows(self) -> np.ndarray:
@@ -471,8 +474,8 @@ class SparseKnowledge:
 
     def memory_bytes(self) -> int:
         """Bytes actually held by the shard arrays, counted per distinct
-        array *object*: the inform stage interns converged shards, so
-        thousands of ranks may reference one physical array."""
+        array *object*: the inform stage hands every complete rank the
+        same shard, so thousands of ranks may reference one array."""
         return int(sum({id(s): s.nbytes for s in self.shards}.values()))
 
 
@@ -739,68 +742,20 @@ class _PackedStore:
         rows[done] = rows[done[:1]]
 
 
-class _ShardInterner:
-    """Content-addressed canonical store for id-space shard arrays.
+class _SparseCandidates:
+    """Candidate view ``P \\ (S^p u {p})`` over sorted shards, answering
+    as :class:`_PackedCandidates` does.
 
-    ``canon`` returns one canonical array per distinct content, so
-    ranks whose knowledge sets converge share a single array object,
-    and the sparse store skips whole merges on object identity alone
-    (a payload that *is* the receiver's shard cannot add members). A
-    lookup never changes values: the canonical is value-equal to the
-    query by construction, so interning is invisible to results.
+    A draw is a candidate iff it is neither the sender nor in the
+    sender's shard. Rows holding the store's complete shard (``whole``)
+    test draws against one P-wide mask of it; the others look draws up
+    with one ``searchsorted`` in the flat keys ``row * P + member`` (the
+    row-major concatenation of sorted shards is globally sorted).
+    ``counts`` is ``P - |S^p| - (p not in S^p)``, the packed store's.
 
-    Contents are bucketed by a cheap fingerprint (size, first, last,
-    sum); collisions fall back to an exact compare. The table is
-    dropped wholesale when it outgrows ``max_buckets`` — under the
-    non-converging "random" trim it would otherwise retain every
-    distinct set ever produced. Losing the table only costs future
-    skips, never correctness.
-    """
-
-    __slots__ = ("buckets", "max_buckets")
-
-    def __init__(self, max_buckets: int) -> None:
-        self.buckets: dict[tuple[int, int, int, int], list[np.ndarray]] = {}
-        self.max_buckets = max_buckets
-
-    def canon(self, arr: np.ndarray) -> np.ndarray:
-        if arr.size == 0:
-            return arr
-        fp = (arr.size, int(arr[0]), int(arr[-1]), int(arr.sum(dtype=np.int64)))
-        bucket = self.buckets.get(fp)
-        if bucket is None:
-            if len(self.buckets) >= self.max_buckets:
-                self.buckets.clear()
-            self.buckets[fp] = [arr]
-            return arr
-        for canonical in bucket:
-            if np.array_equal(arr, canonical):
-                return canonical
-        bucket.append(arr)
-        return arr
-
-
-class _FastSparseCandidates:
-    """Candidate view ``P \\ (S^p u {p})`` over sparse knowledge shards.
-
-    A draw is a candidate iff it is not the sender and not in the
-    sender's shard. Sender rows are grouped by payload *object* —
-    interning makes equal shards identical objects, so converged rounds
-    collapse to one dominant group — and that group tests draws against
-    one shared boolean bitmap of its shard; only the remaining rows pay
-    per-row membership: one ``searchsorted`` against the flat key array
-    ``row * P + id`` (the row-major concatenation of sorted shards is
-    globally sorted). ``counts`` is ``P - |S^p| - (p not in S^p)``,
-    exactly the packed store's, so the shared sampler sees the same
-    inputs and consumes the same RNG stream.
-
-    When the store keeps shards in priority space (capped "lowest"
-    trim; see :class:`_SparseStore`), ``enc``/``dec`` carry the
-    rank->priority permutation and its inverse: draws are rank ids, so
-    membership encodes the draw (``enc``) against the priority-valued
-    segments, while the dominant bitmap and the exact ``extract`` path
-    decode members (``dec``) back to rank ids once. Both are ``None``
-    in id space.
+    Priority-space shards (see :class:`_SparseStore`) come with ``enc``
+    / ``dec``: draws are encoded for the flat lookup, and the mask and
+    ``extract`` decode members back to rank ids.
     """
 
     def __init__(
@@ -810,88 +765,45 @@ class _FastSparseCandidates:
         snap: "np.ndarray | list[np.ndarray]",
         lens: np.ndarray,
         template: np.ndarray,
+        whole: np.ndarray | None,
         enc: np.ndarray | None,
         dec: np.ndarray | None,
     ) -> None:
-        self.n_ranks = n_ranks
-        self.senders = senders
-        self.snap = snap
-        self.lens = lens
-        self.template = template
-        self.enc = enc
-        self.dec = dec
-        n_rows = int(senders.size)
-        groups: dict[int, list[int]] = {}
-        for i, s in enumerate(snap):
-            groups.setdefault(id(s), []).append(i)
-        dom_rows: list[int] | None = None
-        if groups:
-            best = max(groups.values(), key=len)
-            if len(best) >= _DOMINANT_MIN_ROWS and lens[best[0]]:
-                dom_rows = best
-        knows_self = np.zeros(n_rows, dtype=bool)
-        self.dom_mask = None
-        self.bitmap = None
-        if dom_rows is not None:
-            dom_shard = snap[dom_rows[0]]
-            if dec is not None:
-                dom_shard = dec[dom_shard]
-            # Always rank-indexed (decoded here), so dominant rows never
-            # pay a per-wave mapping.
-            self.bitmap = np.zeros(n_ranks, dtype=bool)
-            self.bitmap[dom_shard] = True
-            self.dom_mask = np.zeros(n_rows, dtype=bool)
-            self.dom_mask[dom_rows] = True
-            knows_self[self.dom_mask] = self.bitmap[senders[self.dom_mask]]
-            nd_rows = np.flatnonzero(~self.dom_mask)
-        else:
-            nd_rows = np.arange(n_rows)
-        self.nd_pos = np.full(n_rows, -1, dtype=np.int64)
-        self.nd_pos[nd_rows] = np.arange(nd_rows.size)
-        nd_lens = lens[nd_rows]
-        if int(nd_lens.sum()):
-            nd_flat = np.concatenate([snap[i] for i in nd_rows.tolist()])
-        else:
-            nd_flat = np.empty(0, dtype=_ID_DTYPE)
-        self.nd_flat_keys = np.repeat(
-            np.arange(nd_rows.size, dtype=np.int64) * n_ranks, nd_lens
-        ) + nd_flat.astype(np.int64)
-        if nd_rows.size:
-            knows_self[nd_rows] = self._hits(
-                np.arange(nd_rows.size), senders[nd_rows][:, None]
-            )[:, 0]
-        self.counts = n_ranks - lens - (~knows_self)
+        self.n_ranks, self.senders, self.snap, self.lens = n_ranks, senders, snap, lens
+        self.template, self.enc, self.dec = template, enc, dec
+        self.is_whole = np.fromiter((s is whole for s in snap), bool, senders.size)
+        self.mask = np.zeros(n_ranks, dtype=bool)
+        if self.is_whole.any():
+            self.mask[whole if dec is None else dec[whole]] = True
+        rest = np.flatnonzero(~self.is_whole)
+        self.rest_pos = np.full(senders.size, -1, dtype=np.int64)
+        self.rest_pos[rest] = np.arange(rest.size)
+        members = [snap[i] for i in rest.tolist()] or [np.empty(0, dtype=_ID_DTYPE)]
+        self.keys = np.repeat(np.arange(rest.size, dtype=np.int64) * n_ranks, lens[rest])
+        self.keys += np.concatenate(members)
+        knows_self = self.mask[senders]
+        knows_self[rest] = self._hits(np.arange(rest.size), senders[rest][:, None])[:, 0]
+        self.counts = n_ranks - lens - ~knows_self
 
-    def _hits(self, sub_rows: np.ndarray, sub_draws: np.ndarray) -> np.ndarray:
-        """Shard membership for non-dominant rows (compact indices).
-
-        ``sub_draws`` holds rank ids; with ``enc`` set they are mapped
-        into the priority-valued segments first — membership of
-        ``enc[draw]`` in the encoded shard equals membership of
-        ``draw`` in the original, since ``enc`` is a bijection.
-        """
-        flat = self.nd_flat_keys
-        if not flat.size:  # all-empty shards: the seeding round
-            return np.zeros(sub_draws.shape, dtype=bool)
+    def _hits(self, at: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Whether rank id ``draws[i, j]`` is in the shard of flat row ``at[i]``."""
+        keys = self.keys
+        if not keys.size:  # empty shards only: the seeding round
+            return np.zeros(draws.shape, dtype=bool)
         if self.enc is not None:
-            sub_draws = self.enc[sub_draws]
-        keys = (sub_rows[:, None] * np.int64(self.n_ranks) + sub_draws).ravel()
-        pos = np.searchsorted(flat, keys)
-        return (flat[np.minimum(pos, flat.size - 1)] == keys).reshape(sub_draws.shape)
+            draws = self.enc[draws]
+        probe = (at[:, None] * np.int64(self.n_ranks) + draws).ravel()
+        pos = np.searchsorted(keys, probe)
+        return (keys[np.minimum(pos, keys.size - 1)] == probe).reshape(draws.shape)
 
     def test(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
         ok = draws != self.senders[rows][:, None]
-        if self.bitmap is not None:
-            dm = self.dom_mask[rows]
-            if dm.any():
-                ok[dm] &= ~self.bitmap[draws[dm]]
-            ndm = ~dm
-        else:
-            ndm = np.ones(rows.size, dtype=bool)
-        if ndm.any():
-            sub = ndm if self.bitmap is not None else slice(None)
-            hit = self._hits(self.nd_pos[rows[sub]], draws[sub])
-            ok[sub] &= ~hit
+        whole = self.is_whole[rows]
+        rest = slice(None)
+        if whole.any():
+            ok[whole] &= ~self.mask[draws[whole]]
+            rest = ~whole
+        ok[rest] &= ~self._hits(self.rest_pos[rows[rest]], draws[rest])
         return ok
 
     def extract(
@@ -918,33 +830,28 @@ class _FastSparseCandidates:
 
 
 class _SparseStore:
-    """Round-loop adapter over the sorted id shards of ``knowledge``.
+    """Round-loop adapter over the sorted ``int32`` shards of ``knowledge``.
 
-    Nothing O(P) per sender is ever materialized, so round cost scales
-    with shard sizes (bounded by ``max_known``) instead of ``P``. Two
-    value-preserving layers keep converged rounds cheap:
+    Nothing O(P) per sender is materialized, so a round costs in shard
+    sizes (bounded by ``max_known``), not in ``P``. Every mutation
+    *replaces* a shard, so a payload reference taken at round start — or
+    held in the fault layer's late-delivery table — never sees a later
+    merge.
 
-    - **Priority space** (capped "lowest" trim only): shards hold
-      sorted *priority* values (``enc[member]``, as the bit rows'
-      positions), so the trim is a ``[:cap]`` truncation of the sorted
-      union and a shard equal to ``{0..cap-1}`` is *complete*: it is
-      the one ``head`` array, and its merges skip without touching the
-      payloads. Shards short of it are not interned (at 32k ranks no
-      two compared equal). :meth:`finish` decodes shards to rank ids.
-    - **Interning + identity skips** (id space): equal shard contents
-      share one array object (:class:`_ShardInterner`), so messages whose
-      payload *is* the receiver's shard are no-ops — detected for the
-      whole round with one ``reduceat`` — and sender rows sharing the
-      round's dominant payload object test sampler draws against one
-      shared bitmap (:class:`_FastSparseCandidates`).
+    **Complete shards** follow :class:`_PackedStore`'s rule: a shard
+    is complete when it holds every seed, or, under a binding "lowest"
+    cap, the cap lowest priority positions ``{0..cap-1}``. Every
+    complete shard is one array object, :attr:`whole`. A complete
+    receiver takes no merge, a receiver handed a complete payload adopts
+    it (their union, trimmed, is that payload), and complete rows test
+    sampler draws against one P-wide mask (:class:`_SparseCandidates`).
+    Under a binding "random" cap no shard completes (``whole`` is None).
 
-    The "random" trim draws RNG keys per over-cap row, so it cannot be
-    fused or skipped; that path keeps id-space shards and a separate
-    :meth:`trim` pass (identical stream consumption).
-    Payload handles are shard references: every mutation *replaces* a
-    shard array (interning included), so a reference taken at round
-    start — or held in the fault layer's late-delivery table — never
-    sees a later merge.
+    **Priority space** (capped "lowest" trim): shards hold positions
+    ``enc[member]``, as the bit rows do, so the trim is a ``[:cap]`` cut
+    fused into :meth:`merge`, and :meth:`finish` decodes shards to rank
+    ids. The "random" trim keeps rank-id shards and draws its keys in
+    :meth:`trim`, on the bit rows' stream.
     """
 
     def __init__(
@@ -962,24 +869,34 @@ class _SparseStore:
         self.knowledge = SparseKnowledge(n_ranks)
         self.template = _leading_ones(n_ranks)
         self.fused_trim = cap is not None and trim_policy == "lowest"
-        self.interner = None if self.fused_trim else _ShardInterner(max(1024, n_ranks // 4))
         self.enc: np.ndarray | None = None
         self.dec: np.ndarray | None = None
-        self.complete: np.ndarray | None = None
         members = seeds
         if self.fused_trim:
-            # Loads are fixed for the stage, so the permutation pair is
-            # built once; a seed's shard {enc[p]} is complete only if
-            # the cap keeps one member and p comes first.
+            # Loads are fixed for the stage: one permutation pair.
             self.enc, self.dec = _priority_order(loads)
             members = self.enc[seeds]
-            self.complete = np.zeros(n_ranks, dtype=bool)
-            self.complete[seeds] = (members == 0) & (cap == 1)
-            #: {0..cap-1}, the one object every complete shard holds.
-            self.head = np.arange(min(cap, n_ranks), dtype=_ID_DTYPE)
-        shards = self.knowledge.shards
+        #: The one object every complete shard holds; None where no shard
+        #: can complete (no seeds, or a binding "random" cap).
+        self.whole: np.ndarray | None = np.sort(members).astype(_ID_DTYPE)
+        if cap is not None and cap < seeds.size:
+            self.whole = np.arange(cap, dtype=_ID_DTYPE) if self.fused_trim else None
+        if seeds.size == 0:
+            self.whole = None
+        self.complete = np.zeros(n_ranks, dtype=bool)
         for p, shard in zip(seeds.tolist(), members.astype(_ID_DTYPE).reshape(-1, 1)):
-            shards[p] = shard
+            self._put(p, shard)
+
+    def _put(self, rank: int, shard: np.ndarray) -> None:
+        """Store ``shard`` as ``S^rank``, as :attr:`whole` if complete.
+        Size and last member decide: rows hold seeds only, and
+        ``{0..cap-1}`` is the one sorted set of ``cap`` ids ending at
+        ``cap - 1``."""
+        whole = self.whole
+        if whole is not None and shard.size == whole.size and shard[-1] == whole[-1]:
+            shard = whole
+            self.complete[rank] = True
+        self.knowledge.shards[rank] = shard
 
     def snapshot(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Payload shard references and their sizes."""
@@ -990,80 +907,53 @@ class _SparseStore:
 
     def candidates(
         self, senders: np.ndarray, snap: np.ndarray, lens: np.ndarray, full: bool
-    ) -> tuple[np.ndarray, _FastSparseCandidates]:
+    ) -> tuple[np.ndarray, _SparseCandidates]:
         """``(counts, membership view)``: ``P \\ S^p`` minus self, or —
         when ``full`` — the same view over empty shards (all of P)."""
         if full:
             snap = [np.empty(0, dtype=_ID_DTYPE)] * senders.size
             lens = np.zeros(senders.size, dtype=np.int64)
-        cand = _FastSparseCandidates(
-            self.n_ranks, senders, snap, lens, self.template, self.enc, self.dec
+        cand = _SparseCandidates(
+            self.n_ranks, senders, snap, lens, self.template, self.whole, self.enc, self.dec
         )
         return cand.counts, cand
 
     def merge(
         self, receivers: np.ndarray, bounds: np.ndarray, payloads: np.ndarray, src: np.ndarray
     ) -> None:
-        # Complete receivers and receivers whose every payload *is*
-        # their own shard object are skipped wholesale (the union
-        # cannot change their set); only the rest run a real merge,
-        # with the "lowest" trim fused in as a truncation.
-        shards = self.knowledge.shards
-        fused_trim = self.fused_trim
-        cap = self.cap
-        complete = self.complete
+        # A complete receiver takes no merge, and one handed a complete
+        # payload adopts it: their union, trimmed, is that payload.
+        shards, complete = self.knowledge.shards, self.complete
         payload_list = payloads.tolist()
-        recv_list = receivers.tolist()
-        own_ids = np.fromiter((id(shards[r]) for r in recv_list), np.int64, receivers.size)
-        payload_ids = np.fromiter((id(s) for s in payload_list), np.int64, len(payload_list))[src]
-        is_own = payload_ids == np.repeat(own_ids, np.diff(bounds))
-        open_recv = ~np.logical_and.reduceat(is_own, bounds[:-1])
-        if complete is not None:
-            open_recv &= ~complete[receivers]
-        bounds_list = bounds.tolist()
-        src_list = src.tolist()
-        for i in np.flatnonzero(open_recv).tolist():
+        handed = np.fromiter((p is self.whole for p in payload_list), bool, len(payload_list))
+        adopt = receivers[np.logical_or.reduceat(handed[src], bounds[:-1]) & ~complete[receivers]]
+        for r in adopt.tolist():
+            shards[r] = self.whole
+        complete[adopt] = True
+        # The rest union their payloads, the "lowest" trim fused in as a cut.
+        cap = self.cap if self.fused_trim else None
+        recv_list, bounds_list, src_list = receivers.tolist(), bounds.tolist(), src.tolist()
+        for i in np.flatnonzero(~complete[receivers]).tolist():
             r = recv_list[i]
-            own = shards[r]
-            own_id = id(own)
-            parts: list[np.ndarray] = []
-            seen = [own_id]
-            for j in range(bounds_list[i], bounds_list[i + 1]):
-                p = payload_list[src_list[j]]
-                pid = id(p)
-                if pid != own_id and pid not in seen:
-                    seen.append(pid)
-                    parts.append(p)
-            if own.size == 0 and len(parts) == 1 and (not fused_trim or parts[0].size <= cap):
-                # Adopting the payload object shares it; shard arrays
-                # are immutable-by-replacement, so sharing is safe.
-                merged = parts[0]
-            else:
-                merged = np.concatenate([own, *parts])
-                # In-place sort + adjacency dedup == np.unique, minus
-                # the ~100us/call overhead that dominates saturated
-                # rounds (every rank is a receiver).
-                merged.sort()
-                keep = np.empty(merged.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-                merged = merged[keep]
-                if not fused_trim:
-                    merged = self.interner.canon(merged)
-                elif merged.size > cap:
-                    merged = merged[:cap].copy()
-            if fused_trim and merged.size == cap and merged[-1] == cap - 1:
-                merged = self.head
-                complete[r] = True
-            shards[r] = merged
+            parts = (payload_list[j] for j in src_list[bounds_list[i] : bounds_list[i + 1]])
+            merged = np.concatenate([shards[r], *parts])
+            # In-place sort + adjacent dedup: np.unique minus its per-call
+            # overhead, which dominates rounds where every rank receives.
+            merged.sort()
+            keep = np.empty(merged.size, dtype=bool)
+            keep[:1] = True
+            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+            merged = merged[keep]
+            if cap is not None and merged.size > cap:
+                merged = merged[:cap].copy()
+            self._put(r, merged)
 
     def trim(self, receivers: np.ndarray) -> None:
         """The "random" ``max_known`` cap (the fused "lowest" one never
         gets here), bit-identical to the bit-row trim: the same survivor
         sets and the same RNG consumption (full-width key rows drawn in
         the same chunks — only member positions are ever *read*, but
-        the stream must match draw for draw). Trimmed shards are
-        interned, so ranks that converge share one object."""
+        the stream must match draw for draw)."""
         cap = self.cap
         if self.fused_trim or cap is None or receivers.size == 0:
             return
@@ -1077,23 +967,20 @@ class _SparseStore:
                 shard = shards[r]
                 keep = shard[np.argpartition(keys[i, shard], cap - 1)[:cap]]
                 keep.sort()
-                shards[r] = self.interner.canon(keep)
+                shards[r] = keep
 
     def finish(self) -> None:
-        """Decode priority-space shards back to sorted rank ids, one
-        conversion per distinct object. The dict pins the encoded key
-        arrays so object ids cannot be recycled mid-decode."""
+        """Decode priority-space shards to sorted rank ids; complete
+        shards share one decode."""
         if not self.fused_trim:
             return
+
+        def decode(shard: np.ndarray) -> np.ndarray:
+            ids = self.dec[shard].astype(_ID_DTYPE)
+            ids.sort()
+            return ids
+
         shards = self.knowledge.shards
-        decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for r in range(self.n_ranks):
-            s = shards[r]
-            hit = decoded.get(id(s))
-            if hit is not None and hit[0] is s:
-                shards[r] = hit[1]
-                continue
-            d = self.dec[s].astype(_ID_DTYPE)
-            d.sort()
-            decoded[id(s)] = (s, d)
-            shards[r] = d
+        whole = None if self.whole is None else decode(self.whole)
+        for r, done in enumerate(self.complete.tolist()):
+            shards[r] = whole if done else decode(shards[r])

@@ -18,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core import gossip as gossip_module
 from repro.core import knowledge as knowledge_module
 from repro.core.gossip import GossipConfig, run_inform_stage
 from repro.sim.faults import FaultConfig
@@ -93,6 +94,78 @@ class TestStraddlingTheRule:
         )
         shards = result.knowledge.shards
         assert len({id(s) for s in shards}) < len(shards) // 2
+
+    @pytest.mark.parametrize("cap", [None, "seeds", "above"])
+    def test_converged_shards_share_one_object_without_a_binding_lowest_cap(self, cap):
+        # Uncapped, or a "random" cap at or above the seed count (a trim
+        # that never binds): a complete shard holds every seed, and all
+        # of them are one object, as under "lowest".
+        for seed in range(3):
+            loads = _loads(512, seed)
+            seeds = np.flatnonzero(loads < loads.mean())
+            max_known = {None: None, "seeds": seeds.size, "above": seeds.size + 7}[cap]
+            config = GossipConfig(max_known=max_known, trim_policy="random")
+            _assert_matches_set_model(loads, config, seed + 1)
+            result = run_inform_stage(
+                loads, dataclasses.replace(config, knowledge="sparse"), rng=seed + 1
+            )
+            knowledge = result.knowledge
+            full = [s for s in knowledge.shards if s.size == seeds.size]
+            assert len(full) > len(knowledge.shards) // 2
+            assert len({id(s) for s in full}) == 1
+            partial = sum(s.nbytes for s in knowledge.shards if s.size < seeds.size)
+            assert knowledge.memory_bytes() <= full[0].nbytes + partial
+
+
+class TestSparseCompleteShards:
+    """``_SparseStore``'s complete-row rule, call by call."""
+
+    @pytest.mark.parametrize(
+        "cap, trim",
+        [(None, "random"), (8, "random"), (20, "random"), (3, "lowest"), (8, "lowest")],
+    )
+    def test_receiver_handed_a_complete_payload_adopts_it(self, cap, trim):
+        # Seeds (below the mean) are ranks 0..7, in priority order.
+        seeds = np.arange(8)
+        loads = np.full(24, 10.0)
+        loads[seeds] = seeds / 8
+        store = knowledge_module._SparseStore(
+            24, seeds, cap, trim, loads, np.random.default_rng(0)
+        )
+        # Rank 0 takes every seed's shard: its row is complete.
+        snap, _ = store.snapshot(seeds)
+        store.merge(np.array([0]), np.array([0, seeds.size]), snap, np.arange(seeds.size))
+        store.trim(np.array([0]))
+        assert store.complete[0]
+        whole = store.knowledge.shards[0]
+        # Seed 5 and non-seed 20 are each handed it beside another payload.
+        snap, _ = store.snapshot(np.array([0, 3]))
+        store.merge(np.array([5, 20]), np.array([0, 2, 4]), snap, np.array([1, 0, 0, 1]))
+        store.trim(np.array([5, 20]))
+        for r in (5, 20):
+            assert store.complete[r]
+            assert store.knowledge.shards[r] is whole
+        assert not store.complete[[1, 2, 3, 4, 6, 7]].any()
+        store.finish()
+        full = set(seeds.tolist()[: cap if trim == "lowest" else None])
+        assert member_sets(store.knowledge)[20] == full
+
+    def test_no_row_completes_under_a_binding_random_cap(self, monkeypatch):
+        stores = []
+
+        def capture(*args, **kwargs):
+            stores.append(knowledge_module.inform_store(*args, **kwargs))
+            return stores[-1]
+
+        monkeypatch.setattr(gossip_module, "inform_store", capture)
+        loads = _loads(512, 0)
+        seeds = np.flatnonzero(loads < loads.mean())
+        for cap in (1, seeds.size // 4, seeds.size - 1):
+            config = GossipConfig(max_known=cap, trim_policy="random", knowledge="sparse")
+            result = run_inform_stage(loads, config, rng=1)
+            assert result.knowledge.counts().max() == cap
+            # Flags are never cleared, so an unflagged end means never flagged.
+            assert not stores[-1].complete.any()
 
 
 class TestWordAndByteBoundaries:

@@ -7,7 +7,8 @@ trims, ``finish`` and the row popcounts walk their rows in chunks of
 
 - the ``tracemalloc`` peak of a whole inform stage, in units of the
   knowledge matrix (``P x P/8`` bytes) and of the sampler's widest draw
-  block (``P x _MAX_WAVE_WIDTH`` ``int64`` draws);
+  block (``P x _MAX_WAVE_WIDTH`` ``int64`` draws), and of ``coverage()``
+  in chunks;
 - that the chunk budget changes no result: rows, message and byte
   counts, ``complete`` flags and the generator's state after the stage
   are the same at a budget of one row, at odd budgets and at the
@@ -63,6 +64,27 @@ def test_inform_stage_holds_one_snapshot_beside_its_matrix(n_ranks, n_tasks, n_l
     # matrices in all at 8k ranks, eight at 4k) do not fit.
     bound = 2 * matrix + max(5 * draws, 4 * knowledge._CHUNK_BYTES)
     assert peak <= bound, f"peak {peak / matrix:.2f} matrices > {bound / matrix:.2f}"
+
+
+def test_coverage_holds_two_chunks_not_a_matrix():
+    # One AND + popcount per chunk of rows; a whole-matrix AND would be
+    # 8 MiB here. The integer hit count is the same either way.
+    n_ranks = 8192
+    rng = np.random.default_rng(3)
+    bitmap = knowledge.PackedKnowledgeBitmap(n_ranks)
+    bitmap.packed[:] = rng.integers(0, 256, size=bitmap.packed.shape, dtype=np.uint8)
+    underloaded = rng.random(n_ranks) < 0.6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = bitmap.coverage(underloaded)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * knowledge._CHUNK_BYTES + 64 * 1024, peak
+    hits = np.bitwise_count(bitmap.packed & np.packbits(underloaded)).sum(dtype=np.int64)
+    assert got == hits / n_ranks / np.count_nonzero(underloaded)
+    np.testing.assert_array_equal(bitmap.counts(), knowledge._popcounts(bitmap.packed))
 
 
 # -- the chunk budget changes no result -------------------------------------
